@@ -237,7 +237,7 @@ def _lorentz_case(w: WeightGrid, cfg: RunConfig) -> tuple[list[str], bool]:
         f"base_vectorized={_fmt(vec_base)} base_scalar={_fmt(scalar)}"
     )
     allok = allok and ok
-    if w.d == 1 and w.label.startswith("pow:"):
+    if w.d == 1 and w.spec[:1] == ("pow",):
         for p, q in _LORENTZ_PAIRS:
             case = lorentz_growth_agreement(w.label, w.d, p, q)
             status = "ok  " if case["pass"] else "FAIL"

@@ -135,25 +135,29 @@ def morton_index(cube: DyadicCube) -> int:
     return int(m[0])
 
 
+def _compact1by1(x: np.ndarray) -> np.ndarray:
+    # inverse of _part1by1: gather the even bits of x into the low 32 bits
+    x = x & np.uint64(0x5555555555555555)
+    x = (x | (x >> np.uint64(1))) & np.uint64(0x3333333333333333)
+    x = (x | (x >> np.uint64(2))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    x = (x | (x >> np.uint64(4))) & np.uint64(0x00FF00FF00FF00FF)
+    x = (x | (x >> np.uint64(8))) & np.uint64(0x0000FFFF0000FFFF)
+    x = (x | (x >> np.uint64(16))) & np.uint64(0x00000000FFFFFFFF)
+    return x
+
+
+def _demorton(d: int, r: np.ndarray) -> list[np.ndarray]:
+    """Per-axis coordinates (int64) of Morton ranks r within one cube."""
+    if d == 1:
+        return [np.asarray(r, dtype=np.int64)]
+    r = np.asarray(r, dtype=np.uint64)
+    return [_compact1by1(r).astype(np.int64), _compact1by1(r >> np.uint64(1)).astype(np.int64)]
+
+
 def _rowmajor_of_morton(d: int, L: int) -> np.ndarray:
     """Permutation p with p[r] = row-major index of the r-th Morton cell."""
-    n = 1 << (d * L)
-    if d == 1:
-        return np.arange(n)
-    r = np.arange(n, dtype=np.uint64)
-    # de-interleave: even bits -> ix, odd bits -> iy
-    def compact(x):
-        x = x & np.uint64(0x5555555555555555)
-        x = (x | (x >> np.uint64(1))) & np.uint64(0x3333333333333333)
-        x = (x | (x >> np.uint64(2))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        x = (x | (x >> np.uint64(4))) & np.uint64(0x00FF00FF00FF00FF)
-        x = (x | (x >> np.uint64(8))) & np.uint64(0x0000FFFF0000FFFF)
-        x = (x | (x >> np.uint64(16))) & np.uint64(0x00000000FFFFFFFF)
-        return x
-
-    ix = compact(r)
-    iy = compact(r >> np.uint64(1))
-    return (iy * np.uint64(1 << L) + ix).astype(np.int64)
+    axes = _demorton(d, np.arange(1 << (d * L)))
+    return axes[0] if d == 1 else axes[1] * (1 << L) + axes[0]
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +175,10 @@ class WeightGrid:
     base : the cube the grid lives on.  Defaults to the unit cube; localized
         grids (e.g. maximal functions on a subcube) carry their own base and
         cover only that cube's cells.
+
+    ``spec`` is (kind, *parameters) as parsed from the generator descriptor
+    when make_grid built the grid, and () otherwise; classifications read
+    it, never the spelling of ``label``.
     """
 
     def __init__(self, d: int, L: int, cells, label: str = "", base: DyadicCube | None = None):
@@ -198,10 +206,13 @@ class WeightGrid:
         self.cells = cells.copy()
         self.cells.setflags(write=False)
         self.label = label
+        self.spec: tuple = ()
         self._zcells: np.ndarray | None = None
         self._float_sums: list[np.ndarray] | None = None
         self._int_sums: tuple[int, list] | None = None
         self._sorted_levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # family_index results keyed by (kind, beta, q, C_cap, gamma_grid)
+        self._indices: dict[tuple, object] = {}
 
     # -- geometry ----------------------------------------------------------
 
@@ -301,6 +312,13 @@ class WeightGrid:
         return self._sorted_levels[rel]
 
 
+def _generated(d: int, L: int, cells, label: str, *spec) -> WeightGrid:
+    """A grid built from a descriptor, recording its parsed form."""
+    w = WeightGrid(d, L, cells, label=label)
+    w.spec = spec
+    return w
+
+
 def make_grid(d: int, L: int, spec: str) -> WeightGrid:
     """Build a weight from a generator descriptor.
 
@@ -325,7 +343,7 @@ def make_grid(d: int, L: int, spec: str) -> WeightGrid:
             raise WeightSpecError(f"bad constant in {spec!r}") from exc
         if not (c > 0.0 and math.isfinite(c)):
             raise WeightSpecError("const value must be positive and finite")
-        return WeightGrid(d, L, np.full(n, c), label=spec)
+        return _generated(d, L, np.full(n, c), spec, "const", c)
     if kind == "pow":
         if d != 1:
             raise WeightSpecError("pow weights are one-dimensional")
@@ -338,7 +356,7 @@ def make_grid(d: int, L: int, spec: str) -> WeightGrid:
         k = np.arange(n, dtype=np.float64)
         # cell average of x^a over [k 2^-L, (k+1) 2^-L)
         cells = 2.0 ** L * ((k + 1.0) ** (a + 1.0) - k ** (a + 1.0)) * 2.0 ** (-L * (a + 1.0)) / (a + 1.0)
-        return WeightGrid(d, L, cells, label=spec)
+        return _generated(d, L, cells, spec, "pow", a)
     if kind == "step":
         try:
             vals = [float(v) for v in rest.split(",") if v != ""]
@@ -351,7 +369,7 @@ def make_grid(d: int, L: int, spec: str) -> WeightGrid:
         if n % len(vals) != 0:
             raise WeightSpecError(f"step value count {len(vals)} does not divide cell count {n}")
         cells = np.repeat(np.asarray(vals, dtype=np.float64), n // len(vals))
-        return WeightGrid(d, L, cells, label=spec)
+        return _generated(d, L, cells, spec, "step", tuple(vals))
     if kind == "rand":
         parts = rest.split(":")
         if len(parts) != 3 or parts[1] != "lognormal":
@@ -366,7 +384,7 @@ def make_grid(d: int, L: int, spec: str) -> WeightGrid:
         raw = np.random.Philox(key=seed).random_raw(n)
         u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
         cells = np.exp(sigma * ndtri(u))
-        return WeightGrid(d, L, cells, label=spec)
+        return _generated(d, L, cells, spec, "rand", seed, sigma)
     if kind == "file":
         w = load_weight(rest)
         if w.d != d or w.L != L:
@@ -430,31 +448,23 @@ def enumerate_cubes(w: WeightGrid, policy: str = "all-dyadic") -> CubeFamily:
     return CubeFamily(cubes, policy)
 
 
+def _level_coords(w: WeightGrid, level: int, rows) -> np.ndarray:
+    """Absolute coords (one row per cube, one column per axis) of the cubes
+    of a level at the given Morton rows."""
+    rel = level - w.base.level
+    axes = _demorton(w.d, rows)
+    return np.stack([(c << rel) + a for c, a in zip(w.base.coords, axes)], axis=1)
+
+
+def _cube_at(w: WeightGrid, level: int, row: int) -> DyadicCube:
+    """The cube of a level at one Morton row (array row order)."""
+    return DyadicCube(level, tuple(_level_coords(w, level, [row])[0].tolist()))
+
+
 def level_cubes(w: WeightGrid, level: int) -> list[DyadicCube]:
     """Cubes of one level in Morton order (matching array row order)."""
-    rel = level - w.base.level
-    n = 1 << (w.d * rel)
-    out = []
-    for r in range(n):
-        if w.d == 1:
-            coords = ((w.base.coords[0] << rel) + r,)
-        else:
-            rr = np.uint64(r)
-
-            def compact(x):
-                x = x & np.uint64(0x5555555555555555)
-                x = (x | (x >> np.uint64(1))) & np.uint64(0x3333333333333333)
-                x = (x | (x >> np.uint64(2))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-                x = (x | (x >> np.uint64(4))) & np.uint64(0x00FF00FF00FF00FF)
-                x = (x | (x >> np.uint64(8))) & np.uint64(0x0000FFFF0000FFFF)
-                x = (x | (x >> np.uint64(16))) & np.uint64(0x00000000FFFFFFFF)
-                return x
-
-            ix = int(compact(rr))
-            iy = int(compact(rr >> np.uint64(1)))
-            coords = ((w.base.coords[0] << rel) + ix, (w.base.coords[1] << rel) + iy)
-        out.append(DyadicCube(level, coords))
-    return out
+    rows = np.arange(1 << (w.d * (level - w.base.level)))
+    return [DyadicCube(level, c) for c in zip(*_level_coords(w, level, rows).T.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +496,22 @@ def save_weight(w: WeightGrid, path: str, format: str | None = None) -> None:
         raise ValueError(f"unknown format {fmt!r}")
 
 
+def _file_grid(d: int, L: int, cells: list, label: str) -> WeightGrid:
+    """The grid a file's header and cell list describe; every defect of the
+    file raises WeightFormatError."""
+    if d not in (1, 2) or not 0 <= d * L <= 62:
+        raise WeightFormatError("header", f"header says d={d} L={L}; need d = 1 or 2 and 0 <= d*L <= 62")
+    if len(cells) != 1 << (d * L):
+        raise WeightFormatError(
+            "cell-count", f"header says {1 << (d * L)} cells, file has {len(cells)}"
+        )
+    try:
+        cells = np.asarray(cells, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise WeightFormatError("parse", f"cells must be numbers: {exc}") from exc
+    return WeightGrid(d, L, cells, label=label)
+
+
 def load_weight(path: str, format: str | None = None) -> WeightGrid:
     """Read a grid from CSV or JSON; inverse of save_weight."""
     fmt = format or ("json" if path.endswith(".json") else "csv")
@@ -505,11 +531,7 @@ def load_weight(path: str, format: str | None = None) -> WeightGrid:
                     cells.append(float(line))
                 except ValueError as exc:
                     raise WeightFormatError("parse", f"line {lineno}: not a number: {line!r}") from exc
-        if len(cells) != 1 << (d * L):
-            raise WeightFormatError(
-                "cell-count", f"header says {1 << (d * L)} cells, file has {len(cells)}"
-            )
-        return WeightGrid(d, L, cells, label=f"file:{path}")
+        return _file_grid(d, L, cells, f"file:{path}")
     if fmt == "json":
         with open(path) as fh:
             try:
@@ -524,9 +546,5 @@ def load_weight(path: str, format: str | None = None) -> WeightGrid:
         cells = obj["cells"]
         if not isinstance(cells, list):
             raise WeightFormatError("parse", "cells must be a list")
-        if len(cells) != 1 << (d * L):
-            raise WeightFormatError(
-                "cell-count", f"header says {1 << (d * L)} cells, file has {len(cells)}"
-            )
-        return WeightGrid(d, L, cells, label=str(obj.get("label", f"file:{path}")))
+        return _file_grid(d, L, cells, str(obj.get("label", f"file:{path}")))
     raise ValueError(f"unknown format {fmt!r}")

@@ -44,12 +44,13 @@ reported indices are then exact by construction.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import WeightGrid, level_cubes
+from .grid import WeightGrid, _cube_at
 from .kcalc import ConcaveCurve, CurveFamily, StepProductCurve
 
 _TIE = 1e-9
@@ -77,8 +78,11 @@ class IndexEstimate:
     (cap_value_beyond is inf when the search hits the delta ceiling, where
     the continuum constant is genuinely unbounded).  witness is the
     lexicographically first (cube address, s, t) achieving the constant at
-    delta_hat; monotone records whether admissibility was a prefix of the
-    scan grid, which is what validates the bisection.
+    delta_hat; monotone records whether knee admissibility was a prefix of
+    the scan grid, which is what validates the bisection.  Cap admissibility
+    is a prefix by proof (see family_index), so it has no flag; a knee scan
+    stops at its first cap failure, after which every grid point fails by
+    the same proof.
     """
 
     delta_hat: float
@@ -205,66 +209,73 @@ def ai_constant(phi, delta: float, gamma: float = 1.0, domain_end: float | None 
 # rectangular per-level machinery for cube families
 
 class _LevelBlock:
-    """Candidate data for all cubes of one level, rectangular.
+    """Candidate data for all cubes of one level on the full window, rectangular.
 
-    lnphi has one row per cube; ls holds log-abscissae (shared vector for
-    knot candidates).  For kind "k" the exact mode adds per-piece interior
-    minima, whose abscissae solve s* = u a / (b (1 - u)) and so depend on the
-    scan variable; lnA/lnB/a_pos hold the piece data to rebuild them.
+    lnphi has one row per cube; ls holds the shared log-abscissae, in
+    increasing order.  The window (0, gamma |Q|] of a smaller gamma is a
+    column prefix (see window), so one block serves every gamma.  For kind
+    "k" the exact mode adds per-piece interior minima, whose abscissae solve
+    s* = u a / (b (1 - u)) and so depend on the scan variable; lnA/lnB/a_pos
+    hold the piece data to rebuild them.
+
+    For kind "acks" the columns alternate the left and right values of
+    t (w chi_Q)*(t) at each plateau knot.  The right value at a window's end
+    lies outside the window and is left out.  Putting the left value there
+    again would change nothing: a column repeating its left neighbour at the
+    same abscissa has the same ratio r and the same lever, and the first
+    maximum of r never falls on it.
     """
 
-    def __init__(self, w: WeightGrid, level: int, gamma: float, kind: str):
+    def __init__(self, w: WeightGrid, level: int, kind: str):
         vals, K = w.sorted_level(level)
-        n, m = vals.shape
-        kcols = int(round(gamma * m))
-        self.empty = kcols < 1 or m < 2
+        m = vals.shape[1]
+        self.empty = m < 2
         if self.empty:
             return
         h = w.cell_measure
         self.level = level
+        self.kind = kind
+        self.m = m
         self.h = h
-        self.kappa = 0.5 * math.log(gamma * (2.0 ** (-w.d * level)) / h)
+        self.cube_measure = 2.0 ** (-w.d * level)
+        s = np.arange(1, m + 1) * h
         if kind == "k":
-            self.lnphi = np.log(K[:, :kcols])
-            self.svals = np.arange(1, kcols + 1) * h
-            self.ls = np.log(self.svals)
-            # pieces 2..kcols: phi = a + b s on [s_{k-1}, s_k]
-            if kcols >= 2:
-                a = K[:, : kcols - 1] - vals[:, 1:kcols] * self.svals[:-1]
-                b = vals[:, 1:kcols]
-                self.a_pos = a > 0
-                with np.errstate(divide="ignore"):
-                    self.lnA = np.where(self.a_pos, np.log(np.where(self.a_pos, a, 1.0)), -np.inf)
-                    self.lnB = np.log(b)
-            else:
-                self.a_pos = None
-        else:  # acks: two-sided values of t * (w chi_Q)*(t) at plateau knots
-            s = np.arange(1, kcols + 1) * h
-            left = s[None, :] * vals[:, :kcols]
-            right = left.copy()
-            if kcols < m:
-                right[:, :] = s[None, :] * vals[:, 1 : kcols + 1]
-            elif kcols > 1:
-                right[:, :-1] = s[None, :-1] * vals[:, 1:kcols]
-            # the right-hand value at the window end lies outside the window
-            right[:, -1] = left[:, -1]
-            lnphi = np.empty((n, 2 * kcols))
-            lnphi[:, 0::2] = np.log(left)
-            lnphi[:, 1::2] = np.log(right)
+            self.lnphi = np.log(K)
+            self.svals = s
+            # pieces 2..m: phi = a + b s on [s_{k-1}, s_k]
+            a = K[:, :-1] - vals[:, 1:] * s[:-1]
+            self.a_pos = a > 0
+            with np.errstate(divide="ignore"):
+                self.lnA = np.where(self.a_pos, np.log(np.where(self.a_pos, a, 1.0)), -np.inf)
+                self.lnB = np.log(vals[:, 1:])
+        else:
+            lnphi = np.empty((vals.shape[0], 2 * m - 1))
+            lnphi[:, 0::2] = np.log(s[None, :] * vals)
+            lnphi[:, 1::2] = np.log(s[None, :-1] * vals[:, 1:])
             self.lnphi = lnphi
-            self.svals = np.repeat(s, 2)
-            self.ls = np.log(self.svals)
+            self.svals = np.repeat(s, 2)[:-1]
             self.a_pos = None
+        self.ls = np.log(self.svals)
 
-    def arrays(self, u: float, exact: bool):
-        """(lg, ls, svals) candidate arrays at scan point u.
+    def window(self, gamma: float) -> tuple[int, float]:
+        """(ncols, kappa) of the window (0, gamma |Q|]: its candidates are
+        the first ncols columns (0 when the window holds no knot), and kappa
+        is half its log-window log(gamma |Q| / h), the knee rule's lever bound."""
+        kcols = int(round(gamma * self.m))
+        if kcols < 1:
+            return 0, 0.0
+        ncols = kcols if self.kind == "k" else 2 * kcols - 1
+        return ncols, 0.5 * math.log(gamma * self.cube_measure / self.h)
 
-        exact mode interleaves the interior ratio minima between knots so the
-        column order follows the abscissae; ls is then per-row.
+    def lg(self, u: float, exact: bool) -> np.ndarray:
+        """Log-ratios lnphi - u ln s of the full window's candidates at scan
+        point u, in abscissa order.
+
+        exact mode interleaves the interior ratio minima between knots.
         """
         lg_k = self.lnphi - u * self.ls[None, :]
         if not exact or self.a_pos is None or not 0.0 < u < 1.0:
-            return lg_k, self.ls, None
+            return lg_k
         lsk = self.ls
         with np.errstate(invalid="ignore"):
             lnt = (math.log(u) - math.log1p(-u)) + self.lnA - self.lnB
@@ -273,76 +284,146 @@ class _LevelBlock:
             lg_min = np.where(valid, self.lnA - math.log1p(-u) - u * lnt, 0.0)
         n, m = lg_k.shape
         lg = np.empty((n, 2 * m - 1))
-        ls2 = np.empty((n, 2 * m - 1))
         lg[:, 0::2] = lg_k
-        ls2[:, 0::2] = lsk[None, :]
         lg[:, 1::2] = np.where(valid, lg_min, lg_k[:, 1:])
-        ls2[:, 1::2] = np.where(valid, lnt, lsk[None, 1:])
-        return lg, ls2, None
+        return lg
 
 
-def _blocks_ok(blocks, u, lncap_q, triv_tol, knee, exact):
-    """Whether every cube of every block is admissible at scan point u;
-    also returns the max log-ratio over the family (base scale)."""
-    all_ok = True
+def _blocks_ok(blocks, u, lncap_q, exact):
+    """Whether the family constant at scan point u is within the cap, with
+    the max log-ratio over the family (base scale), on the full window."""
     cmax = 0.0
     for blk in blocks:
-        lg, ls, _ = blk.arrays(u, exact)
-        M = np.maximum.accumulate(lg, axis=1)
-        r = M - lg
-        rmax = r.max(axis=1)
-        cmax = max(cmax, float(rmax.max()))
-        ok = rmax <= lncap_q + 1e-15
-        if knee:
-            need = ok & (rmax > triv_tol)
-            if np.any(need):
-                ls2 = np.broadcast_to(ls, lg.shape)
-                cols = np.arange(lg.shape[1])
-                ach = (M - lg) <= _TIE
-                ilast = np.maximum.accumulate(np.where(ach, cols[None, :], -1), axis=1)
-                lever = ls2 - np.take_along_axis(ls2, ilast, axis=1)
-                binding = r >= (rmax[:, None] - _TIE)
-                lev_min = np.where(binding, lever, np.inf).min(axis=1)
-                ok = np.where(need, lev_min <= blk.kappa, ok)
-        if not np.all(ok):
-            all_ok = False
-            if not knee:
-                # cap mode still wants the global max for certificates
-                continue
-            return False, cmax
-    return all_ok, cmax
+        lg = blk.lg(u, exact)
+        cmax = max(cmax, float((np.maximum.accumulate(lg, axis=1) - lg).max()))
+    return cmax <= lncap_q + 1e-15, cmax
 
 
-def _scan_largest(ok_fn, tol: float):
-    """Largest admissible u in [0, 1]: coarse 1/64 scan plus bisection.
+def _knee_ok(blocks, u, windows, lncap_q, triv_tol):
+    """Knee admissibility at scan point u of several windows in one pass.
 
-    Returns (u_hat, monotone flag); monotone means admissibility was a prefix
-    of the grid, which is what makes the bisection meaningful.
+    windows[k][b] is the (ncols, kappa) of window k on block b.  The ratio
+    arrays are built once per block on the widest window still undecided;
+    each window reads its own column prefix, where they equal the arrays of
+    that window's own candidates.  A window fails at the first block with a
+    cube beyond the cap, or with a binding pair whose lever exceeds kappa.
+    Returns one (ok, cap_failed) pair per window; cap_failed marks a failure
+    of the first kind, which persists at every larger u.
     """
-    grid = np.linspace(0.0, 1.0, 65)
-    oks = [ok_fn(float(x)) for x in grid]
-    monotone = all(a or not b for a, b in zip(oks, oks[1:]))  # no False -> True
-    if not oks[0]:
-        return 0.0, monotone
-    if all(oks):
-        return 1.0, monotone
-    j = max(i for i, v in enumerate(oks) if v)
-    lo, hi = float(grid[j]), float(grid[min(j + 1, 64)])
+    out = [(True, False)] * len(windows)
+    pending = list(range(len(windows)))
+    for b, blk in enumerate(blocks):
+        live = [k for k in pending if windows[k][b][0]]
+        if not live:
+            continue
+        width = max(windows[k][b][0] for k in live)
+        lg = blk.lnphi[:, :width] - u * blk.ls[:width]
+        r = np.maximum.accumulate(lg, axis=1) - lg
+        lever = None
+        for k in live:
+            ncols, kappa = windows[k][b]
+            rk = r[:, :ncols]
+            rmax = rk.max(axis=1)
+            top = rmax.max()
+            if top > lncap_q + 1e-15:
+                out[k] = (False, True)
+                pending.remove(k)
+                continue
+            if top <= triv_tol:
+                continue
+            if lever is None:
+                # lever of each column: log-distance back to the last column
+                # achieving the running max
+                ilast = np.maximum.accumulate(np.where(r <= _TIE, np.arange(width), -1), axis=1)
+                lever = blk.ls[:width] - blk.ls[ilast]
+            binding = rk >= (rmax[:, None] - _TIE)
+            lev_min = np.where(binding, lever[:, :ncols], np.inf).min(axis=1)
+            if lev_min[rmax > triv_tol].max() > kappa:
+                out[k] = (False, False)
+                pending.remove(k)
+        if not pending:
+            break
+    return out
+
+
+_GRID = np.linspace(0.0, 1.0, 65)
+
+
+def _bisect(ok_fn, j: int, tol: float) -> float:
+    """Bisection to tol between grid point j (admissible) and the next."""
+    lo, hi = float(_GRID[j]), float(_GRID[min(j + 1, 64)])
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if ok_fn(mid):
             lo = mid
         else:
             hi = mid
-    return lo, monotone
+    return lo
 
 
-def _family_witness(blocks, w, u):
+def _scan_largest(ok_fn, tol: float, n: int = 1):
+    """Largest admissible u in [0, 1] for n criteria scanned together:
+    coarse 1/64 grid plus bisection.
+
+    ok_fn(u, ks) evaluates the criteria ks at u in one pass and returns one
+    (ok, cap_failed) pair per criterion.  A cap failure persists at every
+    larger u (each pair term of the ratio is nondecreasing in u), so a
+    criterion's remaining grid points are set False without evaluation.
+    Returns one (u_hat, monotone) pair per criterion; monotone means
+    admissibility was a prefix of the grid, which is what makes the
+    bisection meaningful.  A skipped tail is all False, so it cannot clear
+    the flag.
+    """
+    oks = [[] for _ in range(n)]
+    live = list(range(n))
+    for x in _GRID:
+        if not live:
+            break
+        res = ok_fn(float(x), live)
+        for k, (ok, _) in zip(live, res):
+            oks[k].append(ok)
+        live = [k for k, (_, capped) in zip(live, res) if not capped]
+    out = []
+    for k, o in enumerate(oks):
+        o = o + [False] * (_GRID.size - len(o))
+        monotone = all(a or not b for a, b in zip(o, o[1:]))  # no False -> True
+        if not o[0]:
+            out.append((0.0, monotone))
+        elif all(o):
+            out.append((1.0, monotone))
+        else:
+            j = max(i for i, v in enumerate(o) if v)
+            out.append((_bisect(lambda u: ok_fn(u, [k])[0][0], j, tol), monotone))
+    return out
+
+
+def _scan_prefix(ok_fn, tol: float) -> float:
+    """Largest admissible u in [0, 1] for a criterion whose admissible set
+    is a prefix of [0, 1]: binary search for the last admissible point of
+    the same 1/64 grid, then the same bisection as _scan_largest, so the
+    result equals that of the full grid scan."""
+    if not ok_fn(0.0):
+        return 0.0
+    if ok_fn(1.0):
+        return 1.0
+    lo, hi = 0, _GRID.size - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok_fn(float(_GRID[mid])):
+            lo = mid
+        else:
+            hi = mid
+    return _bisect(ok_fn, lo, tol)
+
+
+def _family_witness(blocks, window, w, u):
     """Lexicographically first (cube addr, s, t) achieving the family
-    constant at scan point u, on the breakpoint candidate set."""
+    constant at scan point u, on the window's breakpoint candidate set."""
     best = (-1.0, None)
-    for blk in blocks:
-        lg, ls, _ = blk.arrays(u, exact=False)
+    for blk, (ncols, _) in zip(blocks, window):
+        if not ncols:
+            continue
+        lg = blk.lnphi[:, :ncols] - u * blk.ls[None, :ncols]
         M = np.maximum.accumulate(lg, axis=1)
         r = M - lg
         rmax = r.max(axis=1)
@@ -354,8 +435,7 @@ def _family_witness(blocks, w, u):
     if best[1] is None:
         return ("", 0.0, 0.0)
     level, row, s, t = best[1]
-    addr = level_cubes(w, level)[row].addr()
-    return (addr, float(s), float(t))
+    return (_cube_at(w, level, row).addr(), float(s), float(t))
 
 
 def family_index(
@@ -369,13 +449,29 @@ def family_index(
 
     For each window fraction gamma, the largest admissible delta is found by
     a coarse scan (step 1/64) plus bisection to 1e-4, and the best gamma is
-    reported.  delta_cap uses admissibility "family constant <= C_cap" at
-    gamma = 1 on the exact candidate set (breakpoints plus interior ratio
-    minima), and carries the bracketing certificate; delta_hat uses the knee
-    rule described in the module docstring on the breakpoint set.  Both are
-    returned in the delta units of the (beta, q) transform, where exactness
-    of the shift and power identities is by construction: the scan runs in
-    the base variable u = beta + delta/q.
+    reported.  delta_hat uses the knee rule described in the module
+    docstring on the breakpoint set.  delta_cap uses admissibility "family
+    constant <= C_cap" at gamma = 1 on the exact candidate set (breakpoints
+    plus interior ratio minima), and carries the bracketing certificate.
+    Both are returned in the delta units of the (beta, q) transform, where
+    exactness of the shift and power identities is by construction: the
+    scan runs in the base variable u = beta + delta/q.
+
+    The scan is pruned and shared without changing any result:
+
+      * cap admissibility is a prefix of [0, 1]: each pair term
+        lg_i - lg_j = lnphi_i - lnphi_j + u (ln s_j - ln s_i) is
+        nondecreasing in u, and the exact candidate set attains the
+        continuum supremum, which is therefore nondecreasing too.  The cap
+        scan is a binary search over the same grid (_scan_prefix);
+      * a knee-admissible u is cap-admissible on that window's breakpoint
+        set, and cap failure there is monotone in u by the same argument,
+        so a knee scan stops at its first cap failure;
+      * the gamma = 1 blocks serve every window as column prefixes and the
+        cap scan, and one pass per grid point decides all gammas.
+
+    The result is memoised on the weight grid, keyed by the kind and the
+    parameters; each call returns its own copy.
     """
     w = F.w
     beta = F.beta if beta is None else beta
@@ -390,48 +486,50 @@ def family_index(
         raise ValueError("gamma_grid must be a nonempty subset of (0, 1]")
     if F.kind not in ("k", "acks"):
         raise ValueError(f"unknown curve kind {F.kind!r}")
+    key = (F.kind, beta, q, C_cap, tuple(gamma_grid))
+    if key not in w._indices:
+        w._indices[key] = _family_estimate(w, F.kind, beta, q, C_cap, tuple(gamma_grid))
+    return dataclasses.replace(w._indices[key])
+
+
+def _family_estimate(w, kind, beta, q, C_cap, gamma_grid) -> IndexEstimate:
+    """family_index on validated parameters, without the memo."""
     lncap_q = math.log(C_cap) / q
     triv_tol = _TRIVIAL / q
     utol = 1e-4 / q
     levels = range(w.base.level, w.L + 1)
-
-    best = None  # (u_hat, monotone, gamma, blocks)
-    for gamma in gamma_grid:
-        blocks = [b for b in (_LevelBlock(w, lev, gamma, F.kind) for lev in levels) if not b.empty]
-        if not blocks:
-            continue
-        ok = lambda u: _blocks_ok(blocks, u, lncap_q, triv_tol, knee=True, exact=False)[0]
-        u_hat, mono = _scan_largest(ok, utol)
-        if best is None or u_hat > best[0]:
-            best = (u_hat, mono, gamma, blocks)
-    if best is None:
+    blocks = [b for b in (_LevelBlock(w, lev, kind) for lev in levels) if not b.empty]
+    windows = [(g, [b.window(g) for b in blocks]) for g in gamma_grid]
+    windows = [(g, win) for g, win in windows if any(n for n, _ in win)]
+    if not windows:
         raise ValueError("no gamma in the grid leaves any cube a candidate window")
-    u_hat, monotone, gamma_star, blocks_star = best
+
+    knee = lambda u, ks: _knee_ok(blocks, u, [windows[k][1] for k in ks], lncap_q, triv_tol)
+    best = None  # (u_hat, monotone, gamma, window)
+    for (gamma, win), (u_hat, mono) in zip(windows, _scan_largest(knee, utol, len(windows))):
+        if best is None or u_hat > best[0]:
+            best = (u_hat, mono, gamma, win)
+    u_hat, monotone, gamma_star, win_star = best
 
     # cap-threshold estimate at gamma = 1, exact candidate set
-    exact_mode = F.kind == "k"
-    blocks_full = [b for b in (_LevelBlock(w, lev, 1.0, F.kind) for lev in levels) if not b.empty]
-    ok_cap = lambda u: _blocks_ok(blocks_full, u, lncap_q, triv_tol, knee=False, exact=exact_mode)[0]
-    u_cap, mono_cap = _scan_largest(ok_cap, utol)
-    c_at = math.exp(q * _blocks_ok(blocks_full, u_cap, lncap_q, triv_tol, False, exact_mode)[1])
+    exact_mode = kind == "k"
+    u_cap = _scan_prefix(lambda u: _blocks_ok(blocks, u, lncap_q, exact_mode)[0], utol)
+    c_at = math.exp(q * _blocks_ok(blocks, u_cap, lncap_q, exact_mode)[1])
     if u_cap + 1e-3 / q <= 1.0:
-        c_beyond = math.exp(
-            q * _blocks_ok(blocks_full, u_cap + 1e-3 / q, lncap_q, triv_tol, False, exact_mode)[1]
-        )
+        c_beyond = math.exp(q * _blocks_ok(blocks, u_cap + 1e-3 / q, lncap_q, exact_mode)[1])
     else:
         # past u = 1 the first piece (linear through the origin) makes the
         # continuum constant infinite
         c_beyond = math.inf
 
-    witness = _family_witness(blocks_star, w, u_hat)
     return IndexEstimate(
         delta_hat=q * (u_hat - beta),
         delta_cap=q * (u_cap - beta),
         cap=C_cap,
         gamma=gamma_star,
         resolution=w.L,
-        witness=witness,
-        monotone=monotone and mono_cap,
+        witness=_family_witness(blocks, win_star, w, u_hat),
+        monotone=monotone,
         cap_value_at=c_at,
         cap_value_beyond=c_beyond,
     )
@@ -470,6 +568,7 @@ def single_index(phi, C_cap: float = 16.0, gamma: float = 1.0) -> IndexEstimate:
     pair.  The knee rule and the cap threshold run on the curve's candidate
     set, with the interior ratio minima included for concave curves in the
     cap search; resolution is the dyadic count log2(window / first knot).
+    The scans are pruned as in family_index.
     """
     if C_cap <= 1.0:
         raise ValueError("C_cap must exceed 1")
@@ -492,28 +591,28 @@ def single_index(phi, C_cap: float = 16.0, gamma: float = 1.0) -> IndexEstimate:
                 return s_all[order], lg_all[order]
         return s, lnphi - u * ls
 
-    def ok_knee(u: float) -> bool:
+    def ok_knee(u: float, ks) -> list[tuple[bool, bool]]:
         ss, lg = ratio_at(u, exact=False)
         M = np.maximum.accumulate(lg)
         r = M - lg
         rmax = float(r.max())
         if rmax > lncap + 1e-15:
-            return False
+            return [(False, True)]
         if rmax <= _TRIVIAL:
-            return True
+            return [(True, False)]
         lss = np.log(ss)
         cols = np.arange(lg.size)
         ilast = np.maximum.accumulate(np.where(M - lg <= _TIE, cols, -1))
         lever = lss - lss[ilast]
         binding = r >= rmax - _TIE
-        return float(np.where(binding, lever, np.inf).min()) <= kappa
+        return [(float(np.where(binding, lever, np.inf).min()) <= kappa, False)]
 
     def cmax_at(u: float) -> float:
         ss, lg = ratio_at(u, exact=True)
         return float(np.max(np.maximum.accumulate(lg) - lg))
 
-    u_hat, mono = _scan_largest(ok_knee, 1e-4)
-    u_cap, mono_cap = _scan_largest(lambda u: cmax_at(u) <= lncap + 1e-15, 1e-4)
+    [(u_hat, mono)] = _scan_largest(ok_knee, 1e-4)
+    u_cap = _scan_prefix(lambda u: cmax_at(u) <= lncap + 1e-15, 1e-4)
     c_at = math.exp(cmax_at(u_cap))
     c_beyond = math.exp(cmax_at(u_cap + 1e-3)) if u_cap + 1e-3 <= 1.0 else math.inf
 
@@ -526,7 +625,7 @@ def single_index(phi, C_cap: float = 16.0, gamma: float = 1.0) -> IndexEstimate:
         gamma=gamma,
         resolution=int(round(math.log2(max(gamma * T / h, 1.0)))),
         witness=("curve", sw, tw),
-        monotone=mono and mono_cap,
+        monotone=mono,
         cap_value_at=c_at,
         cap_value_beyond=c_beyond,
     )

@@ -29,7 +29,6 @@ explicit constants recorded in the reports.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,9 +37,9 @@ from .grid import (
     CubeFamily,
     DyadicCube,
     WeightGrid,
+    _cube_at,
     _rowmajor_of_morton,
     integrate,
-    level_cubes,
     make_grid,
 )
 from .kcalc import (
@@ -128,7 +127,7 @@ def _argmax_witness(w: WeightGrid, per_level: list[tuple[int, np.ndarray]]) -> t
             best = float(ratios[i])
             where = (level, i)
     level, i = where
-    return best, level_cubes(w, level)[i].addr()
+    return best, _cube_at(w, level, i).addr()
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +156,7 @@ def a_p_constant(w: WeightGrid, p: float, F: CubeFamily | None = None) -> ClassC
         M = dyadic_maximal(w, w.base)
         ratios = M.zcells / w.zcells
         i = int(np.argmax(ratios))
-        witness = level_cubes(w, w.L)[i].addr()
+        witness = _cube_at(w, w.L, i).addr()
         return ClassConstant("A_1", float(ratios[i]), p=1.0, witness=witness, cube_policy=_policy_name(F))
     zdual = w.zcells ** (-1.0 / (p - 1.0))
     per_level = []
@@ -455,9 +454,6 @@ def verify_acks(w: WeightGrid, C_cap: float = 16.0, margin: float = 0.02) -> The
     )
 
 
-_POW_RE = re.compile(r"^pow:(-?\d+(?:\.\d+)?)$")
-
-
 def verify_stromberg_wheeden(w: WeightGrid, p: float, C_cap: float = 16.0) -> TheoremReport:
     """w in RH_p (family index above 1/p') must agree with w^p in
     A_infinity (family index of the cellwise power positive).
@@ -476,8 +472,7 @@ def verify_stromberg_wheeden(w: WeightGrid, p: float, C_cap: float = 16.0) -> Th
     fam_p = family_index(CurveFamily(wp), C_cap=C_cap)
     in_rhp = fam.delta_hat > thresh
     in_ainf = fam_p.delta_hat > 0.02
-    m = _POW_RE.match(w.label)
-    out_of_domain = bool(m) and float(m.group(1)) * p <= -1.0
+    out_of_domain = w.spec[:1] == ("pow",) and w.spec[1] * p <= -1.0
     borderline = abs(fam.delta_hat - thresh) <= 0.05
     asserted = not (out_of_domain or borderline)
     ok = (in_rhp == in_ainf) if asserted else True

@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from rhlab.cli import main
 from rhlab.grid import load_weight, make_grid, save_weight
@@ -216,6 +217,32 @@ def test_convert_corrupt_input_is_io_error(tmp_path, capsys):
     bad.write_text("# rhlab d=1 L=2\n1.0\n")
     code, out, err = run_cli(capsys, "convert", str(bad), "--out", str(tmp_path / "out.json"))
     assert code == 3
+
+
+_MALFORMED_FILES = [
+    ("no-header.csv", "rhlab d=1 L=1\n1\n2\n"),
+    ("dim3.csv", "# rhlab d=3 L=1\n" + "1\n" * 8),
+    ("huge-level.csv", "# rhlab d=1 L=1000000000\n1\n"),
+    ("word.csv", "# rhlab d=1 L=1\n1\nx\n"),
+    ("infinite.csv", "# rhlab d=1 L=1\n1\ninf\n"),
+    ("negative.csv", "# rhlab d=1 L=1\n1\n-2\n"),
+    ("syntax.json", '{"d": 1,'),
+    ("keys.json", '{"d": 1, "L": 1}'),
+    ("dim3.json", '{"d": 3, "L": 1, "cells": [1, 1, 1, 1, 1, 1, 1, 1]}'),
+    ("negative-level.json", '{"d": 1, "L": -1, "cells": []}'),
+    ("count.json", '{"d": 1, "L": 1, "cells": [1]}'),
+    ("word.json", '{"d": 1, "L": 1, "cells": [1, "a"]}'),
+    ("nested.json", '{"d": 1, "L": 1, "cells": [1, [2]]}'),
+]
+
+
+@pytest.mark.parametrize("name, text", _MALFORMED_FILES)
+def test_convert_malformed_file_is_io_error(tmp_path, capsys, name, text):
+    bad = tmp_path / name
+    bad.write_text(text)
+    code, out, err = run_cli(capsys, "convert", str(bad), "--out", str(tmp_path / "out.json"))
+    assert code == 3
+    assert out == "" and err.startswith("rhlab: error:")
 
 
 # ---------------------------------------------------------------------------

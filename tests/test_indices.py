@@ -8,6 +8,7 @@ bracketing certificate around the cap threshold, the exact beta/q shift
 identity, witness determinism, and scaling invariance.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,8 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_grids
-from rhlab.grid import WeightGrid, make_grid
+from rhlab import indices
+from rhlab.grid import WeightGrid, level_cubes, make_grid
 from rhlab.indices import (
+    IndexEstimate,
+    _blocks_ok,
+    _LevelBlock,
     acks_index,
     ai_constant,
     family_index,
@@ -226,6 +231,168 @@ def test_family_index_in_range(seed):
     est = family_index(CurveFamily(w))
     assert 0.0 <= est.delta_hat <= 1.0
     assert est.monotone
+
+
+# ---------------------------------------------------------------------------
+# the pruned, shared u-scan against an exhaustive reference
+#
+# The reference rebuilds every gamma's own candidate blocks, scans all 65
+# grid points of each knee and cap criterion, and bisects, as the estimator
+# did before the cap scan became a binary search, the knee scans stopped at
+# their first cap failure and the gammas came to share one set of blocks.
+
+
+def _ref_windows(w, kind, gamma):
+    """Per-gamma candidate blocks: (level, lnphi, ls, svals, kappa)."""
+    out = []
+    for lev in range(w.base.level, w.L + 1):
+        vals, K = w.sorted_level(lev)
+        n, m = vals.shape
+        kcols = int(round(gamma * m))
+        if kcols < 1 or m < 2:
+            continue
+        h = w.cell_measure
+        s = np.arange(1, kcols + 1) * h
+        if kind == "k":
+            lnphi, sv = np.log(K[:, :kcols]), s
+        else:
+            left = s * vals[:, :kcols]
+            right = left.copy()  # the right value at the window end stays left
+            right[:, :-1] = s[:-1] * vals[:, 1:kcols]
+            lnphi = np.empty((n, 2 * kcols))
+            lnphi[:, 0::2], lnphi[:, 1::2] = np.log(left), np.log(right)
+            sv = np.repeat(s, 2)
+        kappa = 0.5 * math.log(gamma * (2.0 ** (-w.d * lev)) / h)
+        out.append((lev, lnphi, np.log(sv), sv, kappa))
+    return out
+
+
+def _ref_knee_ok(wins, u, lncap, triv):
+    for _, lnphi, ls, _, kappa in wins:
+        lg = lnphi - u * ls
+        r = np.maximum.accumulate(lg, axis=1) - lg
+        rmax = r.max(axis=1)
+        ok = rmax <= lncap + 1e-15
+        need = ok & (rmax > triv)
+        if need.any():
+            cols = np.arange(lg.shape[1])
+            ilast = np.maximum.accumulate(np.where(r <= 1e-9, cols, -1), axis=1)
+            lever = ls - ls[ilast]
+            lev_min = np.where(r >= rmax[:, None] - 1e-9, lever, np.inf).min(axis=1)
+            ok = np.where(need, lev_min <= kappa, ok)
+        if not ok.all():
+            return False
+    return True
+
+
+def _ref_scan(ok_fn, tol):
+    grid = np.linspace(0.0, 1.0, 65)
+    oks = [ok_fn(float(x)) for x in grid]
+    monotone = all(a or not b for a, b in zip(oks, oks[1:]))
+    if not oks[0]:
+        return 0.0, monotone
+    if all(oks):
+        return 1.0, monotone
+    j = max(i for i, v in enumerate(oks) if v)
+    lo, hi = float(grid[j]), float(grid[min(j + 1, 64)])
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ok_fn(mid) else (lo, mid)
+    return lo, monotone
+
+
+def _ref_witness(w, wins, u):
+    best = (-1.0, None)
+    for lev, lnphi, ls, sv, _ in wins:
+        lg = lnphi - u * ls
+        M = np.maximum.accumulate(lg, axis=1)
+        r = M - lg
+        rmax = r.max(axis=1)
+        row = int(np.argmax(rmax))
+        if rmax[row] > best[0] + 1e-9:
+            j = int(np.argmax(r[row]))
+            i = int(np.argmax(lg[row, : j + 1] >= M[row, j] - 1e-9))
+            best = (float(rmax[row]), (lev, row, sv[i], sv[j]))
+    lev, row, s, t = best[1]
+    return (level_cubes(w, lev)[row].addr(), float(s), float(t))
+
+
+def _ref_family_index(F, C_cap=16.0, gamma_grid=(1.0, 0.5, 0.25, 0.125)):
+    w, beta, q = F.w, F.beta, F.q
+    lncap, triv, tol = math.log(C_cap) / q, 1e-12 / q, 1e-4 / q
+    best = None
+    for gamma in gamma_grid:
+        wins = _ref_windows(w, F.kind, gamma)
+        if wins:
+            u, mono = _ref_scan(lambda u: _ref_knee_ok(wins, u, lncap, triv), tol)
+            if best is None or u > best[0]:
+                best = (u, mono, gamma, wins)
+    u_hat, mono, gamma, wins = best
+    levels = range(w.base.level, w.L + 1)
+    blocks = [b for b in (_LevelBlock(w, lev, F.kind) for lev in levels) if not b.empty]
+    cap = lambda u: _blocks_ok(blocks, u, lncap, F.kind == "k")
+    u_cap, mono_cap = _ref_scan(lambda u: cap(u)[0], tol)
+    beyond = u_cap + 1e-3 / q
+    return IndexEstimate(
+        delta_hat=q * (u_hat - beta),
+        delta_cap=q * (u_cap - beta),
+        cap=C_cap,
+        gamma=gamma,
+        resolution=w.L,
+        witness=_ref_witness(w, wins, u_hat),
+        monotone=mono and mono_cap,
+        cap_value_at=math.exp(q * cap(u_cap)[1]),
+        cap_value_beyond=math.exp(q * cap(beyond)[1]) if beyond <= 1.0 else math.inf,
+    )
+
+
+_SCAN_GRIDS = [(1, 12, s) for s in ("const:1", "step:2,1", "pow:-0.5", "pow:-0.95")]
+_SCAN_GRIDS += [(1, 10, f"rand:{i}:lognormal:{sg}") for i, sg in ((1, 1), (2, 0.5), (3, 2))]
+_SCAN_GRIDS += [(2, 5, s) for s in ("const:1", "step:4,1,1,1", "rand:4:lognormal:1", "rand:5:lognormal:2")]
+
+
+@pytest.mark.parametrize("kind", ["k", "acks"])
+@pytest.mark.parametrize("d, L, spec", _SCAN_GRIDS)
+def test_family_index_equals_exhaustive_scan(d, L, spec, kind):
+    w = make_grid(d, L, spec)
+    for beta, q, cap, gammas in ((0.0, 1.0, 16.0, (1.0, 0.5, 0.25, 0.125)), (0.25, 2.0, 4.0, (0.5, 0.125))):
+        F = CurveFamily(w, kind=kind, beta=beta, q=q)
+        assert family_index(F, C_cap=cap, gamma_grid=gammas) == _ref_family_index(F, cap, gammas)
+
+
+def test_cap_scan_is_a_binary_search(monkeypatch):
+    calls = []
+    real = indices._blocks_ok
+    monkeypatch.setattr(indices, "_blocks_ok", lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+    family_index(CurveFamily(make_grid(1, 10, "rand:1:lognormal:1")))
+    assert 0 < len(calls) <= 20
+
+
+def test_scan_largest_keeps_knee_failures_and_stops_at_cap_failure():
+    seen = []
+
+    def ok_fn(u, ks):
+        seen.append(u)
+        return [(u < 0.3 or 0.5 < u < 0.6, u >= 0.75)]
+
+    [(u_hat, monotone)] = indices._scan_largest(ok_fn, 1e-4)
+    # a knee failure does not end the grid scan; the first cap failure does
+    assert not monotone and 0.59 < u_hat < 0.6
+    assert max(seen) == 0.75
+
+
+def test_family_index_memoised_per_grid(monkeypatch):
+    w = make_grid(1, 8, "rand:5:lognormal:1")
+    first = acks_index(w)
+    calls = []
+    real = indices._family_estimate
+    monkeypatch.setattr(indices, "_family_estimate", lambda *a: calls.append(a) or real(*a))
+    again = family_index(CurveFamily(w, kind="acks"))
+    # served from the memo, and acks_index's lambda_hat did not leak into it
+    assert calls == []
+    assert again == dataclasses.replace(first, lambda_hat=None)
+    family_index(CurveFamily(w, kind="acks"), C_cap=8.0)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,14 @@ def test_verify_stromberg_wheeden_out_of_domain():
     assert rep.cases[0]["out_of_domain"]
 
 
+@pytest.mark.parametrize("spec", ["pow:-0.75", "pow:-.75", "pow:-7.5e-1"])
+def test_verify_stromberg_wheeden_ignores_descriptor_spelling(spec):
+    # one weight spelled three ways; (x^-0.75)^1.5 is not locally integrable
+    rep = verify_stromberg_wheeden(make_grid(1, 10, spec), 1.5)
+    assert rep.passed
+    assert rep.cases[0]["out_of_domain"]
+
+
 def test_verify_stromberg_wheeden_rejects_p_one():
     with pytest.raises(ValueError):
         verify_stromberg_wheeden(make_grid(1, 4, "const:1"), 1.0)
