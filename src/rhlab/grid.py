@@ -112,31 +112,25 @@ class CubeFamily:
 # ---------------------------------------------------------------------------
 # Morton order helpers (d = 2; d = 1 is the identity)
 
-def _part1by1(x: np.ndarray) -> np.ndarray:
+def _spread1(x: int) -> int:
     # spread the low 32 bits of x so bit k lands at position 2k
-    x = x.astype(np.uint64) & np.uint64(0xFFFFFFFF)
-    x = (x | (x << np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
-    x = (x | (x << np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
-    x = (x | (x << np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    x = (x | (x << np.uint64(2))) & np.uint64(0x3333333333333333)
-    x = (x | (x << np.uint64(1))) & np.uint64(0x5555555555555555)
-    return x
-
-
-def _morton2(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
-    return _part1by1(ix) | (_part1by1(iy) << np.uint64(1))
+    x &= 0xFFFFFFFF
+    x = (x | (x << 16)) & 0x0000FFFF0000FFFF
+    x = (x | (x << 8)) & 0x00FF00FF00FF00FF
+    x = (x | (x << 4)) & 0x0F0F0F0F0F0F0F0F
+    x = (x | (x << 2)) & 0x3333333333333333
+    return (x | (x << 1)) & 0x5555555555555555
 
 
 def morton_index(cube: DyadicCube) -> int:
     """Rank of the cube among the cubes of its level, in Morton order."""
     if cube.d == 1:
         return cube.coords[0]
-    m = _morton2(np.asarray([cube.coords[0]]), np.asarray([cube.coords[1]]))
-    return int(m[0])
+    return _spread1(cube.coords[0]) | (_spread1(cube.coords[1]) << 1)
 
 
 def _compact1by1(x: np.ndarray) -> np.ndarray:
-    # inverse of _part1by1: gather the even bits of x into the low 32 bits
+    # inverse of _spread1, elementwise: gather the even bits of x into the low 32 bits
     x = x & np.uint64(0x5555555555555555)
     x = (x | (x >> np.uint64(1))) & np.uint64(0x3333333333333333)
     x = (x | (x >> np.uint64(2))) & np.uint64(0x0F0F0F0F0F0F0F0F)

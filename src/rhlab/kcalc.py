@@ -14,6 +14,11 @@ exact representation:
   * composite curves H(t) = (integral_0^{t^{1/(1-theta)}} [s^{-theta} K(s)]^q
     ds/s)^{1/q}, integrated in closed form on origin pieces and by adaptive
     Gauss-Legendre panels elsewhere (relative tolerance 1e-10);
+  * the same piece integrals for all cubes of a level at once
+    (level_piece_integrals): their K-curve pieces share one column grid, so
+    the Gauss-Legendre nodes and s^E are built once per column and only
+    (A + B s)^q is evaluated per cube, in fixed-size blocks, with results
+    bit-identical to the per-piece route;
   * Lorentz norms over (0, infinity) using the exact 1/t tail of the averaged
     rearrangement;
   * the Luxemburg norm of L log L by bisection on its defining integral;
@@ -206,12 +211,32 @@ def _gl_panel(A, B, s0, s1, q, E, table):
     return half * (f @ weights)
 
 
+def _bisect_panels(work: list, q: float, E: float, rel: float, acc: np.ndarray) -> None:
+    """Adaptive 20/40-node loop over a stack of panel batches
+    (A, B, lo, hi, flat index, depth): accepted panels are added into acc,
+    the others are halved and pushed back."""
+    while work:
+        a, b, lo, hi, ix, depth = work.pop()
+        c20 = _gl_panel(a, b, lo, hi, q, E, _GL20)
+        c40 = _gl_panel(a, b, lo, hi, q, E, _GL40)
+        tol = rel * np.maximum(np.abs(c40), 1e-300)
+        done = (np.abs(c40 - c20) <= tol) | (depth >= 40)
+        np.add.at(acc, ix[done], c40[done])
+        bad = ~done
+        if np.any(bad):
+            mid = 0.5 * (lo[bad] + hi[bad])
+            work.append((a[bad], b[bad], lo[bad], mid, ix[bad], depth + 1))
+            work.append((a[bad], b[bad], mid, hi[bad], ix[bad], depth + 1))
+
+
 def power_piece_integral(A, B, s0, s1, q: float, E: float, rel: float = 1e-10) -> np.ndarray:
     """Batched integral of (A + B s)^q s^E over [s0, s1], elementwise.
 
     Exact closed forms when A = 0 (pure power; requires q + E > -1 if s0 = 0)
     or q = 1; otherwise adaptive Gauss-Legendre with 20/40-node comparison,
-    bisecting panels until the relative difference is below rel.
+    bisecting panels until the relative difference is below rel.  Panels
+    still above rel after 40 bisections are accepted as they are, silently:
+    the tolerance is not guaranteed there.
     """
     A = np.atleast_1d(np.asarray(A, dtype=np.float64))
     B = np.atleast_1d(np.asarray(B, dtype=np.float64))
@@ -237,22 +262,101 @@ def power_piece_integral(A, B, s0, s1, q: float, E: float, rel: float = 1e-10) -
         return out
     idx = np.nonzero(live.ravel())[0]
     flat = lambda x: x.ravel()[idx]
-    work = [(flat(A), flat(B), flat(s0), flat(s1), idx, 0)]
     acc = np.zeros(out.size, dtype=np.float64)
-    while work:
-        a, b, lo, hi, ix, depth = work.pop()
-        c20 = _gl_panel(a, b, lo, hi, q, E, _GL20)
-        c40 = _gl_panel(a, b, lo, hi, q, E, _GL40)
-        tol = rel * np.maximum(np.abs(c40), 1e-300)
-        done = (np.abs(c40 - c20) <= tol) | (depth >= 40)
-        np.add.at(acc, ix[done], c40[done])
-        bad = ~done
-        if np.any(bad):
-            mid = 0.5 * (lo[bad] + hi[bad])
-            work.append((a[bad], b[bad], lo[bad], mid, ix[bad], depth + 1))
-            work.append((a[bad], b[bad], mid, hi[bad], ix[bad], depth + 1))
+    _bisect_panels([(flat(A), flat(B), flat(s0), flat(s1), idx, 0)], q, E, rel, acc)
     out += acc.reshape(out.shape)
     return out
+
+
+# Pieces per block of level_piece_integrals, a multiple of _ROW_ALIGN: the
+# kernel's scratch is one (_PIECE_BLOCK, 40) buffer plus node tables for at
+# most _PIECE_BLOCK columns, whatever the level size.
+_PIECE_BLOCK = 2048
+# BLAS rounds the last (count mod its row blocking) rows of a matrix-vector
+# product differently from the others; every product of the level kernel
+# covers whole multiples of _ROW_ALIGN rows, so no row of it is such a tail.
+_ROW_ALIGN = 64
+
+
+def _node_sums(a, b, s, sE, weights, q: float, buf: np.ndarray) -> np.ndarray:
+    """sum_j weights_j (a + b s_j)^q s_j^E for an (r, c) block of pieces whose
+    column k has the nodes s[k] and their powers sE[k], in buf."""
+    r, c = a.shape
+    k = s.shape[1]
+    f = buf[: r * c * k].reshape(r, c, k)
+    np.multiply(b[:, :, None], s, out=f)
+    f += a[:, :, None]
+    f **= q
+    f *= sE
+    rows = -(-r * c // _ROW_ALIGN) * _ROW_ALIGN
+    return (buf[: rows * k].reshape(rows, k) @ weights)[: r * c].reshape(r, c)
+
+
+def level_piece_integrals(A, B, s0, s1, q: float, E: float, rel: float = 1e-10) -> np.ndarray:
+    """power_piece_integral over an (n, m) piece matrix whose column k is the
+    interval [s0[k], s1[k]], s0[k] < s1[k], in every row (the K-curve pieces
+    of all cubes of one level); returns the (n, m) integrals, bit for bit those of
+    power_piece_integral on the flattened pieces under a single-threaded BLAS.
+
+    The nodes and s^E are built once per column block, and (A + B s)^q s^E is
+    evaluated per row block in one reused buffer, so scratch memory is bounded
+    by _PIECE_BLOCK whatever n m is.  power_piece_integral reduces all its
+    panels in one matrix-vector product whose last rows BLAS rounds as a
+    tail; the last _ROW_ALIGN + (count mod _ROW_ALIGN) panels are therefore
+    recomputed in one product of that many rows, which has the same tail.
+    Pieces with A == 0 take the closed form through power_piece_integral,
+    pieces failing the depth-0 20/40-node test enter its bisection loop at
+    depth 1, and q == 1 is handed to power_piece_integral whole.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    s0 = np.asarray(s0, dtype=np.float64)
+    s1 = np.asarray(s1, dtype=np.float64)
+    n, m = A.shape
+    if q == 1.0:
+        return power_piece_integral(A.ravel(), B.ravel(), np.tile(s0, n), np.tile(s1, n), q, E, rel).reshape(n, m)
+    Af, Bf = A.ravel(), B.ravel()
+    out = np.zeros(n * m)
+    origin = np.flatnonzero(Af == 0.0)
+    if origin.size:
+        k = origin % m
+        out[origin] = power_piece_integral(Af[origin], Bf[origin], s0[k], s1[k], q, E, rel)
+    live = np.flatnonzero(Af != 0.0)
+    if live.size == 0:
+        return out.reshape(n, m)
+    c20 = np.empty((n, m))
+    c40 = np.empty((n, m))
+    buf = np.zeros(_PIECE_BLOCK * 40)
+    cb = min(m, _PIECE_BLOCK)
+    rb = _PIECE_BLOCK // cb
+    for c in range(int(np.min(live % m)), m, cb):  # all-origin leading columns skipped
+        cols = slice(c, c + cb)
+        mid = 0.5 * (s0[cols] + s1[cols])
+        half = 0.5 * (s1[cols] - s0[cols])
+        tables = []
+        for (nodes, weights), res in ((_GL20, c20), (_GL40, c40)):
+            s = mid[:, None] + half[:, None] * nodes[None, :]
+            tables.append((s, s ** E, weights, res))
+        for r in range(0, n, rb):
+            rows = slice(r, r + rb)
+            for s, sE, weights, res in tables:
+                res[rows, cols] = half * _node_sums(A[rows, cols], B[rows, cols], s, sE, weights, q, buf)
+    c20 = c20.ravel()[live]
+    c40 = c40.ravel()[live]
+    tail = slice(live.size - min(live.size, _ROW_ALIGN + live.size % _ROW_ALIGN), None)
+    t = live[tail]
+    c20[tail] = _gl_panel(Af[t], Bf[t], s0[t % m], s1[t % m], q, E, _GL20)
+    c40[tail] = _gl_panel(Af[t], Bf[t], s0[t % m], s1[t % m], q, E, _GL40)
+    done = np.abs(c40 - c20) <= rel * np.maximum(np.abs(c40), 1e-300)
+    acc = np.zeros(n * m)
+    acc[live[done]] = c40[done]
+    bad = live[~done]
+    if bad.size:
+        a, b, lo, hi = Af[bad], Bf[bad], s0[bad % m], s1[bad % m]
+        mid = 0.5 * (lo + hi)
+        _bisect_panels([(a, b, lo, mid, bad, 1), (a, b, mid, hi, bad, 1)], q, E, rel, acc)
+    out += acc
+    return out.reshape(n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -564,13 +668,11 @@ def packing_family(
             pick: list[DyadicCube] = []
             covered = np.zeros(1, dtype=bool)
             for lev_i, avgs in enumerate(all_avgs):
-                lev = f.base.level + lev_i
                 if lev_i > 0:
                     covered = np.repeat(covered, 1 << f.d)
                 sel = (avgs > lam) & ~covered
                 if np.any(sel):
-                    cubes = level_cubes(f, lev)
-                    pick.extend(cubes[i] for i in np.nonzero(sel)[0])
+                    pick.extend(packs[lev_i][i] for i in np.nonzero(sel)[0])
                     covered = covered | sel
             if pick:
                 packs.append(pick)

@@ -49,6 +49,7 @@ from .kcalc import (
     grid_power,
     k_l1_linf,
     k_weighted,
+    level_piece_integrals,
     llogl_norm_rows,
     packing_family,
     power_piece_integral,
@@ -179,23 +180,25 @@ def rh_llogl_constant(w: WeightGrid, F: CubeFamily | None = None) -> ClassConsta
     return ClassConstant("RH_LLogL", value, witness=witness, cube_policy=_policy_name(F))
 
 
+def _level_pieces(w: WeightGrid, level: int):
+    """The K-curve pieces of every cube of a level, on one column grid:
+    (vals, K, s0, s, A), where the curve of the i-th cube equals
+    A[i, k] + vals[i, k] t on [s0[k], s[k]], s[k] = (k + 1) h for the cell
+    measure h, and K[i, k] is its value at s[k]."""
+    vals, K = w.sorted_level(level)
+    s = np.arange(1, vals.shape[1] + 1) * w.cell_measure
+    s0 = np.concatenate(([0.0], s[:-1]))
+    K0 = np.concatenate((np.zeros((K.shape[0], 1)), K[:, :-1]), axis=1)
+    return vals, K, s0, s, K0 - vals * s0[None, :]
+
+
 def _lorentz_level(w: WeightGrid, level: int, p: float, q: float) -> np.ndarray:
     """Lorentz L(p,q) norms of w restricted to each cube of a level."""
-    vals, K = w.sorted_level(level)
-    n, m = vals.shape
-    h = w.cell_measure
-    s = np.arange(1, m + 1) * h
-    s0 = np.concatenate(([0.0], s[:-1]))
-    K0 = np.concatenate((np.zeros((n, 1)), K[:, :-1]), axis=1)
-    A = K0 - vals * s0[None, :]
-    E = q / p - q - 1.0
-    head = power_piece_integral(
-        A.ravel(), vals.ravel(), np.tile(s0, n), np.tile(s, n), q, E
-    ).reshape(n, m).sum(axis=1)
-    mass = K[:, -1]
-    T = m * h
+    vals, K, s0, s, A = _level_pieces(w, level)
+    head = level_piece_integrals(A, vals, s0, s, q, q / p - q - 1.0).sum(axis=1)
+    T = s.size * w.cell_measure
     pprime = p / (p - 1.0)
-    tail = mass ** q * T ** (q / p - q) * pprime / q
+    tail = K[:, -1] ** q * T ** (q / p - q) * pprime / q
     return (head + tail) ** (1.0 / q)
 
 
@@ -290,17 +293,10 @@ def _kside_level(w: WeightGrid, level: int, p: float) -> np.ndarray:
     exact: candidates are the knots plus the denominator's interior minima.
     """
     theta = 1.0 - 1.0 / p
-    vals, K = w.sorted_level(level)
-    n, m = vals.shape
-    h = w.cell_measure
-    s = np.arange(1, m + 1) * h
-    s0 = np.concatenate(([0.0], s[:-1]))
-    K0 = np.concatenate((np.zeros((n, 1)), K[:, :-1]), axis=1)
-    A = K0 - vals * s0[None, :]
+    vals, K, s0, s, A = _level_pieces(w, level)
+    n = vals.shape[0]
     E = -theta * p - 1.0
-    piece = power_piece_integral(
-        A.ravel(), vals.ravel(), np.tile(s0, n), np.tile(s, n), p, E
-    ).reshape(n, m)
+    piece = level_piece_integrals(A, vals, s0, s, p, E)
     prefix = np.cumsum(piece, axis=1)
     ratios = prefix ** (1.0 / p) / (s[None, :] ** -theta * K)
     best = ratios.max(axis=1)
@@ -338,19 +334,13 @@ def kside_rh_constant(w: WeightGrid, p: float, F: CubeFamily | None = None) -> C
 def _hardy_level(w: WeightGrid, level: int) -> np.ndarray:
     """Per-cube sup of (int_0^t K_Q(s) ds/s) / K_Q(t): exact prefix
     integrals, supremum sampled at knots and per-piece geometric midpoints."""
-    vals, K = w.sorted_level(level)
-    n, m = vals.shape
-    h = w.cell_measure
-    s = np.arange(1, m + 1) * h
-    s0 = np.concatenate(([0.0], s[:-1]))
-    K0 = np.concatenate((np.zeros((n, 1)), K[:, :-1]), axis=1)
-    A = K0 - vals * s0[None, :]
+    vals, K, s0, s, A = _level_pieces(w, level)
     with np.errstate(divide="ignore", invalid="ignore"):
         lograt = np.concatenate(([0.0], np.log(s[1:] / s[:-1])))
-    inc = A * lograt[None, :] + vals * h
+    inc = A * lograt[None, :] + vals * w.cell_measure
     N = np.cumsum(inc, axis=1)
     best = (N / K).max(axis=1)
-    if m > 1:
+    if s.size > 1:
         tm = np.sqrt(s0[1:] * s[1:])
         Nm = N[:, :-1] + A[:, 1:] * np.log(tm / s0[1:])[None, :] + vals[:, 1:] * (tm - s0[1:])[None, :]
         Km = A[:, 1:] + vals[:, 1:] * tm[None, :]

@@ -41,3 +41,16 @@ def dyadic_grids(draw, max_level=6):
     expo = draw(st.integers(-6, 6))
     cells = np.ldexp(np.asarray(mant, dtype=np.float64), expo)
     return WeightGrid(d, L, cells, label="dyadic-random")
+
+
+def flat_grids() -> list[WeightGrid]:
+    """Constant and step grids: their K-curves have pieces with intercept
+    exactly 0 away from the origin, which take the closed-form route."""
+    return [
+        make_grid(1, 6, "const:1"),
+        make_grid(1, 7, "const:3"),
+        make_grid(2, 3, "const:2"),
+        make_grid(1, 5, "step:2,1"),
+        make_grid(1, 8, "step:4,1,1,1"),
+        make_grid(2, 3, "step:3,1"),
+    ]

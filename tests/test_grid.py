@@ -66,6 +66,31 @@ def test_morton_index_first_quadrants():
     assert [morton_index(DyadicCube(1, c)) for c in [(0, 0), (1, 0), (0, 1), (1, 1)]] == [0, 1, 2, 3]
 
 
+def _morton2_numpy(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+    # the numpy bit interleave morton_index used to call on one-element arrays
+    def part1by1(x):
+        x = x.astype(np.uint64) & np.uint64(0xFFFFFFFF)
+        for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F),
+                            (2, 0x3333333333333333), (1, 0x5555555555555555)):
+            x = (x | (x << np.uint64(shift))) & np.uint64(mask)
+        return x
+
+    return part1by1(ix) | (part1by1(iy) << np.uint64(1))
+
+
+def test_morton_index_matches_numpy_interleave():
+    # every cube of d=2 levels 0..6, plus the largest coordinates d=2 allows
+    for lev in range(7):
+        ix, iy = (a.ravel() for a in np.meshgrid(np.arange(1 << lev), np.arange(1 << lev)))
+        ref = _morton2_numpy(ix, iy)
+        got = [morton_index(DyadicCube(lev, (int(x), int(y)))) for x, y in zip(ix, iy)]
+        assert got == ref.tolist()
+        assert sorted(got) == list(range(1 << (2 * lev)))
+    top = (1 << 31) - 1
+    for c in ((top, 0), (0, top), (top, top), (0x55555555, 0x2AAAAAAA)):
+        assert morton_index(DyadicCube(31, c)) == int(_morton2_numpy(np.array([c[0]]), np.array([c[1]]))[0])
+
+
 # ---------------------------------------------------------------------------
 # constructors
 

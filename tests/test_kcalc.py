@@ -4,7 +4,9 @@ Every closed-form integrator here is cross-checked against adaptive
 quadrature (scipy.integrate.quad) on the same integrand, with breakpoints
 passed as quadrature nodes. The frozen oracles are hand-derived: the K-curve
 of step 2,1, the straight Holmstedt line of a constant weight, the Luxemburg
-root of the constant-1 weight, and the Lorentz norms of indicators.
+root of the constant-1 weight, and the Lorentz norms of indicators. The
+level kernel level_piece_integrals is checked bit for bit against
+power_piece_integral on the same pieces.
 """
 
 import math
@@ -15,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import random_grids
+from conftest import flat_grids, random_grids
 from rhlab.grid import DyadicCube, integrate, level_cubes, make_grid
+from rhlab import kcalc
 from rhlab.kcalc import (
     ConcaveCurve,
     CurveFamily,
@@ -29,6 +32,7 @@ from rhlab.kcalc import (
     k_lorentz_linf,
     k_lp_linf,
     k_weighted,
+    level_piece_integrals,
     llogl_integral_forms,
     llogl_norm,
     lorentz_norm,
@@ -142,6 +146,114 @@ def test_power_piece_integral_fuzz(A, B, s0f, ratio, q, E):
     got = power_piece_integral(np.array([A]), np.array([B]), np.array([s0]), np.array([s1]), q, E)[0]
     ref, err = quad(lambda s: (A + B * s) ** q * s**E, s0, s1, limit=300)
     assert math.isclose(got, ref, rel_tol=1e-7, abs_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# level_piece_integrals: the column-shared kernel against power_piece_integral
+
+_FLAT_GRIDS = flat_grids()
+# (q, E) of both callers: Lorentz E = q/p - q - 1, K-side q = p and E = -p
+_CALLER_QE = [(q, q / p - q - 1.0) for q in (1.5, 2.0, 3.0) for p in (2.0, 1.5)] + [
+    (p, -(1.0 - 1.0 / p) * p - 1.0) for p in (1.5, 2.0, 3.0)
+]
+
+
+def _grid_pieces(w, lev):
+    """(A, B, s0, s1) of the K-curve pieces of every cube of a level."""
+    vals, K = w.sorted_level(lev)
+    n, m = vals.shape
+    s1 = np.arange(1, m + 1) * w.cell_measure
+    s0 = np.concatenate(([0.0], s1[:-1]))
+    A = np.concatenate((np.zeros((n, 1)), K[:, :-1]), axis=1) - vals * s0[None, :]
+    return A, vals, s0, s1
+
+
+def _assert_kernel_bitwise(w, lev, q, E, rel=1e-10):
+    A, B, s0, s1 = _grid_pieces(w, lev)
+    n, m = A.shape
+    got = level_piece_integrals(A, B, s0, s1, q, E, rel)
+    ref = power_piece_integral(A.ravel(), B.ravel(), np.tile(s0, n), np.tile(s1, n), q, E, rel)
+    assert got.shape == (n, m)
+    np.testing.assert_array_equal(got.view(np.uint64), ref.reshape(n, m).view(np.uint64))
+
+
+@given(st.one_of(random_grids(), st.sampled_from(_FLAT_GRIDS)), st.sampled_from(_CALLER_QE), st.data())
+def test_level_piece_integrals_bitwise(w, qE, data):
+    lev = data.draw(st.integers(w.base.level, w.L), label="level")
+    _assert_kernel_bitwise(w, lev, *qE)
+
+
+def test_level_piece_integrals_flat_grids_have_origin_pieces():
+    A, _, _, _ = _grid_pieces(make_grid(1, 5, "step:2,1"), 0)
+    assert np.count_nonzero(A[:, 1:] == 0.0) > 0  # interior closed-form pieces
+
+
+def test_level_piece_integrals_bisection_fallback(monkeypatch):
+    # pieces failing the depth-0 test enter the shared bisection loop at
+    # depth 1: grid pieces at rel = 1e-15 (below that, panels agreeing to an
+    # ulp never pass and the bisection runs to depth 40 on every half), and
+    # columns spanning six decades, where s^E needs many bisections
+    entered = []
+    real = kcalc._bisect_panels
+
+    def spy(work, *args):
+        entered.extend((item[5], item[4].size) for item in work)
+        return real(work, *args)
+
+    monkeypatch.setattr(kcalc, "_bisect_panels", spy)
+    for w in (make_grid(1, 6, "rand:5:lognormal:1"), make_grid(2, 3, "rand:6:lognormal:0.7"), _FLAT_GRIDS[3]):
+        for q, E in (_CALLER_QE[2], _CALLER_QE[-1]):
+            for lev in range(w.L + 1):
+                _assert_kernel_bitwise(w, lev, q, E, rel=1e-15)
+    rng = np.random.default_rng(7)
+    s0 = np.array([1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0])
+    s1 = np.array([1.0, 0.1, 2.0, 0.02, 3.0, 0.75, 1.5])
+    A = rng.uniform(0.0, 2.0, (9, 7))
+    A[::3, 2] = 0.0
+    B = rng.uniform(0.1, 3.0, (9, 7))
+    for q, E in (_CALLER_QE[0], _CALLER_QE[-1]):
+        got = level_piece_integrals(A, B, s0, s1, q, E)
+        ref = power_piece_integral(A.ravel(), B.ravel(), np.tile(s0, 9), np.tile(s1, 9), q, E)
+        np.testing.assert_array_equal(got.view(np.uint64), ref.reshape(9, 7).view(np.uint64))
+    assert any(depth == 1 and size > 0 for depth, size in entered)
+
+
+@pytest.mark.parametrize("block", [64, 128, 2048])
+def test_level_piece_integrals_block_shapes(monkeypatch, block):
+    # several column blocks and row blocks per level, and partial row blocks
+    monkeypatch.setattr(kcalc, "_PIECE_BLOCK", block)
+    for w in (make_grid(1, 9, "rand:11:lognormal:1.5"), make_grid(2, 4, "rand:12:lognormal:1"), _FLAT_GRIDS[4]):
+        for lev in range(w.L + 1):
+            for q, E in (_CALLER_QE[0], _CALLER_QE[2], _CALLER_QE[-2]):
+                _assert_kernel_bitwise(w, lev, q, E)
+    A, B, s0, s1 = _grid_pieces(make_grid(1, 6, "rand:13:lognormal:1"), 2)
+    odd = level_piece_integrals(A[:3, :13], B[:3, :13], s0[:13], s1[:13], 2.0, -1.5)
+    ref = power_piece_integral(A[:3, :13].ravel(), B[:3, :13].ravel(), np.tile(s0[:13], 3), np.tile(s1[:13], 3), 2.0, -1.5)
+    np.testing.assert_array_equal(odd.view(np.uint64), ref.reshape(3, 13).view(np.uint64))
+
+
+def test_level_piece_integrals_q_one_is_closed_form():
+    A, B, s0, s1 = _grid_pieces(make_grid(1, 6, "rand:14:lognormal:1"), 3)
+    got = level_piece_integrals(A, B, s0, s1, 1.0, -0.5)
+    ref = power_piece_integral(A.ravel(), B.ravel(), np.tile(s0, A.shape[0]), np.tile(s1, A.shape[0]), 1.0, -0.5)
+    np.testing.assert_array_equal(got.view(np.uint64), ref.reshape(A.shape).view(np.uint64))
+
+
+def test_level_piece_integrals_scratch_is_bounded():
+    # no (n m, 40) array: the traced peak stays below one such array at
+    # every level of a 16384-cell grid
+    import tracemalloc
+
+    w = make_grid(1, 14, "pow:-0.5")
+    for lev in (0, 7, 13):
+        A, B, s0, s1 = _grid_pieces(w, lev)
+        tracemalloc.start()
+        try:
+            level_piece_integrals(A, B, s0, s1, 2.0, -1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < A.size * 40 * 8
 
 
 # ---------------------------------------------------------------------------

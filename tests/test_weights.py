@@ -17,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_grids
+from conftest import flat_grids, random_grids
 from rhlab.grid import WeightGrid, enumerate_cubes, integrate, make_grid
-from rhlab.kcalc import grid_power, k_l1_linf
+from rhlab.kcalc import grid_power, k_l1_linf, power_piece_integral
 from rhlab.weights import (
+    _kside_level,
+    _lorentz_level,
     a_p_constant,
     analyze_report,
     fujii_constant,
@@ -119,6 +121,68 @@ def test_hardy_sup_step_frozen():
     c = hardy_residual_sup(w, F)
     assert math.isclose(c.value, (1.5 + 0.5 * math.log(2.0)) / 1.5, rel_tol=1e-12)
     assert c.cube_policy == "base"
+
+
+# ---------------------------------------------------------------------------
+# the level kernels against the per-piece route they replaced
+
+
+def _frozen_lorentz_level(w, level, p, q):
+    # _lorentz_level as it was: every piece flattened into power_piece_integral
+    vals, K = w.sorted_level(level)
+    n, m = vals.shape
+    h = w.cell_measure
+    s = np.arange(1, m + 1) * h
+    s0 = np.concatenate(([0.0], s[:-1]))
+    K0 = np.concatenate((np.zeros((n, 1)), K[:, :-1]), axis=1)
+    A = K0 - vals * s0[None, :]
+    E = q / p - q - 1.0
+    head = power_piece_integral(A.ravel(), vals.ravel(), np.tile(s0, n), np.tile(s, n), q, E).reshape(n, m).sum(axis=1)
+    mass = K[:, -1]
+    T = m * h
+    pprime = p / (p - 1.0)
+    tail = mass ** q * T ** (q / p - q) * pprime / q
+    return (head + tail) ** (1.0 / q)
+
+
+def _frozen_kside_level(w, level, p):
+    # _kside_level as it was: every piece flattened into power_piece_integral
+    theta = 1.0 - 1.0 / p
+    vals, K = w.sorted_level(level)
+    n, m = vals.shape
+    h = w.cell_measure
+    s = np.arange(1, m + 1) * h
+    s0 = np.concatenate(([0.0], s[:-1]))
+    K0 = np.concatenate((np.zeros((n, 1)), K[:, :-1]), axis=1)
+    A = K0 - vals * s0[None, :]
+    E = -theta * p - 1.0
+    piece = power_piece_integral(A.ravel(), vals.ravel(), np.tile(s0, n), np.tile(s, n), p, E).reshape(n, m)
+    prefix = np.cumsum(piece, axis=1)
+    ratios = prefix ** (1.0 / p) / (s[None, :] ** -theta * K)
+    best = ratios.max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tstar = theta * A / (vals * (1.0 - theta))
+    valid = (A > 0) & (tstar > s0[None, :]) & (tstar < s[None, :])
+    if np.any(valid):
+        rows, cols = np.nonzero(valid)
+        part = power_piece_integral(A[rows, cols], vals[rows, cols], s0[cols], tstar[rows, cols], p, E)
+        base = np.concatenate((np.zeros((n, 1)), prefix[:, :-1]), axis=1)
+        num = (base[rows, cols] + part) ** (1.0 / p)
+        den = (A[rows, cols] / (1.0 - theta)) * tstar[rows, cols] ** -theta
+        np.maximum.at(best, rows, num / den)
+    return best
+
+
+
+
+@settings(max_examples=30)
+@given(st.one_of(random_grids(), st.sampled_from(flat_grids())), st.sampled_from([1.5, 2.0, 3.0]), st.sampled_from([1.5, 2.0, 3.0]))
+def test_level_constants_bitwise_equal_per_piece_route(w, p, q):
+    for lev in range(w.base.level, w.L + 1):
+        got, ref = _lorentz_level(w, lev, p, q), _frozen_lorentz_level(w, lev, p, q)
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+        got, ref = _kside_level(w, lev, p), _frozen_kside_level(w, lev, p)
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def test_constants_respect_cube_families():
