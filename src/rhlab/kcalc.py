@@ -18,7 +18,7 @@ exact representation:
     (level_piece_integrals): their K-curve pieces share one column grid, so
     the Gauss-Legendre nodes and s^E are built once per column and only
     (A + B s)^q is evaluated per cube, in fixed-size blocks, with results
-    bit-identical to the per-piece route;
+    bit-identical to the per-piece route under a single-threaded BLAS;
   * Lorentz norms over (0, infinity) using the exact 1/t tail of the averaged
     rearrangement;
   * the Luxemburg norm of L log L by bisection on its defining integral;
@@ -229,7 +229,12 @@ def _bisect_panels(work: list, q: float, E: float, rel: float, acc: np.ndarray) 
             work.append((a[bad], b[bad], mid, hi[bad], ix[bad], depth + 1))
 
 
-def power_piece_integral(A, B, s0, s1, q: float, E: float, rel: float = 1e-10) -> np.ndarray:
+# Default relative tolerance of the 20/40-node test; level_piece_integrals
+# always uses it.
+_PIECE_REL = 1e-10
+
+
+def power_piece_integral(A, B, s0, s1, q: float, E: float, rel: float = _PIECE_REL) -> np.ndarray:
     """Batched integral of (A + B s)^q s^E over [s0, s1], elementwise.
 
     Exact closed forms when A = 0 (pure power; requires q + E > -1 if s0 = 0)
@@ -275,6 +280,9 @@ _PIECE_BLOCK = 2048
 # BLAS rounds the last (count mod its row blocking) rows of a matrix-vector
 # product differently from the others; every product of the level kernel
 # covers whole multiples of _ROW_ALIGN rows, so no row of it is such a tail.
+# 64 assumes that OpenBLAS's dgemv_t unrolls over a row count dividing 64;
+# this was checked only with numpy's bundled OpenBLAS 0.3.31 (DYNAMIC_ARCH)
+# on one x86-64 Xeon taking its Haswell kernels.
 _ROW_ALIGN = 64
 
 
@@ -292,11 +300,15 @@ def _node_sums(a, b, s, sE, weights, q: float, buf: np.ndarray) -> np.ndarray:
     return (buf[: rows * k].reshape(rows, k) @ weights)[: r * c].reshape(r, c)
 
 
-def level_piece_integrals(A, B, s0, s1, q: float, E: float, rel: float = 1e-10) -> np.ndarray:
+def level_piece_integrals(A, B, s0, s1, q: float, E: float) -> np.ndarray:
     """power_piece_integral over an (n, m) piece matrix whose column k is the
     interval [s0[k], s1[k]], s0[k] < s1[k], in every row (the K-curve pieces
-    of all cubes of one level); returns the (n, m) integrals, bit for bit those of
-    power_piece_integral on the flattened pieces under a single-threaded BLAS.
+    of all cubes of one level), at its default tolerance; returns the (n, m)
+    integrals, bit for bit those of power_piece_integral on the flattened
+    pieces under a single-threaded BLAS whose gemv row blocking divides
+    _ROW_ALIGN.  A threaded BLAS splits power_piece_integral's large product
+    among threads, and the last rows of each share are rounded as a tail,
+    so there the two can differ in the last bit.
 
     The nodes and s^E are built once per column block, and (A + B s)^q s^E is
     evaluated per row block in one reused buffer, so scratch memory is bounded
@@ -314,13 +326,13 @@ def level_piece_integrals(A, B, s0, s1, q: float, E: float, rel: float = 1e-10) 
     s1 = np.asarray(s1, dtype=np.float64)
     n, m = A.shape
     if q == 1.0:
-        return power_piece_integral(A.ravel(), B.ravel(), np.tile(s0, n), np.tile(s1, n), q, E, rel).reshape(n, m)
+        return power_piece_integral(A.ravel(), B.ravel(), np.tile(s0, n), np.tile(s1, n), q, E).reshape(n, m)
     Af, Bf = A.ravel(), B.ravel()
     out = np.zeros(n * m)
     origin = np.flatnonzero(Af == 0.0)
     if origin.size:
         k = origin % m
-        out[origin] = power_piece_integral(Af[origin], Bf[origin], s0[k], s1[k], q, E, rel)
+        out[origin] = power_piece_integral(Af[origin], Bf[origin], s0[k], s1[k], q, E)
     live = np.flatnonzero(Af != 0.0)
     if live.size == 0:
         return out.reshape(n, m)
@@ -347,14 +359,14 @@ def level_piece_integrals(A, B, s0, s1, q: float, E: float, rel: float = 1e-10) 
     t = live[tail]
     c20[tail] = _gl_panel(Af[t], Bf[t], s0[t % m], s1[t % m], q, E, _GL20)
     c40[tail] = _gl_panel(Af[t], Bf[t], s0[t % m], s1[t % m], q, E, _GL40)
-    done = np.abs(c40 - c20) <= rel * np.maximum(np.abs(c40), 1e-300)
+    done = np.abs(c40 - c20) <= _PIECE_REL * np.maximum(np.abs(c40), 1e-300)
     acc = np.zeros(n * m)
     acc[live[done]] = c40[done]
     bad = live[~done]
     if bad.size:
         a, b, lo, hi = Af[bad], Bf[bad], s0[bad % m], s1[bad % m]
         mid = 0.5 * (lo + hi)
-        _bisect_panels([(a, b, lo, mid, bad, 1), (a, b, mid, hi, bad, 1)], q, E, rel, acc)
+        _bisect_panels([(a, b, lo, mid, bad, 1), (a, b, mid, hi, bad, 1)], q, E, _PIECE_REL, acc)
     out += acc
     return out.reshape(n, m)
 

@@ -4,7 +4,17 @@ Random grids come from the package's own counter-based generator (so every
 draw is reproducible from the printed spec string), and the dyadic strategy
 builds cells as mantissa * 2^e with small mantissas, for which block sums
 are exactly representable and bit-level assertions are meaningful.
+
+BLAS runs on one thread in the tests: a threaded gemv rounds the last rows
+of each thread's share as a tail, and how a product is split depends on the
+core count, so bit-for-bit comparisons between products of different sizes
+(kcalc.level_piece_integrals against power_piece_integral) would depend on
+the host.  The variable must be set before numpy is first imported.
 """
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 from hypothesis import HealthCheck, settings

@@ -41,6 +41,7 @@ from rhlab.kcalc import (
     power_piece_integral,
 )
 from rhlab.rearrange import double_star, rearrangement
+from rhlab.weights import _level_pieces
 
 
 # ---------------------------------------------------------------------------
@@ -158,21 +159,11 @@ _CALLER_QE = [(q, q / p - q - 1.0) for q in (1.5, 2.0, 3.0) for p in (2.0, 1.5)]
 ]
 
 
-def _grid_pieces(w, lev):
-    """(A, B, s0, s1) of the K-curve pieces of every cube of a level."""
-    vals, K = w.sorted_level(lev)
-    n, m = vals.shape
-    s1 = np.arange(1, m + 1) * w.cell_measure
-    s0 = np.concatenate(([0.0], s1[:-1]))
-    A = np.concatenate((np.zeros((n, 1)), K[:, :-1]), axis=1) - vals * s0[None, :]
-    return A, vals, s0, s1
-
-
-def _assert_kernel_bitwise(w, lev, q, E, rel=1e-10):
-    A, B, s0, s1 = _grid_pieces(w, lev)
+def _assert_kernel_bitwise(w, lev, q, E):
+    B, _, s0, s1, A = _level_pieces(w, lev)
     n, m = A.shape
-    got = level_piece_integrals(A, B, s0, s1, q, E, rel)
-    ref = power_piece_integral(A.ravel(), B.ravel(), np.tile(s0, n), np.tile(s1, n), q, E, rel)
+    got = level_piece_integrals(A, B, s0, s1, q, E)
+    ref = power_piece_integral(A.ravel(), B.ravel(), np.tile(s0, n), np.tile(s1, n), q, E)
     assert got.shape == (n, m)
     np.testing.assert_array_equal(got.view(np.uint64), ref.reshape(n, m).view(np.uint64))
 
@@ -184,15 +175,14 @@ def test_level_piece_integrals_bitwise(w, qE, data):
 
 
 def test_level_piece_integrals_flat_grids_have_origin_pieces():
-    A, _, _, _ = _grid_pieces(make_grid(1, 5, "step:2,1"), 0)
+    A = _level_pieces(make_grid(1, 5, "step:2,1"), 0)[4]
     assert np.count_nonzero(A[:, 1:] == 0.0) > 0  # interior closed-form pieces
 
 
 def test_level_piece_integrals_bisection_fallback(monkeypatch):
     # pieces failing the depth-0 test enter the shared bisection loop at
-    # depth 1: grid pieces at rel = 1e-15 (below that, panels agreeing to an
-    # ulp never pass and the bisection runs to depth 40 on every half), and
-    # columns spanning six decades, where s^E needs many bisections
+    # depth 1: columns spanning six decades, where s^E needs bisections at
+    # the default tolerance
     entered = []
     real = kcalc._bisect_panels
 
@@ -201,10 +191,6 @@ def test_level_piece_integrals_bisection_fallback(monkeypatch):
         return real(work, *args)
 
     monkeypatch.setattr(kcalc, "_bisect_panels", spy)
-    for w in (make_grid(1, 6, "rand:5:lognormal:1"), make_grid(2, 3, "rand:6:lognormal:0.7"), _FLAT_GRIDS[3]):
-        for q, E in (_CALLER_QE[2], _CALLER_QE[-1]):
-            for lev in range(w.L + 1):
-                _assert_kernel_bitwise(w, lev, q, E, rel=1e-15)
     rng = np.random.default_rng(7)
     s0 = np.array([1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0])
     s1 = np.array([1.0, 0.1, 2.0, 0.02, 3.0, 0.75, 1.5])
@@ -226,14 +212,14 @@ def test_level_piece_integrals_block_shapes(monkeypatch, block):
         for lev in range(w.L + 1):
             for q, E in (_CALLER_QE[0], _CALLER_QE[2], _CALLER_QE[-2]):
                 _assert_kernel_bitwise(w, lev, q, E)
-    A, B, s0, s1 = _grid_pieces(make_grid(1, 6, "rand:13:lognormal:1"), 2)
+    B, _, s0, s1, A = _level_pieces(make_grid(1, 6, "rand:13:lognormal:1"), 2)
     odd = level_piece_integrals(A[:3, :13], B[:3, :13], s0[:13], s1[:13], 2.0, -1.5)
     ref = power_piece_integral(A[:3, :13].ravel(), B[:3, :13].ravel(), np.tile(s0[:13], 3), np.tile(s1[:13], 3), 2.0, -1.5)
     np.testing.assert_array_equal(odd.view(np.uint64), ref.reshape(3, 13).view(np.uint64))
 
 
 def test_level_piece_integrals_q_one_is_closed_form():
-    A, B, s0, s1 = _grid_pieces(make_grid(1, 6, "rand:14:lognormal:1"), 3)
+    B, _, s0, s1, A = _level_pieces(make_grid(1, 6, "rand:14:lognormal:1"), 3)
     got = level_piece_integrals(A, B, s0, s1, 1.0, -0.5)
     ref = power_piece_integral(A.ravel(), B.ravel(), np.tile(s0, A.shape[0]), np.tile(s1, A.shape[0]), 1.0, -0.5)
     np.testing.assert_array_equal(got.view(np.uint64), ref.reshape(A.shape).view(np.uint64))
@@ -246,7 +232,7 @@ def test_level_piece_integrals_scratch_is_bounded():
 
     w = make_grid(1, 14, "pow:-0.5")
     for lev in (0, 7, 13):
-        A, B, s0, s1 = _grid_pieces(w, lev)
+        B, _, s0, s1, A = _level_pieces(w, lev)
         tracemalloc.start()
         try:
             level_piece_integrals(A, B, s0, s1, 2.0, -1.5)

@@ -173,8 +173,6 @@ def _frozen_kside_level(w, level, p):
     return best
 
 
-
-
 @settings(max_examples=30)
 @given(st.one_of(random_grids(), st.sampled_from(flat_grids())), st.sampled_from([1.5, 2.0, 3.0]), st.sampled_from([1.5, 2.0, 3.0]))
 def test_level_constants_bitwise_equal_per_piece_route(w, p, q):
