@@ -42,7 +42,7 @@ from .grid import (
     parse_cube,
     save_weight,
 )
-from .kcalc import HolmstedtCurve, k_l1_linf, k_weighted, lorentz_norm, packing_family
+from .kcalc import HolmstedtCurve, k_l1_linf, k_weighted_curve, lorentz_norm, packing_family
 from .rearrange import rearrangement
 from . import weights as W
 
@@ -368,7 +368,8 @@ def cmd_curve(cfg: RunConfig) -> tuple[str, int]:
             t = integrate(w, Qc)
             if 0.0 < t < w_total:
                 ts.append(t)
-        rows = [(t, k_weighted(w, w, p, t, Pi).value) for t in sorted(ts)]
+        ts.sort()
+        rows = [(t, est.value) for t, est in zip(ts, k_weighted_curve(w, w, p, ts, Pi))]
     else:
         raise UsageError(
             f"unknown curve kind {cfg.kind!r}; choose k, rearr, holmstedt:<theta>:<q>, weighted-k"

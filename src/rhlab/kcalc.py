@@ -28,6 +28,18 @@ exact representation:
   * packing operators S_pi (weighted cube averages over disjoint cube
     families) and the weighted K-functional estimate they generate.
 
+A packing is evaluated as rows of two level tables: the sums of f w and of
+w over every dyadic cube of the grid, level-major from the base cube down
+and each level in Morton order, built with one reshape-and-sum per level
+(_level_tables).  A packing is an int64 array of flat rows into them, so
+S_pi = num[rows] / den[rows] and its w-measures are den[rows] times the cell
+measure; the tables are built once per evaluation and serve every packing
+and every t.  Each row sum reduces one contiguous row of the reshaped level,
+which gives the same bits as summing the cube's Morton slice on its own.
+np.add.reduceat over the level's slice starts does not: on lognormal cells
+it differed in the last bit for blocks of 4 cells or more, so it must not
+replace the reshape.
+
 Cube-local inequalities are evaluated on (0, |Q|]; beyond |Q| every curve is
 determined by its exact constant or 1/t tail.
 """
@@ -35,11 +47,11 @@ determined by its exact constant or 1/t tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DyadicCube, WeightGrid, integrate, level_cubes
+from .grid import DyadicCube, WeightGrid, integrate, level_cubes, morton_index
 from .rearrange import DecreasingStep, rearrangement
 
 _GL20 = np.polynomial.legendre.leggauss(20)
@@ -232,6 +244,10 @@ def _bisect_panels(work: list, q: float, E: float, rel: float, acc: np.ndarray) 
 # Default relative tolerance of the 20/40-node test; level_piece_integrals
 # always uses it.
 _PIECE_REL = 1e-10
+# Smallest accepted rel, about 4.5 ulp: the 20- and 40-node sums of a panel
+# each carry a few ulp of rounding, so below this a panel may never pass and
+# every one is halved down to depth 40 (2^40 panels per piece).
+_REL_FLOOR = 1e-15
 
 
 def power_piece_integral(A, B, s0, s1, q: float, E: float, rel: float = _PIECE_REL) -> np.ndarray:
@@ -241,8 +257,12 @@ def power_piece_integral(A, B, s0, s1, q: float, E: float, rel: float = _PIECE_R
     or q = 1; otherwise adaptive Gauss-Legendre with 20/40-node comparison,
     bisecting panels until the relative difference is below rel.  Panels
     still above rel after 40 bisections are accepted as they are, silently:
-    the tolerance is not guaranteed there.
+    the tolerance is not guaranteed there.  rel below 1e-15 (_REL_FLOOR)
+    raises ValueError, since rounding alone can keep every panel above it
+    and the bisection would then not finish.
     """
+    if not rel >= _REL_FLOOR:
+        raise ValueError(f"rel must be at least {_REL_FLOOR:g}, got {rel!r}")
     A = np.atleast_1d(np.asarray(A, dtype=np.float64))
     B = np.atleast_1d(np.asarray(B, dtype=np.float64))
     s0 = np.atleast_1d(np.asarray(s0, dtype=np.float64))
@@ -397,7 +417,7 @@ class HolmstedtCurve:
     K's constant tail in closed form.
     """
 
-    def __init__(self, K: ConcaveCurve, theta: float, q: float, rel: float = 1e-10):
+    def __init__(self, K: ConcaveCurve, theta: float, q: float, rel: float = _PIECE_REL):
         if not 0.0 < theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
         if q < 1.0:
@@ -588,12 +608,67 @@ def extrapolation_norm(w: WeightGrid, Q: DyadicCube) -> float:
 # ---------------------------------------------------------------------------
 # packings and the weighted K-functional
 
+
+def _level_offsets(w: WeightGrid) -> list[int]:
+    """Where each level of w starts in its level tables (from the base
+    cube's level down to the cells), followed by the tables' length."""
+    fan = 1 << w.d
+    return [((1 << (w.d * k)) - 1) // (fan - 1) for k in range(w.L - w.base.level + 2)]
+
+
+def _level_tables(f: WeightGrid, w: WeightGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(num, den): the sums of f w and of w over every cube of the grid, in
+    level-table order (module docstring); a cube's entries sit at row
+    _level_offsets(w)[level - base level] + its Morton rank in the base."""
+    if f.d != w.d or f.L != w.L or f.base != w.base:
+        raise ValueError("f and w must share a grid")
+    fw = f.zcells * w.zcells
+    widths = [1 << (w.d * (w.L - lev)) for lev in range(w.base.level, w.L + 1)]
+    num = np.concatenate([fw.reshape(-1, k).sum(axis=1) for k in widths])
+    den = np.concatenate([w.zcells.reshape(-1, k).sum(axis=1) for k in widths])
+    return num, den
+
+
+def _packing_rows(w: WeightGrid, pi: list[DyadicCube]) -> np.ndarray:
+    """Level-table rows of an explicit packing's cubes, in list order.
+
+    Raises ValueError for an empty packing, a cube off the grid, or two
+    cubes that overlap."""
+    if not pi:
+        raise ValueError("empty packing")
+    lo = w.base.level
+    for Q in pi:
+        w._check_cube(Q)
+    rel = np.array([Q.level - lo for Q in pi], dtype=np.int64)
+    rank = np.array([morton_index(Q) for Q in pi], dtype=np.int64) - (morton_index(w.base) << (w.d * rel))
+    shift = w.d * (w.L - lo - rel)
+    start = rank << shift  # the cubes' Morton slices [start, stop) in the base
+    stop = start + (1 << shift)
+    order = np.argsort(start, kind="stable")
+    if np.any(start[order][1:] < stop[order][:-1]):
+        raise ValueError("packing cubes overlap")
+    return np.asarray(_level_offsets(w))[rel] + rank
+
+
 @dataclass
 class PackingFamily:
-    """A list of packings (disjoint dyadic cube families)."""
+    """A list of packings (disjoint dyadic cube families).
+
+    On a grid each packing is also an int64 array of rows into the grid's
+    level tables, in the order of its cube list (rows()).  packing_family
+    stores the rows it builds; other families derive them from their cubes
+    on first use, once per grid geometry, so packings must not be changed
+    after a family has been evaluated."""
 
     packings: list[list[DyadicCube]]
     policy: str = "explicit"
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def rows(self, w: WeightGrid) -> list[np.ndarray]:
+        key = (w.d, w.L, w.base)
+        if key not in self._rows:
+            self._rows[key] = [_packing_rows(w, pi) for pi in self.packings]
+        return self._rows[key]
 
 
 @dataclass
@@ -623,24 +698,17 @@ def grid_power(w: WeightGrid, p: float) -> WeightGrid:
     return WeightGrid(w.d, w.L, w.cells ** p, label=f"({w.label})^{p:g}", base=w.base)
 
 
+def _packed(tables, w: WeightGrid, rows: np.ndarray, cubes: list[DyadicCube]) -> PackedFunction:
+    num, den = tables
+    return PackedFunction(cubes, num[rows] / den[rows], den[rows] * w.cell_measure)
+
+
 def packing_average(f: WeightGrid, w: WeightGrid, pi: list[DyadicCube]) -> PackedFunction:
     """S_pi(f) = sum_i (1/w(Q_i)) int_{Q_i} f w  on each Q_i.
 
     Values outside the union are excluded from the rearrangement mass.
     """
-    if f.d != w.d or f.L != w.L:
-        raise ValueError("f and w must share a grid")
-    if not pi:
-        raise ValueError("empty packing")
-    ranges = sorted(f.zrange(Q) for Q in pi)
-    for (a0, b0), (a1, b1) in zip(ranges, ranges[1:]):
-        if a1 < b0:
-            raise ValueError("packing cubes overlap")
-    fw = f.zcells * w.zcells
-    wz = w.zcells
-    num = np.array([fw[a:b].sum() for a, b in (f.zrange(Q) for Q in pi)])
-    den = np.array([wz[a:b].sum() for a, b in (w.zrange(Q) for Q in pi)])
-    return PackedFunction(list(pi), num / den, den * w.cell_measure)
+    return _packed(_level_tables(f, w), w, _packing_rows(w, pi), list(pi))
 
 
 def packing_family(
@@ -655,40 +723,76 @@ def packing_family(
     The stopping packings take a deterministic menu of at most max_stopping
     thresholds among the distinct dyadic averages A_Q = int_Q f^p w / w(Q);
     for each threshold the packing is the family of maximal dyadic cubes with
-    A_Q above it.
+    A_Q above it, listed level by level in Morton order.
     """
     if w is None:
         w = WeightGrid(f.d, f.L, np.ones(f.ncells), label="const:1", base=f.base)
-    packs: list[list[DyadicCube]] = []
-    for lev in range(f.base.level, f.L + 1):
-        packs.append(level_cubes(f, lev))
+    off = _level_offsets(f)
+    packs = [level_cubes(f, lev) for lev in range(f.base.level, f.L + 1)]
+    rows = [np.arange(a, b) for a, b in zip(off, off[1:])]
     if policy == "standard":
-        g = grid_power(f, p)
-        gw = g.zcells * w.zcells
-        wz = w.zcells
-        all_avgs = []
-        for lev in range(f.base.level, f.L + 1):
-            width = 1 << (f.d * (f.L - lev))
-            a = gw.reshape(-1, width).sum(axis=1)
-            b = wz.reshape(-1, width).sum(axis=1)
-            all_avgs.append(a / b)
-        distinct = np.unique(np.concatenate(all_avgs))
+        num, den = _level_tables(grid_power(f, p), w)
+        avgs = num / den
+        distinct = np.unique(avgs)
         if distinct.size > max_stopping:
             sel = np.linspace(0, distinct.size - 1, max_stopping).astype(int)
             distinct = distinct[sel]
+        cubes = [Q for level in packs for Q in level]
         for lam in distinct[:-1]:  # the top threshold selects nothing
-            pick: list[DyadicCube] = []
+            pick = []
             covered = np.zeros(1, dtype=bool)
-            for lev_i, avgs in enumerate(all_avgs):
-                if lev_i > 0:
+            for k, (a, b) in enumerate(zip(off, off[1:])):
+                if k > 0:
                     covered = np.repeat(covered, 1 << f.d)
-                sel = (avgs > lam) & ~covered
-                if np.any(sel):
-                    pick.extend(packs[lev_i][i] for i in np.nonzero(sel)[0])
-                    covered = covered | sel
-            if pick:
-                packs.append(pick)
-    return PackingFamily(packs, policy=policy)
+                sel = (avgs[a:b] > lam) & ~covered
+                pick.append(a + np.nonzero(sel)[0])
+                covered |= sel
+            r = np.concatenate(pick)
+            if r.size:
+                rows.append(r)
+                packs.append([cubes[i] for i in r.tolist()])
+    Pi = PackingFamily(packs, policy=policy)
+    Pi._rows[(f.d, f.L, f.base)] = rows
+    return Pi
+
+
+def k_weighted_curve(
+    f: WeightGrid, w: WeightGrid, p: float, ts, Pi: PackingFamily
+) -> list[WeightedKEstimate]:
+    """k_weighted at every t of ts, from one set of level tables.
+
+    Each packing is rearranged once and all ts are looked up in it; per t
+    the first packing reaching the maximum is the witness, as in k_weighted.
+    """
+    if p < 1.0:
+        raise ValueError("p must be at least 1")
+    if not Pi.packings:
+        raise ValueError("empty packing family")
+    w_total = integrate(w, w.base)
+    ts = [float(t) for t in ts]
+    for t in ts:
+        if not 0.0 < t < w_total:
+            raise ValueError(f"t must lie in (0, {w_total})")
+    tables = _level_tables(grid_power(f, p) if p != 1.0 else f, w)
+    tq = np.asarray(ts, dtype=np.float64)
+    best = np.full(tq.size, -math.inf)
+    best_i = np.zeros(tq.size, dtype=np.int64)
+    for i, rows in enumerate(Pi.rows(w)):
+        vals, cum = _packed(tables, w, rows, Pi.packings[i]).rearrange_w()
+        idx = np.searchsorted(cum, tq, side="left")
+        val = np.where(idx < vals.size, vals[np.minimum(idx, vals.size - 1)], 0.0)
+        better = val > best
+        best[better] = val[better]
+        best_i[better] = i
+    return [
+        WeightedKEstimate(
+            value=t ** (1.0 / p) * b ** (1.0 / p),
+            packing_index=i,
+            packing=Pi.packings[i],
+            raw_sup=b,
+        )
+        for t, b, i in zip(ts, best.tolist(), best_i.tolist())
+    ]
 
 
 def k_weighted(f: WeightGrid, w: WeightGrid, p: float, t: float, Pi: PackingFamily) -> WeightedKEstimate:
@@ -700,27 +804,4 @@ def k_weighted(f: WeightGrid, w: WeightGrid, p: float, t: float, Pi: PackingFami
     over the finite family is a certified lower bound for the supremum over
     all packings; the achieving packing is returned as witness.
     """
-    if p < 1.0:
-        raise ValueError("p must be at least 1")
-    if not Pi.packings:
-        raise ValueError("empty packing family")
-    w_total = integrate(w, w.base)
-    if not 0.0 < t < w_total:
-        raise ValueError(f"t must lie in (0, {w_total})")
-    fp = grid_power(f, p) if p != 1.0 else f
-    best = -math.inf
-    best_i = 0
-    for i, pi in enumerate(Pi.packings):
-        pf = packing_average(fp, w, pi)
-        vals, cum = pf.rearrange_w()
-        idx = int(np.searchsorted(cum, t, side="left"))
-        val = float(vals[idx]) if idx < vals.size else 0.0
-        if val > best:
-            best = val
-            best_i = i
-    return WeightedKEstimate(
-        value=t ** (1.0 / p) * best ** (1.0 / p),
-        packing_index=best_i,
-        packing=Pi.packings[best_i],
-        raw_sup=best,
-    )
+    return k_weighted_curve(f, w, p, [t], Pi)[0]

@@ -49,6 +49,7 @@ from .kcalc import (
     grid_power,
     k_l1_linf,
     k_weighted,
+    k_weighted_curve,
     level_piece_integrals,
     llogl_norm_rows,
     packing_family,
@@ -578,15 +579,15 @@ def verify_weighted_rh(
     if Pi is None:
         Pi = packing_family(g, w, p)
     w_total = integrate(w, w.base)
-    cases = []
+    ts = []
     Qc = w.base
     for _ in range(w.L - w.base.level):
         Qc = Qc.child(0)
         t = integrate(w, Qc)
-        if not 0.0 < t < w_total:
-            continue
-        ep = k_weighted(g, w, p, t, Pi)
-        e1 = k_weighted(g, w, 1.0, t, Pi)
+        if 0.0 < t < w_total:
+            ts.append(t)
+    cases = []
+    for t, ep, e1 in zip(ts, k_weighted_curve(g, w, p, ts, Pi), k_weighted_curve(g, w, 1.0, ts, Pi)):
         bound = C * t ** (1.0 / p - 1.0) * e1.value
         ok = ep.value <= bound * (1.0 + 1e-12)
         cases.append({
@@ -711,19 +712,16 @@ def verify_packing(f: WeightGrid, p: float = 2.0) -> TheoremReport:
     K = k_l1_linf(fs, fs.base)
     repro_ok = True
     worst = 0.0
-    for lev in range(f.base.level + 1, f.L + 1):
-        t = 2.0 ** (-f.d * lev)
-        est = k_weighted(fs, ones, 1.0, t, Pi)
+    ts = [2.0 ** (-f.d * lev) for lev in range(f.base.level + 1, f.L + 1)]
+    t_mid = 2.0 ** (-f.d)
+    *ests, est_mid = k_weighted_curve(fs, ones, 1.0, ts + [t_mid], Pi)
+    for t, est in zip(ts, ests):
         err = abs(est.value - K.value(t)) / K.value(t)
         worst = max(worst, err)
         if err > 1e-12:
             repro_ok = False
     sub = PackingFamily(Pi.packings[: max(1, len(Pi.packings) // 2)], policy="subfamily")
-    t_mid = 2.0 ** (-f.d)
-    mono_ok = (
-        k_weighted(fs, ones, 1.0, t_mid, sub).value
-        <= k_weighted(fs, ones, 1.0, t_mid, Pi).value * (1.0 + 1e-15)
-    )
+    mono_ok = k_weighted(fs, ones, 1.0, t_mid, sub).value <= est_mid.value * (1.0 + 1e-15)
     wrh = verify_weighted_rh(fs, ones, p)
     case = {
         "name": f.label,

@@ -6,7 +6,9 @@ passed as quadrature nodes. The frozen oracles are hand-derived: the K-curve
 of step 2,1, the straight Holmstedt line of a constant weight, the Luxemburg
 root of the constant-1 weight, and the Lorentz norms of indicators. The
 level kernel level_piece_integrals is checked bit for bit against
-power_piece_integral on the same pieces.
+power_piece_integral on the same pieces, and the level-table packing path
+(k_weighted_curve) against a frozen copy of the per-packing loop it
+replaced.
 """
 
 import math
@@ -18,12 +20,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import flat_grids, random_grids
-from rhlab.grid import DyadicCube, integrate, level_cubes, make_grid
+from rhlab.grid import DyadicCube, WeightGrid, integrate, level_cubes, make_grid
 from rhlab import kcalc
 from rhlab.kcalc import (
     ConcaveCurve,
     CurveFamily,
     HolmstedtCurve,
+    PackingFamily,
     StepProductCurve,
     extrapolation_norm,
     grid_power,
@@ -32,6 +35,7 @@ from rhlab.kcalc import (
     k_lorentz_linf,
     k_lp_linf,
     k_weighted,
+    k_weighted_curve,
     level_piece_integrals,
     llogl_integral_forms,
     llogl_norm,
@@ -240,6 +244,23 @@ def test_level_piece_integrals_scratch_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak < A.size * 40 * 8
+
+
+def test_power_piece_integral_rel_floor():
+    # below the floor rounding alone can keep every panel failing down to
+    # depth 40, so such a rel is refused before any work; the floor converges
+    w = make_grid(1, 6, "rand:3:lognormal:1")
+    B, _, s0, s1, A = _level_pieces(w, 0)
+    pieces = (A.ravel(), B.ravel(), s0, s1, 2.0, -1.5)
+    assert A.size == 64
+    for rel in (1e-16, 0.0, -1e-10, math.nan):
+        with pytest.raises(ValueError, match="rel must be at least"):
+            power_piece_integral(*pieces, rel=rel)
+    with pytest.raises(ValueError, match="rel must be at least"):
+        HolmstedtCurve(k_l1_linf(w, w.base), 0.5, 2.0, rel=1e-16)
+    fine = power_piece_integral(*pieces, rel=1e-15)
+    np.testing.assert_allclose(fine, power_piece_integral(*pieces), rtol=1e-9)
+    HolmstedtCurve(k_l1_linf(w, w.base), 0.5, 2.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +513,186 @@ def test_k_weighted_monotone_in_family():
         lo = k_weighted(f, ones, 1.0, t, small).value
         hi = k_weighted(f, ones, 1.0, t, Pi).value
         assert hi >= lo * (1 - 1e-15)
+
+
+# frozen reference: the per-packing, per-cube loop that k_weighted ran
+# before the level tables, one packing_average call per packing and per t
+
+
+def _frozen_packing_average(f, w, pi):
+    ranges = sorted(f.zrange(Q) for Q in pi)
+    for (a0, b0), (a1, b1) in zip(ranges, ranges[1:]):
+        if a1 < b0:
+            raise ValueError("packing cubes overlap")
+    fw = f.zcells * w.zcells
+    wz = w.zcells
+    num = np.array([fw[a:b].sum() for a, b in (f.zrange(Q) for Q in pi)])
+    den = np.array([wz[a:b].sum() for a, b in (w.zrange(Q) for Q in pi)])
+    return num / den, den * w.cell_measure
+
+
+def _frozen_k_weighted(f, w, p, t, packings):
+    fp = grid_power(f, p) if p != 1.0 else f
+    best = -math.inf
+    best_i = 0
+    for i, pi in enumerate(packings):
+        values, meas = _frozen_packing_average(fp, w, pi)
+        order = np.argsort(-values, kind="stable")
+        vals, cum = values[order], np.cumsum(meas[order])
+        idx = int(np.searchsorted(cum, t, side="left"))
+        val = float(vals[idx]) if idx < vals.size else 0.0
+        if val > best:
+            best = val
+            best_i = i
+    return t ** (1.0 / p) * best ** (1.0 / p), best_i, best
+
+
+def _bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+def _sample_ts(w):
+    """The origin-chain w-measures the suites use, plus off-grid points."""
+    total = integrate(w, w.base)
+    ts, Q = [], w.base
+    for _ in range(w.L - w.base.level):
+        Q = Q.child(0)
+        ts.append(integrate(w, Q))
+    return [t for t in ts if 0.0 < t < total] + [total * r for r in (0.013, 0.3, 0.5, 0.77, 0.999)]
+
+
+def _mixed_family(w):
+    """Explicit packings mixing levels, listed out of Morton order."""
+    kids = [w.base.child(k) for k in range(1 << w.d)]
+    fams = [kids[::-1], kids[1:]]
+    if w.L - w.base.level >= 2:
+        grand = [kids[0].child(k) for k in range(1 << w.d)]
+        fams += [kids[:0:-1] + grand, [grand[-1], kids[-1], grand[0]]]
+    return PackingFamily(fams)
+
+
+def _assert_curve_bitwise(f, w, p, Pi):
+    ts = _sample_ts(w)
+    for t, est in zip(ts, k_weighted_curve(f, w, p, ts, Pi), strict=True):
+        value, index, raw = _frozen_k_weighted(f, w, p, t, Pi.packings)
+        assert est.packing_index == index
+        assert est.packing is Pi.packings[index]
+        assert _bits(est.value) == _bits(value)
+        assert _bits(est.raw_sup) == _bits(raw)
+        assert _bits(k_weighted(f, w, p, t, Pi).value) == _bits(value)
+
+
+def _assert_families_bitwise(f, w, p):
+    Pi = packing_family(f, w, p)
+    half = PackingFamily(Pi.packings[: max(1, len(Pi.packings) // 2)], policy="subfamily")
+    for fam in (Pi, half, _mixed_family(w)):
+        _assert_curve_bitwise(f, w, p, fam)
+
+
+def _localized(d, L, base, seed):
+    n = 1 << (d * (L - base.level))
+    cells = np.random.default_rng(seed).lognormal(0.0, 1.0, n)
+    return WeightGrid(d, L, cells, label=f"local{seed}", base=base)
+
+
+_P_LIST = [1.0, 1.5, 2.0]
+
+
+@given(random_grids(max_level_1d=7, max_level_2d=4), st.sampled_from(_P_LIST), st.integers(0, 2**31 - 1), st.booleans())
+def test_k_weighted_curve_bitwise_random(f, p, seed, unit_w):
+    w = make_grid(f.d, f.L, "const:1" if unit_w else f"rand:{seed}:lognormal:0.7")
+    _assert_families_bitwise(f, w, p)
+
+
+@pytest.mark.parametrize("p", _P_LIST)
+def test_k_weighted_curve_bitwise_localized_and_d2(p):
+    cases = [
+        (_localized(1, 7, DyadicCube(2, (1,)), 1), _localized(1, 7, DyadicCube(2, (1,)), 2)),
+        (_localized(2, 4, DyadicCube(1, (1, 0)), 3), _localized(2, 4, DyadicCube(1, (1, 0)), 4)),
+        (make_grid(2, 4, "rand:5:lognormal:1.5"), make_grid(2, 4, "step:4,1,2,1")),
+        (make_grid(1, 6, "step:2,1"), make_grid(1, 6, "const:1")),  # ties everywhere
+    ]
+    for f, w in cases:
+        _assert_families_bitwise(f, w, p)
+
+
+@given(st.one_of(random_grids(), st.sampled_from(_FLAT_GRIDS)))
+def test_level_tables_equal_slice_sums(f):
+    cases = [(f, make_grid(f.d, f.L, "rand:9:lognormal:1")), (_localized(2, 4, DyadicCube(1, (0, 1)), 5),) * 2]
+    for f, w in cases:
+        num, den = kcalc._level_tables(f, w)
+        off = kcalc._level_offsets(w)
+        fw = f.zcells * w.zcells
+        assert num.size == den.size == off[-1]
+        for k, lev in enumerate(range(w.base.level, w.L + 1)):
+            spans = [w.zrange(Q) for Q in level_cubes(w, lev)]
+            ref_num = np.array([fw[a:b].sum() for a, b in spans])
+            ref_den = np.array([w.zcells[a:b].sum() for a, b in spans])
+            np.testing.assert_array_equal(num[off[k] : off[k + 1]].view(np.uint64), ref_num.view(np.uint64))
+            np.testing.assert_array_equal(den[off[k] : off[k + 1]].view(np.uint64), ref_den.view(np.uint64))
+
+
+def test_packing_family_rows_match_cubes():
+    for f in (make_grid(1, 6, "rand:21:lognormal:1"), _localized(2, 4, DyadicCube(1, (1, 1)), 6)):
+        Pi = packing_family(f, p=2.0)
+        off = kcalc._level_offsets(f)
+        for pi, rows in zip(Pi.packings, Pi.rows(f), strict=True):
+            np.testing.assert_array_equal(rows, kcalc._packing_rows(f, pi))
+            lev = np.searchsorted(off, rows, side="right") - 1 + f.base.level
+            assert lev.tolist() == [Q.level for Q in pi]
+
+
+def test_k_weighted_curve_makes_no_per_cube_zrange(monkeypatch):
+    f = make_grid(2, 4, "rand:31:lognormal:1")
+    w = make_grid(2, 4, "rand:32:lognormal:0.5")
+    Pi = packing_family(f, w, 2.0)
+    ts = _sample_ts(w)
+    seen = []
+    real = WeightGrid.zrange
+
+    def spy(self, Q):
+        seen.append(Q)
+        return real(self, Q)
+
+    monkeypatch.setattr(WeightGrid, "zrange", spy)
+    assert len(k_weighted_curve(f, w, 2.0, ts, Pi)) == len(ts)
+    assert seen == [w.base]  # integrate's total of w, nothing per cube
+
+
+def test_explicit_family_rows_derived_once(monkeypatch):
+    f = make_grid(1, 5, "rand:33:lognormal:1")
+    ones = make_grid(1, 5, "const:1")
+    fam = _mixed_family(f)
+    calls = []
+    real = kcalc._packing_rows
+    monkeypatch.setattr(kcalc, "_packing_rows", lambda w, pi: calls.append(1) or real(w, pi))
+    for t in (0.25, 0.5):
+        k_weighted(f, ones, 1.0, t, fam)
+    k_weighted_curve(f, ones, 1.5, [0.1, 0.2], fam)
+    assert len(calls) == len(fam.packings)
+
+
+def test_k_weighted_rejects_bad_explicit_packings():
+    f = make_grid(1, 3, "rand:35:lognormal:1")
+    ones = make_grid(1, 3, "const:1")
+    bad = {
+        "packing cubes overlap": [f.base, DyadicCube(2, (3,))],
+        "empty packing": [],
+        "outside the grid's base cube": [DyadicCube(1, (0,))],
+        "exceeds grid level": [DyadicCube(4, (0,))],
+        "does not match grid dimension": [DyadicCube(1, (0, 0))],
+    }
+    local = _localized(1, 3, DyadicCube(1, (1,)), 7)
+    for msg, pi in bad.items():
+        g = local if msg == "outside the grid's base cube" else f
+        with pytest.raises(ValueError, match=msg):
+            k_weighted(g, g, 1.0, 0.1, PackingFamily([level_cubes(g, 2), pi]))
+        with pytest.raises(ValueError, match=msg):
+            packing_average(g, g, pi)
+    with pytest.raises(ValueError, match="f and w must share a grid"):
+        packing_average(f, make_grid(1, 4, "const:1"), [f.base])
+    with pytest.raises(ValueError, match="f and w must share a grid"):
+        k_weighted(f, local, 1.0, 0.1, PackingFamily([[f.base]]))
 
 
 def test_step_product_two_sided():
