@@ -469,7 +469,14 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg.out = args.out
     if args.command == "analyze":
         cfg.cubes = args.cubes
-        if cfg.cubes != "all-dyadic" and cfg.cubes != "base" and not cfg.cubes.startswith("level:"):
+        if cfg.cubes.startswith("level:"):
+            try:
+                in_range = 0 <= int(cfg.cubes.split(":", 1)[1]) <= L
+            except ValueError:
+                in_range = False
+            if not in_range:
+                raise UsageError(f"--cubes level:k needs an integer k in [0, {L}], got {cfg.cubes!r}")
+        elif cfg.cubes not in ("all-dyadic", "base"):
             raise UsageError(f"unknown --cubes policy {cfg.cubes!r}")
     if args.command == "verify":
         cfg.suite = args.suite

@@ -39,7 +39,14 @@ lever arm log(t/s).  Both readings are reported:
 The delta axis is scanned in a base variable u in [0, 1] common to all
 (beta, q) transforms of a family, since (s^-beta phi)^q s^-delta equals
 (phi(s) s^-u)^q with u = beta + delta/q: shift and power identities on
-reported indices are then exact by construction.
+reported indices are then exact by construction.  A single curve is a
+one-row block of the same engine (single_index, ai_constant).
+
+The reverse-Hardy residual sup_t (integral_0^t phi(s) ds/s) / phi(t) of a
+concave piecewise-linear curve is exact, closed form via Wright omega: on
+each piece the ratio has at most one interior maximum, at
+t* = a / (b omega(c)) (see _hardy_rows).  One kernel serves a single curve
+(hardy_residual) and all cubes of a level (weights.hardy_residual_sup).
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import wrightomega
 
 from .grid import WeightGrid, _cube_at
 from .kcalc import ConcaveCurve, CurveFamily, StepProductCurve
@@ -98,37 +106,7 @@ class IndexEstimate:
 
 
 # ---------------------------------------------------------------------------
-# candidate sets
-
-def _candidates_concave(K: ConcaveCurve, gamma_end: float):
-    """Breakpoints of a concave curve within (0, gamma_end], appending the
-    window endpoint when it is not a knot.  Returns (s, phi(s)).
-
-    A window ending inside the first piece is fine: the curve is linear
-    through the origin there, so the endpoint alone carries the supremum.
-    """
-    t = K.t
-    inside = (t > 0) & (t <= gamma_end)
-    s = t[inside]
-    v = K.v[inside]
-    if s.size == 0 or s[-1] < gamma_end:
-        s = np.append(s, gamma_end)
-        v = np.append(v, K.value(gamma_end))
-    return s, v
-
-
-def _minima_concave(K: ConcaveCurve, delta: float, gamma_end: float):
-    """Interior minima of phi(s) s^-delta on the pieces of a concave curve,
-    as (s*, phi(s*)) arrays (possibly empty)."""
-    if not 0.0 < delta < 1.0:
-        return np.empty(0), np.empty(0)
-    A, B, s0, s1 = K.pieces()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tstar = delta * A / (B * (1.0 - delta))
-    ok = (A > 0) & (B > 0) & (tstar > s0) & (tstar < s1) & (tstar < gamma_end)
-    tstar = tstar[ok]
-    return tstar, A[ok] / (1.0 - delta)  # phi(s*) s*^-delta = [A/(1-delta)] s*^-delta
-
+# candidate blocks
 
 def _sup_ratio(s: np.ndarray, lg: np.ndarray) -> tuple[float, float, float]:
     """sup over i <= j of lg_i - lg_j for candidates ordered by abscissa s;
@@ -140,6 +118,128 @@ def _sup_ratio(s: np.ndarray, lg: np.ndarray) -> tuple[float, float, float]:
     return float(r[j]), float(s[i]), float(s[j])
 
 
+class _LevelBlock:
+    """Candidate data of several curves on one shared abscissa grid, one row
+    per curve, rectangular.
+
+    svals holds the shared abscissae in increasing order and ls their logs;
+    lnphi holds each row's log-values there.  A window (0, gamma |Q|] of a
+    level block is a column prefix (see _level_window), so one block serves
+    every gamma.  With piece data A, B the curves are linear between
+    consecutive columns, phi = A + B s, and lg adds the per-piece interior
+    ratio minima, whose abscissae s* = u a / (b (1 - u)) depend on the scan
+    variable; lnA/lnB/a_pos hold the piece data to rebuild them.
+
+    of_level builds the block of all cubes of one level on the full window,
+    _curve_block the one-row block of a single curve.  For kind "acks" the
+    level columns alternate the left and right values of t (w chi_Q)*(t) at
+    each plateau knot.  The right value at a window's end lies outside the
+    window and is left out.  Putting the left value there again would change
+    nothing: a column repeating its left neighbour at the same abscissa has
+    the same ratio r and the same lever, and the first maximum of r never
+    falls on it.
+    """
+
+    def __init__(self, s: np.ndarray, lnphi: np.ndarray, A: np.ndarray | None, B: np.ndarray | None):
+        self.svals = s
+        self.ls = np.log(s)
+        self.lnphi = lnphi
+        self.a_pos = None
+        if A is not None:
+            self.a_pos = A > 0
+            with np.errstate(divide="ignore"):
+                self.lnA = np.where(self.a_pos, np.log(np.where(self.a_pos, A, 1.0)), -np.inf)
+                self.lnB = np.log(B)
+
+    @classmethod
+    def of_level(cls, w: WeightGrid, level: int, kind: str) -> "_LevelBlock":
+        """The block of the curves of kind "k" or "acks" of every cube of a
+        level below the cells, on the full window."""
+        vals, K = w.sorted_level(level)
+        m = vals.shape[1]
+        s = np.arange(1, m + 1) * w.cell_measure
+        if kind == "k":
+            # pieces 2..m: phi = a + b s on [s_{k-1}, s_k]
+            return cls(s, np.log(K), K[:, :-1] - vals[:, 1:] * s[:-1], vals[:, 1:])
+        lnphi = np.empty((vals.shape[0], 2 * m - 1))
+        lnphi[:, 0::2] = np.log(s[None, :] * vals)
+        lnphi[:, 1::2] = np.log(s[None, :-1] * vals[:, 1:])
+        return cls(np.repeat(s, 2)[:-1], lnphi, None, None)
+
+    def lg(self, u: float) -> tuple[np.ndarray, np.ndarray]:
+        """(lg, s): the log-ratios lnphi - u ln s of the exact candidate set
+        at scan point u, in abscissa order, and the abscissa of each column
+        (for the witness), both with one row per curve.
+
+        With piece data and 0 < u < 1 the interior ratio minima are
+        interleaved between knots; a piece without one repeats its right
+        knot, which changes no running maximum.
+        """
+        lg_k = self.lnphi - u * self.ls[None, :]
+        if self.a_pos is None or not 0.0 < u < 1.0:
+            return lg_k, np.broadcast_to(self.svals, lg_k.shape)
+        lsk = self.ls
+        with np.errstate(invalid="ignore", over="ignore"):
+            lnt = (math.log(u) - math.log1p(-u)) + self.lnA - self.lnB
+            valid = self.a_pos & (lnt > lsk[None, :-1]) & (lnt < lsk[None, 1:])
+            # g(s*) = [a / (1 - u)] s*^{-u}
+            lg_min = np.where(valid, self.lnA - math.log1p(-u) - u * lnt, 0.0)
+            t_min = np.where(valid, np.exp(lnt), self.svals[None, 1:])
+        n, m = lg_k.shape
+        lg = np.empty((n, 2 * m - 1))
+        lg[:, 0::2] = lg_k
+        lg[:, 1::2] = np.where(valid, lg_min, lg_k[:, 1:])
+        s = np.empty_like(lg)
+        s[:, 0::2] = self.svals
+        s[:, 1::2] = t_min
+        return lg, s
+
+
+def _level_window(w: WeightGrid, level: int, kind: str, gamma: float) -> tuple[int, float]:
+    """(ncols, kappa) of the window (0, gamma |Q|] on the block of a level:
+    its candidates are the first ncols columns (0 when the window holds no
+    knot), and kappa is half its log-window log(gamma |Q| / h), the knee
+    rule's lever bound."""
+    kcols = int(round(gamma * (1 << (w.d * (w.L - level)))))
+    if kcols < 1:
+        return 0, 0.0
+    ncols = kcols if kind == "k" else 2 * kcols - 1
+    return ncols, 0.5 * math.log(gamma * 2.0 ** (-w.d * level) / w.cell_measure)
+
+
+def _curve_block(phi, end: float) -> _LevelBlock:
+    """The one-row block of a single curve's candidates on (0, end]: the
+    knots of a ConcaveCurve with its pieces and the window end, the two-sided
+    jump values of a StepProductCurve, or the samples of a (t, values) pair."""
+    A = B = None
+    if isinstance(phi, ConcaveCurve):
+        # a window ending inside the first piece keeps its end alone: the
+        # curve is linear through the origin there
+        inside = (phi.t > 0) & (phi.t <= end)
+        s, v = phi.t[inside], phi.v[inside]
+        if s.size == 0 or s[-1] < end:
+            s, v = np.append(s, end), np.append(v, phi.value(end))
+        A, B, _, _ = phi.pieces()
+        A, B = A[None, 1 : s.size], B[None, 1 : s.size]
+    elif isinstance(phi, StepProductCurve):
+        s, v = phi.two_sided(end)
+    else:
+        t, v = (np.asarray(x, dtype=np.float64) for x in phi)
+        keep = (t > 0) & (t <= end)
+        s, v = t[keep], v[keep]
+        if s.size == 0:
+            raise ValueError("window ends below the first sample")
+    if np.any(v <= 0):
+        raise ValueError("curve must be positive on the window")
+    return _LevelBlock(s, np.log(v)[None, :], A, B)
+
+
+def _domain_end(phi) -> float:
+    if isinstance(phi, (ConcaveCurve, StepProductCurve)):
+        return phi.domain_end
+    return float(np.asarray(phi[0], dtype=np.float64)[-1])
+
+
 def ai_constant(phi, delta: float, gamma: float = 1.0, domain_end: float | None = None) -> AiConstant:
     """Smallest almost-increase constant of phi on (0, gamma * domain_end].
 
@@ -148,38 +248,15 @@ def ai_constant(phi, delta: float, gamma: float = 1.0, domain_end: float | None 
     callable (evaluated on a 4097-point geometric grid; domain_end required).
     The piecewise-linear forms are exact: the supremum is attained on
     breakpoints, two-sided values at jumps, and per-piece interior minima of
-    the ratio.  Curves linear through the origin have an unbounded constant
-    for delta > 1, reported as inf.
+    the ratio (the curve's one-row block at u = delta).  Curves linear
+    through the origin have an unbounded constant for delta > 1, reported as
+    inf.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
-    if isinstance(phi, ConcaveCurve):
-        T = phi.domain_end if domain_end is None else domain_end
-        end = gamma * T
-        if delta > 1.0:
-            return AiConstant(math.inf, 0.0, end)
-        s, v = _candidates_concave(phi, end)
-        ms, mphi_scaled = _minima_concave(phi, delta, end)
-        if ms.size:
-            lg_min = np.log(mphi_scaled) - delta * np.log(ms)
-            s_all = np.concatenate([s, ms])
-            lg_all = np.concatenate([np.log(v) - delta * np.log(s), lg_min])
-            order = np.argsort(s_all, kind="stable")
-            s, lg = s_all[order], lg_all[order]
-        else:
-            lg = np.log(v) - delta * np.log(s)
-    elif isinstance(phi, StepProductCurve):
-        T = phi.domain_end if domain_end is None else domain_end
-        end = gamma * T
-        if delta > 1.0:
-            return AiConstant(math.inf, 0.0, end)
-        s, v = phi.two_sided(end)
-        if np.any(v <= 0):
-            raise ValueError("curve must be positive on the window")
-        lg = np.log(v) - delta * np.log(s)
-    elif callable(phi):
+    if callable(phi):
         if domain_end is None:
             raise ValueError("domain_end required for callable curves")
         end = gamma * domain_end
@@ -189,112 +266,25 @@ def ai_constant(phi, delta: float, gamma: float = 1.0, domain_end: float | None 
             raise ValueError("curve must be positive on the window")
         lg = np.log(v) - delta * np.log(s)
     else:
-        t, v = phi
-        t = np.asarray(t, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        T = t[-1] if domain_end is None else domain_end
-        end = gamma * T
-        keep = (t > 0) & (t <= end)
-        s, v = t[keep], v[keep]
-        if s.size == 0:
-            raise ValueError("window ends below the first sample")
-        if np.any(v <= 0):
-            raise ValueError("curve must be positive on the window")
-        lg = np.log(v) - delta * np.log(s)
+        end = gamma * (_domain_end(phi) if domain_end is None else domain_end)
+        if delta > 1.0 and isinstance(phi, (ConcaveCurve, StepProductCurve)):
+            return AiConstant(math.inf, 0.0, end)
+        lg, s = _curve_block(phi, end).lg(delta)
+        lg, s = lg[0], s[0]
     rlog, sw, tw = _sup_ratio(s, lg)
     return AiConstant(math.exp(rlog), sw, tw)
 
 
 # ---------------------------------------------------------------------------
-# rectangular per-level machinery for cube families
+# the u-scan over a list of blocks
 
-class _LevelBlock:
-    """Candidate data for all cubes of one level on the full window, rectangular.
-
-    lnphi has one row per cube; ls holds the shared log-abscissae, in
-    increasing order.  The window (0, gamma |Q|] of a smaller gamma is a
-    column prefix (see window), so one block serves every gamma.  For kind
-    "k" the exact mode adds per-piece interior minima, whose abscissae solve
-    s* = u a / (b (1 - u)) and so depend on the scan variable; lnA/lnB/a_pos
-    hold the piece data to rebuild them.
-
-    For kind "acks" the columns alternate the left and right values of
-    t (w chi_Q)*(t) at each plateau knot.  The right value at a window's end
-    lies outside the window and is left out.  Putting the left value there
-    again would change nothing: a column repeating its left neighbour at the
-    same abscissa has the same ratio r and the same lever, and the first
-    maximum of r never falls on it.
-    """
-
-    def __init__(self, w: WeightGrid, level: int, kind: str):
-        vals, K = w.sorted_level(level)
-        m = vals.shape[1]
-        self.empty = m < 2
-        if self.empty:
-            return
-        h = w.cell_measure
-        self.level = level
-        self.kind = kind
-        self.m = m
-        self.h = h
-        self.cube_measure = 2.0 ** (-w.d * level)
-        s = np.arange(1, m + 1) * h
-        if kind == "k":
-            self.lnphi = np.log(K)
-            self.svals = s
-            # pieces 2..m: phi = a + b s on [s_{k-1}, s_k]
-            a = K[:, :-1] - vals[:, 1:] * s[:-1]
-            self.a_pos = a > 0
-            with np.errstate(divide="ignore"):
-                self.lnA = np.where(self.a_pos, np.log(np.where(self.a_pos, a, 1.0)), -np.inf)
-                self.lnB = np.log(vals[:, 1:])
-        else:
-            lnphi = np.empty((vals.shape[0], 2 * m - 1))
-            lnphi[:, 0::2] = np.log(s[None, :] * vals)
-            lnphi[:, 1::2] = np.log(s[None, :-1] * vals[:, 1:])
-            self.lnphi = lnphi
-            self.svals = np.repeat(s, 2)[:-1]
-            self.a_pos = None
-        self.ls = np.log(self.svals)
-
-    def window(self, gamma: float) -> tuple[int, float]:
-        """(ncols, kappa) of the window (0, gamma |Q|]: its candidates are
-        the first ncols columns (0 when the window holds no knot), and kappa
-        is half its log-window log(gamma |Q| / h), the knee rule's lever bound."""
-        kcols = int(round(gamma * self.m))
-        if kcols < 1:
-            return 0, 0.0
-        ncols = kcols if self.kind == "k" else 2 * kcols - 1
-        return ncols, 0.5 * math.log(gamma * self.cube_measure / self.h)
-
-    def lg(self, u: float, exact: bool) -> np.ndarray:
-        """Log-ratios lnphi - u ln s of the full window's candidates at scan
-        point u, in abscissa order.
-
-        exact mode interleaves the interior ratio minima between knots.
-        """
-        lg_k = self.lnphi - u * self.ls[None, :]
-        if not exact or self.a_pos is None or not 0.0 < u < 1.0:
-            return lg_k
-        lsk = self.ls
-        with np.errstate(invalid="ignore"):
-            lnt = (math.log(u) - math.log1p(-u)) + self.lnA - self.lnB
-            valid = self.a_pos & (lnt > lsk[None, :-1]) & (lnt < lsk[None, 1:])
-            # g(s*) = [a / (1 - u)] s*^{-u}
-            lg_min = np.where(valid, self.lnA - math.log1p(-u) - u * lnt, 0.0)
-        n, m = lg_k.shape
-        lg = np.empty((n, 2 * m - 1))
-        lg[:, 0::2] = lg_k
-        lg[:, 1::2] = np.where(valid, lg_min, lg_k[:, 1:])
-        return lg
-
-
-def _blocks_ok(blocks, u, lncap_q, exact):
-    """Whether the family constant at scan point u is within the cap, with
-    the max log-ratio over the family (base scale), on the full window."""
+def _blocks_ok(blocks, u, lncap_q):
+    """Whether the blocks' constant at scan point u is within the cap, with
+    the max log-ratio over all rows (base scale), on the full width and the
+    exact candidate set."""
     cmax = 0.0
     for blk in blocks:
-        lg = blk.lg(u, exact)
+        lg = blk.lg(u)[0]
         cmax = max(cmax, float((np.maximum.accumulate(lg, axis=1) - lg).max()))
     return cmax <= lncap_q + 1e-15, cmax
 
@@ -416,26 +406,63 @@ def _scan_prefix(ok_fn, tol: float) -> float:
     return _bisect(ok_fn, lo, tol)
 
 
-def _family_witness(blocks, window, w, u):
-    """Lexicographically first (cube addr, s, t) achieving the family
-    constant at scan point u, on the window's breakpoint candidate set."""
+def _witness(blocks, window, u):
+    """(block, row, s, t) of the lexicographically first pair achieving the
+    blocks' constant at scan point u on the window's breakpoint candidate
+    set, or None when the window holds no candidate."""
     best = (-1.0, None)
-    for blk, (ncols, _) in zip(blocks, window):
+    for b, (blk, (ncols, _)) in enumerate(zip(blocks, window)):
         if not ncols:
             continue
         lg = blk.lnphi[:, :ncols] - u * blk.ls[None, :ncols]
-        M = np.maximum.accumulate(lg, axis=1)
-        r = M - lg
-        rmax = r.max(axis=1)
+        rmax = (np.maximum.accumulate(lg, axis=1) - lg).max(axis=1)
         row = int(np.argmax(rmax))
         if float(rmax[row]) > best[0] + _TIE:
-            j = int(np.argmax(r[row]))
-            i = int(np.argmax(lg[row, : j + 1] >= M[row, j] - _TIE))
-            best = (float(rmax[row]), (blk.level, row, blk.svals[i], blk.svals[j]))
-    if best[1] is None:
-        return ("", 0.0, 0.0)
-    level, row, s, t = best[1]
-    return (_cube_at(w, level, row).addr(), float(s), float(t))
+            _, s, t = _sup_ratio(blk.svals[:ncols], lg[row])
+            best = (float(rmax[row]), (b, row, s, t))
+    return best[1]
+
+
+def _index_estimate(blocks, windows, beta, q, C_cap, resolution, name) -> IndexEstimate:
+    """The knee, cap, certificate and witness scans over a list of blocks,
+    shared by family_index and single_index.
+
+    windows holds (gamma, [(ncols, kappa) per block]) for each window
+    fraction; the knee rule picks the best gamma, the cap scan runs on the
+    blocks' full width.  name(block, row) labels the witness curve.  Scans
+    run in the base variable u and report delta = q (u - beta).
+    """
+    lncap_q = math.log(C_cap) / q
+    triv_tol = _TRIVIAL / q
+    utol = 1e-4 / q
+    knee = lambda u, ks: _knee_ok(blocks, u, [windows[k][1] for k in ks], lncap_q, triv_tol)
+    best = None  # (u_hat, monotone, gamma, window)
+    for (gamma, win), (u_hat, mono) in zip(windows, _scan_largest(knee, utol, len(windows))):
+        if best is None or u_hat > best[0]:
+            best = (u_hat, mono, gamma, win)
+    u_hat, monotone, gamma_star, win_star = best
+
+    u_cap = _scan_prefix(lambda u: _blocks_ok(blocks, u, lncap_q)[0], utol)
+    c_at = math.exp(q * _blocks_ok(blocks, u_cap, lncap_q)[1])
+    if u_cap + 1e-3 / q <= 1.0:
+        c_beyond = math.exp(q * _blocks_ok(blocks, u_cap + 1e-3 / q, lncap_q)[1])
+    else:
+        # past u = 1 the first piece (linear through the origin) makes the
+        # continuum constant infinite
+        c_beyond = math.inf
+
+    wit = _witness(blocks, win_star, u_hat)
+    return IndexEstimate(
+        delta_hat=q * (u_hat - beta),
+        delta_cap=q * (u_cap - beta),
+        cap=C_cap,
+        gamma=gamma_star,
+        resolution=resolution,
+        witness=("", 0.0, 0.0) if wit is None else (name(wit[0], wit[1]), wit[2], wit[3]),
+        monotone=monotone,
+        cap_value_at=c_at,
+        cap_value_beyond=c_beyond,
+    )
 
 
 def family_index(
@@ -494,141 +521,36 @@ def family_index(
 
 def _family_estimate(w, kind, beta, q, C_cap, gamma_grid) -> IndexEstimate:
     """family_index on validated parameters, without the memo."""
-    lncap_q = math.log(C_cap) / q
-    triv_tol = _TRIVIAL / q
-    utol = 1e-4 / q
-    levels = range(w.base.level, w.L + 1)
-    blocks = [b for b in (_LevelBlock(w, lev, kind) for lev in levels) if not b.empty]
-    windows = [(g, [b.window(g) for b in blocks]) for g in gamma_grid]
+    levels = range(w.base.level, w.L)  # a cell's curve has a single knot
+    blocks = [_LevelBlock.of_level(w, lev, kind) for lev in levels]
+    windows = [(g, [_level_window(w, lev, kind, g) for lev in levels]) for g in gamma_grid]
     windows = [(g, win) for g, win in windows if any(n for n, _ in win)]
     if not windows:
         raise ValueError("no gamma in the grid leaves any cube a candidate window")
-
-    knee = lambda u, ks: _knee_ok(blocks, u, [windows[k][1] for k in ks], lncap_q, triv_tol)
-    best = None  # (u_hat, monotone, gamma, window)
-    for (gamma, win), (u_hat, mono) in zip(windows, _scan_largest(knee, utol, len(windows))):
-        if best is None or u_hat > best[0]:
-            best = (u_hat, mono, gamma, win)
-    u_hat, monotone, gamma_star, win_star = best
-
-    # cap-threshold estimate at gamma = 1, exact candidate set
-    exact_mode = kind == "k"
-    u_cap = _scan_prefix(lambda u: _blocks_ok(blocks, u, lncap_q, exact_mode)[0], utol)
-    c_at = math.exp(q * _blocks_ok(blocks, u_cap, lncap_q, exact_mode)[1])
-    if u_cap + 1e-3 / q <= 1.0:
-        c_beyond = math.exp(q * _blocks_ok(blocks, u_cap + 1e-3 / q, lncap_q, exact_mode)[1])
-    else:
-        # past u = 1 the first piece (linear through the origin) makes the
-        # continuum constant infinite
-        c_beyond = math.inf
-
-    return IndexEstimate(
-        delta_hat=q * (u_hat - beta),
-        delta_cap=q * (u_cap - beta),
-        cap=C_cap,
-        gamma=gamma_star,
-        resolution=w.L,
-        witness=_family_witness(blocks, win_star, w, u_hat),
-        monotone=monotone,
-        cap_value_at=c_at,
-        cap_value_beyond=c_beyond,
-    )
-
-
-# ---------------------------------------------------------------------------
-# single curves
-
-def _single_candidates(phi, gamma: float):
-    """(s, lnphi_at_s, h, T) candidate data for one curve."""
-    if isinstance(phi, ConcaveCurve):
-        T = phi.domain_end
-        s, v = _candidates_concave(phi, gamma * T)
-        return s, np.log(v), float(s[0]), T
-    if isinstance(phi, StepProductCurve):
-        T = phi.domain_end
-        s, v = phi.two_sided(gamma * T)
-        return s, np.log(v), float(s[0]), T
-    t, v = phi
-    t = np.asarray(t, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    T = float(t[-1])
-    keep = (t > 0) & (t <= gamma * T)
-    s, vv = t[keep], v[keep]
-    if s.size == 0:
-        raise ValueError("window ends below the first sample")
-    if np.any(vv <= 0):
-        raise ValueError("curve must be positive on the window")
-    return s, np.log(vv), float(s[0]), T
+    name = lambda b, row: _cube_at(w, levels[b], row).addr()
+    return _index_estimate(blocks, windows, beta, q, C_cap, w.L, name)
 
 
 def single_index(phi, C_cap: float = 16.0, gamma: float = 1.0) -> IndexEstimate:
     """Index of one curve: the one-member family estimate with fixed gamma.
 
     phi may be a ConcaveCurve, a StepProductCurve, or a (t, values) sample
-    pair.  The knee rule and the cap threshold run on the curve's candidate
-    set, with the interior ratio minima included for concave curves in the
-    cap search; resolution is the dyadic count log2(window / first knot).
-    The scans are pruned as in family_index.
+    pair.  The curve's candidates on the window form a one-row block, which
+    runs through the same scans as family_index: the knee rule on its
+    breakpoints, the cap threshold on its exact candidate set (interior
+    ratio minima included for concave curves); resolution is the dyadic
+    count log2(window / first knot).
     """
     if C_cap <= 1.0:
         raise ValueError("C_cap must exceed 1")
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
-    s, lnphi, h, T = _single_candidates(phi, gamma)
-    ls = np.log(s)
-    kappa = 0.5 * math.log(gamma * T / h)
-    lncap = math.log(C_cap)
-
-    concave = isinstance(phi, ConcaveCurve)
-
-    def ratio_at(u: float, exact: bool):
-        if exact and concave and 0.0 < u < 1.0:
-            ms, mscaled = _minima_concave(phi, u, gamma * T)
-            if ms.size:
-                s_all = np.concatenate([s, ms])
-                lg_all = np.concatenate([lnphi - u * ls, np.log(mscaled) - u * np.log(ms)])
-                order = np.argsort(s_all, kind="stable")
-                return s_all[order], lg_all[order]
-        return s, lnphi - u * ls
-
-    def ok_knee(u: float, ks) -> list[tuple[bool, bool]]:
-        ss, lg = ratio_at(u, exact=False)
-        M = np.maximum.accumulate(lg)
-        r = M - lg
-        rmax = float(r.max())
-        if rmax > lncap + 1e-15:
-            return [(False, True)]
-        if rmax <= _TRIVIAL:
-            return [(True, False)]
-        lss = np.log(ss)
-        cols = np.arange(lg.size)
-        ilast = np.maximum.accumulate(np.where(M - lg <= _TIE, cols, -1))
-        lever = lss - lss[ilast]
-        binding = r >= rmax - _TIE
-        return [(float(np.where(binding, lever, np.inf).min()) <= kappa, False)]
-
-    def cmax_at(u: float) -> float:
-        ss, lg = ratio_at(u, exact=True)
-        return float(np.max(np.maximum.accumulate(lg) - lg))
-
-    [(u_hat, mono)] = _scan_largest(ok_knee, 1e-4)
-    u_cap = _scan_prefix(lambda u: cmax_at(u) <= lncap + 1e-15, 1e-4)
-    c_at = math.exp(cmax_at(u_cap))
-    c_beyond = math.exp(cmax_at(u_cap + 1e-3)) if u_cap + 1e-3 <= 1.0 else math.inf
-
-    ss, lg = ratio_at(u_hat, exact=False)
-    rlog, sw, tw = _sup_ratio(ss, lg)
-    return IndexEstimate(
-        delta_hat=u_hat,
-        delta_cap=u_cap,
-        cap=C_cap,
-        gamma=gamma,
-        resolution=int(round(math.log2(max(gamma * T / h, 1.0)))),
-        witness=("curve", sw, tw),
-        monotone=mono,
-        cap_value_at=c_at,
-        cap_value_beyond=c_beyond,
-    )
+    T = _domain_end(phi)
+    blk = _curve_block(phi, gamma * T)
+    h = float(blk.svals[0])
+    windows = [(gamma, [(blk.lnphi.shape[1], 0.5 * math.log(gamma * T / h))])]
+    resolution = int(round(math.log2(max(gamma * T / h, 1.0))))
+    return _index_estimate([blk], windows, 0.0, 1.0, C_cap, resolution, lambda b, row: "curve")
 
 
 def samko_alpha(phi, h_grid=None, x_grid=(2.0, 4.0, 8.0, 16.0)) -> float:
@@ -692,36 +614,51 @@ def acks_index(
     return est
 
 
-def hardy_residual(phi: ConcaveCurve, domain_end: float | None = None) -> float:
+def _hardy_rows(A, B, s0, s1, K) -> np.ndarray:
+    """Per row, the reverse-Hardy residual
+
+        sup over t in (0, s1[-1]] of (integral_0^t phi(s) ds/s) / phi(t),
+
+    at least 1, of curves given as rows of pieces phi = A + B s on
+    [s0, s1], with phi(s1) = K; A, B and K are (n, m), s0 and s1 broadcast
+    to them, and the first piece runs from the origin with A = 0.  Exact, closed form
+    via the Wright omega function: the integral N has exact piece
+    antiderivatives (A log + B s), and on a piece g = phi^2/t - B N has
+    g' = -A phi / t^2 <= 0, so N / phi has at most one interior maximum,
+    where g = 0.  For A, B > 0 that root is
+
+        t* = A / (B omega(c)),  c = ln(A / (B s0)) - 2 + (N(s0) - B s0) / A,
+
+    omega the solution of omega + ln omega = c (Corless and Jeffrey, "The
+    Wright omega function", AISC 2002).  The supremum is the max of N / phi
+    over the knots and every t* inside its piece, evaluated there directly
+    rather than as 1 + omega(c), so an error in t* enters at second order.
+    """
+    with np.errstate(divide="ignore"):
+        lograt = np.where(s0 > 0, np.log(s1 / np.where(s0 > 0, s0, 1.0)), 0.0)
+    N = np.cumsum(A * lograt + B * (s1 - s0), axis=1)
+    best = np.maximum((N / K).max(axis=1), 1.0)
+    lo, hi = np.broadcast_to(s0, A.shape), np.broadcast_to(s1, A.shape)
+    rows, cols = np.nonzero((A > 0) & (B > 0) & (lo > 0))
+    if rows.size:
+        a, b, lo, hi = A[rows, cols], B[rows, cols], lo[rows, cols], hi[rows, cols]
+        n0 = N[rows, cols - 1]
+        with np.errstate(divide="ignore", over="ignore"):
+            t = a / (b * wrightomega(np.log(a / (b * lo)) - 2.0 + (n0 - b * lo) / a))
+        inside = (t > lo) & (t < hi)
+        a, b, lo, t, n0 = a[inside], b[inside], lo[inside], t[inside], n0[inside]
+        np.maximum.at(best, rows[inside], (n0 + a * np.log(t / lo) + b * (t - lo)) / (a + b * t))
+    return best
+
+
+def hardy_residual(phi: ConcaveCurve) -> float:
     """sup over t in (0, domain_end] of (integral_0^t phi(s) ds/s) / phi(t).
 
-    Exact per-piece integration (a log + b s antiderivatives; the first piece
-    is linear through the origin, so the head integral converges).  The
-    supremum is sampled at breakpoints and per-piece geometric midpoints; on
-    each piece the ratio has at most one interior critical point, which the
-    midpoint approximates within the scan tolerances used downstream.
+    Exact, closed form via Wright omega: a one-row call into _hardy_rows.
+    The first piece must pass through the origin, so the head integral
+    converges.
     """
     A, B, s0, s1 = phi.pieces()
     if A[0] != 0.0:
         raise ValueError("head integral diverges: first piece not through the origin")
-    T = phi.domain_end if domain_end is None else domain_end
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inc = np.where(s0 > 0, A * np.log(np.where(s0 > 0, s1 / np.where(s0 > 0, s0, 1.0), 1.0)), 0.0)
-    inc = inc + B * (s1 - s0)
-    N = np.concatenate(([0.0], np.cumsum(inc)))  # integral at the knots
-    keep = s1 <= T * (1.0 + 1e-12)
-    best = 0.0
-    # knots
-    kv = phi.v[1:][keep]
-    ratios = N[1:][keep] / kv
-    if ratios.size:
-        best = float(ratios.max())
-    # geometric midpoints of interior pieces
-    mids = np.sqrt(np.maximum(s0, 1e-300) * s1)
-    ok = (s0 > 0) & keep
-    if np.any(ok):
-        tm = mids[ok]
-        Nm = N[:-1][ok] + A[ok] * np.log(tm / s0[ok]) + B[ok] * (tm - s0[ok])
-        vm = A[ok] + B[ok] * tm
-        best = max(best, float((Nm / vm).max()))
-    return max(best, 1.0)
+    return float(_hardy_rows(A[None, :], B[None, :], s0, s1, phi.v[None, 1:])[0])

@@ -226,16 +226,22 @@ def _gl_panel(A, B, s0, s1, q, E, table):
 def _bisect_panels(work: list, q: float, E: float, rel: float, acc: np.ndarray) -> None:
     """Adaptive 20/40-node loop over a stack of panel batches
     (A, B, lo, hi, flat index, depth): accepted panels are added into acc,
-    the others are halved and pushed back."""
+    the others are halved and pushed back.  A panel still failing the test
+    at depth 40 raises RuntimeError."""
     while work:
         a, b, lo, hi, ix, depth = work.pop()
         c20 = _gl_panel(a, b, lo, hi, q, E, _GL20)
         c40 = _gl_panel(a, b, lo, hi, q, E, _GL40)
         tol = rel * np.maximum(np.abs(c40), 1e-300)
-        done = (np.abs(c40 - c20) <= tol) | (depth >= 40)
+        done = np.abs(c40 - c20) <= tol
         np.add.at(acc, ix[done], c40[done])
         bad = ~done
         if np.any(bad):
+            if depth >= 40:
+                raise RuntimeError(
+                    f"piece integral not converged to rel={rel:g} after 40 bisections "
+                    f"on [{float(lo[bad][0])!r}, {float(hi[bad][0])!r}]"
+                )
             mid = 0.5 * (lo[bad] + hi[bad])
             work.append((a[bad], b[bad], lo[bad], mid, ix[bad], depth + 1))
             work.append((a[bad], b[bad], mid, hi[bad], ix[bad], depth + 1))
@@ -255,11 +261,12 @@ def power_piece_integral(A, B, s0, s1, q: float, E: float, rel: float = _PIECE_R
 
     Exact closed forms when A = 0 (pure power; requires q + E > -1 if s0 = 0)
     or q = 1; otherwise adaptive Gauss-Legendre with 20/40-node comparison,
-    bisecting panels until the relative difference is below rel.  Panels
-    still above rel after 40 bisections are accepted as they are, silently:
-    the tolerance is not guaranteed there.  rel below 1e-15 (_REL_FLOOR)
-    raises ValueError, since rounding alone can keep every panel above it
-    and the bisection would then not finish.
+    bisecting panels until the relative difference is below rel.  A piece
+    with A != 0 and s0 = 0 requires E > -1.  Divergent pieces raise
+    ValueError ("divergent integral at the origin"); a panel still above
+    rel after 40 bisections raises RuntimeError.  rel below 1e-15
+    (_REL_FLOOR) raises ValueError, since rounding alone can keep every
+    panel above it and the bisection would then not finish.
     """
     if not rel >= _REL_FLOOR:
         raise ValueError(f"rel must be at least {_REL_FLOOR:g}, got {rel!r}")
@@ -270,6 +277,9 @@ def power_piece_integral(A, B, s0, s1, q: float, E: float, rel: float = _PIECE_R
     A, B, s0, s1 = np.broadcast_arrays(A, B, s0, s1)
     out = np.zeros(A.shape, dtype=np.float64)
     live = s1 > s0
+    # near 0 a piece with A != 0 behaves like |A|^q s^E
+    if E <= -1.0 and not s0.all() and np.any(live & (A != 0.0) & (s0 == 0.0)):
+        raise ValueError("divergent integral at the origin")
     origin = live & (A == 0.0)
     if np.any(origin):
         r = q + E

@@ -12,7 +12,9 @@ when a cube-uniform inequality between averages holds:
     RH_p(v):    ((1/v(Q)) int_Q w^p v)^{1/p} <= C (1/v(Q)) int_Q w v.
 
 Each constant here is the max of its ratio over an enumerated cube family,
-with the attaining cube as witness.  The verification routines then test the
+with the attaining cube as witness, swept level by level (_family_constant).
+The reverse-Hardy residual sup is exact, closed form via Wright omega
+(indices._hardy_rows on each level's K-curve pieces).  The verification routines then test the
 equivalences between these classes and the index machinery: the K-side
 characterization of RH_p, the limiting L log L class against the reverse
 Hardy residual, the rearrangement-product index, the cellwise-power
@@ -55,7 +57,7 @@ from .kcalc import (
     packing_family,
     power_piece_integral,
 )
-from .indices import IndexEstimate, acks_index, family_index, hardy_residual
+from .indices import IndexEstimate, _hardy_rows, acks_index, family_index, hardy_residual
 from .rearrange import double_star, dyadic_maximal, iterated_maximal, rearrangement
 
 
@@ -118,18 +120,20 @@ def _level_row_means(cells: np.ndarray, w: WeightGrid, level: int) -> np.ndarray
     return cells.reshape(-1, width).mean(axis=1)
 
 
-def _argmax_witness(w: WeightGrid, per_level: list[tuple[int, np.ndarray]]) -> tuple[float, str]:
-    """(max ratio, attaining cube address) over (level, ratios) pairs;
-    ties go to the first level and first Morton row."""
+def _family_constant(w: WeightGrid, F: CubeFamily | None, kind: str, level_values, p=None, q=None) -> ClassConstant:
+    """The max of a per-cube ratio over the family, with the attaining cube:
+    level_values(level) gives the ratios of every cube of a level, in Morton
+    order; ties go to the first level and first Morton row."""
     best = -math.inf
     where = None
-    for level, ratios in per_level:
+    for level in _family_levels(w, F):
+        ratios = level_values(level)
         i = int(np.argmax(ratios))
         if float(ratios[i]) > best:
             best = float(ratios[i])
             where = (level, i)
     level, i = where
-    return best, _cube_at(w, level, i).addr()
+    return ClassConstant(kind, best, p=p, q=q, witness=_cube_at(w, level, i).addr(), cube_policy=_policy_name(F))
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +144,8 @@ def rh_p_constant(w: WeightGrid, p: float, F: CubeFamily | None = None) -> Class
     if p <= 1.0:
         raise ValueError("p must exceed 1")
     zp = w.zcells ** p
-    per_level = []
-    for lev in _family_levels(w, F):
-        num = _level_row_means(zp, w, lev) ** (1.0 / p)
-        den = _level_means(w, lev)
-        per_level.append((lev, num / den))
-    value, witness = _argmax_witness(w, per_level)
-    return ClassConstant("RH_p", value, p=p, witness=witness, cube_policy=_policy_name(F))
+    ratios = lambda lev: _level_row_means(zp, w, lev) ** (1.0 / p) / _level_means(w, lev)
+    return _family_constant(w, F, "RH_p", ratios, p=p)
 
 
 def a_p_constant(w: WeightGrid, p: float, F: CubeFamily | None = None) -> ClassConstant:
@@ -161,24 +160,18 @@ def a_p_constant(w: WeightGrid, p: float, F: CubeFamily | None = None) -> ClassC
         witness = _cube_at(w, w.L, i).addr()
         return ClassConstant("A_1", float(ratios[i]), p=1.0, witness=witness, cube_policy=_policy_name(F))
     zdual = w.zcells ** (-1.0 / (p - 1.0))
-    per_level = []
-    for lev in _family_levels(w, F):
-        dual = _level_row_means(zdual, w, lev) ** (p - 1.0)
-        per_level.append((lev, _level_means(w, lev) * dual))
-    value, witness = _argmax_witness(w, per_level)
-    return ClassConstant("A_p", value, p=p, witness=witness, cube_policy=_policy_name(F))
+    ratios = lambda lev: _level_means(w, lev) * _level_row_means(zdual, w, lev) ** (p - 1.0)
+    return _family_constant(w, F, "A_p", ratios, p=p)
 
 
 def rh_llogl_constant(w: WeightGrid, F: CubeFamily | None = None) -> ClassConstant:
     """max over the family of the Luxemburg L log L norm over the average."""
-    per_level = []
-    for lev in _family_levels(w, F):
-        width = 1 << (w.d * (w.L - lev))
-        rows = w.zcells.reshape(-1, width)
-        norms = llogl_norm_rows(rows)
-        per_level.append((lev, norms / rows.mean(axis=1)))
-    value, witness = _argmax_witness(w, per_level)
-    return ClassConstant("RH_LLogL", value, witness=witness, cube_policy=_policy_name(F))
+
+    def ratios(lev):
+        rows = w.zcells.reshape(-1, 1 << (w.d * (w.L - lev)))
+        return llogl_norm_rows(rows) / rows.mean(axis=1)
+
+    return _family_constant(w, F, "RH_LLogL", ratios)
 
 
 def _level_pieces(w: WeightGrid, level: int):
@@ -209,13 +202,12 @@ def rh_lorentz_constant(w: WeightGrid, p: float, q: float, F: CubeFamily | None 
         raise ValueError("p must exceed 1")
     if q < 1.0:
         raise ValueError("q must be at least 1")
-    per_level = []
-    for lev in _family_levels(w, F):
-        norms = _lorentz_level(w, lev, p, q)
+
+    def ratios(lev):
         T = 2.0 ** (-w.d * lev)
-        per_level.append((lev, norms / (T ** (1.0 / p) * _level_means(w, lev))))
-    value, witness = _argmax_witness(w, per_level)
-    return ClassConstant("RH_Lorentz", value, p=p, q=q, witness=witness, cube_policy=_policy_name(F))
+        return _lorentz_level(w, lev, p, q) / (T ** (1.0 / p) * _level_means(w, lev))
+
+    return _family_constant(w, F, "RH_Lorentz", ratios, p=p, q=q)
 
 
 def fujii_constant(w: WeightGrid, F: CubeFamily | None = None) -> ClassConstant:
@@ -224,17 +216,14 @@ def fujii_constant(w: WeightGrid, F: CubeFamily | None = None) -> ClassConstant:
     The maximal function localized to each cube of a level is one running
     max over the level sums from that level down, so a level costs one pass.
     """
-    per_level = []
-    for lev in _family_levels(w, F):
-        width = 1 << (w.d * (w.L - lev))
+
+    def ratios(lev):
         rm = _level_means(w, lev)
         for l2 in range(lev + 1, w.L + 1):
             rm = np.maximum(np.repeat(rm, 1 << w.d), _level_means(w, l2))
-        num = rm.reshape(-1, width).sum(axis=1)
-        den = w.float_level_sums(lev)
-        per_level.append((lev, num / den))
-    value, witness = _argmax_witness(w, per_level)
-    return ClassConstant("Fujii", value, witness=witness, cube_policy=_policy_name(F))
+        return rm.reshape(-1, 1 << (w.d * (w.L - lev))).sum(axis=1) / w.float_level_sums(lev)
+
+    return _family_constant(w, F, "Fujii", ratios)
 
 
 def rh_p_weighted_constant(g: WeightGrid, w: WeightGrid, p: float, F: CubeFamily | None = None) -> ClassConstant:
@@ -245,15 +234,13 @@ def rh_p_weighted_constant(g: WeightGrid, w: WeightGrid, p: float, F: CubeFamily
         raise ValueError("g and w must share a grid")
     gp_w = (g.zcells ** p) * w.zcells
     g_w = g.zcells * w.zcells
-    per_level = []
-    for lev in _family_levels(w, F):
+
+    def ratios(lev):
         width = 1 << (w.d * (w.L - lev))
         wsum = w.float_level_sums(lev)
-        num = (gp_w.reshape(-1, width).sum(axis=1) / wsum) ** (1.0 / p)
-        den = g_w.reshape(-1, width).sum(axis=1) / wsum
-        per_level.append((lev, num / den))
-    value, witness = _argmax_witness(g, per_level)
-    return ClassConstant("RH_p_weighted", value, p=p, witness=witness, cube_policy=_policy_name(F))
+        return (gp_w.reshape(-1, width).sum(axis=1) / wsum) ** (1.0 / p) / (g_w.reshape(-1, width).sum(axis=1) / wsum)
+
+    return _family_constant(g, F, "RH_p_weighted", ratios, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -322,40 +309,22 @@ def kside_rh_constant(w: WeightGrid, p: float, F: CubeFamily | None = None) -> C
     """sup over the family of the K-side reverse-Hölder functional."""
     if p <= 1.0:
         raise ValueError("p must exceed 1")
-    per_level = []
-    for lev in _family_levels(w, F):
-        per_level.append((lev, _kside_level(w, lev, p)))
-    value, witness = _argmax_witness(w, per_level)
-    return ClassConstant("RH_p_kside", value, p=p, witness=witness, cube_policy=_policy_name(F))
+    return _family_constant(w, F, "RH_p_kside", lambda lev: _kside_level(w, lev, p), p=p)
 
 
 # ---------------------------------------------------------------------------
-# vectorized reverse-Hardy residual over a family
-
-def _hardy_level(w: WeightGrid, level: int) -> np.ndarray:
-    """Per-cube sup of (int_0^t K_Q(s) ds/s) / K_Q(t): exact prefix
-    integrals, supremum sampled at knots and per-piece geometric midpoints."""
-    vals, K, s0, s, A = _level_pieces(w, level)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lograt = np.concatenate(([0.0], np.log(s[1:] / s[:-1])))
-    inc = A * lograt[None, :] + vals * w.cell_measure
-    N = np.cumsum(inc, axis=1)
-    best = (N / K).max(axis=1)
-    if s.size > 1:
-        tm = np.sqrt(s0[1:] * s[1:])
-        Nm = N[:, :-1] + A[:, 1:] * np.log(tm / s0[1:])[None, :] + vals[:, 1:] * (tm - s0[1:])[None, :]
-        Km = A[:, 1:] + vals[:, 1:] * tm[None, :]
-        best = np.maximum(best, (Nm / Km).max(axis=1))
-    return np.maximum(best, 1.0)
-
+# reverse-Hardy residual over a family
 
 def hardy_residual_sup(w: WeightGrid, F: CubeFamily | None = None) -> ClassConstant:
-    """sup over the family of the reverse-Hardy residual of K_Q."""
-    per_level = []
-    for lev in _family_levels(w, F):
-        per_level.append((lev, _hardy_level(w, lev)))
-    value, witness = _argmax_witness(w, per_level)
-    return ClassConstant("HardyResidual", value, witness=witness, cube_policy=_policy_name(F))
+    """sup over the family of the reverse-Hardy residual of K_Q: exact,
+    closed form via Wright omega, each level's pieces through
+    indices._hardy_rows."""
+
+    def ratios(lev):
+        vals, K, s0, s, A = _level_pieces(w, lev)
+        return _hardy_rows(A, vals, s0, s, K)
+
+    return _family_constant(w, F, "HardyResidual", ratios)
 
 
 # ---------------------------------------------------------------------------

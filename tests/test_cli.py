@@ -261,6 +261,26 @@ def test_level_bounds_enforced(capsys):
     assert main(["analyze", "--weight", "const:1", "--p", "0.5"]) == 2
 
 
+_CUBE_POLICIES = [
+    ("level:99", 2),
+    ("level:-1", 2),
+    ("level:two", 2),
+    ("level:", 2),
+    ("level:0", 0),
+    ("level:4", 0),
+]
+
+
+@pytest.mark.parametrize("cubes, code", _CUBE_POLICIES)
+def test_cube_level_policy_checked_at_parse_time(capsys, cubes, code):
+    got, out, err = run_cli(capsys, "analyze", "--weight", "rand:3:lognormal:1", "--level", "4", "--cubes", cubes)
+    assert got == code
+    if code:
+        assert out == "" and err == f"rhlab: error: --cubes level:k needs an integer k in [0, 4], got {cubes!r}\n"
+    else:
+        assert json.loads(out)["cube_policy"] == cubes
+
+
 def test_file_weight_adopts_dimensions(tmp_path, capsys):
     w = make_grid(2, 3, "rand:1:lognormal:1")
     src = tmp_path / "w.csv"

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import random_grids
 from rhlab import indices
-from rhlab.grid import WeightGrid, level_cubes, make_grid
+from rhlab.grid import WeightGrid, enumerate_cubes, level_cubes, make_grid
 from rhlab.indices import (
     IndexEstimate,
     _blocks_ok,
@@ -30,8 +30,9 @@ from rhlab.indices import (
     samko_alpha,
     single_index,
 )
-from rhlab.kcalc import ConcaveCurve, CurveFamily, k_l1_linf
-from rhlab.weights import standard_corpus
+from rhlab.kcalc import ConcaveCurve, CurveFamily, StepProductCurve, k_l1_linf
+from rhlab.rearrange import rearrangement
+from rhlab.weights import hardy_residual_sup, standard_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +54,15 @@ def test_ai_quadratic_callable():
     # ratio (2-s)/(2-t), maximized as s -> 0 with t at the window end
     assert math.isclose(c.value, 4.0 / 3.0, rel_tol=1e-6)
     assert c.t == 0.5
+
+
+def test_ai_sees_interior_minimum():
+    # K of step:2,1 is 0.5 + s on [1/2, 1]; at delta 0.6 the ratio
+    # K(s) s^-delta dips inside that piece, to its minimum at s* = 0.75
+    w = make_grid(1, 3, "step:2,1")
+    c = ai_constant(k_l1_linf(w, w.base), 0.6)
+    assert math.isclose(c.value, 0.5**-0.6 / (1.25 * 0.75**-0.6), rel_tol=1e-12)
+    assert c.s == 0.5 and math.isclose(c.t, 0.75, rel_tol=1e-12)
 
 
 def test_ai_unbounded_past_delta_one():
@@ -328,9 +338,8 @@ def _ref_family_index(F, C_cap=16.0, gamma_grid=(1.0, 0.5, 0.25, 0.125)):
             if best is None or u > best[0]:
                 best = (u, mono, gamma, wins)
     u_hat, mono, gamma, wins = best
-    levels = range(w.base.level, w.L + 1)
-    blocks = [b for b in (_LevelBlock(w, lev, F.kind) for lev in levels) if not b.empty]
-    cap = lambda u: _blocks_ok(blocks, u, lncap, F.kind == "k")
+    blocks = [_LevelBlock.of_level(w, lev, F.kind) for lev in range(w.base.level, w.L)]
+    cap = lambda u: _blocks_ok(blocks, u, lncap)
     u_cap, mono_cap = _ref_scan(lambda u: cap(u)[0], tol)
     beyond = u_cap + 1e-3 / q
     return IndexEstimate(
@@ -456,3 +465,208 @@ def test_hardy_residual_positive_on_corpus():
     for w in standard_corpus(1, seed=5, n_random=3):
         r = hardy_residual(k_l1_linf(w, w.base))
         assert 1.0 <= r < math.inf
+
+
+def test_hardy_residual_one_hot_interior_max():
+    # cells (3, 1, 1, ...): K = 3t on [0, h], then K = 2h + t on [h, 1], and
+    # the residual peaks inside that piece, away from every knot
+    mp = pytest.importorskip("mpmath")
+    cells = np.ones(1 << 10)
+    cells[0] = 3.0
+    w = WeightGrid(1, 10, cells)
+    mp.mp.dps = 40
+    h = mp.mpf(2) ** -10
+    N = lambda t: 3 * h + 2 * h * mp.log(t / h) + (t - h)
+    # d(N/K)/dt = 0 where K^2 / t = K' N
+    tstar = mp.findroot(lambda t: (2 * h + t) ** 2 / t - N(t), (h, 1), solver="anderson")
+    ref = float(N(tstar) / (2 * h + tstar))
+    assert math.isclose(ref, 1.4630555133655, rel_tol=1e-12)
+    assert math.isclose(hardy_residual(k_l1_linf(w, w.base)), ref, rel_tol=1e-12)
+    assert math.isclose(hardy_residual_sup(w, enumerate_cubes(w, "base")).value, ref, rel_tol=1e-12)
+
+
+def _dense_hardy(K, n=64):
+    """max of N/K over n points per piece of a concave curve, knots included."""
+    A, B, s0, s1 = K.pieces()
+    best, N0 = 1.0, 0.0
+    for a, b, lo, hi in zip(A, B, s0, s1):
+        t = np.linspace(lo, hi, n + 1)[1:]
+        N = N0 + b * (t - lo) + (a * np.log(t / lo) if lo > 0 else 0.0)
+        best = max(best, float((N / (a + b * t)).max()))
+        N0 = float(N[-1])
+    return best
+
+
+@given(random_grids(max_level_1d=8, max_level_2d=4))
+def test_hardy_residual_at_least_dense_scan(w):
+    K = k_l1_linf(w, w.base)
+    assert hardy_residual(K) >= _dense_hardy(K) * (1.0 - 1e-12)
+
+
+@given(random_grids(max_level_1d=8, max_level_2d=4))
+def test_hardy_level_route_equals_single_route(w):
+    level = hardy_residual_sup(w, enumerate_cubes(w, "base")).value
+    assert math.isclose(level, hardy_residual(k_l1_linf(w, w.base)), rel_tol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# single curves as one-row blocks, against the scalar code they replaced
+#
+# Frozen copies of single_index and ai_constant as they were before a single
+# curve became a one-row _LevelBlock: their own candidate merges (knots plus
+# interior minima, argsorted) and their own knee, cap and witness loops.
+
+
+def _old_candidates_concave(K, end):
+    inside = (K.t > 0) & (K.t <= end)
+    s, v = K.t[inside], K.v[inside]
+    if s.size == 0 or s[-1] < end:
+        s, v = np.append(s, end), np.append(v, K.value(end))
+    return s, v
+
+
+def _old_minima_concave(K, delta, end):
+    if not 0.0 < delta < 1.0:
+        return np.empty(0), np.empty(0)
+    A, B, s0, s1 = K.pieces()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tstar = delta * A / (B * (1.0 - delta))
+    ok = (A > 0) & (B > 0) & (tstar > s0) & (tstar < s1) & (tstar < end)
+    return tstar[ok], A[ok] / (1.0 - delta)
+
+
+def _old_sup_ratio(s, lg):
+    M = np.maximum.accumulate(lg)
+    r = M - lg
+    j = int(np.argmax(r))
+    i = int(np.argmax(lg[: j + 1] >= M[j] - 1e-9))
+    return float(r[j]), float(s[i]), float(s[j])
+
+
+def _old_exact(K, s, lg_k, u, end):
+    ms, mscaled = _old_minima_concave(K, u, end)
+    if not ms.size:
+        return s, lg_k
+    s_all = np.concatenate([s, ms])
+    lg_all = np.concatenate([lg_k, np.log(mscaled) - u * np.log(ms)])
+    order = np.argsort(s_all, kind="stable")
+    return s_all[order], lg_all[order]
+
+
+def _old_ai_constant(phi, delta, gamma=1.0):
+    """(value, s, t)"""
+    end = gamma * (phi.domain_end if not isinstance(phi, tuple) else phi[0][-1])
+    if isinstance(phi, ConcaveCurve):
+        if delta > 1.0:
+            return math.inf, 0.0, end
+        s, v = _old_candidates_concave(phi, end)
+        s, lg = _old_exact(phi, s, np.log(v) - delta * np.log(s), delta, end)
+    elif isinstance(phi, StepProductCurve):
+        if delta > 1.0:
+            return math.inf, 0.0, end
+        s, v = phi.two_sided(end)
+        lg = np.log(v) - delta * np.log(s)
+    else:
+        t, v = phi
+        keep = (t > 0) & (t <= end)
+        s, lg = t[keep], np.log(v[keep]) - delta * np.log(t[keep])
+    rlog, sw, tw = _old_sup_ratio(s, lg)
+    return math.exp(rlog), sw, tw
+
+
+def _old_single_index(phi, C_cap=16.0, gamma=1.0):
+    if isinstance(phi, (ConcaveCurve, StepProductCurve)):
+        T = phi.domain_end
+        s, v = _old_candidates_concave(phi, gamma * T) if isinstance(phi, ConcaveCurve) else phi.two_sided(gamma * T)
+    else:
+        t, v = phi
+        T = float(t[-1])
+        keep = (t > 0) & (t <= gamma * T)
+        s, v = t[keep], v[keep]
+    lnphi, h = np.log(v), float(s[0])
+    ls = np.log(s)
+    kappa = 0.5 * math.log(gamma * T / h)
+    lncap = math.log(C_cap)
+
+    def ratio_at(u, exact):
+        if exact and isinstance(phi, ConcaveCurve) and 0.0 < u < 1.0:
+            return _old_exact(phi, s, lnphi - u * ls, u, gamma * T)
+        return s, lnphi - u * ls
+
+    def ok_knee(u, ks):
+        ss, lg = ratio_at(u, exact=False)
+        M = np.maximum.accumulate(lg)
+        r = M - lg
+        rmax = float(r.max())
+        if rmax > lncap + 1e-15:
+            return [(False, True)]
+        if rmax <= 1e-12:
+            return [(True, False)]
+        lss = np.log(ss)
+        ilast = np.maximum.accumulate(np.where(M - lg <= 1e-9, np.arange(lg.size), -1))
+        lever = lss - lss[ilast]
+        return [(float(np.where(r >= rmax - 1e-9, lever, np.inf).min()) <= kappa, False)]
+
+    def cmax_at(u):
+        ss, lg = ratio_at(u, exact=True)
+        return float(np.max(np.maximum.accumulate(lg) - lg))
+
+    [(u_hat, mono)] = indices._scan_largest(ok_knee, 1e-4)
+    u_cap = indices._scan_prefix(lambda u: cmax_at(u) <= lncap + 1e-15, 1e-4)
+    ss, lg = ratio_at(u_hat, exact=False)
+    _, sw, tw = _old_sup_ratio(ss, lg)
+    return IndexEstimate(
+        delta_hat=u_hat,
+        delta_cap=u_cap,
+        cap=C_cap,
+        gamma=gamma,
+        resolution=int(round(math.log2(max(gamma * T / h, 1.0)))),
+        witness=("curve", sw, tw),
+        monotone=mono,
+        cap_value_at=math.exp(cmax_at(u_cap)),
+        cap_value_beyond=math.exp(cmax_at(u_cap + 1e-3)) if u_cap + 1e-3 <= 1.0 else math.inf,
+    )
+
+
+def _curves(w):
+    """A concave K-curve, a rearrangement product and a sampled pair of w."""
+    K = k_l1_linf(w, w.base)
+    ts = np.geomspace(w.cell_measure, K.domain_end, 257)
+    return K, StepProductCurve(rearrangement(w, w.base)), (ts, K.value(ts))
+
+
+_CURVE_GRIDS = [(1, 8, s) for s in ("const:1", "step:2,1", "pow:-0.5", "pow:-0.95", "rand:3:lognormal:2")]
+_CURVE_GRIDS += [(2, 4, "rand:4:lognormal:1")]
+
+
+def _assert_single_index_matches(w, C_cap, gamma):
+    K, P, pair = _curves(w)
+    for phi in (P, pair):
+        assert single_index(phi, C_cap, gamma) == _old_single_index(phi, C_cap, gamma)
+    new, old = single_index(K, C_cap, gamma), _old_single_index(K, C_cap, gamma)
+    assert (new.delta_hat, new.witness, new.monotone) == (old.delta_hat, old.witness, old.monotone)
+    assert abs(new.delta_cap - old.delta_cap) <= 1e-4
+
+
+@pytest.mark.parametrize("d, L, spec", _CURVE_GRIDS)
+@pytest.mark.parametrize("C_cap, gamma", [(16.0, 1.0), (2.0, 0.5), (4.0, 0.3)])
+def test_single_index_equals_frozen_scalar_code(d, L, spec, C_cap, gamma):
+    _assert_single_index_matches(make_grid(d, L, spec), C_cap, gamma)
+
+
+@given(random_grids(max_level_1d=7, max_level_2d=3, min_level=2), st.sampled_from([(16.0, 1.0), (2.0, 0.5), (4.0, 0.3)]))
+@settings(max_examples=25)
+def test_single_index_equals_frozen_scalar_code_random(w, cap_gamma):
+    _assert_single_index_matches(w, *cap_gamma)
+
+
+@given(
+    random_grids(max_level_1d=7, max_level_2d=3, min_level=2),
+    st.floats(0.0, 1.2),
+    st.sampled_from([1.0, 0.5, 0.3]),
+)
+def test_ai_constant_equals_frozen_scalar_code(w, delta, gamma):
+    for phi in _curves(w):
+        c = ai_constant(phi, delta, gamma)
+        for new, old in zip((c.value, c.s, c.t), _old_ai_constant(phi, delta, gamma)):
+            assert new == old or math.isclose(new, old, rel_tol=1e-12)

@@ -263,6 +263,23 @@ def test_power_piece_integral_rel_floor():
     HolmstedtCurve(k_l1_linf(w, w.base), 0.5, 2.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("E", [-1.5, -1.0])
+def test_power_piece_integral_rejects_divergent_intercept_piece(E):
+    # (1 + s)^2 s^E on [0, 1] diverges for E <= -1 (it used to come out finite)
+    with pytest.raises(ValueError, match="divergent integral at the origin"):
+        power_piece_integral(1.0, 1.0, 0.0, 1.0, 2.0, E)
+
+
+def test_piece_integral_depth_cap_raises():
+    # sqrt(s - 1) on [1, 2]: the panel touching the branch point fails the
+    # relative 20/40-node test at every depth, on both routes
+    with pytest.raises(RuntimeError, match="after 40 bisections"):
+        power_piece_integral(-1.0, 1.0, 1.0, 2.0, 0.5, 0.0)
+    one = lambda x: np.array([[x]])
+    with pytest.raises(RuntimeError, match="after 40 bisections"):
+        level_piece_integrals(one(-1.0), one(1.0), np.array([1.0]), np.array([2.0]), 0.5, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Holmstedt
 
