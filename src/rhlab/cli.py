@@ -9,8 +9,8 @@ byte-identical reports.  The environment variable ``RHLAB_THREADS`` bounds
 the per-case thread pool used by ``verify``; results are joined in case
 order, so the thread count never changes the output bytes.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, 3 I/O or ingestion error.
+Exit codes: 0 success, 1 verification failure or numerical error, 2 usage
+or configuration error, 3 I/O or ingestion error.
 
 All randomness flows from the single 64-bit ``--seed`` through the
 counter-based generator documented in ``grid.make_grid`` (Philox keyed by
@@ -42,7 +42,7 @@ from .grid import (
     parse_cube,
     save_weight,
 )
-from .kcalc import HolmstedtCurve, k_l1_linf, k_weighted_curve, lorentz_norm, packing_family
+from .kcalc import HolmstedtCurve, QuadratureError, k_l1_linf, k_weighted_curve, lorentz_norm, packing_family
 from .rearrange import rearrangement
 from . import weights as W
 
@@ -521,6 +521,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"rhlab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (QuadratureError, ArithmeticError, MemoryError) as exc:
+        # a quantity the float range, the quadrature or the memory cannot hold
+        detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        print(f"rhlab: numerical error: {detail}", file=sys.stderr)
+        return EXIT_VERIFY
     except RuntimeError as exc:
         # internal dual-route inconsistency is a verification failure
         print(f"rhlab: verification error: {exc}", file=sys.stderr)

@@ -84,7 +84,8 @@ class IndexEstimate:
     delta_hat is the knee estimate, delta_cap the cap-threshold estimate with
     the bracketing certificate cap_value_at <= cap < cap_value_beyond
     (cap_value_beyond is inf when the search hits the delta ceiling, where
-    the continuum constant is genuinely unbounded).  witness is the
+    the continuum constant is genuinely unbounded; either value is inf when
+    it exceeds the float range).  witness is the
     lexicographically first (cube address, s, t) achieving the constant at
     delta_hat; monotone records whether knee admissibility was a prefix of
     the scan grid, which is what validates the bisection.  Cap admissibility
@@ -166,10 +167,10 @@ class _LevelBlock:
         lnphi[:, 1::2] = np.log(s[None, :-1] * vals[:, 1:])
         return cls(np.repeat(s, 2)[:-1], lnphi, None, None)
 
-    def lg(self, u: float) -> tuple[np.ndarray, np.ndarray]:
-        """(lg, s): the log-ratios lnphi - u ln s of the exact candidate set
-        at scan point u, in abscissa order, and the abscissa of each column
-        (for the witness), both with one row per curve.
+    def lg(self, u: float, with_s: bool = False):
+        """The log-ratios lnphi - u ln s of the exact candidate set at scan
+        point u, in abscissa order, one row per curve; with with_s, the pair
+        (lg, s) with the abscissa of each column (for a witness).
 
         With piece data and 0 < u < 1 the interior ratio minima are
         interleaved between knots; a piece without one repeats its right
@@ -177,21 +178,23 @@ class _LevelBlock:
         """
         lg_k = self.lnphi - u * self.ls[None, :]
         if self.a_pos is None or not 0.0 < u < 1.0:
-            return lg_k, np.broadcast_to(self.svals, lg_k.shape)
+            return (lg_k, np.broadcast_to(self.svals, lg_k.shape)) if with_s else lg_k
         lsk = self.ls
         with np.errstate(invalid="ignore", over="ignore"):
             lnt = (math.log(u) - math.log1p(-u)) + self.lnA - self.lnB
             valid = self.a_pos & (lnt > lsk[None, :-1]) & (lnt < lsk[None, 1:])
             # g(s*) = [a / (1 - u)] s*^{-u}
             lg_min = np.where(valid, self.lnA - math.log1p(-u) - u * lnt, 0.0)
-            t_min = np.where(valid, np.exp(lnt), self.svals[None, 1:])
         n, m = lg_k.shape
         lg = np.empty((n, 2 * m - 1))
         lg[:, 0::2] = lg_k
         lg[:, 1::2] = np.where(valid, lg_min, lg_k[:, 1:])
+        if not with_s:
+            return lg
         s = np.empty_like(lg)
         s[:, 0::2] = self.svals
-        s[:, 1::2] = t_min
+        with np.errstate(over="ignore"):
+            s[:, 1::2] = np.where(valid, np.exp(lnt), self.svals[None, 1:])
         return lg, s
 
 
@@ -269,7 +272,7 @@ def ai_constant(phi, delta: float, gamma: float = 1.0, domain_end: float | None 
         end = gamma * (_domain_end(phi) if domain_end is None else domain_end)
         if delta > 1.0 and isinstance(phi, (ConcaveCurve, StepProductCurve)):
             return AiConstant(math.inf, 0.0, end)
-        lg, s = _curve_block(phi, end).lg(delta)
+        lg, s = _curve_block(phi, end).lg(delta, with_s=True)
         lg, s = lg[0], s[0]
     rlog, sw, tw = _sup_ratio(s, lg)
     return AiConstant(math.exp(rlog), sw, tw)
@@ -284,7 +287,7 @@ def _blocks_ok(blocks, u, lncap_q):
     exact candidate set."""
     cmax = 0.0
     for blk in blocks:
-        lg = blk.lg(u)[0]
+        lg = blk.lg(u)
         cmax = max(cmax, float((np.maximum.accumulate(lg, axis=1) - lg).max()))
     return cmax <= lncap_q + 1e-15, cmax
 
@@ -442,10 +445,17 @@ def _index_estimate(blocks, windows, beta, q, C_cap, resolution, name) -> IndexE
             best = (u_hat, mono, gamma, win)
     u_hat, monotone, gamma_star, win_star = best
 
+    def cap_value(u):
+        # the constant at u; beyond the float range it is reported as inf
+        try:
+            return math.exp(q * _blocks_ok(blocks, u, lncap_q)[1])
+        except OverflowError:
+            return math.inf
+
     u_cap = _scan_prefix(lambda u: _blocks_ok(blocks, u, lncap_q)[0], utol)
-    c_at = math.exp(q * _blocks_ok(blocks, u_cap, lncap_q)[1])
+    c_at = cap_value(u_cap)
     if u_cap + 1e-3 / q <= 1.0:
-        c_beyond = math.exp(q * _blocks_ok(blocks, u_cap + 1e-3 / q, lncap_q)[1])
+        c_beyond = cap_value(u_cap + 1e-3 / q)
     else:
         # past u = 1 the first piece (linear through the origin) makes the
         # continuum constant infinite

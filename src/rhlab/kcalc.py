@@ -193,15 +193,6 @@ class CurveFamily:
     kind: str = "k"
     beta: float = 0.0
     q: float = 1.0
-    policy: str = "all-dyadic"
-
-    def curve(self, Q: DyadicCube):
-        r = rearrangement(self.w, Q)
-        if self.kind == "k":
-            return ConcaveCurve.from_plateaus(r.values, r.measures)
-        if self.kind == "acks":
-            return StepProductCurve(r)
-        raise ValueError(f"unknown curve kind {self.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +214,15 @@ def _gl_panel(A, B, s0, s1, q, E, table):
     return half * (f @ weights)
 
 
+class QuadratureError(RuntimeError):
+    """A quadrature panel still failing the 20/40-node test at depth 40."""
+
+
 def _bisect_panels(work: list, q: float, E: float, rel: float, acc: np.ndarray) -> None:
     """Adaptive 20/40-node loop over a stack of panel batches
     (A, B, lo, hi, flat index, depth): accepted panels are added into acc,
     the others are halved and pushed back.  A panel still failing the test
-    at depth 40 raises RuntimeError."""
+    at depth 40 raises QuadratureError."""
     while work:
         a, b, lo, hi, ix, depth = work.pop()
         c20 = _gl_panel(a, b, lo, hi, q, E, _GL20)
@@ -238,7 +233,7 @@ def _bisect_panels(work: list, q: float, E: float, rel: float, acc: np.ndarray) 
         bad = ~done
         if np.any(bad):
             if depth >= 40:
-                raise RuntimeError(
+                raise QuadratureError(
                     f"piece integral not converged to rel={rel:g} after 40 bisections "
                     f"on [{float(lo[bad][0])!r}, {float(hi[bad][0])!r}]"
                 )
@@ -264,7 +259,7 @@ def power_piece_integral(A, B, s0, s1, q: float, E: float, rel: float = _PIECE_R
     bisecting panels until the relative difference is below rel.  A piece
     with A != 0 and s0 = 0 requires E > -1.  Divergent pieces raise
     ValueError ("divergent integral at the origin"); a panel still above
-    rel after 40 bisections raises RuntimeError.  rel below 1e-15
+    rel after 40 bisections raises QuadratureError.  rel below 1e-15
     (_REL_FLOOR) raises ValueError, since rounding alone can keep every
     panel above it and the bisection would then not finish.
     """

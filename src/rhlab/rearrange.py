@@ -58,14 +58,12 @@ class DecreasingStep:
         self.cum_mass = np.cumsum(v * m)
 
     @classmethod
-    def from_cells(cls, cells: np.ndarray, cell_measure: float, mass: float | None = None) -> "DecreasingStep":
+    def from_cells(cls, cells: np.ndarray, cell_measure: float, mass: float) -> "DecreasingStep":
         vals, counts = np.unique(np.asarray(cells, dtype=np.float64), return_counts=True)
         vals = vals[::-1]
         counts = counts[::-1]
         measures = counts.astype(np.float64) * cell_measure
         total = cells.size * cell_measure
-        if mass is None:
-            mass = float(np.sum(vals * measures))
         return cls(vals, measures, total, mass)
 
     def star(self, t) -> np.ndarray | float:

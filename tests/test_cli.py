@@ -13,8 +13,10 @@ import time
 import numpy as np
 import pytest
 
+from rhlab import cli
 from rhlab.cli import main
 from rhlab.grid import load_weight, make_grid, save_weight
+from rhlab.kcalc import QuadratureError
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +67,53 @@ def test_curve_weighted_k(capsys):
     assert ts == sorted(ts)
     assert all(v > 0 for v in vs)
     assert vs == sorted(vs)  # K-functionals are nondecreasing
+
+
+def _weight_file(tmp_path, *cells):
+    path = tmp_path / "w.csv"
+    path.write_text("# rhlab d=1 L=1\n" + "".join(f"{v!r}\n" for v in cells))
+    return f"file:{path}"
+
+
+def test_curve_k_wide_range_cells(tmp_path, capsys):
+    # cells 2^1329 apart: the exact mass is 5e199
+    weight = _weight_file(tmp_path, 1e-200, 1e200)
+    code, out, err = run_cli(capsys, "curve", "--weight", weight, "--kind", "k")
+    assert code == 0 and err == ""
+    assert out.strip().split("\n")[-1] == "1.0,5e+199"
+
+
+def test_analyze_wide_range_cells(tmp_path, capsys):
+    # the acks constant at the cap scan's end exceeds the float range
+    code, out, err = run_cli(capsys, "analyze", "--weight", _weight_file(tmp_path, 1e-200, 1e200))
+    assert code == 0
+    assert json.loads(out)["grid"] == {"d": 1, "L": 1}
+
+
+def test_mass_beyond_float_range_is_numerical_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "curve", "--weight", _weight_file(tmp_path, 1e308, 1e308), "--kind", "k")
+    assert code == 1 and out == ""
+    assert err.startswith("rhlab: numerical error: OverflowError") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (QuadratureError("not converged"), "rhlab: numerical error: QuadratureError: not converged\n"),
+        (MemoryError(), "rhlab: numerical error: MemoryError\n"),
+        (ZeroDivisionError("float division by zero"),
+         "rhlab: numerical error: ZeroDivisionError: float division by zero\n"),
+        (RuntimeError("routes disagree"), "rhlab: verification error: routes disagree\n"),
+    ],
+    ids=["quadrature", "memory", "arithmetic", "dual-route"],
+)
+def test_runtime_failures_exit_one_with_one_line(capsys, monkeypatch, exc, message):
+    def fail(w, Q):
+        raise exc
+
+    monkeypatch.setattr(cli, "k_l1_linf", fail)
+    code, out, err = run_cli(capsys, "curve", "--weight", "const:1", "--kind", "k")
+    assert (code, out, err) == (1, "", message)
 
 
 def test_curve_bad_cube_is_usage_error(capsys):

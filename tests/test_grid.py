@@ -3,8 +3,9 @@
 The load-bearing claims tested here: cell averages of analytic weights are
 computed from exact antiderivatives; the Morton reordering puts every dyadic
 cube's cells into one contiguous slice; integrate() agrees bit for bit with
-a correctly rounded sum (the integer summation tree only rounds once, at the
-final float conversion); and the CSV/JSON writers round-trip bit-exactly.
+a correctly rounded sum (one math.fsum per cube, so each mass rounds once)
+and with the integer summation tree it replaced; and the CSV/JSON writers
+round-trip bit-exactly.
 """
 
 import math
@@ -13,6 +14,7 @@ import os
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import dyadic_grids, random_grids
 from rhlab.grid import (
@@ -205,12 +207,49 @@ def test_integrate_small_integers_exact():
     assert integrate(w, DyadicCube(2, (2,))) == 4.0 / 4.0
 
 
-@given(dyadic_grids())
+def _int_tree(w):
+    """Frozen copy of the integer sum tree integrate() used to read: every
+    cell as a 2^53-scaled integer mantissa over the smallest exponent,
+    summed level by level; returns (E, sums per relative level)."""
+    mant, expo = np.frexp(w.zcells)
+    m = (mant * 9007199254740992.0).astype(np.int64)
+    e = expo.astype(np.int64) - 53
+    E = int(e.min())
+    level = [int(mi) << int(si) for mi, si in zip(m.tolist(), (e - E).tolist())]
+    tree = [level]
+    fan = 1 << w.d
+    while len(level) > 1:
+        level = [sum(level[i : i + fan]) for i in range(0, len(level), fan)]
+        tree.append(level)
+    return E, tree[::-1]
+
+
+@st.composite
+def _wide_lognormal_grids(draw):
+    """Lognormal grids with sigma = 20: cells spread over about 2^300."""
+    d, L = draw(st.sampled_from([(1, 8), (2, 4)]))
+    return make_grid(d, L, f"rand:{draw(st.integers(0, 2**31 - 1))}:lognormal:20")
+
+
+@given(st.one_of(dyadic_grids(), random_grids(), _wide_lognormal_grids()))
 def test_integrate_matches_fsum_bitwise(w):
-    for lev in (w.base.level, w.L // 2, w.L):
+    E, tree = _int_tree(w)
+    for lev in range(w.base.level, w.L + 1):
+        width = 1 << (w.d * (w.L - lev))
         for Q in level_cubes(w, lev):
-            exact = math.fsum(float(v) for v in w.cube_cells(Q)) * w.cell_measure
-            assert integrate(w, Q) == exact
+            mass = integrate(w, Q)
+            assert mass == math.fsum(float(v) for v in w.cube_cells(Q)) * w.cell_measure
+            a, _ = w.zrange(Q)
+            assert mass == math.ldexp(tree[lev - w.base.level][a // width], E - w.d * w.L)
+
+
+def test_integrate_wide_range():
+    # the cells span about 2^1329; the integer tree's sum overflowed when
+    # converted to float
+    w = WeightGrid(1, 1, [1e-200, 1e200])
+    assert integrate(w, w.base) == 5e199
+    assert integrate(w, DyadicCube(1, (0,))) == 5e-201
+    assert integrate(w, DyadicCube(1, (1,))) == 5e199
 
 
 @given(random_grids(max_level_1d=6, max_level_2d=3))

@@ -421,6 +421,14 @@ def test_acks_index_pow_half():
     assert abs(est.lambda_hat - 0.5) <= 0.05
 
 
+def test_acks_cap_values_beyond_float_range():
+    # t w*(t) drops from 5e199 to 5e-201 at t = 1/2: the constant at u = 0
+    # is 1e400, reported as inf rather than raising OverflowError
+    est = acks_index(WeightGrid(1, 1, [1e-200, 1e200]))
+    assert est.delta_cap == 0.0
+    assert est.cap_value_at == math.inf and est.cap_value_beyond == math.inf
+
+
 def test_acks_lambda_is_one_minus_delta():
     w = make_grid(1, 6, "rand:101:lognormal:1")
     est = acks_index(w)

@@ -27,6 +27,7 @@ from rhlab.kcalc import (
     CurveFamily,
     HolmstedtCurve,
     PackingFamily,
+    QuadratureError,
     StepProductCurve,
     extrapolation_norm,
     grid_power,
@@ -273,10 +274,10 @@ def test_power_piece_integral_rejects_divergent_intercept_piece(E):
 def test_piece_integral_depth_cap_raises():
     # sqrt(s - 1) on [1, 2]: the panel touching the branch point fails the
     # relative 20/40-node test at every depth, on both routes
-    with pytest.raises(RuntimeError, match="after 40 bisections"):
+    with pytest.raises(QuadratureError, match="after 40 bisections"):
         power_piece_integral(-1.0, 1.0, 1.0, 2.0, 0.5, 0.0)
     one = lambda x: np.array([[x]])
-    with pytest.raises(RuntimeError, match="after 40 bisections"):
+    with pytest.raises(QuadratureError, match="after 40 bisections"):
         level_piece_integrals(one(-1.0), one(1.0), np.array([1.0]), np.array([2.0]), 0.5, 0.0)
 
 

@@ -18,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import flat_grids, random_grids
+from rhlab import weights
 from rhlab.grid import WeightGrid, enumerate_cubes, integrate, make_grid
 from rhlab.kcalc import grid_power, k_l1_linf, power_piece_integral
+from rhlab.rearrange import DecreasingStep, rearrangement
 from rhlab.weights import (
     _kside_level,
     _lorentz_level,
@@ -357,6 +359,22 @@ def test_verify_rearrange_and_herz_both_dims():
         w = make_grid(d, L, f"rand:{d}:lognormal:1")
         assert verify_rearrange_exact(w).passed
         assert verify_herz(w).passed
+
+
+def test_verify_rearrange_mass_exact_catches_wrong_plateau_count(monkeypatch):
+    # one plateau one cell too wide, the mass still the cube's exact sum
+    w = make_grid(1, 6, "step:4,1,1,1")
+
+    def miscounted(w, Q):
+        r = rearrangement(w, Q)
+        measures = r.measures.copy()
+        measures[0] += w.cell_measure
+        return DecreasingStep(r.values, measures, r.total_measure, r.mass)
+
+    assert verify_rearrange_exact(w).cases[0]["mass_exact"]
+    monkeypatch.setattr(weights, "rearrangement", miscounted)
+    case = verify_rearrange_exact(w).cases[0]
+    assert not case["mass_exact"] and not case["pass"]
 
 
 def test_verify_packing_random():
