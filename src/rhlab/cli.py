@@ -154,18 +154,19 @@ def cmd_analyze(cfg: RunConfig) -> tuple[str, int]:
 # ---------------------------------------------------------------------------
 # verify
 
-def _report_lines(suite: str, reports) -> tuple[list[str], bool]:
-    if not isinstance(reports, list):
-        reports = [reports]
+def _case_lines(suite: str, cases: list[dict]) -> tuple[list[str], bool]:
+    """One ``status suite name k=v ...`` line per case dict, and whether
+    every case passed."""
     lines = []
-    allok = True
-    for rep in reports:
-        for case in rep.cases:
-            status = "ok  " if case["pass"] else "FAIL"
-            kv = " ".join(f"{k}={_fmt(v)}" for k, v in case.items() if k not in ("name", "pass"))
-            lines.append(f"{status} {suite} {case['name']} {kv}".rstrip())
-            allok = allok and bool(case["pass"])
-    return lines, allok
+    for case in cases:
+        status = "ok  " if case["pass"] else "FAIL"
+        kv = " ".join(f"{k}={_fmt(v)}" for k, v in case.items() if k not in ("name", "pass"))
+        lines.append(f"{status} {suite} {case['name']} {kv}".rstrip())
+    return lines, all(bool(case["pass"]) for case in cases)
+
+
+def _report_lines(suite: str, *reports) -> tuple[list[str], bool]:
+    return _case_lines(suite, [case for rep in reports for case in rep.cases])
 
 
 def _gehring_case(w: WeightGrid, cfg: RunConfig) -> tuple[list[str], bool]:
@@ -174,13 +175,14 @@ def _gehring_case(w: WeightGrid, cfg: RunConfig) -> tuple[list[str], bool]:
         gr = W.gehring_improve(w, p, C_cap=cfg.cap)
     except ValueError as exc:
         return [f"skip gehring {w.label} p={_fmt(p)} reason={exc}"], True
-    ok = gr.certified and gr.p0 > p
-    status = "ok  " if ok else "FAIL"
-    line = (
-        f"{status} gehring {w.label} p={_fmt(p)} p0={_fmt(gr.p0)} "
-        f"p_max={_fmt(gr.p_max)} ind_hat={_fmt(gr.ind_hat)} certified={_fmt(gr.certified)}"
-    )
-    return [line], ok
+    return _case_lines("gehring", [{
+        "name": f"{w.label} p={_fmt(p)}",
+        "pass": gr.certified and gr.p0 > p,
+        "p0": gr.p0,
+        "p_max": gr.p_max,
+        "ind_hat": gr.ind_hat,
+        "certified": gr.certified,
+    }])
 
 
 _GROWTH_LEVELS = (10, 12, 14)
@@ -222,29 +224,22 @@ def lorentz_growth_agreement(label: str, d: int, p: float, q: float, levels=_GRO
 
 
 def _lorentz_case(w: WeightGrid, cfg: RunConfig) -> tuple[list[str], bool]:
-    lines = []
-    allok = True
     # dual-route consistency on the base cube: the per-level vectorized
     # constant against the scalar curve norm (different piece assembly)
     vec_base = W.rh_lorentz_constant(w, 2.0, 2.0, CubeFamily([], "base")).value
     avg = integrate(w, w.base) / w.measure
     scalar = lorentz_norm(w, w.base, 2.0, 2.0) / (w.measure ** 0.5 * avg)
     full = W.rh_lorentz_constant(w, 2.0, 2.0).value
-    ok = math.isclose(vec_base, scalar, rel_tol=1e-9) and full >= vec_base * (1.0 - 1e-12)
-    status = "ok  " if ok else "FAIL"
-    lines.append(
-        f"{status} lorentz {w.label} p=2.0 q=2.0 constant={_fmt(full)} "
-        f"base_vectorized={_fmt(vec_base)} base_scalar={_fmt(scalar)}"
-    )
-    allok = allok and ok
+    cases = [{
+        "name": f"{w.label} p=2.0 q=2.0",
+        "pass": math.isclose(vec_base, scalar, rel_tol=1e-9) and full >= vec_base * (1.0 - 1e-12),
+        "constant": full,
+        "base_vectorized": vec_base,
+        "base_scalar": scalar,
+    }]
     if w.d == 1 and w.spec[:1] == ("pow",):
-        for p, q in _LORENTZ_PAIRS:
-            case = lorentz_growth_agreement(w.label, w.d, p, q)
-            status = "ok  " if case["pass"] else "FAIL"
-            kv = " ".join(f"{k}={_fmt(v)}" for k, v in case.items() if k not in ("name", "pass"))
-            lines.append(f"{status} lorentz {case['name']} {kv}")
-            allok = allok and case["pass"]
-    return lines, allok
+        cases += [lorentz_growth_agreement(w.label, w.d, p, q) for p, q in _LORENTZ_PAIRS]
+    return _case_lines("lorentz", cases)
 
 
 def _suite_corpus(suite: str, cfg: RunConfig) -> list[WeightGrid]:
@@ -268,9 +263,7 @@ def _suite_runner(suite: str, cfg: RunConfig):
         return lambda w: _report_lines(suite, W.verify_herz(w))
     if suite == "rhp":
         ps = [p for p in cfg.p_list if p > 1.0]
-        return lambda w: _report_lines(
-            suite, [W.verify_rhp_equivalence(w, p, radius=R) for p in ps]
-        )
+        return lambda w: _report_lines(suite, *[W.verify_rhp_equivalence(w, p, radius=R) for p in ps])
     if suite == "llogl":
         return lambda w: _report_lines(suite, W.verify_llogl_equivalence(w, radius=R))
     if suite == "lorentz":
@@ -278,9 +271,7 @@ def _suite_runner(suite: str, cfg: RunConfig):
     if suite == "acks":
         return lambda w: _report_lines(suite, W.verify_acks(w, C_cap=cfg.cap))
     if suite == "stromberg":
-        return lambda w: _report_lines(
-            suite, [W.verify_stromberg_wheeden(w, p, C_cap=cfg.cap) for p in (1.5, 2.0)]
-        )
+        return lambda w: _report_lines(suite, *[W.verify_stromberg_wheeden(w, p, C_cap=cfg.cap) for p in (1.5, 2.0)])
     if suite == "fujii":
         return lambda w: _report_lines(suite, W.verify_fujii(w))
     if suite == "extrapolation":
@@ -353,22 +344,14 @@ def cmd_curve(cfg: RunConfig) -> tuple[str, int]:
         K = k_l1_linf(w, Q)
         H = HolmstedtCurve(K, theta, q)
         ts = K.t ** (1.0 - theta)
-        rows = [(float(t), H.value(float(t))) for t in ts]
+        rows = list(zip(ts.tolist(), H.value(ts).tolist()))
         kind = f"holmstedt:{parts[1]}:{parts[2]}"
     elif kind == "weighted-k":
         # weighted K-functional estimate of the weight against its own
         # measure, sampled at the w-measures of the origin-chain cubes
         p = next((p for p in cfg.p_list if p > 1.0), 2.0)
         Pi = packing_family(w, w, p)
-        w_total = integrate(w, w.base)
-        ts = []
-        Qc = w.base
-        for _ in range(w.L - w.base.level):
-            Qc = Qc.child(0)
-            t = integrate(w, Qc)
-            if 0.0 < t < w_total:
-                ts.append(t)
-        ts.sort()
+        ts = sorted(W.origin_chain_masses(w))
         rows = [(t, est.value) for t, est in zip(ts, k_weighted_curve(w, w, p, ts, Pi))]
     else:
         raise UsageError(

@@ -280,12 +280,15 @@ class WeightGrid:
         Returns arrays of shape (ncubes, cells_per_cube): row i holds the
         descending cell values of the i-th (Morton) cube and the cumulative
         sums values.cumsum(axis=1) * cell_measure, i.e. the K-curve knots.
+        OverflowError when a cube's cell sum exceeds the float range.
         """
         rel = level - self.base.level
         if rel not in self._sorted_levels:
             width = 1 << (self.d * (self.L - level))
             vals = np.sort(self.zcells.reshape(-1, width), axis=1)[:, ::-1]
             cum = np.cumsum(vals, axis=1) * self.cell_measure
+            if not np.all(np.isfinite(cum[:, -1])):
+                raise OverflowError("cube mass exceeds the float range")
             vals.setflags(write=False)
             cum.setflags(write=False)
             self._sorted_levels[rel] = (vals, cum)

@@ -569,27 +569,20 @@ def samko_alpha(phi, h_grid=None, x_grid=(2.0, 4.0, 8.0, 16.0)) -> float:
     The lim inf over h -> 0 of the dilation ratio is replaced by a minimum
     over a decade-spaced h grid floored at four knot spacings (below the
     floor the curve is an artifact of its discretization); the sup over
-    dilation factors runs over x_grid.
+    dilation factors runs over x_grid.  A ConcaveCurve is its knot pairs
+    (t, v), interpolated like sampled pairs; a StepProductCurve keeps its
+    own evaluator, with knots at 0 and its breaks.
     """
-    if isinstance(phi, ConcaveCurve):
-        T = phi.domain_end
-        gap = float(np.min(np.diff(phi.t)))
-        floor = 4.0 * gap
-        ev = phi.value
-    elif isinstance(phi, StepProductCurve):
-        T = phi.domain_end
-        edges = np.concatenate(([0.0], phi.breaks))
-        gap = float(np.min(np.diff(edges)))
-        floor = 4.0 * gap
+    if isinstance(phi, StepProductCurve):
+        t = np.concatenate(([0.0], phi.breaks))
         ev = phi.value
     else:
-        t, v = phi
-        t = np.asarray(t, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        T = float(t[-1])
-        # sampled pairs are undefined below their first abscissa
-        floor = max(4.0 * float(np.min(np.diff(t))), float(t[0]))
+        pairs = (phi.t, phi.v) if isinstance(phi, ConcaveCurve) else phi
+        t, v = (np.asarray(a, dtype=np.float64) for a in pairs)
         ev = lambda s: np.interp(s, t, v)
+    T = float(t[-1])
+    # sampled pairs are undefined below their first abscissa
+    floor = max(4.0 * float(np.min(np.diff(t))), float(t[0]))
     if any(x <= 1.0 for x in x_grid):
         raise ValueError("dilation factors must exceed 1")
     if h_grid is None:
@@ -599,12 +592,14 @@ def samko_alpha(phi, h_grid=None, x_grid=(2.0, 4.0, 8.0, 16.0)) -> float:
             h_grid.append(hcur)
             hcur /= 10.0
         h_grid = h_grid[1:]  # h = T leaves no room for any x h <= T
+    h = np.asarray(h_grid, dtype=np.float64)
     best = None
     for x in x_grid:
-        ratios = [float(ev(x * h)) / float(ev(h)) for h in h_grid if x * h <= T]
-        if not ratios:
+        hx = h[x * h <= T]
+        if hx.size == 0:
             continue
-        cand = math.log(min(ratios)) / math.log(x)
+        with np.errstate(divide="raise", invalid="raise"):  # a zero phi(h) fails loudly
+            cand = math.log(float(np.min(ev(x * hx) / ev(hx)))) / math.log(x)
         best = cand if best is None else max(best, cand)
     if best is None:
         raise ValueError("domain too small for any (x, h) pair")

@@ -129,8 +129,7 @@ class LpKCurve:
         return self.gp.domain_end
 
     def value(self, t):
-        g = self.gp.value(t)
-        return g ** (1.0 / self.p) if np.ndim(g) == 0 else np.asarray(g) ** (1.0 / self.p)
+        return self.gp.value(t) ** (1.0 / self.p)
 
 
 class StepProductCurve:
@@ -417,12 +416,18 @@ def k_lp_linf(w: WeightGrid, Q: DyadicCube, p: float) -> LpKCurve:
 class HolmstedtCurve:
     """H(t) = (integral_0^{t^{1/(1-theta)}} [s^{-theta} K(s)]^q ds/s)^{1/q}.
 
-    Piece integrals of K(s)^q s^{-theta q - 1} are exact on the origin piece
-    and Gauss-Legendre panels elsewhere; past K's domain the integrand uses
-    K's constant tail in closed form.
+    The integrals of K(s)^q s^{-theta q - 1} over K's pieces are summed once
+    into prefix (at K's knots).  inner_integral and value work elementwise
+    on arrays of points, a scalar being a one-element call: one searchsorted
+    finds each T's piece and one power_piece_integral call covers the
+    partial pieces of every T inside K's domain (exact on the origin piece,
+    Gauss-Legendre panels elsewhere); past the domain K's constant tail is
+    integrated in closed form.  A batched call may round a panel's gemv
+    reduction, and numpy's array power, an ulp differently from one-point
+    calls.
     """
 
-    def __init__(self, K: ConcaveCurve, theta: float, q: float, rel: float = _PIECE_REL):
+    def __init__(self, K: ConcaveCurve, theta: float, q: float):
         if not 0.0 < theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
         if q < 1.0:
@@ -431,38 +436,30 @@ class HolmstedtCurve:
         self.theta = theta
         self.q = q
         self.E = -theta * q - 1.0
-        A, B, s0, s1 = K.pieces()
-        self._piece_params = (A, B, s0, s1)
-        vals = power_piece_integral(A, B, s0, s1, q, self.E, rel=rel)
+        vals = power_piece_integral(*K.pieces(), q, self.E)
         self.prefix = np.concatenate(([0.0], np.cumsum(vals)))  # at K's knots
 
-    def inner_integral(self, T: float) -> float:
-        """integral_0^T K(s)^q s^{-theta q - 1} ds."""
+    def inner_integral(self, T):
+        """integral_0^T K(s)^q s^{-theta q - 1} ds, elementwise (0 for T <= 0)."""
         K = self.K
-        if T <= 0:
-            return 0.0
-        if T >= K.domain_end:
-            head = self.prefix[-1]
-            if T > K.domain_end:
-                tq = self.theta * self.q
-                head += K.mass ** self.q * (K.domain_end ** -tq - T ** -tq) / tq
-            return float(head)
-        j = int(np.searchsorted(K.t, T, side="right")) - 1
-        j = min(j, K.t.size - 2)
-        A, B, s0, s1 = self._piece_params
-        part = power_piece_integral(
-            np.asarray([A[j]]), np.asarray([B[j]]), np.asarray([K.t[j]]), np.asarray([T]), self.q, self.E
-        )[0]
-        return float(self.prefix[j] + part)
+        T = np.asarray(T, dtype=np.float64)
+        out = np.zeros(T.shape)
+        end = K.domain_end
+        out[T >= end] = self.prefix[-1]
+        past = T > end
+        if np.any(past):
+            tq = self.theta * self.q
+            out[past] += K.mass ** self.q * (end ** -tq - T[past] ** -tq) / tq
+        inside = (T > 0) & (T < end)
+        if np.any(inside):
+            Ti = T[inside]
+            j = np.minimum(np.searchsorted(K.t, Ti, side="right") - 1, K.t.size - 2)
+            A, B, _, _ = K.pieces()
+            out[inside] = self.prefix[j] + power_piece_integral(A[j], B[j], K.t[j], Ti, self.q, self.E)
+        return out if out.shape else float(out)
 
     def value(self, t):
-        one = np.ndim(t) == 0
-        ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        out = np.empty_like(ts)
-        for i, ti in enumerate(ts):
-            T = ti ** (1.0 / (1.0 - self.theta))
-            out[i] = self.inner_integral(T) ** (1.0 / self.q)
-        return float(out[0]) if one else out
+        return self.inner_integral(np.asarray(t, dtype=np.float64) ** (1.0 / (1.0 - self.theta))) ** (1.0 / self.q)
 
 
 def holmstedt_curve(K: ConcaveCurve, theta: float, q: float) -> HolmstedtCurve:

@@ -82,33 +82,41 @@ def rearrangement(w: WeightGrid, Q: DyadicCube) -> DecreasingStep:
     return DecreasingStep.from_cells(cells, w.cell_measure, mass=integrate(w, Q))
 
 
-def double_star(r: DecreasingStep, t: float) -> float:
-    """f**(t) = (1/t) integral_0^t f*, exact piecewise; mass/t past the end."""
-    if t <= 0:
+def double_star(r: DecreasingStep, t):
+    """f**(t) = (1/t) integral_0^t f*, exact piecewise; mass/t from the
+    total measure on.  Elementwise in t (a float for a scalar t); raises
+    ValueError unless every t is positive."""
+    t = np.asarray(t, dtype=np.float64)
+    if np.any(t <= 0):
         raise ValueError("t must be positive")
-    if t >= r.total_measure:
-        return r.mass / t
-    i = int(np.searchsorted(r.breaks, t, side="right"))
-    prev_b = r.breaks[i - 1] if i > 0 else 0.0
-    prev_m = r.cum_mass[i - 1] if i > 0 else 0.0
-    return (prev_m + r.values[i] * (t - prev_b)) / t
+    i = np.searchsorted(r.breaks, t, side="right")
+    prev_b = np.concatenate(([0.0], r.breaks))[i]
+    prev_m = np.concatenate(([0.0], r.cum_mass))[i]
+    inside = (prev_m + r.values[np.minimum(i, r.values.size - 1)] * (t - prev_b)) / t
+    out = np.where(t >= r.total_measure, r.mass / t, inside)
+    return out if out.shape else float(out)
+
+
+def _level_maximal(w: WeightGrid, level: int, a: int = 0, b: int | None = None) -> np.ndarray:
+    """M_d(w chi_Q) for every cube Q of a level inside the Morton cell range
+    [a, b) (default: the whole grid): row i holds, on the i-th such cube's
+    cells in Morton order, the running maximum of the averages of each
+    cell's dyadic ancestors inside that cube."""
+    d, L = w.d, w.L
+    b = w.ncells if b is None else b
+    rm = None
+    for lev in range(level, L + 1):
+        width = 1 << (d * (L - lev))
+        avgs = w.float_level_sums(lev)[a // width : b // width] / width
+        rm = avgs if rm is None else np.maximum(np.repeat(rm, 1 << d), avgs)
+    return rm.reshape(-1, 1 << (d * (L - level)))
 
 
 def dyadic_maximal(w: WeightGrid, Q0: DyadicCube) -> WeightGrid:
-    """Local dyadic maximal function of w chi_Q0, as a grid on Q0.
-
-    One pass down the tree: the value on a cell is the running maximum of the
-    averages of its dyadic ancestors inside Q0.
-    """
-    w._check_cube(Q0)
+    """Local dyadic maximal function of w chi_Q0, as a grid on Q0: the one
+    row of _level_maximal over Q0's cells (one pass down the tree)."""
+    rm = _level_maximal(w, Q0.level, *w.zrange(Q0))[0]
     d, L = w.d, w.L
-    rm = None
-    for lev in range(Q0.level, L + 1):
-        sums = w.float_level_sums(lev)
-        width = 1 << (d * (L - lev))
-        a, b = w.zrange(Q0)
-        avgs = sums[a // width : b // width] * (2.0 ** (d * (lev - L)))
-        rm = avgs if rm is None else np.maximum(np.repeat(rm, 1 << d), avgs)
     # rm is in Morton order over Q0's cells; convert to row-major
     perm = _rowmajor_of_morton(d, L - Q0.level)
     out = np.empty_like(rm)

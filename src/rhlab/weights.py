@@ -58,7 +58,7 @@ from .kcalc import (
     power_piece_integral,
 )
 from .indices import IndexEstimate, _hardy_rows, acks_index, family_index, hardy_residual
-from .rearrange import double_star, dyadic_maximal, iterated_maximal, rearrangement
+from .rearrange import _level_maximal, double_star, dyadic_maximal, iterated_maximal, rearrangement
 
 
 @dataclass
@@ -213,16 +213,11 @@ def rh_lorentz_constant(w: WeightGrid, p: float, q: float, F: CubeFamily | None 
 def fujii_constant(w: WeightGrid, F: CubeFamily | None = None) -> ClassConstant:
     """max over the family of int_Q M_d(w chi_Q) / int_Q w.
 
-    The maximal function localized to each cube of a level is one running
-    max over the level sums from that level down, so a level costs one pass.
+    The maximal functions localized to the cubes of a level are the rows of
+    one running max over the level sums from that level down
+    (rearrange._level_maximal), so a level costs one pass.
     """
-
-    def ratios(lev):
-        rm = _level_means(w, lev)
-        for l2 in range(lev + 1, w.L + 1):
-            rm = np.maximum(np.repeat(rm, 1 << w.d), _level_means(w, l2))
-        return rm.reshape(-1, 1 << (w.d * (w.L - lev))).sum(axis=1) / w.float_level_sums(lev)
-
+    ratios = lambda lev: _level_maximal(w, lev).sum(axis=1) / w.float_level_sums(lev)
     return _family_constant(w, F, "Fujii", ratios)
 
 
@@ -493,13 +488,9 @@ def weak_type_residual(w: WeightGrid, Q: DyadicCube) -> float:
     breakpoint sits at |Q|, where w**(t) switches to its closed tail form
     mass / t.
     """
-    M = dyadic_maximal(w, Q)
-    rM = rearrangement(M, Q)
-    rw = rearrangement(w, Q)
-    best = 0.0
-    for t in rM.breaks:
-        best = max(best, float(rM.star(t)) / double_star(rw, t))
-    return best
+    rM = rearrangement(dyadic_maximal(w, Q), Q)
+    t = rM.breaks
+    return float(np.max(rM.star(t) / double_star(rearrangement(w, Q), t), initial=0.0))
 
 
 def verify_extrapolation_bound(w: WeightGrid, Q: DyadicCube | None = None, c: float = 4.0) -> TheoremReport:
@@ -534,6 +525,20 @@ def verify_extrapolation_bound(w: WeightGrid, Q: DyadicCube | None = None, c: fl
     )
 
 
+def origin_chain_masses(w: WeightGrid) -> list[float]:
+    """w(Q) for the origin chain Q = child(0), child(0)(0), ... below the
+    base cube, down to a cell, keeping the masses in (0, w(base))."""
+    w_total = integrate(w, w.base)
+    ts = []
+    Qc = w.base
+    for _ in range(w.L - w.base.level):
+        Qc = Qc.child(0)
+        t = integrate(w, Qc)
+        if 0.0 < t < w_total:
+            ts.append(t)
+    return ts
+
+
 def verify_weighted_rh(
     g: WeightGrid, w: WeightGrid, p: float, F: CubeFamily | None = None, Pi: PackingFamily | None = None
 ) -> TheoremReport:
@@ -547,14 +552,7 @@ def verify_weighted_rh(
     C = rh_p_weighted_constant(g, w, p, F).value
     if Pi is None:
         Pi = packing_family(g, w, p)
-    w_total = integrate(w, w.base)
-    ts = []
-    Qc = w.base
-    for _ in range(w.L - w.base.level):
-        Qc = Qc.child(0)
-        t = integrate(w, Qc)
-        if 0.0 < t < w_total:
-            ts.append(t)
+    ts = origin_chain_masses(w)
     cases = []
     for t, ep, e1 in zip(ts, k_weighted_curve(g, w, p, ts, Pi), k_weighted_curve(g, w, 1.0, ts, Pi)):
         bound = C * t ** (1.0 / p - 1.0) * e1.value
@@ -627,21 +625,13 @@ def verify_herz(w: WeightGrid) -> TheoremReport:
     rM = rearrangement(M, Q0)
     rw = rearrangement(w, Q0)
     ts = np.unique(np.concatenate((rM.breaks, rw.breaks)))
-    eps = w.cell_measure
-    cd = (1 << w.d) + 1.0
-    ok1 = ok2 = True
-    worst1 = worst2 = 0.0
-    for t in ts:
-        lhs1 = rM.star(t)
-        rhs1 = double_star(rw, t)
-        worst1 = max(worst1, lhs1 / rhs1)
-        if lhs1 > rhs1 * (1.0 + 1e-12):
-            ok1 = False
-        lhs2 = double_star(rw, t)
-        rhs2 = cd * rM.star(t * (1.0 - eps))
-        worst2 = max(worst2, lhs2 / rhs2)
-        if lhs2 > rhs2 * (1.0 + 1e-12):
-            ok2 = False
+    maximal = rM.star(ts)
+    dstar = double_star(rw, ts)
+    scaled = ((1 << w.d) + 1.0) * rM.star(ts * (1.0 - w.cell_measure))
+    ok1 = not np.any(maximal > dstar * (1.0 + 1e-12))
+    ok2 = not np.any(dstar > scaled * (1.0 + 1e-12))
+    worst1 = float(np.max(maximal / dstar, initial=0.0))
+    worst2 = float(np.max(dstar / scaled, initial=0.0))
     case = {
         "name": w.label,
         "pass": bool(ok1 and ok2),

@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from rhlab.grid import WeightGrid, make_grid
+from rhlab.grid import DyadicCube, WeightGrid, make_grid
 
 settings.register_profile(
     "rhlab",
@@ -64,3 +64,25 @@ def flat_grids() -> list[WeightGrid]:
         make_grid(1, 8, "step:4,1,1,1"),
         make_grid(2, 3, "step:3,1"),
     ]
+
+
+def localized_grids() -> list[WeightGrid]:
+    """Lognormal grids living on a proper subcube of the unit cube, so their
+    level sums and Morton rows are indexed from a base below level 0."""
+    cases = [(1, 7, DyadicCube(2, (1,))), (1, 5, DyadicCube(1, (1,))), (2, 4, DyadicCube(1, (1, 0)))]
+    out = []
+    for seed, (d, L, base) in enumerate(cases):
+        cells = np.random.default_rng(seed).lognormal(0.0, 1.0, 1 << (d * (L - base.level)))
+        out.append(WeightGrid(d, L, cells, label=f"local{seed}", base=base))
+    return out
+
+
+def frozen_double_star(r, t: float) -> float:
+    """rearrange.double_star as the scalar function of t it was before it
+    became elementwise: the frozen oracle of the bitwise tests."""
+    if t >= r.total_measure:
+        return r.mass / t
+    i = int(np.searchsorted(r.breaks, t, side="right"))
+    prev_b = r.breaks[i - 1] if i > 0 else 0.0
+    prev_m = r.cum_mass[i - 1] if i > 0 else 0.0
+    return (prev_m + r.values[i] * (t - prev_b)) / t

@@ -96,6 +96,25 @@ def test_mass_beyond_float_range_is_numerical_error(tmp_path, capsys):
     assert err.startswith("rhlab: numerical error: OverflowError") and err.count("\n") == 1
 
 
+def test_analyze_mass_beyond_float_range_is_numerical_error(tmp_path, capsys):
+    # the K-curve knots of a cube whose cell sum overflows are refused where
+    # they are built, not left as inf for the index scans to trip over
+    code, out, err = run_cli(capsys, "analyze", "--weight", _weight_file(tmp_path, 1e308, 1e308))
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith("rhlab: numerical error: OverflowError")
+
+
+def test_curve_holmstedt_one_batched_piece_call(capsys, monkeypatch):
+    from rhlab import kcalc
+
+    calls = []
+    real = kcalc.power_piece_integral
+    monkeypatch.setattr(kcalc, "power_piece_integral", lambda *a, **k: calls.append(1) or real(*a, **k))
+    code, out, err = run_cli(capsys, "curve", "--weight", "pow:-0.5", "--level", "8", "--kind", "holmstedt:0.5:2")
+    assert code == 0 and len(out.splitlines()) == 1 + 257
+    assert len(calls) == 2  # the prefix over K's pieces, then every t at once
+
+
 @pytest.mark.parametrize(
     "exc, message",
     [
@@ -209,6 +228,48 @@ def test_verify_gehring_suite(capsys):
     assert any(line.startswith("ok  ") for line in body)
     # random grids may sit outside RH_p; those cases are reported as skips
     assert all(line.startswith(("ok  ", "skip")) for line in body)
+
+
+def _frozen_gehring_lines(w, cfg):
+    """The gehring suite's lines as they were built by hand."""
+    p = min((p for p in cfg.p_list if p > 1.0), default=1.5)
+    try:
+        gr = cli.W.gehring_improve(w, p, C_cap=cfg.cap)
+    except ValueError as exc:
+        return [f"skip gehring {w.label} p={cli._fmt(p)} reason={exc}"]
+    status = "ok  " if gr.certified and gr.p0 > p else "FAIL"
+    f = cli._fmt
+    return [f"{status} gehring {w.label} p={f(p)} p0={f(gr.p0)} p_max={f(gr.p_max)} "
+            f"ind_hat={f(gr.ind_hat)} certified={f(gr.certified)}"]
+
+
+def _frozen_lorentz_lines(w):
+    """The lorentz suite's lines as they were built by hand."""
+    vec_base = cli.W.rh_lorentz_constant(w, 2.0, 2.0, cli.CubeFamily([], "base")).value
+    scalar = cli.lorentz_norm(w, w.base, 2.0, 2.0) / (w.measure ** 0.5 * (cli.integrate(w, w.base) / w.measure))
+    full = cli.W.rh_lorentz_constant(w, 2.0, 2.0).value
+    ok = math.isclose(vec_base, scalar, rel_tol=1e-9) and full >= vec_base * (1.0 - 1e-12)
+    f = cli._fmt
+    lines = [f"{'ok  ' if ok else 'FAIL'} lorentz {w.label} p=2.0 q=2.0 constant={f(full)} "
+             f"base_vectorized={f(vec_base)} base_scalar={f(scalar)}"]
+    if w.d == 1 and w.spec[:1] == ("pow",):
+        for p, q in cli._LORENTZ_PAIRS:
+            case = cli.lorentz_growth_agreement(w.label, w.d, p, q)
+            kv = " ".join(f"{k}={f(v)}" for k, v in case.items() if k not in ("name", "pass"))
+            lines.append(f"{'ok  ' if case['pass'] else 'FAIL'} lorentz {case['name']} {kv}")
+    return lines
+
+
+def test_suite_lines_match_hand_built_format(monkeypatch):
+    # gehring and lorentz lines come from the shared case formatter, in the
+    # bytes they had when each suite built its own
+    growth = {"name": "n", "pass": False, "growth_lorentz": 2.5, "growing_rh": True, "borderline": False}
+    monkeypatch.setattr(cli, "lorentz_growth_agreement", lambda label, d, p, q: dict(growth, name=f"{label} p={p:g}"))
+    cfg = cli.RunConfig(command="verify")
+    for spec in ("pow:-0.5", "const:1", "rand:3:lognormal:1", "rand:4:lognormal:1.5"):
+        w = make_grid(1, 5, spec)
+        assert cli._gehring_case(w, cfg)[0] == _frozen_gehring_lines(w, cfg)
+        assert cli._lorentz_case(w, cfg)[0] == _frozen_lorentz_lines(w)
 
 
 def test_verify_threads_do_not_change_bytes(capsys, monkeypatch):

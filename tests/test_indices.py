@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_grids
+from conftest import flat_grids, localized_grids, random_grids
 from rhlab import indices
 from rhlab.grid import WeightGrid, enumerate_cubes, level_cubes, make_grid
 from rhlab.indices import (
@@ -162,6 +162,78 @@ def test_samko_agrees_with_single_index_classification():
         ind = single_index((ts, vs)).delta_hat
         alpha = samko_alpha((ts, vs))
         assert (ind > 0.02) == (alpha > 0.02)
+
+
+def _frozen_samko_alpha(phi, h_grid=None, x_grid=(2.0, 4.0, 8.0, 16.0)):
+    """samko_alpha with its three curve-type branches and per-h scan, before
+    a concave curve became its knot pair and the scan an array ratio."""
+    if isinstance(phi, ConcaveCurve):
+        T = phi.domain_end
+        floor = 4.0 * float(np.min(np.diff(phi.t)))
+        ev = phi.value
+    elif isinstance(phi, StepProductCurve):
+        T = phi.domain_end
+        floor = 4.0 * float(np.min(np.diff(np.concatenate(([0.0], phi.breaks)))))
+        ev = phi.value
+    else:
+        t, v = (np.asarray(a, dtype=np.float64) for a in phi)
+        T = float(t[-1])
+        floor = max(4.0 * float(np.min(np.diff(t))), float(t[0]))
+        ev = lambda s: np.interp(s, t, v)
+    if h_grid is None:
+        h_grid = []
+        hcur = T
+        while hcur >= floor:
+            h_grid.append(hcur)
+            hcur /= 10.0
+        h_grid = h_grid[1:]
+    best = None
+    for x in x_grid:
+        ratios = [float(ev(x * h)) / float(ev(h)) for h in h_grid if x * h <= T]
+        if not ratios:
+            continue
+        cand = math.log(min(ratios)) / math.log(x)
+        best = cand if best is None else max(best, cand)
+    return best
+
+
+def _samko_cases(w):
+    K = k_l1_linf(w, w.base)
+    ts = np.geomspace(K.t[1], K.domain_end, 513)
+    step = StepProductCurve(rearrangement(w, w.base))
+    return [K, step, (K.t, K.v), (ts, K.value(ts)), (step.breaks, step.value(step.breaks))]
+
+
+def _assert_samko_frozen(w):
+    for phi in _samko_cases(w):
+        for kw in ({}, {"x_grid": (1.5, 3.0)}, {"h_grid": [0.3, 0.05, 0.011, 1e-3]}):
+            try:
+                want = _frozen_samko_alpha(phi, **kw)
+            except ValueError:  # a one-sample pair has no knot spacing
+                with pytest.raises(ValueError):
+                    samko_alpha(phi, **kw)
+                continue
+            if want is None:
+                with pytest.raises(ValueError, match="domain too small"):
+                    samko_alpha(phi, **kw)
+            else:
+                assert np.float64(samko_alpha(phi, **kw)).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
+def test_samko_alpha_zero_curve_value_fails_loudly():
+    t = np.linspace(0.01, 1.0, 200)
+    with pytest.raises(ArithmeticError):
+        samko_alpha((t, np.where(t < 0.5, 0.0, t)))
+
+
+@given(random_grids(max_level_1d=8, max_level_2d=4))
+def test_samko_alpha_matches_frozen_random(w):
+    _assert_samko_frozen(w)
+
+
+@given(st.sampled_from(flat_grids() + localized_grids()))
+def test_samko_alpha_matches_frozen_flat_and_localized(w):
+    _assert_samko_frozen(w)
 
 
 # ---------------------------------------------------------------------------

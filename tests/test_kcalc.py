@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import flat_grids, random_grids
+from conftest import flat_grids, localized_grids, random_grids
 from rhlab.grid import DyadicCube, WeightGrid, integrate, level_cubes, make_grid
 from rhlab import kcalc
 from rhlab.kcalc import (
@@ -257,11 +257,8 @@ def test_power_piece_integral_rel_floor():
     for rel in (1e-16, 0.0, -1e-10, math.nan):
         with pytest.raises(ValueError, match="rel must be at least"):
             power_piece_integral(*pieces, rel=rel)
-    with pytest.raises(ValueError, match="rel must be at least"):
-        HolmstedtCurve(k_l1_linf(w, w.base), 0.5, 2.0, rel=1e-16)
     fine = power_piece_integral(*pieces, rel=1e-15)
     np.testing.assert_allclose(fine, power_piece_integral(*pieces), rtol=1e-9)
-    HolmstedtCurve(k_l1_linf(w, w.base), 0.5, 2.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("E", [-1.5, -1.0])
@@ -335,6 +332,73 @@ def test_holmstedt_past_domain_uses_constant_tail():
         limit=300,
     )
     assert math.isclose(H.value(t), ref ** (1.0 / q), rel_tol=1e-7)
+
+
+def _frozen_holmstedt_value(H, t):
+    """HolmstedtCurve.value at one t as it was evaluated point by point: a
+    one-piece power_piece_integral per t inside K's domain."""
+    K = H.K
+    T = np.float64(t) ** (1.0 / (1.0 - H.theta))
+    if T <= 0:
+        inner = 0.0
+    elif T >= K.domain_end:
+        inner = H.prefix[-1]
+        if T > K.domain_end:
+            tq = H.theta * H.q
+            inner += K.mass ** H.q * (K.domain_end ** -tq - T ** -tq) / tq
+    else:
+        j = min(int(np.searchsorted(K.t, T, side="right")) - 1, K.t.size - 2)
+        A, B, _, _ = K.pieces()
+        part = power_piece_integral(
+            np.asarray([A[j]]), np.asarray([B[j]]), np.asarray([K.t[j]]), np.asarray([T]), H.q, H.E
+        )[0]
+        inner = H.prefix[j] + part
+    return float(inner) ** (1.0 / H.q)
+
+
+def _holmstedt_points(K, theta):
+    """t at every knot of K, between knots, past domain_end, and t = 0."""
+    T = np.concatenate([K.t, 0.5 * (K.t[:-1] + K.t[1:]), K.domain_end * np.array([1.0 + 1e-9, 1.7, 30.0])])
+    return np.concatenate([T ** (1.0 - theta), [0.0]])
+
+
+def _ulps(a, b):
+    return np.abs(np.asarray(a, dtype=np.float64).view(np.int64) - np.asarray(b, dtype=np.float64).view(np.int64))
+
+
+def _assert_holmstedt_near_frozen(w):
+    K = k_l1_linf(w, w.base)
+    for theta in (0.3, 0.5, 0.7):
+        for q in (1.5, 2.0, 3.0):
+            H = HolmstedtCurve(K, theta, q)
+            ts = _holmstedt_points(K, theta)
+            frozen = [_frozen_holmstedt_value(H, t) for t in ts.tolist()]
+            assert _ulps(H.value(ts), frozen).max() <= 4
+            for t, want in zip(ts[:: max(1, ts.size // 5)].tolist(), frozen[:: max(1, ts.size // 5)]):
+                one = H.value(t)
+                assert type(one) is float and _ulps(one, want) <= 4
+            assert H.value(0.0) == 0.0 and H.inner_integral(-1.0) == 0.0
+
+
+@given(random_grids(max_level_1d=6, max_level_2d=3))
+def test_holmstedt_near_frozen_per_point_random(w):
+    _assert_holmstedt_near_frozen(w)
+
+
+@pytest.mark.parametrize("w", flat_grids() + localized_grids(), ids=lambda w: f"{w.label}-d{w.d}L{w.L}")
+def test_holmstedt_near_frozen_per_point_flat_and_localized(w):
+    _assert_holmstedt_near_frozen(w)
+
+
+def test_holmstedt_value_is_one_piece_call(monkeypatch):
+    # every t inside K's domain shares one power_piece_integral call
+    H = HolmstedtCurve(k_l1_linf(make_grid(1, 8, "rand:4:lognormal:1"), DyadicCube(0, (0,))), 0.5, 2.0)
+    calls = []
+    real = kcalc.power_piece_integral
+    monkeypatch.setattr(kcalc, "power_piece_integral", lambda *a, **k: calls.append(1) or real(*a, **k))
+    ts = _holmstedt_points(H.K, 0.5)
+    assert H.value(ts).shape == ts.shape
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Equimeasurability is checked at the bit level: the rearrangement's mass is
 carried from the exact cube sum, and its plateaus are the multiset of cell
 values. The maximal function is compared against a brute-force max over
 ancestor averages, and the two-sided Herz bounds are exercised directly on
-small explicit weights in both dimensions.
+small explicit weights in both dimensions.  double_star and dyadic_maximal
+are checked bit for bit against frozen copies of their earlier per-point
+and per-cube forms.
 """
 
 import math
@@ -12,9 +14,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import random_grids
-from rhlab.grid import DyadicCube, enumerate_cubes, integrate, make_grid
+from conftest import flat_grids, frozen_double_star, localized_grids, random_grids
+from rhlab.grid import DyadicCube, _rowmajor_of_morton, enumerate_cubes, integrate, make_grid
 from rhlab.rearrange import (
     DecreasingStep,
     double_star,
@@ -190,3 +193,58 @@ def test_weak_type_unit_bound_exact():
         rw = rearrangement(w, w.base)
         worst = max(float(rM.star(t)) / double_star(rw, t) for t in rM.breaks)
         assert math.isclose(worst, 1.0, rel_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# frozen per-point and per-cube forms
+
+
+def _frozen_dyadic_maximal(w, Q0):
+    """Cells of dyadic_maximal(w, Q0) from a running max over Q0's slice of
+    each level's sums, before the per-level helper."""
+    d, L = w.d, w.L
+    rm = None
+    for lev in range(Q0.level, L + 1):
+        width = 1 << (d * (L - lev))
+        a, b = w.zrange(Q0)
+        avgs = w.float_level_sums(lev)[a // width : b // width] * (2.0 ** (d * (lev - L)))
+        rm = avgs if rm is None else np.maximum(np.repeat(rm, 1 << d), avgs)
+    out = np.empty_like(rm)
+    out[_rowmajor_of_morton(d, L - Q0.level)] = rm
+    return out
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _assert_frozen_forms(w):
+    children = [w.base.child(k) for k in range(1 << w.d)] if w.L > w.base.level else []
+    for Q in [w.base] + children:
+        r = rearrangement(w, Q)
+        T = r.total_measure
+        ts = np.concatenate([r.breaks, r.breaks * 0.7, [T * 1e-9, T * 0.31, T * 1.5, T * 40.0]])
+        got = double_star(r, ts)
+        frozen = [frozen_double_star(r, float(t)) for t in ts]
+        np.testing.assert_array_equal(_bits(got), _bits(frozen))
+        one = double_star(r, float(ts[-3]))
+        assert type(one) is float and _bits(one) == _bits(frozen[-3])
+        np.testing.assert_array_equal(_bits(dyadic_maximal(w, Q).cells), _bits(_frozen_dyadic_maximal(w, Q)))
+
+
+@given(random_grids(max_level_1d=7, max_level_2d=4))
+def test_double_star_and_maximal_match_frozen_random(w):
+    _assert_frozen_forms(w)
+
+
+@given(st.sampled_from(flat_grids() + localized_grids()))
+def test_double_star_and_maximal_match_frozen_flat_and_localized(w):
+    _assert_frozen_forms(w)
+
+
+def test_double_star_rejects_any_nonpositive_t():
+    r = rearrangement(make_grid(1, 2, "step:2,1"), make_grid(1, 2, "step:2,1").base)
+    for t in (0.0, -1.0, [0.5, 0.0], np.array([0.25, -0.1, 2.0])):
+        with pytest.raises(ValueError, match="t must be positive"):
+            double_star(r, t)
+    assert double_star(r, [0.25, 0.75, 2.0]).tolist() == [2.0, (1.0 + 0.25) / 0.75, 0.75]

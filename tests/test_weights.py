@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flat_grids, random_grids
+from conftest import flat_grids, frozen_double_star, localized_grids, random_grids
 from rhlab import weights
-from rhlab.grid import WeightGrid, enumerate_cubes, integrate, make_grid
+from rhlab.grid import CubeFamily, WeightGrid, _cube_at, enumerate_cubes, integrate, make_grid
 from rhlab.kcalc import grid_power, k_l1_linf, power_piece_integral
-from rhlab.rearrange import DecreasingStep, rearrangement
+from rhlab.rearrange import DecreasingStep, _level_maximal, dyadic_maximal, rearrangement
 from rhlab.weights import (
     _kside_level,
     _lorentz_level,
@@ -338,6 +338,84 @@ def test_weak_type_residual_exact_one():
 @given(random_grids(max_level_1d=6, max_level_2d=3))
 def test_weak_type_residual_bounded(w):
     assert weak_type_residual(w, w.base) <= 1.0 + 1e-9
+
+
+# frozen per-point forms of the Herz and weak-type checks and of the Fujii
+# ratios, before they became array expressions
+
+
+def _frozen_herz(w):
+    Q0 = w.base
+    rM = rearrangement(dyadic_maximal(w, Q0), Q0)
+    rw = rearrangement(w, Q0)
+    ts = np.unique(np.concatenate((rM.breaks, rw.breaks)))
+    eps = w.cell_measure
+    cd = (1 << w.d) + 1.0
+    ok1 = ok2 = True
+    worst1 = worst2 = 0.0
+    for t in ts:
+        lhs1 = rM.star(t)
+        rhs1 = frozen_double_star(rw, t)
+        worst1 = max(worst1, lhs1 / rhs1)
+        if lhs1 > rhs1 * (1.0 + 1e-12):
+            ok1 = False
+        lhs2 = frozen_double_star(rw, t)
+        rhs2 = cd * rM.star(t * (1.0 - eps))
+        worst2 = max(worst2, lhs2 / rhs2)
+        if lhs2 > rhs2 * (1.0 + 1e-12):
+            ok2 = False
+    return ok1, ok2, worst1, worst2
+
+
+def _frozen_weak_type(w, Q):
+    rM = rearrangement(dyadic_maximal(w, Q), Q)
+    rw = rearrangement(w, Q)
+    best = 0.0
+    for t in rM.breaks:
+        best = max(best, float(rM.star(t)) / frozen_double_star(rw, t))
+    return best
+
+
+def _frozen_fujii_maximal(w, lev):
+    rm = w.float_level_sums(lev) / (1 << (w.d * (w.L - lev)))
+    for l2 in range(lev + 1, w.L + 1):
+        rm = np.maximum(np.repeat(rm, 1 << w.d), w.float_level_sums(l2) / (1 << (w.d * (w.L - l2))))
+    return rm.reshape(-1, 1 << (w.d * (w.L - lev)))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _assert_maximal_checks_frozen(w):
+    case = verify_herz(w).cases[0]
+    ok1, ok2, worst1, worst2 = _frozen_herz(w)
+    assert (case["maximal_below_doublestar"], case["doublestar_below_scaled_maximal"]) == (ok1, ok2)
+    assert _bits(case["worst_ratio_1"]) == _bits(worst1)
+    assert _bits(case["worst_ratio_2"]) == _bits(worst2)
+    children = [w.base.child(k) for k in range(1 << w.d)] if w.L > w.base.level else []
+    for Q in [w.base] + children:
+        assert _bits(weak_type_residual(w, Q)) == _bits(_frozen_weak_type(w, Q))
+    best = -math.inf
+    for lev in range(w.base.level, w.L + 1):
+        rm = _frozen_fujii_maximal(w, lev)
+        np.testing.assert_array_equal(_bits(_level_maximal(w, lev)), _bits(rm))
+        ratios = rm.sum(axis=1) / w.float_level_sums(lev)
+        i = int(np.argmax(ratios))
+        c = fujii_constant(w, CubeFamily([], f"level:{lev}"))
+        assert _bits(c.value) == _bits(ratios[i]) and c.witness == _cube_at(w, lev, i).addr()
+        best = max(best, float(ratios[i]))
+    assert _bits(fujii_constant(w).value) == _bits(best)
+
+
+@given(random_grids(max_level_1d=7, max_level_2d=4))
+def test_maximal_checks_match_frozen_random(w):
+    _assert_maximal_checks_frozen(w)
+
+
+@given(st.sampled_from(flat_grids() + localized_grids()))
+def test_maximal_checks_match_frozen_flat_and_localized(w):
+    _assert_maximal_checks_frozen(w)
 
 
 def test_verify_extrapolation_const():
