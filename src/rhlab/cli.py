@@ -36,6 +36,7 @@ from .grid import (
     WeightFormatError,
     WeightGrid,
     WeightSpecError,
+    cube_levels,
     integrate,
     load_weight,
     make_grid,
@@ -99,13 +100,17 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _float_list(text: str, flag: str) -> tuple[float, ...]:
+def _float_list(text: str, flag: str, least: float = -math.inf) -> tuple[float, ...]:
     try:
         vals = tuple(float(x) for x in text.split(",") if x.strip() != "")
     except ValueError:
         raise UsageError(f"{flag} expects a comma-separated list of numbers, got {text!r}")
     if not vals:
         raise UsageError(f"{flag} list is empty")
+    if not all(map(math.isfinite, vals)):
+        raise UsageError(f"{flag} entries must be finite, got {text!r}")
+    if any(v < least for v in vals):
+        raise UsageError(f"{flag} entries must be at least {least:g}")
     return vals
 
 
@@ -439,27 +444,24 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg.weight = weight
     cfg.d = d
     cfg.L = L
-    cfg.p_list = _float_list(args.p, "--p")
-    cfg.q_list = _float_list(args.q, "--q") if args.q.strip() else ()
-    if any(p < 1.0 for p in cfg.p_list):
-        raise UsageError("--p entries must be at least 1")
+    cfg.p_list = _float_list(args.p, "--p", 1.0)
+    cfg.q_list = _float_list(args.q, "--q", 1.0) if args.q.strip() else ()
     cfg.cap = args.cap
     if not cfg.cap > 1.0:
         raise UsageError("--cap must exceed 1")
+    if not math.isfinite(cfg.cap):
+        raise UsageError("--cap must be finite")
     cfg.gamma_list = _float_list(args.gamma, "--gamma")
     if any(not 0.0 < g <= 1.0 for g in cfg.gamma_list):
         raise UsageError("--gamma entries must lie in (0, 1]")
     cfg.out = args.out
     if args.command == "analyze":
         cfg.cubes = args.cubes
-        if cfg.cubes.startswith("level:"):
-            try:
-                in_range = 0 <= int(cfg.cubes.split(":", 1)[1]) <= L
-            except ValueError:
-                in_range = False
-            if not in_range:
+        try:
+            cube_levels(cfg.cubes, 0, L)
+        except ValueError:
+            if cfg.cubes.startswith("level:"):
                 raise UsageError(f"--cubes level:k needs an integer k in [0, {L}], got {cfg.cubes!r}")
-        elif cfg.cubes not in ("all-dyadic", "base"):
             raise UsageError(f"unknown --cubes policy {cfg.cubes!r}")
     if args.command == "verify":
         cfg.suite = args.suite
@@ -468,6 +470,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if cfg.cases < 0:
             raise UsageError("--cases must be nonnegative")
         cfg.radius = args.radius
+        if cfg.radius is not None and not math.isfinite(cfg.radius):
+            raise UsageError("--radius must be finite")
         if cfg.radius is not None and cfg.radius < 1.0:
             raise UsageError("--radius must be at least 1")
     if args.command == "curve":

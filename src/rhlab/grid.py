@@ -391,42 +391,29 @@ def integrate(w: WeightGrid, Q: DyadicCube) -> float:
     return math.ldexp(w._exact_tree(a, b), -w.d * w.L)
 
 
-def enumerate_cubes(w: WeightGrid, policy: str = "all-dyadic") -> CubeFamily:
-    """Deterministic cube families: level-major, lexicographic coords.
-
-    Policies: "all-dyadic" (every level from the base cube down to the
-    cells), "level:k" (a single level), or "base".
-    """
-    lo = w.base.level
+def cube_levels(policy: str, lo: int, L: int) -> range:
+    """The levels of a cube-family policy for a base cube at level lo and
+    cells at level L: "all-dyadic" (lo..L), "base" (lo) or "level:k" (k)."""
     if policy == "all-dyadic":
-        levels = range(lo, w.L + 1)
-    elif policy == "base":
-        levels = range(lo, lo + 1)
-    elif policy.startswith("level:"):
+        return range(lo, L + 1)
+    if policy == "base":
+        return range(lo, lo + 1)
+    if policy.startswith("level:"):
         try:
             k = int(policy.split(":", 1)[1])
         except ValueError as exc:
             raise ValueError(f"bad level policy {policy!r}") from exc
-        if not lo <= k <= w.L:
-            raise ValueError(f"level {k} outside [{lo}, {w.L}]")
-        levels = range(k, k + 1)
-    else:
-        raise ValueError(f"unknown cube policy {policy!r}")
-    cubes = []
-    for lev in levels:
-        shift = lev - lo
-        n = 1 << shift
-        base_coords = w.base.coords
-        if w.d == 1:
-            for c0 in range(n):
-                cubes.append(DyadicCube(lev, ((base_coords[0] << shift) + c0,)))
-        else:
-            for c0 in range(n):
-                for c1 in range(n):
-                    cubes.append(
-                        DyadicCube(lev, ((base_coords[0] << shift) + c0, (base_coords[1] << shift) + c1))
-                    )
-    return CubeFamily(cubes, policy)
+        if not lo <= k <= L:
+            raise ValueError(f"level {k} outside [{lo}, {L}]")
+        return range(k, k + 1)
+    raise ValueError(f"unknown cube policy {policy!r}")
+
+
+def enumerate_cubes(w: WeightGrid, policy: str = "all-dyadic") -> CubeFamily:
+    """Deterministic cube families: level-major, each level in Morton order
+    (level_cubes), for the levels of cube_levels(policy)."""
+    levels = cube_levels(policy, w.base.level, w.L)
+    return CubeFamily([Q for lev in levels for Q in level_cubes(w, lev)], policy)
 
 
 def _level_coords(w: WeightGrid, level: int, rows) -> np.ndarray:

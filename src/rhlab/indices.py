@@ -59,7 +59,7 @@ import numpy as np
 from scipy.special import wrightomega
 
 from .grid import WeightGrid, _cube_at
-from .kcalc import ConcaveCurve, CurveFamily, StepProductCurve
+from .kcalc import ConcaveCurve, CurveFamily, StepProductCurve, _level_pieces
 
 _TIE = 1e-9
 _TRIVIAL = 1e-12
@@ -156,13 +156,13 @@ class _LevelBlock:
     def of_level(cls, w: WeightGrid, level: int, kind: str) -> "_LevelBlock":
         """The block of the curves of kind "k" or "acks" of every cube of a
         level below the cells, on the full window."""
-        vals, K = w.sorted_level(level)
-        m = vals.shape[1]
-        s = np.arange(1, m + 1) * w.cell_measure
         if kind == "k":
             # pieces 2..m: phi = a + b s on [s_{k-1}, s_k]
-            return cls(s, np.log(K), K[:, :-1] - vals[:, 1:] * s[:-1], vals[:, 1:])
-        lnphi = np.empty((vals.shape[0], 2 * m - 1))
+            vals, K, _, s, A = _level_pieces(w, level)
+            return cls(s, np.log(K), A[:, 1:], vals[:, 1:])
+        vals = w.sorted_level(level)[0]
+        s = np.arange(1, vals.shape[1] + 1) * w.cell_measure
+        lnphi = np.empty((vals.shape[0], 2 * s.size - 1))
         lnphi[:, 0::2] = np.log(s[None, :] * vals)
         lnphi[:, 1::2] = np.log(s[None, :-1] * vals[:, 1:])
         return cls(np.repeat(s, 2)[:-1], lnphi, None, None)
@@ -515,9 +515,9 @@ def family_index(
     q = F.q if q is None else q
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
-    if q < 1.0:
+    if not q >= 1.0:
         raise ValueError("q must be at least 1")
-    if C_cap <= 1.0:
+    if not C_cap > 1.0:
         raise ValueError("C_cap must exceed 1")
     if not gamma_grid or any(not 0.0 < g <= 1.0 for g in gamma_grid):
         raise ValueError("gamma_grid must be a nonempty subset of (0, 1]")
@@ -551,7 +551,7 @@ def single_index(phi, C_cap: float = 16.0, gamma: float = 1.0) -> IndexEstimate:
     ratio minima included for concave curves); resolution is the dyadic
     count log2(window / first knot).
     """
-    if C_cap <= 1.0:
+    if not C_cap > 1.0:
         raise ValueError("C_cap must exceed 1")
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")

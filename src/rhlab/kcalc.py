@@ -14,11 +14,11 @@ exact representation:
   * composite curves H(t) = (integral_0^{t^{1/(1-theta)}} [s^{-theta} K(s)]^q
     ds/s)^{1/q}, integrated in closed form on origin pieces and by adaptive
     Gauss-Legendre panels elsewhere (relative tolerance 1e-10);
-  * the same piece integrals for all cubes of a level at once
-    (level_piece_integrals): their K-curve pieces share one column grid, so
-    the Gauss-Legendre nodes and s^E are built once per column and only
-    (A + B s)^q is evaluated per cube, in fixed-size blocks, with results
-    bit-identical to the per-piece route under a single-threaded BLAS;
+  * one piece-integral kernel for all of these (level_piece_integrals): the
+    K-curve pieces of all cubes of a level (_level_pieces) share one column
+    grid, so the Gauss-Legendre nodes and s^E are built once per column and
+    (A + B s)^q per cube, in fixed-size blocks; power_piece_integral is its
+    one-row call on arbitrary pieces;
   * Lorentz norms over (0, infinity) using the exact 1/t tail of the averaged
     rearrangement;
   * the Luxemburg norm of L log L by bisection on its defining integral;
@@ -217,7 +217,7 @@ class QuadratureError(RuntimeError):
     """A quadrature panel still failing the 20/40-node test at depth 40."""
 
 
-def _bisect_panels(work: list, q: float, E: float, rel: float, acc: np.ndarray) -> None:
+def _bisect_panels(work: list, q: float, E: float, acc: np.ndarray) -> None:
     """Adaptive 20/40-node loop over a stack of panel batches
     (A, B, lo, hi, flat index, depth): accepted panels are added into acc,
     the others are halved and pushed back.  A panel still failing the test
@@ -226,14 +226,13 @@ def _bisect_panels(work: list, q: float, E: float, rel: float, acc: np.ndarray) 
         a, b, lo, hi, ix, depth = work.pop()
         c20 = _gl_panel(a, b, lo, hi, q, E, _GL20)
         c40 = _gl_panel(a, b, lo, hi, q, E, _GL40)
-        tol = rel * np.maximum(np.abs(c40), 1e-300)
-        done = np.abs(c40 - c20) <= tol
+        done = np.abs(c40 - c20) <= _PIECE_REL * np.maximum(np.abs(c40), 1e-300)
         np.add.at(acc, ix[done], c40[done])
         bad = ~done
         if np.any(bad):
             if depth >= 40:
                 raise QuadratureError(
-                    f"piece integral not converged to rel={rel:g} after 40 bisections "
+                    f"piece integral not converged to rel={_PIECE_REL:g} after 40 bisections "
                     f"on [{float(lo[bad][0])!r}, {float(hi[bad][0])!r}]"
                 )
             mid = 0.5 * (lo[bad] + hi[bad])
@@ -241,59 +240,18 @@ def _bisect_panels(work: list, q: float, E: float, rel: float, acc: np.ndarray) 
             work.append((a[bad], b[bad], mid, hi[bad], ix[bad], depth + 1))
 
 
-# Default relative tolerance of the 20/40-node test; level_piece_integrals
-# always uses it.
+# Relative tolerance of the 20/40-node test.
 _PIECE_REL = 1e-10
-# Smallest accepted rel, about 4.5 ulp: the 20- and 40-node sums of a panel
-# each carry a few ulp of rounding, so below this a panel may never pass and
-# every one is halved down to depth 40 (2^40 panels per piece).
-_REL_FLOOR = 1e-15
 
 
-def power_piece_integral(A, B, s0, s1, q: float, E: float, rel: float = _PIECE_REL) -> np.ndarray:
-    """Batched integral of (A + B s)^q s^E over [s0, s1], elementwise.
-
-    Exact closed forms when A = 0 (pure power; requires q + E > -1 if s0 = 0)
-    or q = 1; otherwise adaptive Gauss-Legendre with 20/40-node comparison,
-    bisecting panels until the relative difference is below rel.  A piece
-    with A != 0 and s0 = 0 requires E > -1.  Divergent pieces raise
-    ValueError ("divergent integral at the origin"); a panel still above
-    rel after 40 bisections raises QuadratureError.  rel below 1e-15
-    (_REL_FLOOR) raises ValueError, since rounding alone can keep every
-    panel above it and the bisection would then not finish.
-    """
-    if not rel >= _REL_FLOOR:
-        raise ValueError(f"rel must be at least {_REL_FLOOR:g}, got {rel!r}")
-    A = np.atleast_1d(np.asarray(A, dtype=np.float64))
-    B = np.atleast_1d(np.asarray(B, dtype=np.float64))
-    s0 = np.atleast_1d(np.asarray(s0, dtype=np.float64))
-    s1 = np.atleast_1d(np.asarray(s1, dtype=np.float64))
-    A, B, s0, s1 = np.broadcast_arrays(A, B, s0, s1)
+def power_piece_integral(A, B, s0, s1, q: float, E: float) -> np.ndarray:
+    """Integral of (A + B s)^q s^E over [s0, s1], elementwise over the
+    broadcast arguments, 0 where s1 <= s0: the pieces with s1 > s0 are one
+    row of level_piece_integrals."""
+    A, B, s0, s1 = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in (A, B, s0, s1)))
     out = np.zeros(A.shape, dtype=np.float64)
     live = s1 > s0
-    # near 0 a piece with A != 0 behaves like |A|^q s^E
-    if E <= -1.0 and not s0.all() and np.any(live & (A != 0.0) & (s0 == 0.0)):
-        raise ValueError("divergent integral at the origin")
-    origin = live & (A == 0.0)
-    if np.any(origin):
-        r = q + E
-        if np.any(s0[origin] == 0.0) and r <= -1.0:
-            raise ValueError("divergent integral at the origin")
-        lo = np.where(s0[origin] == 0.0, 0.0, _antider_pow(np.maximum(s0[origin], 1e-300), r))
-        out[origin] = B[origin] ** q * (_antider_pow(s1[origin], r) - lo)
-        live = live & ~origin
-    if q == 1.0 and np.any(live):
-        out[live] = A[live] * (_antider_pow(s1[live], E) - _antider_pow(s0[live], E)) + B[live] * (
-            _antider_pow(s1[live], E + 1.0) - _antider_pow(s0[live], E + 1.0)
-        )
-        return out
-    if not np.any(live):
-        return out
-    idx = np.nonzero(live.ravel())[0]
-    flat = lambda x: x.ravel()[idx]
-    acc = np.zeros(out.size, dtype=np.float64)
-    _bisect_panels([(flat(A), flat(B), flat(s0), flat(s1), idx, 0)], q, E, rel, acc)
-    out += acc.reshape(out.shape)
+    out[live] = level_piece_integrals(A[live][None], B[live][None], s0[live], s1[live], q, E)[0]
     return out
 
 
@@ -325,40 +283,53 @@ def _node_sums(a, b, s, sE, weights, q: float, buf: np.ndarray) -> np.ndarray:
 
 
 def level_piece_integrals(A, B, s0, s1, q: float, E: float) -> np.ndarray:
-    """power_piece_integral over an (n, m) piece matrix whose column k is the
-    interval [s0[k], s1[k]], s0[k] < s1[k], in every row (the K-curve pieces
-    of all cubes of one level), at its default tolerance; returns the (n, m)
-    integrals, bit for bit those of power_piece_integral on the flattened
-    pieces under a single-threaded BLAS whose gemv row blocking divides
-    _ROW_ALIGN.  A threaded BLAS splits power_piece_integral's large product
-    among threads, and the last rows of each share are rounded as a tail,
-    so there the two can differ in the last bit.
+    """The one piece-integral kernel: the integrals of (A + B s)^q s^E over an
+    (n, m) piece matrix whose column k is [s0[k], s1[k]], s0[k] < s1[k], in
+    every row (the K-curve pieces of all cubes of a level, _level_pieces);
+    power_piece_integral is its one-row call.
 
-    The nodes and s^E are built once per column block, and (A + B s)^q s^E is
-    evaluated per row block in one reused buffer, so scratch memory is bounded
-    by _PIECE_BLOCK whatever n m is.  power_piece_integral reduces all its
-    panels in one matrix-vector product whose last rows BLAS rounds as a
-    tail; the last _ROW_ALIGN + (count mod _ROW_ALIGN) panels are therefore
-    recomputed in one product of that many rows, which has the same tail.
-    Pieces with A == 0 take the closed form through power_piece_integral,
-    pieces failing the depth-0 20/40-node test enter its bisection loop at
-    depth 1, and q == 1 is handed to power_piece_integral whole.
+    Exact closed forms when A = 0 (pure power; requires q + E > -1 if
+    s0 = 0) or q = 1; otherwise Gauss-Legendre panels, bisected until the 20-
+    and 40-node sums agree to _PIECE_REL.  A piece with A != 0 and s0 = 0
+    requires E > -1.  Divergent pieces raise ValueError ("divergent integral
+    at the origin"), a panel still failing at depth 40 QuadratureError.
+
+    Nodes and s^E are built once per column block and (A + B s)^q s^E per row
+    block in one reused buffer, so scratch is bounded by _PIECE_BLOCK.  BLAS
+    rounds the last rows of a matrix-vector product as a tail, so the last
+    _ROW_ALIGN + (count mod _ROW_ALIGN) quadrature pieces are recomputed in
+    one product of that many rows: the results are bit for bit those of one
+    product over all of them in flat order, under a single-threaded BLAS
+    whose gemv row blocking divides _ROW_ALIGN (a threaded BLAS also rounds
+    the end of each thread's share as a tail).  Pieces failing the depth-0
+    test enter the bisection loop at depth 1.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     s0 = np.asarray(s0, dtype=np.float64)
     s1 = np.asarray(s1, dtype=np.float64)
     n, m = A.shape
-    if q == 1.0:
-        return power_piece_integral(A.ravel(), B.ravel(), np.tile(s0, n), np.tile(s1, n), q, E).reshape(n, m)
+    # near 0 a piece with A != 0 behaves like |A|^q s^E
+    if E <= -1.0 and np.any(A[:, s0 == 0.0] != 0.0):
+        raise ValueError("divergent integral at the origin")
     Af, Bf = A.ravel(), B.ravel()
     out = np.zeros(n * m)
     origin = np.flatnonzero(Af == 0.0)
     if origin.size:
         k = origin % m
-        out[origin] = power_piece_integral(Af[origin], Bf[origin], s0[k], s1[k], q, E)
+        r = q + E
+        if r <= -1.0 and np.any(s0[k] == 0.0):
+            raise ValueError("divergent integral at the origin")
+        lo = np.where(s0[k] == 0.0, 0.0, _antider_pow(np.maximum(s0[k], 1e-300), r))
+        out[origin] = Bf[origin] ** q * (_antider_pow(s1[k], r) - lo)
     live = np.flatnonzero(Af != 0.0)
     if live.size == 0:
+        return out.reshape(n, m)
+    if q == 1.0:
+        k = live % m
+        out[live] = Af[live] * (_antider_pow(s1[k], E) - _antider_pow(s0[k], E)) + Bf[live] * (
+            _antider_pow(s1[k], E + 1.0) - _antider_pow(s0[k], E + 1.0)
+        )
         return out.reshape(n, m)
     c20 = np.empty((n, m))
     c40 = np.empty((n, m))
@@ -390,9 +361,21 @@ def level_piece_integrals(A, B, s0, s1, q: float, E: float) -> np.ndarray:
     if bad.size:
         a, b, lo, hi = Af[bad], Bf[bad], s0[bad % m], s1[bad % m]
         mid = 0.5 * (lo + hi)
-        _bisect_panels([(a, b, lo, mid, bad, 1), (a, b, mid, hi, bad, 1)], q, E, _PIECE_REL, acc)
+        _bisect_panels([(a, b, lo, mid, bad, 1), (a, b, mid, hi, bad, 1)], q, E, acc)
     out += acc
     return out.reshape(n, m)
+
+
+def _level_pieces(w: WeightGrid, level: int):
+    """The K-curve pieces of every cube of a level, on one column grid:
+    (vals, K, s0, s, A), where the curve of the i-th cube equals
+    A[i, k] + vals[i, k] t on [s0[k], s[k]], s[k] = (k + 1) h for the cell
+    measure h, and K[i, k] is its value at s[k]."""
+    vals, K = w.sorted_level(level)
+    s = np.arange(1, vals.shape[1] + 1) * w.cell_measure
+    s0 = np.concatenate(([0.0], s[:-1]))
+    K0 = np.concatenate((np.zeros((K.shape[0], 1)), K[:, :-1]), axis=1)
+    return vals, K, s0, s, K0 - vals * s0[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +389,7 @@ def k_l1_linf(w: WeightGrid, Q: DyadicCube) -> ConcaveCurve:
 
 def k_lp_linf(w: WeightGrid, Q: DyadicCube, p: float) -> LpKCurve:
     """G(t) = (integral_0^t ((w chi_Q)*)^p)^{1/p}; exact curve of G^p."""
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError("p must be at least 1")
     r = rearrangement(w, Q)
     gp = ConcaveCurve.from_plateaus(r.values ** p, r.measures)
@@ -430,7 +413,7 @@ class HolmstedtCurve:
     def __init__(self, K: ConcaveCurve, theta: float, q: float):
         if not 0.0 < theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
-        if q < 1.0:
+        if not q >= 1.0:
             raise ValueError("q must be at least 1")
         self.K = K
         self.theta = theta
@@ -473,9 +456,9 @@ def lorentz_norm(w: WeightGrid, Q: DyadicCube, p: float, q: float) -> float:
     """L(p,q) norm of w chi_Q over (0, infinity):
     (integral_0^inf [f**(t)]^q t^{q/p - 1} dt)^{1/q}, with the exact
     mass/t tail of f** past |Q|."""
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError("p must exceed 1")
-    if q < 1.0:
+    if not q >= 1.0:
         raise ValueError("q must be at least 1")
     K = k_l1_linf(w, Q)
     A, B, s0, s1 = K.pieces()
@@ -490,9 +473,9 @@ def lorentz_norm(w: WeightGrid, Q: DyadicCube, p: float, q: float) -> float:
 
 def k_lorentz_linf(w: WeightGrid, Q: DyadicCube, p: float, q: float, t: float) -> float:
     """(integral_0^{t^p} [w*(s) s^{1/p}]^q ds/s)^{1/q}, exact per plateau."""
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError("p must exceed 1")
-    if q < 1.0:
+    if not q >= 1.0:
         raise ValueError("q must be at least 1")
     if t <= 0.0:
         raise ValueError("t must be positive")
@@ -713,47 +696,43 @@ def packing_average(f: WeightGrid, w: WeightGrid, pi: list[DyadicCube]) -> Packe
     return _packed(_level_tables(f, w), w, _packing_rows(w, pi), list(pi))
 
 
-def packing_family(
-    f: WeightGrid,
-    w: WeightGrid | None = None,
-    p: float = 1.0,
-    policy: str = "standard",
-    max_stopping: int = 33,
-) -> PackingFamily:
+_STOPPING_THRESHOLDS = 33
+
+
+def packing_family(f: WeightGrid, w: WeightGrid | None = None, p: float = 1.0) -> PackingFamily:
     """Single-level packings plus stopping-time packings.
 
-    The stopping packings take a deterministic menu of at most max_stopping
-    thresholds among the distinct dyadic averages A_Q = int_Q f^p w / w(Q);
-    for each threshold the packing is the family of maximal dyadic cubes with
-    A_Q above it, listed level by level in Morton order.
+    The stopping packings take a deterministic menu of at most
+    _STOPPING_THRESHOLDS thresholds among the distinct dyadic averages
+    A_Q = int_Q f^p w / w(Q); for each threshold the packing is the family
+    of maximal dyadic cubes with A_Q above it, listed level by level in
+    Morton order.
     """
     if w is None:
         w = WeightGrid(f.d, f.L, np.ones(f.ncells), label="const:1", base=f.base)
     off = _level_offsets(f)
     packs = [level_cubes(f, lev) for lev in range(f.base.level, f.L + 1)]
     rows = [np.arange(a, b) for a, b in zip(off, off[1:])]
-    if policy == "standard":
-        num, den = _level_tables(grid_power(f, p), w)
-        avgs = num / den
-        distinct = np.unique(avgs)
-        if distinct.size > max_stopping:
-            sel = np.linspace(0, distinct.size - 1, max_stopping).astype(int)
-            distinct = distinct[sel]
-        cubes = [Q for level in packs for Q in level]
-        for lam in distinct[:-1]:  # the top threshold selects nothing
-            pick = []
-            covered = np.zeros(1, dtype=bool)
-            for k, (a, b) in enumerate(zip(off, off[1:])):
-                if k > 0:
-                    covered = np.repeat(covered, 1 << f.d)
-                sel = (avgs[a:b] > lam) & ~covered
-                pick.append(a + np.nonzero(sel)[0])
-                covered |= sel
-            r = np.concatenate(pick)
-            if r.size:
-                rows.append(r)
-                packs.append([cubes[i] for i in r.tolist()])
-    Pi = PackingFamily(packs, policy=policy)
+    num, den = _level_tables(grid_power(f, p), w)
+    avgs = num / den
+    distinct = np.unique(avgs)
+    if distinct.size > _STOPPING_THRESHOLDS:
+        distinct = distinct[np.linspace(0, distinct.size - 1, _STOPPING_THRESHOLDS).astype(int)]
+    cubes = [Q for level in packs for Q in level]
+    for lam in distinct[:-1]:  # the top threshold selects nothing
+        pick = []
+        covered = np.zeros(1, dtype=bool)
+        for k, (a, b) in enumerate(zip(off, off[1:])):
+            if k > 0:
+                covered = np.repeat(covered, 1 << f.d)
+            sel = (avgs[a:b] > lam) & ~covered
+            pick.append(a + np.nonzero(sel)[0])
+            covered |= sel
+        r = np.concatenate(pick)
+        if r.size:
+            rows.append(r)
+            packs.append([cubes[i] for i in r.tolist()])
+    Pi = PackingFamily(packs, policy="standard")
     Pi._rows[(f.d, f.L, f.base)] = rows
     return Pi
 
@@ -766,7 +745,7 @@ def k_weighted_curve(
     Each packing is rearranged once and all ts are looked up in it; per t
     the first packing reaching the maximum is the witness, as in k_weighted.
     """
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError("p must be at least 1")
     if not Pi.packings:
         raise ValueError("empty packing family")

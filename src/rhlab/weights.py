@@ -41,12 +41,14 @@ from .grid import (
     WeightGrid,
     _cube_at,
     _rowmajor_of_morton,
+    cube_levels,
     integrate,
     make_grid,
 )
 from .kcalc import (
     CurveFamily,
     PackingFamily,
+    _level_pieces,
     extrapolation_norm,
     grid_power,
     k_l1_linf,
@@ -94,17 +96,6 @@ def default_radius(d: int) -> float:
 # ---------------------------------------------------------------------------
 # cube-family plumbing
 
-def _family_levels(w: WeightGrid, F: CubeFamily | None) -> list[int]:
-    """Levels swept by a cube family; constants vectorize level by level."""
-    if F is None or F.policy == "all-dyadic":
-        return list(range(w.base.level, w.L + 1))
-    if F.policy == "base":
-        return [w.base.level]
-    if F.policy.startswith("level:"):
-        return [int(F.policy.split(":", 1)[1])]
-    raise ValueError(f"unsupported cube policy {F.policy!r}")
-
-
 def _policy_name(F: CubeFamily | None) -> str:
     return "all-dyadic" if F is None else F.policy
 
@@ -126,7 +117,7 @@ def _family_constant(w: WeightGrid, F: CubeFamily | None, kind: str, level_value
     order; ties go to the first level and first Morton row."""
     best = -math.inf
     where = None
-    for level in _family_levels(w, F):
+    for level in cube_levels(_policy_name(F), w.base.level, w.L):
         ratios = level_values(level)
         i = int(np.argmax(ratios))
         if float(ratios[i]) > best:
@@ -141,7 +132,7 @@ def _family_constant(w: WeightGrid, F: CubeFamily | None, kind: str, level_value
 
 def rh_p_constant(w: WeightGrid, p: float, F: CubeFamily | None = None) -> ClassConstant:
     """max over the family of (avg_Q w^p)^{1/p} / avg_Q w."""
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError("p must exceed 1")
     zp = w.zcells ** p
     ratios = lambda lev: _level_row_means(zp, w, lev) ** (1.0 / p) / _level_means(w, lev)
@@ -151,7 +142,7 @@ def rh_p_constant(w: WeightGrid, p: float, F: CubeFamily | None = None) -> Class
 def a_p_constant(w: WeightGrid, p: float, F: CubeFamily | None = None) -> ClassConstant:
     """p > 1: max of (avg_Q w)(avg_Q w^{-1/(p-1)})^{p-1}; p = 1: max cell
     ratio of the dyadic maximal function to the weight."""
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError("p must be at least 1")
     if p == 1.0:
         M = dyadic_maximal(w, w.base)
@@ -174,18 +165,6 @@ def rh_llogl_constant(w: WeightGrid, F: CubeFamily | None = None) -> ClassConsta
     return _family_constant(w, F, "RH_LLogL", ratios)
 
 
-def _level_pieces(w: WeightGrid, level: int):
-    """The K-curve pieces of every cube of a level, on one column grid:
-    (vals, K, s0, s, A), where the curve of the i-th cube equals
-    A[i, k] + vals[i, k] t on [s0[k], s[k]], s[k] = (k + 1) h for the cell
-    measure h, and K[i, k] is its value at s[k]."""
-    vals, K = w.sorted_level(level)
-    s = np.arange(1, vals.shape[1] + 1) * w.cell_measure
-    s0 = np.concatenate(([0.0], s[:-1]))
-    K0 = np.concatenate((np.zeros((K.shape[0], 1)), K[:, :-1]), axis=1)
-    return vals, K, s0, s, K0 - vals * s0[None, :]
-
-
 def _lorentz_level(w: WeightGrid, level: int, p: float, q: float) -> np.ndarray:
     """Lorentz L(p,q) norms of w restricted to each cube of a level."""
     vals, K, s0, s, A = _level_pieces(w, level)
@@ -198,9 +177,9 @@ def _lorentz_level(w: WeightGrid, level: int, p: float, q: float) -> np.ndarray:
 
 def rh_lorentz_constant(w: WeightGrid, p: float, q: float, F: CubeFamily | None = None) -> ClassConstant:
     """max over the family of ||w chi_Q||_{L(p,q)} / (|Q|^{1/p} avg_Q w)."""
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError("p must exceed 1")
-    if q < 1.0:
+    if not q >= 1.0:
         raise ValueError("q must be at least 1")
 
     def ratios(lev):
@@ -223,7 +202,7 @@ def fujii_constant(w: WeightGrid, F: CubeFamily | None = None) -> ClassConstant:
 
 def rh_p_weighted_constant(g: WeightGrid, w: WeightGrid, p: float, F: CubeFamily | None = None) -> ClassConstant:
     """max over the family of ((1/w(Q)) int_Q g^p w)^{1/p} / ((1/w(Q)) int_Q g w)."""
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError("p must exceed 1")
     if g.d != w.d or g.L != w.L:
         raise ValueError("g and w must share a grid")
@@ -256,7 +235,7 @@ def gehring_improve(w: WeightGrid, p: float, C_cap: float = 16.0) -> GehringResu
     p_max = 1/(1 - ind_hat) (capped at 64 when ind_hat >= 1 - 1/64, where the
     formula diverges) and p0 = (p + p_max)/2, re-verified against the index
     criterion ind_hat > 1 - 1/p0."""
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError("p must exceed 1")
     est = family_index(CurveFamily(w), C_cap=C_cap)
     ind_hat = est.delta_hat
@@ -302,7 +281,7 @@ def _kside_level(w: WeightGrid, level: int, p: float) -> np.ndarray:
 
 def kside_rh_constant(w: WeightGrid, p: float, F: CubeFamily | None = None) -> ClassConstant:
     """sup over the family of the K-side reverse-Hölder functional."""
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError("p must exceed 1")
     return _family_constant(w, F, "RH_p_kside", lambda lev: _kside_level(w, lev, p), p=p)
 
@@ -419,7 +398,7 @@ def verify_stromberg_wheeden(w: WeightGrid, p: float, C_cap: float = 16.0) -> Th
     excluded from the assertion but their discrete classifications are still
     recorded.
     """
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError("p must exceed 1")
     thresh = 1.0 - 1.0 / p
     fam = family_index(CurveFamily(w), C_cap=C_cap)

@@ -8,7 +8,8 @@ are exactly representable and bit-level assertions are meaningful.
 BLAS runs on one thread in the tests: a threaded gemv rounds the last rows
 of each thread's share as a tail, and how a product is split depends on the
 core count, so bit-for-bit comparisons between products of different sizes
-(kcalc.level_piece_integrals against power_piece_integral) would depend on
+(kcalc.power_piece_integral against its frozen former implementation, a
+level's piece matrix against the same pieces in one row) would depend on
 the host.  The variable must be set before numpy is first imported.
 """
 

@@ -371,6 +371,22 @@ def test_level_bounds_enforced(capsys):
     assert main(["analyze", "--weight", "const:1", "--p", "0.5"]) == 2
 
 
+_NON_FINITE = [
+    (("analyze", "--weight", "const:1", "--level", "3", "--p", "nan"), "--p entries must be finite, got 'nan'"),
+    (("analyze", "--weight", "const:1", "--level", "3", "--p", "2", "--q", "nan"), "--q entries must be finite, got 'nan'"),
+    (("analyze", "--weight", "const:1", "--level", "3", "--cap", "inf"), "--cap must be finite"),
+    (("verify", "--suite", "rhp", "--cases", "1", "--level", "3", "--radius", "nan"), "--radius must be finite"),
+    (("curve", "--weight", "const:1", "--level", "3", "--kind", "holmstedt:0.5:nan"), "q must be at least 1"),
+    (("analyze", "--weight", "const:1", "--level", "3", "--q", "2,0.5"), "--q entries must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _NON_FINITE, ids=[" ".join(a[-2:]) for a, _ in _NON_FINITE])
+def test_non_finite_parameters_are_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"rhlab: error: {message}\n")
+
+
 _CUBE_POLICIES = [
     ("level:99", 2),
     ("level:-1", 2),

@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dyadic_grids, random_grids
+from conftest import dyadic_grids, localized_grids, random_grids
 from rhlab.grid import (
     DyadicCube,
     WeightFormatError,
     WeightGrid,
     WeightSpecError,
     base_cube,
+    cube_levels,
     enumerate_cubes,
     integrate,
     level_cubes,
@@ -302,6 +303,42 @@ def test_enumerate_cubes_counts_and_policies():
         enumerate_cubes(w, "level:9")
     with pytest.raises(ValueError):
         enumerate_cubes(w, "rings")
+
+
+def test_cube_levels_parses_every_policy():
+    assert cube_levels("all-dyadic", 1, 4) == range(1, 5)
+    assert cube_levels("base", 1, 4) == range(1, 2)
+    assert cube_levels("level:3", 1, 4) == range(3, 4)
+    assert cube_levels("level:1", 1, 4) == range(1, 2)
+    for policy, message in (
+        ("level:5", "level 5 outside [1, 4]"),
+        ("level:0", "level 0 outside [1, 4]"),
+        ("level:x", "bad level policy 'level:x'"),
+        ("rings", "unknown cube policy 'rings'"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            cube_levels(policy, 1, 4)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "w",
+    [make_grid(1, 4, "rand:4:lognormal:1"), make_grid(2, 3, "rand:5:lognormal:1"), *localized_grids()],
+    ids=lambda w: f"d{w.d}L{w.L}base{w.base.level}",
+)
+def test_enumerate_cubes_is_level_cubes_concatenated(w):
+    lo = w.base.level
+    for policy, levels in (
+        ("all-dyadic", range(lo, w.L + 1)),
+        ("base", [lo]),
+        (f"level:{lo + 1}", [lo + 1]),
+        (f"level:{w.L}", [w.L]),
+    ):
+        F = enumerate_cubes(w, policy)
+        assert F.policy == policy
+        assert F.cubes == [Q for lev in levels for Q in level_cubes(w, lev)]
+    with pytest.raises(ValueError, match=rf"level {lo - 1} outside"):
+        enumerate_cubes(w, f"level:{lo - 1}")
 
 
 def test_level_cubes_order_matches_morton_rows():

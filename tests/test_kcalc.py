@@ -5,8 +5,10 @@ quadrature (scipy.integrate.quad) on the same integrand, with breakpoints
 passed as quadrature nodes. The frozen oracles are hand-derived: the K-curve
 of step 2,1, the straight Holmstedt line of a constant weight, the Luxemburg
 root of the constant-1 weight, and the Lorentz norms of indicators. The
-level kernel level_piece_integrals is checked bit for bit against
-power_piece_integral on the same pieces, and the level-table packing path
+one piece-integral kernel is checked bit for bit twice: power_piece_integral
+against a frozen copy of its former implementation (its own 20/40-node pass
+in one product), and level_piece_integrals on a level's (n, m) piece matrix
+against the same pieces flattened into one row; the level-table packing path
 (k_weighted_curve) against a frozen copy of the per-packing loop it
 replaced.
 """
@@ -29,6 +31,7 @@ from rhlab.kcalc import (
     PackingFamily,
     QuadratureError,
     StepProductCurve,
+    _level_pieces,
     extrapolation_norm,
     grid_power,
     holmstedt_curve,
@@ -46,7 +49,6 @@ from rhlab.kcalc import (
     power_piece_integral,
 )
 from rhlab.rearrange import double_star, rearrangement
-from rhlab.weights import _level_pieces
 
 
 # ---------------------------------------------------------------------------
@@ -232,33 +234,26 @@ def test_level_piece_integrals_q_one_is_closed_form():
 
 def test_level_piece_integrals_scratch_is_bounded():
     # no (n m, 40) array: the traced peak stays below one such array at
-    # every level of a 16384-cell grid
+    # every level of a 16384-cell grid, for the level kernel and for
+    # power_piece_integral on the same 16384 pieces flattened
     import tracemalloc
 
     w = make_grid(1, 14, "pow:-0.5")
     for lev in (0, 7, 13):
         B, _, s0, s1, A = _level_pieces(w, lev)
-        tracemalloc.start()
-        try:
-            level_piece_integrals(A, B, s0, s1, 2.0, -1.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < A.size * 40 * 8
-
-
-def test_power_piece_integral_rel_floor():
-    # below the floor rounding alone can keep every panel failing down to
-    # depth 40, so such a rel is refused before any work; the floor converges
-    w = make_grid(1, 6, "rand:3:lognormal:1")
-    B, _, s0, s1, A = _level_pieces(w, 0)
-    pieces = (A.ravel(), B.ravel(), s0, s1, 2.0, -1.5)
-    assert A.size == 64
-    for rel in (1e-16, 0.0, -1e-10, math.nan):
-        with pytest.raises(ValueError, match="rel must be at least"):
-            power_piece_integral(*pieces, rel=rel)
-    fine = power_piece_integral(*pieces, rel=1e-15)
-    np.testing.assert_allclose(fine, power_piece_integral(*pieces), rtol=1e-9)
+        flat = (A.ravel(), B.ravel(), np.tile(s0, A.shape[0]), np.tile(s1, A.shape[0]))
+        calls = (
+            lambda: level_piece_integrals(A, B, s0, s1, 2.0, -1.5),
+            lambda: power_piece_integral(*flat, 2.0, -1.5),
+        )
+        for call in calls:
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < A.size * 40 * 8
 
 
 @pytest.mark.parametrize("E", [-1.5, -1.0])
@@ -276,6 +271,174 @@ def test_piece_integral_depth_cap_raises():
     one = lambda x: np.array([[x]])
     with pytest.raises(QuadratureError, match="after 40 bisections"):
         level_piece_integrals(one(-1.0), one(1.0), np.array([1.0]), np.array([2.0]), 0.5, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# power_piece_integral against a frozen copy of its former implementation,
+# which ran its own 20/40-node pass over all pieces in one product
+
+
+def _frozen_antider_pow(s, r):
+    if r == -1.0:
+        return np.log(s)
+    return s ** (r + 1.0) / (r + 1.0)
+
+
+def _frozen_gl_panel(A, B, s0, s1, q, E, table):
+    nodes, weights = table
+    mid = 0.5 * (s0 + s1)
+    half = 0.5 * (s1 - s0)
+    s = mid[:, None] + half[:, None] * nodes[None, :]
+    f = (A[:, None] + B[:, None] * s) ** q * s ** E
+    return half * (f @ weights)
+
+
+def _frozen_bisect_panels(work, q, E, rel, acc):
+    gl20 = np.polynomial.legendre.leggauss(20)
+    gl40 = np.polynomial.legendre.leggauss(40)
+    while work:
+        a, b, lo, hi, ix, depth = work.pop()
+        c20 = _frozen_gl_panel(a, b, lo, hi, q, E, gl20)
+        c40 = _frozen_gl_panel(a, b, lo, hi, q, E, gl40)
+        done = np.abs(c40 - c20) <= rel * np.maximum(np.abs(c40), 1e-300)
+        np.add.at(acc, ix[done], c40[done])
+        bad = ~done
+        if np.any(bad):
+            if depth >= 40:
+                raise QuadratureError(
+                    f"piece integral not converged to rel={rel:g} after 40 bisections "
+                    f"on [{float(lo[bad][0])!r}, {float(hi[bad][0])!r}]"
+                )
+            mid = 0.5 * (lo[bad] + hi[bad])
+            work.append((a[bad], b[bad], lo[bad], mid, ix[bad], depth + 1))
+            work.append((a[bad], b[bad], mid, hi[bad], ix[bad], depth + 1))
+
+
+def frozen_power_piece_integral(A, B, s0, s1, q, E, rel=1e-10):
+    A, B, s0, s1 = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in (A, B, s0, s1)))
+    out = np.zeros(A.shape, dtype=np.float64)
+    live = s1 > s0
+    if E <= -1.0 and not s0.all() and np.any(live & (A != 0.0) & (s0 == 0.0)):
+        raise ValueError("divergent integral at the origin")
+    origin = live & (A == 0.0)
+    if np.any(origin):
+        r = q + E
+        if np.any(s0[origin] == 0.0) and r <= -1.0:
+            raise ValueError("divergent integral at the origin")
+        lo = np.where(s0[origin] == 0.0, 0.0, _frozen_antider_pow(np.maximum(s0[origin], 1e-300), r))
+        out[origin] = B[origin] ** q * (_frozen_antider_pow(s1[origin], r) - lo)
+        live = live & ~origin
+    if q == 1.0 and np.any(live):
+        out[live] = A[live] * (_frozen_antider_pow(s1[live], E) - _frozen_antider_pow(s0[live], E)) + B[live] * (
+            _frozen_antider_pow(s1[live], E + 1.0) - _frozen_antider_pow(s0[live], E + 1.0)
+        )
+        return out
+    if not np.any(live):
+        return out
+    idx = np.nonzero(live.ravel())[0]
+    acc = np.zeros(out.size, dtype=np.float64)
+    _frozen_bisect_panels([(A.ravel()[idx], B.ravel()[idx], s0.ravel()[idx], s1.ravel()[idx], idx, 0)], q, E, rel, acc)
+    out += acc.reshape(out.shape)
+    return out
+
+
+def _assert_frozen_bitwise(A, B, s0, s1, q, E):
+    got = power_piece_integral(A, B, s0, s1, q, E)
+    ref = frozen_power_piece_integral(A, B, s0, s1, q, E)
+    assert got.shape == ref.shape
+    np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+_PIECE = st.tuples(st.floats(0.0, 3.0), st.floats(0.1, 3.0), st.floats(0.05, 1.0), st.floats(1.1, 4.0))
+
+
+@settings(max_examples=60)
+@given(st.lists(_PIECE, min_size=1, max_size=300), st.floats(1.0, 3.5), st.floats(-2.5, 1.5))
+def test_power_piece_integral_frozen_fuzz(pieces, q, E):
+    # the fuzz strategy's pieces, batched, so products of any length and
+    # their tails are covered
+    A, B, s0, ratio = map(np.array, zip(*pieces))
+    _assert_frozen_bitwise(A, B, s0, s0 * ratio, q, E)
+
+
+@settings(max_examples=30)
+@given(random_grids(), st.sampled_from([0.3, 0.5, 0.7]), st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.data())
+def test_power_piece_integral_frozen_holmstedt_pieces(w, theta, q, data):
+    # the Holmstedt prefix (every piece of K) and the partial pieces of
+    # points scattered inside K's domain
+    K = k_l1_linf(w, w.base)
+    E = -theta * q - 1.0
+    _assert_frozen_bitwise(*K.pieces(), q, E)
+    u = np.array(data.draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=64), label="u"))
+    T = u * K.domain_end
+    j = np.minimum(np.searchsorted(K.t, T, side="right") - 1, K.t.size - 2)
+    A, B, _, _ = K.pieces()
+    _assert_frozen_bitwise(A[j], B[j], K.t[j], T, q, E)
+
+
+@pytest.mark.parametrize("spec, L", [("pow:-0.5", 14), ("rand:8:lognormal:1", 12)])
+def test_power_piece_integral_frozen_long_curves(spec, L):
+    # several column blocks in one row, plus the tail recompute
+    K = k_l1_linf(make_grid(1, L, spec), DyadicCube(0, (0,)))
+    for theta, q in ((0.5, 2.0), (0.3, 3.0)):
+        _assert_frozen_bitwise(*K.pieces(), q, -theta * q - 1.0)
+
+
+@given(st.one_of(random_grids(), st.sampled_from(_FLAT_GRIDS)), st.sampled_from([1.5, 2.0, 3.0]), st.data())
+def test_power_piece_integral_frozen_tstar_pieces(w, p, data):
+    # scattered pieces ending at the K-side denominator minima, as
+    # weights._kside_level builds them
+    lev = data.draw(st.integers(w.base.level, w.L), label="level")
+    vals, _, s0, s, A = _level_pieces(w, lev)
+    theta = 1.0 - 1.0 / p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tstar = theta * A / (vals * (1.0 - theta))
+    rows, cols = np.nonzero((A > 0) & (tstar > s0[None, :]) & (tstar < s[None, :]))
+    _assert_frozen_bitwise(A[rows, cols], vals[rows, cols], s0[cols], tstar[rows, cols], p, -theta * p - 1.0)
+
+
+def test_power_piece_integral_frozen_empty_pieces_and_broadcasts():
+    rng = np.random.default_rng(3)
+    A = rng.uniform(0.0, 2.0, 100)
+    A[::7] = 0.0
+    B = rng.uniform(0.1, 3.0, 100)
+    s0 = rng.uniform(0.05, 1.0, 100)
+    s1 = s0 * rng.uniform(1.1, 4.0, 100)
+    s1[::5] = s0[::5]  # empty
+    s1[1::5] = 0.5 * s0[1::5]  # reversed
+    for q, E in ((2.0, -1.5), (1.0, -0.5), (2.5, -2.2)):
+        _assert_frozen_bitwise(A, B, s0, s1, q, E)
+        got = power_piece_integral(A, B, s0, s1, q, E)
+        assert np.all(got[::5] == 0.0) and np.all(got[1::5] == 0.0)
+        _assert_frozen_bitwise(A, B, s0, s0, q, E)  # nothing live
+        _assert_frozen_bitwise(0.5, B, 0.25, s1, q, E)  # scalars broadcast
+        _assert_frozen_bitwise(A[:, None], B[None, :8], s0[None, :8], s1[None, :8], q, E)  # 2-d broadcast
+        _assert_frozen_bitwise(0.5, 2.0, 0.25, 1.0, q, E)  # all scalar: shape (1,)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1.0, 1.0, 0.0, 1.0, 2.0, -1.5),  # intercept piece at the origin
+        (np.array([0.0, 1.0]), 1.0, np.array([0.5, 0.0]), 1.0, 2.0, -1.0),  # ... not in column 0
+        (0.0, 1.0, 0.0, 1.0, 2.0, -3.5),  # pure power, q + E <= -1
+        (-1.0, 1.0, 1.0, 2.0, 0.5, 0.0),  # depth cap
+    ],
+)
+def test_power_piece_integral_errors_unchanged(args):
+    with pytest.raises((ValueError, QuadratureError)) as ref:
+        frozen_power_piece_integral(*args)
+    with pytest.raises(ref.type) as got:
+        power_piece_integral(*args)
+    assert str(got.value) == str(ref.value)
+
+
+def test_level_piece_integrals_checks_every_origin_column():
+    # a piece with A != 0 starting at 0 diverges for E <= -1 in any column
+    A = np.array([[0.0, 1.0], [0.0, 2.0]])
+    B = np.ones((2, 2))
+    with pytest.raises(ValueError, match="divergent integral at the origin"):
+        level_piece_integrals(A, B, np.array([0.5, 0.0]), np.array([1.0, 1.0]), 2.0, -1.0)
 
 
 # ---------------------------------------------------------------------------

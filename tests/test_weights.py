@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from conftest import flat_grids, frozen_double_star, localized_grids, random_grids
 from rhlab import weights
 from rhlab.grid import CubeFamily, WeightGrid, _cube_at, enumerate_cubes, integrate, make_grid
-from rhlab.kcalc import grid_power, k_l1_linf, power_piece_integral
+from rhlab.indices import family_index
+from rhlab.kcalc import CurveFamily, HolmstedtCurve, grid_power, k_l1_linf, lorentz_norm, power_piece_integral
 from rhlab.rearrange import DecreasingStep, _level_maximal, dyadic_maximal, rearrangement
 from rhlab.weights import (
     _kside_level,
@@ -192,6 +193,56 @@ def test_constants_respect_cube_families():
     level2 = rh_p_constant(w, 2.0, enumerate_cubes(w, "level:2")).value
     assert full >= base_only * (1 - 1e-15)
     assert full >= level2 * (1 - 1e-15)
+
+
+_CONSTANTS = {
+    "rh_p": lambda w, F: rh_p_constant(w, 2.0, F),
+    "a_p": lambda w, F: a_p_constant(w, 2.0, F),
+    "llogl": rh_llogl_constant,
+    "lorentz": lambda w, F: rh_lorentz_constant(w, 2.0, 2.0, F),
+    "fujii": fujii_constant,
+    "kside": lambda w, F: kside_rh_constant(w, 2.0, F),
+    "hardy": hardy_residual_sup,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTANTS))
+def test_out_of_range_level_policy_raises_range_error(name):
+    # one parser of the policy string: a level outside [base level, L]
+    # raises its range message, also below a localized grid's base
+    const = _CONSTANTS[name]
+    w = make_grid(1, 4, "rand:3:lognormal:1")
+    for k in (99, 5, -1):
+        with pytest.raises(ValueError, match=rf"^level {k} outside \[0, 4\]$"):
+            const(w, CubeFamily([], f"level:{k}"))
+    local = localized_grids()[0]
+    assert local.base.level == 2
+    with pytest.raises(ValueError, match=rf"^level 1 outside \[2, {local.L}\]$"):
+        const(local, CubeFamily([], "level:1"))
+    with pytest.raises(ValueError, match="^unknown cube policy 'rings'$"):
+        const(w, CubeFamily([], "rings"))
+
+
+def test_nan_parameters_are_refused():
+    # every comparison with NaN is False, so each check is written to fail on it
+    w = make_grid(1, 3, "rand:1:lognormal:1")
+    K = k_l1_linf(w, w.base)
+    nan = math.nan
+    cases = [
+        lambda: HolmstedtCurve(K, 0.5, nan),
+        lambda: rh_p_constant(w, nan),
+        lambda: a_p_constant(w, nan),
+        lambda: rh_lorentz_constant(w, nan, 2.0),
+        lambda: rh_lorentz_constant(w, 2.0, nan),
+        lambda: lorentz_norm(w, w.base, nan, 2.0),
+        lambda: lorentz_norm(w, w.base, 2.0, nan),
+        lambda: kside_rh_constant(w, nan),
+        lambda: family_index(CurveFamily(w), q=nan),
+        lambda: family_index(CurveFamily(w), C_cap=nan),
+    ]
+    for case in cases:
+        with pytest.raises(ValueError, match="must"):
+            case()
 
 
 # ---------------------------------------------------------------------------
