@@ -35,7 +35,6 @@ from .grid import (
     CubeFamily,
     WeightFormatError,
     WeightGrid,
-    WeightSpecError,
     cube_levels,
     integrate,
     load_weight,
@@ -145,15 +144,13 @@ def _pmap(fn, items: list) -> list:
 
 def cmd_analyze(cfg: RunConfig) -> tuple[str, int]:
     w = make_grid(cfg.d, cfg.L, cfg.weight)
-    report = W.analyze_report(
-        w,
-        p_list=cfg.p_list,
-        q_list=cfg.q_list,
-        C_cap=cfg.cap,
-        gamma_grid=cfg.gamma_list,
-        cube_policy=cfg.cubes,
-    )
-    return json.dumps(report, indent=2) + "\n", EXIT_OK
+    # beyond the float range: a numerical error, not warnings and Infinity
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        report = W.analyze_report(w, cfg.p_list, cfg.q_list, cfg.cap, cfg.gamma_list, cfg.cubes)
+    try:
+        return json.dumps(report, indent=2, allow_nan=False) + "\n", EXIT_OK
+    except ValueError as exc:
+        raise ArithmeticError(exc) from None
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +323,22 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
 # curve
 
 def cmd_curve(cfg: RunConfig) -> tuple[str, int]:
+    kind = cfg.kind
+    if kind.startswith("holmstedt:"):  # parameters checked before the grid is built
+        parts = kind.split(":")
+        if len(parts) != 3:
+            raise UsageError("holmstedt kind must be holmstedt:<theta>:<q>")
+        try:
+            theta, q = float(parts[1]), float(parts[2])
+        except ValueError:
+            raise UsageError(f"bad holmstedt parameters in {kind!r}")
+        if not 0.0 < theta < 1.0:
+            raise UsageError("theta must lie in (0, 1)")
+        if not 1.0 <= q < math.inf:
+            raise UsageError("q must be at least 1" if not q >= 1.0 else "q must be finite")
     w = make_grid(cfg.d, cfg.L, cfg.weight)
     addr = cfg.cube or w.base.addr()
     Q = parse_cube(addr, cfg.d)
-    kind = cfg.kind
     rows: list[tuple[float, float]]
     if kind == "k":
         K = k_l1_linf(w, Q)
@@ -339,18 +348,10 @@ def cmd_curve(cfg: RunConfig) -> tuple[str, int]:
         rows = [(0.0, float(r.values[0]))]
         rows += list(zip(r.breaks.tolist(), r.values.tolist()))
     elif kind.startswith("holmstedt:"):
-        parts = kind.split(":")
-        if len(parts) != 3:
-            raise UsageError("holmstedt kind must be holmstedt:<theta>:<q>")
-        try:
-            theta, q = float(parts[1]), float(parts[2])
-        except ValueError:
-            raise UsageError(f"bad holmstedt parameters in {kind!r}")
         K = k_l1_linf(w, Q)
         H = HolmstedtCurve(K, theta, q)
         ts = K.t ** (1.0 - theta)
         rows = list(zip(ts.tolist(), H.value(ts).tolist()))
-        kind = f"holmstedt:{parts[1]}:{parts[2]}"
     elif kind == "weighted-k":
         # weighted K-functional estimate of the weight against its own
         # measure, sampled at the w-measures of the origin-chain cubes
@@ -496,16 +497,10 @@ def main(argv: list[str] | None = None) -> int:
             text, code = cmd_curve(cfg)
         else:
             text, code = cmd_convert(cfg)
-    except UsageError as exc:
-        print(f"rhlab: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except WeightSpecError as exc:
-        print(f"rhlab: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (WeightFormatError, OSError) as exc:
         print(f"rhlab: error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:  # WeightSpecError included
         print(f"rhlab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (QuadratureError, ArithmeticError, MemoryError) as exc:

@@ -264,12 +264,15 @@ class WeightGrid:
         return math.fsum(memoryview(self.zcells[a:b]))
 
     def float_level_sums(self, level: int) -> np.ndarray:
-        """Float block sums over all cubes of a level (Morton order)."""
+        """Float block sums over all cubes of a level (Morton order); OverflowError past the float range."""
         if self._float_sums is None:
             sums = [self.zcells.astype(np.float64)]
             fan = 1 << self.d
-            while sums[-1].size > 1:
-                sums.append(sums[-1].reshape(-1, fan).sum(axis=1))
+            with np.errstate(over="ignore"):
+                while sums[-1].size > 1:
+                    sums.append(sums[-1].reshape(-1, fan).sum(axis=1))
+            if not math.isfinite(sums[-1][0]):  # the cells are positive: the top sum is the largest
+                raise OverflowError("cube mass exceeds the float range")
             sums.reverse()
             self._float_sums = sums
         return self._float_sums[level - self.base.level]
@@ -286,7 +289,8 @@ class WeightGrid:
         if rel not in self._sorted_levels:
             width = 1 << (self.d * (self.L - level))
             vals = np.sort(self.zcells.reshape(-1, width), axis=1)[:, ::-1]
-            cum = np.cumsum(vals, axis=1) * self.cell_measure
+            with np.errstate(over="ignore"):  # refused just below
+                cum = np.cumsum(vals, axis=1) * self.cell_measure
             if not np.all(np.isfinite(cum[:, -1])):
                 raise OverflowError("cube mass exceeds the float range")
             vals.setflags(write=False)

@@ -51,6 +51,7 @@ t* = a / (b omega(c)) (see _hardy_rows).  One kernel serves a single curve
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -166,6 +167,16 @@ class _LevelBlock:
         lnphi[:, 0::2] = np.log(s[None, :] * vals)
         lnphi[:, 1::2] = np.log(s[None, :-1] * vals[:, 1:])
         return cls(np.repeat(s, 2)[:-1], lnphi, None, None)
+
+    def rows(self, idx: np.ndarray | None) -> "_LevelBlock":
+        """The rows idx of the block (all for None), sharing the abscissae."""
+        if idx is None:
+            return self
+        out = copy.copy(self)
+        out.lnphi = self.lnphi[idx]
+        if self.a_pos is not None:
+            out.a_pos, out.lnA, out.lnB = self.a_pos[idx], self.lnA[idx], self.lnB[idx]
+        return out
 
     def lg(self, u: float, with_s: bool = False):
         """The log-ratios lnphi - u ln s of the exact candidate set at scan
@@ -283,16 +294,17 @@ def ai_constant(phi, delta: float, gamma: float = 1.0, domain_end: float | None 
 
 def _blocks_ok(blocks, u, lncap_q):
     """Whether the blocks' constant at scan point u is within the cap, with
-    the max log-ratio over all rows (base scale), on the full width and the
-    exact candidate set."""
-    cmax = 0.0
+    the max log-ratio over all rows (base scale) and each block's row
+    maxima, on the full width and the exact candidate set."""
+    rmax = []
     for blk in blocks:
         lg = blk.lg(u)
-        cmax = max(cmax, float((np.maximum.accumulate(lg, axis=1) - lg).max()))
-    return cmax <= lncap_q + 1e-15, cmax
+        rmax.append((np.maximum.accumulate(lg, axis=1) - lg).max(axis=1))
+    cmax = max([0.0] + [float(r.max()) for r in rmax])
+    return cmax <= lncap_q + 1e-15, cmax, rmax
 
 
-def _knee_ok(blocks, u, windows, lncap_q, triv_tol):
+def _knee_ok(blocks, u, windows, lncap_q, triv_tol, order):
     """Knee admissibility at scan point u of several windows in one pass.
 
     windows[k][b] is the (ncols, kappa) of window k on block b.  The ratio
@@ -302,13 +314,19 @@ def _knee_ok(blocks, u, windows, lncap_q, triv_tol):
     cube beyond the cap, or with a binding pair whose lever exceeds kappa.
     Returns one (ok, cap_failed) pair per window; cap_failed marks a failure
     of the first kind, which persists at every larger u.
+
+    Blocks are visited in the list order, and a block failing any window
+    moves to its front (fail-first).  Order cannot change ok, an AND over
+    blocks, only whether a cap or a lever failure is met first; a cap
+    failure persists, so the grid points a stopped scan skips fail anyway.
     """
     out = [(True, False)] * len(windows)
     pending = list(range(len(windows)))
-    for b, blk in enumerate(blocks):
+    for b in list(order):
         live = [k for k in pending if windows[k][b][0]]
         if not live:
             continue
+        blk, undecided = blocks[b], len(pending)
         width = max(windows[k][b][0] for k in live)
         lg = blk.lnphi[:, :width] - u * blk.ls[:width]
         r = np.maximum.accumulate(lg, axis=1) - lg
@@ -334,6 +352,8 @@ def _knee_ok(blocks, u, windows, lncap_q, triv_tol):
             if lev_min[rmax > triv_tol].max() > kappa:
                 out[k] = (False, False)
                 pending.remove(k)
+        if len(pending) < undecided:
+            order.insert(0, order.pop(order.index(b)))
         if not pending:
             break
     return out
@@ -438,12 +458,11 @@ def _index_estimate(blocks, windows, beta, q, C_cap, resolution, name) -> IndexE
     lncap_q = math.log(C_cap) / q
     triv_tol = _TRIVIAL / q
     utol = 1e-4 / q
-    knee = lambda u, ks: _knee_ok(blocks, u, [windows[k][1] for k in ks], lncap_q, triv_tol)
-    best = None  # (u_hat, monotone, gamma, window)
-    for (gamma, win), (u_hat, mono) in zip(windows, _scan_largest(knee, utol, len(windows))):
-        if best is None or u_hat > best[0]:
-            best = (u_hat, mono, gamma, win)
-    u_hat, monotone, gamma_star, win_star = best
+    order = list(range(len(blocks)))  # the knee scan's fail-first order
+    knee = lambda u, ks: _knee_ok(blocks, u, [windows[k][1] for k in ks], lncap_q, triv_tol, order)
+    scans = _scan_largest(knee, utol, len(windows))
+    best = max(range(len(windows)), key=lambda k: scans[k][0])  # the first best gamma
+    (u_hat, monotone), (gamma_star, win_star) = scans[best], windows[best]
 
     def cap_value(u):
         # the constant at u; beyond the float range it is reported as inf
@@ -452,7 +471,19 @@ def _index_estimate(blocks, windows, beta, q, C_cap, resolution, name) -> IndexE
         except OverflowError:
             return math.inf
 
-    u_cap = _scan_prefix(lambda u: _blocks_ok(blocks, u, lncap_q)[0], utol)
+    live = [(blk, None) for blk in blocks]  # each block with the rows a cap probe reads
+
+    def cap_ok(u):
+        # later probes lie below a failing one: only its rows above the cap
+        # less 1e-12 can fail there, sliced per probe so that no copy is kept
+        nonlocal live
+        ok, _, rmax = _blocks_ok((blk.rows(i) for blk, i in live), u, lncap_q)
+        if not ok:
+            keep = [np.flatnonzero(r > lncap_q - 1e-12) for r in rmax]
+            live = [(blk, k if i is None else i[k]) for (blk, i), k in zip(live, keep) if k.size]
+        return ok
+
+    u_cap = _scan_prefix(cap_ok, utol)
     c_at = cap_value(u_cap)
     if u_cap + 1e-3 / q <= 1.0:
         c_beyond = cap_value(u_cap + 1e-3 / q)
@@ -505,7 +536,11 @@ def family_index(
         set, and cap failure there is monotone in u by the same argument,
         so a knee scan stops at its first cap failure;
       * the gamma = 1 blocks serve every window as column prefixes and the
-        cap scan, and one pass per grid point decides all gammas.
+        cap scan, and one pass per grid point decides all gammas;
+      * knee passes visit the blocks fail-first: ok is an AND over blocks,
+        and a cap failure met first only stops a scan that fails after it;
+      * cap probes after a failing one, all below it, read only its rows
+        above the cap less 1e-12, each row's constant growing with u.
 
     The result is memoised on the weight grid, keyed by the kind and the
     parameters; each call returns its own copy.

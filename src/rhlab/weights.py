@@ -105,6 +105,12 @@ def _level_means(w: WeightGrid, level: int) -> np.ndarray:
     return w.float_level_sums(level) / width
 
 
+def _cells(w: WeightGrid) -> np.ndarray:
+    """w's Morton cells, after the level sums refused a mass beyond the float range."""
+    w.float_level_sums(w.L)
+    return w.zcells
+
+
 def _level_row_means(cells: np.ndarray, w: WeightGrid, level: int) -> np.ndarray:
     """Per-cube means of an arbitrary cell array given in Morton order."""
     width = 1 << (w.d * (w.L - level))
@@ -134,7 +140,7 @@ def rh_p_constant(w: WeightGrid, p: float, F: CubeFamily | None = None) -> Class
     """max over the family of (avg_Q w^p)^{1/p} / avg_Q w."""
     if not p > 1.0:
         raise ValueError("p must exceed 1")
-    zp = w.zcells ** p
+    zp = _cells(w) ** p
     ratios = lambda lev: _level_row_means(zp, w, lev) ** (1.0 / p) / _level_means(w, lev)
     return _family_constant(w, F, "RH_p", ratios, p=p)
 
@@ -150,7 +156,7 @@ def a_p_constant(w: WeightGrid, p: float, F: CubeFamily | None = None) -> ClassC
         i = int(np.argmax(ratios))
         witness = _cube_at(w, w.L, i).addr()
         return ClassConstant("A_1", float(ratios[i]), p=1.0, witness=witness, cube_policy=_policy_name(F))
-    zdual = w.zcells ** (-1.0 / (p - 1.0))
+    zdual = _cells(w) ** (-1.0 / (p - 1.0))
     ratios = lambda lev: _level_means(w, lev) * _level_row_means(zdual, w, lev) ** (p - 1.0)
     return _family_constant(w, F, "A_p", ratios, p=p)
 
@@ -159,7 +165,7 @@ def rh_llogl_constant(w: WeightGrid, F: CubeFamily | None = None) -> ClassConsta
     """max over the family of the Luxemburg L log L norm over the average."""
 
     def ratios(lev):
-        rows = w.zcells.reshape(-1, 1 << (w.d * (w.L - lev)))
+        rows = _cells(w).reshape(-1, 1 << (w.d * (w.L - lev)))
         return llogl_norm_rows(rows) / rows.mean(axis=1)
 
     return _family_constant(w, F, "RH_LLogL", ratios)
@@ -206,7 +212,7 @@ def rh_p_weighted_constant(g: WeightGrid, w: WeightGrid, p: float, F: CubeFamily
         raise ValueError("p must exceed 1")
     if g.d != w.d or g.L != w.L:
         raise ValueError("g and w must share a grid")
-    gp_w = (g.zcells ** p) * w.zcells
+    gp_w = (_cells(g) ** p) * _cells(w)
     g_w = g.zcells * w.zcells
 
     def ratios(lev):

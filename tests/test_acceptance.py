@@ -8,7 +8,7 @@ comparability of measure-side and K-side reverse Hölder constants, the
 limiting L log L class, the two index-classification equivalences, the
 Lorentz collapse, the Fujii and extrapolation bounds, packing consistency,
 and byte-level determinism of the full verification run under different
-thread counts.
+thread counts (with one analyze run beside it).
 
 Criterion 4 appears twice: the attainable form asserts the classification
 and growth content that holds at this resolution range, and a companion
@@ -304,13 +304,20 @@ def test_criterion_10_packing_consistency():
 
 
 def test_criterion_11_determinism(capsys, monkeypatch):
-    """The full verification run is byte-identical under 1 and 8 threads."""
-    outputs = []
+    """The full verification run, and an analyze run (whose index scans
+    carry their visiting order and pruned rows from pass to pass), are
+    byte-identical under 1 and 8 threads."""
+    runs = {
+        "verify": ["verify", "--suite", "all", "--seed", "1"],
+        "analyze": ["analyze", "--weight", "rand:3:lognormal:1", "--level", "12", "--q", "2"],
+    }
+    outputs = {name: [] for name in runs}
     for threads in ("1", "8"):
         monkeypatch.setenv("RHLAB_THREADS", threads)
-        code = main(["verify", "--suite", "all", "--seed", "1"])
-        captured = capsys.readouterr()
-        outputs.append(captured.out)
-        assert code == 0, f"verify --suite all failed under {threads} threads"
-    ok = outputs[0] == outputs[1] and len(outputs[0]) > 0
-    report(11, ok, f"{len(outputs[0])} bytes, threads 1 vs 8 identical={ok}")
+        for name, argv in runs.items():
+            code = main(argv)
+            outputs[name].append(capsys.readouterr().out)
+            assert code == 0, f"{name} failed under {threads} threads"
+    ok = all(a == b and len(a) > 0 for a, b in outputs.values())
+    sizes = " + ".join(f"{len(out[0])} bytes {name}" for name, out in outputs.items())
+    report(11, ok, f"{sizes}, threads 1 vs 8 identical={ok}")

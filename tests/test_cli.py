@@ -9,6 +9,7 @@ count never changes output bytes.
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -83,25 +84,55 @@ def test_curve_k_wide_range_cells(tmp_path, capsys):
     assert out.strip().split("\n")[-1] == "1.0,5e+199"
 
 
+def _run_quiet(capsys, *argv):
+    """run_cli, failing on any warning (numpy's overflow warnings among
+    them), which would otherwise reach stderr ahead of the one error line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli(capsys, *argv)
+
+
 def test_analyze_wide_range_cells(tmp_path, capsys):
-    # the acks constant at the cap scan's end exceeds the float range
-    code, out, err = run_cli(capsys, "analyze", "--weight", _weight_file(tmp_path, 1e-200, 1e200))
-    assert code == 0
-    assert json.loads(out)["grid"] == {"d": 1, "L": 1}
+    # the mass is finite, but w^2 on the 1e200 cell is not: RH_p and A_p
+    # leave the float range, which is one numerical error line rather than
+    # a report with Infinity in it (not strict JSON)
+    code, out, err = _run_quiet(capsys, "analyze", "--weight", _weight_file(tmp_path, 1e-200, 1e200))
+    assert code == 1 and out == ""
+    assert err.startswith("rhlab: numerical error: FloatingPointError") and err.count("\n") == 1
+
+
+def test_analyze_report_is_strict_json(capsys):
+    def refuse(name):
+        raise AssertionError(f"{name} in the report")
+
+    code, out, err = run_cli(capsys, "analyze", "--weight", "rand:2:lognormal:2", "--level", "6", "--q", "2")
+    assert code == 0 and err == ""
+    json.loads(out, parse_constant=refuse)
 
 
 def test_mass_beyond_float_range_is_numerical_error(tmp_path, capsys):
-    code, out, err = run_cli(capsys, "curve", "--weight", _weight_file(tmp_path, 1e308, 1e308), "--kind", "k")
+    code, out, err = _run_quiet(capsys, "curve", "--weight", _weight_file(tmp_path, 1e308, 1e308), "--kind", "k")
     assert code == 1 and out == ""
     assert err.startswith("rhlab: numerical error: OverflowError") and err.count("\n") == 1
 
 
 def test_analyze_mass_beyond_float_range_is_numerical_error(tmp_path, capsys):
-    # the K-curve knots of a cube whose cell sum overflows are refused where
-    # they are built, not left as inf for the index scans to trip over
-    code, out, err = run_cli(capsys, "analyze", "--weight", _weight_file(tmp_path, 1e308, 1e308))
-    assert code == 1 and out == ""
-    assert err.splitlines()[-1].startswith("rhlab: numerical error: OverflowError")
+    # the level sums refuse a cube mass beyond the float range before any
+    # class constant raises the cells to a power
+    code, out, err = _run_quiet(capsys, "analyze", "--weight", _weight_file(tmp_path, 1e308, 1e308))
+    assert (code, out) == (1, "")
+    assert err == "rhlab: numerical error: OverflowError: cube mass exceeds the float range\n"
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [("0.5:inf", "q must be finite"), ("0.5:nan", "q must be at least 1"),
+     ("0.5:0.5", "q must be at least 1"), ("1.5:2", "theta must lie in (0, 1)")],
+)
+def test_holmstedt_parameters_checked_before_the_grid(capsys, monkeypatch, params, message):
+    monkeypatch.setattr(cli, "make_grid", lambda *a: pytest.fail("grid built before the parameters were checked"))
+    code, out, err = _run_quiet(capsys, "curve", "--weight", "rand:1:lognormal:1", "--level", "4", "--kind", f"holmstedt:{params}")
+    assert (code, out, err) == (2, "", f"rhlab: error: {message}\n")
 
 
 def test_curve_holmstedt_one_batched_piece_call(capsys, monkeypatch):

@@ -18,10 +18,9 @@ from hypothesis import strategies as st
 
 from conftest import flat_grids, localized_grids, random_grids
 from rhlab import indices
-from rhlab.grid import WeightGrid, enumerate_cubes, level_cubes, make_grid
+from rhlab.grid import WeightGrid, _cube_at, enumerate_cubes, level_cubes, make_grid
 from rhlab.indices import (
     IndexEstimate,
-    _blocks_ok,
     _LevelBlock,
     acks_index,
     ai_constant,
@@ -411,7 +410,7 @@ def _ref_family_index(F, C_cap=16.0, gamma_grid=(1.0, 0.5, 0.25, 0.125)):
                 best = (u, mono, gamma, wins)
     u_hat, mono, gamma, wins = best
     blocks = [_LevelBlock.of_level(w, lev, F.kind) for lev in range(w.base.level, w.L)]
-    cap = lambda u: _blocks_ok(blocks, u, lncap)
+    cap = lambda u: _frozen_blocks_ok(blocks, u, lncap)
     u_cap, mono_cap = _ref_scan(lambda u: cap(u)[0], tol)
     beyond = u_cap + 1e-3 / q
     return IndexEstimate(
@@ -474,6 +473,216 @@ def test_family_index_memoised_per_grid(monkeypatch):
     assert again == dataclasses.replace(first, lambda_hat=None)
     family_index(CurveFamily(w, kind="acks"), C_cap=8.0)
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the fail-first knee scan and the row-pruned cap scan against frozen copies
+#
+# Frozen copies of _knee_ok, _scan_largest, _scan_prefix and the _blocks_ok
+# cap scan as they were before the knee passes visited the level blocks
+# fail-first and the cap probes kept only the rows that failed the probe
+# before: every knee pass walks the blocks in level order, and every cap
+# probe reads every row.  They run on the same blocks and windows as
+# family_index, so every field must agree bit for bit.
+
+
+def _frozen_blocks_ok(blocks, u, lncap_q):
+    cmax = 0.0
+    for blk in blocks:
+        lg = blk.lg(u)
+        cmax = max(cmax, float((np.maximum.accumulate(lg, axis=1) - lg).max()))
+    return cmax <= lncap_q + 1e-15, cmax
+
+
+def _frozen_knee_ok(blocks, u, windows, lncap_q, triv_tol):
+    out = [(True, False)] * len(windows)
+    pending = list(range(len(windows)))
+    for b, blk in enumerate(blocks):
+        live = [k for k in pending if windows[k][b][0]]
+        if not live:
+            continue
+        width = max(windows[k][b][0] for k in live)
+        lg = blk.lnphi[:, :width] - u * blk.ls[:width]
+        r = np.maximum.accumulate(lg, axis=1) - lg
+        lever = None
+        for k in live:
+            ncols, kappa = windows[k][b]
+            rk = r[:, :ncols]
+            rmax = rk.max(axis=1)
+            top = rmax.max()
+            if top > lncap_q + 1e-15:
+                out[k] = (False, True)
+                pending.remove(k)
+                continue
+            if top <= triv_tol:
+                continue
+            if lever is None:
+                ilast = np.maximum.accumulate(np.where(r <= 1e-9, np.arange(width), -1), axis=1)
+                lever = blk.ls[:width] - blk.ls[ilast]
+            binding = rk >= (rmax[:, None] - 1e-9)
+            lev_min = np.where(binding, lever[:, :ncols], np.inf).min(axis=1)
+            if lev_min[rmax > triv_tol].max() > kappa:
+                out[k] = (False, False)
+                pending.remove(k)
+        if not pending:
+            break
+    return out
+
+
+_FROZEN_GRID = np.linspace(0.0, 1.0, 65)
+
+
+def _frozen_bisect(ok_fn, j, tol):
+    lo, hi = float(_FROZEN_GRID[j]), float(_FROZEN_GRID[min(j + 1, 64)])
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if ok_fn(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _frozen_scan_largest(ok_fn, tol, n=1):
+    oks = [[] for _ in range(n)]
+    live = list(range(n))
+    for x in _FROZEN_GRID:
+        if not live:
+            break
+        res = ok_fn(float(x), live)
+        for k, (ok, _) in zip(live, res):
+            oks[k].append(ok)
+        live = [k for k, (_, capped) in zip(live, res) if not capped]
+    out = []
+    for k, o in enumerate(oks):
+        o = o + [False] * (_FROZEN_GRID.size - len(o))
+        monotone = all(a or not b for a, b in zip(o, o[1:]))
+        if not o[0]:
+            out.append((0.0, monotone))
+        elif all(o):
+            out.append((1.0, monotone))
+        else:
+            j = max(i for i, v in enumerate(o) if v)
+            out.append((_frozen_bisect(lambda u: ok_fn(u, [k])[0][0], j, tol), monotone))
+    return out
+
+
+def _frozen_scan_prefix(ok_fn, tol):
+    if not ok_fn(0.0):
+        return 0.0
+    if ok_fn(1.0):
+        return 1.0
+    lo, hi = 0, _FROZEN_GRID.size - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok_fn(float(_FROZEN_GRID[mid])):
+            lo = mid
+        else:
+            hi = mid
+    return _frozen_bisect(ok_fn, lo, tol)
+
+
+def _frozen_family_index(F, C_cap=16.0, gamma_grid=(1.0, 0.5, 0.25, 0.125)):
+    w, beta, q = F.w, F.beta, F.q
+    levels = range(w.base.level, w.L)
+    blocks = [_LevelBlock.of_level(w, lev, F.kind) for lev in levels]
+    windows = [(g, [indices._level_window(w, lev, F.kind, g) for lev in levels]) for g in gamma_grid]
+    windows = [(g, win) for g, win in windows if any(n for n, _ in win)]
+    lncap_q, triv_tol, utol = math.log(C_cap) / q, 1e-12 / q, 1e-4 / q
+    knee = lambda u, ks: _frozen_knee_ok(blocks, u, [windows[k][1] for k in ks], lncap_q, triv_tol)
+    best = None
+    for (gamma, win), (u_hat, mono) in zip(windows, _frozen_scan_largest(knee, utol, len(windows))):
+        if best is None or u_hat > best[0]:
+            best = (u_hat, mono, gamma, win)
+    u_hat, monotone, gamma_star, win_star = best
+
+    def cap_value(u):
+        try:
+            return math.exp(q * _frozen_blocks_ok(blocks, u, lncap_q)[1])
+        except OverflowError:
+            return math.inf
+
+    u_cap = _frozen_scan_prefix(lambda u: _frozen_blocks_ok(blocks, u, lncap_q)[0], utol)
+    c_beyond = cap_value(u_cap + 1e-3 / q) if u_cap + 1e-3 / q <= 1.0 else math.inf
+    wit = indices._witness(blocks, win_star, u_hat)
+    return IndexEstimate(
+        delta_hat=q * (u_hat - beta),
+        delta_cap=q * (u_cap - beta),
+        cap=C_cap,
+        gamma=gamma_star,
+        resolution=w.L,
+        witness=("", 0.0, 0.0) if wit is None else (_cube_at(w, levels[wit[0]], wit[1]).addr(), wit[2], wit[3]),
+        monotone=monotone,
+        cap_value_at=cap_value(u_cap),
+        cap_value_beyond=c_beyond,
+    )
+
+
+_SETTINGS = ((0.0, 1.0, 16.0, (1.0, 0.5, 0.25, 0.125)), (0.25, 2.0, 4.0, (0.5, 0.125)))
+
+
+def _assert_equals_frozen_scan(w):
+    for kind in ("k", "acks"):
+        for beta, q, cap, gammas in _SETTINGS:
+            F = CurveFamily(w, kind=kind, beta=beta, q=q)
+            old = _frozen_family_index(F, cap, gammas)
+            assert family_index(F, C_cap=cap, gamma_grid=gammas) == old
+            if kind == "acks" and (beta, q) == (0.0, 1.0):
+                assert acks_index(w, C_cap=cap, gamma_grid=gammas) == dataclasses.replace(old, lambda_hat=1.0 - old.delta_hat)
+
+
+@pytest.mark.parametrize("d, L, spec", _SCAN_GRIDS)
+def test_family_index_equals_frozen_level_order_scan(d, L, spec):
+    _assert_equals_frozen_scan(make_grid(d, L, spec))
+
+
+@given(random_grids(max_level_1d=9, max_level_2d=4, min_level=2))
+@settings(max_examples=30)
+def test_family_index_equals_frozen_level_order_scan_random(w):
+    _assert_equals_frozen_scan(w)
+
+
+class _CountedBlock:
+    """A level block counting the reads of its log-values, one per block
+    that a knee pass visits."""
+
+    def __init__(self, blk, reads):
+        self._blk, self._reads = blk, reads
+
+    def __getattr__(self, name):
+        if name == "lnphi":
+            self._reads.append(1)
+        return getattr(self._blk, name)
+
+
+# Level-order passes visit 686 block-levels at L = 12 and 951 at L = 16.
+@pytest.mark.parametrize("L, bound", [(12, 400), (16, 475)])
+def test_knee_passes_visit_the_failing_level_first(monkeypatch, L, bound):
+    visits = []
+    real = indices._knee_ok
+    monkeypatch.setattr(indices, "_knee_ok", lambda blocks, *a: real([_CountedBlock(b, visits) for b in blocks], *a))
+    family_index(CurveFamily(make_grid(1, L, "rand:1:lognormal:1")))
+    assert 0 < len(visits) <= bound
+
+
+def test_cap_probes_read_only_the_rows_failing_before(monkeypatch):
+    w = make_grid(1, 12, "rand:1:lognormal:1")
+    rows = []
+    real = indices._blocks_ok
+
+    def counted(blocks, *a):
+        blocks = list(blocks)
+        rows.append(sum(b.lnphi.shape[0] for b in blocks))
+        return real(blocks, *a)
+
+    monkeypatch.setattr(indices, "_blocks_ok", counted)
+    family_index(CurveFamily(w))
+    full = w.ncells - 1  # the cubes of levels 0 .. L-1
+    # the probes at u = 0 and u = 1 and the two certificates read every row;
+    # the 14 probes between read 54 rows in all, not 14 * 4095
+    assert len(rows) == 18
+    assert rows[:2] == rows[-2:] == [full, full]
+    assert sum(rows[2:-2]) <= 100
 
 
 # ---------------------------------------------------------------------------
@@ -691,8 +900,8 @@ def _old_single_index(phi, C_cap=16.0, gamma=1.0):
         ss, lg = ratio_at(u, exact=True)
         return float(np.max(np.maximum.accumulate(lg) - lg))
 
-    [(u_hat, mono)] = indices._scan_largest(ok_knee, 1e-4)
-    u_cap = indices._scan_prefix(lambda u: cmax_at(u) <= lncap + 1e-15, 1e-4)
+    [(u_hat, mono)] = _frozen_scan_largest(ok_knee, 1e-4)
+    u_cap = _frozen_scan_prefix(lambda u: cmax_at(u) <= lncap + 1e-15, 1e-4)
     ss, lg = ratio_at(u_hat, exact=False)
     _, sw, tw = _old_sup_ratio(ss, lg)
     return IndexEstimate(

@@ -11,6 +11,7 @@ excludes out-of-domain and borderline cases from assertions.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,21 @@ def test_out_of_range_level_policy_raises_range_error(name):
         const(local, CubeFamily([], "level:1"))
     with pytest.raises(ValueError, match="^unknown cube policy 'rings'$"):
         const(w, CubeFamily([], "rings"))
+
+
+_OVERFLOW_CONSTANTS = dict(_CONSTANTS, a_1=lambda w, F: a_p_constant(w, 1.0, F), weighted=lambda w, F: rh_p_weighted_constant(w, w, 2.0, F))
+
+
+@pytest.mark.parametrize("name", sorted(_OVERFLOW_CONSTANTS))
+def test_mass_beyond_float_range_raises_before_any_cell_power(name):
+    # the cells are finite but their sum is not: every constant refuses the
+    # grid with the level sums' OverflowError, before a power of the cells
+    # or a sum over inf/NaN could warn
+    w = WeightGrid(1, 1, [1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="^cube mass exceeds the float range$"):
+            _OVERFLOW_CONSTANTS[name](w, None)
 
 
 def test_nan_parameters_are_refused():
