@@ -340,29 +340,30 @@ def cmd_curve(cfg: RunConfig) -> tuple[str, int]:
     addr = cfg.cube or w.base.addr()
     Q = parse_cube(addr, cfg.d)
     rows: list[tuple[float, float]]
-    if kind == "k":
-        K = k_l1_linf(w, Q)
-        rows = list(zip(K.t.tolist(), K.v.tolist()))
-    elif kind == "rearr":
-        r = rearrangement(w, Q)
-        rows = [(0.0, float(r.values[0]))]
-        rows += list(zip(r.breaks.tolist(), r.values.tolist()))
-    elif kind.startswith("holmstedt:"):
-        K = k_l1_linf(w, Q)
-        H = HolmstedtCurve(K, theta, q)
-        ts = K.t ** (1.0 - theta)
-        rows = list(zip(ts.tolist(), H.value(ts).tolist()))
-    elif kind == "weighted-k":
-        # weighted K-functional estimate of the weight against its own
-        # measure, sampled at the w-measures of the origin-chain cubes
-        p = next((p for p in cfg.p_list if p > 1.0), 2.0)
-        Pi = packing_family(w, w, p)
-        ts = sorted(W.origin_chain_masses(w))
-        rows = [(t, est.value) for t, est in zip(ts, k_weighted_curve(w, w, p, ts, Pi))]
-    else:
-        raise UsageError(
-            f"unknown curve kind {cfg.kind!r}; choose k, rearr, holmstedt:<theta>:<q>, weighted-k"
-        )
+    with np.errstate(over="raise", divide="raise", invalid="raise"):  # as in analyze
+        if kind == "k":
+            K = k_l1_linf(w, Q)
+            rows = list(zip(K.t.tolist(), K.v.tolist()))
+        elif kind == "rearr":
+            r = rearrangement(w, Q)
+            rows = [(0.0, float(r.values[0]))]
+            rows += list(zip(r.breaks.tolist(), r.values.tolist()))
+        elif kind.startswith("holmstedt:"):
+            K = k_l1_linf(w, Q)
+            H = HolmstedtCurve(K, theta, q)
+            ts = K.t ** (1.0 - theta)
+            rows = list(zip(ts.tolist(), H.value(ts).tolist()))
+        elif kind == "weighted-k":
+            # weighted K-functional estimate of the weight against its own
+            # measure, sampled at the w-measures of the origin-chain cubes
+            p = next((p for p in cfg.p_list if p > 1.0), 2.0)
+            Pi = packing_family(w, w, p)
+            ts = sorted(W.origin_chain_masses(w))
+            rows = [(t, est.value) for t, est in zip(ts, k_weighted_curve(w, w, p, ts, Pi))]
+        else:
+            raise UsageError(
+                f"unknown curve kind {cfg.kind!r}; choose k, rearr, holmstedt:<theta>:<q>, weighted-k"
+            )
     lines = [f"# curve kind={kind} cube={Q.addr()}"]
     lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in rows]
     return "\n".join(lines) + "\n", EXIT_OK

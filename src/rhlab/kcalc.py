@@ -46,6 +46,7 @@ determined by its exact constant or 1/t tail.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -242,6 +243,42 @@ def _bisect_panels(work: list, q: float, E: float, acc: np.ndarray) -> None:
 
 # Relative tolerance of the 20/40-node test.
 _PIECE_REL = 1e-10
+_TINY = 2.0**-960  # node values and sums above it keep their relative rounding
+
+
+@functools.lru_cache(maxsize=64)
+def _gl20_error_bound(q: float, E: float) -> float:
+    """Relative error bound of the 20-node Gauss-Legendre sum of
+    (A + B s)^q s^E on any panel 0 < s0 < s1 <= 2 s0 with A, B >= 0 and
+    q > 0 >= E (inf otherwise).  On the Bernstein ellipse of parameter rho
+    (semi-major axis a = half (rho + 1/rho) / 2 < mid) the integrand is
+    analytic and below M = (A + B (mid + a))^q (mid - a)^E, so the sum errs
+    by at most (64/15) M rho^-40 / (rho^2 - 1) (Trefethen, SIAM Review 50,
+    2008, Thm 4.5); the integral is at least 2 half (A + B s0)^q s1^E.  The
+    ratio, (32/15) ((mid + a)/s0)^q (s1/(mid - a))^-E rho^-40 / (rho^2 - 1),
+    grows with s1/s0 and is minimised here over rho at s0 = 1, s1 = 2."""
+    if not (0.0 < q < math.inf and -math.inf < E <= 0.0):
+        return math.inf
+    rho = np.linspace(1.0, 3.0 + math.sqrt(8.0), 258)[1:-1]  # a < mid = 1.5
+    a = 0.25 * (rho + 1.0 / rho)
+    log_bound = q * np.log(1.5 + a) - E * np.log(2.0 / (1.5 - a)) - 40.0 * np.log(rho) - np.log(rho**2 - 1.0)
+    lb = float(log_bound.min())
+    return 32.0 / 15.0 * math.exp(lb) if lb < 700.0 else math.inf
+
+
+def _panels_proven(A, B, s0, s1, q: float, E: float, c40) -> bool:
+    """Whether a column block passes the 20/40-node test by a bound of
+    _gl20_error_bound below 1e-3 _PIECE_REL, which leaves room for the
+    sums' rounding (about a hundred ulps at most): 0 < s0, s1 <= 2 s0,
+    A, B >= 0, and the node values, their factors (A + B s)^q >= (A + B s0)^q
+    and s^E >= s1^E, and the 40-node sums c40 all in [_TINY, inf)."""
+    if not (np.all(s0 > 0.0) and np.all(s1 <= 2.0 * s0) and A.min() >= 0.0 and B.min() >= 0.0):
+        return False
+    if not (np.all(c40 >= _TINY) and np.all(c40 < math.inf)):
+        return False
+    ab, lo = float((A + B * s0).min()), math.log(_TINY)
+    fq, fe = (q * math.log(ab), E * math.log(float(s1.max()))) if ab > 0.0 else (-math.inf, 0.0)
+    return fq >= lo and fe >= lo and fq + fe >= lo
 
 
 def power_piece_integral(A, B, s0, s1, q: float, E: float) -> np.ndarray:
@@ -302,7 +339,9 @@ def level_piece_integrals(A, B, s0, s1, q: float, E: float) -> np.ndarray:
     product over all of them in flat order, under a single-threaded BLAS
     whose gemv row blocking divides _ROW_ALIGN (a threaded BLAS also rounds
     the end of each thread's share as a tail).  Pieces failing the depth-0
-    test enter the bisection loop at depth 1.
+    test enter the bisection loop at depth 1.  A column block (and the tail)
+    skips its 20-node sums when _panels_proven certifies that all its pieces
+    pass: they take their 40-node sums, as the test would give them.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -333,6 +372,8 @@ def level_piece_integrals(A, B, s0, s1, q: float, E: float) -> np.ndarray:
         return out.reshape(n, m)
     c20 = np.empty((n, m))
     c40 = np.empty((n, m))
+    proven = np.zeros(m, dtype=bool)  # columns whose 20-node sums are skipped
+    certified = _gl20_error_bound(q, E) < 1e-3 * _PIECE_REL
     buf = np.zeros(_PIECE_BLOCK * 40)
     cb = min(m, _PIECE_BLOCK)
     rb = _PIECE_BLOCK // cb
@@ -340,20 +381,25 @@ def level_piece_integrals(A, B, s0, s1, q: float, E: float) -> np.ndarray:
         cols = slice(c, c + cb)
         mid = 0.5 * (s0[cols] + s1[cols])
         half = 0.5 * (s1[cols] - s0[cols])
-        tables = []
-        for (nodes, weights), res in ((_GL20, c20), (_GL40, c40)):
+        for (nodes, weights), res in ((_GL40, c40), (_GL20, c20)):
+            if res is c20 and certified and _panels_proven(A[:, cols], B[:, cols], s0[cols], s1[cols], q, E, c40[:, cols]):
+                proven[cols] = True
+                c20[:, cols] = c40[:, cols]
+                break
             s = mid[:, None] + half[:, None] * nodes[None, :]
-            tables.append((s, s ** E, weights, res))
-        for r in range(0, n, rb):
-            rows = slice(r, r + rb)
-            for s, sE, weights, res in tables:
+            sE = s ** E
+            for r in range(0, n, rb):
+                rows = slice(r, r + rb)
                 res[rows, cols] = half * _node_sums(A[rows, cols], B[rows, cols], s, sE, weights, q, buf)
     c20 = c20.ravel()[live]
     c40 = c40.ravel()[live]
     tail = slice(live.size - min(live.size, _ROW_ALIGN + live.size % _ROW_ALIGN), None)
     t = live[tail]
-    c20[tail] = _gl_panel(Af[t], Bf[t], s0[t % m], s1[t % m], q, E, _GL20)
     c40[tail] = _gl_panel(Af[t], Bf[t], s0[t % m], s1[t % m], q, E, _GL40)
+    if np.all(proven[t % m]) and np.all(np.isfinite(c40[tail])):
+        c20[tail] = c40[tail]
+    else:
+        c20[tail] = _gl_panel(Af[t], Bf[t], s0[t % m], s1[t % m], q, E, _GL20)
     done = np.abs(c40 - c20) <= _PIECE_REL * np.maximum(np.abs(c40), 1e-300)
     acc = np.zeros(n * m)
     acc[live[done]] = c40[done]
@@ -492,12 +538,39 @@ def k_lorentz_linf(w: WeightGrid, Q: DyadicCube, p: float, q: float, t: float) -
 # ---------------------------------------------------------------------------
 # L log L
 
-def _llogl_g(cells: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Defining integral (1/|Q|) int_Q (|f|/r) log(e + |f|/r), rowwise.
-
-    cells has shape (n, m); r has shape (n,)."""
+def _llogl_g(cells: np.ndarray, r: np.ndarray, newton: bool = False) -> np.ndarray:
+    """Defining integral G(r) = (1/|Q|) int_Q (|f|/r) log(e + |f|/r), rowwise
+    (cells (n, m), r (n,)); with newton, the Newton step toward G = 1 in
+    log r instead: G log G / (G + S), S = mean(u^2 / (e + u)), u = |f|/r."""
     u = cells / r[:, None]
-    return np.mean(u * np.log(np.e + u), axis=1)
+    e = np.e + u
+    g = np.mean(u * np.log(e), axis=1)
+    return g * np.log(g) / (g + np.mean(u * u / e, axis=1)) if newton else g
+
+
+def _llogl_band(cells: np.ndarray, mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(xl, xh) per row, NaN where uncertified: _llogl_g(cells, x) > 1.0 for
+    every x <= xl and for no x >= xh.  On a row of cells >= 0 with a finite
+    positive mean G is strictly decreasing and the float G is G (1 + d) with
+    |d| <= gam (a few roundings per term, as log(e + u) >= 1, and the
+    pairwise sum), so a float G above 1 + 3 gam at xl (below 1 - 3 gam at
+    xh), 4 gam either side of the Newton root, settles every x below (above)."""
+    n, m = cells.shape
+    gam = (64 + m.bit_length() + m // 4096) * 2.0**-53
+    xl, xh = np.full(n, np.nan), np.full(n, np.nan)
+    rows = np.flatnonzero((mean > 0.0) & (mean < math.inf) & np.all(cells >= 0.0, axis=1))
+    x, act = mean.copy(), rows
+    with np.errstate(all="ignore"):  # a failed step only leaves its row uncertified
+        for _ in range(8):
+            step = _llogl_g(cells[act], x[act], newton=True)
+            x[act] *= np.exp(step)
+            act = act[np.abs(step) > 1e-9]  # then the next step is below 1e-16
+            if act.size == 0:
+                break
+        lo, hi = x[rows] * (1.0 - 4.0 * gam), x[rows] * (1.0 + 4.0 * gam)
+        ok = (_llogl_g(cells[rows], lo) > 1.0 + 3.0 * gam) & (_llogl_g(cells[rows], hi) < 1.0 - 3.0 * gam)
+    xl[rows[ok]], xh[rows[ok]] = lo[ok], hi[ok]
+    return xl, xh
 
 
 def llogl_norm_rows(cells: np.ndarray) -> np.ndarray:
@@ -507,12 +580,25 @@ def llogl_norm_rows(cells: np.ndarray) -> np.ndarray:
     valid lower bracket since u log(e + u) >= u.  Stops when the relative
     bracket width is below 1e-13, leaving the defining-integral residual
     orders below the 1e-9 contract.
+    Each test G(x) > 1 of this arithmetic is decided from the row's
+    certified band (_llogl_band), so _llogl_g runs only on the rows whose x
+    lies inside it or that are uncertified, with the decisions, and so the
+    bits, of evaluating every row at every step.
     """
     cells = np.atleast_2d(cells)
     lo = cells.mean(axis=1)
+    xl, xh = _llogl_band(cells, lo)
+
+    def above(x):  # _llogl_g(cells, x) > 1.0
+        out = x <= xl
+        ev = np.flatnonzero(~(out | (x >= xh)))
+        if ev.size:
+            out[ev] = _llogl_g(cells[ev], x[ev]) > 1.0
+        return out
+
     hi = lo.copy()
     for _ in range(200):
-        bad = _llogl_g(cells, hi) > 1.0
+        bad = above(hi)
         if not np.any(bad):
             break
         hi[bad] *= 2.0
@@ -520,7 +606,7 @@ def llogl_norm_rows(cells: np.ndarray) -> np.ndarray:
         if np.all(hi - lo <= 1e-13 * hi):
             break
         mid = 0.5 * (lo + hi)
-        gm = _llogl_g(cells, mid) > 1.0
+        gm = above(mid)
         lo = np.where(gm, mid, lo)
         hi = np.where(gm, hi, mid)
     return 0.5 * (lo + hi)

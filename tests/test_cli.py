@@ -101,6 +101,20 @@ def test_analyze_wide_range_cells(tmp_path, capsys):
     assert err.startswith("rhlab: numerical error: FloatingPointError") and err.count("\n") == 1
 
 
+def test_analyze_subnormal_powers_keep_their_digits(capsys):
+    # (1e-160)^2 is subnormal and (1e-160)^3 underflows to 0: RH_p used to
+    # read 0.9999944335758489 and 0.0 for a constant weight
+    def constants(weight):
+        code, out, err = _run_quiet(capsys, "analyze", "--weight", weight, "--level", "4", "--p", "2,3")
+        assert (code, err) == (0, "")
+        return [(c["kind"], c["p"], c["value"]) for c in json.loads(out)["constants"] if c["kind"] in ("RH_p", "A_p")]
+
+    tiny, one = constants("const:1e-160"), constants("const:1")
+    assert [c[:2] for c in tiny] == [c[:2] for c in one] and len(tiny) == 4
+    for (_, _, got), (_, _, ref) in zip(tiny, one):
+        assert math.isclose(got, ref, rel_tol=1e-15)
+
+
 def test_analyze_report_is_strict_json(capsys):
     def refuse(name):
         raise AssertionError(f"{name} in the report")
@@ -133,6 +147,23 @@ def test_holmstedt_parameters_checked_before_the_grid(capsys, monkeypatch, param
     monkeypatch.setattr(cli, "make_grid", lambda *a: pytest.fail("grid built before the parameters were checked"))
     code, out, err = _run_quiet(capsys, "curve", "--weight", "rand:1:lognormal:1", "--level", "4", "--kind", f"holmstedt:{params}")
     assert (code, out, err) == (2, "", f"rhlab: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "q, level, detail",
+    [("300", "6", "overflow encountered in power"), ("1e300", "4", "")],
+    ids=["inf-rows", "quadrature-warnings"],
+)
+def test_curve_beyond_float_range_is_numerical_error(capsys, q, level, detail):
+    # (s^-theta K)^q leaves the float range: one numerical error line, not
+    # inf in the CSV rows (q = 300) or numpy warnings ahead of the error
+    # (q = 1e300, which used to fail in the quadrature)
+    code, out, err = _run_quiet(
+        capsys, "curve", "--weight", "rand:1:lognormal:1", "--level", level, "--kind", f"holmstedt:0.5:{q}"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("rhlab: numerical error: FloatingPointError: ") and err.count("\n") == 1
+    assert detail in err
 
 
 def test_curve_holmstedt_one_batched_piece_call(capsys, monkeypatch):

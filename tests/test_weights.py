@@ -239,6 +239,24 @@ def test_mass_beyond_float_range_raises_before_any_cell_power(name):
             _OVERFLOW_CONSTANTS[name](w, None)
 
 
+@pytest.mark.parametrize("c, p", [(1e200, 1.5), (1e300, 1.25)])
+def test_a_p_dual_powers_below_the_normal_range(c, p):
+    # w^(-1/(p-1)) underflows for a large constant weight: the constant is
+    # computed on the cells scaled by a power of two, and stays 1
+    w = WeightGrid(1, 4, np.full(16, c))
+    assert math.isclose(a_p_constant(w, p).value, 1.0, rel_tol=1e-15)
+
+
+def test_rh_p_powers_in_the_normal_range_keep_their_bits():
+    # no scaling unless a power leaves the normal range
+    w = make_grid(1, 6, "rand:3:lognormal:1.5")
+    z = w.zcells
+    for lev in range(w.L + 1):
+        width = 1 << (w.L - lev)
+        ref = (z**2.0).reshape(-1, width).mean(axis=1) ** 0.5 / (w.float_level_sums(lev) / width)
+        assert rh_p_constant(w, 2.0, CubeFamily([], f"level:{lev}")).value == float(ref.max())
+
+
 def test_nan_parameters_are_refused():
     # every comparison with NaN is False, so each check is written to fail on it
     w = make_grid(1, 3, "rand:1:lognormal:1")
