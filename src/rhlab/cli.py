@@ -466,6 +466,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                 raise UsageError(f"--cubes level:k needs an integer k in [0, {L}], got {cfg.cubes!r}")
             raise UsageError(f"unknown --cubes policy {cfg.cubes!r}")
     if args.command == "verify":
+        if d * L < 2:  # the corpus's step:4,1,1,1 needs four cells
+            raise UsageError(f"--level {L} too small for the verify corpus at d={d}: it needs dim * level >= 2")
         cfg.suite = args.suite
         cfg.seed = args.seed
         cfg.cases = args.cases

@@ -300,7 +300,10 @@ class WeightGrid:
 
 
 def _generated(d: int, L: int, cells, label: str, *spec) -> WeightGrid:
-    """A grid built from a descriptor, recording its parsed form."""
+    """A grid built from a descriptor, recording its parsed form; a cell
+    outside (0, inf) left the float range, a numerical error."""
+    if not np.all((cells > 0.0) & (cells < math.inf)):
+        raise OverflowError(f"weight {label!r} has cells beyond the float range")
     w = WeightGrid(d, L, cells, label=label)
     w.spec = spec
     return w
@@ -341,8 +344,9 @@ def make_grid(d: int, L: int, spec: str) -> WeightGrid:
         if a <= -1.0:
             raise WeightSpecError("pow exponent must exceed -1 (local integrability)")
         k = np.arange(n, dtype=np.float64)
-        # cell average of x^a over [k 2^-L, (k+1) 2^-L)
-        cells = 2.0 ** L * ((k + 1.0) ** (a + 1.0) - k ** (a + 1.0)) * 2.0 ** (-L * (a + 1.0)) / (a + 1.0)
+        # cell average of x^a over [k 2^-L, (k+1) 2^-L); checked in _generated
+        with np.errstate(all="ignore"):
+            cells = 2.0 ** L * ((k + 1.0) ** (a + 1.0) - k ** (a + 1.0)) * 2.0 ** (-L * (a + 1.0)) / (a + 1.0)
         return _generated(d, L, cells, spec, "pow", a)
     if kind == "step":
         try:
@@ -370,7 +374,8 @@ def make_grid(d: int, L: int, spec: str) -> WeightGrid:
             raise WeightSpecError("sigma must be positive and finite")
         raw = np.random.Philox(key=seed).random_raw(n)
         u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-        cells = np.exp(sigma * ndtri(u))
+        with np.errstate(all="ignore"):  # checked in _generated
+            cells = np.exp(sigma * ndtri(u))
         return _generated(d, L, cells, spec, "rand", seed, sigma)
     if kind == "file":
         w = load_weight(rest)

@@ -64,6 +64,7 @@ from .kcalc import ConcaveCurve, CurveFamily, StepProductCurve, _level_pieces
 
 _TIE = 1e-9
 _TRIVIAL = 1e-12
+_SWEEP_ROWS = 256  # measured: below it one accumulate beats a column sweep
 
 
 @dataclass
@@ -120,6 +121,27 @@ def _sup_ratio(s: np.ndarray, lg: np.ndarray) -> tuple[float, float, float]:
     return float(r[j]), float(s[i]), float(s[j])
 
 
+def _runmax(x: np.ndarray) -> np.ndarray:
+    """np.maximum.accumulate(x, axis=1), bit for bit.  A column-major x
+    (see _LevelBlock) of many rows sweeps its columns instead: the
+    accumulate pays a per-row cost, which dominates on short rows."""
+    n, m = x.shape
+    if n < _SWEEP_ROWS or not x.flags.f_contiguous:
+        return np.maximum.accumulate(x, axis=1)
+    out = np.empty((n, m), order="F")
+    out[:, 0] = x[:, 0]
+    for j in range(1, m):
+        np.maximum(out[:, j - 1], x[:, j], out=out[:, j])
+    return out
+
+
+def _lever(r: np.ndarray, ls: np.ndarray) -> np.ndarray:
+    """Per column, the log-distance ls back to the last column achieving the
+    running max (r <= _TIE): ls is nondecreasing and r[:, 0] = 0, so the
+    running max of those columns' ls is that column's."""
+    return ls - _runmax(np.where(r <= _TIE, ls, -np.inf))
+
+
 class _LevelBlock:
     """Candidate data of several curves on one shared abscissa grid, one row
     per curve, rectangular.
@@ -131,6 +153,15 @@ class _LevelBlock:
     consecutive columns, phi = A + B s, and lg adds the per-piece interior
     ratio minima, whose abscissae s* = u a / (b (1 - u)) depend on the scan
     variable; lnA/lnB/a_pos hold the piece data to rebuild them.
+
+    A level block's row arrays, and those that rows and lg return, keep
+    its long axis contiguous: column-major (Fortran order) with at least as
+    many rows as columns, else row-major, built in place (ufunc out=).
+    numpy pays per row for a reduction or broadcast along short row-major
+    rows, and per column across few column-major rows; a window's column
+    prefix of a column-major block is one contiguous slab.  Only order-free
+    operations (elementwise arithmetic, max, min) may read the blocks, so
+    the layout moves no bit; a row sum or mean would round differently.
 
     of_level builds the block of all cubes of one level on the full window,
     _curve_block the one-row block of a single curve.  For kind "acks" the
@@ -147,25 +178,28 @@ class _LevelBlock:
         self.ls = np.log(s)
         self.lnphi = lnphi
         self.a_pos = None
-        if A is not None:
-            self.a_pos = A > 0
+        if A is not None:  # in lnphi's layout
+            self.a_pos = np.greater(A, 0.0, out=np.empty_like(lnphi, bool, shape=A.shape))
+            self.lnA = np.full_like(lnphi, -np.inf, shape=A.shape)
+            np.log(A, out=self.lnA, where=self.a_pos)
             with np.errstate(divide="ignore"):
-                self.lnA = np.where(self.a_pos, np.log(np.where(self.a_pos, A, 1.0)), -np.inf)
-                self.lnB = np.log(B)
+                self.lnB = np.log(B, out=np.empty_like(lnphi, shape=B.shape))
 
     @classmethod
     def of_level(cls, w: WeightGrid, level: int, kind: str) -> "_LevelBlock":
         """The block of the curves of kind "k" or "acks" of every cube of a
         level below the cells, on the full window."""
+        vals = w.sorted_level(level)[0]
+        n, m = vals.shape
+        order = "F" if n >= m else "C"
         if kind == "k":
             # pieces 2..m: phi = a + b s on [s_{k-1}, s_k]
-            vals, K, _, s, A = _level_pieces(w, level)
-            return cls(s, np.log(K), A[:, 1:], vals[:, 1:])
-        vals = w.sorted_level(level)[0]
-        s = np.arange(1, vals.shape[1] + 1) * w.cell_measure
-        lnphi = np.empty((vals.shape[0], 2 * s.size - 1))
-        lnphi[:, 0::2] = np.log(s[None, :] * vals)
-        lnphi[:, 1::2] = np.log(s[None, :-1] * vals[:, 1:])
+            _, K, _, s, A = _level_pieces(w, level)
+            return cls(s, np.log(K, out=np.empty((n, m), order=order)), A[:, 1:], vals[:, 1:])
+        s = np.arange(1, m + 1) * w.cell_measure
+        lnphi = np.empty((n, 2 * m - 1), order=order)
+        for cols, sk, v in ((lnphi[:, 0::2], s, vals), (lnphi[:, 1::2], s[:-1], vals[:, 1:])):
+            np.log(np.multiply(sk, v, out=cols), out=cols)
         return cls(np.repeat(s, 2)[:-1], lnphi, None, None)
 
     def rows(self, idx: np.ndarray | None) -> "_LevelBlock":
@@ -173,9 +207,11 @@ class _LevelBlock:
         if idx is None:
             return self
         out = copy.copy(self)
-        out.lnphi = self.lnphi[idx]
+        # a column-major block gathers the columns of its row-major transpose
+        take = lambda x: x.T.take(idx, axis=1).T if x.flags.f_contiguous else x.take(idx, axis=0)
+        out.lnphi = take(self.lnphi)
         if self.a_pos is not None:
-            out.a_pos, out.lnA, out.lnB = self.a_pos[idx], self.lnA[idx], self.lnB[idx]
+            out.a_pos, out.lnA, out.lnB = take(self.a_pos), take(self.lnA), take(self.lnB)
         return out
 
     def lg(self, u: float, with_s: bool = False):
@@ -197,7 +233,7 @@ class _LevelBlock:
             # g(s*) = [a / (1 - u)] s*^{-u}
             lg_min = np.where(valid, self.lnA - math.log1p(-u) - u * lnt, 0.0)
         n, m = lg_k.shape
-        lg = np.empty((n, 2 * m - 1))
+        lg = np.empty_like(lg_k, shape=(n, 2 * m - 1))  # in the block's layout
         lg[:, 0::2] = lg_k
         lg[:, 1::2] = np.where(valid, lg_min, lg_k[:, 1:])
         if not with_s:
@@ -299,7 +335,7 @@ def _blocks_ok(blocks, u, lncap_q):
     rmax = []
     for blk in blocks:
         lg = blk.lg(u)
-        rmax.append((np.maximum.accumulate(lg, axis=1) - lg).max(axis=1))
+        rmax.append((_runmax(lg) - lg).max(axis=1))
     cmax = max([0.0] + [float(r.max()) for r in rmax])
     return cmax <= lncap_q + 1e-15, cmax, rmax
 
@@ -329,7 +365,7 @@ def _knee_ok(blocks, u, windows, lncap_q, triv_tol, order):
         blk, undecided = blocks[b], len(pending)
         width = max(windows[k][b][0] for k in live)
         lg = blk.lnphi[:, :width] - u * blk.ls[:width]
-        r = np.maximum.accumulate(lg, axis=1) - lg
+        r = _runmax(lg) - lg
         lever = None
         for k in live:
             ncols, kappa = windows[k][b]
@@ -343,10 +379,7 @@ def _knee_ok(blocks, u, windows, lncap_q, triv_tol, order):
             if top <= triv_tol:
                 continue
             if lever is None:
-                # lever of each column: log-distance back to the last column
-                # achieving the running max
-                ilast = np.maximum.accumulate(np.where(r <= _TIE, np.arange(width), -1), axis=1)
-                lever = blk.ls[:width] - blk.ls[ilast]
+                lever = _lever(r, blk.ls[:width])
             binding = rk >= (rmax[:, None] - _TIE)
             lev_min = np.where(binding, lever[:, :ncols], np.inf).min(axis=1)
             if lev_min[rmax > triv_tol].max() > kappa:
@@ -438,7 +471,7 @@ def _witness(blocks, window, u):
         if not ncols:
             continue
         lg = blk.lnphi[:, :ncols] - u * blk.ls[None, :ncols]
-        rmax = (np.maximum.accumulate(lg, axis=1) - lg).max(axis=1)
+        rmax = (_runmax(lg) - lg).max(axis=1)
         row = int(np.argmax(rmax))
         if float(rmax[row]) > best[0] + _TIE:
             _, s, t = _sup_ratio(blk.svals[:ncols], lg[row])

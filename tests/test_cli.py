@@ -115,6 +115,21 @@ def test_analyze_subnormal_powers_keep_their_digits(capsys):
         assert math.isclose(got, ref, rel_tol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("analyze", "--weight", "rand:1:lognormal:1e10", "--level", "4"),
+     ("curve", "--kind", "k", "--weight", "pow:400", "--level", "4"),
+     ("analyze", "--weight", "rand:1:lognormal:300", "--level", "10")],
+    ids=["rand-sigma-1e10", "pow-400", "rand-sigma-300"],
+)
+def test_generated_cells_beyond_float_range_are_numerical_errors(capsys, argv):
+    # a generated cell that overflowed (or underflowed) is a numerical error,
+    # not a bad input file (exit 3), and no numpy warning precedes it
+    code, out, err = _run_quiet(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"rhlab: numerical error: OverflowError: weight {argv[argv.index('--weight') + 1]!r} has cells beyond the float range\n"
+
+
 def test_analyze_report_is_strict_json(capsys):
     def refuse(name):
         raise AssertionError(f"{name} in the report")
@@ -431,6 +446,13 @@ def test_level_bounds_enforced(capsys):
     assert main(["analyze", "--weight", "const:1", "--level", "30"]) == 2
     assert main(["analyze", "--weight", "const:1", "--dim", "3"]) == 2
     assert main(["analyze", "--weight", "const:1", "--p", "0.5"]) == 2
+
+
+@pytest.mark.parametrize("dim, level", [("1", "1"), ("1", "0"), ("2", "0")])
+def test_verify_level_too_small_for_the_corpus(capsys, dim, level):
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--dim", dim, "--level", level)
+    assert (code, out) == (2, "")
+    assert err == f"rhlab: error: --level {level} too small for the verify corpus at d={dim}: it needs dim * level >= 2\n"
 
 
 _NON_FINITE = [

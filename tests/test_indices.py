@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import flat_grids, localized_grids, random_grids
 from rhlab import indices
+from rhlab.cli import main
 from rhlab.grid import WeightGrid, _cube_at, enumerate_cubes, level_cubes, make_grid
 from rhlab.indices import (
     IndexEstimate,
@@ -29,7 +30,7 @@ from rhlab.indices import (
     samko_alpha,
     single_index,
 )
-from rhlab.kcalc import ConcaveCurve, CurveFamily, StepProductCurve, k_l1_linf
+from rhlab.kcalc import ConcaveCurve, CurveFamily, StepProductCurve, _level_pieces, k_l1_linf
 from rhlab.rearrange import rearrangement
 from rhlab.weights import hardy_residual_sup, standard_corpus
 
@@ -409,7 +410,7 @@ def _ref_family_index(F, C_cap=16.0, gamma_grid=(1.0, 0.5, 0.25, 0.125)):
             if best is None or u > best[0]:
                 best = (u, mono, gamma, wins)
     u_hat, mono, gamma, wins = best
-    blocks = [_LevelBlock.of_level(w, lev, F.kind) for lev in range(w.base.level, w.L)]
+    blocks = [_FrozenBlock.of_level(w, lev, F.kind) for lev in range(w.base.level, w.L)]
     cap = lambda u: _frozen_blocks_ok(blocks, u, lncap)
     u_cap, mono_cap = _ref_scan(lambda u: cap(u)[0], tol)
     beyond = u_cap + 1e-3 / q
@@ -478,12 +479,68 @@ def test_family_index_memoised_per_grid(monkeypatch):
 # ---------------------------------------------------------------------------
 # the fail-first knee scan and the row-pruned cap scan against frozen copies
 #
-# Frozen copies of _knee_ok, _scan_largest, _scan_prefix and the _blocks_ok
-# cap scan as they were before the knee passes visited the level blocks
-# fail-first and the cap probes kept only the rows that failed the probe
-# before: every knee pass walks the blocks in level order, and every cap
-# probe reads every row.  They run on the same blocks and windows as
-# family_index, so every field must agree bit for bit.
+# Frozen copies of _knee_ok, _scan_largest, _scan_prefix, _witness and the
+# _blocks_ok cap scan as they were before the knee passes visited the level
+# blocks fail-first and the cap probes kept only the rows that failed the
+# probe before: every knee pass walks the blocks in level order, and every
+# cap probe reads every row.  They run on the same windows as family_index,
+# on a frozen row-major copy of the level blocks (before the blocks took a
+# column-major layout and the running maxima a column sweep), so every field
+# must agree bit for bit.
+
+
+class _FrozenBlock:
+    """_LevelBlock.of_level and lg, row-major, as they were before the
+    column-major layout."""
+
+    def __init__(self, s, lnphi, A, B):
+        self.svals, self.ls, self.lnphi, self.a_pos = s, np.log(s), lnphi, None
+        if A is not None:
+            self.a_pos = A > 0
+            with np.errstate(divide="ignore"):
+                self.lnA = np.where(self.a_pos, np.log(np.where(self.a_pos, A, 1.0)), -np.inf)
+                self.lnB = np.log(B)
+
+    @classmethod
+    def of_level(cls, w, level, kind):
+        if kind == "k":
+            vals, K, _, s, A = _level_pieces(w, level)
+            return cls(s, np.log(K), A[:, 1:], vals[:, 1:])
+        vals = w.sorted_level(level)[0]
+        s = np.arange(1, vals.shape[1] + 1) * w.cell_measure
+        lnphi = np.empty((vals.shape[0], 2 * s.size - 1))
+        lnphi[:, 0::2] = np.log(s[None, :] * vals)
+        lnphi[:, 1::2] = np.log(s[None, :-1] * vals[:, 1:])
+        return cls(np.repeat(s, 2)[:-1], lnphi, None, None)
+
+    def lg(self, u):
+        lg_k = self.lnphi - u * self.ls[None, :]
+        if self.a_pos is None or not 0.0 < u < 1.0:
+            return lg_k
+        lsk = self.ls
+        with np.errstate(invalid="ignore", over="ignore"):
+            lnt = (math.log(u) - math.log1p(-u)) + self.lnA - self.lnB
+            valid = self.a_pos & (lnt > lsk[None, :-1]) & (lnt < lsk[None, 1:])
+            lg_min = np.where(valid, self.lnA - math.log1p(-u) - u * lnt, 0.0)
+        n, m = lg_k.shape
+        lg = np.empty((n, 2 * m - 1))
+        lg[:, 0::2] = lg_k
+        lg[:, 1::2] = np.where(valid, lg_min, lg_k[:, 1:])
+        return lg
+
+
+def _frozen_witness(blocks, window, u):
+    best = (-1.0, None)
+    for b, (blk, (ncols, _)) in enumerate(zip(blocks, window)):
+        if not ncols:
+            continue
+        lg = blk.lnphi[:, :ncols] - u * blk.ls[None, :ncols]
+        rmax = (np.maximum.accumulate(lg, axis=1) - lg).max(axis=1)
+        row = int(np.argmax(rmax))
+        if float(rmax[row]) > best[0] + 1e-9:
+            _, s, t = indices._sup_ratio(blk.svals[:ncols], lg[row])
+            best = (float(rmax[row]), (b, row, s, t))
+    return best[1]
 
 
 def _frozen_blocks_ok(blocks, u, lncap_q):
@@ -585,7 +642,7 @@ def _frozen_scan_prefix(ok_fn, tol):
 def _frozen_family_index(F, C_cap=16.0, gamma_grid=(1.0, 0.5, 0.25, 0.125)):
     w, beta, q = F.w, F.beta, F.q
     levels = range(w.base.level, w.L)
-    blocks = [_LevelBlock.of_level(w, lev, F.kind) for lev in levels]
+    blocks = [_FrozenBlock.of_level(w, lev, F.kind) for lev in levels]
     windows = [(g, [indices._level_window(w, lev, F.kind, g) for lev in levels]) for g in gamma_grid]
     windows = [(g, win) for g, win in windows if any(n for n, _ in win)]
     lncap_q, triv_tol, utol = math.log(C_cap) / q, 1e-12 / q, 1e-4 / q
@@ -604,7 +661,7 @@ def _frozen_family_index(F, C_cap=16.0, gamma_grid=(1.0, 0.5, 0.25, 0.125)):
 
     u_cap = _frozen_scan_prefix(lambda u: _frozen_blocks_ok(blocks, u, lncap_q)[0], utol)
     c_beyond = cap_value(u_cap + 1e-3 / q) if u_cap + 1e-3 / q <= 1.0 else math.inf
-    wit = indices._witness(blocks, win_star, u_hat)
+    wit = _frozen_witness(blocks, win_star, u_hat)
     return IndexEstimate(
         delta_hat=q * (u_hat - beta),
         delta_cap=q * (u_cap - beta),
@@ -640,6 +697,78 @@ def test_family_index_equals_frozen_level_order_scan(d, L, spec):
 @settings(max_examples=30)
 def test_family_index_equals_frozen_level_order_scan_random(w):
     _assert_equals_frozen_scan(w)
+
+
+# ---------------------------------------------------------------------------
+# the block layout and the running maxima
+
+
+@pytest.mark.parametrize("shape", [(1, 300), (300, 1), (300, 2), (300, 16), (16, 4096)])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("sweep_rows", [1, 1 << 30])
+def test_runmax_equals_accumulate_bit_for_bit(monkeypatch, shape, order, sweep_rows):
+    # sweep_rows 1 sends every column-major input of this list through the
+    # column sweep, and 1 << 30 none; a row-major input always accumulates
+    rng = np.random.default_rng(shape[0] * shape[1])
+    x = np.round(rng.standard_normal(shape), 1)  # many ties
+    x[rng.random(shape) < 0.1] = -np.inf
+    x[:, 0][::3] = -np.inf
+    x = np.asarray(x, order=order)
+    monkeypatch.setattr(indices, "_SWEEP_ROWS", sweep_rows)
+    got = indices._runmax(x)
+    assert np.array_equal(got.view(np.uint64), np.maximum.accumulate(x, axis=1).view(np.uint64))
+
+
+@pytest.mark.parametrize("d, L, spec", [(1, 10, "rand:2:lognormal:1"), (1, 9, "step:2,1"), (2, 4, "rand:5:lognormal:2")])
+def test_lever_equals_last_running_max_column(d, L, spec):
+    # acks columns repeat each abscissa (left and right values at a knot)
+    w = make_grid(d, L, spec)
+    for lev in range(L):
+        blk = _LevelBlock.of_level(w, lev, "acks")
+        for u in (0.0, 0.3, 0.75, 1.0):
+            lg = blk.lnphi - u * blk.ls
+            r = np.maximum.accumulate(lg, axis=1) - lg
+            ilast = np.maximum.accumulate(np.where(r <= indices._TIE, np.arange(r.shape[1]), -1), axis=1)
+            old = blk.ls - blk.ls[ilast]
+            assert np.array_equal(indices._lever(r, blk.ls).view(np.uint64), old.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["k", "acks"])
+def test_level_blocks_keep_their_long_axis_contiguous(kind):
+    w = make_grid(1, 10, "rand:3:lognormal:1")
+    for lev in range(w.L):
+        blk = _LevelBlock.of_level(w, lev, kind)
+        n, m = blk.lnphi.shape[0], 1 << (w.L - lev)
+        sub = blk.rows(np.arange(0, n, 3))
+        arrays = [blk.lnphi, sub.lnphi, blk.lg(0.5), sub.lg(0.5)]
+        if kind == "k":  # with the interior minima and their abscissae
+            arrays += [blk.a_pos, blk.lnA, blk.lnB, sub.a_pos, sub.lnA, sub.lnB, blk.lg(0.5, with_s=True)[1]]
+        # a level of n >= m cubes is column-major: so are its arrays, the
+        # rows of any subset, and the ratio arrays at a scan point
+        want = "F_CONTIGUOUS" if n >= m else "C_CONTIGUOUS"
+        for x in arrays:
+            assert x.flags[want]
+        assert np.array_equal(sub.lnphi, blk.lnphi[::3])
+
+
+@pytest.mark.parametrize("d, L", [(1, 12), (2, 6)])
+def test_analyze_bytes_do_not_depend_on_the_block_layout(capsys, monkeypatch, d, L):
+    argv = ["analyze", "--weight", "rand:1:lognormal:1", "--dim", str(d), "--level", str(L), "--q", "2"]
+    assert main(argv) == 0
+    live = capsys.readouterr().out
+    built = []
+
+    class RowMajor(_LevelBlock):
+        def __init__(self, s, lnphi, A, B):
+            # the piece arrays follow lnphi's layout
+            super().__init__(s, np.ascontiguousarray(lnphi), A, B)
+            built.append(self.a_pos is None or self.lnA.flags.c_contiguous)
+
+    monkeypatch.setattr(indices, "_LevelBlock", RowMajor)
+    monkeypatch.setattr(indices, "_runmax", lambda x: np.maximum.accumulate(x, axis=1))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == live
+    assert built and all(built)
 
 
 class _CountedBlock:
