@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    CubeFamily,
     WeightFormatError,
     WeightGrid,
     cube_levels,
@@ -228,7 +227,7 @@ def lorentz_growth_agreement(label: str, d: int, p: float, q: float, levels=_GRO
 def _lorentz_case(w: WeightGrid, cfg: RunConfig) -> tuple[list[str], bool]:
     # dual-route consistency on the base cube: the per-level vectorized
     # constant against the scalar curve norm (different piece assembly)
-    vec_base = W.rh_lorentz_constant(w, 2.0, 2.0, CubeFamily([], "base")).value
+    vec_base = W.rh_lorentz_constant(w, 2.0, 2.0, "base").value
     avg = integrate(w, w.base) / w.measure
     scalar = lorentz_norm(w, w.base, 2.0, 2.0) / (w.measure ** 0.5 * avg)
     full = W.rh_lorentz_constant(w, 2.0, 2.0).value

@@ -100,14 +100,6 @@ def base_cube(d: int) -> DyadicCube:
     return DyadicCube(0, (0,) * d)
 
 
-@dataclass
-class CubeFamily:
-    """A finite list of dyadic cubes with the policy that produced it."""
-
-    cubes: list[DyadicCube]
-    policy: str = "custom"
-
-
 # ---------------------------------------------------------------------------
 # Morton order helpers (d = 2; d = 1 is the identity)
 
@@ -416,13 +408,6 @@ def cube_levels(policy: str, lo: int, L: int) -> range:
             raise ValueError(f"level {k} outside [{lo}, {L}]")
         return range(k, k + 1)
     raise ValueError(f"unknown cube policy {policy!r}")
-
-
-def enumerate_cubes(w: WeightGrid, policy: str = "all-dyadic") -> CubeFamily:
-    """Deterministic cube families: level-major, each level in Morton order
-    (level_cubes), for the levels of cube_levels(policy)."""
-    levels = cube_levels(policy, w.base.level, w.L)
-    return CubeFamily([Q for lev in levels for Q in level_cubes(w, lev)], policy)
 
 
 def _level_coords(w: WeightGrid, level: int, rows) -> np.ndarray:

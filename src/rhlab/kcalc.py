@@ -205,15 +205,6 @@ def _antider_pow(s: np.ndarray, r: float) -> np.ndarray:
     return s ** (r + 1.0) / (r + 1.0)
 
 
-def _gl_panel(A, B, s0, s1, q, E, table):
-    nodes, weights = table
-    mid = 0.5 * (s0 + s1)
-    half = 0.5 * (s1 - s0)
-    s = mid[:, None] + half[:, None] * nodes[None, :]
-    f = (A[:, None] + B[:, None] * s) ** q * s ** E
-    return half * (f @ weights)
-
-
 class QuadratureError(RuntimeError):
     """A quadrature panel still failing the 20/40-node test at depth 40."""
 
@@ -223,10 +214,14 @@ def _bisect_panels(work: list, q: float, E: float, acc: np.ndarray) -> None:
     (A, B, lo, hi, flat index, depth): accepted panels are added into acc,
     the others are halved and pushed back.  A panel still failing the test
     at depth 40 raises QuadratureError."""
+    buf = np.empty(_PIECE_BLOCK * 40)
     while work:
         a, b, lo, hi, ix, depth = work.pop()
-        c20 = _gl_panel(a, b, lo, hi, q, E, _GL20)
-        c40 = _gl_panel(a, b, lo, hi, q, E, _GL40)
+        c20, c40 = np.empty(a.size), np.empty(a.size)
+        for i in range(0, a.size, _PIECE_BLOCK):  # each panel is a one-row column
+            j = slice(i, i + _PIECE_BLOCK)
+            _gl_sums(a[None, j], b[None, j], lo[j], hi[j], q, E, _GL20, buf, c20[None, j])
+            _gl_sums(a[None, j], b[None, j], lo[j], hi[j], q, E, _GL40, buf, c40[None, j])
         done = np.abs(c40 - c20) <= _PIECE_REL * np.maximum(np.abs(c40), 1e-300)
         np.add.at(acc, ix[done], c40[done])
         bad = ~done
@@ -269,9 +264,13 @@ def _gl20_error_bound(q: float, E: float) -> float:
 def _panels_proven(A, B, s0, s1, q: float, E: float, c40) -> bool:
     """Whether a column block passes the 20/40-node test by a bound of
     _gl20_error_bound below 1e-3 _PIECE_REL, which leaves room for the
-    sums' rounding (about a hundred ulps at most): 0 < s0, s1 <= 2 s0,
-    A, B >= 0, and the node values, their factors (A + B s)^q >= (A + B s0)^q
-    and s^E >= s1^E, and the 40-node sums c40 all in [_TINY, inf)."""
+    sums' rounding: a weighted node value (A + B s)^q (weight s^E) is within
+    a few q ulps of exact, and the halving sum of positive node values
+    (_node_sums) adds at most six roundings (ceil log2 40), so each sum is
+    within about ten q ulps.  It needs 0 < s0, s1 <= 2 s0, A, B >= 0, and
+    the factors (A + B s)^q >= (A + B s0)^q, s^E >= s1^E, their products and
+    the 40-node sums c40 all in [_TINY, inf); the Gauss-Legendre weights
+    exceed 2^-8, so the weighted node values stay normal."""
     if not (np.all(s0 > 0.0) and np.all(s1 <= 2.0 * s0) and A.min() >= 0.0 and B.min() >= 0.0):
         return False
     if not (np.all(c40 >= _TINY) and np.all(c40 < math.inf)):
@@ -292,31 +291,50 @@ def power_piece_integral(A, B, s0, s1, q: float, E: float) -> np.ndarray:
     return out
 
 
-# Pieces per block of level_piece_integrals, a multiple of _ROW_ALIGN: the
-# kernel's scratch is one (_PIECE_BLOCK, 40) buffer plus node tables for at
-# most _PIECE_BLOCK columns, whatever the level size.
-_PIECE_BLOCK = 2048
-# BLAS rounds the last (count mod its row blocking) rows of a matrix-vector
-# product differently from the others; every product of the level kernel
-# covers whole multiples of _ROW_ALIGN rows, so no row of it is such a tail.
-# 64 assumes that OpenBLAS's dgemv_t unrolls over a row count dividing 64;
-# this was checked only with numpy's bundled OpenBLAS 0.3.31 (DYNAMIC_ARCH)
-# on one x86-64 Xeon taking its Haswell kernels.
-_ROW_ALIGN = 64
+# Pieces per block of level_piece_integrals: the kernel's scratch is one
+# (40, _PIECE_BLOCK) buffer plus node tables for at most _PIECE_BLOCK
+# pieces, whatever the level size.  On a 2-vCPU x86-64 VM, blocks of 1024
+# pieces took as long as blocks of 2048 on the Lorentz levels of the
+# analyze grids (512: about 10 % longer), with half the scratch.
+_PIECE_BLOCK = 1024
 
 
-def _node_sums(a, b, s, sE, weights, q: float, buf: np.ndarray) -> np.ndarray:
-    """sum_j weights_j (a + b s_j)^q s_j^E for an (r, c) block of pieces whose
-    column k has the nodes s[k] and their powers sE[k], in buf."""
-    r, c = a.shape
-    k = s.shape[1]
-    f = buf[: r * c * k].reshape(r, c, k)
-    np.multiply(b[:, :, None], s, out=f)
-    f += a[:, :, None]
+def _node_sums(a, b, s, ws, q: float, buf: np.ndarray) -> np.ndarray:
+    """sum_j ws[j] (a + b s[j])^q, as a view of buf, for flat pieces a, b
+    whose node abscissae and weighted powers weights_j s_j^E are the columns
+    of s and ws (k, N).  The node values fill one node-major slab, halved in
+    a fixed order: every add is elementwise, so a piece's sum depends on its
+    own values only (6 adds for 40 nodes, 5 for 20)."""
+    k, n = s.shape
+    f = buf[: k * n].reshape(k, n)
+    np.multiply(b, s, out=f)
+    f += a
     f **= q
-    f *= sE
-    rows = -(-r * c // _ROW_ALIGN) * _ROW_ALIGN
-    return (buf[: rows * k].reshape(rows, k) @ weights)[: r * c].reshape(r, c)
+    f *= ws
+    while k > 1:
+        h = k // 2
+        f[:h] += f[k - h : k]
+        k -= h
+    return f[0]
+
+
+def _gl_sums(A, B, lo, hi, q: float, E: float, table, buf: np.ndarray, out: np.ndarray) -> None:
+    """The Gauss-Legendre sums of (A + B s)^q s^E into out, for an (n, c)
+    block of pieces whose column k is [lo[k], hi[k]], c <= _PIECE_BLOCK: the
+    node tables are built once and tiled over the rows one buffer holds."""
+    nodes, weights = table
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    s = mid + half * nodes[:, None]
+    ws = s ** E
+    ws *= weights[:, None]
+    n, c = A.shape
+    rb = min(n, _PIECE_BLOCK // c)
+    if rb > 1:  # each table row repeated rb times (a broadcast copy is slow for small c)
+        s, ws = np.concatenate((s, ws)).repeat(rb, axis=0).reshape(2, nodes.size, rb * c)
+    for r in range(0, n, rb):
+        a, b = A[r : r + rb].ravel(), B[r : r + rb].ravel()
+        out[r : r + rb] = half * _node_sums(a, b, s[:, : a.size], ws[:, : a.size], q, buf).reshape(-1, c)
 
 
 def level_piece_integrals(A, B, s0, s1, q: float, E: float) -> np.ndarray:
@@ -331,17 +349,19 @@ def level_piece_integrals(A, B, s0, s1, q: float, E: float) -> np.ndarray:
     requires E > -1.  Divergent pieces raise ValueError ("divergent integral
     at the origin"), a panel still failing at depth 40 QuadratureError.
 
-    Nodes and s^E are built once per column block and (A + B s)^q s^E per row
-    block in one reused buffer, so scratch is bounded by _PIECE_BLOCK.  BLAS
-    rounds the last rows of a matrix-vector product as a tail, so the last
-    _ROW_ALIGN + (count mod _ROW_ALIGN) quadrature pieces are recomputed in
-    one product of that many rows: the results are bit for bit those of one
-    product over all of them in flat order, under a single-threaded BLAS
-    whose gemv row blocking divides _ROW_ALIGN (a threaded BLAS also rounds
-    the end of each thread's share as a tail).  Pieces failing the depth-0
-    test enter the bisection loop at depth 1.  A column block (and the tail)
-    skips its 20-node sums when _panels_proven certifies that all its pieces
-    pass: they take their 40-node sums, as the test would give them.
+    The node tables (abscissae, and the weights times s^E) are built once
+    per column block and (A + B s)^q times them per row block in one reused
+    buffer, so scratch is bounded by _PIECE_BLOCK.  Each node sum is a fixed
+    sequence of elementwise IEEE operations on the piece's own data
+    (_node_sums), so a piece's bits do not depend on what shares its call,
+    on _PIECE_BLOCK or on the BLAS and its threads.  The reduction is not a
+    BLAS product (gemv rounds the tail rows of a product, and of each
+    thread's share, differently), nor a loop over the nodes (80 ufunc calls
+    per block), nor einsum (whose SIMD sum may fuse multiply-adds on some
+    builds).  Pieces failing the depth-0 test enter the bisection loop at
+    depth 1, which takes the same node sums.  A column block skips its
+    20-node sums when _panels_proven certifies that all its pieces pass:
+    they take their 40-node sums, as the test would give them.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -372,43 +392,26 @@ def level_piece_integrals(A, B, s0, s1, q: float, E: float) -> np.ndarray:
         return out.reshape(n, m)
     c20 = np.empty((n, m))
     c40 = np.empty((n, m))
-    proven = np.zeros(m, dtype=bool)  # columns whose 20-node sums are skipped
     certified = _gl20_error_bound(q, E) < 1e-3 * _PIECE_REL
-    buf = np.zeros(_PIECE_BLOCK * 40)
+    buf = np.empty(_PIECE_BLOCK * 40)
     cb = min(m, _PIECE_BLOCK)
-    rb = _PIECE_BLOCK // cb
     for c in range(int(np.min(live % m)), m, cb):  # all-origin leading columns skipped
         cols = slice(c, c + cb)
-        mid = 0.5 * (s0[cols] + s1[cols])
-        half = 0.5 * (s1[cols] - s0[cols])
-        for (nodes, weights), res in ((_GL40, c40), (_GL20, c20)):
-            if res is c20 and certified and _panels_proven(A[:, cols], B[:, cols], s0[cols], s1[cols], q, E, c40[:, cols]):
-                proven[cols] = True
-                c20[:, cols] = c40[:, cols]
-                break
-            s = mid[:, None] + half[:, None] * nodes[None, :]
-            sE = s ** E
-            for r in range(0, n, rb):
-                rows = slice(r, r + rb)
-                res[rows, cols] = half * _node_sums(A[rows, cols], B[rows, cols], s, sE, weights, q, buf)
+        block = (A[:, cols], B[:, cols], s0[cols], s1[cols], q, E)
+        _gl_sums(*block, _GL40, buf, c40[:, cols])
+        if certified and _panels_proven(*block, c40[:, cols]):
+            c20[:, cols] = c40[:, cols]
+        else:
+            _gl_sums(*block, _GL20, buf, c20[:, cols])
     c20 = c20.ravel()[live]
     c40 = c40.ravel()[live]
-    tail = slice(live.size - min(live.size, _ROW_ALIGN + live.size % _ROW_ALIGN), None)
-    t = live[tail]
-    c40[tail] = _gl_panel(Af[t], Bf[t], s0[t % m], s1[t % m], q, E, _GL40)
-    if np.all(proven[t % m]) and np.all(np.isfinite(c40[tail])):
-        c20[tail] = c40[tail]
-    else:
-        c20[tail] = _gl_panel(Af[t], Bf[t], s0[t % m], s1[t % m], q, E, _GL20)
     done = np.abs(c40 - c20) <= _PIECE_REL * np.maximum(np.abs(c40), 1e-300)
-    acc = np.zeros(n * m)
-    acc[live[done]] = c40[done]
+    out[live[done]] = c40[done]
     bad = live[~done]
     if bad.size:
         a, b, lo, hi = Af[bad], Bf[bad], s0[bad % m], s1[bad % m]
         mid = 0.5 * (lo + hi)
-        _bisect_panels([(a, b, lo, mid, bad, 1), (a, b, mid, hi, bad, 1)], q, E, acc)
-    out += acc
+        _bisect_panels([(a, b, lo, mid, bad, 1), (a, b, mid, hi, bad, 1)], q, E, out)
     return out.reshape(n, m)
 
 
@@ -451,9 +454,8 @@ class HolmstedtCurve:
     finds each T's piece and one power_piece_integral call covers the
     partial pieces of every T inside K's domain (exact on the origin piece,
     Gauss-Legendre panels elsewhere); past the domain K's constant tail is
-    integrated in closed form.  A batched call may round a panel's gemv
-    reduction, and numpy's array power, an ulp differently from one-point
-    calls.
+    integrated in closed form.  A point's value does not depend on the other
+    points of its call.
     """
 
     def __init__(self, K: ConcaveCurve, theta: float, q: float):
@@ -488,7 +490,9 @@ class HolmstedtCurve:
         return out if out.shape else float(out)
 
     def value(self, t):
-        return self.inner_integral(np.asarray(t, dtype=np.float64) ** (1.0 / (1.0 - self.theta))) ** (1.0 / self.q)
+        T = np.atleast_1d(np.asarray(t, dtype=np.float64)) ** (1.0 / (1.0 - self.theta))
+        out = self.inner_integral(T) ** (1.0 / self.q)
+        return out if np.ndim(t) else float(out[0])
 
 
 def holmstedt_curve(K: ConcaveCurve, theta: float, q: float) -> HolmstedtCurve:

@@ -11,8 +11,9 @@ when a cube-uniform inequality between averages holds:
     Fujii:      int_Q M_d(w chi_Q) <= C int_Q w
     RH_p(v):    ((1/v(Q)) int_Q w^p v)^{1/p} <= C (1/v(Q)) int_Q w v.
 
-Each constant here is the max of its ratio over an enumerated cube family,
-with the attaining cube as witness, swept level by level (_family_constant).
+Each constant here is the max of its ratio over the cube family named by a
+policy string (cubes="all-dyadic", "base" or "level:k"), with the attaining
+cube as witness, swept level by level (_family_constant).
 The reverse-Hardy residual sup is exact, closed form via Wright omega
 (indices._hardy_rows on each level's K-curve pieces).  The verification routines then test the
 equivalences between these classes and the index machinery: the K-side
@@ -36,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (
-    CubeFamily,
     DyadicCube,
     WeightGrid,
     _cube_at,
@@ -101,10 +101,6 @@ def default_radius(d: int) -> float:
 # ---------------------------------------------------------------------------
 # cube-family plumbing
 
-def _policy_name(F: CubeFamily | None) -> str:
-    return "all-dyadic" if F is None else F.policy
-
-
 def _level_means(w: WeightGrid, level: int) -> np.ndarray:
     width = 1 << (w.d * (w.L - level))
     return w.float_level_sums(level) / width
@@ -122,20 +118,21 @@ def _level_row_means(cells: np.ndarray, w: WeightGrid, level: int) -> np.ndarray
     return cells.reshape(-1, width).mean(axis=1)
 
 
-def _family_constant(w: WeightGrid, F: CubeFamily | None, kind: str, level_values, p=None, q=None) -> ClassConstant:
-    """The max of a per-cube ratio over the family, with the attaining cube:
-    level_values(level) gives the ratios of every cube of a level, in Morton
-    order; ties go to the first level and first Morton row."""
+def _family_constant(w: WeightGrid, cubes: str, kind: str, level_values, p=None, q=None) -> ClassConstant:
+    """The max of a per-cube ratio over the cube family of a policy string
+    (grid.cube_levels: "all-dyadic", "base" or "level:k"), with the
+    attaining cube: level_values(level) gives the ratios of every cube of a
+    level, in Morton order; ties go to the first level and first Morton row."""
     best = -math.inf
     where = None
-    for level in cube_levels(_policy_name(F), w.base.level, w.L):
+    for level in cube_levels(cubes, w.base.level, w.L):
         ratios = level_values(level)
         i = int(np.argmax(ratios))
         if float(ratios[i]) > best:
             best = float(ratios[i])
             where = (level, i)
     level, i = where
-    return ClassConstant(kind, best, p=p, q=q, witness=_cube_at(w, level, i).addr(), cube_policy=_policy_name(F))
+    return ClassConstant(kind, best, p=p, q=q, witness=_cube_at(w, level, i).addr(), cube_policy=cubes)
 
 
 # ---------------------------------------------------------------------------
@@ -152,17 +149,17 @@ def _normal_powers(z: np.ndarray, e: float, ref: float) -> tuple[np.ndarray, int
     return np.ldexp(z, k) ** e, k
 
 
-def rh_p_constant(w: WeightGrid, p: float, F: CubeFamily | None = None) -> ClassConstant:
+def rh_p_constant(w: WeightGrid, p: float, cubes: str = "all-dyadic") -> ClassConstant:
     """max over the family of (avg_Q w^p)^{1/p} / avg_Q w."""
     if not p > 1.0:
         raise ValueError("p must exceed 1")
     z = _cells(w)
     zp, k = _normal_powers(z, p, z.max())
     ratios = lambda lev: _level_row_means(zp, w, lev) ** (1.0 / p) / np.ldexp(_level_means(w, lev), k)
-    return _family_constant(w, F, "RH_p", ratios, p=p)
+    return _family_constant(w, cubes, "RH_p", ratios, p=p)
 
 
-def a_p_constant(w: WeightGrid, p: float, F: CubeFamily | None = None) -> ClassConstant:
+def a_p_constant(w: WeightGrid, p: float, cubes: str = "all-dyadic") -> ClassConstant:
     """p > 1: max of (avg_Q w)(avg_Q w^{-1/(p-1)})^{p-1}; p = 1: max cell
     ratio of the dyadic maximal function to the weight."""
     if not p >= 1.0:
@@ -172,21 +169,21 @@ def a_p_constant(w: WeightGrid, p: float, F: CubeFamily | None = None) -> ClassC
         ratios = M.zcells / w.zcells
         i = int(np.argmax(ratios))
         witness = _cube_at(w, w.L, i).addr()
-        return ClassConstant("A_1", float(ratios[i]), p=1.0, witness=witness, cube_policy=_policy_name(F))
+        return ClassConstant("A_1", float(ratios[i]), p=1.0, witness=witness, cube_policy=cubes)
     z = _cells(w)
     zdual, k = _normal_powers(z, -1.0 / (p - 1.0), z.min())
     ratios = lambda lev: np.ldexp(_level_means(w, lev), k) * _level_row_means(zdual, w, lev) ** (p - 1.0)
-    return _family_constant(w, F, "A_p", ratios, p=p)
+    return _family_constant(w, cubes, "A_p", ratios, p=p)
 
 
-def rh_llogl_constant(w: WeightGrid, F: CubeFamily | None = None) -> ClassConstant:
+def rh_llogl_constant(w: WeightGrid, cubes: str = "all-dyadic") -> ClassConstant:
     """max over the family of the Luxemburg L log L norm over the average."""
 
     def ratios(lev):
         rows = _cells(w).reshape(-1, 1 << (w.d * (w.L - lev)))
         return llogl_norm_rows(rows) / rows.mean(axis=1)
 
-    return _family_constant(w, F, "RH_LLogL", ratios)
+    return _family_constant(w, cubes, "RH_LLogL", ratios)
 
 
 def _lorentz_level(w: WeightGrid, level: int, p: float, q: float) -> np.ndarray:
@@ -199,7 +196,7 @@ def _lorentz_level(w: WeightGrid, level: int, p: float, q: float) -> np.ndarray:
     return (head + tail) ** (1.0 / q)
 
 
-def rh_lorentz_constant(w: WeightGrid, p: float, q: float, F: CubeFamily | None = None) -> ClassConstant:
+def rh_lorentz_constant(w: WeightGrid, p: float, q: float, cubes: str = "all-dyadic") -> ClassConstant:
     """max over the family of ||w chi_Q||_{L(p,q)} / (|Q|^{1/p} avg_Q w)."""
     if not p > 1.0:
         raise ValueError("p must exceed 1")
@@ -210,10 +207,10 @@ def rh_lorentz_constant(w: WeightGrid, p: float, q: float, F: CubeFamily | None 
         T = 2.0 ** (-w.d * lev)
         return _lorentz_level(w, lev, p, q) / (T ** (1.0 / p) * _level_means(w, lev))
 
-    return _family_constant(w, F, "RH_Lorentz", ratios, p=p, q=q)
+    return _family_constant(w, cubes, "RH_Lorentz", ratios, p=p, q=q)
 
 
-def fujii_constant(w: WeightGrid, F: CubeFamily | None = None) -> ClassConstant:
+def fujii_constant(w: WeightGrid, cubes: str = "all-dyadic") -> ClassConstant:
     """max over the family of int_Q M_d(w chi_Q) / int_Q w.
 
     The maximal functions localized to the cubes of a level are the rows of
@@ -221,10 +218,10 @@ def fujii_constant(w: WeightGrid, F: CubeFamily | None = None) -> ClassConstant:
     (rearrange._level_maximal), so a level costs one pass.
     """
     ratios = lambda lev: _level_maximal(w, lev).sum(axis=1) / w.float_level_sums(lev)
-    return _family_constant(w, F, "Fujii", ratios)
+    return _family_constant(w, cubes, "Fujii", ratios)
 
 
-def rh_p_weighted_constant(g: WeightGrid, w: WeightGrid, p: float, F: CubeFamily | None = None) -> ClassConstant:
+def rh_p_weighted_constant(g: WeightGrid, w: WeightGrid, p: float, cubes: str = "all-dyadic") -> ClassConstant:
     """max over the family of ((1/w(Q)) int_Q g^p w)^{1/p} / ((1/w(Q)) int_Q g w)."""
     if not p > 1.0:
         raise ValueError("p must exceed 1")
@@ -238,7 +235,7 @@ def rh_p_weighted_constant(g: WeightGrid, w: WeightGrid, p: float, F: CubeFamily
         wsum = w.float_level_sums(lev)
         return (gp_w.reshape(-1, width).sum(axis=1) / wsum) ** (1.0 / p) / (g_w.reshape(-1, width).sum(axis=1) / wsum)
 
-    return _family_constant(g, F, "RH_p_weighted", ratios, p=p)
+    return _family_constant(g, cubes, "RH_p_weighted", ratios, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -306,17 +303,17 @@ def _kside_level(w: WeightGrid, level: int, p: float) -> np.ndarray:
     return best
 
 
-def kside_rh_constant(w: WeightGrid, p: float, F: CubeFamily | None = None) -> ClassConstant:
+def kside_rh_constant(w: WeightGrid, p: float, cubes: str = "all-dyadic") -> ClassConstant:
     """sup over the family of the K-side reverse-Hölder functional."""
     if not p > 1.0:
         raise ValueError("p must exceed 1")
-    return _family_constant(w, F, "RH_p_kside", lambda lev: _kside_level(w, lev, p), p=p)
+    return _family_constant(w, cubes, "RH_p_kside", lambda lev: _kside_level(w, lev, p), p=p)
 
 
 # ---------------------------------------------------------------------------
 # reverse-Hardy residual over a family
 
-def hardy_residual_sup(w: WeightGrid, F: CubeFamily | None = None) -> ClassConstant:
+def hardy_residual_sup(w: WeightGrid, cubes: str = "all-dyadic") -> ClassConstant:
     """sup over the family of the reverse-Hardy residual of K_Q: exact,
     closed form via Wright omega, each level's pieces through
     indices._hardy_rows."""
@@ -325,20 +322,20 @@ def hardy_residual_sup(w: WeightGrid, F: CubeFamily | None = None) -> ClassConst
         vals, K, s0, s, A = _level_pieces(w, lev)
         return _hardy_rows(A, vals, s0, s, K)
 
-    return _family_constant(w, F, "HardyResidual", ratios)
+    return _family_constant(w, cubes, "HardyResidual", ratios)
 
 
 # ---------------------------------------------------------------------------
 # verification routines
 
 def verify_rhp_equivalence(
-    w: WeightGrid, p: float, F: CubeFamily | None = None, radius: float | None = None
+    w: WeightGrid, p: float, cubes: str = "all-dyadic", radius: float | None = None
 ) -> TheoremReport:
     """The RH_p constant and the K-side constant must be comparable within
     the radius."""
     R = default_radius(w.d) if radius is None else radius
-    rh = rh_p_constant(w, p, F)
-    ks = kside_rh_constant(w, p, F)
+    rh = rh_p_constant(w, p, cubes)
+    ks = kside_rh_constant(w, p, cubes)
     ratio = rh.value / ks.value
     ok = 1.0 / R <= ratio <= R
     case = {
@@ -352,13 +349,13 @@ def verify_rhp_equivalence(
 
 
 def verify_llogl_equivalence(
-    w: WeightGrid, F: CubeFamily | None = None, radius: float | None = None
+    w: WeightGrid, cubes: str = "all-dyadic", radius: float | None = None
 ) -> TheoremReport:
     """The L log L reverse-Hölder constant and the family sup of the reverse
     Hardy residual must be comparable within the radius."""
     R = default_radius(w.d) if radius is None else radius
-    rh = rh_llogl_constant(w, F)
-    hr = hardy_residual_sup(w, F)
+    rh = rh_llogl_constant(w, cubes)
+    hr = hardy_residual_sup(w, cubes)
     ratio = rh.value / hr.value
     ok = 1.0 / R <= ratio <= R
     case = {
@@ -434,12 +431,12 @@ def verify_stromberg_wheeden(w: WeightGrid, p: float, C_cap: float = 16.0) -> Th
     )
 
 
-def verify_fujii(w: WeightGrid, F: CubeFamily | None = None, c: float = 4.0) -> TheoremReport:
+def verify_fujii(w: WeightGrid, cubes: str = "all-dyadic", c: float = 4.0) -> TheoremReport:
     """Fujii's condition from the L log L constant: fujii_constant <=
     c (k^2 + k + 1) with k = rh_llogl_constant; the cellwise iterated-maximal
     comparison constant is reported alongside."""
-    fu = fujii_constant(w, F)
-    k = rh_llogl_constant(w, F).value
+    fu = fujii_constant(w, cubes)
+    k = rh_llogl_constant(w, cubes).value
     bound = c * (k * k + k + 1.0)
     ok = fu.value <= bound
     M1 = dyadic_maximal(w, w.base)
@@ -514,7 +511,7 @@ def origin_chain_masses(w: WeightGrid) -> list[float]:
 
 
 def verify_weighted_rh(
-    g: WeightGrid, w: WeightGrid, p: float, F: CubeFamily | None = None, Pi: PackingFamily | None = None
+    g: WeightGrid, w: WeightGrid, p: float, cubes: str = "all-dyadic", Pi: PackingFamily | None = None
 ) -> TheoremReport:
     """g in RH_p(w dx) gives the K-inequality between packing estimates:
 
@@ -523,7 +520,7 @@ def verify_weighted_rh(
     with C the weighted reverse-Hölder constant and the same packing family
     on both sides (the derivation is definitional, constant 1), checked at
     cube-aligned t values."""
-    C = rh_p_weighted_constant(g, w, p, F).value
+    C = rh_p_weighted_constant(g, w, p, cubes).value
     if Pi is None:
         Pi = packing_family(g, w, p)
     ts = origin_chain_masses(w)
@@ -705,23 +702,22 @@ def analyze_report(
     Key order is fixed; all values are plain Python scalars so the encoder
     output is stable byte for byte.
     """
-    F = CubeFamily(cubes=[], policy=cube_policy) if cube_policy != "all-dyadic" else None
     constants = []
     for p in p_list:
-        c = rh_p_constant(w, p, F)
+        c = rh_p_constant(w, p, cube_policy)
         constants.append({"kind": c.kind, "p": p, "value": c.value, "witness": c.witness})
     for p in p_list:
         if p > 1.0:
-            c = a_p_constant(w, p, F)
+            c = a_p_constant(w, p, cube_policy)
             constants.append({"kind": c.kind, "p": p, "value": c.value, "witness": c.witness})
-    c = rh_llogl_constant(w, F)
+    c = rh_llogl_constant(w, cube_policy)
     constants.append({"kind": c.kind, "value": c.value, "witness": c.witness})
     for q in q_list:
         for p in p_list:
             if p > 1.0:
-                lc = rh_lorentz_constant(w, p, q, F)
+                lc = rh_lorentz_constant(w, p, q, cube_policy)
                 constants.append({"kind": lc.kind, "p": p, "q": q, "value": lc.value, "witness": lc.witness})
-    c = fujii_constant(w, F)
+    c = fujii_constant(w, cube_policy)
     constants.append({"kind": c.kind, "value": c.value, "witness": c.witness})
     fam = family_index(CurveFamily(w), C_cap=C_cap, gamma_grid=gamma_grid)
     ak = acks_index(w, C_cap=C_cap, gamma_grid=gamma_grid)

@@ -4,18 +4,7 @@ Random grids come from the package's own counter-based generator (so every
 draw is reproducible from the printed spec string), and the dyadic strategy
 builds cells as mantissa * 2^e with small mantissas, for which block sums
 are exactly representable and bit-level assertions are meaningful.
-
-BLAS runs on one thread in the tests: a threaded gemv rounds the last rows
-of each thread's share as a tail, and how a product is split depends on the
-core count, so bit-for-bit comparisons between products of different sizes
-(kcalc.power_piece_integral against its frozen former implementation, a
-level's piece matrix against the same pieces in one row) would depend on
-the host.  The variable must be set before numpy is first imported.
 """
-
-import os
-
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -87,3 +76,24 @@ def frozen_double_star(r, t: float) -> float:
     prev_b = r.breaks[i - 1] if i > 0 else 0.0
     prev_m = r.cum_mass[i - 1] if i > 0 else 0.0
     return (prev_m + r.values[i] * (t - prev_b)) / t
+
+
+def frozen_gl_panel(A, B, s0, s1, q, E, table, gemv=False):
+    """The Gauss-Legendre sum of (A + B s)^q s^E over each panel [s0, s1],
+    one panel per row: the frozen oracle of the piece-integral kernel.  The
+    node values (A + B s)^q (weight s^E) are summed by halving the node
+    axis in the kernel's fixed order; with gemv, the unweighted values take
+    the BLAS product with the weights that the kernel used to take."""
+    nodes, weights = table
+    mid = 0.5 * (s0 + s1)
+    half = 0.5 * (s1 - s0)
+    s = mid[:, None] + half[:, None] * nodes[None, :]
+    if gemv:
+        return half * (((A[:, None] + B[:, None] * s) ** q * s ** E) @ weights)
+    f = (A[:, None] + B[:, None] * s) ** q * (s ** E * weights)
+    k = f.shape[1]
+    while k > 1:
+        h = k // 2
+        f[:, :h] += f[:, k - h : k]
+        k -= h
+    return half * f[:, 0]

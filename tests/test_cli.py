@@ -3,11 +3,14 @@
 Runs main() in-process and checks the exact bytes where the format is
 contractual (curve CSV of the step weight, report headers and footers), the
 four-way exit-code split, lossless convert round-trips, and that the thread
-count never changes output bytes.
+count (of the suites and of BLAS) never changes output bytes.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 
@@ -322,7 +325,7 @@ def _frozen_gehring_lines(w, cfg):
 
 def _frozen_lorentz_lines(w):
     """The lorentz suite's lines as they were built by hand."""
-    vec_base = cli.W.rh_lorentz_constant(w, 2.0, 2.0, cli.CubeFamily([], "base")).value
+    vec_base = cli.W.rh_lorentz_constant(w, 2.0, 2.0, "base").value
     scalar = cli.lorentz_norm(w, w.base, 2.0, 2.0) / (w.measure ** 0.5 * (cli.integrate(w, w.base) / w.measure))
     full = cli.W.rh_lorentz_constant(w, 2.0, 2.0).value
     ok = math.isclose(vec_base, scalar, rel_tol=1e-9) and full >= vec_base * (1.0 - 1e-12)
@@ -357,6 +360,28 @@ def test_verify_threads_do_not_change_bytes(capsys, monkeypatch):
     b = run_cli(capsys, *argv)
     assert a == b
     assert a[0] == 0
+
+
+def test_blas_threads_do_not_change_bytes():
+    # the quadrature sums no BLAS product, so the Lorentz, K-side and
+    # Holmstedt outputs keep their bytes under a threaded BLAS (the variable
+    # must be set before numpy is first imported, hence the subprocesses)
+    script = (
+        "import sys\n"
+        "from rhlab.cli import main\n"
+        "for argv in (['verify', '--suite', 'rhp'], ['verify', '--suite', 'lorentz'],\n"
+        "             ['curve', '--kind', 'holmstedt:0.5:2', '--weight', 'pow:-0.5', '--level', '14']):\n"
+        "    assert main(argv) == 0\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") > 16385
 
 
 def test_verify_bad_thread_env_falls_back(capsys, monkeypatch):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dyadic_grids, localized_grids, random_grids
+from conftest import dyadic_grids, random_grids
 from rhlab.grid import (
     DyadicCube,
     WeightFormatError,
@@ -24,7 +24,6 @@ from rhlab.grid import (
     WeightSpecError,
     base_cube,
     cube_levels,
-    enumerate_cubes,
     integrate,
     level_cubes,
     load_weight,
@@ -287,22 +286,7 @@ def test_sorted_level_rows():
 
 
 # ---------------------------------------------------------------------------
-# enumeration
-
-
-def test_enumerate_cubes_counts_and_policies():
-    w = make_grid(1, 3, "const:1")
-    F = enumerate_cubes(w)
-    assert len(F.cubes) == 1 + 2 + 4 + 8
-    assert F.policy == "all-dyadic"
-    F2 = enumerate_cubes(w, "level:2")
-    assert [Q.level for Q in F2.cubes] == [2, 2, 2, 2]
-    Fb = enumerate_cubes(w, "base")
-    assert Fb.cubes == [w.base]
-    with pytest.raises(ValueError):
-        enumerate_cubes(w, "level:9")
-    with pytest.raises(ValueError):
-        enumerate_cubes(w, "rings")
+# cube policies
 
 
 def test_cube_levels_parses_every_policy():
@@ -319,26 +303,6 @@ def test_cube_levels_parses_every_policy():
         with pytest.raises(ValueError) as exc:
             cube_levels(policy, 1, 4)
         assert str(exc.value) == message
-
-
-@pytest.mark.parametrize(
-    "w",
-    [make_grid(1, 4, "rand:4:lognormal:1"), make_grid(2, 3, "rand:5:lognormal:1"), *localized_grids()],
-    ids=lambda w: f"d{w.d}L{w.L}base{w.base.level}",
-)
-def test_enumerate_cubes_is_level_cubes_concatenated(w):
-    lo = w.base.level
-    for policy, levels in (
-        ("all-dyadic", range(lo, w.L + 1)),
-        ("base", [lo]),
-        (f"level:{lo + 1}", [lo + 1]),
-        (f"level:{w.L}", [w.L]),
-    ):
-        F = enumerate_cubes(w, policy)
-        assert F.policy == policy
-        assert F.cubes == [Q for lev in levels for Q in level_cubes(w, lev)]
-    with pytest.raises(ValueError, match=rf"level {lo - 1} outside"):
-        enumerate_cubes(w, f"level:{lo - 1}")
 
 
 def test_level_cubes_order_matches_morton_rows():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import flat_grids, localized_grids, random_grids
 from rhlab import indices
 from rhlab.cli import main
-from rhlab.grid import WeightGrid, _cube_at, enumerate_cubes, level_cubes, make_grid
+from rhlab.grid import WeightGrid, _cube_at, level_cubes, make_grid
 from rhlab.indices import (
     IndexEstimate,
     _LevelBlock,
@@ -900,7 +900,7 @@ def test_hardy_residual_one_hot_interior_max():
     ref = float(N(tstar) / (2 * h + tstar))
     assert math.isclose(ref, 1.4630555133655, rel_tol=1e-12)
     assert math.isclose(hardy_residual(k_l1_linf(w, w.base)), ref, rel_tol=1e-12)
-    assert math.isclose(hardy_residual_sup(w, enumerate_cubes(w, "base")).value, ref, rel_tol=1e-12)
+    assert math.isclose(hardy_residual_sup(w, "base").value, ref, rel_tol=1e-12)
 
 
 def _dense_hardy(K, n=64):
@@ -923,7 +923,7 @@ def test_hardy_residual_at_least_dense_scan(w):
 
 @given(random_grids(max_level_1d=8, max_level_2d=4))
 def test_hardy_level_route_equals_single_route(w):
-    level = hardy_residual_sup(w, enumerate_cubes(w, "base")).value
+    level = hardy_residual_sup(w, "base").value
     assert math.isclose(level, hardy_residual(k_l1_linf(w, w.base)), rel_tol=1e-13)
 
 

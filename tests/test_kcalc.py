@@ -7,8 +7,10 @@ of step 2,1, the straight Holmstedt line of a constant weight, the Luxemburg
 root of the constant-1 weight, and the Lorentz norms of indicators. The
 one piece-integral kernel is checked bit for bit twice: power_piece_integral
 against a frozen copy of its former implementation (its own 20/40-node pass
-in one product), and level_piece_integrals on a level's (n, m) piece matrix
-against the same pieces flattened into one row; the level-table packing path
+over all pieces, with the kernel's fixed-order node sums), and
+level_piece_integrals on a level's (n, m) piece matrix against the same
+pieces flattened into one row, row by row and piece by piece, at any block
+size; the level-table packing path
 (k_weighted_curve) against a frozen copy of the per-packing loop it
 replaced.
 """
@@ -21,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import flat_grids, localized_grids, random_grids
+from conftest import flat_grids, frozen_gl_panel, localized_grids, random_grids
 from rhlab.grid import DyadicCube, WeightGrid, integrate, level_cubes, make_grid
 from rhlab import kcalc
 from rhlab.kcalc import (
@@ -166,19 +168,27 @@ _CALLER_QE = [(q, q / p - q - 1.0) for q in (1.5, 2.0, 3.0) for p in (2.0, 1.5)]
 ]
 
 
-def _assert_kernel_bitwise(w, lev, q, E):
-    B, _, s0, s1, A = _level_pieces(w, lev)
+def _assert_kernel_bitwise(A, B, s0, s1, q, E):
+    # a piece's bits depend only on its own data: the (n, m) call equals the
+    # pieces flattened into one row, and sampled rows and pieces on their own
     n, m = A.shape
     got = level_piece_integrals(A, B, s0, s1, q, E)
     ref = power_piece_integral(A.ravel(), B.ravel(), np.tile(s0, n), np.tile(s1, n), q, E)
     assert got.shape == (n, m)
     np.testing.assert_array_equal(got.view(np.uint64), ref.reshape(n, m).view(np.uint64))
+    for i in range(0, n, max(1, n // 4)):
+        row = level_piece_integrals(A[i : i + 1], B[i : i + 1], s0, s1, q, E)
+        np.testing.assert_array_equal(row[0].view(np.uint64), got[i].view(np.uint64))
+        for j in range(0, m, max(1, m // 4)):
+            one = power_piece_integral(A[i, j], B[i, j], s0[j], s1[j], q, E)
+            assert one.view(np.uint64)[0] == got[i, j].view(np.uint64), (i, j)
 
 
 @given(st.one_of(random_grids(), st.sampled_from(_FLAT_GRIDS)), st.sampled_from(_CALLER_QE), st.data())
 def test_level_piece_integrals_bitwise(w, qE, data):
     lev = data.draw(st.integers(w.base.level, w.L), label="level")
-    _assert_kernel_bitwise(w, lev, *qE)
+    B, _, s0, s1, A = _level_pieces(w, lev)
+    _assert_kernel_bitwise(A, B, s0, s1, *qE)
 
 
 def test_level_piece_integrals_flat_grids_have_origin_pieces():
@@ -186,10 +196,21 @@ def test_level_piece_integrals_flat_grids_have_origin_pieces():
     assert np.count_nonzero(A[:, 1:] == 0.0) > 0  # interior closed-form pieces
 
 
+def _six_decade_pieces():
+    # columns spanning up to six decades, where s^E needs bisections at the
+    # default tolerance, with interior A == 0 pieces: (A, B, s0, s1)
+    rng = np.random.default_rng(7)
+    s0 = np.array([1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0])
+    s1 = np.array([1.0, 0.1, 2.0, 0.02, 3.0, 0.75, 1.5])
+    A = rng.uniform(0.0, 2.0, (9, 7))
+    A[::3, 2] = 0.0
+    B = rng.uniform(0.1, 3.0, (9, 7))
+    return A, B, s0, s1
+
+
 def test_level_piece_integrals_bisection_fallback(monkeypatch):
     # pieces failing the depth-0 test enter the shared bisection loop at
-    # depth 1: columns spanning six decades, where s^E needs bisections at
-    # the default tolerance
+    # depth 1
     entered = []
     real = kcalc._bisect_panels
 
@@ -198,31 +219,25 @@ def test_level_piece_integrals_bisection_fallback(monkeypatch):
         return real(work, *args)
 
     monkeypatch.setattr(kcalc, "_bisect_panels", spy)
-    rng = np.random.default_rng(7)
-    s0 = np.array([1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0])
-    s1 = np.array([1.0, 0.1, 2.0, 0.02, 3.0, 0.75, 1.5])
-    A = rng.uniform(0.0, 2.0, (9, 7))
-    A[::3, 2] = 0.0
-    B = rng.uniform(0.1, 3.0, (9, 7))
     for q, E in (_CALLER_QE[0], _CALLER_QE[-1]):
-        got = level_piece_integrals(A, B, s0, s1, q, E)
-        ref = power_piece_integral(A.ravel(), B.ravel(), np.tile(s0, 9), np.tile(s1, 9), q, E)
-        np.testing.assert_array_equal(got.view(np.uint64), ref.reshape(9, 7).view(np.uint64))
+        _assert_kernel_bitwise(*_six_decade_pieces(), q, E)
     assert any(depth == 1 and size > 0 for depth, size in entered)
 
 
-@pytest.mark.parametrize("block", [64, 128, 2048])
+@pytest.mark.parametrize("block", [64, 100, 128, 2048, 4096])
 def test_level_piece_integrals_block_shapes(monkeypatch, block):
-    # several column blocks and row blocks per level, and partial row blocks
+    # several column blocks and row blocks per level, partial row blocks,
+    # and a block size that is no power of two
     monkeypatch.setattr(kcalc, "_PIECE_BLOCK", block)
     for w in (make_grid(1, 9, "rand:11:lognormal:1.5"), make_grid(2, 4, "rand:12:lognormal:1"), _FLAT_GRIDS[4]):
         for lev in range(w.L + 1):
+            B, _, s0, s1, A = _level_pieces(w, lev)
             for q, E in (_CALLER_QE[0], _CALLER_QE[2], _CALLER_QE[-2]):
-                _assert_kernel_bitwise(w, lev, q, E)
+                _assert_kernel_bitwise(A, B, s0, s1, q, E)
     B, _, s0, s1, A = _level_pieces(make_grid(1, 6, "rand:13:lognormal:1"), 2)
-    odd = level_piece_integrals(A[:3, :13], B[:3, :13], s0[:13], s1[:13], 2.0, -1.5)
-    ref = power_piece_integral(A[:3, :13].ravel(), B[:3, :13].ravel(), np.tile(s0[:13], 3), np.tile(s1[:13], 3), 2.0, -1.5)
-    np.testing.assert_array_equal(odd.view(np.uint64), ref.reshape(3, 13).view(np.uint64))
+    _assert_kernel_bitwise(A[:3, :13], B[:3, :13], s0[:13], s1[:13], 2.0, -1.5)
+    for q, E in (_CALLER_QE[0], _CALLER_QE[-1]):
+        _assert_kernel_bitwise(*_six_decade_pieces(), q, E)
 
 
 def test_level_piece_integrals_q_one_is_closed_form():
@@ -275,7 +290,8 @@ def test_piece_integral_depth_cap_raises():
 
 # ---------------------------------------------------------------------------
 # power_piece_integral against a frozen copy of its former implementation,
-# which ran its own 20/40-node pass over all pieces in one product
+# which ran its own 20/40-node pass over all pieces (its node sums re-based
+# from one BLAS product to the kernel's fixed-order sum, conftest.frozen_gl_panel)
 
 
 def _frozen_antider_pow(s, r):
@@ -284,22 +300,13 @@ def _frozen_antider_pow(s, r):
     return s ** (r + 1.0) / (r + 1.0)
 
 
-def _frozen_gl_panel(A, B, s0, s1, q, E, table):
-    nodes, weights = table
-    mid = 0.5 * (s0 + s1)
-    half = 0.5 * (s1 - s0)
-    s = mid[:, None] + half[:, None] * nodes[None, :]
-    f = (A[:, None] + B[:, None] * s) ** q * s ** E
-    return half * (f @ weights)
-
-
 def _frozen_bisect_panels(work, q, E, rel, acc):
     gl20 = np.polynomial.legendre.leggauss(20)
     gl40 = np.polynomial.legendre.leggauss(40)
     while work:
         a, b, lo, hi, ix, depth = work.pop()
-        c20 = _frozen_gl_panel(a, b, lo, hi, q, E, gl20)
-        c40 = _frozen_gl_panel(a, b, lo, hi, q, E, gl40)
+        c20 = frozen_gl_panel(a, b, lo, hi, q, E, gl20)
+        c40 = frozen_gl_panel(a, b, lo, hi, q, E, gl40)
         done = np.abs(c40 - c20) <= rel * np.maximum(np.abs(c40), 1e-300)
         np.add.at(acc, ix[done], c40[done])
         bad = ~done
@@ -355,8 +362,7 @@ _PIECE = st.tuples(st.floats(0.0, 3.0), st.floats(0.1, 3.0), st.floats(0.05, 1.0
 @settings(max_examples=60)
 @given(st.lists(_PIECE, min_size=1, max_size=300), st.floats(1.0, 3.5), st.floats(-2.5, 1.5))
 def test_power_piece_integral_frozen_fuzz(pieces, q, E):
-    # the fuzz strategy's pieces, batched, so products of any length and
-    # their tails are covered
+    # the fuzz strategy's pieces, batched, so calls of any length are covered
     A, B, s0, ratio = map(np.array, zip(*pieces))
     _assert_frozen_bitwise(A, B, s0, s0 * ratio, q, E)
 
@@ -378,7 +384,7 @@ def test_power_piece_integral_frozen_holmstedt_pieces(w, theta, q, data):
 
 @pytest.mark.parametrize("spec, L", [("pow:-0.5", 14), ("rand:8:lognormal:1", 12)])
 def test_power_piece_integral_frozen_long_curves(spec, L):
-    # several column blocks in one row, plus the tail recompute
+    # several column blocks in one row
     K = k_l1_linf(make_grid(1, L, spec), DyadicCube(0, (0,)))
     for theta, q in ((0.5, 2.0), (0.3, 3.0)):
         _assert_frozen_bitwise(*K.pieces(), q, -theta * q - 1.0)
@@ -551,6 +557,18 @@ def test_holmstedt_near_frozen_per_point_random(w):
 @pytest.mark.parametrize("w", flat_grids() + localized_grids(), ids=lambda w: f"{w.label}-d{w.d}L{w.L}")
 def test_holmstedt_near_frozen_per_point_flat_and_localized(w):
     _assert_holmstedt_near_frozen(w)
+
+
+@pytest.mark.parametrize("spec", ["pow:-0.5", "rand:3:lognormal:1"])
+def test_holmstedt_scalar_value_is_a_one_element_call(spec):
+    # the outer power of a scalar call runs on a one-element array, as in
+    # the batched call
+    K = k_l1_linf(make_grid(1, 10, spec), DyadicCube(0, (0,)))
+    for theta, q in ((0.5, 2.0), (0.3, 3.0), (0.7, 1.5)):
+        H = HolmstedtCurve(K, theta, q)
+        ts = _holmstedt_points(K, theta)[::7]
+        one = np.array([H.value(t) for t in ts.tolist()])
+        np.testing.assert_array_equal(one.view(np.uint64), H.value(ts).view(np.uint64))
 
 
 def test_holmstedt_value_is_one_piece_call(monkeypatch):

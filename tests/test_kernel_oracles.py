@@ -6,9 +6,12 @@ llogl_norm_rows decides its bisection tests from a certified band around
 each row's root instead of evaluating every one.  Both must keep every bit:
 they are compared here with frozen copies of the implementations that
 evaluated everything (bit for bit, on the same inputs), which a comparison
-of the kernel with its own one-row call cannot do.  The work they save is
-pinned on the benchmark's analyze grids, and the error bound is checked
-against high-precision quadrature.
+of the kernel with its own one-row call cannot do.  The frozen kernel sums
+its nodes in the kernel's fixed halving order (conftest.frozen_gl_panel);
+one comparison with the BLAS gemv sums the kernel took before bounds the
+change of reduction in ulps.  The work they save is pinned on the
+benchmark's analyze grids, and the error bound is checked against
+high-precision quadrature.
 """
 
 import numpy as np
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flat_grids, random_grids
+from conftest import flat_grids, frozen_gl_panel, random_grids
 from rhlab import kcalc, weights
 from rhlab.grid import make_grid
 from rhlab.kcalc import _level_pieces, level_piece_integrals, llogl_norm_rows
@@ -32,25 +35,15 @@ def _frozen_antider_pow(s, r):
     return s ** (r + 1.0) / (r + 1.0)
 
 
-def _frozen_gl_panel(A, B, s0, s1, q, E, table):
-    nodes, weights_ = table
-    mid = 0.5 * (s0 + s1)
-    half = 0.5 * (s1 - s0)
-    s = mid[:, None] + half[:, None] * nodes[None, :]
-    f = (A[:, None] + B[:, None] * s) ** q * s ** E
-    return half * (f @ weights_)
-
-
 _GL20 = np.polynomial.legendre.leggauss(20)
 _GL40 = np.polynomial.legendre.leggauss(40)
-_ROW_ALIGN = 64
 
 
-def _frozen_bisect_panels(work, q, E, acc):
+def _frozen_bisect_panels(work, q, E, acc, gemv):
     while work:
         a, b, lo, hi, ix, depth = work.pop()
-        c20 = _frozen_gl_panel(a, b, lo, hi, q, E, _GL20)
-        c40 = _frozen_gl_panel(a, b, lo, hi, q, E, _GL40)
+        c20 = frozen_gl_panel(a, b, lo, hi, q, E, _GL20, gemv)
+        c40 = frozen_gl_panel(a, b, lo, hi, q, E, _GL40, gemv)
         done = np.abs(c40 - c20) <= 1e-10 * np.maximum(np.abs(c40), 1e-300)
         np.add.at(acc, ix[done], c40[done])
         bad = ~done
@@ -62,19 +55,7 @@ def _frozen_bisect_panels(work, q, E, acc):
             work.append((a[bad], b[bad], mid, hi[bad], ix[bad], depth + 1))
 
 
-def _frozen_node_sums(a, b, s, sE, weights_, q, buf):
-    r, c = a.shape
-    k = s.shape[1]
-    f = buf[: r * c * k].reshape(r, c, k)
-    np.multiply(b[:, :, None], s, out=f)
-    f += a[:, :, None]
-    f **= q
-    f *= sE
-    rows = -(-r * c // _ROW_ALIGN) * _ROW_ALIGN
-    return (buf[: rows * k].reshape(rows, k) @ weights_)[: r * c].reshape(r, c)
-
-
-def frozen_level_piece_integrals(A, B, s0, s1, q, E, block=2048):
+def frozen_level_piece_integrals(A, B, s0, s1, q, E, gemv=False):
     A, B, s0, s1 = (np.asarray(x, dtype=np.float64) for x in (A, B, s0, s1))
     n, m = A.shape
     if E <= -1.0 and np.any(A[:, s0 == 0.0] != 0.0):
@@ -98,29 +79,10 @@ def frozen_level_piece_integrals(A, B, s0, s1, q, E, block=2048):
             _frozen_antider_pow(s1[k], E + 1.0) - _frozen_antider_pow(s0[k], E + 1.0)
         )
         return out.reshape(n, m)
-    c20 = np.empty((n, m))
-    c40 = np.empty((n, m))
-    buf = np.zeros(block * 40)
-    cb = min(m, block)
-    rb = block // cb
-    for c in range(int(np.min(live % m)), m, cb):
-        cols = slice(c, c + cb)
-        mid = 0.5 * (s0[cols] + s1[cols])
-        half = 0.5 * (s1[cols] - s0[cols])
-        tables = []
-        for (nodes, weights_), res in ((_GL20, c20), (_GL40, c40)):
-            s = mid[:, None] + half[:, None] * nodes[None, :]
-            tables.append((s, s ** E, weights_, res))
-        for r in range(0, n, rb):
-            rows = slice(r, r + rb)
-            for s, sE, weights_, res in tables:
-                res[rows, cols] = half * _frozen_node_sums(A[rows, cols], B[rows, cols], s, sE, weights_, q, buf)
-    c20 = c20.ravel()[live]
-    c40 = c40.ravel()[live]
-    tail = slice(live.size - min(live.size, _ROW_ALIGN + live.size % _ROW_ALIGN), None)
-    t = live[tail]
-    c20[tail] = _frozen_gl_panel(Af[t], Bf[t], s0[t % m], s1[t % m], q, E, _GL20)
-    c40[tail] = _frozen_gl_panel(Af[t], Bf[t], s0[t % m], s1[t % m], q, E, _GL40)
+    # every live piece takes both sums, one panel per row
+    a, b, lo, hi = Af[live], Bf[live], s0[live % m], s1[live % m]
+    c20 = frozen_gl_panel(a, b, lo, hi, q, E, _GL20, gemv)
+    c40 = frozen_gl_panel(a, b, lo, hi, q, E, _GL40, gemv)
     done = np.abs(c40 - c20) <= 1e-10 * np.maximum(np.abs(c40), 1e-300)
     acc = np.zeros(n * m)
     acc[live[done]] = c40[done]
@@ -128,14 +90,14 @@ def frozen_level_piece_integrals(A, B, s0, s1, q, E, block=2048):
     if bad.size:
         a, b, lo, hi = Af[bad], Bf[bad], s0[bad % m], s1[bad % m]
         mid = 0.5 * (lo + hi)
-        _frozen_bisect_panels([(a, b, lo, mid, bad, 1), (a, b, mid, hi, bad, 1)], q, E, acc)
+        _frozen_bisect_panels([(a, b, lo, mid, bad, 1), (a, b, mid, hi, bad, 1)], q, E, acc, gemv)
     out += acc
     return out.reshape(n, m)
 
 
-def _assert_level_kernel_frozen(A, B, s0, s1, q, E, block=2048):
+def _assert_level_kernel_frozen(A, B, s0, s1, q, E):
     got = level_piece_integrals(A, B, s0, s1, q, E)
-    ref = frozen_level_piece_integrals(A, B, s0, s1, q, E, block)
+    ref = frozen_level_piece_integrals(A, B, s0, s1, q, E)
     np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
@@ -174,6 +136,18 @@ def test_level_kernel_matches_frozen_on_bisection_fallback_pieces():
         _assert_level_kernel_frozen(A2, np.ones(A2.shape), lo, hi, 2.0, -1.5)
 
 
+def test_level_kernel_within_4_ulp_of_the_gemv_sums():
+    # the fixed-order node sums against the BLAS matrix-vector products
+    # they replaced, on every caller pair and every level
+    for w in (make_grid(1, 9, "rand:23:lognormal:1"), make_grid(2, 4, "rand:24:lognormal:1.5"), make_grid(1, 8, "pow:-0.5")):
+        for lev in range(w.L + 1):
+            vals, _, s0, s, A = _level_pieces(w, lev)
+            for q, E in _CALLER_QE:
+                got = level_piece_integrals(A, vals, s0, s, q, E)
+                ref = frozen_level_piece_integrals(A, vals, s0, s, q, E, gemv=True)
+                assert np.abs(got.view(np.int64) - ref.view(np.int64)).max() <= 4
+
+
 @pytest.mark.parametrize("block", [64, 128, 2048])
 def test_level_kernel_matches_frozen_block_shapes(monkeypatch, block):
     monkeypatch.setattr(kcalc, "_PIECE_BLOCK", block)
@@ -181,7 +155,7 @@ def test_level_kernel_matches_frozen_block_shapes(monkeypatch, block):
         for lev in range(w.L + 1):
             vals, _, s0, s, A = _level_pieces(w, lev)
             for q, E in (_CALLER_QE[0], _CALLER_QE[2], _CALLER_QE[-1]):
-                _assert_level_kernel_frozen(A, vals, s0, s, q, E, block)
+                _assert_level_kernel_frozen(A, vals, s0, s, q, E)
 
 
 # ---------------------------------------------------------------------------
@@ -271,24 +245,20 @@ def test_llogl_passes_per_level_bounded(monkeypatch):
 @pytest.mark.parametrize("d, L, spec", [(1, 14, "pow:-0.5"), (1, 16, "rand:1:lognormal:1"), (2, 8, "rand:2:lognormal:1")])
 def test_lorentz_pieces_skip_the_20_node_sums(monkeypatch, d, L, spec):
     # the Lorentz constants of an analyze --q 2 run
+    # (the bisection takes the same node sums)
     counts = {"live": 0, 20: 0}
-    kernel, node_sums, panel = kcalc.level_piece_integrals, kcalc._node_sums, kcalc._gl_panel
+    kernel, node_sums = kcalc.level_piece_integrals, kcalc._node_sums
 
     def count_live(A, B, s0, s1, q, E):
         counts["live"] += int(np.count_nonzero(A))
         return kernel(A, B, s0, s1, q, E)
 
-    def count_sums(a, b, s, sE, w, q, buf):
-        counts[20] += a.size if s.shape[1] == 20 else 0
-        return node_sums(a, b, s, sE, w, q, buf)
-
-    def count_panel(A, B, s0, s1, q, E, table):
-        counts[20] += A.size if table is kcalc._GL20 else 0
-        return panel(A, B, s0, s1, q, E, table)
+    def count_sums(a, b, s, ws, q, buf):
+        counts[20] += a.size if s.shape[0] == 20 else 0
+        return node_sums(a, b, s, ws, q, buf)
 
     monkeypatch.setattr(weights, "level_piece_integrals", count_live)
     monkeypatch.setattr(kcalc, "_node_sums", count_sums)
-    monkeypatch.setattr(kcalc, "_gl_panel", count_panel)
     w = make_grid(d, L, spec)
     for p in (1.5, 2.0, 3.0):
         weights.rh_lorentz_constant(w, p, 2.0)

@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import flat_grids, frozen_double_star, localized_grids, random_grids
-from rhlab.grid import DyadicCube, _rowmajor_of_morton, enumerate_cubes, integrate, make_grid
+from rhlab.grid import DyadicCube, _rowmajor_of_morton, integrate, level_cubes, make_grid
 from rhlab.rearrange import (
     DecreasingStep,
     double_star,
@@ -140,7 +140,7 @@ def test_dyadic_maximal_matches_bruteforce(w):
     M = dyadic_maximal(w, w.base)
     # brute force: for every cell take the max average over containing cubes
     best = np.zeros(w.ncells)
-    for Q in enumerate_cubes(w).cubes:
+    for Q in (Q for lev in range(w.base.level, w.L + 1) for Q in level_cubes(w, lev)):
         a, b = w.zrange(Q)
         avg = w.cube_cells(Q).mean()
         best[a:b] = np.maximum(best[a:b], avg)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import flat_grids, frozen_double_star, localized_grids, random_grids
 from rhlab import weights
-from rhlab.grid import CubeFamily, WeightGrid, _cube_at, enumerate_cubes, integrate, make_grid
+from rhlab.grid import WeightGrid, _cube_at, cube_levels, integrate, level_cubes, make_grid
 from rhlab.indices import family_index
 from rhlab.kcalc import CurveFamily, HolmstedtCurve, grid_power, k_l1_linf, lorentz_norm, power_piece_integral
 from rhlab.rearrange import DecreasingStep, _level_maximal, dyadic_maximal, rearrangement
@@ -121,8 +121,7 @@ def test_kside_const_is_one():
 
 def test_hardy_sup_step_frozen():
     w = make_grid(1, 3, "step:2,1")
-    F = enumerate_cubes(w, "base")
-    c = hardy_residual_sup(w, F)
+    c = hardy_residual_sup(w, "base")
     assert math.isclose(c.value, (1.5 + 0.5 * math.log(2.0)) / 1.5, rel_tol=1e-12)
     assert c.cube_policy == "base"
 
@@ -190,19 +189,46 @@ def test_level_constants_bitwise_equal_per_piece_route(w, p, q):
 def test_constants_respect_cube_families():
     w = make_grid(1, 4, "rand:3:lognormal:1")
     full = rh_p_constant(w, 2.0).value
-    base_only = rh_p_constant(w, 2.0, enumerate_cubes(w, "base")).value
-    level2 = rh_p_constant(w, 2.0, enumerate_cubes(w, "level:2")).value
+    base_only = rh_p_constant(w, 2.0, "base").value
+    level2 = rh_p_constant(w, 2.0, "level:2").value
     assert full >= base_only * (1 - 1e-15)
     assert full >= level2 * (1 - 1e-15)
 
 
+@pytest.mark.parametrize(
+    "w",
+    [make_grid(1, 4, "rand:4:lognormal:1"), make_grid(2, 3, "rand:5:lognormal:1"), *localized_grids()],
+    ids=lambda w: f"d{w.d}L{w.L}base{w.base.level}",
+)
+def test_policy_constant_is_max_over_its_cubes(w):
+    # a policy string names the cubes of its levels, level-major and each
+    # level in Morton order (grid.cube_levels, grid.level_cubes): the
+    # constant is the max of the per-cube ratio over exactly those cubes
+    lo = w.base.level
+    for policy, levels in (
+        ("all-dyadic", range(lo, w.L + 1)),
+        ("base", [lo]),
+        (f"level:{lo + 1}", [lo + 1]),
+        (f"level:{w.L}", [w.L]),
+    ):
+        assert list(cube_levels(policy, lo, w.L)) == list(levels)
+        cubes = [Q for lev in levels for Q in level_cubes(w, lev)]
+        ratios = [np.mean(w.cube_cells(Q) ** 2.0) ** 0.5 / np.mean(w.cube_cells(Q)) for Q in cubes]
+        c = rh_p_constant(w, 2.0, policy)
+        assert math.isclose(c.value, max(ratios), rel_tol=1e-12)
+        assert c.witness == cubes[int(np.argmax(ratios))].addr()
+        assert c.cube_policy == policy
+    with pytest.raises(ValueError, match=rf"level {lo - 1} outside"):
+        rh_p_constant(w, 2.0, f"level:{lo - 1}")
+
+
 _CONSTANTS = {
-    "rh_p": lambda w, F: rh_p_constant(w, 2.0, F),
-    "a_p": lambda w, F: a_p_constant(w, 2.0, F),
+    "rh_p": lambda w, cubes: rh_p_constant(w, 2.0, cubes),
+    "a_p": lambda w, cubes: a_p_constant(w, 2.0, cubes),
     "llogl": rh_llogl_constant,
-    "lorentz": lambda w, F: rh_lorentz_constant(w, 2.0, 2.0, F),
+    "lorentz": lambda w, cubes: rh_lorentz_constant(w, 2.0, 2.0, cubes),
     "fujii": fujii_constant,
-    "kside": lambda w, F: kside_rh_constant(w, 2.0, F),
+    "kside": lambda w, cubes: kside_rh_constant(w, 2.0, cubes),
     "hardy": hardy_residual_sup,
 }
 
@@ -215,16 +241,16 @@ def test_out_of_range_level_policy_raises_range_error(name):
     w = make_grid(1, 4, "rand:3:lognormal:1")
     for k in (99, 5, -1):
         with pytest.raises(ValueError, match=rf"^level {k} outside \[0, 4\]$"):
-            const(w, CubeFamily([], f"level:{k}"))
+            const(w, f"level:{k}")
     local = localized_grids()[0]
     assert local.base.level == 2
     with pytest.raises(ValueError, match=rf"^level 1 outside \[2, {local.L}\]$"):
-        const(local, CubeFamily([], "level:1"))
+        const(local, "level:1")
     with pytest.raises(ValueError, match="^unknown cube policy 'rings'$"):
-        const(w, CubeFamily([], "rings"))
+        const(w, "rings")
 
 
-_OVERFLOW_CONSTANTS = dict(_CONSTANTS, a_1=lambda w, F: a_p_constant(w, 1.0, F), weighted=lambda w, F: rh_p_weighted_constant(w, w, 2.0, F))
+_OVERFLOW_CONSTANTS = dict(_CONSTANTS, a_1=lambda w, cubes: a_p_constant(w, 1.0, cubes), weighted=lambda w, cubes: rh_p_weighted_constant(w, w, 2.0, cubes))
 
 
 @pytest.mark.parametrize("name", sorted(_OVERFLOW_CONSTANTS))
@@ -236,7 +262,7 @@ def test_mass_beyond_float_range_raises_before_any_cell_power(name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="^cube mass exceeds the float range$"):
-            _OVERFLOW_CONSTANTS[name](w, None)
+            _OVERFLOW_CONSTANTS[name](w, "all-dyadic")
 
 
 @pytest.mark.parametrize("c, p", [(1e200, 1.5), (1e300, 1.25)])
@@ -254,7 +280,7 @@ def test_rh_p_powers_in_the_normal_range_keep_their_bits():
     for lev in range(w.L + 1):
         width = 1 << (w.L - lev)
         ref = (z**2.0).reshape(-1, width).mean(axis=1) ** 0.5 / (w.float_level_sums(lev) / width)
-        assert rh_p_constant(w, 2.0, CubeFamily([], f"level:{lev}")).value == float(ref.max())
+        assert rh_p_constant(w, 2.0, f"level:{lev}").value == float(ref.max())
 
 
 def test_nan_parameters_are_refused():
@@ -487,7 +513,7 @@ def _assert_maximal_checks_frozen(w):
         np.testing.assert_array_equal(_bits(_level_maximal(w, lev)), _bits(rm))
         ratios = rm.sum(axis=1) / w.float_level_sums(lev)
         i = int(np.argmax(ratios))
-        c = fujii_constant(w, CubeFamily([], f"level:{lev}"))
+        c = fujii_constant(w, f"level:{lev}")
         assert _bits(c.value) == _bits(ratios[i]) and c.witness == _cube_at(w, lev, i).addr()
         best = max(best, float(ratios[i]))
     assert _bits(fujii_constant(w).value) == _bits(best)
