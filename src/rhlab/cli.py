@@ -64,9 +64,6 @@ SUITE_NAMES = (
     "gehring",
 )
 
-CURVE_KINDS = ("k", "rearr", "holmstedt", "weighted-k")
-
-
 @dataclass
 class RunConfig:
     """Validated run parameters shared by the subcommands."""

@@ -28,17 +28,16 @@ exact representation:
   * packing operators S_pi (weighted cube averages over disjoint cube
     families) and the weighted K-functional estimate they generate.
 
-A packing is evaluated as rows of two level tables: the sums of f w and of
-w over every dyadic cube of the grid, level-major from the base cube down
-and each level in Morton order, built with one reshape-and-sum per level
-(_level_tables).  A packing is an int64 array of flat rows into them, so
-S_pi = num[rows] / den[rows] and its w-measures are den[rows] times the cell
-measure; the tables are built once per evaluation and serve every packing
-and every t.  Each row sum reduces one contiguous row of the reshaped level,
-which gives the same bits as summing the cube's Morton slice on its own.
-np.add.reduceat over the level's slice starts does not: on lognormal cells
-it differed in the last bit for blocks of 4 cells or more, so it must not
-replace the reshape.
+A packing is an int64 array of flat rows into two level tables: the sums
+of f w and of w over every dyadic cube of the grid, level-major from the
+base cube down and each level in Morton order, one reshape-and-sum per
+level (_level_tables), so S_pi = num[rows] / den[rows] with w-measures
+den[rows] times the cell measure.  Explicit cube lists become rows once
+(_packing_rows).  Each row sum reduces one contiguous row of the reshaped
+level, which gives the same bits as summing the cube's Morton slice on its
+own.  np.add.reduceat over the level's slice starts does not: on lognormal
+cells it differed in the last bit for blocks of 4 cells or more, so it
+must not replace the reshape.
 
 Cube-local inequalities are evaluated on (0, |Q|]; beyond |Q| every curve is
 determined by its exact constant or 1/t tail.
@@ -48,11 +47,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DyadicCube, WeightGrid, integrate, level_cubes, morton_index
+from .grid import DyadicCube, WeightGrid, integrate, morton_index
 from .rearrange import DecreasingStep, rearrangement
 
 _GL20 = np.polynomial.legendre.leggauss(20)
@@ -725,25 +724,19 @@ def _packing_rows(w: WeightGrid, pi: list[DyadicCube]) -> np.ndarray:
     return np.asarray(_level_offsets(w))[rel] + rank
 
 
-@dataclass
+@dataclass(eq=False)
 class PackingFamily:
-    """A list of packings (disjoint dyadic cube families).
+    """Packings (disjoint dyadic cube families) as int64 level-table rows of
+    one grid geometry (d, L, base); evaluating them on a grid of another
+    geometry raises ValueError.  Explicit cube lists enter by from_cubes."""
 
-    On a grid each packing is also an int64 array of rows into the grid's
-    level tables, in the order of its cube list (rows()).  packing_family
-    stores the rows it builds; other families derive them from their cubes
-    on first use, once per grid geometry, so packings must not be changed
-    after a family has been evaluated."""
+    geometry: tuple
+    rows: list[np.ndarray]
 
-    packings: list[list[DyadicCube]]
-    policy: str = "explicit"
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def rows(self, w: WeightGrid) -> list[np.ndarray]:
-        key = (w.d, w.L, w.base)
-        if key not in self._rows:
-            self._rows[key] = [_packing_rows(w, pi) for pi in self.packings]
-        return self._rows[key]
+    @classmethod
+    def from_cubes(cls, w: WeightGrid, packings: list[list[DyadicCube]]) -> "PackingFamily":
+        """Explicit cube packings on w's geometry (ValueError as _packing_rows)."""
+        return cls((w.d, w.L, w.base), [_packing_rows(w, pi) for pi in packings])
 
 
 @dataclass
@@ -756,15 +749,21 @@ class PackedFunction:
 
     def rearrange_w(self) -> tuple[np.ndarray, np.ndarray]:
         """(values desc, cumulative w-measures), the w-rearrangement data."""
-        order = np.argsort(-self.values, kind="stable")
-        return self.values[order], np.cumsum(self.w_measures[order])
+        return _rearranged_w(self.values, self.w_measures)
+
+
+def _rearranged_w(values: np.ndarray, w_measures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    order = np.argsort(-values, kind="stable")
+    return values[order], np.cumsum(w_measures[order])
 
 
 @dataclass
 class WeightedKEstimate:
+    """A packing estimate at one t; the witness, the first packing reaching the max, by index and rows."""
+
     value: float
     packing_index: int
-    packing: list[DyadicCube]
+    packing: np.ndarray
     raw_sup: float
 
 
@@ -773,9 +772,9 @@ def grid_power(w: WeightGrid, p: float) -> WeightGrid:
     return WeightGrid(w.d, w.L, w.cells ** p, label=f"({w.label})^{p:g}", base=w.base)
 
 
-def _packed(tables, w: WeightGrid, rows: np.ndarray, cubes: list[DyadicCube]) -> PackedFunction:
+def _packed(tables, w: WeightGrid, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     num, den = tables
-    return PackedFunction(cubes, num[rows] / den[rows], den[rows] * w.cell_measure)
+    return num[rows] / den[rows], den[rows] * w.cell_measure
 
 
 def packing_average(f: WeightGrid, w: WeightGrid, pi: list[DyadicCube]) -> PackedFunction:
@@ -783,7 +782,7 @@ def packing_average(f: WeightGrid, w: WeightGrid, pi: list[DyadicCube]) -> Packe
 
     Values outside the union are excluded from the rearrangement mass.
     """
-    return _packed(_level_tables(f, w), w, _packing_rows(w, pi), list(pi))
+    return PackedFunction(list(pi), *_packed(_level_tables(f, w), w, _packing_rows(w, pi)))
 
 
 _STOPPING_THRESHOLDS = 33
@@ -796,19 +795,17 @@ def packing_family(f: WeightGrid, w: WeightGrid | None = None, p: float = 1.0) -
     _STOPPING_THRESHOLDS thresholds among the distinct dyadic averages
     A_Q = int_Q f^p w / w(Q); for each threshold the packing is the family
     of maximal dyadic cubes with A_Q above it, listed level by level in
-    Morton order.
+    Morton order, built as level-table rows without cube objects.
     """
     if w is None:
         w = WeightGrid(f.d, f.L, np.ones(f.ncells), label="const:1", base=f.base)
     off = _level_offsets(f)
-    packs = [level_cubes(f, lev) for lev in range(f.base.level, f.L + 1)]
     rows = [np.arange(a, b) for a, b in zip(off, off[1:])]
     num, den = _level_tables(grid_power(f, p), w)
     avgs = num / den
     distinct = np.unique(avgs)
     if distinct.size > _STOPPING_THRESHOLDS:
         distinct = distinct[np.linspace(0, distinct.size - 1, _STOPPING_THRESHOLDS).astype(int)]
-    cubes = [Q for level in packs for Q in level]
     for lam in distinct[:-1]:  # the top threshold selects nothing
         pick = []
         covered = np.zeros(1, dtype=bool)
@@ -821,10 +818,7 @@ def packing_family(f: WeightGrid, w: WeightGrid | None = None, p: float = 1.0) -
         r = np.concatenate(pick)
         if r.size:
             rows.append(r)
-            packs.append([cubes[i] for i in r.tolist()])
-    Pi = PackingFamily(packs, policy="standard")
-    Pi._rows[(f.d, f.L, f.base)] = rows
-    return Pi
+    return PackingFamily((f.d, f.L, f.base), rows)
 
 
 def k_weighted_curve(
@@ -837,7 +831,7 @@ def k_weighted_curve(
     """
     if not p >= 1.0:
         raise ValueError("p must be at least 1")
-    if not Pi.packings:
+    if not Pi.rows:
         raise ValueError("empty packing family")
     w_total = integrate(w, w.base)
     ts = [float(t) for t in ts]
@@ -845,11 +839,13 @@ def k_weighted_curve(
         if not 0.0 < t < w_total:
             raise ValueError(f"t must lie in (0, {w_total})")
     tables = _level_tables(grid_power(f, p) if p != 1.0 else f, w)
+    if Pi.geometry != (w.d, w.L, w.base):
+        raise ValueError("packing family built on a grid of another geometry")
     tq = np.asarray(ts, dtype=np.float64)
     best = np.full(tq.size, -math.inf)
     best_i = np.zeros(tq.size, dtype=np.int64)
-    for i, rows in enumerate(Pi.rows(w)):
-        vals, cum = _packed(tables, w, rows, Pi.packings[i]).rearrange_w()
+    for i, rows in enumerate(Pi.rows):
+        vals, cum = _rearranged_w(*_packed(tables, w, rows))
         idx = np.searchsorted(cum, tq, side="left")
         val = np.where(idx < vals.size, vals[np.minimum(idx, vals.size - 1)], 0.0)
         better = val > best
@@ -859,7 +855,7 @@ def k_weighted_curve(
         WeightedKEstimate(
             value=t ** (1.0 / p) * b ** (1.0 / p),
             packing_index=i,
-            packing=Pi.packings[i],
+            packing=Pi.rows[i],
             raw_sup=b,
         )
         for t, b, i in zip(ts, best.tolist(), best_i.tolist())

@@ -641,7 +641,7 @@ def verify_packing(f: WeightGrid, p: float = 2.0) -> TheoremReport:
         worst = max(worst, err)
         if err > 1e-12:
             repro_ok = False
-    sub = PackingFamily(Pi.packings[: max(1, len(Pi.packings) // 2)], policy="subfamily")
+    sub = PackingFamily(Pi.geometry, Pi.rows[: max(1, len(Pi.rows) // 2)])
     mono_ok = k_weighted(fs, ones, 1.0, t_mid, sub).value <= est_mid.value * (1.0 + 1e-15)
     wrh = verify_weighted_rh(fs, ones, p)
     case = {

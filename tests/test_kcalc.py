@@ -11,11 +11,12 @@ over all pieces, with the kernel's fixed-order node sums), and
 level_piece_integrals on a level's (n, m) piece matrix against the same
 pieces flattened into one row, row by row and piece by piece, at any block
 size; the level-table packing path
-(k_weighted_curve) against a frozen copy of the per-packing loop it
-replaced.
+(k_weighted_curve) against a frozen copy of the per-packing, per-cube loop
+it replaced, fed the cube lists of the family's rows.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import flat_grids, frozen_gl_panel, localized_grids, random_grids
-from rhlab.grid import DyadicCube, WeightGrid, integrate, level_cubes, make_grid
-from rhlab import kcalc
+from rhlab.grid import DyadicCube, WeightGrid, _cube_at, integrate, level_cubes, make_grid
+from rhlab import cli, kcalc, weights
 from rhlab.kcalc import (
     ConcaveCurve,
     CurveFamily,
@@ -730,23 +731,30 @@ def test_packing_average_rejects_overlap_and_empty():
         packing_average(f, ones, [])
 
 
+def _row_cubes(w, rows):
+    """The cubes at level-table rows of w's geometry (the inverse of
+    kcalc._packing_rows), in row order."""
+    off = kcalc._level_offsets(w)
+    k = np.searchsorted(off, rows, side="right") - 1
+    return [_cube_at(w, w.base.level + int(j), int(r - off[j])) for j, r in zip(k, rows)]
+
+
 def test_packing_family_structure():
     f = make_grid(1, 4, "rand:19:lognormal:1")
     Pi = packing_family(f, p=2.0)
-    assert len(Pi.packings) >= f.L + 1
+    assert Pi.geometry == (f.d, f.L, f.base)
+    assert len(Pi.rows) >= f.L + 1
     # the first L+1 packings are the single-level tilings
     for lev in range(f.L + 1):
-        assert [Q.level for Q in Pi.packings[lev]] == [lev] * (1 << lev)
+        assert [Q.level for Q in _row_cubes(f, Pi.rows[lev])] == [lev] * (1 << lev)
     # every packing is disjoint
-    for pi in Pi.packings:
-        ranges = sorted(f.zrange(Q) for Q in pi)
+    for rows in Pi.rows:
+        ranges = sorted(f.zrange(Q) for Q in _row_cubes(f, rows))
         for (a0, b0), (a1, b1) in zip(ranges, ranges[1:]):
             assert a1 >= b0
     # deterministic
     Pi2 = packing_family(f, p=2.0)
-    assert [[Q.addr() for Q in pi] for pi in Pi.packings] == [
-        [Q.addr() for Q in pi] for pi in Pi2.packings
-    ]
+    assert [r.tolist() for r in Pi.rows] == [r.tolist() for r in Pi2.rows]
 
 
 def test_k_weighted_reproduces_unweighted_k():
@@ -771,7 +779,7 @@ def test_k_weighted_monotone_in_family():
     f = make_grid(1, 3, "rand:29:lognormal:1")
     ones = make_grid(1, 3, "const:1")
     Pi = packing_family(f, ones, p=1.0)
-    small = type(Pi)(Pi.packings[:2], policy="explicit")
+    small = PackingFamily(Pi.geometry, Pi.rows[:2])
     for t in (0.25, 0.5):
         lo = k_weighted(f, ones, 1.0, t, small).value
         hi = k_weighted(f, ones, 1.0, t, Pi).value
@@ -831,15 +839,16 @@ def _mixed_family(w):
     if w.L - w.base.level >= 2:
         grand = [kids[0].child(k) for k in range(1 << w.d)]
         fams += [kids[:0:-1] + grand, [grand[-1], kids[-1], grand[0]]]
-    return PackingFamily(fams)
+    return PackingFamily.from_cubes(w, fams)
 
 
 def _assert_curve_bitwise(f, w, p, Pi):
     ts = _sample_ts(w)
+    packings = [_row_cubes(w, rows) for rows in Pi.rows]
     for t, est in zip(ts, k_weighted_curve(f, w, p, ts, Pi), strict=True):
-        value, index, raw = _frozen_k_weighted(f, w, p, t, Pi.packings)
+        value, index, raw = _frozen_k_weighted(f, w, p, t, packings)
         assert est.packing_index == index
-        assert est.packing is Pi.packings[index]
+        assert est.packing is Pi.rows[index]
         assert _bits(est.value) == _bits(value)
         assert _bits(est.raw_sup) == _bits(raw)
         assert _bits(k_weighted(f, w, p, t, Pi).value) == _bits(value)
@@ -847,7 +856,7 @@ def _assert_curve_bitwise(f, w, p, Pi):
 
 def _assert_families_bitwise(f, w, p):
     Pi = packing_family(f, w, p)
-    half = PackingFamily(Pi.packings[: max(1, len(Pi.packings) // 2)], policy="subfamily")
+    half = PackingFamily(Pi.geometry, Pi.rows[: max(1, len(Pi.rows) // 2)])
     for fam in (Pi, half, _mixed_family(w)):
         _assert_curve_bitwise(f, w, p, fam)
 
@@ -896,13 +905,15 @@ def test_level_tables_equal_slice_sums(f):
 
 
 def test_packing_family_rows_match_cubes():
+    # every packing's rows are those of a valid disjoint cube list, listed
+    # level by level in Morton order
     for f in (make_grid(1, 6, "rand:21:lognormal:1"), _localized(2, 4, DyadicCube(1, (1, 1)), 6)):
         Pi = packing_family(f, p=2.0)
-        off = kcalc._level_offsets(f)
-        for pi, rows in zip(Pi.packings, Pi.rows(f), strict=True):
+        for rows in Pi.rows:
+            assert rows.dtype == np.int64
+            pi = _row_cubes(f, rows)
             np.testing.assert_array_equal(rows, kcalc._packing_rows(f, pi))
-            lev = np.searchsorted(off, rows, side="right") - 1 + f.base.level
-            assert lev.tolist() == [Q.level for Q in pi]
+            assert pi == sorted(pi, key=lambda Q: (Q.level, f.zrange(Q)))
 
 
 def test_k_weighted_curve_makes_no_per_cube_zrange(monkeypatch):
@@ -925,14 +936,63 @@ def test_k_weighted_curve_makes_no_per_cube_zrange(monkeypatch):
 def test_explicit_family_rows_derived_once(monkeypatch):
     f = make_grid(1, 5, "rand:33:lognormal:1")
     ones = make_grid(1, 5, "const:1")
-    fam = _mixed_family(f)
     calls = []
     real = kcalc._packing_rows
     monkeypatch.setattr(kcalc, "_packing_rows", lambda w, pi: calls.append(1) or real(w, pi))
+    fam = _mixed_family(f)
     for t in (0.25, 0.5):
         k_weighted(f, ones, 1.0, t, fam)
     k_weighted_curve(f, ones, 1.5, [0.1, 0.2], fam)
-    assert len(calls) == len(fam.packings)
+    assert len(calls) == len(fam.rows)
+
+
+def test_family_refuses_a_grid_of_another_geometry():
+    f = make_grid(1, 5, "rand:37:lognormal:1")
+    local = _localized(1, 5, DyadicCube(1, (1,)), 8)
+    for Pi in (packing_family(f), _mixed_family(f)):
+        for g in (make_grid(1, 6, "rand:38:lognormal:1"), local, make_grid(2, 5, "const:1")):
+            t = 0.5 * integrate(g, g.base)
+            with pytest.raises(ValueError, match="another geometry"):
+                k_weighted_curve(g, g, 1.0, [t], Pi)
+            with pytest.raises(ValueError, match="another geometry"):
+                k_weighted(g, g, 2.0, t, Pi)
+    # a family built on the localized grid refuses the unit-cube grid of the same L
+    with pytest.raises(ValueError, match="another geometry"):
+        k_weighted(f, f, 1.0, 0.5, packing_family(local))
+
+
+def _spy_packing_objects(monkeypatch):
+    """Record every _packing_rows and level_cubes call, and every DyadicCube
+    built while a kcalc function is on the stack."""
+    seen = []
+    real_rows, real_init = kcalc._packing_rows, DyadicCube.__post_init__
+
+    def init(self):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_globals.get("__name__") != "rhlab.kcalc":
+            frame = frame.f_back
+        if frame is not None:
+            seen.append(("cube", self))
+        real_init(self)
+
+    monkeypatch.setattr(DyadicCube, "__post_init__", init)
+    monkeypatch.setattr(kcalc, "_packing_rows", lambda w, pi: seen.append(("rows", pi)) or real_rows(w, pi))
+    for mod in (kcalc, weights, cli):
+        if hasattr(mod, "level_cubes"):
+            monkeypatch.setattr(mod, "level_cubes", lambda *a: seen.append(("level_cubes", a)) or level_cubes(*a))
+    return seen
+
+
+def test_packing_paths_build_no_cube_objects(monkeypatch, capsys):
+    f = make_grid(2, 4, "rand:39:lognormal:1")
+    w = make_grid(2, 4, "rand:40:lognormal:0.5")
+    seen = _spy_packing_objects(monkeypatch)
+    Pi = packing_family(f, w, 2.0)
+    k_weighted_curve(f, w, 2.0, _sample_ts(w), Pi)
+    assert weights.verify_packing(make_grid(1, 6, "rand:41:lognormal:1")).passed
+    assert cli.main(["curve", "--weight", "rand:42:lognormal:1", "--level", "8", "--kind", "weighted-k"]) == 0
+    assert capsys.readouterr().out.count("\n") == 9  # header and 8 origin-chain rows
+    assert seen == []
 
 
 def test_k_weighted_rejects_bad_explicit_packings():
@@ -949,13 +1009,13 @@ def test_k_weighted_rejects_bad_explicit_packings():
     for msg, pi in bad.items():
         g = local if msg == "outside the grid's base cube" else f
         with pytest.raises(ValueError, match=msg):
-            k_weighted(g, g, 1.0, 0.1, PackingFamily([level_cubes(g, 2), pi]))
+            PackingFamily.from_cubes(g, [level_cubes(g, 2), pi])
         with pytest.raises(ValueError, match=msg):
             packing_average(g, g, pi)
     with pytest.raises(ValueError, match="f and w must share a grid"):
         packing_average(f, make_grid(1, 4, "const:1"), [f.base])
     with pytest.raises(ValueError, match="f and w must share a grid"):
-        k_weighted(f, local, 1.0, 0.1, PackingFamily([[f.base]]))
+        k_weighted(f, local, 1.0, 0.1, PackingFamily.from_cubes(f, [[f.base]]))
 
 
 def test_step_product_two_sided():
