@@ -161,12 +161,15 @@ def rh_p_constant(w: WeightGrid, p: float, cubes: str = "all-dyadic") -> ClassCo
 
 def a_p_constant(w: WeightGrid, p: float, cubes: str = "all-dyadic") -> ClassConstant:
     """p > 1: max of (avg_Q w)(avg_Q w^{-1/(p-1)})^{p-1}; p = 1: max cell
-    ratio of the dyadic maximal function to the weight."""
+    ratio M_F w / w, with M_F w the max of avg_Q w over the family's cubes
+    Q containing the cell (the dyadic maximal function for "all-dyadic")."""
     if not p >= 1.0:
         raise ValueError("p must be at least 1")
     if p == 1.0:
-        M = dyadic_maximal(w, w.base)
-        ratios = M.zcells / w.zcells
+        M = np.zeros(w.ncells)
+        for lev in cube_levels(cubes, w.base.level, w.L):  # the level sums refuse an overflow first
+            np.maximum(M, np.repeat(_level_means(w, lev), 1 << (w.d * (w.L - lev))), out=M)
+        ratios = M / w.zcells
         i = int(np.argmax(ratios))
         witness = _cube_at(w, w.L, i).addr()
         return ClassConstant("A_1", float(ratios[i]), p=1.0, witness=witness, cube_policy=cubes)

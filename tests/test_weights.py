@@ -222,9 +222,31 @@ def test_policy_constant_is_max_over_its_cubes(w):
         rh_p_constant(w, 2.0, f"level:{lo - 1}")
 
 
+@pytest.mark.parametrize(
+    "w",
+    [make_grid(1, 6, "rand:3:lognormal:1"), make_grid(2, 3, "rand:5:lognormal:1"), *localized_grids()],
+    ids=lambda w: f"d{w.d}L{w.L}base{w.base.level}",
+)
+def test_a_1_maximal_function_runs_over_the_policy_cubes(w):
+    # M_F w on a cell is the max of avg_Q w over the policy's cubes Q that
+    # hold the cell; A_1 is the max cell ratio M_F w / w
+    lo = w.base.level
+    for policy in ("all-dyadic", "base", f"level:{lo + 1}", f"level:{w.L}"):
+        M = np.zeros(w.ncells)
+        for Q in (Q for lev in cube_levels(policy, lo, w.L) for Q in level_cubes(w, lev)):
+            a, b = w.zrange(Q)
+            M[a:b] = np.maximum(M[a:b], np.mean(w.cube_cells(Q)))
+        ratios = M / w.zcells
+        c = a_p_constant(w, 1.0, policy)
+        assert math.isclose(c.value, ratios.max(), rel_tol=1e-12)
+        assert c.witness == _cube_at(w, w.L, int(np.argmax(ratios))).addr()
+        assert c.cube_policy == policy
+
+
 _CONSTANTS = {
     "rh_p": lambda w, cubes: rh_p_constant(w, 2.0, cubes),
     "a_p": lambda w, cubes: a_p_constant(w, 2.0, cubes),
+    "a_1": lambda w, cubes: a_p_constant(w, 1.0, cubes),
     "llogl": rh_llogl_constant,
     "lorentz": lambda w, cubes: rh_lorentz_constant(w, 2.0, 2.0, cubes),
     "fujii": fujii_constant,
@@ -250,7 +272,7 @@ def test_out_of_range_level_policy_raises_range_error(name):
         const(w, "rings")
 
 
-_OVERFLOW_CONSTANTS = dict(_CONSTANTS, a_1=lambda w, cubes: a_p_constant(w, 1.0, cubes), weighted=lambda w, cubes: rh_p_weighted_constant(w, w, 2.0, cubes))
+_OVERFLOW_CONSTANTS = dict(_CONSTANTS, weighted=lambda w, cubes: rh_p_weighted_constant(w, w, 2.0, cubes))
 
 
 @pytest.mark.parametrize("name", sorted(_OVERFLOW_CONSTANTS))
