@@ -305,7 +305,7 @@ def make_grid(d: int, L: int, spec: str) -> WeightGrid:
     """Build a weight from a generator descriptor.
 
     Descriptors: ``const:c`` (c > 0), ``pow:a`` (d = 1, a > -1; cell k holds
-    the exact average of x^a over the cell), ``step:v0,v1,...`` (the i-th
+    the average of x^a over the cell to a few ulps), ``step:v0,v1,...`` (the i-th
     value fills the i-th block of consecutive row-major cells; the count must
     divide the cell count), ``rand:seed:lognormal:sigma`` (counter-based
     generator, see below), ``file:path`` (CSV or JSON by extension).
@@ -336,9 +336,10 @@ def make_grid(d: int, L: int, spec: str) -> WeightGrid:
         if a <= -1.0:
             raise WeightSpecError("pow exponent must exceed -1 (local integrability)")
         k = np.arange(n, dtype=np.float64)
-        # cell average of x^a over [k 2^-L, (k+1) 2^-L); checked in _generated
+        # cell average of x^a over [x_k, x_k + 2^-L), x_k = k 2^-L, without cancellation; checked in _generated
         with np.errstate(all="ignore"):
-            cells = 2.0 ** L * ((k + 1.0) ** (a + 1.0) - k ** (a + 1.0)) * 2.0 ** (-L * (a + 1.0)) / (a + 1.0)
+            cells = (k * 2.0**-L) ** (a + 1.0) * np.expm1((a + 1.0) * np.log1p(1.0 / k)) * 2.0**L / (a + 1.0)
+        cells[0] = 2.0 ** (-L * a) / (a + 1.0)
         return _generated(d, L, cells, spec, "pow", a)
     if kind == "step":
         try:

@@ -129,6 +129,21 @@ def test_make_grid_pow_cell_averages_exact():
     np.testing.assert_allclose(w.cells, expected, rtol=1e-14)
 
 
+@pytest.mark.parametrize("a", [-0.95, -0.5, -0.25, 0.5, 3.0, 40.0])
+def test_make_grid_pow_cells_within_ulps_of_the_exact_average(a):
+    # against 40-digit averages ((k+1)^(a+1) - k^(a+1)) h^a / (a+1): the
+    # difference of powers cancelled to a relative error near k eps (2e-9
+    # at a = -0.95, L = 20); a few ulps remain, times a + 1 from the power
+    mpmath = pytest.importorskip("mpmath")
+    L = 20
+    w = make_grid(1, L, f"pow:{a}")
+    ks = [0, 1, 2, 3, 7, 100, 1 << (L - 1), (1 << L) - 1, *np.random.default_rng(3).integers(0, 1 << L, 40).tolist()]
+    with mpmath.workdps(40):
+        A, h = mpmath.mpf(a) + 1, mpmath.mpf(2) ** -L
+        rel = [abs(mpmath.mpf(float(w.cells[k])) / (((k + 1) ** A - k**A) * h**A / (A * h)) - 1) for k in ks]
+    assert float(max(rel)) <= (8.0 + abs(a + 1.0)) * 2.0**-52
+
+
 def test_make_grid_rand_deterministic():
     w1 = make_grid(2, 3, "rand:42:lognormal:0.7")
     w2 = make_grid(2, 3, "rand:42:lognormal:0.7")
