@@ -26,14 +26,17 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .grid import (
     WeightFormatError,
     WeightGrid,
+    _text_blocks,
     cube_levels,
     integrate,
     load_weight,
@@ -138,13 +141,13 @@ def _pmap(fn, items: list) -> list:
 # ---------------------------------------------------------------------------
 # analyze
 
-def cmd_analyze(cfg: RunConfig) -> tuple[str, int]:
+def cmd_analyze(cfg: RunConfig) -> tuple[list[str], int]:
     w = make_grid(cfg.d, cfg.L, cfg.weight)
     # beyond the float range: a numerical error, not warnings and Infinity
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         report = W.analyze_report(w, cfg.p_list, cfg.q_list, cfg.cap, cfg.gamma_list, cfg.cubes)
     try:
-        return json.dumps(report, indent=2, allow_nan=False) + "\n", EXIT_OK
+        return [json.dumps(report, indent=2, allow_nan=False) + "\n"], EXIT_OK
     except ValueError as exc:
         raise ArithmeticError(exc) from None
 
@@ -296,7 +299,7 @@ def run_suite(suite: str, cfg: RunConfig) -> tuple[list[str], int, int]:
     return lines, npass, ntotal
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
+def cmd_verify(cfg: RunConfig) -> tuple[list[str], int]:
     suites = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
     for s in suites:
         if s not in SUITE_NAMES:
@@ -312,13 +315,15 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
     if cfg.suite == "all":
         out_lines.append(f"# all: {all_pass}/{all_total} cases passed")
     code = EXIT_OK if all_pass == all_total else EXIT_VERIFY
-    return "\n".join(out_lines) + "\n", code
+    return ["\n".join(out_lines) + "\n"], code
 
 
 # ---------------------------------------------------------------------------
 # curve
 
-def cmd_curve(cfg: RunConfig) -> tuple[str, int]:
+def cmd_curve(cfg: RunConfig) -> tuple[Iterable[str], int]:
+    """The curve's rows as a lazy sequence of text blocks.  Every value is
+    computed before the first block is made, so an error prints nothing."""
     kind = cfg.kind
     if kind.startswith("holmstedt:"):  # parameters checked before the grid is built
         parts = kind.split(":")
@@ -335,45 +340,41 @@ def cmd_curve(cfg: RunConfig) -> tuple[str, int]:
     w = make_grid(cfg.d, cfg.L, cfg.weight)
     addr = cfg.cube or w.base.addr()
     Q = parse_cube(addr, cfg.d)
-    rows: list[tuple[float, float]]
     with np.errstate(over="raise", divide="raise", invalid="raise"):  # as in analyze
         if kind == "k":
             K = k_l1_linf(w, Q)
-            rows = list(zip(K.t.tolist(), K.v.tolist()))
+            t, v = K.t, K.v
         elif kind == "rearr":
             r = rearrangement(w, Q)
-            rows = [(0.0, float(r.values[0]))]
-            rows += list(zip(r.breaks.tolist(), r.values.tolist()))
+            t = np.concatenate(([0.0], r.breaks))
+            v = np.concatenate((r.values[:1], r.values))
         elif kind.startswith("holmstedt:"):
             K = k_l1_linf(w, Q)
-            H = HolmstedtCurve(K, theta, q)
-            ts = K.t ** (1.0 - theta)
-            rows = list(zip(ts.tolist(), H.value(ts).tolist()))
+            t = K.t ** (1.0 - theta)
+            v = HolmstedtCurve(K, theta, q).value(t)
         elif kind == "weighted-k":
             # weighted K-functional estimate of the weight against its own
             # measure, sampled at the w-measures of the origin-chain cubes
             p = next((p for p in cfg.p_list if p > 1.0), 2.0)
             Pi = packing_family(w, w, p)
-            ts = sorted(W.origin_chain_masses(w))
-            rows = [(t, est.value) for t, est in zip(ts, k_weighted_curve(w, w, p, ts, Pi))]
+            t = np.array(sorted(W.origin_chain_masses(w)), dtype=np.float64)
+            v = np.array([est.value for est in k_weighted_curve(w, w, p, t, Pi)], dtype=np.float64)
         else:
             raise UsageError(
                 f"unknown curve kind {cfg.kind!r}; choose k, rearr, holmstedt:<theta>:<q>, weighted-k"
             )
-    lines = [f"# curve kind={kind} cube={Q.addr()}"]
-    lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in rows]
-    return "\n".join(lines) + "\n", EXIT_OK
+    return chain([f"# curve kind={kind} cube={Q.addr()}\n"], _text_blocks(t, v)), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # convert
 
-def cmd_convert(cfg: RunConfig) -> tuple[str, int]:
+def cmd_convert(cfg: RunConfig) -> tuple[list[str], int]:
     if not cfg.out:
         raise UsageError("convert requires --out")
     w = load_weight(cfg.convert_in)
     save_weight(w, cfg.out)
-    return "", EXIT_OK
+    return [], EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -489,13 +490,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         if cfg.command == "analyze":
-            text, code = cmd_analyze(cfg)
+            pieces, code = cmd_analyze(cfg)
         elif cfg.command == "verify":
-            text, code = cmd_verify(cfg)
+            pieces, code = cmd_verify(cfg)
         elif cfg.command == "curve":
-            text, code = cmd_curve(cfg)
+            pieces, code = cmd_curve(cfg)
         else:
-            text, code = cmd_convert(cfg)
+            pieces, code = cmd_convert(cfg)
     except (WeightFormatError, OSError) as exc:
         print(f"rhlab: error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -514,13 +515,13 @@ def main(argv: list[str] | None = None) -> int:
     if cfg.out and cfg.command != "convert":
         try:
             with open(cfg.out, "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             print(f"rhlab: error: {exc}", file=sys.stderr)
             return EXIT_IO
         print(f"rhlab: wrote {cfg.out}", file=sys.stderr)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)  # pieces is never a bare str
     return code
 
 

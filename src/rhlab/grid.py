@@ -434,26 +434,41 @@ def level_cubes(w: WeightGrid, level: int) -> list[DyadicCube]:
 # File formats
 
 _CSV_HEADER = re.compile(r"# rhlab d=(\d+) L=(\d+)\s*")
+_ROWS_PER_BLOCK = 1 << 14
+
+
+def _text_blocks(*cols: np.ndarray):
+    """The rows of one or two float64 columns as text blocks of at most
+    _ROWS_PER_BLOCK lines: the repr of each float, comma-separated, every
+    line ending in a newline.  Only one block's Python floats and strings
+    are alive at a time."""
+    for lo in range(0, cols[0].size, _ROWS_PER_BLOCK):
+        block = [c[lo:lo + _ROWS_PER_BLOCK].tolist() for c in cols]
+        if len(block) == 1:
+            yield "\n".join(map(repr, block[0])) + "\n"
+        else:
+            yield "".join([f"{a!r},{b!r}\n" for a, b in zip(*block)])
 
 
 def save_weight(w: WeightGrid, path: str, format: str | None = None) -> None:
     """Write a grid to CSV or JSON (by extension unless given).
 
     Decimal strings are produced with repr, so loading reads back bit-equal
-    values.  Only grids on the unit base cube are serializable.
+    values.  CSV is written in blocks of rows (_text_blocks), JSON by the
+    one-shot C encoder, so no per-cell string list is built.  Only grids on
+    the unit base cube are serializable.
     """
     if w.base.level != 0:
         raise ValueError("only grids on the unit base cube can be saved")
     fmt = format or ("json" if path.endswith(".json") else "csv")
     if fmt == "csv":
-        lines = [f"# rhlab d={w.d} L={w.L}"]
-        lines.extend(repr(float(v)) for v in w.cells)
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(f"# rhlab d={w.d} L={w.L}\n")
+            fh.writelines(_text_blocks(w.cells))
     elif fmt == "json":
-        obj = {"d": w.d, "L": w.L, "cells": [float(v) for v in w.cells], "label": w.label}
+        obj = {"d": w.d, "L": w.L, "cells": w.cells.tolist(), "label": w.label}
         with open(path, "w") as fh:
-            json.dump(obj, fh)
+            fh.write(json.dumps(obj))
             fh.write("\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
@@ -504,10 +519,12 @@ def load_weight(path: str, format: str | None = None) -> WeightGrid:
         if not isinstance(obj, dict) or not {"d", "L", "cells"} <= set(obj):
             raise WeightFormatError("header", "JSON object must have keys d, L, cells")
         d, L = obj["d"], obj["L"]
-        if not (isinstance(d, int) and isinstance(L, int)):
+        if not (type(d) is int and type(L) is int):  # bool is an int subclass
             raise WeightFormatError("header", "d and L must be integers")
         cells = obj["cells"]
         if not isinstance(cells, list):
             raise WeightFormatError("parse", "cells must be a list")
+        if not set(map(type, cells)) <= {int, float}:
+            raise WeightFormatError("parse", "cells must be JSON numbers")
         return _file_grid(d, L, cells, str(obj.get("label", f"file:{path}")))
     raise ValueError(f"unknown format {fmt!r}")

@@ -228,7 +228,7 @@ def rh_p_weighted_constant(g: WeightGrid, w: WeightGrid, p: float, cubes: str = 
     """max over the family of ((1/w(Q)) int_Q g^p w)^{1/p} / ((1/w(Q)) int_Q g w)."""
     if not p > 1.0:
         raise ValueError("p must exceed 1")
-    if g.d != w.d or g.L != w.L:
+    if g.d != w.d or g.L != w.L or g.base != w.base:
         raise ValueError("g and w must share a grid")
     gp_w = (_cells(g) ** p) * _cells(w)
     g_w = g.zcells * w.zcells

@@ -12,15 +12,18 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from rhlab import cli
+from rhlab import cli, grid
+from rhlab import weights as W
 from rhlab.cli import main
-from rhlab.grid import load_weight, make_grid, save_weight
-from rhlab.kcalc import QuadratureError
+from rhlab.grid import load_weight, make_grid, parse_cube, save_weight
+from rhlab.kcalc import HolmstedtCurve, QuadratureError, k_l1_linf, k_weighted_curve, packing_family
+from rhlab.rearrange import rearrangement
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +74,92 @@ def test_curve_weighted_k(capsys):
     assert ts == sorted(ts)
     assert all(v > 0 for v in vs)
     assert vs == sorted(vs)  # K-functionals are nondecreasing
+
+
+def _frozen_curve_text(kind, weight, d, L, cube=None):
+    """The curve dump as cmd_curve built it before it wrote row blocks: one
+    (t, v) tuple and one repr line per row, joined by newlines (the oracle
+    of the byte-identity tests; weighted-k at the default p = 1.5)."""
+    w = make_grid(d, L, weight)
+    Q = parse_cube(cube, d) if cube else w.base
+    if kind == "k":
+        K = k_l1_linf(w, Q)
+        rows = list(zip(K.t.tolist(), K.v.tolist()))
+    elif kind == "rearr":
+        r = rearrangement(w, Q)
+        rows = [(0.0, float(r.values[0]))]
+        rows += list(zip(r.breaks.tolist(), r.values.tolist()))
+    elif kind.startswith("holmstedt:"):
+        theta, q = map(float, kind.split(":")[1:])
+        K = k_l1_linf(w, Q)
+        ts = K.t ** (1.0 - theta)
+        rows = list(zip(ts.tolist(), HolmstedtCurve(K, theta, q).value(ts).tolist()))
+    else:
+        Pi = packing_family(w, w, 1.5)
+        ts = sorted(W.origin_chain_masses(w))
+        rows = [(t, est.value) for t, est in zip(ts, k_weighted_curve(w, w, 1.5, ts, Pi))]
+    lines = [f"# curve kind={kind} cube={Q.addr()}"]
+    lines += [f"{repr(float(t))},{repr(float(v))}" for t, v in rows]
+    return "\n".join(lines) + "\n"
+
+
+# rand d=1 L=15 spans three default row blocks; const:1e-5 prints 1e-05
+_CURVE_CASES = [
+    ("k", "rand:3:lognormal:1", 1, 15, None),
+    ("k", "rand:3:lognormal:1", 2, 5, "2:1,3"),
+    ("k", "const:1e-5", 1, 12, None),
+    ("k", "pow:-0.9", 1, 12, "3:5"),
+    ("rearr", "pow:-0.9", 1, 12, None),
+    ("rearr", "rand:4:lognormal:2", 2, 4, None),
+    ("holmstedt:0.5:2", "pow:-0.5", 1, 10, None),
+    ("holmstedt:0.3:1.5", "rand:2:lognormal:1", 2, 4, "1:1,0"),
+    ("weighted-k", "rand:5:lognormal:1", 1, 10, None),
+    ("weighted-k", "rand:5:lognormal:1", 2, 5, None),
+]
+
+
+def _curve_argv(kind, weight, d, L, cube):
+    argv = ["curve", "--kind", kind, "--weight", weight, "--dim", str(d), "--level", str(L)]
+    return argv + (["--cube", cube] if cube else [])
+
+
+@pytest.mark.parametrize("case", _CURVE_CASES, ids=[f"{c[0]}-{c[1]}-d{c[2]}L{c[3]}-{c[4]}" for c in _CURVE_CASES])
+def test_curve_bytes_equal_the_per_row_dump(capsys, case):
+    code, out, err = run_cli(capsys, *_curve_argv(*case))
+    assert (code, err) == (0, "")
+    assert out == _frozen_curve_text(*case)
+
+
+@pytest.mark.parametrize("case", [_CURVE_CASES[1], _CURVE_CASES[6]], ids=["k-d2", "holmstedt-d1"])
+def test_curve_bytes_do_not_depend_on_the_block_size(capsys, monkeypatch, case):
+    expected = _frozen_curve_text(*case)
+    rows = expected.count("\n") - 1
+    for size in (1, 3, rows - 1, rows, rows + 1):
+        monkeypatch.setattr(grid, "_ROWS_PER_BLOCK", size)
+        assert run_cli(capsys, *_curve_argv(*case)) == (0, expected, "")
+
+
+def test_curve_out_file_holds_the_stdout_bytes(tmp_path, capsys):
+    argv = _curve_argv(*_CURVE_CASES[4])
+    code, out, err = run_cli(capsys, *argv)
+    path = tmp_path / "curve.csv"
+    assert run_cli(capsys, *argv, "--out", str(path)) == (0, "", f"rhlab: wrote {path}\n")
+    assert path.read_text() == out
+
+
+def test_curve_dump_memory_grows_with_the_grid_not_the_rows(monkeypatch):
+    # 2^18 rows: the per-row tuples, line strings and joined text of the
+    # old dump peaked at 84.5 MB; row blocks keep one block's objects alive
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["curve", "--kind", "k", "--weight", "rand:1:lognormal:1", "--dim", "2", "--level", "9"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak / 1e6 < 35.0
 
 
 def _weight_file(tmp_path, *cells):
@@ -455,6 +544,30 @@ def test_convert_malformed_file_is_io_error(tmp_path, capsys, name, text):
     code, out, err = run_cli(capsys, "convert", str(bad), "--out", str(tmp_path / "out.json"))
     assert code == 3
     assert out == "" and err.startswith("rhlab: error:")
+
+
+_NON_NUMERIC_JSON = [
+    ('{"d": true, "L": 1, "cells": [1.0, 2.0]}', "d and L must be integers"),
+    ('{"d": 1, "L": 1.0, "cells": [1.0, 2.0]}', "d and L must be integers"),
+    ('{"d": 1, "L": 1, "cells": ["1.5", 2.0]}', "cells must be JSON numbers"),
+    ('{"d": 1, "L": 1, "cells": [1.5, true]}', "cells must be JSON numbers"),
+    ('{"d": 1, "L": 1, "cells": [1.5, null]}', "cells must be JSON numbers"),
+]
+
+
+@pytest.mark.parametrize("text, message", _NON_NUMERIC_JSON)
+def test_json_weight_rejects_booleans_and_strings(tmp_path, capsys, text, message):
+    path = tmp_path / "w.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "curve", "--kind", "k", "--weight", f"file:{path}")
+    assert (code, out, err) == (3, "", f"rhlab: error: {message}\n")
+
+
+def test_json_integer_cells_stay_valid(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_text('{"d": 1, "L": 1, "cells": [2, 1.0]}')
+    code, out, err = run_cli(capsys, "curve", "--kind", "k", "--weight", f"file:{path}")
+    assert (code, out, err) == (0, "# curve kind=k cube=0:0\n0.0,0.0\n0.5,1.0\n1.0,1.5\n", "")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ and with the integer summation tree it replaced; and the CSV/JSON writers
 round-trip bit-exactly.
 """
 
+import io
+import json
 import math
 import os
 
@@ -17,6 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import dyadic_grids, random_grids
+from rhlab import grid
 from rhlab.grid import (
     DyadicCube,
     WeightFormatError,
@@ -350,6 +353,39 @@ def test_json_roundtrip_bit_exact(tmp_path):
     back = load_weight(path)
     assert np.array_equal(back.cells, w.cells)
     assert back.label == w.label
+
+
+def _frozen_csv_text(w) -> str:
+    """save_weight's CSV text before it wrote row blocks: one line list, one join."""
+    return "\n".join([f"# rhlab d={w.d} L={w.L}", *(repr(float(v)) for v in w.cells)]) + "\n"
+
+
+def _frozen_json_text(w) -> str:
+    """save_weight's JSON text before it used the one-shot encoder: json.dump."""
+    buf = io.StringIO()
+    json.dump({"d": w.d, "L": w.L, "cells": [float(v) for v in w.cells], "label": w.label}, buf)
+    return buf.getvalue() + "\n"
+
+
+_SAVED_GRIDS = [
+    make_grid(1, 12, "rand:31:lognormal:3"),
+    make_grid(2, 4, "rand:8:lognormal:0.5"),
+    make_grid(1, 10, "pow:-0.9"),
+    make_grid(1, 3, "const:1e-5"),
+    make_grid(1, 0, "const:2"),
+]
+
+
+@pytest.mark.parametrize("w", _SAVED_GRIDS, ids=[w.label for w in _SAVED_GRIDS])
+def test_saved_bytes_equal_the_frozen_writers(tmp_path, monkeypatch, w):
+    csv_path, json_path = tmp_path / "w.csv", tmp_path / "w.json"
+    save_weight(w, str(json_path))
+    assert json_path.read_text() == _frozen_json_text(w)
+    n = w.ncells
+    for size in sorted({1, 3, max(n - 1, 1), n, n + 1, grid._ROWS_PER_BLOCK}):
+        monkeypatch.setattr(grid, "_ROWS_PER_BLOCK", size)
+        save_weight(w, str(csv_path))
+        assert csv_path.read_text() == _frozen_csv_text(w)
 
 
 def test_load_rejects_corrupt_files(tmp_path):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import flat_grids, frozen_double_star, localized_grids, random_grids
 from rhlab import weights
-from rhlab.grid import WeightGrid, _cube_at, cube_levels, integrate, level_cubes, make_grid
+from rhlab.grid import DyadicCube, WeightGrid, _cube_at, cube_levels, integrate, level_cubes, make_grid
 from rhlab.indices import family_index
 from rhlab.kcalc import CurveFamily, HolmstedtCurve, grid_power, k_l1_linf, lorentz_norm, power_piece_integral
 from rhlab.rearrange import DecreasingStep, _level_maximal, dyadic_maximal, rearrangement
@@ -103,6 +103,15 @@ def test_rh_p_weighted_mixed_step_frozen():
     w = make_grid(1, 3, "step:1,2")
     c = rh_p_weighted_constant(g, w, 2.0)
     assert math.isclose(c.value, 3.0 * math.sqrt(2.0) / 4.0, rel_tol=1e-13)
+
+
+def test_rh_p_weighted_refuses_grids_on_different_bases():
+    # the two halves of one grid: equal d, L and cell counts, other bases
+    cells = make_grid(1, 6, "rand:1:lognormal:1").cells
+    g = WeightGrid(1, 6, cells[:32], base=DyadicCube(1, (0,)))
+    w = WeightGrid(1, 6, cells[32:], base=DyadicCube(1, (1,)))
+    with pytest.raises(ValueError, match="g and w must share a grid"):
+        rh_p_weighted_constant(g, w, 2.0)
 
 
 def test_rh_p_weighted_reduces_to_unweighted():
