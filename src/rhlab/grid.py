@@ -485,7 +485,7 @@ def _file_grid(d: int, L: int, cells: list, label: str) -> WeightGrid:
         )
     try:
         cells = np.asarray(cells, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise WeightFormatError("parse", f"cells must be numbers: {exc}") from exc
     return WeightGrid(d, L, cells, label=label)
 

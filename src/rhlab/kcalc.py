@@ -12,13 +12,13 @@ exact representation:
   * (Lp, Linf): G(t) = (integral_0^t (w*)^p)^{1/p}, stored via the exact
     piecewise-linear curve of G^p;
   * composite curves H(t) = (integral_0^{t^{1/(1-theta)}} [s^{-theta} K(s)]^q
-    ds/s)^{1/q}, integrated in closed form on origin pieces and by adaptive
-    Gauss-Legendre panels elsewhere (relative tolerance 1e-10);
-  * one piece-integral kernel for all of these (level_piece_integrals): the
-    K-curve pieces of all cubes of a level (_level_pieces) share one column
-    grid, so the Gauss-Legendre nodes and s^E are built once per column and
-    (A + B s)^q per cube, in fixed-size blocks; power_piece_integral is its
-    one-row call on arbitrary pieces;
+    ds/s)^{1/q}, integrated piece by piece;
+  * one piece-integral kernel for all of these (level_piece_integrals):
+    closed form for integer q <= _BINOMIAL_Q, else adaptive Gauss-Legendre
+    panels (relative tolerance 1e-10); the K-curve pieces of all cubes of a
+    level (_level_pieces) share one column grid, so column factors and nodes
+    are built once per column; power_piece_integral is its one-row call on
+    arbitrary pieces;
   * Lorentz norms over (0, infinity) using the exact 1/t tail of the averaged
     rearrangement;
   * the Luxemburg norm of L log L by bisection on its defining integral;
@@ -336,17 +336,52 @@ def _gl_sums(A, B, lo, hi, q: float, E: float, table, buf: np.ndarray, out: np.n
         out[r : r + rb] = half * _node_sums(a, b, s[:, : a.size], ws[:, : a.size], q, buf).reshape(-1, c)
 
 
+# Largest integer q integrated in closed form: its rounding grows with q, to
+# 15 2^-53 at q = 16 on level pieces (the 40-node sums: up to 183 2^-53).
+_BINOMIAL_Q = 16
+
+
+def _binomial_pieces(A, B, s0, s1, q: int, E: float) -> np.ndarray:
+    """(A + B s)^q s^E integrated over an (n, m) piece matrix for integer
+    q >= 1: s1^{E+1} sum_j C(q, j) g_j A^{q-j} U^j with U = B s1 and column
+    factors g_j = integral_{s0/s1}^1 x^{E+j} dx, summed in homogeneous Horner
+    form t = t U + c_j A^{q-j}, elementwise with three (n, m) scratch arrays.
+    With r = E + j + 1 and l = log(s1/s0), g_j is l at r = 0, 1/r at s0 = 0
+    (where the callers' checks leave A = 0 if r <= 0), -expm1(-r l)/r while
+    |r| l <= 1, and (1 - (s0/s1)^r)/r beyond, where l's rounding would grow."""
+    inner = s0 > 0.0
+    lo = np.where(inner, s0, 0.5 * s1)  # a stand-in at s0 = 0, where g_j = 1/r
+    ell = np.log1p((s1 - lo) / lo)
+    scale = s1 ** (E + 1.0)
+
+    def column(j):
+        r = E + j + 1.0
+        g = ell if r == 0.0 else np.where(abs(r) * ell > 1.0, 1.0 - (lo / s1) ** r, -np.expm1(-r * ell)) / r
+        return math.comb(q, j) * np.where(inner, g, 1.0 / r if r > 0.0 else 0.0) * scale
+
+    U = B * s1
+    t = column(q) * U
+    apow = A.copy()
+    tmp = np.empty_like(t)
+    for j in range(q - 1, -1, -1):
+        t += np.multiply(apow, column(j), out=tmp)
+        if j:
+            t *= U
+            apow *= A
+    return t
+
+
 def level_piece_integrals(A, B, s0, s1, q: float, E: float) -> np.ndarray:
     """The one piece-integral kernel: the integrals of (A + B s)^q s^E over an
     (n, m) piece matrix whose column k is [s0[k], s1[k]], s0[k] < s1[k], in
     every row (the K-curve pieces of all cubes of a level, _level_pieces);
     power_piece_integral is its one-row call.
 
-    Exact closed forms when A = 0 (pure power; requires q + E > -1 if
-    s0 = 0) or q = 1; otherwise Gauss-Legendre panels, bisected until the 20-
-    and 40-node sums agree to _PIECE_REL.  A piece with A != 0 and s0 = 0
-    requires E > -1.  Divergent pieces raise ValueError ("divergent integral
-    at the origin"), a panel still failing at depth 40 QuadratureError.
+    A piece at s0 = 0 requires E > -1 (q + E > -1 if A = 0), or raises
+    ValueError ("divergent integral at the origin").  Integer q in
+    [1, _BINOMIAL_Q] takes _binomial_pieces; other q an exact pure power
+    where A = 0, else Gauss-Legendre panels bisected until the 20- and
+    40-node sums agree to _PIECE_REL (QuadratureError at depth 40).
 
     The node tables (abscissae, and the weights times s^E) are built once
     per column block and (A + B s)^q times them per row block in one reused
@@ -370,24 +405,20 @@ def level_piece_integrals(A, B, s0, s1, q: float, E: float) -> np.ndarray:
     # near 0 a piece with A != 0 behaves like |A|^q s^E
     if E <= -1.0 and np.any(A[:, s0 == 0.0] != 0.0):
         raise ValueError("divergent integral at the origin")
+    if q + E <= -1.0 and np.any(A[:, s0 == 0.0] == 0.0):
+        raise ValueError("divergent integral at the origin")
+    if 1.0 <= q <= _BINOMIAL_Q and float(q).is_integer():
+        return _binomial_pieces(A, B, s0, s1, int(q), E)
     Af, Bf = A.ravel(), B.ravel()
     out = np.zeros(n * m)
     origin = np.flatnonzero(Af == 0.0)
     if origin.size:
         k = origin % m
         r = q + E
-        if r <= -1.0 and np.any(s0[k] == 0.0):
-            raise ValueError("divergent integral at the origin")
         lo = np.where(s0[k] == 0.0, 0.0, _antider_pow(np.maximum(s0[k], 1e-300), r))
         out[origin] = Bf[origin] ** q * (_antider_pow(s1[k], r) - lo)
     live = np.flatnonzero(Af != 0.0)
     if live.size == 0:
-        return out.reshape(n, m)
-    if q == 1.0:
-        k = live % m
-        out[live] = Af[live] * (_antider_pow(s1[k], E) - _antider_pow(s0[k], E)) + Bf[live] * (
-            _antider_pow(s1[k], E + 1.0) - _antider_pow(s0[k], E + 1.0)
-        )
         return out.reshape(n, m)
     c20 = np.empty((n, m))
     c40 = np.empty((n, m))
@@ -451,8 +482,7 @@ class HolmstedtCurve:
     into prefix (at K's knots).  inner_integral and value work elementwise
     on arrays of points, a scalar being a one-element call: one searchsorted
     finds each T's piece and one power_piece_integral call covers the
-    partial pieces of every T inside K's domain (exact on the origin piece,
-    Gauss-Legendre panels elsewhere); past the domain K's constant tail is
+    partial pieces of every T inside K's domain; past the domain K's constant tail is
     integrated in closed form.  A point's value does not depend on the other
     points of its call.
     """

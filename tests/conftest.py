@@ -97,3 +97,56 @@ def frozen_gl_panel(A, B, s0, s1, q, E, table, gemv=False):
         f[:, :h] += f[:, k - h : k]
         k -= h
     return half * f[:, 0]
+
+
+def mp_piece_integral(A, B, s0, s1, q: int, E: float):
+    """integral_{s0}^{s1} (A + B s)^q s^E ds for an integer q >= 1, exactly
+    from the float inputs in 40-digit mpmath: the binomial expansion, each
+    power of s integrated by its antiderivative (the logarithm at exponent
+    -1).  Terms carrying a zero power of A = 0 are left out."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        A, B, s0, s1, E = (mpmath.mpf(float(x)) for x in (A, B, s0, s1, E))
+        total = mpmath.mpf(0)
+        for j in range(q + 1):
+            if A == 0 and j < q:
+                continue
+            r = E + j + 1
+            part = mpmath.log(s1 / s0) if r == 0 else (s1**r - (s0**r if s0 else 0)) / r
+            total += mpmath.binomial(q, j) * A ** (q - j) * B**j * part
+        return total
+
+
+def closed_form_q(q) -> bool:
+    """Whether level_piece_integrals takes its closed form at q."""
+    from rhlab.kcalc import _BINOMIAL_Q
+
+    return 1.0 <= q <= _BINOMIAL_Q and float(q).is_integer()
+
+
+def assert_near_frozen(got, ref, A, B, s0, s1, q, E):
+    """The piece-integral kernel's results got against a frozen oracle ref
+    of its former code, on the pieces (A, B, s0, s1) broadcast to got's
+    shape.  Bit for bit unless closed_form_q(q): both then take the same
+    Gauss-Legendre panels.  At those integer q the kernel integrates in
+    closed form, so the bits move: it must lie within 16 ulp (16 eps
+    relative) of the frozen 40-node sums of the pieces with s1 <= 2 s0, and
+    within 8 2^-53 of 40-digit mpmath (mp_piece_integral) on the others:
+    where the frozen code took a difference of antiderivatives (A = 0, or
+    q = 1), which cancels, and where its wider panels may be bisected, whose
+    added sums were up to 142 2^-53 off on six-decade columns."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    if not closed_form_q(q):
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+        return
+    A, B, s0, s1 = (np.broadcast_to(np.asarray(x, dtype=np.float64), got.shape) for x in (A, B, s0, s1))
+    live = s1 > s0
+    assert np.all(got[~live] == 0.0) and np.all(ref[~live] == 0.0)
+    gl = live & (A != 0.0) & (q != 1.0) & (s1 <= 2.0 * s0)
+    eps = np.finfo(np.float64).eps
+    assert np.all(np.abs(got[gl] - ref[gl]) <= 16 * eps * np.abs(ref[gl]))
+    for i in zip(*np.nonzero(live & ~gl)):
+        exact = mp_piece_integral(A[i], B[i], s0[i], s1[i], int(q), E)
+        assert abs(float(got[i]) - exact) <= 8 * 2.0**-53 * abs(exact), (i, float(got[i]), float(exact))

@@ -570,6 +570,15 @@ def test_json_integer_cells_stay_valid(tmp_path, capsys):
     assert (code, out, err) == (0, "# curve kind=k cube=0:0\n0.0,0.0\n0.5,1.0\n1.0,1.5\n", "")
 
 
+def test_json_integer_cell_beyond_the_float_range_is_a_parse_error(tmp_path, capsys):
+    # a 401-digit integer cell used to exit 1 as a numerical OverflowError
+    path = tmp_path / "w.json"
+    path.write_text('{"d": 1, "L": 1, "cells": [1, 1' + "0" * 400 + "]}")
+    code, out, err = run_cli(capsys, "curve", "--kind", "k", "--weight", f"file:{path}")
+    assert (code, out) == (3, "")
+    assert err.startswith("rhlab: error: cells must be numbers: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # argument handling
 

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import flat_grids, frozen_gl_panel, localized_grids, random_grids
+from conftest import assert_near_frozen, flat_grids, frozen_gl_panel, localized_grids, random_grids
 from rhlab.grid import DyadicCube, WeightGrid, _cube_at, integrate, level_cubes, make_grid
 from rhlab import cli, kcalc, weights
 from rhlab.kcalc import (
@@ -248,6 +248,24 @@ def test_level_piece_integrals_q_one_is_closed_form():
     np.testing.assert_array_equal(got.view(np.uint64), ref.reshape(A.shape).view(np.uint64))
 
 
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 5.0, 16.0])
+def test_level_piece_integrals_closed_form_rows_and_flat_bitwise(q):
+    # the closed form is elementwise on broadcast column rows: an (n, m)
+    # call equals each of its rows called on its own and all its pieces
+    # flattened into one row
+    E = q / 2.0 - q - 1.0
+    for w in (make_grid(1, 9, "rand:15:lognormal:1.5"), make_grid(2, 4, "rand:16:lognormal:1"), _FLAT_GRIDS[4]):
+        for lev in (0, w.L // 2, w.L):
+            B, _, s0, s1, A = _level_pieces(w, lev)
+            n, m = A.shape
+            got = level_piece_integrals(A, B, s0, s1, q, E)
+            flat = level_piece_integrals(A.reshape(1, -1), B.reshape(1, -1), np.tile(s0, n), np.tile(s1, n), q, E)
+            np.testing.assert_array_equal(got.view(np.uint64), flat.reshape(n, m).view(np.uint64))
+            for i in range(n):
+                row = level_piece_integrals(A[i : i + 1], B[i : i + 1], s0, s1, q, E)
+                np.testing.assert_array_equal(row[0].view(np.uint64), got[i].view(np.uint64))
+
+
 def test_level_piece_integrals_scratch_is_bounded():
     # no (n m, 40) array: the traced peak stays below one such array at
     # every level of a 16384-cell grid, for the level kernel and for
@@ -351,10 +369,10 @@ def frozen_power_piece_integral(A, B, s0, s1, q, E, rel=1e-10):
 
 
 def _assert_frozen_bitwise(A, B, s0, s1, q, E):
+    # bit for bit off the closed-form q (conftest.assert_near_frozen)
     got = power_piece_integral(A, B, s0, s1, q, E)
     ref = frozen_power_piece_integral(A, B, s0, s1, q, E)
-    assert got.shape == ref.shape
-    np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert_near_frozen(got, ref, A, B, s0, s1, q, E)
 
 
 _PIECE = st.tuples(st.floats(0.0, 3.0), st.floats(0.1, 3.0), st.floats(0.05, 1.0), st.floats(1.1, 4.0))

@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flat_grids, frozen_gl_panel, random_grids
-from rhlab import kcalc, weights
+from conftest import assert_near_frozen, closed_form_q, flat_grids, frozen_gl_panel, mp_piece_integral, random_grids
+from rhlab import cli, kcalc, weights
 from rhlab.grid import make_grid
 from rhlab.kcalc import _level_pieces, level_piece_integrals, llogl_norm_rows
 from test_kcalc import _CALLER_QE
@@ -96,9 +96,10 @@ def frozen_level_piece_integrals(A, B, s0, s1, q, E, gemv=False):
 
 
 def _assert_level_kernel_frozen(A, B, s0, s1, q, E):
+    # bit for bit off the closed-form q (conftest.assert_near_frozen)
     got = level_piece_integrals(A, B, s0, s1, q, E)
     ref = frozen_level_piece_integrals(A, B, s0, s1, q, E)
-    np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert_near_frozen(got, ref, A, B, s0, s1, q, E)
 
 
 @settings(max_examples=80)
@@ -138,12 +139,14 @@ def test_level_kernel_matches_frozen_on_bisection_fallback_pieces():
 
 def test_level_kernel_within_4_ulp_of_the_gemv_sums():
     # the fixed-order node sums against the BLAS matrix-vector products
-    # they replaced, on every caller pair and every level
+    # they replaced, on every caller pair and every level: the kernel's own
+    # sums, or the frozen kernel's at the closed-form q
     for w in (make_grid(1, 9, "rand:23:lognormal:1"), make_grid(2, 4, "rand:24:lognormal:1.5"), make_grid(1, 8, "pow:-0.5")):
         for lev in range(w.L + 1):
             vals, _, s0, s, A = _level_pieces(w, lev)
             for q, E in _CALLER_QE:
-                got = level_piece_integrals(A, vals, s0, s, q, E)
+                kernel = frozen_level_piece_integrals if closed_form_q(q) else level_piece_integrals
+                got = kernel(A, vals, s0, s, q, E)
                 ref = frozen_level_piece_integrals(A, vals, s0, s, q, E, gemv=True)
                 assert np.abs(got.view(np.int64) - ref.view(np.int64)).max() <= 4
 
@@ -244,7 +247,8 @@ def test_llogl_passes_per_level_bounded(monkeypatch):
 
 @pytest.mark.parametrize("d, L, spec", [(1, 14, "pow:-0.5"), (1, 16, "rand:1:lognormal:1"), (2, 8, "rand:2:lognormal:1")])
 def test_lorentz_pieces_skip_the_20_node_sums(monkeypatch, d, L, spec):
-    # the Lorentz constants of an analyze --q 2 run
+    # the Lorentz constants of an analyze run at q = 2.5 (an integer q
+    # takes the closed form, which has no node sums)
     # (the bisection takes the same node sums)
     counts = {"live": 0, 20: 0}
     kernel, node_sums = kcalc.level_piece_integrals, kcalc._node_sums
@@ -261,8 +265,36 @@ def test_lorentz_pieces_skip_the_20_node_sums(monkeypatch, d, L, spec):
     monkeypatch.setattr(kcalc, "_node_sums", count_sums)
     w = make_grid(d, L, spec)
     for p in (1.5, 2.0, 3.0):
-        weights.rh_lorentz_constant(w, p, 2.0)
+        weights.rh_lorentz_constant(w, p, 2.5)
     assert counts["live"] > 0 and counts[20] <= 0.05 * counts["live"]
+
+
+def test_integer_q_commands_take_no_node_sums(capsys, monkeypatch):
+    # the benchmark's integer-q commands integrate every piece in closed
+    # form; a non-integer q, or an integer above the bound, takes the
+    # Gauss-Legendre sums
+    calls = []
+
+    def refuse(*args):
+        calls.append(1)
+        raise RuntimeError("Gauss-Legendre node sums at an integer q")
+
+    monkeypatch.setattr(kcalc, "_node_sums", refuse)
+    analyze = ("analyze", "--weight", "rand:1:lognormal:1", "--level", "10")
+    for argv in (
+        analyze + ("--q", "2"),
+        ("verify", "--suite", "lorentz", "--cases", "2"),
+        ("curve", "--kind", "holmstedt:0.5:2", "--weight", "pow:-0.5", "--level", "10"),
+    ):
+        assert cli.main(list(argv)) == 0, argv
+    B, _, s0, s1, A = _level_pieces(make_grid(1, 6, "rand:3:lognormal:1"), 2)
+    level_piece_integrals(A, B, s0, s1, float(kcalc._BINOMIAL_Q), -2.0)
+    assert calls == []
+    with pytest.raises(RuntimeError):
+        level_piece_integrals(A, B, s0, s1, kcalc._BINOMIAL_Q + 1.0, -2.0)
+    assert cli.main(list(analyze + ("--q", "2.5"))) == 1
+    assert len(calls) == 2
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
@@ -298,3 +330,31 @@ def test_gl20_error_below_certified_bound(qE):
             exact = mp.quad(f, [1, 2])
             gl20 = mp.mpf(0.5) * sum(wt * f(mp.mpf(1.5) + mp.mpf(0.5) * x) for x, wt in zip(nodes, weights_))
             assert abs(gl20 - exact) / exact <= bound, (A, B)
+
+
+# ---------------------------------------------------------------------------
+# the closed form at integer q against 40-digit mpmath
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5])
+def test_closed_form_pieces_within_8_units_of_mpmath(q):
+    # the callers' exponents: Lorentz q/p - q - 1, K-side -p (q = p),
+    # Holmstedt -theta q - 1; on the origin column (A = 0, s0 = 0), the
+    # logarithm at r = E + j + 1 = 0 (Lorentz p = 2 and Holmstedt theta =
+    # 1/2 at q = 2, the K-side at every q), the columns k >= 2^12 where a
+    # difference of antiderivatives cancels, and d=2 level widths
+    exponents = (q / 2.0 - q - 1.0, q / 1.5 - q - 1.0, -float(q), -0.5 * q - 1.0, -0.3 * q - 1.0)
+    worst = 0.0
+    for w, levels in ((make_grid(1, 14, "rand:1:lognormal:1"), (0, 4, 12)), (make_grid(2, 6, "rand:2:lognormal:1"), (0, 2, 5))):
+        for lev in levels:
+            vals, _, s0, s, A = _level_pieces(w, lev)
+            n, m = A.shape
+            rows = range(0, n, max(1, n // 3))
+            cols = sorted(set(range(min(m, 5))) | set(range(1 << 12, m, 1531)) | {m - 1})
+            for E in exponents:
+                got = level_piece_integrals(A, vals, s0, s, float(q), E)
+                for i in rows:
+                    for k in cols:
+                        exact = mp_piece_integral(A[i, k], vals[i, k], s0[k], s[k], q, E)
+                        worst = max(worst, float(abs(float(got[i, k]) - exact) / exact))
+    assert worst <= 8 * 2.0**-53, worst / 2.0**-53
