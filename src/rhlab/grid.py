@@ -22,7 +22,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 
 class WeightSpecError(ValueError):
@@ -365,6 +364,8 @@ def make_grid(d: int, L: int, spec: str) -> WeightGrid:
             raise WeightSpecError(f"bad seed or sigma in {spec!r}") from exc
         if not (sigma > 0.0 and math.isfinite(sigma)):
             raise WeightSpecError("sigma must be positive and finite")
+        from scipy.special import ndtri  # imported here: it is most of the package's start-up
+
         raw = np.random.Philox(key=seed).random_raw(n)
         u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
         with np.errstate(all="ignore"):  # checked in _generated

@@ -57,7 +57,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wrightomega
 
 from .grid import WeightGrid, _cube_at
 from .kcalc import ConcaveCurve, CurveFamily, StepProductCurve, _level_pieces
@@ -162,6 +161,13 @@ class _LevelBlock:
     prefix of a column-major block is one contiguous slab.  Only order-free
     operations (elementwise arithmetic, max, min) may read the blocks, so
     the layout moves no bit; a row sum or mean would round differently.
+
+    A knee pass (_knee_ok) decides U scan points at once on their stacked
+    ratio arrays: one (U n, width) array in the block's layout, whose rows
+    i n .. (i + 1) n - 1 hold point i.  It is one broadcast subtraction
+    over (U, n, width), or over (n, U, width) with order="F" if
+    column-major, reshaped without a copy; each row holds the values a
+    one-point pass computes.
 
     of_level builds the block of all cubes of one level on the full window,
     _curve_block the one-row block of a single curve.  For kind "acks" the
@@ -340,96 +346,173 @@ def _blocks_ok(blocks, u, lncap_q):
     return cmax <= lncap_q + 1e-15, cmax, rmax
 
 
-def _knee_ok(blocks, u, windows, lncap_q, triv_tol, order):
-    """Knee admissibility at scan point u of several windows in one pass.
+def _knee_ok(blocks, us, want, windows, lncap_q, triv_tol, order):
+    """Knee admissibility of several windows at several scan points in one
+    pass.
 
-    windows[k][b] is the (ncols, kappa) of window k on block b.  The ratio
-    arrays are built once per block on the widest window still undecided;
-    each window reads its own column prefix, where they equal the arrays of
-    that window's own candidates.  A window fails at the first block with a
-    cube beyond the cap, or with a binding pair whose lever exceeds kappa.
-    Returns one (ok, cap_failed) pair per window; cap_failed marks a failure
-    of the first kind, which persists at every larger u.
+    want[p] lists the windows asked at scan point us[p], and windows[k][b]
+    is the (ncols, kappa) of window k on block b.  On each block the ratio
+    arrays of the points still undecided in some window are stacked as
+    extra rows (see _LevelBlock), built once on the widest window still
+    undecided there; each window reads its own column prefix, where they
+    equal the arrays of that window's own candidates, and reduces each
+    point's rows apart (reduceat).  A (point, window) pair fails at the first
+    block with a cube beyond the cap, or with a binding pair whose lever
+    exceeds kappa.  Returns, per point, one (ok, cap_failed) pair per window
+    asked; cap_failed marks a failure of the first kind, which persists at
+    every larger u.
 
-    Blocks are visited in the list order, and a block failing any window
+    Blocks are visited in the list order, and a block failing any pair
     moves to its front (fail-first).  Order cannot change ok, an AND over
     blocks, only whether a cap or a lever failure is met first; a cap
     failure persists, so the grid points a stopped scan skips fail anyway.
     """
-    out = [(True, False)] * len(windows)
-    pending = list(range(len(windows)))
+    out = [dict.fromkeys(ks, (True, False)) for ks in want]
+    left = [len(ks) for ks in want]  # each point's undecided windows
+    pending = {}  # window -> its undecided points
+    for p, ks in enumerate(want):
+        for k in ks:
+            pending.setdefault(k, []).append(p)
+    pts = None
     for b in list(order):
         live = [k for k in pending if windows[k][b][0]]
         if not live:
             continue
-        blk, undecided = blocks[b], len(pending)
+        if pts is None:  # the points still undecided in some window
+            pts = [p for p, c in enumerate(left) if c]
+            row_of = {p: i for i, p in enumerate(pts)}
+            u = np.array([us[p] for p in pts])[:, None]
+        blk, decided = blocks[b], False
         width = max(windows[k][b][0] for k in live)
-        lg = blk.lnphi[:, :width] - u * blk.ls[:width]
+        lnphi = blk.lnphi
+        n, npt = lnphi.shape[0], len(pts)
+        # point i's rows are i n .. (i + 1) n - 1, in the block's layout
+        ul = u * blk.ls[:width]
+        if lnphi.flags.c_contiguous:
+            lg = np.subtract(lnphi[None, :, :width], ul[:, None], order="C").reshape(npt * n, width)
+        else:
+            lg = np.subtract(lnphi[:, None, :width], ul, order="F").reshape((npt * n, width), order="F")
         r = _runmax(lg) - lg
+        starts = np.arange(0, npt * n, n)
         lever = None
         for k in live:
             ncols, kappa = windows[k][b]
             rk = r[:, :ncols]
             rmax = rk.max(axis=1)
-            top = rmax.max()
-            if top > lncap_q + 1e-15:
-                out[k] = (False, True)
-                pending.remove(k)
-                continue
-            if top <= triv_tol:
-                continue
-            if lever is None:
-                lever = _lever(r, blk.ls[:width])
-            binding = rk >= (rmax[:, None] - _TIE)
-            lev_min = np.where(binding, lever[:, :ncols], np.inf).min(axis=1)
-            if lev_min[rmax > triv_tol].max() > kappa:
-                out[k] = (False, False)
-                pending.remove(k)
-        if len(pending) < undecided:
+            top = np.maximum.reduceat(rmax, starts).tolist()
+            failed, levered = [], []
+            for p in pending[k]:
+                t = top[row_of[p]]
+                if t > lncap_q + 1e-15:
+                    out[p][k] = (False, True)
+                    failed.append(p)
+                elif t > triv_tol:
+                    levered.append(p)
+            if levered:
+                if lever is None:
+                    lever = _lever(r, blk.ls[:width])
+                binding = rk >= (rmax[:, None] - _TIE)
+                lev_min = np.where(binding, lever[:, :ncols], np.inf).min(axis=1)
+                np.putmask(lev_min, rmax <= triv_tol, -np.inf)
+                far = np.maximum.reduceat(lev_min, starts).tolist()
+                for p in levered:
+                    if far[row_of[p]] > kappa:
+                        out[p][k] = (False, False)
+                        failed.append(p)
+            if failed:
+                decided = True
+                pending[k] = [p for p in pending[k] if p not in failed]
+                if not pending[k]:
+                    del pending[k]
+                for p in failed:
+                    left[p] -= 1
+                    if not left[p]:
+                        pts = None  # restacked without p from the next block on
+        if decided:
             order.insert(0, order.pop(order.index(b)))
         if not pending:
             break
-    return out
+    return [[res[k] for k in ks] for res, ks in zip(out, want)]
 
 
 _GRID = np.linspace(0.0, 1.0, 65)
+# Candidate cells a knee pass may stack: the u-scan evaluates
+# _PASS_CELLS // (the blocks' cells) grid points per pass, at least one.
+_PASS_CELLS = 1 << 16
 
 
-def _bisect(ok_fn, j: int, tol: float) -> float:
-    """Bisection to tol between grid point j (admissible) and the next."""
-    lo, hi = float(_GRID[j]), float(_GRID[min(j + 1, 64)])
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ok_fn(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _tree(lo: float, hi: float, depth: int, tol: float) -> list[float]:
+    """The points the next depth steps of a bisection of [lo, hi] to tol may
+    probe: the midpoints of its bisection tree, down to depth levels."""
+    if depth == 0 or hi - lo <= tol:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid] + _tree(lo, mid, depth - 1, tol) + _tree(mid, hi, depth - 1, tol)
 
 
-def _scan_largest(ok_fn, tol: float, n: int = 1):
+def _bisect_brackets(ok_fn, brackets, tol: float, chunk: int) -> list[float]:
+    """Bisection to tol of each bracket [lo, hi] (lo admissible); returns
+    each bracket's final lo.
+
+    ok_fn(us, ks) decides bracket ks[i]'s criterion at us[i] for all i in
+    one pass.  A pass takes the first min(chunk, pending) brackets and as
+    many levels of their bisection trees as chunk points hold, at least
+    one; each bracket then walks down its tree.  The walk probes the points
+    a one-point bisection would, so the result does not depend on chunk; at
+    a chunk of 1 each bracket runs to the end before the next starts.
+    """
+    state, out = dict(enumerate(brackets)), [0.0] * len(brackets)
+    while state:
+        ks = list(state)[:chunk]
+        depth = (chunk // len(ks) + 1).bit_length() - 1
+        trees = [_tree(*state[k], depth, tol) for k in ks]
+        us = [u for tree in trees for u in tree]
+        oks = iter(ok_fn(us, [k for k, tree in zip(ks, trees) for _ in tree]) if us else [])
+        for k, tree in zip(ks, trees):
+            ok_at = dict(zip(tree, oks))
+            lo, hi = state[k]
+            for _ in range(depth):
+                if hi - lo <= tol:
+                    break
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if ok_at[mid] else (lo, mid)
+            state[k] = (lo, hi)
+            if hi - lo <= tol:
+                out[k] = lo
+                del state[k]
+    return out
+
+
+def _scan_largest(ok_fn, tol: float, n: int = 1, chunk: int = 1):
     """Largest admissible u in [0, 1] for n criteria scanned together:
-    coarse 1/64 grid plus bisection.
+    coarse 1/64 grid plus bisection, chunk scan points per pass.
 
-    ok_fn(u, ks) evaluates the criteria ks at u in one pass and returns one
-    (ok, cap_failed) pair per criterion.  A cap failure persists at every
-    larger u (each pair term of the ratio is nondecreasing in u), so a
-    criterion's remaining grid points are set False without evaluation.
-    Returns one (u_hat, monotone) pair per criterion; monotone means
-    admissibility was a prefix of the grid, which is what makes the
-    bisection meaningful.  A skipped tail is all False, so it cannot clear
-    the flag.
+    ok_fn(us, want) evaluates the criteria want[p] at each scan point us[p]
+    in one pass and returns, per point, one (ok, cap_failed) pair per
+    criterion asked.  A cap failure persists at every larger u (each pair
+    term of the ratio is nondecreasing in u), so a criterion's grid points
+    after its first cap failure are set False: those of later chunks
+    without evaluation, those of its own chunk by discarding their results.
+    The bisections advance together (_bisect_brackets).  Returns one
+    (u_hat, monotone) pair per criterion; monotone means admissibility was
+    a prefix of the grid, which is what makes the bisection meaningful.  A
+    skipped tail is all False, so it cannot clear the flag.
     """
     oks = [[] for _ in range(n)]
     live = list(range(n))
-    for x in _GRID:
+    for i in range(0, _GRID.size, chunk):
         if not live:
             break
-        res = ok_fn(float(x), live)
-        for k, (ok, _) in zip(live, res):
-            oks[k].append(ok)
-        live = [k for k, (_, capped) in zip(live, res) if not capped]
-    out = []
+        xs = _GRID[i : i + chunk].tolist()
+        capped = set()
+        for res in ok_fn(xs, [live] * len(xs)):
+            for k, (ok, cap) in zip(live, res):
+                if k not in capped:
+                    oks[k].append(ok)
+                    if cap:
+                        capped.add(k)
+        live = [k for k in live if k not in capped]
+    out, brackets = [], []
     for k, o in enumerate(oks):
         o = o + [False] * (_GRID.size - len(o))
         monotone = all(a or not b for a, b in zip(o, o[1:]))  # no False -> True
@@ -439,7 +522,11 @@ def _scan_largest(ok_fn, tol: float, n: int = 1):
             out.append((1.0, monotone))
         else:
             j = max(i for i, v in enumerate(o) if v)
-            out.append((_bisect(lambda u: ok_fn(u, [k])[0][0], j, tol), monotone))
+            brackets.append((k, (float(_GRID[j]), float(_GRID[min(j + 1, 64)]))))
+            out.append((None, monotone))
+    at = lambda us, ks: [res[0][0] for res in ok_fn(us, [[brackets[i][0]] for i in ks])]
+    for (k, _), u in zip(brackets, _bisect_brackets(at, [b for _, b in brackets], tol, chunk)):
+        out[k] = (u, out[k][1])
     return out
 
 
@@ -459,7 +546,8 @@ def _scan_prefix(ok_fn, tol: float) -> float:
             lo = mid
         else:
             hi = mid
-    return _bisect(ok_fn, lo, tol)
+    bracket = (float(_GRID[lo]), float(_GRID[lo + 1]))
+    return _bisect_brackets(lambda us, ks: [ok_fn(us[0])], [bracket], tol, 1)[0]
 
 
 def _witness(blocks, window, u):
@@ -492,8 +580,10 @@ def _index_estimate(blocks, windows, beta, q, C_cap, resolution, name) -> IndexE
     triv_tol = _TRIVIAL / q
     utol = 1e-4 / q
     order = list(range(len(blocks)))  # the knee scan's fail-first order
-    knee = lambda u, ks: _knee_ok(blocks, u, [windows[k][1] for k in ks], lncap_q, triv_tol, order)
-    scans = _scan_largest(knee, utol, len(windows))
+    wins = [win for _, win in windows]
+    knee = lambda us, want: _knee_ok(blocks, us, want, wins, lncap_q, triv_tol, order)
+    chunk = max(1, min(_GRID.size, _PASS_CELLS // sum(blk.lnphi.size for blk in blocks)))
+    scans = _scan_largest(knee, utol, len(windows), chunk)
     best = max(range(len(windows)), key=lambda k: scans[k][0])  # the first best gamma
     (u_hat, monotone), (gamma_star, win_star) = scans[best], windows[best]
 
@@ -570,6 +660,12 @@ def family_index(
         so a knee scan stops at its first cap failure;
       * the gamma = 1 blocks serve every window as column prefixes and the
         cap scan, and one pass per grid point decides all gammas;
+      * a knee pass stacks _PASS_CELLS // (the blocks' candidate cells)
+        scan points, 1 to 65, as extra rows of each block (see _LevelBlock):
+        the grid takes that many points per pass, and the bisections of all
+        gammas advance together by as many levels of their bisection trees
+        as that many points hold.  Each point's rows are those of a
+        one-point pass, so no result depends on the count;
       * knee passes visit the blocks fail-first: ok is an AND over blocks,
         and a cap failure met first only stops a scan that fails after it;
       * cap probes after a failing one, all below it, read only its rows
@@ -707,6 +803,8 @@ def _hardy_rows(A, B, s0, s1, K) -> np.ndarray:
     over the knots and every t* inside its piece, evaluated there directly
     rather than as 1 + omega(c), so an error in t* enters at second order.
     """
+    from scipy.special import wrightomega  # imported here: it is most of the package's start-up
+
     with np.errstate(divide="ignore"):
         lograt = np.where(s0 > 0, np.log(s1 / np.where(s0 > 0, s0, 1.0)), 0.0)
     N = np.cumsum(A * lograt + B * (s1 - s0), axis=1)

@@ -348,7 +348,9 @@ def _binomial_pieces(A, B, s0, s1, q: int, E: float) -> np.ndarray:
     form t = t U + c_j A^{q-j}, elementwise with three (n, m) scratch arrays.
     With r = E + j + 1 and l = log(s1/s0), g_j is l at r = 0, 1/r at s0 = 0
     (where the callers' checks leave A = 0 if r <= 0), -expm1(-r l)/r while
-    |r| l <= 1, and (1 - (s0/s1)^r)/r beyond, where l's rounding would grow."""
+    |r| l <= 1, and (1 - (s0/s1)^r)/r beyond, where l's rounding would grow.
+    A factor is built in place in one array: on level 0 of a d=1 grid the
+    factors are as long as the (1, m) piece matrix."""
     inner = s0 > 0.0
     lo = np.where(inner, s0, 0.5 * s1)  # a stand-in at s0 = 0, where g_j = 1/r
     ell = np.log1p((s1 - lo) / lo)
@@ -356,8 +358,19 @@ def _binomial_pieces(A, B, s0, s1, q: int, E: float) -> np.ndarray:
 
     def column(j):
         r = E + j + 1.0
-        g = ell if r == 0.0 else np.where(abs(r) * ell > 1.0, 1.0 - (lo / s1) ** r, -np.expm1(-r * ell)) / r
-        return math.comb(q, j) * np.where(inner, g, 1.0 / r if r > 0.0 else 0.0) * scale
+        if r == 0.0:
+            g = ell.copy()
+        else:
+            g = np.multiply(ell, abs(r))
+            far = g > 1.0
+            np.expm1(np.multiply(ell, -r, out=g), out=g)
+            np.negative(g, out=g)
+            g[far] = 1.0 - (lo[far] / s1[far]) ** r
+            g /= r
+        g[~inner] = 1.0 / r if r > 0.0 else 0.0
+        g *= math.comb(q, j)
+        g *= scale
+        return g
 
     U = B * s1
     t = column(q) * U

@@ -473,6 +473,22 @@ def test_blas_threads_do_not_change_bytes():
     assert outs[0].count("\n") > 16385
 
 
+def test_curve_run_leaves_scipy_special_unimported():
+    # scipy.special (most of the package's start-up) is imported only by the
+    # rand generator and the Hardy residual, on first use
+    script = (
+        "import sys\n"
+        "from rhlab.cli import main\n"
+        "assert main(['curve', '--kind', 'k', '--weight', 'const:1', '--level', '4']) == 0\n"
+        "sys.stderr.write(str('scipy.special' in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "False" and proc.stdout.startswith("# curve kind=k")
+
+
 def test_verify_bad_thread_env_falls_back(capsys, monkeypatch):
     monkeypatch.setenv("RHLAB_THREADS", "many")
     code, out, err = run_cli(capsys, "verify", "--suite", "rearrange", "--cases", "2", "--dim", "1")

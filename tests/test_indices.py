@@ -449,17 +449,35 @@ def test_cap_scan_is_a_binary_search(monkeypatch):
     assert 0 < len(calls) <= 20
 
 
+def _knee_and_cap(seen):
+    """A batched ok_fn: knee-admissible on [0, 0.3) and (0.5, 0.6), cap
+    failure from 0.75 on, recording each probed point."""
+
+    def ok_fn(us, want):
+        seen.extend(us)
+        return [[(u < 0.3 or 0.5 < u < 0.6, u >= 0.75) for _ in ks] for u, ks in zip(us, want)]
+
+    return ok_fn
+
+
 def test_scan_largest_keeps_knee_failures_and_stops_at_cap_failure():
     seen = []
-
-    def ok_fn(u, ks):
-        seen.append(u)
-        return [(u < 0.3 or 0.5 < u < 0.6, u >= 0.75)]
-
-    [(u_hat, monotone)] = indices._scan_largest(ok_fn, 1e-4)
+    [(u_hat, monotone)] = indices._scan_largest(_knee_and_cap(seen), 1e-4)
     # a knee failure does not end the grid scan; the first cap failure does
     assert not monotone and 0.59 < u_hat < 0.6
     assert max(seen) == 0.75
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 7, 16, 65])
+@pytest.mark.parametrize("n", [1, 3])
+def test_scan_largest_result_does_not_depend_on_the_chunk(chunk, n):
+    one, seen = [], []
+    want = indices._scan_largest(_knee_and_cap(one), 1e-4, n)
+    assert indices._scan_largest(_knee_and_cap(seen), 1e-4, n, chunk) == want
+    # no grid point past the chunk holding the first cap failure (48/64);
+    # the bisection trees hold every point of the one-point bisections
+    assert max(seen) <= indices._GRID[min(64, (48 // chunk + 1) * chunk - 1)]
+    assert set(one) <= set(seen)
 
 
 def test_family_index_memoised_per_grid(monkeypatch):
@@ -679,13 +697,21 @@ _SETTINGS = ((0.0, 1.0, 16.0, (1.0, 0.5, 0.25, 0.125)), (0.25, 2.0, 4.0, (0.5, 0
 
 
 def _assert_equals_frozen_scan(w):
+    # at every budget of a knee pass, from one scan point per pass (the
+    # blocks' cells) to the whole grid per pass (2^30)
     for kind in ("k", "acks"):
+        cells = sum(_LevelBlock.of_level(w, lev, kind).lnphi.size for lev in range(w.base.level, w.L))
         for beta, q, cap, gammas in _SETTINGS:
             F = CurveFamily(w, kind=kind, beta=beta, q=q)
             old = _frozen_family_index(F, cap, gammas)
-            assert family_index(F, C_cap=cap, gamma_grid=gammas) == old
-            if kind == "acks" and (beta, q) == (0.0, 1.0):
-                assert acks_index(w, C_cap=cap, gamma_grid=gammas) == dataclasses.replace(old, lambda_hat=1.0 - old.delta_hat)
+            for budget in (cells, 3 * cells, 64 * cells, 1 << 30):
+                w._indices.clear()  # the memo
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(indices, "_PASS_CELLS", budget)
+                    assert family_index(F, C_cap=cap, gamma_grid=gammas) == old
+                if kind == "acks" and (beta, q) == (0.0, 1.0):
+                    want = dataclasses.replace(old, lambda_hat=1.0 - old.delta_hat)
+                    assert acks_index(w, C_cap=cap, gamma_grid=gammas) == want
 
 
 @pytest.mark.parametrize("d, L, spec", _SCAN_GRIDS)
@@ -697,6 +723,16 @@ def test_family_index_equals_frozen_level_order_scan(d, L, spec):
 @settings(max_examples=30)
 def test_family_index_equals_frozen_level_order_scan_random(w):
     _assert_equals_frozen_scan(w)
+
+
+def test_knee_passes_stack_the_scan_points(monkeypatch):
+    # 32 scan points per pass on these 2048 candidate cells: 6 passes, where
+    # one point per pass made 97
+    passes = []
+    real = indices._knee_ok
+    monkeypatch.setattr(indices, "_knee_ok", lambda *a: passes.append(1) or real(*a))
+    family_index(CurveFamily(make_grid(1, 8, "rand:1:lognormal:1")))
+    assert 0 < len(passes) <= 10
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,25 @@ def test_level_piece_integrals_scratch_is_bounded():
             assert peak < A.size * 40 * 8
 
 
+def test_binomial_factors_are_built_in_place_at_level_zero():
+    # level 0 of a d=1 grid is one row of m pieces, as long as each column
+    # factor: the integer-q kernel's traced peak stays below 9 such rows
+    # (10.3 when each factor took both branches and the s0 = 0 values in
+    # fresh arrays)
+    import tracemalloc
+
+    w = make_grid(1, 14, "rand:1:lognormal:1")
+    B, _, s0, s1, A = _level_pieces(w, 0)
+    for E in (-2.0, -1.5):  # r = E + j + 1 hits 0 at E = -2
+        tracemalloc.start()
+        try:
+            level_piece_integrals(A, B, s0, s1, 2.0, E)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * A.size * 8
+
+
 @pytest.mark.parametrize("E", [-1.5, -1.0])
 def test_power_piece_integral_rejects_divergent_intercept_piece(E):
     # (1 + s)^2 s^E on [0, 1] diverges for E <= -1 (it used to come out finite)
