@@ -151,7 +151,9 @@ class _LevelBlock:
     every gamma.  With piece data A, B the curves are linear between
     consecutive columns, phi = A + B s, and lg adds the per-piece interior
     ratio minima, whose abscissae s* = u a / (b (1 - u)) depend on the scan
-    variable; lnA/lnB/a_pos hold the piece data to rebuild them.
+    variable; lnA/lnB hold the piece data to rebuild them (None without
+    piece data), lnA = -inf where A <= 0: such a piece has no interior
+    minimum, and its ln s* is -inf or NaN, which no bracket test in lg passes.
 
     A level block's row arrays, and those that rows and lg return, keep
     its long axis contiguous: column-major (Fortran order) with at least as
@@ -183,11 +185,10 @@ class _LevelBlock:
         self.svals = s
         self.ls = np.log(s)
         self.lnphi = lnphi
-        self.a_pos = None
+        self.lnA = self.lnB = None
         if A is not None:  # in lnphi's layout
-            self.a_pos = np.greater(A, 0.0, out=np.empty_like(lnphi, bool, shape=A.shape))
             self.lnA = np.full_like(lnphi, -np.inf, shape=A.shape)
-            np.log(A, out=self.lnA, where=self.a_pos)
+            np.log(A, out=self.lnA, where=A > 0.0)
             with np.errstate(divide="ignore"):
                 self.lnB = np.log(B, out=np.empty_like(lnphi, shape=B.shape))
 
@@ -216,8 +217,8 @@ class _LevelBlock:
         # a column-major block gathers the columns of its row-major transpose
         take = lambda x: x.T.take(idx, axis=1).T if x.flags.f_contiguous else x.take(idx, axis=0)
         out.lnphi = take(self.lnphi)
-        if self.a_pos is not None:
-            out.a_pos, out.lnA, out.lnB = take(self.a_pos), take(self.lnA), take(self.lnB)
+        if self.lnA is not None:
+            out.lnA, out.lnB = take(self.lnA), take(self.lnB)
         return out
 
     def lg(self, u: float, with_s: bool = False):
@@ -230,12 +231,12 @@ class _LevelBlock:
         knot, which changes no running maximum.
         """
         lg_k = self.lnphi - u * self.ls[None, :]
-        if self.a_pos is None or not 0.0 < u < 1.0:
+        if self.lnA is None or not 0.0 < u < 1.0:
             return (lg_k, np.broadcast_to(self.svals, lg_k.shape)) if with_s else lg_k
         lsk = self.ls
         with np.errstate(invalid="ignore", over="ignore"):
             lnt = (math.log(u) - math.log1p(-u)) + self.lnA - self.lnB
-            valid = self.a_pos & (lnt > lsk[None, :-1]) & (lnt < lsk[None, 1:])
+            valid = (lnt > lsk[None, :-1]) & (lnt < lsk[None, 1:])
             # g(s*) = [a / (1 - u)] s*^{-u}
             lg_min = np.where(valid, self.lnA - math.log1p(-u) - u * lnt, 0.0)
         n, m = lg_k.shape
@@ -301,7 +302,8 @@ def ai_constant(phi, delta: float, gamma: float = 1.0, domain_end: float | None 
 
     phi may be a ConcaveCurve, a StepProductCurve, a (t, values) pair of
     sample arrays (the constant is then taken over the sample set), or a
-    callable (evaluated on a 4097-point geometric grid; domain_end required).
+    callable (sampled into such a pair on a 4097-point geometric grid;
+    domain_end required).
     The piecewise-linear forms are exact: the supremum is attained on
     breakpoints, two-sided values at jumps, and per-piece interior minima of
     the ratio (the curve's one-row block at u = delta).  Curves linear
@@ -315,19 +317,13 @@ def ai_constant(phi, delta: float, gamma: float = 1.0, domain_end: float | None 
     if callable(phi):
         if domain_end is None:
             raise ValueError("domain_end required for callable curves")
-        end = gamma * domain_end
-        s = np.geomspace(end * 1e-9, end, 4097)
-        v = np.asarray([phi(x) for x in s], dtype=np.float64)
-        if np.any(v <= 0):
-            raise ValueError("curve must be positive on the window")
-        lg = np.log(v) - delta * np.log(s)
-    else:
-        end = gamma * (_domain_end(phi) if domain_end is None else domain_end)
-        if delta > 1.0 and isinstance(phi, (ConcaveCurve, StepProductCurve)):
-            return AiConstant(math.inf, 0.0, end)
-        lg, s = _curve_block(phi, end).lg(delta, with_s=True)
-        lg, s = lg[0], s[0]
-    rlog, sw, tw = _sup_ratio(s, lg)
+        s = np.geomspace(gamma * domain_end * 1e-9, gamma * domain_end, 4097)
+        phi = (s, [phi(x) for x in s])
+    end = gamma * (_domain_end(phi) if domain_end is None else domain_end)
+    if delta > 1.0 and isinstance(phi, (ConcaveCurve, StepProductCurve)):
+        return AiConstant(math.inf, 0.0, end)
+    lg, s = _curve_block(phi, end).lg(delta, with_s=True)
+    rlog, sw, tw = _sup_ratio(s[0], lg[0])
     return AiConstant(math.exp(rlog), sw, tw)
 
 
@@ -532,22 +528,14 @@ def _scan_largest(ok_fn, tol: float, n: int = 1, chunk: int = 1):
 
 def _scan_prefix(ok_fn, tol: float) -> float:
     """Largest admissible u in [0, 1] for a criterion whose admissible set
-    is a prefix of [0, 1]: binary search for the last admissible point of
-    the same 1/64 grid, then the same bisection as _scan_largest, so the
-    result equals that of the full grid scan."""
+    is a prefix of [0, 1]: one bisection of [0, 1] to tol.  As tol < 1/64
+    (q >= 1), its first six probes are a binary search over the 1/64 grid,
+    so the result equals that of the full grid scan."""
     if not ok_fn(0.0):
         return 0.0
     if ok_fn(1.0):
         return 1.0
-    lo, hi = 0, _GRID.size - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok_fn(float(_GRID[mid])):
-            lo = mid
-        else:
-            hi = mid
-    bracket = (float(_GRID[lo]), float(_GRID[lo + 1]))
-    return _bisect_brackets(lambda us, ks: [ok_fn(us[0])], [bracket], tol, 1)[0]
+    return _bisect_brackets(lambda us, ks: [ok_fn(us[0])], [(0.0, 1.0)], tol, 1)[0]
 
 
 def _witness(blocks, window, u):
@@ -654,7 +642,7 @@ def family_index(
         lg_i - lg_j = lnphi_i - lnphi_j + u (ln s_j - ln s_i) is
         nondecreasing in u, and the exact candidate set attains the
         continuum supremum, which is therefore nondecreasing too.  The cap
-        scan is a binary search over the same grid (_scan_prefix);
+        scan is one bisection of [0, 1] (_scan_prefix);
       * a knee-admissible u is cap-admissible on that window's breakpoint
         set, and cap failure there is monotone in u by the same argument,
         so a knee scan stops at its first cap failure;

@@ -836,9 +836,11 @@ def packing_family(f: WeightGrid, w: WeightGrid | None = None, p: float = 1.0) -
 
     The stopping packings take a deterministic menu of at most
     _STOPPING_THRESHOLDS thresholds among the distinct dyadic averages
-    A_Q = int_Q f^p w / w(Q); for each threshold the packing is the family
-    of maximal dyadic cubes with A_Q above it, listed level by level in
-    Morton order, built as level-table rows without cube objects.
+    A_Q = int_Q f^p w / w(Q); for each threshold lam the packing is the
+    family of maximal dyadic cubes: A_Q > lam and no strict ancestor's
+    average above lam (np.fmax of the ancestors' averages skips a NaN,
+    which is above no lam), listed level by level in Morton order, built
+    as level-table rows without cube objects.
     """
     if w is None:
         w = WeightGrid(f.d, f.L, np.ones(f.ncells), label="const:1", base=f.base)
@@ -849,16 +851,11 @@ def packing_family(f: WeightGrid, w: WeightGrid | None = None, p: float = 1.0) -
     distinct = np.unique(avgs)
     if distinct.size > _STOPPING_THRESHOLDS:
         distinct = distinct[np.linspace(0, distinct.size - 1, _STOPPING_THRESHOLDS).astype(int)]
+    anc = np.full(avgs.size, -np.inf)
+    for a, b, c in zip(off, off[1:], off[2:]):
+        anc[b:c] = np.repeat(np.fmax(anc[a:b], avgs[a:b]), 1 << f.d)
     for lam in distinct[:-1]:  # the top threshold selects nothing
-        pick = []
-        covered = np.zeros(1, dtype=bool)
-        for k, (a, b) in enumerate(zip(off, off[1:])):
-            if k > 0:
-                covered = np.repeat(covered, 1 << f.d)
-            sel = (avgs[a:b] > lam) & ~covered
-            pick.append(a + np.nonzero(sel)[0])
-            covered |= sel
-        r = np.concatenate(pick)
+        r = np.flatnonzero((avgs > lam) & (anc <= lam))
         if r.size:
             rows.append(r)
     return PackingFamily((f.d, f.L, f.base), rows)

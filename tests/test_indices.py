@@ -71,6 +71,23 @@ def test_ai_unbounded_past_delta_one():
     assert ai_constant(K, 1.2).value == math.inf
 
 
+@pytest.mark.parametrize("f", [lambda s: s * (2.0 - s), lambda s: 1.5 + math.sin(40.0 * s)], ids=["concave", "wavy"])
+@pytest.mark.parametrize("delta, gamma", [(0.0, 1.0), (0.4, 0.5), (1.0, 0.3), (1.2, 1.0)])
+def test_ai_callable_equals_its_sampled_pair(f, delta, gamma):
+    T = 1.0
+    s = np.geomspace(gamma * T * 1e-9, gamma * T, 4097)
+    c = ai_constant(f, delta, gamma, domain_end=T)
+    pair = ai_constant((s, np.array([f(x) for x in s])), delta, gamma, domain_end=T)
+    assert [x.hex() for x in (c.value, c.s, c.t)] == [x.hex() for x in (pair.value, pair.s, pair.t)]
+
+
+def test_ai_callable_errors_keep_their_messages():
+    with pytest.raises(ValueError, match="^domain_end required for callable curves$"):
+        ai_constant(lambda s: s, 0.5)
+    with pytest.raises(ValueError, match="^curve must be positive on the window$"):
+        ai_constant(lambda s: s - 0.5, 0.5, domain_end=1.0)
+
+
 def test_ai_parameter_validation():
     w = make_grid(1, 3, "const:1")
     K = k_l1_linf(w, w.base)
@@ -657,6 +674,17 @@ def _frozen_scan_prefix(ok_fn, tol):
     return _frozen_bisect(ok_fn, lo, tol)
 
 
+@pytest.mark.parametrize("tol", [1e-4, 1e-4 / 64])
+@pytest.mark.parametrize("c", [-0.5, 0.0, 0.005, 0.25, 0.3, 37 / 64, 0.6, 63 / 64, 0.999, 1.0])
+def test_scan_prefix_probes_equal_the_frozen_grid_search(c, tol):
+    # the cap scan's one bisection of [0, 1] probes the frozen binary search
+    # over the 1/64 grid and then its bisection, in the same order
+    new, old = [], []
+    u = indices._scan_prefix(lambda u: new.append(u) or u <= c, tol)
+    assert u == _frozen_scan_prefix(lambda u: old.append(u) or u <= c, tol)
+    assert new == old
+
+
 def _frozen_family_index(F, C_cap=16.0, gamma_grid=(1.0, 0.5, 0.25, 0.125)):
     w, beta, q = F.w, F.beta, F.q
     levels = range(w.base.level, w.L)
@@ -778,7 +806,7 @@ def test_level_blocks_keep_their_long_axis_contiguous(kind):
         sub = blk.rows(np.arange(0, n, 3))
         arrays = [blk.lnphi, sub.lnphi, blk.lg(0.5), sub.lg(0.5)]
         if kind == "k":  # with the interior minima and their abscissae
-            arrays += [blk.a_pos, blk.lnA, blk.lnB, sub.a_pos, sub.lnA, sub.lnB, blk.lg(0.5, with_s=True)[1]]
+            arrays += [blk.lnA, blk.lnB, sub.lnA, sub.lnB, blk.lg(0.5, with_s=True)[1]]
         # a level of n >= m cubes is column-major: so are its arrays, the
         # rows of any subset, and the ratio arrays at a scan point
         want = "F_CONTIGUOUS" if n >= m else "C_CONTIGUOUS"
@@ -798,7 +826,7 @@ def test_analyze_bytes_do_not_depend_on_the_block_layout(capsys, monkeypatch, d,
         def __init__(self, s, lnphi, A, B):
             # the piece arrays follow lnphi's layout
             super().__init__(s, np.ascontiguousarray(lnphi), A, B)
-            built.append(self.a_pos is None or self.lnA.flags.c_contiguous)
+            built.append(self.lnA is None or self.lnA.flags.c_contiguous)
 
     monkeypatch.setattr(indices, "_LevelBlock", RowMajor)
     monkeypatch.setattr(indices, "_runmax", lambda x: np.maximum.accumulate(x, axis=1))

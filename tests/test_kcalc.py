@@ -12,7 +12,8 @@ level_piece_integrals on a level's (n, m) piece matrix against the same
 pieces flattened into one row, row by row and piece by piece, at any block
 size; the level-table packing path
 (k_weighted_curve) against a frozen copy of the per-packing, per-cube loop
-it replaced, fed the cube lists of the family's rows.
+it replaced, fed the cube lists of the family's rows; packing_family's rows
+against the per-threshold covered-mask loop it replaced.
 """
 
 import math
@@ -951,6 +952,80 @@ def test_packing_family_rows_match_cubes():
             pi = _row_cubes(f, rows)
             np.testing.assert_array_equal(rows, kcalc._packing_rows(f, pi))
             assert pi == sorted(pi, key=lambda Q: (Q.level, f.zrange(Q)))
+
+
+# frozen reference: packing_family's stopping packings as they were built
+# before the running max of the ancestors' averages, one covered-mask pass
+# per threshold and level
+
+
+def _frozen_packing_rows(f, w=None, p=1.0):
+    if w is None:
+        w = WeightGrid(f.d, f.L, np.ones(f.ncells), label="const:1", base=f.base)
+    off = kcalc._level_offsets(f)
+    rows = [np.arange(a, b) for a, b in zip(off, off[1:])]
+    num, den = kcalc._level_tables(grid_power(f, p), w)
+    avgs = num / den
+    distinct = np.unique(avgs)
+    if distinct.size > kcalc._STOPPING_THRESHOLDS:
+        distinct = distinct[np.linspace(0, distinct.size - 1, kcalc._STOPPING_THRESHOLDS).astype(int)]
+    for lam in distinct[:-1]:
+        pick = []
+        covered = np.zeros(1, dtype=bool)
+        for k, (a, b) in enumerate(zip(off, off[1:])):
+            if k > 0:
+                covered = np.repeat(covered, 1 << f.d)
+            sel = (avgs[a:b] > lam) & ~covered
+            pick.append(a + np.nonzero(sel)[0])
+            covered |= sel
+        r = np.concatenate(pick)
+        if r.size:
+            rows.append(r)
+    return rows
+
+
+def _assert_packing_rows_frozen(f, w=None, p=1.0):
+    got, want = packing_family(f, w, p).rows, _frozen_packing_rows(f, w, p)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    return got
+
+
+@given(random_grids(max_level_1d=10, max_level_2d=5), st.sampled_from([1.0, 2.0]), st.integers(0, 2**31 - 1), st.booleans())
+@settings(max_examples=40)
+def test_packing_family_rows_equal_frozen_loop_random(f, p, seed, unit_w):
+    w = None if unit_w else make_grid(f.d, f.L, f"rand:{seed}:lognormal:0.7")
+    _assert_packing_rows_frozen(f, w, p)
+    _assert_packing_rows_frozen(weights.origin_sorted(f), w, p)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_packing_family_rows_equal_frozen_loop(p):
+    grids = [make_grid(1, 10, "rand:41:lognormal:1"), make_grid(2, 5, "rand:42:lognormal:1.5")]
+    grids += [weights.origin_sorted(g) for g in grids] + flat_grids() + localized_grids()
+    for f in grids:
+        # a localized grid is its own weight (make_grid builds unit-cube grids)
+        w = make_grid(f.d, f.L, "rand:43:lognormal:1") if f.base.level == 0 else f
+        _assert_packing_rows_frozen(f, None, p)
+        _assert_packing_rows_frozen(f, w, p)
+
+
+def test_packing_family_rows_skip_nan_averages():
+    # 12 cells of w at 1.7e308 make 15 averages inf/inf = NaN, the root's
+    # among them; a NaN average covers nothing, so the running max of the
+    # ancestors must skip it (np.fmax): one propagating NaN (np.maximum)
+    # would hide every cube below it and leave only the 7 level tilings
+    f = make_grid(1, 6, "rand:4:lognormal:1")
+    cells = np.ones(f.ncells)
+    cells[14:26] = 1.7e308
+    w = WeightGrid(1, 6, cells, label="huge")
+    with np.errstate(all="ignore"):
+        avgs = np.divide(*kcalc._level_tables(f, w))
+        rows = _assert_packing_rows_frozen(f, w, 1.0)
+    assert np.isnan(avgs).sum() == 15
+    assert len(rows) == 39
 
 
 def test_k_weighted_curve_makes_no_per_cube_zrange(monkeypatch):
