@@ -44,7 +44,7 @@ from .grid import (
     parse_cube,
     save_weight,
 )
-from .kcalc import HolmstedtCurve, QuadratureError, k_l1_linf, k_weighted_curve, lorentz_norm, packing_family
+from .kcalc import HolmstedtCurve, k_l1_linf, k_weighted_curve, lorentz_norm, packing_family
 from .rearrange import rearrangement
 from . import weights as W
 
@@ -503,8 +503,8 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:  # WeightSpecError included
         print(f"rhlab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (QuadratureError, ArithmeticError, MemoryError) as exc:
-        # a quantity the float range, the quadrature or the memory cannot hold
+    except (ArithmeticError, MemoryError) as exc:
+        # a quantity the float range or the memory cannot hold
         detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
         print(f"rhlab: numerical error: {detail}", file=sys.stderr)
         return EXIT_VERIFY

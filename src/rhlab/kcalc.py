@@ -14,11 +14,12 @@ exact representation:
   * composite curves H(t) = (integral_0^{t^{1/(1-theta)}} [s^{-theta} K(s)]^q
     ds/s)^{1/q}, integrated piece by piece;
   * one piece-integral kernel for all of these (level_piece_integrals):
-    closed form for integer q <= _BINOMIAL_Q, else adaptive Gauss-Legendre
-    panels (relative tolerance 1e-10); the K-curve pieces of all cubes of a
-    level (_level_pieces) share one column grid, so column factors and nodes
-    are built once per column; power_piece_integral is its one-row call on
-    arbitrary pieces;
+    closed form for integer q <= _BINOMIAL_Q, else 40-node Gauss-Legendre
+    sums over geometric panels whose count is fixed up front by an a-priori
+    bound (relative truncation error below 2^-60 on every panel); the
+    K-curve pieces of all cubes of a level (_level_pieces) share one column
+    grid, so column factors and nodes are built once per column;
+    power_piece_integral is its one-row call on arbitrary pieces;
   * Lorentz norms over (0, infinity) using the exact 1/t tail of the averaged
     rearrangement;
   * the Luxemburg norm of L log L by bisection on its defining integral;
@@ -54,7 +55,6 @@ import numpy as np
 from .grid import DyadicCube, WeightGrid, integrate, morton_index
 from .rearrange import DecreasingStep, rearrangement
 
-_GL20 = np.polynomial.legendre.leggauss(20)
 _GL40 = np.polynomial.legendre.leggauss(40)
 
 
@@ -204,85 +204,55 @@ def _antider_pow(s: np.ndarray, r: float) -> np.ndarray:
     return s ** (r + 1.0) / (r + 1.0)
 
 
-class QuadratureError(RuntimeError):
-    """A quadrature panel still failing the 20/40-node test at depth 40."""
+# How far below 0 an intercept may lie, relative to B s0: rounding of the
+# K-curve knots leaves level-piece intercepts up to 20,636 eps below 0
+# (const:3.7 at d=1 L=18).  _gl_error_bound allows for it.
+_A_SLACK = 2.0**-20
 
 
-def _bisect_panels(work: list, q: float, E: float, acc: np.ndarray) -> None:
-    """Adaptive 20/40-node loop over a stack of panel batches
-    (A, B, lo, hi, flat index, depth): accepted panels are added into acc,
-    the others are halved and pushed back.  A panel still failing the test
-    at depth 40 raises QuadratureError."""
-    buf = np.empty(_PIECE_BLOCK * 40)
-    while work:
-        a, b, lo, hi, ix, depth = work.pop()
-        c20, c40 = np.empty(a.size), np.empty(a.size)
-        for i in range(0, a.size, _PIECE_BLOCK):  # each panel is a one-row column
-            j = slice(i, i + _PIECE_BLOCK)
-            _gl_sums(a[None, j], b[None, j], lo[j], hi[j], q, E, _GL20, buf, c20[None, j])
-            _gl_sums(a[None, j], b[None, j], lo[j], hi[j], q, E, _GL40, buf, c40[None, j])
-        done = np.abs(c40 - c20) <= _PIECE_REL * np.maximum(np.abs(c40), 1e-300)
-        np.add.at(acc, ix[done], c40[done])
-        bad = ~done
-        if np.any(bad):
-            if depth >= 40:
-                raise QuadratureError(
-                    f"piece integral not converged to rel={_PIECE_REL:g} after 40 bisections "
-                    f"on [{float(lo[bad][0])!r}, {float(hi[bad][0])!r}]"
-                )
-            mid = 0.5 * (lo[bad] + hi[bad])
-            work.append((a[bad], b[bad], lo[bad], mid, ix[bad], depth + 1))
-            work.append((a[bad], b[bad], mid, hi[bad], ix[bad], depth + 1))
-
-
-# Relative tolerance of the 20/40-node test.
-_PIECE_REL = 1e-10
-_TINY = 2.0**-960  # node values and sums above it keep their relative rounding
+def _gl_error_bound(q: float, E: float, r) -> np.ndarray:
+    """Relative truncation error bound of the 40-node Gauss-Legendre sum of
+    (A + B s)^q s^E on any panel 0 < s0 < s1 <= r s0 with B >= 0 and
+    A >= -_A_SLACK B s0, elementwise over the ratios r (inf where the float
+    range cannot hold it).  On the Bernstein ellipse of parameter rho
+    (semi-major axis a = half (rho + 1/rho) / 2 < mid - _A_SLACK s0) the
+    integrand is analytic, |A + B z| <= A + B (mid + a) and |z^E| <=
+    max((mid - a)^E, (mid + a)^E), so the sum errs by at most
+    (64/15) half M rho^-80 / (rho^2 - 1) (Trefethen, SIAM Review 50, 2008,
+    Thm 4.5); the integral is at least 2 half (A + B s0)^q min(s0^E, s1^E).
+    Their ratio is largest at A = -_A_SLACK B s0; it is taken at s0 = 1 and
+    minimised over a geometric grid of rho."""
+    r = np.asarray(r, dtype=np.float64)[..., None]
+    mid, half = 0.5 * (r + 1.0), 0.5 * (r - 1.0)
+    c = (mid - _A_SLACK) / half
+    rho = (c + np.sqrt(c * c - 1.0)) ** np.linspace(0.0, 1.0, 258)[1:-1]
+    a = 0.5 * half * (rho + 1.0 / rho)
+    with np.errstate(all="ignore"):  # q or E too large for floats: an inf bound
+        log_bound = (
+            q * np.log((mid + a - _A_SLACK) / (1.0 - _A_SLACK))
+            + np.maximum(E * np.log(mid - a), E * np.log(mid + a))
+            - np.minimum(0.0, E * np.log(r))
+            - 80.0 * np.log(rho)
+            - np.log(rho * rho - 1.0)
+        )
+        return 32.0 / 15.0 * np.exp(np.fmin(log_bound, np.inf).min(axis=-1))
 
 
 @functools.lru_cache(maxsize=64)
-def _gl20_error_bound(q: float, E: float) -> float:
-    """Relative error bound of the 20-node Gauss-Legendre sum of
-    (A + B s)^q s^E on any panel 0 < s0 < s1 <= 2 s0 with A, B >= 0 and
-    q > 0 >= E (inf otherwise).  On the Bernstein ellipse of parameter rho
-    (semi-major axis a = half (rho + 1/rho) / 2 < mid) the integrand is
-    analytic and below M = (A + B (mid + a))^q (mid - a)^E, so the sum errs
-    by at most (64/15) M rho^-40 / (rho^2 - 1) (Trefethen, SIAM Review 50,
-    2008, Thm 4.5); the integral is at least 2 half (A + B s0)^q s1^E.  The
-    ratio, (32/15) ((mid + a)/s0)^q (s1/(mid - a))^-E rho^-40 / (rho^2 - 1),
-    grows with s1/s0 and is minimised here over rho at s0 = 1, s1 = 2."""
-    if not (0.0 < q < math.inf and -math.inf < E <= 0.0):
-        return math.inf
-    rho = np.linspace(1.0, 3.0 + math.sqrt(8.0), 258)[1:-1]  # a < mid = 1.5
-    a = 0.25 * (rho + 1.0 / rho)
-    log_bound = q * np.log(1.5 + a) - E * np.log(2.0 / (1.5 - a)) - 40.0 * np.log(rho) - np.log(rho**2 - 1.0)
-    lb = float(log_bound.min())
-    return 32.0 / 15.0 * math.exp(lb) if lb < 700.0 else math.inf
-
-
-def _panels_proven(A, B, s0, s1, q: float, E: float, c40) -> bool:
-    """Whether a column block passes the 20/40-node test by a bound of
-    _gl20_error_bound below 1e-3 _PIECE_REL, which leaves room for the
-    sums' rounding: a weighted node value (A + B s)^q (weight s^E) is within
-    a few q ulps of exact, and the halving sum of positive node values
-    (_node_sums) adds at most six roundings (ceil log2 40), so each sum is
-    within about ten q ulps.  It needs 0 < s0, s1 <= 2 s0, A, B >= 0, and
-    the factors (A + B s)^q >= (A + B s0)^q, s^E >= s1^E, their products and
-    the 40-node sums c40 all in [_TINY, inf); the Gauss-Legendre weights
-    exceed 2^-8, so the weighted node values stay normal."""
-    if not (np.all(s0 > 0.0) and np.all(s1 <= 2.0 * s0) and A.min() >= 0.0 and B.min() >= 0.0):
-        return False
-    if not (np.all(c40 >= _TINY) and np.all(c40 < math.inf)):
-        return False
-    ab, lo = float((A + B * s0).min()), math.log(_TINY)
-    fq, fe = (q * math.log(ab), E * math.log(float(s1.max()))) if ab > 0.0 else (-math.inf, 0.0)
-    return fq >= lo and fe >= lo and fq + fe >= lo
+def _panels_per_doubling(q: float, E: float) -> int:
+    """The smallest k <= 1024 for which _gl_error_bound proves the 40-node
+    sums within 2^-60 on panels of ratio 2^(1/k), with 2^-30 relative slack
+    for rounded panel ends; FloatingPointError if there is none."""
+    for k in range(1, 1025):
+        if _gl_error_bound(q, E, 2.0 ** (1.0 / k) * (1.0 + 2.0**-30)) < 2.0**-60:
+            return k
+    raise FloatingPointError(f"40-node panels of ratio 2^(1/1024) do not reach 2^-60 at q={q!r}, E={E!r}")
 
 
 def power_piece_integral(A, B, s0, s1, q: float, E: float) -> np.ndarray:
     """Integral of (A + B s)^q s^E over [s0, s1], elementwise over the
     broadcast arguments, 0 where s1 <= s0: the pieces with s1 > s0 are one
-    row of level_piece_integrals."""
+    row of level_piece_integrals, with its preconditions."""
     A, B, s0, s1 = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in (A, B, s0, s1)))
     out = np.zeros(A.shape, dtype=np.float64)
     live = s1 > s0
@@ -303,7 +273,7 @@ def _node_sums(a, b, s, ws, q: float, buf: np.ndarray) -> np.ndarray:
     whose node abscissae and weighted powers weights_j s_j^E are the columns
     of s and ws (k, N).  The node values fill one node-major slab, halved in
     a fixed order: every add is elementwise, so a piece's sum depends on its
-    own values only (6 adds for 40 nodes, 5 for 20)."""
+    own values only (6 adds for 40 nodes)."""
     k, n = s.shape
     f = buf[: k * n].reshape(k, n)
     np.multiply(b, s, out=f)
@@ -317,11 +287,11 @@ def _node_sums(a, b, s, ws, q: float, buf: np.ndarray) -> np.ndarray:
     return f[0]
 
 
-def _gl_sums(A, B, lo, hi, q: float, E: float, table, buf: np.ndarray, out: np.ndarray) -> None:
-    """The Gauss-Legendre sums of (A + B s)^q s^E into out, for an (n, c)
+def _gl_sums(A, B, lo, hi, q: float, E: float, buf: np.ndarray, out: np.ndarray) -> None:
+    """The 40-node Gauss-Legendre sums of (A + B s)^q s^E into out, for an (n, c)
     block of pieces whose column k is [lo[k], hi[k]], c <= _PIECE_BLOCK: the
     node tables are built once and tiled over the rows one buffer holds."""
-    nodes, weights = table
+    nodes, weights = _GL40
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     s = mid + half * nodes[:, None]
@@ -347,7 +317,7 @@ def _binomial_pieces(A, B, s0, s1, q: int, E: float) -> np.ndarray:
     factors g_j = integral_{s0/s1}^1 x^{E+j} dx, summed in homogeneous Horner
     form t = t U + c_j A^{q-j}, elementwise with three (n, m) scratch arrays.
     With r = E + j + 1 and l = log(s1/s0), g_j is l at r = 0, 1/r at s0 = 0
-    (where the callers' checks leave A = 0 if r <= 0), -expm1(-r l)/r while
+    (where the kernel's checks leave A = 0 if r <= 0), -expm1(-r l)/r while
     |r| l <= 1, and (1 - (s0/s1)^r)/r beyond, where l's rounding would grow.
     A factor is built in place in one array: on level 0 of a d=1 grid the
     factors are as long as the (1, m) piece matrix."""
@@ -392,36 +362,46 @@ def level_piece_integrals(A, B, s0, s1, q: float, E: float) -> np.ndarray:
 
     A piece at s0 = 0 requires E > -1 (q + E > -1 if A = 0), or raises
     ValueError ("divergent integral at the origin").  Integer q in
-    [1, _BINOMIAL_Q] takes _binomial_pieces; other q an exact pure power
-    where A = 0, else Gauss-Legendre panels bisected until the 20- and
-    40-node sums agree to _PIECE_REL (QuadratureError at depth 40).
+    [1, _BINOMIAL_Q] takes _binomial_pieces.  Any other q requires q > 0,
+    B >= 0, A >= -_A_SLACK B s0 and A = 0 at s0 = 0 (ValueError otherwise)
+    and takes an exact pure power where A = 0, else 40-node Gauss-Legendre
+    sums over max(1, ceil(k log2(s1/s0))) geometric panels per column, k =
+    _panels_per_doubling(q, E), which proves each panel's sum within 2^-60
+    relative (FloatingPointError past k = 1024).  Level pieces have
+    s1 <= 2 s0 and k = 1 at every caller pair with q <= 24.5: one panel.
 
     The node tables (abscissae, and the weights times s^E) are built once
     per column block and (A + B s)^q times them per row block in one reused
-    buffer, so scratch is bounded by _PIECE_BLOCK.  Each node sum is a fixed
+    buffer, so scratch is bounded by _PIECE_BLOCK, plus (n, _PIECE_BLOCK)
+    blocks for the later panels of wide columns.  Each node sum is a fixed
     sequence of elementwise IEEE operations on the piece's own data
     (_node_sums), so a piece's bits do not depend on what shares its call,
     on _PIECE_BLOCK or on the BLAS and its threads.  The reduction is not a
     BLAS product (gemv rounds the tail rows of a product, and of each
     thread's share, differently), nor a loop over the nodes (80 ufunc calls
     per block), nor einsum (whose SIMD sum may fuse multiply-adds on some
-    builds).  Pieces failing the depth-0 test enter the bisection loop at
-    depth 1, which takes the same node sums.  A column block skips its
-    20-node sums when _panels_proven certifies that all its pieces pass:
-    they take their 40-node sums, as the test would give them.
+    builds).  Panel 0 of every column runs on the column slices of the
+    piece matrix; the later panels of the wide columns are added in order.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     s0 = np.asarray(s0, dtype=np.float64)
     s1 = np.asarray(s1, dtype=np.float64)
     n, m = A.shape
+    at0 = A[:, s0 == 0.0]
     # near 0 a piece with A != 0 behaves like |A|^q s^E
-    if E <= -1.0 and np.any(A[:, s0 == 0.0] != 0.0):
-        raise ValueError("divergent integral at the origin")
-    if q + E <= -1.0 and np.any(A[:, s0 == 0.0] == 0.0):
+    if E <= -1.0 and np.any(at0 != 0.0) or q + E <= -1.0 and np.any(at0 == 0.0):
         raise ValueError("divergent integral at the origin")
     if 1.0 <= q <= _BINOMIAL_Q and float(q).is_integer():
         return _binomial_pieces(A, B, s0, s1, int(q), E)
+    if np.any(at0 != 0.0):
+        raise ValueError("a piece at s0 = 0 needs A = 0")
+    if not q > 0.0:
+        raise ValueError("q must be positive")
+    if not np.all(B >= 0.0):
+        raise ValueError("piece slopes B must be nonnegative")
+    if not np.all(A >= -_A_SLACK * B * s0):
+        raise ValueError("piece intercepts A must be at least -2^-20 B s0")
     Af, Bf = A.ravel(), B.ravel()
     out = np.zeros(n * m)
     origin = np.flatnonzero(Af == 0.0)
@@ -433,28 +413,29 @@ def level_piece_integrals(A, B, s0, s1, q: float, E: float) -> np.ndarray:
     live = np.flatnonzero(Af != 0.0)
     if live.size == 0:
         return out.reshape(n, m)
-    c20 = np.empty((n, m))
-    c40 = np.empty((n, m))
-    certified = _gl20_error_bound(q, E) < 1e-3 * _PIECE_REL
+    span = np.zeros(m)  # log2(s1/s0); 0 on the all-origin columns at s0 = 0
+    inner = s0 > 0.0
+    span[inner] = np.log2(s1[inner]) - np.log2(s0[inner])
+    panels = np.maximum(np.ceil(_panels_per_doubling(q, E) * span), 1.0).astype(np.int64)
+    end = lambda k, j: s0[k] * np.exp2(span[k] * (j / panels[k]))  # panel j's left end
+    wide = np.flatnonzero(panels > 1)
+    first_end = s1.copy()
+    first_end[wide] = end(wide, 1)
+    sums = np.empty((n, m))
     buf = np.empty(_PIECE_BLOCK * 40)
     cb = min(m, _PIECE_BLOCK)
     for c in range(int(np.min(live % m)), m, cb):  # all-origin leading columns skipped
         cols = slice(c, c + cb)
-        block = (A[:, cols], B[:, cols], s0[cols], s1[cols], q, E)
-        _gl_sums(*block, _GL40, buf, c40[:, cols])
-        if certified and _panels_proven(*block, c40[:, cols]):
-            c20[:, cols] = c40[:, cols]
-        else:
-            _gl_sums(*block, _GL20, buf, c20[:, cols])
-    c20 = c20.ravel()[live]
-    c40 = c40.ravel()[live]
-    done = np.abs(c40 - c20) <= _PIECE_REL * np.maximum(np.abs(c40), 1e-300)
-    out[live[done]] = c40[done]
-    bad = live[~done]
-    if bad.size:
-        a, b, lo, hi = Af[bad], Bf[bad], s0[bad % m], s1[bad % m]
-        mid = 0.5 * (lo + hi)
-        _bisect_panels([(a, b, lo, mid, bad, 1), (a, b, mid, hi, bad, 1)], q, E, out)
+        _gl_sums(A[:, cols], B[:, cols], s0[cols], first_end[cols], q, E, buf, sums[:, cols])
+    part = np.empty((n, min(wide.size, cb)))
+    for j in range(1, int(panels.max())):
+        k = wide[panels[wide] > j]
+        lo, hi = end(k, j), np.where(panels[k] == j + 1, s1[k], end(k, j + 1))
+        for c in range(0, k.size, cb):
+            cols, p = k[c : c + cb], part[:, : min(cb, k.size - c)]
+            _gl_sums(A[:, cols], B[:, cols], lo[c : c + cb], hi[c : c + cb], q, E, buf, p)
+            sums[:, cols] += p
+    out[live] = sums.ravel()[live]
     return out.reshape(n, m)
 
 

@@ -118,6 +118,19 @@ def mp_piece_integral(A, B, s0, s1, q: int, E: float):
         return total
 
 
+def mp_quad_piece(A, B, s0, s1, q: float, E: float):
+    """integral_{s0}^{s1} (A + B s)^q s^E ds for any q, from the float
+    inputs by 40-digit mpmath.quad (tanh-sinh) on geometric subintervals of
+    ratio at most 2, for 0 < s0 < s1 and A + B s0 > 0."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        A, B, s0, s1, q, E = (mpmath.mpf(float(x)) for x in (A, B, s0, s1, q, E))
+        n = max(1, int(mpmath.ceil(mpmath.log(s1 / s0, 2))))
+        ends = [s0 * (s1 / s0) ** (mpmath.mpf(i) / n) for i in range(n)] + [s1]
+        return mpmath.quad(lambda s: (A + B * s) ** q * s**E, ends)
+
+
 def closed_form_q(q) -> bool:
     """Whether level_piece_integrals takes its closed form at q."""
     from rhlab.kcalc import _BINOMIAL_Q
@@ -125,23 +138,59 @@ def closed_form_q(q) -> bool:
     return 1.0 <= q <= _BINOMIAL_Q and float(q).is_integer()
 
 
+def split_pieces(A, B, s0, s1, q, E) -> np.ndarray:
+    """Where level_piece_integrals sums more than one Gauss-Legendre panel
+    off the closed-form q: the live pieces with A != 0 and
+    k log2(s1/s0) > 1, k = _panels_per_doubling(q, E)."""
+    from rhlab.kcalc import _panels_per_doubling
+
+    gl = (s1 > s0) & (A != 0.0)
+    out = np.zeros(gl.shape, dtype=bool)
+    if not closed_form_q(q) and np.any(gl):
+        out[gl] = _panels_per_doubling(q, E) * (np.log2(s1[gl]) - np.log2(s0[gl])) > 1.0
+    return out
+
+
+def assert_mp_quad_close(got, A, B, s0, s1, q, E, where, units, sample=None):
+    """got within units 2^-53 relative of mp_quad_piece on the pieces where
+    where holds (an evenly spaced sample of at most sample of them); returns
+    the worst relative error in units of 2^-53."""
+    idx = np.argwhere(where)
+    if sample is not None and len(idx) > sample:
+        idx = idx[np.linspace(0, len(idx) - 1, sample).astype(int)]
+    worst = 0.0
+    for i in map(tuple, idx):
+        exact = mp_quad_piece(A[i], B[i], s0[i], s1[i], q, E)
+        err = float(abs(float(got[i]) - exact) / exact) / 2.0**-53
+        assert err <= units, (i, float(got[i]), float(exact), err)
+        worst = max(worst, err)
+    return worst
+
+
 def assert_near_frozen(got, ref, A, B, s0, s1, q, E):
     """The piece-integral kernel's results got against a frozen oracle ref
     of its former code, on the pieces (A, B, s0, s1) broadcast to got's
-    shape.  Bit for bit unless closed_form_q(q): both then take the same
-    Gauss-Legendre panels.  At those integer q the kernel integrates in
-    closed form, so the bits move: it must lie within 16 ulp (16 eps
-    relative) of the frozen 40-node sums of the pieces with s1 <= 2 s0, and
-    within 8 2^-53 of 40-digit mpmath (mp_piece_integral) on the others:
-    where the frozen code took a difference of antiderivatives (A = 0, or
-    q = 1), which cancels, and where its wider panels may be bisected, whose
-    added sums were up to 142 2^-53 off on six-decade columns."""
+    shape.  Off the closed-form q, bit for bit on the pieces the kernel
+    integrates in one panel (both take the same 40-node sums), and within
+    32 2^-53 of 40-digit mpmath (mp_quad_piece) on up to 8 of the pieces it
+    splits into geometric panels (split_pieces), where the frozen code
+    passed its 20/40-node test on the whole piece or bisected it, up to
+    129 2^-53 off on six-decade columns.  At the closed-form q the kernel
+    integrates in closed form, so the bits move: it must lie within 16 ulp
+    (16 eps relative) of the frozen 40-node sums of the pieces with
+    s1 <= 2 s0, and within 8 2^-53 of 40-digit mpmath (mp_piece_integral)
+    on the others: where the frozen code took a difference of
+    antiderivatives (A = 0, or q = 1), which cancels, and where its wider
+    panels may be bisected, whose added sums were up to 142 2^-53 off on
+    six-decade columns."""
     got, ref = np.asarray(got), np.asarray(ref)
     assert got.shape == ref.shape
-    if not closed_form_q(q):
-        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
-        return
     A, B, s0, s1 = (np.broadcast_to(np.asarray(x, dtype=np.float64), got.shape) for x in (A, B, s0, s1))
+    if not closed_form_q(q):
+        split = split_pieces(A, B, s0, s1, q, E)
+        np.testing.assert_array_equal(got[~split].view(np.uint64), ref[~split].view(np.uint64))
+        assert_mp_quad_close(got, A, B, s0, s1, q, E, split, 32, sample=8)
+        return
     live = s1 > s0
     assert np.all(got[~live] == 0.0) and np.all(ref[~live] == 0.0)
     gl = live & (A != 0.0) & (q != 1.0) & (s1 <= 2.0 * s0)

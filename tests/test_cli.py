@@ -22,7 +22,7 @@ from rhlab import cli, grid
 from rhlab import weights as W
 from rhlab.cli import main
 from rhlab.grid import load_weight, make_grid, parse_cube, save_weight
-from rhlab.kcalc import HolmstedtCurve, QuadratureError, k_l1_linf, k_weighted_curve, packing_family
+from rhlab.kcalc import HolmstedtCurve, k_l1_linf, k_weighted_curve, packing_family
 from rhlab.rearrange import rearrangement
 
 
@@ -287,13 +287,12 @@ def test_curve_holmstedt_one_batched_piece_call(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "exc, message",
     [
-        (QuadratureError("not converged"), "rhlab: numerical error: QuadratureError: not converged\n"),
         (MemoryError(), "rhlab: numerical error: MemoryError\n"),
         (ZeroDivisionError("float division by zero"),
          "rhlab: numerical error: ZeroDivisionError: float division by zero\n"),
         (RuntimeError("routes disagree"), "rhlab: verification error: routes disagree\n"),
     ],
-    ids=["quadrature", "memory", "arithmetic", "dual-route"],
+    ids=["memory", "arithmetic", "dual-route"],
 )
 def test_runtime_failures_exit_one_with_one_line(capsys, monkeypatch, exc, message):
     def fail(w, Q):

@@ -7,10 +7,12 @@ of step 2,1, the straight Holmstedt line of a constant weight, the Luxemburg
 root of the constant-1 weight, and the Lorentz norms of indicators. The
 one piece-integral kernel is checked bit for bit twice: power_piece_integral
 against a frozen copy of its former implementation (its own 20/40-node pass
-over all pieces, with the kernel's fixed-order node sums), and
+over all pieces, with the kernel's fixed-order node sums) on the pieces it
+integrates in one panel, and
 level_piece_integrals on a level's (n, m) piece matrix against the same
 pieces flattened into one row, row by row and piece by piece, at any block
-size; the level-table packing path
+size; its geometric panels against 40-digit mpmath on the pieces they
+split; the level-table packing path
 (k_weighted_curve) against a frozen copy of the per-packing, per-cube loop
 it replaced, fed the cube lists of the family's rows; packing_family's rows
 against the per-threshold covered-mask loop it replaced.
@@ -25,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import assert_near_frozen, flat_grids, frozen_gl_panel, localized_grids, random_grids
+from conftest import assert_near_frozen, flat_grids, frozen_gl_panel, localized_grids, mp_quad_piece, random_grids
 from rhlab.grid import DyadicCube, WeightGrid, _cube_at, integrate, level_cubes, make_grid
 from rhlab import cli, kcalc, weights
 from rhlab.kcalc import (
@@ -33,7 +35,6 @@ from rhlab.kcalc import (
     CurveFamily,
     HolmstedtCurve,
     PackingFamily,
-    QuadratureError,
     StepProductCurve,
     _level_pieces,
     extrapolation_norm,
@@ -199,8 +200,8 @@ def test_level_piece_integrals_flat_grids_have_origin_pieces():
 
 
 def _six_decade_pieces():
-    # columns spanning up to six decades, where s^E needs bisections at the
-    # default tolerance, with interior A == 0 pieces: (A, B, s0, s1)
+    # columns spanning up to six decades, split into up to 20 geometric
+    # panels, with interior A == 0 pieces: (A, B, s0, s1)
     rng = np.random.default_rng(7)
     s0 = np.array([1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0])
     s1 = np.array([1.0, 0.1, 2.0, 0.02, 3.0, 0.75, 1.5])
@@ -208,22 +209,6 @@ def _six_decade_pieces():
     A[::3, 2] = 0.0
     B = rng.uniform(0.1, 3.0, (9, 7))
     return A, B, s0, s1
-
-
-def test_level_piece_integrals_bisection_fallback(monkeypatch):
-    # pieces failing the depth-0 test enter the shared bisection loop at
-    # depth 1
-    entered = []
-    real = kcalc._bisect_panels
-
-    def spy(work, *args):
-        entered.extend((item[5], item[4].size) for item in work)
-        return real(work, *args)
-
-    monkeypatch.setattr(kcalc, "_bisect_panels", spy)
-    for q, E in (_CALLER_QE[0], _CALLER_QE[-1]):
-        _assert_kernel_bitwise(*_six_decade_pieces(), q, E)
-    assert any(depth == 1 and size > 0 for depth, size in entered)
 
 
 @pytest.mark.parametrize("block", [64, 100, 128, 2048, 4096])
@@ -318,19 +303,45 @@ def test_power_piece_integral_rejects_divergent_intercept_piece(E):
 
 
 def test_piece_integral_depth_cap_raises():
-    # sqrt(s - 1) on [1, 2]: the panel touching the branch point fails the
-    # relative 20/40-node test at every depth, on both routes
-    with pytest.raises(QuadratureError, match="after 40 bisections"):
+    # sqrt(s - 1) on [1, 2], whose branch point no panel bound covers: the
+    # intercept precondition refuses it on both routes
+    with pytest.raises(ValueError, match="intercepts A must be at least"):
         power_piece_integral(-1.0, 1.0, 1.0, 2.0, 0.5, 0.0)
     one = lambda x: np.array([[x]])
-    with pytest.raises(QuadratureError, match="after 40 bisections"):
+    with pytest.raises(ValueError, match="intercepts A must be at least"):
         level_piece_integrals(one(-1.0), one(1.0), np.array([1.0]), np.array([2.0]), 0.5, 0.0)
+
+
+def test_piece_integral_q_contract():
+    # off the closed-form q: q > 0, B >= 0 and A = 0 at s0 = 0 (E > -1 here),
+    # else ValueError; a q whose 40-node panels would need a ratio below
+    # 2^(1/1024) is a FloatingPointError, the CLI's numerical error
+    with pytest.raises(FloatingPointError, match="do not reach 2\\^-60 at q=100000.5"):
+        power_piece_integral(0.5, 1.0, 1.0, 1.5, 1e5 + 0.5, -2.0)
+    got = power_piece_integral(1.0, 1e-5, 1.0, 2.0, 1e4 + 0.5, -2.0)  # 135 panels
+    exact = mp_quad_piece(1.0, 1e-5, 1.0, 2.0, 1e4 + 0.5, -2.0)
+    assert abs(float(got[0]) - exact) <= 32 * 2.0**-53 * exact
+    for q in (0.0, -1.5, math.nan):
+        with pytest.raises(ValueError, match="q must be positive"):
+            power_piece_integral(0.5, 1.0, 1.0, 1.5, q, -2.0)
+    with pytest.raises(ValueError, match="slopes B must be nonnegative"):
+        power_piece_integral(0.5, -1.0, 1.0, 1.5, 2.5, -2.0)
+    with pytest.raises(ValueError, match="at s0 = 0 needs A = 0"):
+        power_piece_integral(0.5, 1.0, 0.0, 1.5, 2.5, -0.5)
+    with pytest.raises(ValueError, match="intercepts A must be at least"):
+        power_piece_integral(-(2.0**-19), 1.0, 1.0, 1.5, 2.5, -2.0)
+    power_piece_integral(-(2.0**-20), 1.0, 1.0, 1.5, 2.5, -2.0)  # the slack itself
 
 
 # ---------------------------------------------------------------------------
 # power_piece_integral against a frozen copy of its former implementation,
 # which ran its own 20/40-node pass over all pieces (its node sums re-based
-# from one BLAS product to the kernel's fixed-order sum, conftest.frozen_gl_panel)
+# from one BLAS product to the kernel's fixed-order sum, conftest.frozen_gl_panel;
+# its depth cap raises _FrozenQuadratureError)
+
+
+class _FrozenQuadratureError(RuntimeError):
+    pass
 
 
 def _frozen_antider_pow(s, r):
@@ -351,7 +362,7 @@ def _frozen_bisect_panels(work, q, E, rel, acc):
         bad = ~done
         if np.any(bad):
             if depth >= 40:
-                raise QuadratureError(
+                raise _FrozenQuadratureError(
                     f"piece integral not converged to rel={rel:g} after 40 bisections "
                     f"on [{float(lo[bad][0])!r}, {float(hi[bad][0])!r}]"
                 )
@@ -471,8 +482,14 @@ def test_power_piece_integral_frozen_empty_pieces_and_broadcasts():
     ],
 )
 def test_power_piece_integral_errors_unchanged(args):
-    with pytest.raises((ValueError, QuadratureError)) as ref:
+    # the divergence errors keep their type and message; the frozen depth
+    # cap on A < 0 input is now the intercept precondition's ValueError
+    with pytest.raises((ValueError, _FrozenQuadratureError)) as ref:
         frozen_power_piece_integral(*args)
+    if ref.type is _FrozenQuadratureError:
+        with pytest.raises(ValueError, match="intercepts A must be at least"):
+            power_piece_integral(*args)
+        return
     with pytest.raises(ref.type) as got:
         power_piece_integral(*args)
     assert str(got.value) == str(ref.value)

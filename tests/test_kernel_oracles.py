@@ -1,29 +1,42 @@
 """The certified shortcuts of the level kernels against frozen oracles.
 
-level_piece_integrals skips the 20-node sums of a column block when a
-Bernstein-ellipse bound proves that the 20/40-node test passes, and
-llogl_norm_rows decides its bisection tests from a certified band around
-each row's root instead of evaluating every one.  Both must keep every bit:
-they are compared here with frozen copies of the implementations that
-evaluated everything (bit for bit, on the same inputs), which a comparison
-of the kernel with its own one-row call cannot do.  The frozen kernel sums
-its nodes in the kernel's fixed halving order (conftest.frozen_gl_panel);
-one comparison with the BLAS gemv sums the kernel took before bounds the
-change of reduction in ulps.  The work they save is pinned on the
-benchmark's analyze grids, and the error bound is checked against
-high-precision quadrature.
+level_piece_integrals takes a count of geometric 40-node panels per piece
+that a Bernstein-ellipse bound proves within 2^-60, instead of the 20/40-node
+test and bisection it replaced, and llogl_norm_rows decides its bisection
+tests from a certified band around each row's root instead of evaluating
+every one.  Both are compared here with frozen copies of the
+implementations that evaluated everything: bit for bit on the same inputs
+(for the kernel, on every piece it integrates in one panel; the pieces it
+splits are checked against 40-digit mpmath), which a comparison of the
+kernel with its own one-row call cannot do.  The frozen kernel sums its
+nodes in the kernel's fixed halving order (conftest.frozen_gl_panel); one
+comparison with the BLAS gemv sums the kernel took before bounds the change
+of reduction in ulps.  The work they save is pinned on the benchmark's
+analyze grids, and the error bound is checked against high-precision
+quadrature.
 """
+
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_near_frozen, closed_form_q, flat_grids, frozen_gl_panel, mp_piece_integral, random_grids
+from conftest import (
+    assert_mp_quad_close,
+    assert_near_frozen,
+    closed_form_q,
+    flat_grids,
+    frozen_gl_panel,
+    mp_piece_integral,
+    random_grids,
+    split_pieces,
+)
 from rhlab import cli, kcalc, weights
 from rhlab.grid import make_grid
-from rhlab.kcalc import _level_pieces, level_piece_integrals, llogl_norm_rows
-from test_kcalc import _CALLER_QE
+from rhlab.kcalc import _level_pieces, k_l1_linf, level_piece_integrals, llogl_norm_rows, power_piece_integral
+from test_kcalc import _CALLER_QE, _six_decade_pieces
 
 # ---------------------------------------------------------------------------
 # frozen level kernel: every live piece takes the 20- and 40-node sums
@@ -49,7 +62,7 @@ def _frozen_bisect_panels(work, q, E, acc, gemv):
         bad = ~done
         if np.any(bad):
             if depth >= 40:
-                raise kcalc.QuadratureError("not converged")
+                raise RuntimeError("not converged")
             mid = 0.5 * (lo[bad] + hi[bad])
             work.append((a[bad], b[bad], lo[bad], mid, ix[bad], depth + 1))
             work.append((a[bad], b[bad], mid, hi[bad], ix[bad], depth + 1))
@@ -119,8 +132,8 @@ def test_level_kernel_matches_frozen_every_caller_pair(qE):
 
 
 def test_level_kernel_matches_frozen_on_bisection_fallback_pieces():
-    # the six-decade columns of test_level_piece_integrals_bisection_fallback,
-    # which fail the depth-0 test and are not certified (s1 > 2 s0)
+    # columns spanning up to six decades, which the frozen kernel bisected
+    # and the kernel splits into geometric panels
     rng = np.random.default_rng(7)
     s0 = np.array([1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0])
     s1 = np.array([1.0, 0.1, 2.0, 0.02, 3.0, 0.75, 1.5])
@@ -129,8 +142,8 @@ def test_level_kernel_matches_frozen_on_bisection_fallback_pieces():
     B = rng.uniform(0.1, 3.0, (9, 7))
     for q, E in _CALLER_QE:
         _assert_level_kernel_frozen(A, B, s0, s1, q, E)
-    # a certified block next to a negative intercept (a -1 ulp tie) and a
-    # column of ratio just above 2 keeps the full test
+    # one-panel columns next to a negative intercept (a -1 ulp tie), and a
+    # column of ratio just above 2, which takes two panels
     s0c, s1c = np.array([0.5, 1.0, 1.0]), np.array([1.0, 2.0, np.nextafter(2.0, 3.0)])
     Ac = rng.uniform(0.1, 1.0, (4, 3))
     for A2, lo, hi in ((Ac[:, :2], s0c[:2], s1c[:2]), (np.where(np.eye(4, 2) > 0, -1e-17, Ac[:, :2]), s0c[:2], s1c[:2]), (Ac, s0c, s1c)):
@@ -248,25 +261,26 @@ def test_llogl_passes_per_level_bounded(monkeypatch):
 @pytest.mark.parametrize("d, L, spec", [(1, 14, "pow:-0.5"), (1, 16, "rand:1:lognormal:1"), (2, 8, "rand:2:lognormal:1")])
 def test_lorentz_pieces_skip_the_20_node_sums(monkeypatch, d, L, spec):
     # the Lorentz constants of an analyze run at q = 2.5 (an integer q
-    # takes the closed form, which has no node sums)
-    # (the bisection takes the same node sums)
-    counts = {"live": 0, 20: 0}
+    # takes the closed form, which has no node sums): every level piece is
+    # one 40-node panel, so the kernel sums at most its own piece count
+    counts = {"pieces": 0, "summed": 0}
     kernel, node_sums = kcalc.level_piece_integrals, kcalc._node_sums
 
-    def count_live(A, B, s0, s1, q, E):
-        counts["live"] += int(np.count_nonzero(A))
+    def count_pieces(A, B, s0, s1, q, E):
+        counts["pieces"] += A.size
         return kernel(A, B, s0, s1, q, E)
 
     def count_sums(a, b, s, ws, q, buf):
-        counts[20] += a.size if s.shape[0] == 20 else 0
+        assert s.shape[0] == 40
+        counts["summed"] += a.size
         return node_sums(a, b, s, ws, q, buf)
 
-    monkeypatch.setattr(weights, "level_piece_integrals", count_live)
+    monkeypatch.setattr(weights, "level_piece_integrals", count_pieces)
     monkeypatch.setattr(kcalc, "_node_sums", count_sums)
     w = make_grid(d, L, spec)
     for p in (1.5, 2.0, 3.0):
         weights.rh_lorentz_constant(w, p, 2.5)
-    assert counts["live"] > 0 and counts[20] <= 0.05 * counts["live"]
+    assert 0 < counts["summed"] <= counts["pieces"]
 
 
 def test_integer_q_commands_take_no_node_sums(capsys, monkeypatch):
@@ -301,35 +315,49 @@ def test_integer_q_commands_take_no_node_sums(capsys, monkeypatch):
 # the certificate against high-precision quadrature
 
 
-def _mp_gauss_legendre(mp, n):
+@functools.lru_cache(maxsize=None)
+def _mp_gauss_legendre(n, dps):
+    import mpmath
+
+    mp = mpmath.mp
     nodes, weights_ = [], []
-    for x0 in np.polynomial.legendre.leggauss(n)[0]:
-        x = mp.mpf(float(x0))
-        for _ in range(6):
-            p, pm = mp.legendre(n, x), mp.legendre(n - 1, x)
-            x -= p / (n * (x * p - pm) / (x * x - 1))
-        dp = n * (x * mp.legendre(n, x) - mp.legendre(n - 1, x)) / (x * x - 1)
-        nodes.append(x)
-        weights_.append(2 / ((1 - x * x) * dp * dp))
+    with mpmath.workdps(dps):
+        for x0 in np.polynomial.legendre.leggauss(n)[0]:
+            x = mp.mpf(float(x0))
+            for _ in range(6):
+                p, pm = mp.legendre(n, x), mp.legendre(n - 1, x)
+                x -= p / (n * (x * p - pm) / (x * x - 1))
+            dp = n * (x * mp.legendre(n, x) - mp.legendre(n - 1, x)) / (x * x - 1)
+            nodes.append(x)
+            weights_.append(2 / ((1 - x * x) * dp * dp))
     return nodes, weights_
 
 
-@pytest.mark.parametrize("qE", _CALLER_QE + [(10.0, -8.0)], ids=lambda qE: f"q={qE[0]:g},E={qE[1]:.4g}")
+@pytest.mark.parametrize("qE", _CALLER_QE + [(10.0, -8.0), (40.5, -40.5)], ids=lambda qE: f"q={qE[0]:g},E={qE[1]:.4g}")
 def test_gl20_error_below_certified_bound(qE):
-    # the worst panel, s0 = 1 and s1 = 2 (the integrand's scale and the
-    # ratio A/B are what remains free)
-    mpmath = pytest.importorskip("mpmath")
+    # the 40-node error bound on the panels s0 = 1, s1 = 2^(1/k) (the
+    # integrand's scale and the ratio A/B are what remains free, down to the
+    # intercept slack A = -2^-20 B) against the 40-node sums in 120-digit
+    # mpmath; the panel count per doubling is the least that the bound
+    # takes below 2^-60
+    import mpmath
+
     mp = mpmath.mp
     q, E = qE
-    bound = kcalc._gl20_error_bound(q, E)
-    assert bound < 1e-3 * kcalc._PIECE_REL
-    with mpmath.workdps(60):
-        nodes, weights_ = _mp_gauss_legendre(mp, 20)
-        for A, B in ((0.0, 1.0), (0.05, 1.0), (1.0, 1.0), (1.0, 0.01), (1.0, 0.0)):
-            f = lambda s: (A + B * s) ** mp.mpf(q) * s ** mp.mpf(E)
-            exact = mp.quad(f, [1, 2])
-            gl20 = mp.mpf(0.5) * sum(wt * f(mp.mpf(1.5) + mp.mpf(0.5) * x) for x, wt in zip(nodes, weights_))
-            assert abs(gl20 - exact) / exact <= bound, (A, B)
+    k = kcalc._panels_per_doubling(q, E)
+    slack = 1.0 + 2.0**-30
+    assert kcalc._gl_error_bound(q, E, 2.0 ** (1.0 / k) * slack) < 2.0**-60
+    assert k == 1 or kcalc._gl_error_bound(q, E, 2.0 ** (1.0 / (k - 1)) * slack) >= 2.0**-60
+    nodes, weights_ = _mp_gauss_legendre(40, 120)
+    for r in (2.0, 2.0**0.5):
+        bound = float(kcalc._gl_error_bound(q, E, r))
+        with mpmath.workdps(120):
+            mid, half = (1 + mp.mpf(r)) / 2, (mp.mpf(r) - 1) / 2
+            for A, B in ((0.0, 1.0), (-(2.0**-20), 1.0), (0.05, 1.0), (1.0, 1.0), (1.0, 0.01), (1.0, 0.0)):
+                f = lambda s: (A + B * s) ** mp.mpf(q) * s ** mp.mpf(E)
+                exact = mp.quad(f, [1, mp.mpf(r)])
+                gl40 = half * sum(wt * f(mid + half * x) for x, wt in zip(nodes, weights_))
+                assert abs(gl40 - exact) / exact <= bound, (r, A, B)
 
 
 # ---------------------------------------------------------------------------
@@ -358,3 +386,69 @@ def test_closed_form_pieces_within_8_units_of_mpmath(q):
                         exact = mp_piece_integral(A[i, k], vals[i, k], s0[k], s[k], q, E)
                         worst = max(worst, float(abs(float(got[i, k]) - exact) / exact))
     assert worst <= 8 * 2.0**-53, worst / 2.0**-53
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-Legendre panels at non-integer q against 40-digit mpmath
+
+# the callers' exponents: K-side E = -p (q = p = 1.5), Lorentz q/p - q - 1
+# (q = 2.5, p = 2, as Holmstedt theta = 1/2; q = 3.5, p = 1.5)
+_GL_QE = [(1.5, -1.5), (2.5, -2.25), (3.5, 3.5 / 1.5 - 4.5)]
+
+
+def _level_piece_errors(w, levels, pick, sample=None):
+    worst = 0.0
+    for lev in levels:
+        vals, _, s0, s, A = _level_pieces(w, lev)
+        S0, S1 = np.broadcast_to(s0, A.shape), np.broadcast_to(s, A.shape)
+        where = pick(A) & (A != 0.0)
+        for q, E in _GL_QE:
+            got = level_piece_integrals(A, vals, s0, s, q, E)
+            assert not split_pieces(A, vals, S0, S1, q, E).any()
+            worst = max(worst, assert_mp_quad_close(got, A, vals, S0, S1, q, E, where, 16, sample=sample))
+    return worst
+
+
+def _sampled(A):
+    # every third of the rows; the first columns, the columns k >= 2^12
+    # and the last
+    n, m = A.shape
+    out = np.zeros(A.shape, dtype=bool)
+    cols = sorted(set(range(min(m, 5))) | set(range(1 << 12, m, 1531)) | {m - 1})
+    out[np.ix_(range(0, n, max(1, n // 3)), cols)] = True
+    return out
+
+
+def test_gl_level_pieces_within_16_units_of_mpmath():
+    # every level piece is one 40-node panel; the intercepts below 0 of
+    # const:3.7 (down to -10.2 eps B s0 at d=1 L=8) included
+    worst = _level_piece_errors(make_grid(1, 14, "rand:1:lognormal:1"), (0, 4, 12), _sampled)
+    worst = max(worst, _level_piece_errors(make_grid(2, 6, "rand:2:lognormal:1"), (0, 2, 5), _sampled))
+    for d, L in ((1, 8), (2, 4)):
+        w = make_grid(d, L, "const:3.7")
+        assert any(np.any(_level_pieces(w, lev)[4] < 0.0) for lev in range(L + 1))
+        worst = max(worst, _level_piece_errors(w, range(L + 1), lambda A: A < 0.0, sample=4))
+    assert worst <= 16, worst
+
+
+def test_gl_split_pieces_within_32_units_of_mpmath():
+    # pieces wider than one panel: the six-decade columns, whose bisected
+    # 20/40-node sums were up to 122 2^-53 off, and the wide piece [1/4, 1]
+    # of the step:4,1,1,1 K-curve behind its Holmstedt curve
+    A, B, s0, s1 = _six_decade_pieces()
+    A, B = A[::4], B[::4]
+    S0, S1 = np.broadcast_to(s0, A.shape), np.broadcast_to(s1, A.shape)
+    worst = {True: 0.0, False: 0.0}
+    for q, E in _GL_QE[:2]:
+        got = level_piece_integrals(A, B, s0, s1, q, E)
+        split = split_pieces(A, B, S0, S1, q, E)
+        assert split.sum() >= 9
+        for s in (True, False):
+            units = 32 if s else 16
+            worst[s] = max(worst[s], assert_mp_quad_close(got, A, B, S0, S1, q, E, (split == s) & (A != 0.0), units))
+    w = make_grid(1, 10, "step:4,1,1,1")
+    pieces = k_l1_linf(w, w.base).pieces()
+    assert split_pieces(*pieces, 2.5, -2.25).tolist() == [False, True]
+    got = power_piece_integral(*pieces, 2.5, -2.25)
+    worst[True] = max(worst[True], assert_mp_quad_close(got, *pieces, 2.5, -2.25, np.array([False, True]), 32))
+    assert worst[True] <= 32 and worst[False] <= 16, worst

@@ -22,7 +22,7 @@ from conftest import flat_grids, frozen_double_star, localized_grids, random_gri
 from rhlab import weights
 from rhlab.grid import DyadicCube, WeightGrid, _cube_at, cube_levels, integrate, level_cubes, make_grid
 from rhlab.indices import family_index
-from rhlab.kcalc import CurveFamily, HolmstedtCurve, grid_power, k_l1_linf, lorentz_norm, power_piece_integral
+from rhlab.kcalc import CurveFamily, HolmstedtCurve, _level_pieces, grid_power, k_l1_linf, lorentz_norm, power_piece_integral
 from rhlab.rearrange import DecreasingStep, _level_maximal, dyadic_maximal, rearrangement
 from rhlab.weights import (
     _kside_level,
@@ -126,6 +126,30 @@ def test_kside_const_is_one():
     for spec in ("const:1", "const:3"):
         w = make_grid(1, 5, spec)
         assert math.isclose(kside_rh_constant(w, 2.0).value, 1.0, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec, d, L, bits, slack",
+    [
+        ("const:3.7", 1, 14, "0x1.0000000000455p+0", 1289.8),
+        ("const:3.7", 2, 7, "0x1.0000000000455p+0", 1289.8),
+        ("const:0.3", 1, 14, "0x1.000000000011bp+0", 481.6),
+        ("const:0.3", 2, 7, "0x1.000000000011bp+0", 481.6),
+    ],
+)
+def test_kside_negative_intercepts_keep_their_bits(spec, d, L, bits, slack):
+    # the knots' rounding leaves level-piece intercepts A below 0, down to
+    # -slack eps B s0, far past a slack of a few tens of eps; the kernel
+    # accepts them and the K-side p = 1.5 constant keeps its bits
+    w = make_grid(d, L, spec)
+    worst = 0.0
+    for lev in range(L + 1):
+        vals, _, s0, _, A = _level_pieces(w, lev)
+        neg = A < 0.0
+        if np.any(neg):
+            worst = max(worst, float(np.max(-A[neg] / (vals[neg] * np.broadcast_to(s0, A.shape)[neg]))))
+    assert round(worst / np.finfo(np.float64).eps, 1) == slack
+    assert kside_rh_constant(w, 1.5).value.hex() == bits
 
 
 def test_hardy_sup_step_frozen():
