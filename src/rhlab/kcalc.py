@@ -22,7 +22,8 @@ exact representation:
     power_piece_integral is its one-row call on arbitrary pieces;
   * Lorentz norms over (0, infinity) using the exact 1/t tail of the averaged
     rearrangement;
-  * the Luxemburg norm of L log L by bisection on its defining integral;
+  * the Luxemburg norm of L log L by a certified Newton solve of its
+    defining integral;
   * the limiting-space norm integral_0^{|Q|} K(s)/s ds, computed two
     independent ways (K-side and log-weighted rearrangement side) and
     cross-checked;
@@ -575,68 +576,37 @@ def _llogl_g(cells: np.ndarray, r: np.ndarray, newton: bool = False) -> np.ndarr
     return g * np.log(g) / (g + np.mean(u * u / e, axis=1)) if newton else g
 
 
-def _llogl_band(cells: np.ndarray, mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(xl, xh) per row, NaN where uncertified: _llogl_g(cells, x) > 1.0 for
-    every x <= xl and for no x >= xh.  On a row of cells >= 0 with a finite
-    positive mean G is strictly decreasing and the float G is G (1 + d) with
-    |d| <= gam (a few roundings per term, as log(e + u) >= 1, and the
-    pairwise sum), so a float G above 1 + 3 gam at xl (below 1 - 3 gam at
-    xh), 4 gam either side of the Newton root, settles every x below (above)."""
-    n, m = cells.shape
-    gam = (64 + m.bit_length() + m // 4096) * 2.0**-53
-    xl, xh = np.full(n, np.nan), np.full(n, np.nan)
-    rows = np.flatnonzero((mean > 0.0) & (mean < math.inf) & np.all(cells >= 0.0, axis=1))
-    x, act = mean.copy(), rows
-    with np.errstate(all="ignore"):  # a failed step only leaves its row uncertified
-        for _ in range(8):
-            step = _llogl_g(cells[act], x[act], newton=True)
-            x[act] *= np.exp(step)
-            act = act[np.abs(step) > 1e-9]  # then the next step is below 1e-16
-            if act.size == 0:
-                break
-        lo, hi = x[rows] * (1.0 - 4.0 * gam), x[rows] * (1.0 + 4.0 * gam)
-        ok = (_llogl_g(cells[rows], lo) > 1.0 + 3.0 * gam) & (_llogl_g(cells[rows], hi) < 1.0 - 3.0 * gam)
-    xl[rows[ok]], xh[rows[ok]] = lo[ok], hi[ok]
-    return xl, xh
-
-
 def llogl_norm_rows(cells: np.ndarray) -> np.ndarray:
     """Luxemburg norms of the rows of a (n, m) cell matrix.
 
-    Bisection on r in [row mean, doubling upper bound]; the row mean is a
-    valid lower bracket since u log(e + u) >= u.  Stops when the relative
-    bracket width is below 1e-13, leaving the defining-integral residual
-    orders below the 1e-9 contract.
-    Each test G(x) > 1 of this arithmetic is decided from the row's
-    certified band (_llogl_band), so _llogl_g runs only on the rows whose x
-    lies inside it or that are uncertified, with the decisions, and so the
-    bits, of evaluating every row at every step.
+    Newton's iteration on G(r) = 1 in log r from the row mean (_llogl_g),
+    each row on its own data, so no row depends on the others in the call.
+    On a row of cells >= 0 with a finite positive mean G is strictly
+    decreasing and the float G is G (1 + d) with |d| <= gam (a few roundings
+    per term, as log(e + u) >= 1, and the pairwise sum), so a float G above
+    1 + 3 gam at x (1 - 4 gam) and below 1 - 3 gam at x (1 + 4 gam) certifies
+    the returned Newton root x within 4 gam of the norm.  Raises ValueError
+    on a row with a negative or non-finite cell or a mean that is not
+    positive and finite, and FloatingPointError on a row whose certificate
+    fails.
     """
     cells = np.atleast_2d(cells)
-    lo = cells.mean(axis=1)
-    xl, xh = _llogl_band(cells, lo)
-
-    def above(x):  # _llogl_g(cells, x) > 1.0
-        out = x <= xl
-        ev = np.flatnonzero(~(out | (x >= xh)))
-        if ev.size:
-            out[ev] = _llogl_g(cells[ev], x[ev]) > 1.0
-        return out
-
-    hi = lo.copy()
-    for _ in range(200):
-        bad = above(hi)
-        if not np.any(bad):
+    x = cells.mean(axis=1)
+    if not (np.all((x > 0.0) & (x < math.inf)) and np.all(cells >= 0.0)):
+        raise ValueError("L log L norm needs cells >= 0 and finite with a positive finite mean per row")
+    gam = (64 + cells.shape[1].bit_length() + cells.shape[1] // 4096) * 2.0**-53
+    act = np.arange(x.size)
+    for _ in range(8):
+        step = _llogl_g(cells[act], x[act], newton=True)
+        x[act] *= np.exp(step)
+        act = act[np.abs(step) > 1e-9]  # then the next step is below 1e-16
+        if act.size == 0:
             break
-        hi[bad] *= 2.0
-    for _ in range(120):
-        if np.all(hi - lo <= 1e-13 * hi):
-            break
-        mid = 0.5 * (lo + hi)
-        gm = above(mid)
-        lo = np.where(gm, mid, lo)
-        hi = np.where(gm, hi, mid)
-    return 0.5 * (lo + hi)
+    g_lo, g_hi = _llogl_g(cells, x * (1.0 - 4.0 * gam)), _llogl_g(cells, x * (1.0 + 4.0 * gam))
+    ok = (g_lo > 1.0 + 3.0 * gam) & (g_hi < 1.0 - 3.0 * gam)
+    if not np.all(ok):
+        raise FloatingPointError(f"L log L norm not certified on {np.count_nonzero(~ok)} of {x.size} rows")
+    return x
 
 
 def llogl_norm(w: WeightGrid, Q: DyadicCube) -> float:

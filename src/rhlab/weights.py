@@ -55,6 +55,7 @@ from .kcalc import (
     k_weighted,
     k_weighted_curve,
     level_piece_integrals,
+    llogl_norm,
     llogl_norm_rows,
     packing_family,
     power_piece_integral,
@@ -567,8 +568,7 @@ def verify_rearrange_exact(w: WeightGrid) -> TheoremReport:
     additive = math.isclose(total, parts, rel_tol=1e-13)
     K = k_l1_linf(w, Q0)
     concave = bool(np.all(np.diff(K.slopes) < 0)) and math.isclose(K.mass, r.mass, rel_tol=1e-12)
-    norm = float(llogl_norm_rows(w.cube_cells(Q0)[None, :])[0])
-    u = w.cube_cells(Q0) / norm
+    u = w.cube_cells(Q0) / llogl_norm(w, Q0)
     residual = abs(float(np.mean(u * np.log(np.e + u))) - 1.0)
     lux_ok = residual <= 1e-9
     case = {

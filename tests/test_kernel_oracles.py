@@ -2,22 +2,26 @@
 
 level_piece_integrals takes a count of geometric 40-node panels per piece
 that a Bernstein-ellipse bound proves within 2^-60, instead of the 20/40-node
-test and bisection it replaced, and llogl_norm_rows decides its bisection
-tests from a certified band around each row's root instead of evaluating
-every one.  Both are compared here with frozen copies of the
-implementations that evaluated everything: bit for bit on the same inputs
-(for the kernel, on every piece it integrates in one panel; the pieces it
-splits are checked against 40-digit mpmath), which a comparison of the
-kernel with its own one-row call cannot do.  The frozen kernel sums its
-nodes in the kernel's fixed halving order (conftest.frozen_gl_panel); one
-comparison with the BLAS gemv sums the kernel took before bounds the change
-of reduction in ulps.  The work they save is pinned on the benchmark's
-analyze grids, and the error bound is checked against high-precision
+test and bisection it replaced.  It is compared here with a frozen copy of
+the implementation that evaluated everything: bit for bit on the same inputs
+(on every piece it integrates in one panel; the pieces it splits are checked
+against 40-digit mpmath), which a comparison of the kernel with its own
+one-row call cannot do.  The frozen kernel sums its nodes in the kernel's
+fixed halving order (conftest.frozen_gl_panel); one comparison with the BLAS
+gemv sums the kernel took before bounds the change of reduction in ulps.
+
+llogl_norm_rows returns each row's certified Newton root instead of the
+1e-13 bisection it replaced: it stays within that bisection's bracket of a
+frozen copy of it, within 8 units of 2^-53 of 40-digit mpmath, equal bit for
+bit to its one-row call on every cube, and it raises when its domain or its
+certificate fails.  The work saved is pinned on the benchmark's analyze
+grids, and the quadrature error bound is checked against high-precision
 quadrature.
 """
 
 import functools
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,7 +38,7 @@ from conftest import (
     split_pieces,
 )
 from rhlab import cli, kcalc, weights
-from rhlab.grid import make_grid
+from rhlab.grid import level_cubes, make_grid
 from rhlab.kcalc import _level_pieces, k_l1_linf, level_piece_integrals, llogl_norm_rows, power_piece_integral
 from test_kcalc import _CALLER_QE, _six_decade_pieces
 
@@ -203,9 +207,10 @@ def frozen_llogl_norm_rows(cells):
 
 
 def _assert_llogl_frozen(cells):
+    # the Newton root lies within the frozen bisection's own 1e-13 bracket
     got = llogl_norm_rows(cells)
     ref = frozen_llogl_norm_rows(cells)
-    np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert np.all(np.abs(got - ref) <= 1e-13 * ref)
 
 
 @given(random_grids())
@@ -229,17 +234,80 @@ def test_llogl_norm_rows_matches_frozen_lognormal_sigma_4(shape):
     _assert_llogl_frozen(np.random.default_rng(shape[1]).lognormal(0.0, 4.0, shape))
 
 
-def test_llogl_norm_rows_uncertified_rows_are_evaluated():
-    # rows outside the certificate's domain (a zero mean, a negative or
-    # non-finite cell) take every evaluation, with the same bits
+def test_llogl_norm_rows_rejects_rows_outside_the_domain():
+    # a zero row, a negative cell or a non-finite cell is no input of the
+    # certificate, and no caller produces one: WeightGrid cells are > 0
     cells = np.random.default_rng(5).lognormal(0.0, 1.0, (6, 32))
-    cells[1] = 0.0
-    cells[2, 3] = -0.5
-    _assert_llogl_frozen(np.delete(cells, 1, axis=0))
-    _assert_llogl_frozen(cells[[0, 2, 3]])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cells[4, 0] = np.nan
-        _assert_llogl_frozen(cells)
+    for i, j, bad in ((1, slice(None), 0.0), (2, 3, -0.5), (4, 0, np.nan), (5, 7, np.inf)):
+        rows = cells.copy()
+        rows[i, j] = bad
+        with pytest.raises(ValueError, match="L log L norm needs"):
+            llogl_norm_rows(rows)
+
+
+def _mp_llogl_root(row, x0):
+    # the root r of (1/m) sum u log(e + u) = 1, u = cell / r, in 40 digits
+    with mpmath.workdps(40):
+        cells = [mpmath.mpf(float(c)) for c in row if c != 0.0]
+        g = lambda r: mpmath.fsum(c / r * mpmath.log(mpmath.e + c / r) for c in cells) / len(row) - 1
+        return mpmath.findroot(g, mpmath.mpf(x0))
+
+
+@pytest.mark.parametrize(
+    "d, L, spec",
+    [
+        (1, 10, "rand:1:lognormal:1"),
+        (1, 8, "rand:7:lognormal:2"),
+        (1, 10, "pow:-0.5"),
+        (2, 5, "rand:3:lognormal:1"),
+        (1, 8, "step:4,1,1,1"),
+        (1, 8, "const:3.7"),
+    ],
+)
+def test_llogl_norm_rows_within_8_units_of_mpmath(d, L, spec):
+    # the bisection this replaced was up to 400 units off on these 100 rows
+    w = make_grid(d, L, spec)
+    rng = np.random.default_rng(L)
+    for lev in range(L + 1):
+        rows = w.zcells.reshape(-1, 1 << (d * (L - lev)))
+        got = llogl_norm_rows(rows)
+        for i in np.unique(rng.integers(0, rows.shape[0], 2)):
+            ref = _mp_llogl_root(rows[i], float(got[i]))
+            assert abs(mpmath.mpf(float(got[i])) - ref) <= 8 * 2.0**-53 * ref, (lev, i)
+
+
+@pytest.mark.parametrize("c", ["1e-300", "1", "1e300"])
+def test_rh_llogl_of_a_constant_within_2_units(c):
+    # RH_LLogL of a constant weight is 1/u*, u* log(e + u*) = 1, at any scale
+    with mpmath.workdps(40):
+        exact = 1 / mpmath.findroot(lambda u: u * mpmath.log(mpmath.e + u) - 1, 0.8)
+    value = weights.rh_llogl_constant(make_grid(1, 4, f"const:{c}")).value
+    assert abs(value - exact) <= 2 * 2.0**-53 * exact
+
+
+def test_llogl_norm_rows_are_independent_of_their_batch():
+    # every row of a level equals its cube's one-row call bit for bit (the
+    # frozen bisection's bracket width depended on the other rows: 110 cubes)
+    w = make_grid(1, 10, "rand:7:lognormal:2")
+    for lev in range(w.L + 1):
+        m = 1 << (w.L - lev)
+        got = llogl_norm_rows(w.zcells.reshape(-1, m))
+        for Q in level_cubes(w, lev):
+            assert got[w.zrange(Q)[0] // m] == kcalc.llogl_norm(w, Q), Q.addr()
+
+
+def test_llogl_failed_certificate_is_a_numerical_error(monkeypatch, capsys):
+    # no Newton step leaves every root at its row mean, where G > 1
+    real = kcalc._llogl_g
+    stuck = lambda cells, r, newton=False: np.zeros(r.shape) if newton else real(cells, r)
+    monkeypatch.setattr(kcalc, "_llogl_g", stuck)
+    with pytest.raises(FloatingPointError, match="not certified"):
+        llogl_norm_rows(make_grid(1, 4, "rand:1:lognormal:1").zcells.reshape(4, 4))
+    capsys.readouterr()
+    assert cli.main(["analyze", "--weight", "rand:1:lognormal:1", "--level", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("rhlab: numerical error: FloatingPointError") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
