@@ -88,11 +88,9 @@ class IndexEstimate:
     the continuum constant is genuinely unbounded; either value is inf when
     it exceeds the float range).  witness is the
     lexicographically first (cube address, s, t) achieving the constant at
-    delta_hat; monotone records whether knee admissibility was a prefix of
-    the scan grid, which is what validates the bisection.  Cap admissibility
-    is a prefix by proof (see family_index), so it has no flag; a knee scan
-    stops at its first cap failure, after which every grid point fails by
-    the same proof.
+    delta_hat.  monotone is always true: knee and cap admissibility are
+    prefixes of the scan by proof (see family_index), which is what makes
+    each scan one bisection; reports keep the key.
     """
 
     delta_hat: float
@@ -141,6 +139,14 @@ def _lever(r: np.ndarray, ls: np.ndarray) -> np.ndarray:
     return ls - _runmax(np.where(r <= _TIE, ls, -np.inf))
 
 
+def _take_rows(x: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
+    """The rows idx of x (all for None) in x's layout: a column-major x
+    gathers the columns of its row-major transpose."""
+    if idx is None:
+        return x
+    return x.T.take(idx, axis=1).T if x.flags.f_contiguous else x.take(idx, axis=0)
+
+
 class _LevelBlock:
     """Candidate data of several curves on one shared abscissa grid, one row
     per curve, rectangular.
@@ -163,13 +169,6 @@ class _LevelBlock:
     prefix of a column-major block is one contiguous slab.  Only order-free
     operations (elementwise arithmetic, max, min) may read the blocks, so
     the layout moves no bit; a row sum or mean would round differently.
-
-    A knee pass (_knee_ok) decides U scan points at once on their stacked
-    ratio arrays: one (U n, width) array in the block's layout, whose rows
-    i n .. (i + 1) n - 1 hold point i.  It is one broadcast subtraction
-    over (U, n, width), or over (n, U, width) with order="F" if
-    column-major, reshaped without a copy; each row holds the values a
-    one-point pass computes.
 
     of_level builds the block of all cubes of one level on the full window,
     _curve_block the one-row block of a single curve.  For kind "acks" the
@@ -214,11 +213,9 @@ class _LevelBlock:
         if idx is None:
             return self
         out = copy.copy(self)
-        # a column-major block gathers the columns of its row-major transpose
-        take = lambda x: x.T.take(idx, axis=1).T if x.flags.f_contiguous else x.take(idx, axis=0)
-        out.lnphi = take(self.lnphi)
+        out.lnphi = _take_rows(self.lnphi, idx)
         if self.lnA is not None:
-            out.lnA, out.lnB = take(self.lnA), take(self.lnB)
+            out.lnA, out.lnB = _take_rows(self.lnA, idx), _take_rows(self.lnB, idx)
         return out
 
     def lg(self, u: float, with_s: bool = False):
@@ -342,188 +339,21 @@ def _blocks_ok(blocks, u, lncap_q):
     return cmax <= lncap_q + 1e-15, cmax, rmax
 
 
-def _knee_ok(blocks, us, want, windows, lncap_q, triv_tol, order):
-    """Knee admissibility of several windows at several scan points in one
-    pass.
-
-    want[p] lists the windows asked at scan point us[p], and windows[k][b]
-    is the (ncols, kappa) of window k on block b.  On each block the ratio
-    arrays of the points still undecided in some window are stacked as
-    extra rows (see _LevelBlock), built once on the widest window still
-    undecided there; each window reads its own column prefix, where they
-    equal the arrays of that window's own candidates, and reduces each
-    point's rows apart (reduceat).  A (point, window) pair fails at the first
-    block with a cube beyond the cap, or with a binding pair whose lever
-    exceeds kappa.  Returns, per point, one (ok, cap_failed) pair per window
-    asked; cap_failed marks a failure of the first kind, which persists at
-    every larger u.
-
-    Blocks are visited in the list order, and a block failing any pair
-    moves to its front (fail-first).  Order cannot change ok, an AND over
-    blocks, only whether a cap or a lever failure is met first; a cap
-    failure persists, so the grid points a stopped scan skips fail anyway.
-    """
-    out = [dict.fromkeys(ks, (True, False)) for ks in want]
-    left = [len(ks) for ks in want]  # each point's undecided windows
-    pending = {}  # window -> its undecided points
-    for p, ks in enumerate(want):
-        for k in ks:
-            pending.setdefault(k, []).append(p)
-    pts = None
-    for b in list(order):
-        live = [k for k in pending if windows[k][b][0]]
-        if not live:
-            continue
-        if pts is None:  # the points still undecided in some window
-            pts = [p for p, c in enumerate(left) if c]
-            row_of = {p: i for i, p in enumerate(pts)}
-            u = np.array([us[p] for p in pts])[:, None]
-        blk, decided = blocks[b], False
-        width = max(windows[k][b][0] for k in live)
-        lnphi = blk.lnphi
-        n, npt = lnphi.shape[0], len(pts)
-        # point i's rows are i n .. (i + 1) n - 1, in the block's layout
-        ul = u * blk.ls[:width]
-        if lnphi.flags.c_contiguous:
-            lg = np.subtract(lnphi[None, :, :width], ul[:, None], order="C").reshape(npt * n, width)
-        else:
-            lg = np.subtract(lnphi[:, None, :width], ul, order="F").reshape((npt * n, width), order="F")
-        r = _runmax(lg) - lg
-        starts = np.arange(0, npt * n, n)
-        lever = None
-        for k in live:
-            ncols, kappa = windows[k][b]
-            rk = r[:, :ncols]
-            rmax = rk.max(axis=1)
-            top = np.maximum.reduceat(rmax, starts).tolist()
-            failed, levered = [], []
-            for p in pending[k]:
-                t = top[row_of[p]]
-                if t > lncap_q + 1e-15:
-                    out[p][k] = (False, True)
-                    failed.append(p)
-                elif t > triv_tol:
-                    levered.append(p)
-            if levered:
-                if lever is None:
-                    lever = _lever(r, blk.ls[:width])
-                binding = rk >= (rmax[:, None] - _TIE)
-                lev_min = np.where(binding, lever[:, :ncols], np.inf).min(axis=1)
-                np.putmask(lev_min, rmax <= triv_tol, -np.inf)
-                far = np.maximum.reduceat(lev_min, starts).tolist()
-                for p in levered:
-                    if far[row_of[p]] > kappa:
-                        out[p][k] = (False, False)
-                        failed.append(p)
-            if failed:
-                decided = True
-                pending[k] = [p for p in pending[k] if p not in failed]
-                if not pending[k]:
-                    del pending[k]
-                for p in failed:
-                    left[p] -= 1
-                    if not left[p]:
-                        pts = None  # restacked without p from the next block on
-        if decided:
-            order.insert(0, order.pop(order.index(b)))
-        if not pending:
-            break
-    return [[res[k] for k in ks] for res, ks in zip(out, want)]
-
-
-_GRID = np.linspace(0.0, 1.0, 65)
-# Candidate cells a knee pass may stack: the u-scan evaluates
-# _PASS_CELLS // (the blocks' cells) grid points per pass, at least one.
-_PASS_CELLS = 1 << 16
-
-
-def _tree(lo: float, hi: float, depth: int, tol: float) -> list[float]:
-    """The points the next depth steps of a bisection of [lo, hi] to tol may
-    probe: the midpoints of its bisection tree, down to depth levels."""
-    if depth == 0 or hi - lo <= tol:
-        return []
-    mid = 0.5 * (lo + hi)
-    return [mid] + _tree(lo, mid, depth - 1, tol) + _tree(mid, hi, depth - 1, tol)
-
-
-def _bisect_brackets(ok_fn, brackets, tol: float, chunk: int) -> list[float]:
-    """Bisection to tol of each bracket [lo, hi] (lo admissible); returns
-    each bracket's final lo.
-
-    ok_fn(us, ks) decides bracket ks[i]'s criterion at us[i] for all i in
-    one pass.  A pass takes the first min(chunk, pending) brackets and as
-    many levels of their bisection trees as chunk points hold, at least
-    one; each bracket then walks down its tree.  The walk probes the points
-    a one-point bisection would, so the result does not depend on chunk; at
-    a chunk of 1 each bracket runs to the end before the next starts.
-    """
-    state, out = dict(enumerate(brackets)), [0.0] * len(brackets)
-    while state:
-        ks = list(state)[:chunk]
-        depth = (chunk // len(ks) + 1).bit_length() - 1
-        trees = [_tree(*state[k], depth, tol) for k in ks]
-        us = [u for tree in trees for u in tree]
-        oks = iter(ok_fn(us, [k for k, tree in zip(ks, trees) for _ in tree]) if us else [])
-        for k, tree in zip(ks, trees):
-            ok_at = dict(zip(tree, oks))
-            lo, hi = state[k]
-            for _ in range(depth):
-                if hi - lo <= tol:
-                    break
-                mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if ok_at[mid] else (lo, mid)
-            state[k] = (lo, hi)
-            if hi - lo <= tol:
-                out[k] = lo
-                del state[k]
-    return out
-
-
-def _scan_largest(ok_fn, tol: float, n: int = 1, chunk: int = 1):
-    """Largest admissible u in [0, 1] for n criteria scanned together:
-    coarse 1/64 grid plus bisection, chunk scan points per pass.
-
-    ok_fn(us, want) evaluates the criteria want[p] at each scan point us[p]
-    in one pass and returns, per point, one (ok, cap_failed) pair per
-    criterion asked.  A cap failure persists at every larger u (each pair
-    term of the ratio is nondecreasing in u), so a criterion's grid points
-    after its first cap failure are set False: those of later chunks
-    without evaluation, those of its own chunk by discarding their results.
-    The bisections advance together (_bisect_brackets).  Returns one
-    (u_hat, monotone) pair per criterion; monotone means admissibility was
-    a prefix of the grid, which is what makes the bisection meaningful.  A
-    skipped tail is all False, so it cannot clear the flag.
-    """
-    oks = [[] for _ in range(n)]
-    live = list(range(n))
-    for i in range(0, _GRID.size, chunk):
-        if not live:
-            break
-        xs = _GRID[i : i + chunk].tolist()
-        capped = set()
-        for res in ok_fn(xs, [live] * len(xs)):
-            for k, (ok, cap) in zip(live, res):
-                if k not in capped:
-                    oks[k].append(ok)
-                    if cap:
-                        capped.add(k)
-        live = [k for k in live if k not in capped]
-    out, brackets = [], []
-    for k, o in enumerate(oks):
-        o = o + [False] * (_GRID.size - len(o))
-        monotone = all(a or not b for a, b in zip(o, o[1:]))  # no False -> True
-        if not o[0]:
-            out.append((0.0, monotone))
-        elif all(o):
-            out.append((1.0, monotone))
-        else:
-            j = max(i for i, v in enumerate(o) if v)
-            brackets.append((k, (float(_GRID[j]), float(_GRID[min(j + 1, 64)]))))
-            out.append((None, monotone))
-    at = lambda us, ks: [res[0][0] for res in ok_fn(us, [[brackets[i][0]] for i in ks])]
-    for (k, _), u in zip(brackets, _bisect_brackets(at, [b for _, b in brackets], tol, chunk)):
-        out[k] = (u, out[k][1])
-    return out
+def _knee_fails(lnphi, ls, u, kappa, lncap_q, triv_tol) -> np.ndarray:
+    """The rows of lnphi (a block's rows on a window's columns, with their
+    log-abscissae ls) failing the knee rule at scan point u: a constant
+    beyond the cap, or a nontrivial one whose binding pairs all have a lever
+    above kappa.  Row by row, so no row's verdict depends on the others."""
+    lg = lnphi - u * ls
+    r = _runmax(lg) - lg
+    rmax = r.max(axis=1)
+    fail = rmax > lncap_q + 1e-15
+    far = (rmax > triv_tol) & ~fail
+    if far.any():
+        binding = r >= (rmax[:, None] - _TIE)
+        lev_min = np.where(binding, _lever(r, ls), np.inf).min(axis=1)
+        fail |= far & (lev_min > kappa)
+    return np.flatnonzero(fail)
 
 
 def _scan_prefix(ok_fn, tol: float) -> float:
@@ -535,7 +365,11 @@ def _scan_prefix(ok_fn, tol: float) -> float:
         return 0.0
     if ok_fn(1.0):
         return 1.0
-    return _bisect_brackets(lambda us, ks: [ok_fn(us[0])], [(0.0, 1.0)], tol, 1)[0]
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ok_fn(mid) else (lo, mid)
+    return lo
 
 
 def _witness(blocks, window, u):
@@ -567,13 +401,35 @@ def _index_estimate(blocks, windows, beta, q, C_cap, resolution, name) -> IndexE
     lncap_q = math.log(C_cap) / q
     triv_tol = _TRIVIAL / q
     utol = 1e-4 / q
-    order = list(range(len(blocks)))  # the knee scan's fail-first order
-    wins = [win for _, win in windows]
-    knee = lambda us, want: _knee_ok(blocks, us, want, wins, lncap_q, triv_tol, order)
-    chunk = max(1, min(_GRID.size, _PASS_CELLS // sum(blk.lnphi.size for blk in blocks)))
-    scans = _scan_largest(knee, utol, len(windows), chunk)
-    best = max(range(len(windows)), key=lambda k: scans[k][0])  # the first best gamma
-    (u_hat, monotone), (gamma_star, win_star) = scans[best], windows[best]
+    order = list(range(len(blocks)))  # the knee probes' fail-first block order
+
+    def knee_scan(win):
+        live = [None] * len(blocks)  # per block, the rows a knee probe reads (None: all)
+
+        def knee_ok(u):
+            # later probes lie below a failing one: of each block it read,
+            # only the rows failing there can fail again
+            passed = []
+            for b in order:
+                ncols, kappa = win[b]
+                if not ncols or (live[b] is not None and not live[b].size):
+                    continue
+                lnphi = _take_rows(blocks[b].lnphi[:, :ncols], live[b])
+                fails = _knee_fails(lnphi, blocks[b].ls[:ncols], u, kappa, lncap_q, triv_tol)
+                if fails.size:
+                    for a in passed:
+                        live[a] = fails[:0]
+                    live[b] = fails if live[b] is None else live[b][fails]
+                    order.insert(0, order.pop(order.index(b)))
+                    return False
+                passed.append(b)
+            return True
+
+        return _scan_prefix(knee_ok, utol)
+
+    u_knee = [knee_scan(win) for _, win in windows]
+    best = max(range(len(windows)), key=u_knee.__getitem__)  # the first best gamma
+    u_hat, (gamma_star, win_star) = u_knee[best], windows[best]
 
     def cap_value(u):
         # the constant at u; beyond the float range it is reported as inf
@@ -611,7 +467,7 @@ def _index_estimate(blocks, windows, beta, q, C_cap, resolution, name) -> IndexE
         gamma=gamma_star,
         resolution=resolution,
         witness=("", 0.0, 0.0) if wit is None else (name(wit[0], wit[1]), wit[2], wit[3]),
-        monotone=monotone,
+        monotone=True,
         cap_value_at=c_at,
         cap_value_beyond=c_beyond,
     )
@@ -627,8 +483,8 @@ def family_index(
     """Index estimate for a cube-indexed curve family.
 
     For each window fraction gamma, the largest admissible delta is found by
-    a coarse scan (step 1/64) plus bisection to 1e-4, and the best gamma is
-    reported.  delta_hat uses the knee rule described in the module
+    one bisection of [0, 1] in the scan variable to 1e-4 / q, and the best
+    gamma is reported.  delta_hat uses the knee rule described in the module
     docstring on the breakpoint set.  delta_cap uses admissibility "family
     constant <= C_cap" at gamma = 1 on the exact candidate set (breakpoints
     plus interior ratio minima), and carries the bracketing certificate.
@@ -636,28 +492,34 @@ def family_index(
     exactness of the shift and power identities is by construction: the
     scan runs in the base variable u = beta + delta/q.
 
-    The scan is pruned and shared without changing any result:
+    Both admissible sets are prefixes of [0, 1], row by row:
 
-      * cap admissibility is a prefix of [0, 1]: each pair term
-        lg_i - lg_j = lnphi_i - lnphi_j + u (ln s_j - ln s_i) is
-        nondecreasing in u, and the exact candidate set attains the
-        continuum supremum, which is therefore nondecreasing too.  The cap
-        scan is one bisection of [0, 1] (_scan_prefix);
-      * a knee-admissible u is cap-admissible on that window's breakpoint
-        set, and cap failure there is monotone in u by the same argument,
-        so a knee scan stops at its first cap failure;
+      * a row's log-constant at u on its breakpoints is the max over i <= j
+        of lg_i - lg_j = lnphi_i - lnphi_j + u (ln s_j - ln s_i), a max of
+        nondecreasing affine functions of u, so convex and nondecreasing.
+        The exact candidate set attains the continuum supremum, which is
+        therefore nondecreasing too: a cap failure persists at larger u;
+      * the knee rule's least binding lever is the least slope among the
+        lines attaining that max, its left derivative, which is
+        nondecreasing; so is its reading within _TIE, as every shorter
+        line falls further below a longer maximum at larger u.  A row
+        failing the knee rule (a constant beyond the cap, or a nontrivial
+        one with that lever above kappa) fails at every larger u.
+
+    So each scan is one bisection (_scan_prefix), pruned without changing
+    any result:
+
+      * every probe after a failing one lies below it, so a probe reads,
+        of each block, only the rows that failed the last failing probe
+        reading that block, or none if that block passed there;
+      * a knee probe visits the blocks fail-first, in one order shared by
+        every window, and stops at its first failing block: ok is an AND
+        over blocks, and the blocks it skips keep their rows, a superset of
+        those failing at it;
       * the gamma = 1 blocks serve every window as column prefixes and the
-        cap scan, and one pass per grid point decides all gammas;
-      * a knee pass stacks _PASS_CELLS // (the blocks' candidate cells)
-        scan points, 1 to 65, as extra rows of each block (see _LevelBlock):
-        the grid takes that many points per pass, and the bisections of all
-        gammas advance together by as many levels of their bisection trees
-        as that many points hold.  Each point's rows are those of a
-        one-point pass, so no result depends on the count;
-      * knee passes visit the blocks fail-first: ok is an AND over blocks,
-        and a cap failure met first only stops a scan that fails after it;
-      * cap probes after a failing one, all below it, read only its rows
-        above the cap less 1e-12, each row's constant growing with u.
+        cap scan;
+      * cap probes after a failing one read only its rows above the cap
+        less 1e-12.
 
     The result is memoised on the weight grid, keyed by the kind and the
     parameters; each call returns its own copy.

@@ -519,10 +519,6 @@ class HolmstedtCurve:
         return out if np.ndim(t) else float(out[0])
 
 
-def holmstedt_curve(K: ConcaveCurve, theta: float, q: float) -> HolmstedtCurve:
-    return HolmstedtCurve(K, theta, q)
-
-
 # ---------------------------------------------------------------------------
 # Lorentz
 

@@ -466,37 +466,6 @@ def test_cap_scan_is_a_binary_search(monkeypatch):
     assert 0 < len(calls) <= 20
 
 
-def _knee_and_cap(seen):
-    """A batched ok_fn: knee-admissible on [0, 0.3) and (0.5, 0.6), cap
-    failure from 0.75 on, recording each probed point."""
-
-    def ok_fn(us, want):
-        seen.extend(us)
-        return [[(u < 0.3 or 0.5 < u < 0.6, u >= 0.75) for _ in ks] for u, ks in zip(us, want)]
-
-    return ok_fn
-
-
-def test_scan_largest_keeps_knee_failures_and_stops_at_cap_failure():
-    seen = []
-    [(u_hat, monotone)] = indices._scan_largest(_knee_and_cap(seen), 1e-4)
-    # a knee failure does not end the grid scan; the first cap failure does
-    assert not monotone and 0.59 < u_hat < 0.6
-    assert max(seen) == 0.75
-
-
-@pytest.mark.parametrize("chunk", [2, 3, 7, 16, 65])
-@pytest.mark.parametrize("n", [1, 3])
-def test_scan_largest_result_does_not_depend_on_the_chunk(chunk, n):
-    one, seen = [], []
-    want = indices._scan_largest(_knee_and_cap(one), 1e-4, n)
-    assert indices._scan_largest(_knee_and_cap(seen), 1e-4, n, chunk) == want
-    # no grid point past the chunk holding the first cap failure (48/64);
-    # the bisection trees hold every point of the one-point bisections
-    assert max(seen) <= indices._GRID[min(64, (48 // chunk + 1) * chunk - 1)]
-    assert set(one) <= set(seen)
-
-
 def test_family_index_memoised_per_grid(monkeypatch):
     w = make_grid(1, 8, "rand:5:lognormal:1")
     first = acks_index(w)
@@ -725,21 +694,14 @@ _SETTINGS = ((0.0, 1.0, 16.0, (1.0, 0.5, 0.25, 0.125)), (0.25, 2.0, 4.0, (0.5, 0
 
 
 def _assert_equals_frozen_scan(w):
-    # at every budget of a knee pass, from one scan point per pass (the
-    # blocks' cells) to the whole grid per pass (2^30)
     for kind in ("k", "acks"):
-        cells = sum(_LevelBlock.of_level(w, lev, kind).lnphi.size for lev in range(w.base.level, w.L))
         for beta, q, cap, gammas in _SETTINGS:
             F = CurveFamily(w, kind=kind, beta=beta, q=q)
             old = _frozen_family_index(F, cap, gammas)
-            for budget in (cells, 3 * cells, 64 * cells, 1 << 30):
-                w._indices.clear()  # the memo
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(indices, "_PASS_CELLS", budget)
-                    assert family_index(F, C_cap=cap, gamma_grid=gammas) == old
-                if kind == "acks" and (beta, q) == (0.0, 1.0):
-                    want = dataclasses.replace(old, lambda_hat=1.0 - old.delta_hat)
-                    assert acks_index(w, C_cap=cap, gamma_grid=gammas) == want
+            assert family_index(F, C_cap=cap, gamma_grid=gammas) == old
+            if kind == "acks" and (beta, q) == (0.0, 1.0):
+                want = dataclasses.replace(old, lambda_hat=1.0 - old.delta_hat)
+                assert acks_index(w, C_cap=cap, gamma_grid=gammas) == want
 
 
 @pytest.mark.parametrize("d, L, spec", _SCAN_GRIDS)
@@ -753,14 +715,83 @@ def test_family_index_equals_frozen_level_order_scan_random(w):
     _assert_equals_frozen_scan(w)
 
 
-def test_knee_passes_stack_the_scan_points(monkeypatch):
-    # 32 scan points per pass on these 2048 candidate cells: 6 passes, where
-    # one point per pass made 97
-    passes = []
-    real = indices._knee_ok
-    monkeypatch.setattr(indices, "_knee_ok", lambda *a: passes.append(1) or real(*a))
-    family_index(CurveFamily(make_grid(1, 8, "rand:1:lognormal:1")))
-    assert 0 < len(passes) <= 10
+# ---------------------------------------------------------------------------
+# the knee probes' row pruning
+#
+# Knee admissibility is a prefix of [0, 1] row by row (see family_index): a
+# row's constant at u is a max of nondecreasing affine functions of u, and
+# its least binding lever is their left derivative.  A knee probe therefore
+# reads, of each block, only the rows that failed the last failing probe,
+# which lies above it.
+
+
+def _family_blocks(w, kind, gammas):
+    """The level blocks of family_index and the windows of the gammas that
+    leave some cube a candidate, as (gamma, [(ncols, kappa) per block])."""
+    levels = range(w.base.level, w.L)
+    blocks = [_LevelBlock.of_level(w, lev, kind) for lev in levels]
+    windows = [(g, [indices._level_window(w, lev, kind, g) for lev in levels]) for g in gammas]
+    return levels, blocks, [(g, win) for g, win in windows if any(n for n, _ in win)]
+
+
+@given(random_grids(), st.sampled_from(["k", "acks"]), st.sampled_from(_SETTINGS))
+@settings(max_examples=30)
+def test_knee_admissibility_is_a_prefix_per_row(w, kind, setting):
+    _, q, cap, gammas = setting
+    _, blocks, windows = _family_blocks(w, kind, gammas)
+    for _, win in windows:
+        for blk, (ncols, kappa) in zip(blocks, win):
+            if not ncols:
+                continue
+            lnphi, ls = blk.lnphi[:, :ncols], blk.ls[:ncols]
+            failed = np.zeros(lnphi.shape[0], dtype=bool)
+            for u in np.linspace(0.0, 1.0, 65).tolist():
+                fails = np.zeros_like(failed)
+                fails[indices._knee_fails(lnphi, ls, u, kappa, math.log(cap) / q, 1e-12 / q)] = True
+                # a row failing at one grid point fails at every later one
+                assert not np.any(failed & ~fails)
+                failed = fails
+
+
+def _unpruned_family_index(F, C_cap, gamma_grid):
+    """family_index with every probe reading every row of every block, in
+    level order: one plain bisection of [0, 1] per window for the knee rule
+    and one for the cap."""
+    w, q = F.w, F.q
+    levels, blocks, windows = _family_blocks(w, F.kind, gamma_grid)
+    lncap_q, triv_tol, utol = math.log(C_cap) / q, 1e-12 / q, 1e-4 / q
+
+    def knee_ok(win, u):
+        for blk, (ncols, kappa) in zip(blocks, win):
+            if ncols and indices._knee_fails(blk.lnphi[:, :ncols], blk.ls[:ncols], u, kappa, lncap_q, triv_tol).size:
+                return False
+        return True
+
+    u_knee = [indices._scan_prefix(lambda u: knee_ok(win, u), utol) for _, win in windows]
+    best = int(np.argmax(u_knee))  # the first best gamma
+    u_hat, (gamma, win) = u_knee[best], windows[best]
+    cap_value = lambda u: math.exp(q * indices._blocks_ok(blocks, u, lncap_q)[1])
+    u_cap = indices._scan_prefix(lambda u: indices._blocks_ok(blocks, u, lncap_q)[0], utol)
+    wit = indices._witness(blocks, win, u_hat)
+    return IndexEstimate(
+        delta_hat=q * (u_hat - F.beta),
+        delta_cap=q * (u_cap - F.beta),
+        cap=C_cap,
+        gamma=gamma,
+        resolution=w.L,
+        witness=("", 0.0, 0.0) if wit is None else (_cube_at(w, levels[wit[0]], wit[1]).addr(), wit[2], wit[3]),
+        monotone=True,
+        cap_value_at=cap_value(u_cap),
+        cap_value_beyond=cap_value(u_cap + 1e-3 / q) if u_cap + 1e-3 / q <= 1.0 else math.inf,
+    )
+
+
+@given(random_grids(max_level_1d=10, max_level_2d=5), st.sampled_from(["k", "acks"]), st.sampled_from(_SETTINGS))
+@settings(max_examples=30)
+def test_family_index_equals_unpruned_bisection(w, kind, setting):
+    beta, q, cap, gammas = setting
+    F = CurveFamily(w, kind=kind, beta=beta, q=q)
+    assert family_index(F, C_cap=cap, gamma_grid=gammas) == _unpruned_family_index(F, cap, gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -835,27 +866,15 @@ def test_analyze_bytes_do_not_depend_on_the_block_layout(capsys, monkeypatch, d,
     assert built and all(built)
 
 
-class _CountedBlock:
-    """A level block counting the reads of its log-values, one per block
-    that a knee pass visits."""
-
-    def __init__(self, blk, reads):
-        self._blk, self._reads = blk, reads
-
-    def __getattr__(self, name):
-        if name == "lnphi":
-            self._reads.append(1)
-        return getattr(self._blk, name)
-
-
-# Level-order passes visit 686 block-levels at L = 12 and 951 at L = 16.
-@pytest.mark.parametrize("L, bound", [(12, 400), (16, 475)])
-def test_knee_passes_visit_the_failing_level_first(monkeypatch, L, bound):
-    visits = []
-    real = indices._knee_ok
-    monkeypatch.setattr(indices, "_knee_ok", lambda blocks, *a: real([_CountedBlock(b, visits) for b in blocks], *a))
+# An unpruned bisection per window reads 103,426 rows at L = 12 and
+# 1,636,579 at L = 16; pruned but in level order, 39,485 and 618,630.
+@pytest.mark.parametrize("L, bound", [(12, 36_000), (16, 560_000)])
+def test_knee_probes_read_only_the_rows_failing_before(monkeypatch, L, bound):
+    rows = []
+    real = indices._knee_fails
+    monkeypatch.setattr(indices, "_knee_fails", lambda lnphi, *a: rows.append(lnphi.shape[0]) or real(lnphi, *a))
     family_index(CurveFamily(make_grid(1, L, "rand:1:lognormal:1")))
-    assert 0 < len(visits) <= bound
+    assert 0 < sum(rows) <= bound
 
 
 def test_cap_probes_read_only_the_rows_failing_before(monkeypatch):

@@ -39,7 +39,6 @@ from rhlab.kcalc import (
     _level_pieces,
     extrapolation_norm,
     grid_power,
-    holmstedt_curve,
     k_l1_linf,
     k_lorentz_linf,
     k_lp_linf,
@@ -509,7 +508,7 @@ def test_level_piece_integrals_checks_every_origin_column():
 
 def test_holmstedt_const_is_straight_line():
     w = make_grid(1, 3, "const:1")
-    H = holmstedt_curve(k_l1_linf(w, w.base), 0.5, 2.0)
+    H = HolmstedtCurve(k_l1_linf(w, w.base), 0.5, 2.0)
     for t in (0.1, 0.35, 0.9):
         assert math.isclose(H.value(t), t, rel_tol=1e-12)
 
@@ -528,7 +527,7 @@ def test_holmstedt_parameter_validation():
 def test_holmstedt_matches_quad(w):
     theta, q = 0.4, 2.5
     K = k_l1_linf(w, w.base)
-    H = holmstedt_curve(K, theta, q)
+    H = HolmstedtCurve(K, theta, q)
     t = 0.6 * K.domain_end ** (1.0 - theta)
     T = t ** (1.0 / (1.0 - theta))
     pts = K.t[(K.t > 0) & (K.t < T)]
@@ -546,7 +545,7 @@ def test_holmstedt_past_domain_uses_constant_tail():
     w = make_grid(1, 2, "step:2,1")
     K = k_l1_linf(w, w.base)
     theta, q = 0.5, 2.0
-    H = holmstedt_curve(K, theta, q)
+    H = HolmstedtCurve(K, theta, q)
     T = 4.0  # inner upper limit beyond K's domain
     t = T ** (1.0 - theta)
     ref, err = quad(
