@@ -794,6 +794,51 @@ def test_family_index_equals_unpruned_bisection(w, kind, setting):
     assert family_index(F, C_cap=cap, gamma_grid=gammas) == _unpruned_family_index(F, cap, gammas)
 
 
+def _recorded_scans(monkeypatch):
+    """Record each scan's probes, as (u, ok) lists, one list per scan."""
+    scans = []
+    real = indices._scan_prefix
+
+    def scan(ok_fn, tol):
+        scans.append([])
+        return real(lambda u: scans[-1].append((u, ok := ok_fn(u))) or ok, tol)
+
+    monkeypatch.setattr(indices, "_scan_prefix", scan)
+    return scans
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 7, 16, 65])
+@pytest.mark.parametrize("n", [1, 3])
+def test_scan_largest_result_does_not_depend_on_the_chunk(monkeypatch, chunk, n):
+    # each row's knee verdict is its own: cutting every level block into
+    # blocks of chunk rows changes no probe's verdict, so neither the
+    # probes of the n windows' bisections nor the largest admissible u
+    w = make_grid(1, 10, "rand:1:lognormal:1")
+    for kind in ("k", "acks"):
+        for beta, q, cap, gammas in _SETTINGS:
+            levels, blocks, windows = _family_blocks(w, kind, gammas[:n])
+            cut, at, cut_windows = [], [], [(g, []) for g, _ in windows]
+            for b, blk in enumerate(blocks):
+                nrows = blk.lnphi.shape[0]
+                for i in range(0, nrows, chunk):
+                    cut.append(blk.rows(np.arange(i, min(i + chunk, nrows))))
+                    at.append((levels[b], i))
+                    for (_, win), (_, cut_win) in zip(windows, cut_windows):
+                        cut_win.append(win[b])
+            assert len(cut) > len(blocks)
+            runs = []
+            for blks, wins, name in (
+                (blocks, windows, lambda b, row: (levels[b], row)),
+                (cut, cut_windows, lambda b, row: (at[b][0], at[b][1] + row)),
+            ):
+                scans = _recorded_scans(monkeypatch)
+                est = indices._index_estimate(blks, wins, beta, q, cap, w.L, name)
+                runs.append((est, scans))
+                monkeypatch.undo()
+            assert runs[1] == runs[0]
+            assert len(runs[0][1]) == len(windows) + 1  # the knee scans and the cap scan
+
+
 # ---------------------------------------------------------------------------
 # the block layout and the running maxima
 
@@ -864,6 +909,41 @@ def test_analyze_bytes_do_not_depend_on_the_block_layout(capsys, monkeypatch, d,
     assert main(argv) == 0
     assert capsys.readouterr().out == live
     assert built and all(built)
+
+
+# The knee probes visit 271 block-levels at L = 12 and 347 at L = 16;
+# in level order they would visit 163 and 192, but read more rows (below).
+@pytest.mark.parametrize("L, bound", [(12, 400), (16, 475)])
+def test_knee_passes_visit_the_failing_level_first(monkeypatch, L, bound):
+    visits = []  # per probe, the (block, failed) of each block it reads
+    real = indices._knee_fails
+
+    def fails(lnphi, ls, *a):
+        out = real(lnphi, ls, *a)
+        visits[-1].append((ls.__array_interface__["data"][0], bool(out.size)))
+        return out
+
+    monkeypatch.setattr(indices, "_knee_fails", fails)
+    scans = _recorded_scans(monkeypatch)
+    real_scan = indices._scan_prefix
+    monkeypatch.setattr(indices, "_scan_prefix", lambda ok_fn, tol: real_scan(lambda u: visits.append([]) or ok_fn(u), tol))
+    family_index(CurveFamily(make_grid(1, L, "rand:1:lognormal:1")))
+    assert 0 < sum(map(len, visits)) <= bound
+    # a probe stops at its first failing block, and every later probe that
+    # reads that block reads it first; in the same window, it reads it
+    last, probe = None, 0
+    for scan in scans:
+        for i in range(len(scan)):
+            seen = visits[probe]
+            assert all(not failed for _, failed in seen[:-1])
+            if last in [b for b, _ in seen]:
+                assert seen[0][0] == last
+            if i and visits[probe - 1] and visits[probe - 1][-1][1]:
+                assert seen[0][0] == visits[probe - 1][-1][0]
+            if seen and seen[-1][1]:
+                last = seen[-1][0]
+            probe += 1
+    assert probe == len(visits)
 
 
 # An unpruned bisection per window reads 103,426 rows at L = 12 and
