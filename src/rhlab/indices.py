@@ -28,8 +28,8 @@ delta with C <= cap" overshoots the analytic index by about
 log(cap) / log(gamma |Q| / h), the cap spread over the largest available
 lever arm log(t/s).  Both readings are reported:
 
-  * delta_cap: the literal threshold search, with a bracketing certificate
-    C(delta_cap) <= cap < C(delta_cap + 1e-3);
+  * delta_cap: the largest delta with C <= cap, to float resolution, and
+    the certificate C(delta_cap) <= cap < C(delta_cap + 1e-3);
   * delta_hat: a knee rule that accepts delta only while every binding pair
     is either trivial (C = 1) or short-levered (log(t/s) at most half the
     log-window log(gamma |Q| / h)).  Off the unit floor the binding lever
@@ -82,15 +82,14 @@ class AiConstant:
 class IndexEstimate:
     """An estimated index with its estimation metadata.
 
-    delta_hat is the knee estimate, delta_cap the cap-threshold estimate with
-    the bracketing certificate cap_value_at <= cap < cap_value_beyond
-    (cap_value_beyond is inf when the search hits the delta ceiling, where
-    the continuum constant is genuinely unbounded; either value is inf when
-    it exceeds the float range).  witness is the
-    lexicographically first (cube address, s, t) achieving the constant at
-    delta_hat.  monotone is always true: knee and cap admissibility are
-    prefixes of the scan by proof (see family_index), which is what makes
-    each scan one bisection; reports keep the key.
+    delta_hat is the knee estimate, delta_cap the cap threshold (a root to
+    float resolution) with the certificate cap_value_at <= cap <
+    cap_value_beyond as computed (cap_value_beyond is inf past the delta
+    ceiling, where the continuum constant is genuinely unbounded; either is
+    inf beyond the float range).  witness is the lexicographically first
+    (cube address, s, t) achieving the constant at delta_hat.  monotone is
+    always true: knee and cap admissibility are prefixes of the scan by
+    proof (see family_index); reports keep the key.
     """
 
     delta_hat: float
@@ -108,13 +107,13 @@ class IndexEstimate:
 # ---------------------------------------------------------------------------
 # candidate blocks
 
-def _sup_ratio(s: np.ndarray, lg: np.ndarray) -> tuple[float, float, float]:
+def _sup_ratio(s: np.ndarray, lg: np.ndarray, tie: float = _TIE) -> tuple[float, float, float]:
     """sup over i <= j of lg_i - lg_j for candidates ordered by abscissa s;
-    returns (log ratio, s_witness, t_witness), lexicographically first."""
+    returns (log ratio, s_witness, t_witness), first within tie of the max."""
     M = np.maximum.accumulate(lg)
     r = M - lg
     j = int(np.argmax(r))
-    i = int(np.argmax(lg[: j + 1] >= M[j] - _TIE))
+    i = int(np.argmax(lg[: j + 1] >= M[j] - tie))
     return float(r[j]), float(s[i]), float(s[j])
 
 
@@ -152,14 +151,15 @@ class _LevelBlock:
     per curve, rectangular.
 
     svals holds the shared abscissae in increasing order and ls their logs;
-    lnphi holds each row's log-values there.  A window (0, gamma |Q|] of a
-    level block is a column prefix (see _level_window), so one block serves
-    every gamma.  With piece data A, B the curves are linear between
-    consecutive columns, phi = A + B s, and lg adds the per-piece interior
-    ratio minima, whose abscissae s* = u a / (b (1 - u)) depend on the scan
-    variable; lnA/lnB hold the piece data to rebuild them (None without
-    piece data), lnA = -inf where A <= 0: such a piece has no interior
-    minimum, and its ln s* is -inf or NaN, which no bracket test in lg passes.
+    lnphi holds each row's log-values there, monotone whether every row of
+    it is nondecreasing.  A window (0, gamma |Q|] of a level block is a
+    column prefix (see _level_window), so one block serves every gamma.
+    With piece data A, B the curves are linear between consecutive columns,
+    phi = A + B s, and lg adds the per-piece interior ratio minima, whose
+    abscissae s* = u a / (b (1 - u)) depend on the scan variable; lnA/lnB
+    hold the piece data to rebuild them (None without piece data), lnA =
+    -inf where A <= 0: such a piece has no interior minimum, and its ln s*
+    is -inf or NaN, which no bracket test in lg passes.
 
     A level block's row arrays, and those that rows and lg return, keep
     its long axis contiguous: column-major (Fortran order) with at least as
@@ -184,6 +184,7 @@ class _LevelBlock:
         self.svals = s
         self.ls = np.log(s)
         self.lnphi = lnphi
+        self.monotone = bool((lnphi[:, 1:] >= lnphi[:, :-1]).all())  # checked: np.log need not be
         self.lnA = self.lnB = None
         if A is not None:  # in lnphi's layout
             self.lnA = np.full_like(lnphi, -np.inf, shape=A.shape)
@@ -230,16 +231,14 @@ class _LevelBlock:
         lg_k = self.lnphi - u * self.ls[None, :]
         if self.lnA is None or not 0.0 < u < 1.0:
             return (lg_k, np.broadcast_to(self.svals, lg_k.shape)) if with_s else lg_k
-        lsk = self.ls
-        with np.errstate(invalid="ignore", over="ignore"):
-            lnt = (math.log(u) - math.log1p(-u)) + self.lnA - self.lnB
-            valid = (lnt > lsk[None, :-1]) & (lnt < lsk[None, 1:])
-            # g(s*) = [a / (1 - u)] s*^{-u}
-            lg_min = np.where(valid, self.lnA - math.log1p(-u) - u * lnt, 0.0)
         n, m = lg_k.shape
         lg = np.empty_like(lg_k, shape=(n, 2 * m - 1))  # in the block's layout
         lg[:, 0::2] = lg_k
-        lg[:, 1::2] = np.where(valid, lg_min, lg_k[:, 1:])
+        with np.errstate(invalid="ignore", over="ignore"):
+            lnt = (math.log(u) - math.log1p(-u)) + self.lnA - self.lnB
+            valid = (lnt > self.ls[None, :-1]) & (lnt < self.ls[None, 1:])
+            # g(s*) = [a / (1 - u)] s*^{-u}
+            lg[:, 1::2] = np.where(valid, self.lnA - math.log1p(-u) - u * lnt, lg_k[:, 1:])
         if not with_s:
             return lg
         s = np.empty_like(lg)
@@ -328,15 +327,22 @@ def ai_constant(phi, delta: float, gamma: float = 1.0, domain_end: float | None 
 # the u-scan over a list of blocks
 
 def _blocks_ok(blocks, u, lncap_q):
-    """Whether the blocks' constant at scan point u is within the cap, with
-    the max log-ratio over all rows (base scale) and each block's row
-    maxima, on the full width and the exact candidate set."""
-    rmax = []
+    """One Newton evaluation at scan point u on the full width and the exact
+    candidate set: the blocks' max log-ratio C(u), the slope ln(t/s) of the
+    pair first attaining it exactly, and each block's rows above lncap_q
+    less 1e-12."""
+    cmax, top, keep = 0.0, None, []
     for blk in blocks:
         lg = blk.lg(u)
-        rmax.append((_runmax(lg) - lg).max(axis=1))
-    cmax = max([0.0] + [float(r.max()) for r in rmax])
-    return cmax <= lncap_q + 1e-15, cmax, rmax
+        rmax = (_runmax(lg) - lg).max(axis=1)
+        del lg  # before the next block's temporaries
+        row = int(np.argmax(rmax))
+        if top is None or rmax[row] > cmax:
+            cmax, top = float(rmax[row]), (blk, row)
+        keep.append(np.flatnonzero(rmax > lncap_q - 1e-12))
+    lg, s = top[0].rows(np.array([top[1]])).lg(u, with_s=True)
+    _, s, t = _sup_ratio(s[0], lg[0], 0.0)
+    return cmax, math.log(t / s), keep
 
 
 def _knee_fails(lnphi, ls, u, kappa, lncap_q, triv_tol) -> np.ndarray:
@@ -394,19 +400,22 @@ def _index_estimate(blocks, windows, beta, q, C_cap, resolution, name) -> IndexE
     shared by family_index and single_index.
 
     windows holds (gamma, [(ncols, kappa) per block]) for each window
-    fraction; the knee rule picks the best gamma, the cap scan runs on the
-    blocks' full width.  name(block, row) labels the witness curve.  Scans
-    run in the base variable u and report delta = q (u - beta).
+    fraction; the knee rule picks the best gamma, the cap threshold runs on
+    the blocks' full width.  name(block, row) labels the witness curve.
+    Scans run in the base variable u and report delta = q (u - beta).
     """
     lncap_q = math.log(C_cap) / q
     triv_tol = _TRIVIAL / q
     utol = 1e-4 / q
     order = list(range(len(blocks)))  # the knee probes' fail-first block order
+    mono = all(blk.monotone for blk in blocks)  # then every row passes at u = 0
 
     def knee_scan(win):
         live = [None] * len(blocks)  # per block, the rows a knee probe reads (None: all)
 
         def knee_ok(u):
+            if u == 0.0 and mono:
+                return True
             # later probes lie below a failing one: of each block it read,
             # only the rows failing there can fail again
             passed = []
@@ -431,33 +440,33 @@ def _index_estimate(blocks, windows, beta, q, C_cap, resolution, name) -> IndexE
     best = max(range(len(windows)), key=u_knee.__getitem__)  # the first best gamma
     u_hat, (gamma_star, win_star) = u_knee[best], windows[best]
 
-    def cap_value(u):
-        # the constant at u; beyond the float range it is reported as inf
+    # the cap threshold: Newton on C(u) from the failing u = 1 (see family_index)
+    live = [(blk, None) for blk in blocks]  # each block with the rows an evaluation reads
+    at = lambda u, live: _blocks_ok((blk.rows(i) for blk, i in live), u, lncap_q)
+    within = lambda c: c <= lncap_q and math.exp(q * c) <= C_cap
+    c = 0.0 if mono else at(0.0, live)[0]
+    u_cap, kept = 0.0, [(math.inf, live)]  # (u, the rows kept there) per failing u
+    if within(c):
+        u_cap, (c, slope, keep) = 1.0, at(1.0, live)
+        for _ in range(64):
+            if within(c):
+                break
+            live = [(blk, k if i is None else i[k]) for (blk, i), k in zip(live, keep) if k.size]
+            kept.append((u_cap, live))
+            step = (c - lncap_q) / slope if slope else 0.0
+            u_cap = max(0.0, min(u_cap - step, math.nextafter(u_cap, 0.0)))  # one float down at least
+            c, slope, keep = at(u_cap, live)
+        else:
+            raise FloatingPointError(f"cap threshold not reached in 64 Newton steps, at u = {u_cap!r}")
+    u_b = u_cap + 1e-3 / q  # past u = 1 the first piece (through the origin) makes C infinite
+    c_beyond = at(u_b, next(rows for v, rows in reversed(kept) if v >= u_b))[0] if u_b <= 1.0 else math.inf
+
+    def cap_value(c):
+        # beyond the float range the constant is reported as inf
         try:
-            return math.exp(q * _blocks_ok(blocks, u, lncap_q)[1])
+            return math.exp(q * c)
         except OverflowError:
             return math.inf
-
-    live = [(blk, None) for blk in blocks]  # each block with the rows a cap probe reads
-
-    def cap_ok(u):
-        # later probes lie below a failing one: only its rows above the cap
-        # less 1e-12 can fail there, sliced per probe so that no copy is kept
-        nonlocal live
-        ok, _, rmax = _blocks_ok((blk.rows(i) for blk, i in live), u, lncap_q)
-        if not ok:
-            keep = [np.flatnonzero(r > lncap_q - 1e-12) for r in rmax]
-            live = [(blk, k if i is None else i[k]) for (blk, i), k in zip(live, keep) if k.size]
-        return ok
-
-    u_cap = _scan_prefix(cap_ok, utol)
-    c_at = cap_value(u_cap)
-    if u_cap + 1e-3 / q <= 1.0:
-        c_beyond = cap_value(u_cap + 1e-3 / q)
-    else:
-        # past u = 1 the first piece (linear through the origin) makes the
-        # continuum constant infinite
-        c_beyond = math.inf
 
     wit = _witness(blocks, win_star, u_hat)
     return IndexEstimate(
@@ -468,8 +477,8 @@ def _index_estimate(blocks, windows, beta, q, C_cap, resolution, name) -> IndexE
         resolution=resolution,
         witness=("", 0.0, 0.0) if wit is None else (name(wit[0], wit[1]), wit[2], wit[3]),
         monotone=True,
-        cap_value_at=c_at,
-        cap_value_beyond=c_beyond,
+        cap_value_at=cap_value(c),
+        cap_value_beyond=cap_value(c_beyond),
     )
 
 
@@ -482,23 +491,22 @@ def family_index(
 ) -> IndexEstimate:
     """Index estimate for a cube-indexed curve family.
 
-    For each window fraction gamma, the largest admissible delta is found by
-    one bisection of [0, 1] in the scan variable to 1e-4 / q, and the best
-    gamma is reported.  delta_hat uses the knee rule described in the module
-    docstring on the breakpoint set.  delta_cap uses admissibility "family
-    constant <= C_cap" at gamma = 1 on the exact candidate set (breakpoints
-    plus interior ratio minima), and carries the bracketing certificate.
-    Both are returned in the delta units of the (beta, q) transform, where
-    exactness of the shift and power identities is by construction: the
-    scan runs in the base variable u = beta + delta/q.
+    delta_hat is the largest delta admissible by the knee rule (see the
+    module docstring) on the breakpoint set, found per window fraction gamma
+    by one bisection of [0, 1] in the scan variable to 1e-4 / q; the best
+    gamma is reported.  delta_cap is the largest delta with family constant
+    <= C_cap at gamma = 1 on the exact candidate set (breakpoints plus
+    interior ratio minima), to float resolution, with its certificate.  Both
+    are in the delta units of the (beta, q) transform, where the shift and
+    power identities are exact by construction: the scan runs in the base
+    variable u = beta + delta/q.
 
     Both admissible sets are prefixes of [0, 1], row by row:
 
-      * a row's log-constant at u on its breakpoints is the max over i <= j
-        of lg_i - lg_j = lnphi_i - lnphi_j + u (ln s_j - ln s_i), a max of
-        nondecreasing affine functions of u, so convex and nondecreasing.
-        The exact candidate set attains the continuum supremum, which is
-        therefore nondecreasing too: a cap failure persists at larger u;
+      * a row's log-constant C(u) is the sup over s <= t of
+        ln phi(s) - ln phi(t) + u ln(t/s), attained on the exact candidate
+        set: a sup of nondecreasing affine functions of u, so convex and
+        nondecreasing, and a cap failure persists at larger u;
       * the knee rule's least binding lever is the least slope among the
         lines attaining that max, its left derivative, which is
         nondecreasing; so is its reading within _TIE, as every shorter
@@ -506,20 +514,28 @@ def family_index(
         failing the knee rule (a constant beyond the cap, or a nontrivial
         one with that lever above kappa) fails at every larger u.
 
-    So each scan is one bisection (_scan_prefix), pruned without changing
-    any result:
+    The cap threshold is Newton's method on the family's C(u) from the
+    failing u = 1: ln(t/s) of a pair attaining C(u) is a subgradient, so the
+    step u - (C(u) - ln C_cap / q) / ln(t/s) never passes the largest root,
+    and lands on it where C is linear; below float resolution the iterate
+    moves one float down, until C <= ln C_cap / q and exp(q C) <= C_cap as
+    computed (exp(log(10)) > 10).  C(0) is checked first: no slope-0 pair
+    (an acks curve's downward jump) then attains C at a failing u.  Pruned
+    without changing any result:
 
-      * every probe after a failing one lies below it, so a probe reads,
-        of each block, only the rows that failed the last failing probe
+      * a knee probe after a failing one lies below it, so it reads, of
+        each block, only the rows that failed the last failing probe
         reading that block, or none if that block passed there;
       * a knee probe visits the blocks fail-first, in one order shared by
         every window, and stops at its first failing block: ok is an AND
         over blocks, and the blocks it skips keep their rows, a superset of
         those failing at it;
       * the gamma = 1 blocks serve every window as column prefixes and the
-        cap scan;
-      * cap probes after a failing one read only its rows above the cap
-        less 1e-12.
+        cap threshold;
+      * no scan probes u = 0 when every block is monotone;
+      * a cap evaluation reads the rows above ln C_cap / q less 1e-12 at the
+        one before, which hold the maximiser at every smaller u, as do those
+        of the smallest failing iterate above u + 1e-3 / q at the latter.
 
     The result is memoised on the weight grid, keyed by the kind and the
     parameters; each call returns its own copy.

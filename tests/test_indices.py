@@ -9,6 +9,7 @@ identity, witness determinism, and scaling invariance.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -274,13 +275,21 @@ def test_family_index_pow_half():
 
 
 def test_family_index_certificate():
-    for spec in ("step:2,1", "rand:61:lognormal:1"):
-        w = make_grid(1, 7, spec)
-        est = family_index(CurveFamily(w))
-        assert est.cap_value_at <= est.cap + 1e-12
-        if math.isfinite(est.cap_value_beyond):
-            assert est.cap_value_beyond > est.cap
-        assert est.delta_cap >= est.delta_hat - 1e-12
+    # the certificate holds as computed, with no slack on the cap, also
+    # where exp(log(cap)) > cap (cap 10 and 3)
+    for spec, cap in itertools.product(
+        ("step:2,1", "rand:61:lognormal:1", "pow:-0.5", "rand:62:lognormal:0.3", "rand:17:lognormal:0.5"), (16.0, 10.0, 3.0)
+    ):
+        w = make_grid(1, 8, spec)
+        K, P, pair = _curves(w)
+        ests = [family_index(CurveFamily(w), C_cap=cap), single_index(K, cap), single_index(P, cap)]
+        ests += [single_index(pair, cap), acks_index(w, C_cap=cap)]
+        for est in ests:
+            # at delta_cap = 0 the constant may exceed the cap from u = 0 on
+            assert est.cap_value_at <= est.cap or est.delta_cap == 0.0
+            if math.isfinite(est.cap_value_beyond):
+                assert est.cap_value_beyond > est.cap
+        assert ests[0].delta_cap >= ests[0].delta_hat - 1e-12
 
 
 def test_family_index_shift_identity():
@@ -444,6 +453,54 @@ def _ref_family_index(F, C_cap=16.0, gamma_grid=(1.0, 0.5, 0.25, 0.125)):
     )
 
 
+# The cap threshold is a Newton root to float resolution, where the frozen
+# and reference scans bisect to 1e-4 / q: every other field of an estimate
+# must equal theirs bit for bit, and the cap fields must meet the contract
+# below, with the bisection's u as the reference.
+
+
+def _cap_value(c, q):
+    try:
+        return math.exp(q * c)
+    except OverflowError:
+        return math.inf
+
+
+def _assert_cap_contract(est, blocks, beta, q, u_ref):
+    """est's cap fields, evaluated on every row of blocks through _blocks_ok:
+    C(u) <= ln cap / q < C(u + 1e-9) at the threshold u (C(0) > ln cap / q
+    at u = 0), the certificate values bit-equal to the constant at u and at
+    u + 1e-3 / q, and u within 1e-4 / q of u_ref and not below it when the
+    constant at u_ref is within the cap as computed (the bisection admitted
+    1e-15 beyond it)."""
+    lncap, cap = math.log(est.cap) / q, est.cap
+    u = beta + est.delta_cap / q
+    assert q * (u - beta) == est.delta_cap  # u recovered exactly
+    C = lambda v: indices._blocks_ok(iter(blocks), v, lncap)[0]
+    within = lambda c: c <= lncap and math.exp(q * c) <= cap
+    c = C(u)
+    assert est.cap_value_at == _cap_value(c, q)
+    assert within(c) or u == 0.0  # u = 0: C(0) may be beyond the cap
+    if within(c) and u + 1e-9 <= 1.0:
+        assert not within(C(u + 1e-9))
+    want = _cap_value(C(u + 1e-3 / q), q) if u + 1e-3 / q <= 1.0 else math.inf
+    assert est.cap_value_beyond == want
+    assert abs(u - u_ref) <= 1e-4 / q
+    if within(C(u_ref)):
+        assert u >= u_ref
+
+
+def _without_cap(est):
+    return dataclasses.replace(est, delta_cap=None, cap_value_at=None, cap_value_beyond=None)
+
+
+def _assert_cap_rebased(new, old, blocks, beta=0.0, q=1.0):
+    """new equals the frozen estimate old in every field but the cap
+    fields, which meet the contract with old's bisection u as reference."""
+    assert _without_cap(new) == _without_cap(old)
+    _assert_cap_contract(new, blocks, beta, q, beta + old.delta_cap / q)
+
+
 _SCAN_GRIDS = [(1, 12, s) for s in ("const:1", "step:2,1", "pow:-0.5", "pow:-0.95")]
 _SCAN_GRIDS += [(1, 10, f"rand:{i}:lognormal:{sg}") for i, sg in ((1, 1), (2, 0.5), (3, 2))]
 _SCAN_GRIDS += [(2, 5, s) for s in ("const:1", "step:4,1,1,1", "rand:4:lognormal:1", "rand:5:lognormal:2")]
@@ -453,17 +510,10 @@ _SCAN_GRIDS += [(2, 5, s) for s in ("const:1", "step:4,1,1,1", "rand:4:lognormal
 @pytest.mark.parametrize("d, L, spec", _SCAN_GRIDS)
 def test_family_index_equals_exhaustive_scan(d, L, spec, kind):
     w = make_grid(d, L, spec)
+    blocks = _family_blocks(w, kind, ())[1]
     for beta, q, cap, gammas in ((0.0, 1.0, 16.0, (1.0, 0.5, 0.25, 0.125)), (0.25, 2.0, 4.0, (0.5, 0.125))):
         F = CurveFamily(w, kind=kind, beta=beta, q=q)
-        assert family_index(F, C_cap=cap, gamma_grid=gammas) == _ref_family_index(F, cap, gammas)
-
-
-def test_cap_scan_is_a_binary_search(monkeypatch):
-    calls = []
-    real = indices._blocks_ok
-    monkeypatch.setattr(indices, "_blocks_ok", lambda *a, **k: calls.append(a[1]) or real(*a, **k))
-    family_index(CurveFamily(make_grid(1, 10, "rand:1:lognormal:1")))
-    assert 0 < len(calls) <= 20
+        _assert_cap_rebased(family_index(F, C_cap=cap, gamma_grid=gammas), _ref_family_index(F, cap, gammas), blocks, beta, q)
 
 
 def test_family_index_memoised_per_grid(monkeypatch):
@@ -490,7 +540,8 @@ def test_family_index_memoised_per_grid(monkeypatch):
 # cap probe reads every row.  They run on the same windows as family_index,
 # on a frozen row-major copy of the level blocks (before the blocks took a
 # column-major layout and the running maxima a column sweep), so every field
-# must agree bit for bit.
+# must agree bit for bit but the cap fields, which meet _assert_cap_contract
+# against the frozen bisection.
 
 
 class _FrozenBlock:
@@ -646,8 +697,9 @@ def _frozen_scan_prefix(ok_fn, tol):
 @pytest.mark.parametrize("tol", [1e-4, 1e-4 / 64])
 @pytest.mark.parametrize("c", [-0.5, 0.0, 0.005, 0.25, 0.3, 37 / 64, 0.6, 63 / 64, 0.999, 1.0])
 def test_scan_prefix_probes_equal_the_frozen_grid_search(c, tol):
-    # the cap scan's one bisection of [0, 1] probes the frozen binary search
-    # over the 1/64 grid and then its bisection, in the same order
+    # a knee scan's one bisection of [0, 1] probes the frozen binary search
+    # over the 1/64 grid and then its bisection, in the same order (tol is
+    # below 1/64 for q >= 1)
     new, old = [], []
     u = indices._scan_prefix(lambda u: new.append(u) or u <= c, tol)
     assert u == _frozen_scan_prefix(lambda u: old.append(u) or u <= c, tol)
@@ -695,12 +747,14 @@ _SETTINGS = ((0.0, 1.0, 16.0, (1.0, 0.5, 0.25, 0.125)), (0.25, 2.0, 4.0, (0.5, 0
 
 def _assert_equals_frozen_scan(w):
     for kind in ("k", "acks"):
+        blocks = _family_blocks(w, kind, ())[1]
         for beta, q, cap, gammas in _SETTINGS:
             F = CurveFamily(w, kind=kind, beta=beta, q=q)
             old = _frozen_family_index(F, cap, gammas)
-            assert family_index(F, C_cap=cap, gamma_grid=gammas) == old
+            new = family_index(F, C_cap=cap, gamma_grid=gammas)
+            _assert_cap_rebased(new, old, blocks, beta, q)
             if kind == "acks" and (beta, q) == (0.0, 1.0):
-                want = dataclasses.replace(old, lambda_hat=1.0 - old.delta_hat)
+                want = dataclasses.replace(new, lambda_hat=1.0 - old.delta_hat)
                 assert acks_index(w, C_cap=cap, gamma_grid=gammas) == want
 
 
@@ -755,8 +809,9 @@ def test_knee_admissibility_is_a_prefix_per_row(w, kind, setting):
 
 def _unpruned_family_index(F, C_cap, gamma_grid):
     """family_index with every probe reading every row of every block, in
-    level order: one plain bisection of [0, 1] per window for the knee rule
-    and one for the cap."""
+    level order: one plain bisection of [0, 1] per window for the knee rule,
+    and for the cap threshold Newton's method from u = 1, every evaluation
+    on every row."""
     w, q = F.w, F.q
     levels, blocks, windows = _family_blocks(w, F.kind, gamma_grid)
     lncap_q, triv_tol, utol = math.log(C_cap) / q, 1e-12 / q, 1e-4 / q
@@ -770,8 +825,15 @@ def _unpruned_family_index(F, C_cap, gamma_grid):
     u_knee = [indices._scan_prefix(lambda u: knee_ok(win, u), utol) for _, win in windows]
     best = int(np.argmax(u_knee))  # the first best gamma
     u_hat, (gamma, win) = u_knee[best], windows[best]
-    cap_value = lambda u: math.exp(q * indices._blocks_ok(blocks, u, lncap_q)[1])
-    u_cap = indices._scan_prefix(lambda u: indices._blocks_ok(blocks, u, lncap_q)[0], utol)
+    at = lambda u: indices._blocks_ok(iter(blocks), u, lncap_q)
+    within = lambda c: c <= lncap_q and math.exp(q * c) <= C_cap
+    u_cap, c = 0.0, at(0.0)[0]
+    if within(c):
+        u_cap, (c, slope, _) = 1.0, at(1.0)
+        while not within(c):
+            u_cap = max(0.0, min(u_cap - (c - lncap_q) / slope, math.nextafter(u_cap, 0.0)))
+            c, slope, _ = at(u_cap)
+    beyond = u_cap + 1e-3 / q
     wit = indices._witness(blocks, win, u_hat)
     return IndexEstimate(
         delta_hat=q * (u_hat - F.beta),
@@ -781,8 +843,8 @@ def _unpruned_family_index(F, C_cap, gamma_grid):
         resolution=w.L,
         witness=("", 0.0, 0.0) if wit is None else (_cube_at(w, levels[wit[0]], wit[1]).addr(), wit[2], wit[3]),
         monotone=True,
-        cap_value_at=cap_value(u_cap),
-        cap_value_beyond=cap_value(u_cap + 1e-3 / q) if u_cap + 1e-3 / q <= 1.0 else math.inf,
+        cap_value_at=_cap_value(c, q),
+        cap_value_beyond=_cap_value(at(beyond)[0], q) if beyond <= 1.0 else math.inf,
     )
 
 
@@ -795,7 +857,7 @@ def test_family_index_equals_unpruned_bisection(w, kind, setting):
 
 
 def _recorded_scans(monkeypatch):
-    """Record each scan's probes, as (u, ok) lists, one list per scan."""
+    """Record each knee scan's probes, as (u, ok) lists, one list per scan."""
     scans = []
     real = indices._scan_prefix
 
@@ -807,12 +869,28 @@ def _recorded_scans(monkeypatch):
     return scans
 
 
+def _recorded_cap_evaluations(monkeypatch):
+    """Record each cap evaluation as (u, C(u), slope, rows read)."""
+    evals = []
+    real = indices._blocks_ok
+
+    def evaluate(blocks, u, lncap_q):
+        blocks = list(blocks)
+        c, slope, keep = real(iter(blocks), u, lncap_q)
+        evals.append((u, c, slope, sum(b.lnphi.shape[0] for b in blocks)))
+        return c, slope, keep
+
+    monkeypatch.setattr(indices, "_blocks_ok", evaluate)
+    return evals
+
+
 @pytest.mark.parametrize("chunk", [2, 3, 7, 16, 65])
 @pytest.mark.parametrize("n", [1, 3])
 def test_scan_largest_result_does_not_depend_on_the_chunk(monkeypatch, chunk, n):
     # each row's knee verdict is its own: cutting every level block into
     # blocks of chunk rows changes no probe's verdict, so neither the
-    # probes of the n windows' bisections nor the largest admissible u
+    # probes of the n windows' bisections nor the largest admissible u;
+    # nor does it move any cap evaluation's u, constant or slope
     w = make_grid(1, 10, "rand:1:lognormal:1")
     for kind in ("k", "acks"):
         for beta, q, cap, gammas in _SETTINGS:
@@ -832,11 +910,12 @@ def test_scan_largest_result_does_not_depend_on_the_chunk(monkeypatch, chunk, n)
                 (cut, cut_windows, lambda b, row: (at[b][0], at[b][1] + row)),
             ):
                 scans = _recorded_scans(monkeypatch)
+                evals = _recorded_cap_evaluations(monkeypatch)
                 est = indices._index_estimate(blks, wins, beta, q, cap, w.L, name)
-                runs.append((est, scans))
+                runs.append((est, scans, [e[:3] for e in evals]))
                 monkeypatch.undo()
             assert runs[1] == runs[0]
-            assert len(runs[0][1]) == len(windows) + 1  # the knee scans and the cap scan
+            assert len(runs[0][1]) == len(windows) and runs[0][2]  # the knee scans; the cap evaluations
 
 
 # ---------------------------------------------------------------------------
@@ -911,8 +990,9 @@ def test_analyze_bytes_do_not_depend_on_the_block_layout(capsys, monkeypatch, d,
     assert built and all(built)
 
 
-# The knee probes visit 271 block-levels at L = 12 and 347 at L = 16;
-# in level order they would visit 163 and 192, but read more rows (below).
+# The knee probes visit 226 block-levels at L = 12 and 286 at L = 16 (271
+# and 347 with the u = 0 probes, which monotone blocks skip); in level order,
+# with those probes, they would visit 163 and 192, but read more rows (below).
 @pytest.mark.parametrize("L, bound", [(12, 400), (16, 475)])
 def test_knee_passes_visit_the_failing_level_first(monkeypatch, L, bound):
     visits = []  # per probe, the (block, failed) of each block it reads
@@ -946,8 +1026,10 @@ def test_knee_passes_visit_the_failing_level_first(monkeypatch, L, bound):
     assert probe == len(visits)
 
 
-# An unpruned bisection per window reads 103,426 rows at L = 12 and
-# 1,636,579 at L = 16; pruned but in level order, 39,485 and 618,630.
+# The knee probes read 21,673 rows at L = 12 and 345,955 at L = 16 (32,933
+# and 526,175 with the u = 0 probes, which monotone blocks skip).  With
+# those probes, an unpruned bisection per window reads 103,426 and
+# 1,636,579; pruned but in level order, 39,485 and 618,630.
 @pytest.mark.parametrize("L, bound", [(12, 36_000), (16, 560_000)])
 def test_knee_probes_read_only_the_rows_failing_before(monkeypatch, L, bound):
     rows = []
@@ -957,24 +1039,117 @@ def test_knee_probes_read_only_the_rows_failing_before(monkeypatch, L, bound):
     assert 0 < sum(rows) <= bound
 
 
-def test_cap_probes_read_only_the_rows_failing_before(monkeypatch):
-    w = make_grid(1, 12, "rand:1:lognormal:1")
-    rows = []
+# On the analyze-deep grids the cap threshold takes 2 to 5 evaluations, where
+# the bisection took 18 (u = 0 and 1, 14 midpoints, two certificates), and
+# after the evaluations on every row (u = 1, and u = 0 for a family that is
+# not monotone) reads 17, 116 and 208 rows in all at most.
+def test_cap_threshold_takes_at_most_six_evaluations(monkeypatch):
+    evals = _recorded_cap_evaluations(monkeypatch)
+    for d, L, spec in ((1, 14, "pow:-0.5"), (1, 16, "rand:1:lognormal:1"), (2, 8, "rand:2:lognormal:1")):
+        w = make_grid(d, L, spec)
+        for kind in ("k", "acks"):
+            full = sum(b.lnphi.shape[0] for b in _family_blocks(w, kind, ())[1])
+            evals.clear()
+            est = family_index(CurveFamily(w, kind=kind))
+            assert 2 <= len(evals) <= 6
+            # a monotone family (kind k) does not evaluate u = 0
+            assert (evals[0][0] == 0.0) == (kind == "acks")
+            if est.delta_cap == 0.0:  # C(0) beyond the cap: the certificate reads every row
+                assert [(u, n) for u, _, _, n in evals] == [(0.0, full), (1e-3, full)]
+                continue
+            assert [n for u, _, _, n in evals if n == full] == [full] * (1 + (kind == "acks"))
+            assert sum(n for _, _, _, n in evals if n < full) <= 250
+
+
+def test_monotone_blocks_skip_the_u0_probes(monkeypatch):
+    # K-curve rows are nondecreasing: no knee probe and no cap evaluation
+    # reads u = 0, and the estimate equals a run that probes it
+    w = make_grid(1, 10, "rand:3:lognormal:1")
+    us = []
+    real = indices._knee_fails
+    monkeypatch.setattr(indices, "_knee_fails", lambda lnphi, ls, u, *a: us.append(u) or real(lnphi, ls, u, *a))
+    evals = _recorded_cap_evaluations(monkeypatch)
+    F = CurveFamily(w)
+    skipped = family_index(F)
+    assert us and evals and 0.0 not in us + [e[0] for e in evals]
+
+    class Unchecked(_LevelBlock):
+        def __init__(self, *a):
+            super().__init__(*a)
+            self.monotone = False
+
+    monkeypatch.setattr(indices, "_LevelBlock", Unchecked)
+    w._indices.clear()
+    assert family_index(F) == skipped
+    assert 0.0 in us and evals[-1] != evals[0] and any(e[0] == 0.0 for e in evals)
+
+
+@pytest.mark.parametrize("L", [10, 12, 14])
+@pytest.mark.parametrize("a", [-0.5, -0.75])
+def test_cap_threshold_of_power_weights_is_the_closed_form(a, L):
+    # the base cube's K-curve binds between its first knot h = 2^-L and 1:
+    # C(u) = ln K(h) - ln K(1) + u L ln 2, so C(u) = ln 16 at 1 + a + 4 / L
+    import mpmath
+
+    w = make_grid(1, L, f"pow:{a}")
+    est = family_index(CurveFamily(w))
+    ulp = np.spacing(est.delta_cap)
+    # within 4 ulp of the root on the knots as stored (the bisection gave
+    # 0.8999633789 for 0.9) ...
+    blk = _LevelBlock.of_level(w, 0, "k")
+    with mpmath.workdps(40):
+        lnh, ln1, lsh, ls1 = (mpmath.mpf(float(x)) for x in (blk.lnphi[0, 0], blk.lnphi[0, -1], blk.ls[0], blk.ls[-1]))
+        root = (mpmath.log(16) - (lnh - ln1)) / (ls1 - lsh)
+        assert abs(est.delta_cap - root) <= 4 * ulp
+    # ... and, as K(1) = 2.0000000000000115 (a sum of 2^L cells) at L = 14
+    # moves that root 5.5 and 6.1 ulp, within 8 ulp of the closed form
+    assert abs(est.delta_cap - (1.0 + a + math.log2(16.0) / L)) <= 8 * ulp
+
+
+@given(random_grids(max_level_1d=10, max_level_2d=5), st.sampled_from(["k", "acks"]), st.sampled_from(_SETTINGS))
+@settings(max_examples=40)
+def test_cap_threshold_contract_random(w, kind, setting):
+    # C(u) <= cap < C(u + 1e-9) on every row, the certificate bit-equal to
+    # full-row evaluations, and u at least the frozen bisection's u and
+    # within 1e-4 / q of it
+    beta, q, cap, gammas = setting
+    F = CurveFamily(w, kind=kind, beta=beta, q=q)
+    new, old = family_index(F, C_cap=cap, gamma_grid=gammas), _frozen_family_index(F, cap, gammas)
+    _assert_cap_rebased(new, old, _family_blocks(w, kind, ())[1], beta, q)
+    assert new.delta_cap >= old.delta_cap
+
+
+def test_cap_value_beyond_reads_the_rows_kept_above_it():
+    # two rows on log-abscissae 0, 0.01, 1, 10 with ln 16 = L16: row A is
+    # max(L16 + 0.01 (u - 0.5), L16 + 5e-6 + (u - 0.5005)), row B is
+    # L16 + 10 (u - 0.50094).  Newton steps 1 -> 0.50094 (B's root) ->
+    # 0.500495 (A's steep root, where B is 4.45e-3 below L16 and dropped)
+    # -> 0.5; at 0.501 row B is the larger, so cap_value_beyond must read
+    # the rows kept at 0.50094, not at the last failing iterate
+    L16 = math.log(16.0)
+    pa = [0.0, -(L16 - 0.005), -(L16 + 5e-6 - 0.5005), 100.0]
+    pb = [0.0, -1.0, -1.0, -(L16 - 5.0094)]
+    blk = _LevelBlock(np.exp([0.0, 0.01, 1.0, 10.0]), np.array([pa, pb]), None, None)
+    est = indices._index_estimate([blk], [(1.0, [(4, 5.0)])], 0.0, 1.0, 16.0, 1, lambda b, row: "row")
+    assert abs(est.delta_cap - 0.5) <= 1e-12
+    full = indices._blocks_ok([blk], est.delta_cap + 1e-3, L16)[0]
+    assert est.cap_value_beyond == math.exp(full) and abs(full - (L16 + 6e-4)) <= 1e-9
+
+
+def test_cap_threshold_past_its_step_count_is_a_numerical_error(monkeypatch, capsys):
+    # a zero slope leaves only the one-float steps: the iteration stops
+    # after 64 of them with one error line, not a loop
     real = indices._blocks_ok
 
-    def counted(blocks, *a):
-        blocks = list(blocks)
-        rows.append(sum(b.lnphi.shape[0] for b in blocks))
-        return real(blocks, *a)
+    def flat(blocks, u, lncap_q):
+        c, _, keep = real(blocks, u, lncap_q)
+        return c, 0.0, keep
 
-    monkeypatch.setattr(indices, "_blocks_ok", counted)
-    family_index(CurveFamily(w))
-    full = w.ncells - 1  # the cubes of levels 0 .. L-1
-    # the probes at u = 0 and u = 1 and the two certificates read every row;
-    # the 14 probes between read 54 rows in all, not 14 * 4095
-    assert len(rows) == 18
-    assert rows[:2] == rows[-2:] == [full, full]
-    assert sum(rows[2:-2]) <= 100
+    monkeypatch.setattr(indices, "_blocks_ok", flat)
+    assert main(["analyze", "--weight", "pow:-0.5", "--level", "10", "--p", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("rhlab: numerical error: FloatingPointError: cap threshold not reached") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1223,10 +1398,11 @@ _CURVE_GRIDS += [(2, 4, "rand:4:lognormal:1")]
 def _assert_single_index_matches(w, C_cap, gamma):
     K, P, pair = _curves(w)
     for phi in (P, pair):
-        assert single_index(phi, C_cap, gamma) == _old_single_index(phi, C_cap, gamma)
+        blocks = [indices._curve_block(phi, gamma * indices._domain_end(phi))]
+        _assert_cap_rebased(single_index(phi, C_cap, gamma), _old_single_index(phi, C_cap, gamma), blocks)
     new, old = single_index(K, C_cap, gamma), _old_single_index(K, C_cap, gamma)
     assert (new.delta_hat, new.witness, new.monotone) == (old.delta_hat, old.witness, old.monotone)
-    assert abs(new.delta_cap - old.delta_cap) <= 1e-4
+    _assert_cap_contract(new, [indices._curve_block(K, gamma * K.domain_end)], 0.0, 1.0, old.delta_cap)
 
 
 @pytest.mark.parametrize("d, L, spec", _CURVE_GRIDS)
