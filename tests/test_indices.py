@@ -516,6 +516,16 @@ def test_family_index_equals_exhaustive_scan(d, L, spec, kind):
         _assert_cap_rebased(family_index(F, C_cap=cap, gamma_grid=gammas), _ref_family_index(F, cap, gammas), blocks, beta, q)
 
 
+def test_cap_scan_is_a_binary_search(monkeypatch):
+    # the cap threshold takes no more evaluations than the bisection of
+    # [0, 1] to 1e-4 it replaced (here one: C(1) is within the cap)
+    calls = []
+    real = indices._blocks_ok
+    monkeypatch.setattr(indices, "_blocks_ok", lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+    family_index(CurveFamily(make_grid(1, 10, "rand:1:lognormal:1")))
+    assert 0 < len(calls) <= 20
+
+
 def test_family_index_memoised_per_grid(monkeypatch):
     w = make_grid(1, 8, "rand:5:lognormal:1")
     first = acks_index(w)
@@ -1037,6 +1047,20 @@ def test_knee_probes_read_only_the_rows_failing_before(monkeypatch, L, bound):
     monkeypatch.setattr(indices, "_knee_fails", lambda lnphi, *a: rows.append(lnphi.shape[0]) or real(lnphi, *a))
     family_index(CurveFamily(make_grid(1, L, "rand:1:lognormal:1")))
     assert 0 < sum(rows) <= bound
+
+
+def test_cap_probes_read_only_the_rows_failing_before(monkeypatch):
+    w = make_grid(1, 12, "rand:1:lognormal:1")
+    evals = _recorded_cap_evaluations(monkeypatch)
+    family_index(CurveFamily(w))
+    full = w.ncells - 1  # the cubes of levels 0 .. L-1
+    # the evaluation at u = 1 reads every row (a K-curve family is monotone:
+    # no u = 0); the three after it, the last the certificate at u + 1e-3,
+    # read 20 rows in all, not 3 * 4095
+    rows = [n for _, _, _, n in evals]
+    assert evals[0][0] == 1.0 and rows[0] == full
+    assert 2 <= len(rows) <= 6
+    assert sum(rows[1:]) <= 100
 
 
 # On the analyze-deep grids the cap threshold takes 2 to 5 evaluations, where
