@@ -444,22 +444,33 @@ def _index_estimate(blocks, windows, beta, q, C_cap, resolution, name) -> IndexE
     live = [(blk, None) for blk in blocks]  # each block with the rows an evaluation reads
     at = lambda u, live: _blocks_ok((blk.rows(i) for blk, i in live), u, lncap_q)
     within = lambda c: c <= lncap_q and math.exp(q * c) <= C_cap
+    prune = lambda live, keep: [(blk, k if i is None else i[k]) for (blk, i), k in zip(live, keep) if k.size]
     c = 0.0 if mono else at(0.0, live)[0]
-    u_cap, kept = 0.0, [(math.inf, live)]  # (u, the rows kept there) per failing u
+    u_cap, beyond = 0.0, live  # beyond: the rows that hold the maximiser at u_cap + 1e-3 / q
     if within(c):
-        u_cap, (c, slope, keep) = 1.0, at(1.0, live)
-        for _ in range(64):
+        u_cap, d, (c, slope, keep) = 1.0, 0.0, at(1.0, live)
+        beyond = prune(live, keep)
+        for _ in range(128):
             if within(c):
                 break
-            live = [(blk, k if i is None else i[k]) for (blk, i), k in zip(live, keep) if k.size]
-            kept.append((u_cap, live))
-            step = (c - lncap_q) / slope if slope else 0.0
-            u_cap = max(0.0, min(u_cap - step, math.nextafter(u_cap, 0.0)))  # one float down at least
+            hi, live = u_cap, prune(live, keep)
+            u = u_cap - ((c - lncap_q) / slope if slope else 0.0)
+            ulp = u_cap - math.nextafter(u_cap, 0.0)
+            # a Newton step below one float doubles the last such decrement d instead
+            d = 0.0 if u < u_cap - ulp else 2.0 * d or ulp
+            u_cap = max(0.0, u_cap - d if d else u)
             c, slope, keep = at(u_cap, live)
         else:
-            raise FloatingPointError(f"cap threshold not reached in 64 Newton steps, at u = {u_cap!r}")
+            raise FloatingPointError(f"cap threshold not reached in 128 steps, at u = {u_cap!r}")
+        while d and math.nextafter(u_cap, 1.0) < hi:  # a doubling step passed: bisect up to hi
+            u = 0.5 * (u_cap + hi)
+            cu, _, keep = at(u, live)
+            if within(cu):
+                u_cap, c = u, cu
+            else:
+                hi, live = u, prune(live, keep)
     u_b = u_cap + 1e-3 / q  # past u = 1 the first piece (through the origin) makes C infinite
-    c_beyond = at(u_b, next(rows for v, rows in reversed(kept) if v >= u_b))[0] if u_b <= 1.0 else math.inf
+    c_beyond = at(u_b, beyond)[0] if u_b <= 1.0 else math.inf
 
     def cap_value(c):
         # beyond the float range the constant is reported as inf
@@ -517,11 +528,14 @@ def family_index(
     The cap threshold is Newton's method on the family's C(u) from the
     failing u = 1: ln(t/s) of a pair attaining C(u) is a subgradient, so the
     step u - (C(u) - ln C_cap / q) / ln(t/s) never passes the largest root,
-    and lands on it where C is linear; below float resolution the iterate
-    moves one float down, until C <= ln C_cap / q and exp(q C) <= C_cap as
-    computed (exp(log(10)) > 10).  C(0) is checked first: no slope-0 pair
-    (an acks curve's downward jump) then attains C at a failing u.  Pruned
-    without changing any result:
+    and lands on it where C is linear.  It ends at the first u with
+    C <= ln C_cap / q and exp(q C) <= C_cap as computed (exp(log(10)) > 10).
+    Where C is flat within rounding a step can be below one float; the
+    iterate then moves down by a decrement that doubles per such step, and
+    once one passes, bisects back up to the last failing iterate: about
+    2 log2 n evaluations for a flat stretch of n floats.  C(0) is checked
+    first: no slope-0 pair (an acks curve's downward jump) then attains C
+    at a failing u.  Pruned without changing any result:
 
       * a knee probe after a failing one lies below it, so it reads, of
         each block, only the rows that failed the last failing probe
@@ -534,8 +548,9 @@ def family_index(
         cap threshold;
       * no scan probes u = 0 when every block is monotone;
       * a cap evaluation reads the rows above ln C_cap / q less 1e-12 at the
-        one before, which hold the maximiser at every smaller u, as do those
-        of the smallest failing iterate above u + 1e-3 / q at the latter.
+        last failing iterate, which hold the maximiser at every smaller u;
+        those kept at u = 1 hold it at u_cap + 1e-3 / q, where C is at least
+        C(u_cap), within rounding of ln C_cap / q.
 
     The result is memoised on the weight grid, keyed by the kind and the
     parameters; each call returns its own copy.

@@ -280,12 +280,13 @@ def test_family_index_certificate():
     for spec, cap in itertools.product(
         ("step:2,1", "rand:61:lognormal:1", "pow:-0.5", "rand:62:lognormal:0.3", "rand:17:lognormal:0.5"), (16.0, 10.0, 3.0)
     ):
-        w = make_grid(1, 8, spec)
+        w = make_grid(1, 7, spec)
         K, P, pair = _curves(w)
         ests = [family_index(CurveFamily(w), C_cap=cap), single_index(K, cap), single_index(P, cap)]
         ests += [single_index(pair, cap), acks_index(w, C_cap=cap)]
         for est in ests:
-            # at delta_cap = 0 the constant may exceed the cap from u = 0 on
+            # delta_cap = 0 where the constant at u = 0 is beyond the cap
+            # already (acks jumps), and then the first bound cannot hold
             assert est.cap_value_at <= est.cap or est.delta_cap == 0.0
             if math.isfinite(est.cap_value_beyond):
                 assert est.cap_value_beyond > est.cap
@@ -820,8 +821,8 @@ def test_knee_admissibility_is_a_prefix_per_row(w, kind, setting):
 def _unpruned_family_index(F, C_cap, gamma_grid):
     """family_index with every probe reading every row of every block, in
     level order: one plain bisection of [0, 1] per window for the knee rule,
-    and for the cap threshold Newton's method from u = 1, every evaluation
-    on every row."""
+    and for the cap threshold Newton's method from u = 1 with its doubling
+    steps and bisection, every evaluation on every row."""
     w, q = F.w, F.q
     levels, blocks, windows = _family_blocks(w, F.kind, gamma_grid)
     lncap_q, triv_tol, utol = math.log(C_cap) / q, 1e-12 / q, 1e-4 / q
@@ -839,10 +840,18 @@ def _unpruned_family_index(F, C_cap, gamma_grid):
     within = lambda c: c <= lncap_q and math.exp(q * c) <= C_cap
     u_cap, c = 0.0, at(0.0)[0]
     if within(c):
-        u_cap, (c, slope, _) = 1.0, at(1.0)
+        u_cap, d, (c, slope, _) = 1.0, 0.0, at(1.0)
         while not within(c):
-            u_cap = max(0.0, min(u_cap - (c - lncap_q) / slope, math.nextafter(u_cap, 0.0)))
+            hi, u = u_cap, u_cap - ((c - lncap_q) / slope if slope else 0.0)
+            d = 0.0 if u < math.nextafter(u_cap, 0.0) else 2.0 * d or u_cap - math.nextafter(u_cap, 0.0)
+            u_cap = max(0.0, u_cap - d if d else u)
             c, slope, _ = at(u_cap)
+        while d and math.nextafter(u_cap, 1.0) < hi:
+            u = 0.5 * (u_cap + hi)
+            if within(cu := at(u)[0]):
+                u_cap, c = u, cu
+            else:
+                hi = u
     beyond = u_cap + 1e-3 / q
     wit = indices._witness(blocks, win, u_hat)
     return IndexEstimate(
@@ -1056,7 +1065,7 @@ def test_cap_probes_read_only_the_rows_failing_before(monkeypatch):
     full = w.ncells - 1  # the cubes of levels 0 .. L-1
     # the evaluation at u = 1 reads every row (a K-curve family is monotone:
     # no u = 0); the three after it, the last the certificate at u + 1e-3,
-    # read 20 rows in all, not 3 * 4095
+    # read 25 rows in all, not 3 * 4095
     rows = [n for _, _, _, n in evals]
     assert evals[0][0] == 1.0 and rows[0] == full
     assert 2 <= len(rows) <= 6
@@ -1066,7 +1075,8 @@ def test_cap_probes_read_only_the_rows_failing_before(monkeypatch):
 # On the analyze-deep grids the cap threshold takes 2 to 5 evaluations, where
 # the bisection took 18 (u = 0 and 1, 14 midpoints, two certificates), and
 # after the evaluations on every row (u = 1, and u = 0 for a family that is
-# not monotone) reads 17, 116 and 208 rows in all at most.
+# not monotone) reads 17, 379 and 223 rows in all at most; the certificate
+# at u + 1e-3 reads the rows kept at u = 1 (173 of them on rand L=16).
 def test_cap_threshold_takes_at_most_six_evaluations(monkeypatch):
     evals = _recorded_cap_evaluations(monkeypatch)
     for d, L, spec in ((1, 14, "pow:-0.5"), (1, 16, "rand:1:lognormal:1"), (2, 8, "rand:2:lognormal:1")):
@@ -1082,7 +1092,7 @@ def test_cap_threshold_takes_at_most_six_evaluations(monkeypatch):
                 assert [(u, n) for u, _, _, n in evals] == [(0.0, full), (1e-3, full)]
                 continue
             assert [n for u, _, _, n in evals if n == full] == [full] * (1 + (kind == "acks"))
-            assert sum(n for _, _, _, n in evals if n < full) <= 250
+            assert sum(n for _, _, _, n in evals if n < full) <= 400
 
 
 def test_monotone_blocks_skip_the_u0_probes(monkeypatch):
@@ -1149,7 +1159,7 @@ def test_cap_value_beyond_reads_the_rows_kept_above_it():
     # L16 + 10 (u - 0.50094).  Newton steps 1 -> 0.50094 (B's root) ->
     # 0.500495 (A's steep root, where B is 4.45e-3 below L16 and dropped)
     # -> 0.5; at 0.501 row B is the larger, so cap_value_beyond must read
-    # the rows kept at 0.50094, not at the last failing iterate
+    # the rows kept at u = 1, not those kept at the last failing iterate
     L16 = math.log(16.0)
     pa = [0.0, -(L16 - 0.005), -(L16 + 5e-6 - 0.5005), 100.0]
     pb = [0.0, -1.0, -1.0, -(L16 - 5.0094)]
@@ -1160,16 +1170,54 @@ def test_cap_value_beyond_reads_the_rows_kept_above_it():
     assert est.cap_value_beyond == math.exp(full) and abs(full - (L16 + 6e-4)) <= 1e-9
 
 
+def test_cap_threshold_where_c_is_flat_within_rounding_at_cap_10(monkeypatch):
+    # one row with C(u) = A + 7 u, A = ln 10 - 7e-3 + 2.3e-16: Newton from
+    # u = 1 lands near 1e-3 on a C one ulp above ln 10, and C keeps that
+    # value for 293 floats below, each step of Newton less than one float;
+    # doubling steps and a bisection back end on the largest float within
+    # the cap as computed, where 64 one-float steps raised an error
+    L10 = math.log(10.0)
+    blk = _LevelBlock(np.exp([0.0, 7.0]), np.array([[2.2955850929940462, 0.0]]), None, None)
+    evals = _recorded_cap_evaluations(monkeypatch)
+    est = indices._index_estimate([blk], [(1.0, [(2, 3.5)])], 0.0, 1.0, 10.0, 1, lambda b, row: "row")
+    assert 2 < len(evals) <= 30
+    monkeypatch.undo()
+    C = lambda u: indices._blocks_ok([blk], u, L10)[0]
+    within = lambda c: c <= L10 and math.exp(c) <= 10.0
+    u = est.delta_cap
+    assert abs(u - 1e-3) <= 1e-15
+    assert within(C(u)) and not within(C(math.nextafter(u, 1.0)))
+    assert est.cap_value_at == math.exp(C(u)) <= 10.0 and est.cap_value_beyond == math.exp(C(u + 1e-3))
+
+
+def test_cap_threshold_on_a_grid_scaled_by_1e200(monkeypatch):
+    # log-values near 460 round C to multiples of 2^-44; at a cap whose log
+    # lies one ulp below such a multiple, C stays one ulp above it over
+    # some hundred floats (64 one-float steps raised an error there)
+    cap = 16.00000000000011
+    assert 0 < 2.0**-44 - math.log(cap) % 2.0**-44 <= 2.0**-51
+    w0 = make_grid(1, 9, "pow:-0.75")
+    w = WeightGrid(1, 9, np.asarray(w0.cells) * 1e200)
+    F = CurveFamily(w, kind="acks")
+    evals = _recorded_cap_evaluations(monkeypatch)
+    est = family_index(F, C_cap=cap)
+    assert len(evals) <= 30
+    monkeypatch.undo()
+    _assert_cap_rebased(est, _frozen_family_index(F, cap), _family_blocks(w, "acks", ())[1])
+    assert abs(est.delta_cap - family_index(CurveFamily(w0, kind="acks"), C_cap=cap).delta_cap) <= 1e-15
+
+
 def test_cap_threshold_past_its_step_count_is_a_numerical_error(monkeypatch, capsys):
-    # a zero slope leaves only the one-float steps: the iteration stops
-    # after 64 of them with one error line, not a loop
+    # a constant reported beyond the cap at every u (u = 0 included, which
+    # no family has) leaves the iteration at u = 0: it stops after 128
+    # steps with one error line, not a loop
     real = indices._blocks_ok
 
-    def flat(blocks, u, lncap_q):
-        c, _, keep = real(blocks, u, lncap_q)
-        return c, 0.0, keep
+    def beyond(blocks, u, lncap_q):
+        _, slope, keep = real(blocks, u, -math.inf)  # keeping every row
+        return lncap_q + 1.0, slope, keep
 
-    monkeypatch.setattr(indices, "_blocks_ok", flat)
+    monkeypatch.setattr(indices, "_blocks_ok", beyond)
     assert main(["analyze", "--weight", "pow:-0.5", "--level", "10", "--p", "2"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
