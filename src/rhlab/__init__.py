@@ -4,8 +4,8 @@ The package computes, for weights discretized on dyadic grids over the unit
 cube in dimension 1 or 2:
 
 * decreasing rearrangements and dyadic maximal functions (`rearrange`),
-* K-functional curves for the couples (L1, Linf) and (Lp, Linf), Holmstedt
-  composites, Lorentz and L log L norms, the extrapolation-space norm, and
+* K-functional curves for the couple (L1, Linf), Holmstedt composites,
+  Lorentz and L log L norms, the extrapolation-space norm, and
   weighted-pair K-functional estimates via packings, each an int64 array
   of level-table rows (`kcalc`),
 * almost-increasing indices of curve families with bracketing certificates
@@ -45,19 +45,14 @@ from .kcalc import (
     ConcaveCurve,
     CurveFamily,
     HolmstedtCurve,
-    LpKCurve,
     PackedFunction,
     PackingFamily,
-    StepProductCurve,
     WeightedKEstimate,
     extrapolation_norm,
     grid_power,
     k_l1_linf,
-    k_lorentz_linf,
-    k_lp_linf,
     k_weighted,
     k_weighted_curve,
-    llogl_integral_forms,
     llogl_norm,
     lorentz_norm,
     packing_average,
@@ -65,14 +60,10 @@ from .kcalc import (
     power_piece_integral,
 )
 from .indices import (
-    AiConstant,
     IndexEstimate,
     acks_index,
-    ai_constant,
     family_index,
     hardy_residual,
-    samko_alpha,
-    single_index,
 )
 from .weights import (
     ClassConstant,
@@ -105,7 +96,6 @@ from .weights import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AiConstant",
     "ClassConstant",
     "ConcaveCurve",
     "CurveFamily",
@@ -114,10 +104,8 @@ __all__ = [
     "GehringResult",
     "HolmstedtCurve",
     "IndexEstimate",
-    "LpKCurve",
     "PackedFunction",
     "PackingFamily",
-    "StepProductCurve",
     "TheoremReport",
     "WeightFormatError",
     "WeightGrid",
@@ -125,7 +113,6 @@ __all__ = [
     "WeightedKEstimate",
     "a_p_constant",
     "acks_index",
-    "ai_constant",
     "analyze_report",
     "base_cube",
     "double_star",
@@ -140,13 +127,10 @@ __all__ = [
     "integrate",
     "iterated_maximal",
     "k_l1_linf",
-    "k_lorentz_linf",
-    "k_lp_linf",
     "k_weighted",
     "k_weighted_curve",
     "kside_rh_constant",
     "level_cubes",
-    "llogl_integral_forms",
     "llogl_norm",
     "load_weight",
     "lorentz_norm",
@@ -160,9 +144,7 @@ __all__ = [
     "rh_lorentz_constant",
     "rh_p_constant",
     "rh_p_weighted_constant",
-    "samko_alpha",
     "save_weight",
-    "single_index",
     "standard_corpus",
     "verify_acks",
     "verify_extrapolation_bound",

@@ -39,8 +39,7 @@ lever arm log(t/s).  Both readings are reported:
 The delta axis is scanned in a base variable u in [0, 1] common to all
 (beta, q) transforms of a family, since (s^-beta phi)^q s^-delta equals
 (phi(s) s^-u)^q with u = beta + delta/q: shift and power identities on
-reported indices are then exact by construction.  A single curve is a
-one-row block of the same engine (single_index, ai_constant).
+reported indices are then exact by construction.
 
 The reverse-Hardy residual sup_t (integral_0^t phi(s) ds/s) / phi(t) of a
 concave piecewise-linear curve is exact, closed form via Wright omega: on
@@ -59,23 +58,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import WeightGrid, _cube_at
-from .kcalc import ConcaveCurve, CurveFamily, StepProductCurve, _level_pieces
+from .kcalc import ConcaveCurve, CurveFamily, _level_pieces
 
 _TIE = 1e-9
 _TRIVIAL = 1e-12
 _SWEEP_ROWS = 256  # measured: below it one accumulate beats a column sweep
-
-
-@dataclass
-class AiConstant:
-    """An almost-increase constant with the pair achieving it."""
-
-    value: float
-    s: float
-    t: float
-
-    def __float__(self) -> float:
-        return self.value
 
 
 @dataclass
@@ -87,9 +74,7 @@ class IndexEstimate:
     cap_value_beyond as computed (cap_value_beyond is inf past the delta
     ceiling, where the continuum constant is genuinely unbounded; either is
     inf beyond the float range).  witness is the lexicographically first
-    (cube address, s, t) achieving the constant at delta_hat.  monotone is
-    always true: knee and cap admissibility are prefixes of the scan by
-    proof (see family_index); reports keep the key.
+    (cube address, s, t) achieving the constant at delta_hat.
     """
 
     delta_hat: float
@@ -98,7 +83,6 @@ class IndexEstimate:
     gamma: float
     resolution: int
     witness: tuple[str, float, float]
-    monotone: bool
     cap_value_at: float
     cap_value_beyond: float
     lambda_hat: float | None = None
@@ -170,14 +154,13 @@ class _LevelBlock:
     operations (elementwise arithmetic, max, min) may read the blocks, so
     the layout moves no bit; a row sum or mean would round differently.
 
-    of_level builds the block of all cubes of one level on the full window,
-    _curve_block the one-row block of a single curve.  For kind "acks" the
-    level columns alternate the left and right values of t (w chi_Q)*(t) at
-    each plateau knot.  The right value at a window's end lies outside the
-    window and is left out.  Putting the left value there again would change
-    nothing: a column repeating its left neighbour at the same abscissa has
-    the same ratio r and the same lever, and the first maximum of r never
-    falls on it.
+    of_level builds the block of all cubes of one level on the full window.
+    For kind "acks" the level columns alternate the left and right values of
+    t (w chi_Q)*(t) at each plateau knot.  The right value at a window's end
+    lies outside the window and is left out.  Putting the left value there
+    again would change nothing: a column repeating its left neighbour at the
+    same abscissa has the same ratio r and the same lever, and the first
+    maximum of r never falls on it.
     """
 
     def __init__(self, s: np.ndarray, lnphi: np.ndarray, A: np.ndarray | None, B: np.ndarray | None):
@@ -260,69 +243,6 @@ def _level_window(w: WeightGrid, level: int, kind: str, gamma: float) -> tuple[i
     return ncols, 0.5 * math.log(gamma * 2.0 ** (-w.d * level) / w.cell_measure)
 
 
-def _curve_block(phi, end: float) -> _LevelBlock:
-    """The one-row block of a single curve's candidates on (0, end]: the
-    knots of a ConcaveCurve with its pieces and the window end, the two-sided
-    jump values of a StepProductCurve, or the samples of a (t, values) pair."""
-    A = B = None
-    if isinstance(phi, ConcaveCurve):
-        # a window ending inside the first piece keeps its end alone: the
-        # curve is linear through the origin there
-        inside = (phi.t > 0) & (phi.t <= end)
-        s, v = phi.t[inside], phi.v[inside]
-        if s.size == 0 or s[-1] < end:
-            s, v = np.append(s, end), np.append(v, phi.value(end))
-        A, B, _, _ = phi.pieces()
-        A, B = A[None, 1 : s.size], B[None, 1 : s.size]
-    elif isinstance(phi, StepProductCurve):
-        s, v = phi.two_sided(end)
-    else:
-        t, v = (np.asarray(x, dtype=np.float64) for x in phi)
-        keep = (t > 0) & (t <= end)
-        s, v = t[keep], v[keep]
-        if s.size == 0:
-            raise ValueError("window ends below the first sample")
-    if np.any(v <= 0):
-        raise ValueError("curve must be positive on the window")
-    return _LevelBlock(s, np.log(v)[None, :], A, B)
-
-
-def _domain_end(phi) -> float:
-    if isinstance(phi, (ConcaveCurve, StepProductCurve)):
-        return phi.domain_end
-    return float(np.asarray(phi[0], dtype=np.float64)[-1])
-
-
-def ai_constant(phi, delta: float, gamma: float = 1.0, domain_end: float | None = None) -> AiConstant:
-    """Smallest almost-increase constant of phi on (0, gamma * domain_end].
-
-    phi may be a ConcaveCurve, a StepProductCurve, a (t, values) pair of
-    sample arrays (the constant is then taken over the sample set), or a
-    callable (sampled into such a pair on a 4097-point geometric grid;
-    domain_end required).
-    The piecewise-linear forms are exact: the supremum is attained on
-    breakpoints, two-sided values at jumps, and per-piece interior minima of
-    the ratio (the curve's one-row block at u = delta).  Curves linear
-    through the origin have an unbounded constant for delta > 1, reported as
-    inf.
-    """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]")
-    if callable(phi):
-        if domain_end is None:
-            raise ValueError("domain_end required for callable curves")
-        s = np.geomspace(gamma * domain_end * 1e-9, gamma * domain_end, 4097)
-        phi = (s, [phi(x) for x in s])
-    end = gamma * (_domain_end(phi) if domain_end is None else domain_end)
-    if delta > 1.0 and isinstance(phi, (ConcaveCurve, StepProductCurve)):
-        return AiConstant(math.inf, 0.0, end)
-    lg, s = _curve_block(phi, end).lg(delta, with_s=True)
-    rlog, sw, tw = _sup_ratio(s[0], lg[0])
-    return AiConstant(math.exp(rlog), sw, tw)
-
-
 # ---------------------------------------------------------------------------
 # the u-scan over a list of blocks
 
@@ -396,8 +316,7 @@ def _witness(blocks, window, u):
 
 
 def _index_estimate(blocks, windows, beta, q, C_cap, resolution, name) -> IndexEstimate:
-    """The knee, cap, certificate and witness scans over a list of blocks,
-    shared by family_index and single_index.
+    """The knee, cap, certificate and witness scans over a list of blocks.
 
     windows holds (gamma, [(ncols, kappa) per block]) for each window
     fraction; the knee rule picks the best gamma, the cap threshold runs on
@@ -487,7 +406,6 @@ def _index_estimate(blocks, windows, beta, q, C_cap, resolution, name) -> IndexE
         gamma=gamma_star,
         resolution=resolution,
         witness=("", 0.0, 0.0) if wit is None else (name(wit[0], wit[1]), wit[2], wit[3]),
-        monotone=True,
         cap_value_at=cap_value(c),
         cap_value_beyond=cap_value(c_beyond),
     )
@@ -584,71 +502,6 @@ def _family_estimate(w, kind, beta, q, C_cap, gamma_grid) -> IndexEstimate:
         raise ValueError("no gamma in the grid leaves any cube a candidate window")
     name = lambda b, row: _cube_at(w, levels[b], row).addr()
     return _index_estimate(blocks, windows, beta, q, C_cap, w.L, name)
-
-
-def single_index(phi, C_cap: float = 16.0, gamma: float = 1.0) -> IndexEstimate:
-    """Index of one curve: the one-member family estimate with fixed gamma.
-
-    phi may be a ConcaveCurve, a StepProductCurve, or a (t, values) sample
-    pair.  The curve's candidates on the window form a one-row block, which
-    runs through the same scans as family_index: the knee rule on its
-    breakpoints, the cap threshold on its exact candidate set (interior
-    ratio minima included for concave curves); resolution is the dyadic
-    count log2(window / first knot).
-    """
-    if not C_cap > 1.0:
-        raise ValueError("C_cap must exceed 1")
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]")
-    T = _domain_end(phi)
-    blk = _curve_block(phi, gamma * T)
-    h = float(blk.svals[0])
-    windows = [(gamma, [(blk.lnphi.shape[1], 0.5 * math.log(gamma * T / h))])]
-    resolution = int(round(math.log2(max(gamma * T / h, 1.0))))
-    return _index_estimate([blk], windows, 0.0, 1.0, C_cap, resolution, lambda b, row: "curve")
-
-
-def samko_alpha(phi, h_grid=None, x_grid=(2.0, 4.0, 8.0, 16.0)) -> float:
-    """Dilation-index estimate sup_x log(min_h phi(x h) / phi(h)) / log x.
-
-    The lim inf over h -> 0 of the dilation ratio is replaced by a minimum
-    over a decade-spaced h grid floored at four knot spacings (below the
-    floor the curve is an artifact of its discretization); the sup over
-    dilation factors runs over x_grid.  A ConcaveCurve is its knot pairs
-    (t, v), interpolated like sampled pairs; a StepProductCurve keeps its
-    own evaluator, with knots at 0 and its breaks.
-    """
-    if isinstance(phi, StepProductCurve):
-        t = np.concatenate(([0.0], phi.breaks))
-        ev = phi.value
-    else:
-        pairs = (phi.t, phi.v) if isinstance(phi, ConcaveCurve) else phi
-        t, v = (np.asarray(a, dtype=np.float64) for a in pairs)
-        ev = lambda s: np.interp(s, t, v)
-    T = float(t[-1])
-    # sampled pairs are undefined below their first abscissa
-    floor = max(4.0 * float(np.min(np.diff(t))), float(t[0]))
-    if any(x <= 1.0 for x in x_grid):
-        raise ValueError("dilation factors must exceed 1")
-    if h_grid is None:
-        h_grid = []
-        hcur = T
-        while hcur >= floor:
-            h_grid.append(hcur)
-            hcur /= 10.0
-        h_grid = h_grid[1:]  # h = T leaves no room for any x h <= T
-    h = np.asarray(h_grid, dtype=np.float64)
-    best = None
-    for x in x_grid:
-        hx = h[x * h <= T]
-        if hx.size == 0:
-            continue
-        with np.errstate(divide="raise", invalid="raise"):  # a zero phi(h) fails loudly
-            cand = math.log(float(np.min(ev(x * hx) / ev(hx)))) / math.log(x)
-        best = cand if best is None else max(best, cand)
-    if best is None:
-        raise ValueError("domain too small for any (x, h) pair")
-    return best
 
 
 def acks_index(

@@ -9,8 +9,6 @@ its breakpoints sit at the cumulative plateau measures of the rearrangement
 and its slopes are the plateau values.  Everything here is built on that
 exact representation:
 
-  * (Lp, Linf): G(t) = (integral_0^t (w*)^p)^{1/p}, stored via the exact
-    piecewise-linear curve of G^p;
   * composite curves H(t) = (integral_0^{t^{1/(1-theta)}} [s^{-theta} K(s)]^q
     ds/s)^{1/q}, integrated piece by piece;
   * one piece-integral kernel for all of these (level_piece_integrals):
@@ -54,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import DyadicCube, WeightGrid, integrate, morton_index
-from .rearrange import DecreasingStep, rearrangement
+from .rearrange import rearrangement
 
 _GL40 = np.polynomial.legendre.leggauss(40)
 
@@ -116,68 +114,6 @@ class ConcaveCurve:
         B = self.slopes
         A = self.v[:-1] - B * s0
         return A, B, s0, s1
-
-
-@dataclass
-class LpKCurve:
-    """G(t) = (integral_0^t (w*)^p)^{1/p}; gp holds the exact curve of G^p."""
-
-    gp: ConcaveCurve
-    p: float
-
-    @property
-    def domain_end(self) -> float:
-        return self.gp.domain_end
-
-    def value(self, t):
-        return self.gp.value(t) ** (1.0 / self.p)
-
-
-class StepProductCurve:
-    """t * r*(t) for a rearrangement step r: piecewise linear through the
-    origin on each plateau, with downward jumps at the plateau boundaries.
-
-    Left and right values at each breakpoint are both exposed, since the
-    almost-increase ratio must see the two-sided envelope.
-    """
-
-    def __init__(self, r: DecreasingStep):
-        self.breaks = r.breaks
-        self.values = r.values
-
-    @property
-    def domain_end(self) -> float:
-        return float(self.breaks[-1])
-
-    def value(self, t):
-        return np.asarray(t) * np.asarray(
-            StepProductCurve._step(self.breaks, self.values, t)
-        )
-
-    @staticmethod
-    def _step(breaks, values, t):
-        idx = np.searchsorted(breaks, np.asarray(t, dtype=np.float64), side="left")
-        idx = np.minimum(idx, values.size - 1)
-        return values[idx]
-
-    def two_sided(self, gamma_end: float):
-        """Candidate points (s, phi(s)) with both one-sided values at jumps,
-        restricted to (0, gamma_end]."""
-        bs = self.breaks
-        vs = self.values
-        inner = bs < gamma_end
-        n_in = int(inner.sum())
-        # left value v_k at tau_k, right value v_{k+1} just past it
-        s = np.repeat(bs[inner], 2)
-        val = np.empty_like(s)
-        val[0::2] = bs[inner] * vs[:n_in]
-        kright = np.minimum(np.arange(n_in) + 1, vs.size - 1)
-        val[1::2] = bs[inner] * vs[kright]
-        # endpoint of the window, left-continuous
-        end_val = gamma_end * StepProductCurve._step(bs, vs, gamma_end)
-        s = np.concatenate([s, [gamma_end]])
-        val = np.concatenate([val, [end_val]])
-        return s, val
 
 
 @dataclass
@@ -461,15 +397,6 @@ def k_l1_linf(w: WeightGrid, Q: DyadicCube) -> ConcaveCurve:
     return ConcaveCurve.from_plateaus(r.values, r.measures)
 
 
-def k_lp_linf(w: WeightGrid, Q: DyadicCube, p: float) -> LpKCurve:
-    """G(t) = (integral_0^t ((w chi_Q)*)^p)^{1/p}; exact curve of G^p."""
-    if not p >= 1.0:
-        raise ValueError("p must be at least 1")
-    r = rearrangement(w, Q)
-    gp = ConcaveCurve.from_plateaus(r.values ** p, r.measures)
-    return LpKCurve(gp, p)
-
-
 class HolmstedtCurve:
     """H(t) = (integral_0^{t^{1/(1-theta)}} [s^{-theta} K(s)]^q ds/s)^{1/q}.
 
@@ -541,24 +468,6 @@ def lorentz_norm(w: WeightGrid, Q: DyadicCube, p: float, q: float) -> float:
     return (head + tail) ** (1.0 / q)
 
 
-def k_lorentz_linf(w: WeightGrid, Q: DyadicCube, p: float, q: float, t: float) -> float:
-    """(integral_0^{t^p} [w*(s) s^{1/p}]^q ds/s)^{1/q}, exact per plateau."""
-    if not p > 1.0:
-        raise ValueError("p must exceed 1")
-    if not q >= 1.0:
-        raise ValueError("q must be at least 1")
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    r = rearrangement(w, Q)
-    T = min(t ** p, r.total_measure)  # w* vanishes past the cube measure
-    lo = np.concatenate(([0.0], r.breaks[:-1]))
-    hi = np.minimum(r.breaks, T)
-    active = lo < T
-    e = q / p
-    total = float(np.sum(r.values[active] ** q * (hi[active] ** e - lo[active] ** e) / e))
-    return total ** (1.0 / q)
-
-
 # ---------------------------------------------------------------------------
 # L log L
 
@@ -608,30 +517,6 @@ def llogl_norm_rows(cells: np.ndarray) -> np.ndarray:
 def llogl_norm(w: WeightGrid, Q: DyadicCube) -> float:
     """Luxemburg norm inf{r > 0 : (1/|Q|) int_Q (w/r) log(e + w/r) <= 1}."""
     return float(llogl_norm_rows(w.cube_cells(Q)[None, :])[0])
-
-
-def llogl_integral_forms(w: WeightGrid, Q: DyadicCube) -> tuple[float, float]:
-    """Two integral quantities comparable to the Luxemburg norm.
-
-    A = (1/|Q|) int_Q |f| log(e + |f| / avg_Q |f|),
-    B = (1/|Q|) int_0^{|Q|} f*(s) log(e + |Q|/s) ds,
-    both exact (cell sums; per-plateau closed-form antiderivative).
-    """
-    cells = w.cube_cells(Q)
-    a1 = float(cells.mean())
-    A = float(np.mean(cells * np.log(np.e + cells / a1)))
-    r = rearrangement(w, Q)
-    T = r.total_measure
-
-    def F(s: np.ndarray) -> np.ndarray:
-        # antiderivative of log(e + T/s); s log(e+T/s) -> 0 as s -> 0
-        s = np.asarray(s, dtype=np.float64)
-        out = np.where(s > 0, s * np.log(np.e + T / np.where(s > 0, s, 1.0)), 0.0)
-        return out + (T / np.e) * np.log(np.e * s + T)
-
-    lo = np.concatenate(([0.0], r.breaks[:-1]))
-    B = float(np.sum(r.values * (F(r.breaks) - F(lo))) / T)
-    return A, B
 
 
 # ---------------------------------------------------------------------------

@@ -683,7 +683,7 @@ def index_to_dict(est: IndexEstimate) -> dict:
         "cap": float(est.cap),
         "gamma": float(est.gamma),
         "witness": [str(cube), float(s), float(t)],
-        "monotone": bool(est.monotone),
+        "monotone": True,  # admissibility is a prefix of the scan by proof (see family_index)
         "L": int(est.resolution),
     }
     if est.lambda_hat is not None:

@@ -1,11 +1,11 @@
 """Almost-increase constants and index estimators.
 
-The analytic oracles: a power curve s^delta has index exactly delta; the
-constant-weight K-curve has family index 1 with constant 1; s(2-s) on (0,1)
-with a half window has almost-increase constant 4/3 at delta 1; the reverse
-Hardy residual of s^(1/2) is 2. Estimator metadata is pinned down too: the
-bracketing certificate around the cap threshold, the exact beta/q shift
-identity, witness determinism, and scaling invariance.
+The analytic oracles: the constant-weight K-curve has family index 1 with
+constant 1; the K-curve of step:2,1 has its ratio's supremum at an interior
+minimum in closed form; the cap threshold of pow:a is 1 + a + 4/L; the
+reverse Hardy residual of s^(1/2) is 2. Estimator metadata is pinned down
+too: the bracketing certificate around the cap threshold, the exact beta/q
+shift identity, witness determinism, and scaling invariance.
 """
 
 import dataclasses
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flat_grids, localized_grids, random_grids
+from conftest import random_grids
 from rhlab import indices
 from rhlab.cli import main
 from rhlab.grid import WeightGrid, _cube_at, level_cubes, make_grid
@@ -25,233 +25,25 @@ from rhlab.indices import (
     IndexEstimate,
     _LevelBlock,
     acks_index,
-    ai_constant,
     family_index,
     hardy_residual,
-    samko_alpha,
-    single_index,
 )
-from rhlab.kcalc import ConcaveCurve, CurveFamily, StepProductCurve, _level_pieces, k_l1_linf
-from rhlab.rearrange import rearrangement
+from rhlab.kcalc import ConcaveCurve, CurveFamily, _level_pieces, k_l1_linf
 from rhlab.weights import hardy_residual_sup, standard_corpus
 
 
 # ---------------------------------------------------------------------------
-# ai_constant
-
-
-def test_ai_const_weight_curve():
-    w = make_grid(1, 4, "const:1")
-    K = k_l1_linf(w, w.base)
-    for gamma in (1.0, 0.5, 0.125):
-        c = ai_constant(K, 1.0, gamma)
-        assert math.isclose(c.value, 1.0, rel_tol=1e-12)
-    # delta = 0 asks for plain monotonicity, true of any K-curve
-    assert math.isclose(ai_constant(K, 0.0).value, 1.0, rel_tol=1e-12)
-
-
-def test_ai_quadratic_callable():
-    c = ai_constant(lambda s: s * (2.0 - s), delta=1.0, gamma=0.5, domain_end=1.0)
-    # ratio (2-s)/(2-t), maximized as s -> 0 with t at the window end
-    assert math.isclose(c.value, 4.0 / 3.0, rel_tol=1e-6)
-    assert c.t == 0.5
+# almost-increase constants on a level block
 
 
 def test_ai_sees_interior_minimum():
     # K of step:2,1 is 0.5 + s on [1/2, 1]; at delta 0.6 the ratio
     # K(s) s^-delta dips inside that piece, to its minimum at s* = 0.75
-    w = make_grid(1, 3, "step:2,1")
-    c = ai_constant(k_l1_linf(w, w.base), 0.6)
-    assert math.isclose(c.value, 0.5**-0.6 / (1.25 * 0.75**-0.6), rel_tol=1e-12)
-    assert c.s == 0.5 and math.isclose(c.t, 0.75, rel_tol=1e-12)
-
-
-def test_ai_unbounded_past_delta_one():
-    w = make_grid(1, 4, "const:1")
-    K = k_l1_linf(w, w.base)
-    assert ai_constant(K, 1.2).value == math.inf
-
-
-@pytest.mark.parametrize("f", [lambda s: s * (2.0 - s), lambda s: 1.5 + math.sin(40.0 * s)], ids=["concave", "wavy"])
-@pytest.mark.parametrize("delta, gamma", [(0.0, 1.0), (0.4, 0.5), (1.0, 0.3), (1.2, 1.0)])
-def test_ai_callable_equals_its_sampled_pair(f, delta, gamma):
-    T = 1.0
-    s = np.geomspace(gamma * T * 1e-9, gamma * T, 4097)
-    c = ai_constant(f, delta, gamma, domain_end=T)
-    pair = ai_constant((s, np.array([f(x) for x in s])), delta, gamma, domain_end=T)
-    assert [x.hex() for x in (c.value, c.s, c.t)] == [x.hex() for x in (pair.value, pair.s, pair.t)]
-
-
-def test_ai_callable_errors_keep_their_messages():
-    with pytest.raises(ValueError, match="^domain_end required for callable curves$"):
-        ai_constant(lambda s: s, 0.5)
-    with pytest.raises(ValueError, match="^curve must be positive on the window$"):
-        ai_constant(lambda s: s - 0.5, 0.5, domain_end=1.0)
-
-
-def test_ai_parameter_validation():
-    w = make_grid(1, 3, "const:1")
-    K = k_l1_linf(w, w.base)
-    with pytest.raises(ValueError):
-        ai_constant(K, -0.1)
-    with pytest.raises(ValueError):
-        ai_constant(K, 0.5, gamma=1.5)
-    with pytest.raises(ValueError):
-        ai_constant(lambda s: s, 0.5)  # callable needs domain_end
-
-
-@given(random_grids(max_level_1d=6, max_level_2d=3), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-def test_ai_monotone_in_delta(w, d1, d2):
-    lo, hi = sorted((d1, d2))
-    K = k_l1_linf(w, w.base)
-    assert ai_constant(K, lo).value <= ai_constant(K, hi).value * (1 + 1e-12)
-
-
-@given(random_grids(max_level_1d=6, max_level_2d=3), st.sampled_from([0.25, 0.5, 1.0]))
-def test_ai_monotone_in_gamma(w, g):
-    K = k_l1_linf(w, w.base)
-    smaller = ai_constant(K, 0.6, g / 2).value
-    larger = ai_constant(K, 0.6, g).value
-    assert smaller <= larger * (1 + 1e-12)
-
-
-def test_ai_qpower_identity():
-    # C(phi^q, delta) = C(phi, delta/q)^q, exact on a shared sample grid
-    w = make_grid(1, 5, "rand:41:lognormal:1")
-    K = k_l1_linf(w, w.base)
-    q, delta = 2.5, 0.8
-    a = ai_constant(lambda s: K.value(s) ** q, delta, domain_end=K.domain_end).value
-    b = ai_constant(lambda s: K.value(s), delta / q, domain_end=K.domain_end).value
-    assert math.isclose(a, b**q, rel_tol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# single_index and samko_alpha
-
-
-def test_single_index_powers():
-    t = np.geomspace(1e-6, 1.0, 20001)
-    assert abs(single_index((t, np.sqrt(t))).delta_hat - 0.5) <= 1e-3
-    assert abs(single_index((t, t)).delta_hat - 1.0) <= 1e-3
-
-
-def test_single_index_oscillating_log():
-    t = np.geomspace(1e-6, 1.0, 20001)
-    phi = t * (1.0 + np.abs(np.sin(np.log(t))))
-    est = single_index((t, phi), C_cap=2.0)
-    assert 0.99 <= est.delta_hat <= 1.0
-
-
-def test_single_index_flat_curve_is_zero():
-    # a constant has no positive index: the binding ratio needs the whole
-    # window, which the knee rule rejects
-    t = np.geomspace(1e-6, 1.0, 4097)
-    est = single_index((t, np.ones_like(t)))
-    assert est.delta_hat == 0.0
-
-
-def test_single_index_validation():
-    t = np.geomspace(1e-3, 1.0, 100)
-    with pytest.raises(ValueError):
-        single_index((t, t), C_cap=1.0)
-    with pytest.raises(ValueError):
-        single_index((t, t), gamma=0.0)
-
-
-def test_samko_alpha_powers():
-    t = np.geomspace(1e-8, 1.0, 50001)
-    for delta in (0.3, 0.7, 1.0):
-        assert abs(samko_alpha((t, t**delta)) - delta) <= 0.01
-    assert samko_alpha((t, np.ones_like(t))) == 0.0
-
-
-def test_samko_agrees_with_single_index_classification():
-    # positive index and positive alpha go together on a mixed corpus
-    curves = []
-    for i in range(15):
-        w = make_grid(1, 6, f"rand:{500 + i}:lognormal:1")
-        K = k_l1_linf(w, w.base)
-        ts = np.geomspace(K.t[1], K.domain_end, 4001)
-        curves.append((ts, K.value(ts)))
-    flat = np.geomspace(1e-6, 1.0, 4001)
-    for c in (1.0, 3.0):
-        curves.append((flat, np.full_like(flat, c)))
-    for ts, vs in curves:
-        ind = single_index((ts, vs)).delta_hat
-        alpha = samko_alpha((ts, vs))
-        assert (ind > 0.02) == (alpha > 0.02)
-
-
-def _frozen_samko_alpha(phi, h_grid=None, x_grid=(2.0, 4.0, 8.0, 16.0)):
-    """samko_alpha with its three curve-type branches and per-h scan, before
-    a concave curve became its knot pair and the scan an array ratio."""
-    if isinstance(phi, ConcaveCurve):
-        T = phi.domain_end
-        floor = 4.0 * float(np.min(np.diff(phi.t)))
-        ev = phi.value
-    elif isinstance(phi, StepProductCurve):
-        T = phi.domain_end
-        floor = 4.0 * float(np.min(np.diff(np.concatenate(([0.0], phi.breaks)))))
-        ev = phi.value
-    else:
-        t, v = (np.asarray(a, dtype=np.float64) for a in phi)
-        T = float(t[-1])
-        floor = max(4.0 * float(np.min(np.diff(t))), float(t[0]))
-        ev = lambda s: np.interp(s, t, v)
-    if h_grid is None:
-        h_grid = []
-        hcur = T
-        while hcur >= floor:
-            h_grid.append(hcur)
-            hcur /= 10.0
-        h_grid = h_grid[1:]
-    best = None
-    for x in x_grid:
-        ratios = [float(ev(x * h)) / float(ev(h)) for h in h_grid if x * h <= T]
-        if not ratios:
-            continue
-        cand = math.log(min(ratios)) / math.log(x)
-        best = cand if best is None else max(best, cand)
-    return best
-
-
-def _samko_cases(w):
-    K = k_l1_linf(w, w.base)
-    ts = np.geomspace(K.t[1], K.domain_end, 513)
-    step = StepProductCurve(rearrangement(w, w.base))
-    return [K, step, (K.t, K.v), (ts, K.value(ts)), (step.breaks, step.value(step.breaks))]
-
-
-def _assert_samko_frozen(w):
-    for phi in _samko_cases(w):
-        for kw in ({}, {"x_grid": (1.5, 3.0)}, {"h_grid": [0.3, 0.05, 0.011, 1e-3]}):
-            try:
-                want = _frozen_samko_alpha(phi, **kw)
-            except ValueError:  # a one-sample pair has no knot spacing
-                with pytest.raises(ValueError):
-                    samko_alpha(phi, **kw)
-                continue
-            if want is None:
-                with pytest.raises(ValueError, match="domain too small"):
-                    samko_alpha(phi, **kw)
-            else:
-                assert np.float64(samko_alpha(phi, **kw)).view(np.uint64) == np.float64(want).view(np.uint64)
-
-
-def test_samko_alpha_zero_curve_value_fails_loudly():
-    t = np.linspace(0.01, 1.0, 200)
-    with pytest.raises(ArithmeticError):
-        samko_alpha((t, np.where(t < 0.5, 0.0, t)))
-
-
-@given(random_grids(max_level_1d=8, max_level_2d=4))
-def test_samko_alpha_matches_frozen_random(w):
-    _assert_samko_frozen(w)
-
-
-@given(st.sampled_from(flat_grids() + localized_grids()))
-def test_samko_alpha_matches_frozen_flat_and_localized(w):
-    _assert_samko_frozen(w)
+    w = make_grid(1, 1, "step:2,1")
+    lg, s = _LevelBlock.of_level(w, 0, "k").lg(0.6, with_s=True)
+    rlog, sw, tw = indices._sup_ratio(s[0], lg[0])
+    assert math.isclose(math.exp(rlog), 0.5**-0.6 / (1.25 * 0.75**-0.6), rel_tol=1e-12)
+    assert sw == 0.5 and math.isclose(tw, 0.75, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +55,6 @@ def test_family_index_const():
     est = family_index(CurveFamily(w))
     assert abs(est.delta_hat - 1.0) <= 1e-4
     assert est.cap == 16.0
-    assert est.monotone
     # the constant family is almost increasing with constant exactly 1
     assert est.cap_value_at <= 1.0 + 1e-12
 
@@ -281,9 +72,7 @@ def test_family_index_certificate():
         ("step:2,1", "rand:61:lognormal:1", "pow:-0.5", "rand:62:lognormal:0.3", "rand:17:lognormal:0.5"), (16.0, 10.0, 3.0)
     ):
         w = make_grid(1, 7, spec)
-        K, P, pair = _curves(w)
-        ests = [family_index(CurveFamily(w), C_cap=cap), single_index(K, cap), single_index(P, cap)]
-        ests += [single_index(pair, cap), acks_index(w, C_cap=cap)]
+        ests = [family_index(CurveFamily(w), C_cap=cap), acks_index(w, C_cap=cap)]
         for est in ests:
             # delta_cap = 0 where the constant at u = 0 is beyond the cap
             # already (acks jumps), and then the first bound cannot hold
@@ -339,7 +128,6 @@ def test_family_index_in_range(seed):
     w = make_grid(1, 6, f"rand:{seed}:lognormal:1")
     est = family_index(CurveFamily(w))
     assert 0.0 <= est.delta_hat <= 1.0
-    assert est.monotone
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +228,7 @@ def _ref_family_index(F, C_cap=16.0, gamma_grid=(1.0, 0.5, 0.25, 0.125)):
     blocks = [_FrozenBlock.of_level(w, lev, F.kind) for lev in range(w.base.level, w.L)]
     cap = lambda u: _frozen_blocks_ok(blocks, u, lncap)
     u_cap, mono_cap = _ref_scan(lambda u: cap(u)[0], tol)
+    assert mono and mono_cap  # both admissible sets are prefixes of the grid
     beyond = u_cap + 1e-3 / q
     return IndexEstimate(
         delta_hat=q * (u_hat - beta),
@@ -448,7 +237,6 @@ def _ref_family_index(F, C_cap=16.0, gamma_grid=(1.0, 0.5, 0.25, 0.125)):
         gamma=gamma,
         resolution=w.L,
         witness=_ref_witness(w, wins, u_hat),
-        monotone=mono and mono_cap,
         cap_value_at=math.exp(q * cap(u_cap)[1]),
         cap_value_beyond=math.exp(q * cap(beyond)[1]) if beyond <= 1.0 else math.inf,
     )
@@ -730,6 +518,7 @@ def _frozen_family_index(F, C_cap=16.0, gamma_grid=(1.0, 0.5, 0.25, 0.125)):
         if best is None or u_hat > best[0]:
             best = (u_hat, mono, gamma, win)
     u_hat, monotone, gamma_star, win_star = best
+    assert monotone  # the knee's admissible set is a prefix of the grid
 
     def cap_value(u):
         try:
@@ -747,7 +536,6 @@ def _frozen_family_index(F, C_cap=16.0, gamma_grid=(1.0, 0.5, 0.25, 0.125)):
         gamma=gamma_star,
         resolution=w.L,
         witness=("", 0.0, 0.0) if wit is None else (_cube_at(w, levels[wit[0]], wit[1]).addr(), wit[2], wit[3]),
-        monotone=monotone,
         cap_value_at=cap_value(u_cap),
         cap_value_beyond=c_beyond,
     )
@@ -861,7 +649,6 @@ def _unpruned_family_index(F, C_cap, gamma_grid):
         gamma=gamma,
         resolution=w.L,
         witness=("", 0.0, 0.0) if wit is None else (_cube_at(w, levels[wit[0]], wit[1]).addr(), wit[2], wit[3]),
-        monotone=True,
         cap_value_at=_cap_value(c, q),
         cap_value_beyond=_cap_value(at(beyond)[0], q) if beyond <= 1.0 else math.inf,
     )
@@ -1335,167 +1122,3 @@ def test_hardy_residual_at_least_dense_scan(w):
 def test_hardy_level_route_equals_single_route(w):
     level = hardy_residual_sup(w, "base").value
     assert math.isclose(level, hardy_residual(k_l1_linf(w, w.base)), rel_tol=1e-13)
-
-
-# ---------------------------------------------------------------------------
-# single curves as one-row blocks, against the scalar code they replaced
-#
-# Frozen copies of single_index and ai_constant as they were before a single
-# curve became a one-row _LevelBlock: their own candidate merges (knots plus
-# interior minima, argsorted) and their own knee, cap and witness loops.
-
-
-def _old_candidates_concave(K, end):
-    inside = (K.t > 0) & (K.t <= end)
-    s, v = K.t[inside], K.v[inside]
-    if s.size == 0 or s[-1] < end:
-        s, v = np.append(s, end), np.append(v, K.value(end))
-    return s, v
-
-
-def _old_minima_concave(K, delta, end):
-    if not 0.0 < delta < 1.0:
-        return np.empty(0), np.empty(0)
-    A, B, s0, s1 = K.pieces()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tstar = delta * A / (B * (1.0 - delta))
-    ok = (A > 0) & (B > 0) & (tstar > s0) & (tstar < s1) & (tstar < end)
-    return tstar[ok], A[ok] / (1.0 - delta)
-
-
-def _old_sup_ratio(s, lg):
-    M = np.maximum.accumulate(lg)
-    r = M - lg
-    j = int(np.argmax(r))
-    i = int(np.argmax(lg[: j + 1] >= M[j] - 1e-9))
-    return float(r[j]), float(s[i]), float(s[j])
-
-
-def _old_exact(K, s, lg_k, u, end):
-    ms, mscaled = _old_minima_concave(K, u, end)
-    if not ms.size:
-        return s, lg_k
-    s_all = np.concatenate([s, ms])
-    lg_all = np.concatenate([lg_k, np.log(mscaled) - u * np.log(ms)])
-    order = np.argsort(s_all, kind="stable")
-    return s_all[order], lg_all[order]
-
-
-def _old_ai_constant(phi, delta, gamma=1.0):
-    """(value, s, t)"""
-    end = gamma * (phi.domain_end if not isinstance(phi, tuple) else phi[0][-1])
-    if isinstance(phi, ConcaveCurve):
-        if delta > 1.0:
-            return math.inf, 0.0, end
-        s, v = _old_candidates_concave(phi, end)
-        s, lg = _old_exact(phi, s, np.log(v) - delta * np.log(s), delta, end)
-    elif isinstance(phi, StepProductCurve):
-        if delta > 1.0:
-            return math.inf, 0.0, end
-        s, v = phi.two_sided(end)
-        lg = np.log(v) - delta * np.log(s)
-    else:
-        t, v = phi
-        keep = (t > 0) & (t <= end)
-        s, lg = t[keep], np.log(v[keep]) - delta * np.log(t[keep])
-    rlog, sw, tw = _old_sup_ratio(s, lg)
-    return math.exp(rlog), sw, tw
-
-
-def _old_single_index(phi, C_cap=16.0, gamma=1.0):
-    if isinstance(phi, (ConcaveCurve, StepProductCurve)):
-        T = phi.domain_end
-        s, v = _old_candidates_concave(phi, gamma * T) if isinstance(phi, ConcaveCurve) else phi.two_sided(gamma * T)
-    else:
-        t, v = phi
-        T = float(t[-1])
-        keep = (t > 0) & (t <= gamma * T)
-        s, v = t[keep], v[keep]
-    lnphi, h = np.log(v), float(s[0])
-    ls = np.log(s)
-    kappa = 0.5 * math.log(gamma * T / h)
-    lncap = math.log(C_cap)
-
-    def ratio_at(u, exact):
-        if exact and isinstance(phi, ConcaveCurve) and 0.0 < u < 1.0:
-            return _old_exact(phi, s, lnphi - u * ls, u, gamma * T)
-        return s, lnphi - u * ls
-
-    def ok_knee(u, ks):
-        ss, lg = ratio_at(u, exact=False)
-        M = np.maximum.accumulate(lg)
-        r = M - lg
-        rmax = float(r.max())
-        if rmax > lncap + 1e-15:
-            return [(False, True)]
-        if rmax <= 1e-12:
-            return [(True, False)]
-        lss = np.log(ss)
-        ilast = np.maximum.accumulate(np.where(M - lg <= 1e-9, np.arange(lg.size), -1))
-        lever = lss - lss[ilast]
-        return [(float(np.where(r >= rmax - 1e-9, lever, np.inf).min()) <= kappa, False)]
-
-    def cmax_at(u):
-        ss, lg = ratio_at(u, exact=True)
-        return float(np.max(np.maximum.accumulate(lg) - lg))
-
-    [(u_hat, mono)] = _frozen_scan_largest(ok_knee, 1e-4)
-    u_cap = _frozen_scan_prefix(lambda u: cmax_at(u) <= lncap + 1e-15, 1e-4)
-    ss, lg = ratio_at(u_hat, exact=False)
-    _, sw, tw = _old_sup_ratio(ss, lg)
-    return IndexEstimate(
-        delta_hat=u_hat,
-        delta_cap=u_cap,
-        cap=C_cap,
-        gamma=gamma,
-        resolution=int(round(math.log2(max(gamma * T / h, 1.0)))),
-        witness=("curve", sw, tw),
-        monotone=mono,
-        cap_value_at=math.exp(cmax_at(u_cap)),
-        cap_value_beyond=math.exp(cmax_at(u_cap + 1e-3)) if u_cap + 1e-3 <= 1.0 else math.inf,
-    )
-
-
-def _curves(w):
-    """A concave K-curve, a rearrangement product and a sampled pair of w."""
-    K = k_l1_linf(w, w.base)
-    ts = np.geomspace(w.cell_measure, K.domain_end, 257)
-    return K, StepProductCurve(rearrangement(w, w.base)), (ts, K.value(ts))
-
-
-_CURVE_GRIDS = [(1, 8, s) for s in ("const:1", "step:2,1", "pow:-0.5", "pow:-0.95", "rand:3:lognormal:2")]
-_CURVE_GRIDS += [(2, 4, "rand:4:lognormal:1")]
-
-
-def _assert_single_index_matches(w, C_cap, gamma):
-    K, P, pair = _curves(w)
-    for phi in (P, pair):
-        blocks = [indices._curve_block(phi, gamma * indices._domain_end(phi))]
-        _assert_cap_rebased(single_index(phi, C_cap, gamma), _old_single_index(phi, C_cap, gamma), blocks)
-    new, old = single_index(K, C_cap, gamma), _old_single_index(K, C_cap, gamma)
-    assert (new.delta_hat, new.witness, new.monotone) == (old.delta_hat, old.witness, old.monotone)
-    _assert_cap_contract(new, [indices._curve_block(K, gamma * K.domain_end)], 0.0, 1.0, old.delta_cap)
-
-
-@pytest.mark.parametrize("d, L, spec", _CURVE_GRIDS)
-@pytest.mark.parametrize("C_cap, gamma", [(16.0, 1.0), (2.0, 0.5), (4.0, 0.3)])
-def test_single_index_equals_frozen_scalar_code(d, L, spec, C_cap, gamma):
-    _assert_single_index_matches(make_grid(d, L, spec), C_cap, gamma)
-
-
-@given(random_grids(max_level_1d=7, max_level_2d=3, min_level=2), st.sampled_from([(16.0, 1.0), (2.0, 0.5), (4.0, 0.3)]))
-@settings(max_examples=25)
-def test_single_index_equals_frozen_scalar_code_random(w, cap_gamma):
-    _assert_single_index_matches(w, *cap_gamma)
-
-
-@given(
-    random_grids(max_level_1d=7, max_level_2d=3, min_level=2),
-    st.floats(0.0, 1.2),
-    st.sampled_from([1.0, 0.5, 0.3]),
-)
-def test_ai_constant_equals_frozen_scalar_code(w, delta, gamma):
-    for phi in _curves(w):
-        c = ai_constant(phi, delta, gamma)
-        for new, old in zip((c.value, c.s, c.t), _old_ai_constant(phi, delta, gamma)):
-            assert new == old or math.isclose(new, old, rel_tol=1e-12)

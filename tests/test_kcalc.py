@@ -35,17 +35,13 @@ from rhlab.kcalc import (
     CurveFamily,
     HolmstedtCurve,
     PackingFamily,
-    StepProductCurve,
     _level_pieces,
     extrapolation_norm,
     grid_power,
     k_l1_linf,
-    k_lorentz_linf,
-    k_lp_linf,
     k_weighted,
     k_weighted_curve,
     level_piece_integrals,
-    llogl_integral_forms,
     llogl_norm,
     lorentz_norm,
     packing_average,
@@ -96,24 +92,6 @@ def test_k_curve_is_concave_with_exact_mass(w):
     r = rearrangement(w, w.base)
     for t in r.breaks:
         assert math.isclose(K.value(t), t * double_star(r, t), rel_tol=1e-12)
-
-
-def test_k_lp_linf_step():
-    w = make_grid(1, 2, "step:2,1")
-    G = k_lp_linf(w, w.base, 2.0)
-    # integral of (w*)^2 over (0, 1) is 4/2 + 1/2
-    assert math.isclose(G.value(1.0), math.sqrt(2.5), rel_tol=1e-14)
-    assert math.isclose(G.value(0.5), math.sqrt(2.0), rel_tol=1e-14)
-
-
-@given(random_grids(max_level_1d=5, max_level_2d=3))
-def test_k_lp_matches_quad(w):
-    p = 1.7
-    G = k_lp_linf(w, w.base, p)
-    r = rearrangement(w, w.base)
-    t = 0.7 * r.total_measure
-    ref, err = quad(lambda s: float(r.star(s)) ** p, 0.0, t, points=r.breaks[r.breaks < t], limit=200)
-    assert math.isclose(G.value(t), ref ** (1.0 / p), rel_tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -676,37 +654,12 @@ def test_lorentz_norm_matches_quad(w):
     assert math.isclose(lorentz_norm(w, w.base, p, q), ref, rel_tol=1e-7)
 
 
-def test_k_lorentz_const_frozen():
-    w = make_grid(1, 3, "const:1")
-    for t in (0.125, 0.25, 0.5):
-        assert math.isclose(k_lorentz_linf(w, w.base, 2.0, 2.0, t), t, rel_tol=1e-12)
-        assert math.isclose(k_lorentz_linf(w, w.base, 2.0, 1.0, t), 2.0 * t, rel_tol=1e-12)
-
-
-@given(random_grids(max_level_1d=5, max_level_2d=3))
-def test_k_lorentz_matches_quad(w):
-    p, q = 1.5, 2.0
-    r = rearrangement(w, w.base)
-    t = 0.8 * r.total_measure ** (1.0 / p)
-    up = t**p
-    ref, err = quad(
-        lambda s: (float(r.star(s)) * s ** (1.0 / p)) ** q / s,
-        0.0,
-        up,
-        points=r.breaks[r.breaks < up],
-        limit=300,
-    )
-    assert math.isclose(k_lorentz_linf(w, w.base, p, q, t), ref ** (1.0 / q), rel_tol=1e-7)
-
-
 def test_lorentz_parameter_validation():
     w = make_grid(1, 2, "const:1")
     with pytest.raises(ValueError):
         lorentz_norm(w, w.base, 1.0, 2.0)
     with pytest.raises(ValueError):
         lorentz_norm(w, w.base, 2.0, 0.5)
-    with pytest.raises(ValueError):
-        k_lorentz_linf(w, w.base, 2.0, 2.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -720,15 +673,6 @@ def test_llogl_const_frozen():
     # the root satisfies the defining integral with residual at machine scale
     u = 1.0 / lam
     assert abs(u * math.log(math.e + u) - 1.0) <= 1e-9
-
-
-def test_llogl_integral_forms_const():
-    w = make_grid(1, 4, "const:1")
-    A, B = llogl_integral_forms(w, w.base)
-    assert math.isclose(A, math.log(math.e + 1.0), rel_tol=1e-12)
-    # B integrates log(e + 1/s) exactly: s log(e + 1/s) + (1/e) log(e s + 1)
-    refB, err = quad(lambda s: math.log(math.e + 1.0 / s), 0.0, 1.0, limit=300)
-    assert math.isclose(B, refB, rel_tol=1e-9)
 
 
 @given(random_grids(max_level_1d=6, max_level_2d=3))
@@ -1144,16 +1088,6 @@ def test_k_weighted_rejects_bad_explicit_packings():
         packing_average(f, make_grid(1, 4, "const:1"), [f.base])
     with pytest.raises(ValueError, match="f and w must share a grid"):
         k_weighted(f, local, 1.0, 0.1, PackingFamily.from_cubes(f, [[f.base]]))
-
-
-def test_step_product_two_sided():
-    w = make_grid(1, 2, "step:2,1")
-    phi = StepProductCurve(rearrangement(w, w.base))
-    assert phi.domain_end == 1.0
-    s, val = phi.two_sided(1.0)
-    assert list(s) == [0.5, 0.5, 1.0]
-    assert list(val) == [1.0, 0.5, 1.0]  # left value 0.5*2, right value 0.5*1, end 1*1
-    assert phi.value(0.25) == 0.5
 
 
 def test_curve_family_kinds():
