@@ -190,9 +190,9 @@ _GROWTH_LEVELS = (10, 12, 14)
 _LORENTZ_PAIRS = ((2.0, 2.0), (2.0, 3.0), (1.5, 2.0))
 
 
-def lorentz_growth_agreement(label: str, d: int, p: float, q: float, levels=_GROWTH_LEVELS) -> dict:
+def lorentz_growth_agreement(label: str, d: int, p: float, q: float) -> dict:
     """Growth-rate classification of the Lorentz constant against the plain
-    reverse-Hölder constant across resolutions.
+    reverse-Hölder constant across the resolutions _GROWTH_LEVELS.
 
     Each constant is classified growing when it at least doubles from the
     lowest to the highest level; the classifications must agree, except when
@@ -202,7 +202,7 @@ def lorentz_growth_agreement(label: str, d: int, p: float, q: float, levels=_GRO
     """
     lor = []
     rhp = []
-    for L in levels:
+    for L in _GROWTH_LEVELS:
         wl = make_grid(d, L, label)
         lor.append(W.rh_lorentz_constant(wl, p, q).value)
         rhp.append(W.rh_p_constant(wl, p).value)

@@ -451,8 +451,8 @@ def _text_blocks(*cols: np.ndarray):
             yield "".join([f"{a!r},{b!r}\n" for a, b in zip(*block)])
 
 
-def save_weight(w: WeightGrid, path: str, format: str | None = None) -> None:
-    """Write a grid to CSV or JSON (by extension unless given).
+def save_weight(w: WeightGrid, path: str) -> None:
+    """Write a grid to JSON when the path ends in .json, else to CSV.
 
     Decimal strings are produced with repr, so loading reads back bit-equal
     values.  CSV is written in blocks of rows (_text_blocks), JSON by the
@@ -461,18 +461,15 @@ def save_weight(w: WeightGrid, path: str, format: str | None = None) -> None:
     """
     if w.base.level != 0:
         raise ValueError("only grids on the unit base cube can be saved")
-    fmt = format or ("json" if path.endswith(".json") else "csv")
-    if fmt == "csv":
+    if not path.endswith(".json"):
         with open(path, "w") as fh:
             fh.write(f"# rhlab d={w.d} L={w.L}\n")
             fh.writelines(_text_blocks(w.cells))
-    elif fmt == "json":
+    else:
         obj = {"d": w.d, "L": w.L, "cells": w.cells.tolist(), "label": w.label}
         with open(path, "w") as fh:
             fh.write(json.dumps(obj))
             fh.write("\n")
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
 
 
 def _file_grid(d: int, L: int, cells: list, label: str) -> WeightGrid:
@@ -491,10 +488,10 @@ def _file_grid(d: int, L: int, cells: list, label: str) -> WeightGrid:
     return WeightGrid(d, L, cells, label=label)
 
 
-def load_weight(path: str, format: str | None = None) -> WeightGrid:
-    """Read a grid from CSV or JSON; inverse of save_weight."""
-    fmt = format or ("json" if path.endswith(".json") else "csv")
-    if fmt == "csv":
+def load_weight(path: str) -> WeightGrid:
+    """Read a grid from JSON when the path ends in .json, else from CSV;
+    inverse of save_weight."""
+    if not path.endswith(".json"):
         with open(path) as fh:
             first = fh.readline()
             m = _CSV_HEADER.fullmatch(first)
@@ -511,21 +508,19 @@ def load_weight(path: str, format: str | None = None) -> WeightGrid:
                 except ValueError as exc:
                     raise WeightFormatError("parse", f"line {lineno}: not a number: {line!r}") from exc
         return _file_grid(d, L, cells, f"file:{path}")
-    if fmt == "json":
-        with open(path) as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise WeightFormatError("parse", f"invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict) or not {"d", "L", "cells"} <= set(obj):
-            raise WeightFormatError("header", "JSON object must have keys d, L, cells")
-        d, L = obj["d"], obj["L"]
-        if not (type(d) is int and type(L) is int):  # bool is an int subclass
-            raise WeightFormatError("header", "d and L must be integers")
-        cells = obj["cells"]
-        if not isinstance(cells, list):
-            raise WeightFormatError("parse", "cells must be a list")
-        if not set(map(type, cells)) <= {int, float}:
-            raise WeightFormatError("parse", "cells must be JSON numbers")
-        return _file_grid(d, L, cells, str(obj.get("label", f"file:{path}")))
-    raise ValueError(f"unknown format {fmt!r}")
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise WeightFormatError("parse", f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict) or not {"d", "L", "cells"} <= set(obj):
+        raise WeightFormatError("header", "JSON object must have keys d, L, cells")
+    d, L = obj["d"], obj["L"]
+    if not (type(d) is int and type(L) is int):  # bool is an int subclass
+        raise WeightFormatError("header", "d and L must be integers")
+    cells = obj["cells"]
+    if not isinstance(cells, list):
+        raise WeightFormatError("parse", "cells must be a list")
+    if not set(map(type, cells)) <= {int, float}:
+        raise WeightFormatError("parse", "cells must be JSON numbers")
+    return _file_grid(d, L, cells, str(obj.get("label", f"file:{path}")))

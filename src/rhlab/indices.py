@@ -413,8 +413,6 @@ def _index_estimate(blocks, windows, beta, q, C_cap, resolution, name) -> IndexE
 
 def family_index(
     F: CurveFamily,
-    beta: float | None = None,
-    q: float | None = None,
     C_cap: float = 16.0,
     gamma_grid: tuple[float, ...] = (1.0, 0.5, 0.25, 0.125),
 ) -> IndexEstimate:
@@ -473,9 +471,7 @@ def family_index(
     The result is memoised on the weight grid, keyed by the kind and the
     parameters; each call returns its own copy.
     """
-    w = F.w
-    beta = F.beta if beta is None else beta
-    q = F.q if q is None else q
+    w, beta, q = F.w, F.beta, F.q
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
     if not q >= 1.0:
@@ -512,7 +508,7 @@ def acks_index(
     """Index of the family {t (w chi_Q)*(t)}_Q, reported as lambda_hat =
     1 - delta_hat: the exponent in the two-sided plateau-product comparison,
     with lambda_hat < 1 exactly when the family index is positive."""
-    est = family_index(CurveFamily(w, kind="acks"), beta=0.0, q=1.0, C_cap=C_cap, gamma_grid=gamma_grid)
+    est = family_index(CurveFamily(w, kind="acks"), C_cap=C_cap, gamma_grid=gamma_grid)
     est.lambda_hat = 1.0 - est.delta_hat
     return est
 

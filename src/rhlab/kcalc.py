@@ -89,12 +89,6 @@ class ConcaveCurve:
         self.v = v
         self.slopes = slopes
 
-    @classmethod
-    def from_plateaus(cls, values: np.ndarray, measures: np.ndarray) -> "ConcaveCurve":
-        t = np.concatenate(([0.0], np.cumsum(measures)))
-        v = np.concatenate(([0.0], np.cumsum(np.asarray(values) * np.asarray(measures))))
-        return cls(t, v, slopes=np.asarray(values, dtype=np.float64))
-
     @property
     def domain_end(self) -> float:
         return float(self.t[-1])
@@ -394,7 +388,7 @@ def _level_pieces(w: WeightGrid, level: int):
 def k_l1_linf(w: WeightGrid, Q: DyadicCube) -> ConcaveCurve:
     """K(t, w chi_Q; L1(Q), Linf(Q)) = integral_0^t (w chi_Q)*."""
     r = rearrangement(w, Q)
-    return ConcaveCurve.from_plateaus(r.values, r.measures)
+    return ConcaveCurve(np.append(0.0, r.breaks), np.append(0.0, r.cum_mass), slopes=r.values)
 
 
 class HolmstedtCurve:
@@ -540,7 +534,7 @@ def extrapolation_norm(w: WeightGrid, Q: DyadicCube) -> float:
 
     rep_log = float(np.sum(r.values * (G(r.breaks) - G(lo))))
 
-    K = ConcaveCurve.from_plateaus(r.values, r.measures)
+    K = ConcaveCurve(np.append(0.0, r.breaks), np.append(0.0, r.cum_mass), slopes=r.values)
     A, B, s0, s1 = K.pieces()
     terms = B * (s1 - s0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -663,7 +657,7 @@ def packing_average(f: WeightGrid, w: WeightGrid, pi: list[DyadicCube]) -> Packe
 _STOPPING_THRESHOLDS = 33
 
 
-def packing_family(f: WeightGrid, w: WeightGrid | None = None, p: float = 1.0) -> PackingFamily:
+def packing_family(f: WeightGrid, w: WeightGrid, p: float = 1.0) -> PackingFamily:
     """Single-level packings plus stopping-time packings.
 
     The stopping packings take a deterministic menu of at most
@@ -674,8 +668,6 @@ def packing_family(f: WeightGrid, w: WeightGrid | None = None, p: float = 1.0) -
     which is above no lam), listed level by level in Morton order, built
     as level-table rows without cube objects.
     """
-    if w is None:
-        w = WeightGrid(f.d, f.L, np.ones(f.ncells), label="const:1", base=f.base)
     off = _level_offsets(f)
     rows = [np.arange(a, b) for a, b in zip(off, off[1:])]
     num, den = _level_tables(grid_power(f, p), w)

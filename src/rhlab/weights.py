@@ -15,24 +15,27 @@ Each constant here is the max of its ratio over the cube family named by a
 policy string (cubes="all-dyadic", "base" or "level:k"), with the attaining
 cube as witness, swept level by level (_family_constant).
 The reverse-Hardy residual sup is exact, closed form via Wright omega
-(indices._hardy_rows on each level's K-curve pieces).  The verification routines then test the
-equivalences between these classes and the index machinery: the K-side
-characterization of RH_p, the limiting L log L class against the reverse
-Hardy residual, the rearrangement-product index, the cellwise-power
-classification of RH_p through A_infinity, Fujii's condition with the
-k^2 + k + 1 bound shape, the extrapolation bound for the dyadic maximal
-operator, and the weighted reverse-Hölder K-inequality on packings.
+(indices._hardy_rows on each level's K-curve pieces).  The verification
+routines then test, over all dyadic cubes, the equivalences between these
+classes and the index machinery: the K-side characterization of RH_p, the
+limiting L log L class against the reverse Hardy residual, the
+rearrangement-product index, the cellwise-power classification of RH_p
+through A_infinity, Fujii's condition with the bound 4 (k^2 + k + 1), the
+extrapolation bound 4 ||w||_1 (k^2 + k + 1) for the dyadic maximal operator
+on the base cube, and the weighted reverse-Hölder K-inequality on the
+packing family of the pair.  Each returns a TheoremReport of per-case
+dicts, which hold every number the case was decided on.
 
 Two-sided "comparable" assertions use a comparability radius R (default 8
 in dimension 1, 32 in dimension 2), since the underlying statements carry
 unspecified universal constants.  One-sided bounds are asserted with the
-explicit constants recorded in the reports.
+explicit constants above.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,19 +82,14 @@ class ClassConstant:
 
 @dataclass
 class TheoremReport:
-    """Outcome of one verification routine: per-case records and the
-    conjunction of their pass flags."""
+    """Outcome of one verification routine: per-case records, passed when
+    every case passed."""
 
-    theorem: str
-    corpus: str
     cases: list[dict]
-    passed: bool
-    constants: dict[str, float] = field(default_factory=dict)
 
-
-def _single_case(theorem: str, corpus: str, case: dict, constants: dict) -> TheoremReport:
-    """The report of one case, passed when the case passed."""
-    return TheoremReport(theorem, corpus, [case], case["pass"], constants)
+    @property
+    def passed(self) -> bool:
+        return all(c["pass"] for c in self.cases)
 
 
 def default_radius(d: int) -> float:
@@ -332,14 +330,12 @@ def hardy_residual_sup(w: WeightGrid, cubes: str = "all-dyadic") -> ClassConstan
 # ---------------------------------------------------------------------------
 # verification routines
 
-def verify_rhp_equivalence(
-    w: WeightGrid, p: float, cubes: str = "all-dyadic", radius: float | None = None
-) -> TheoremReport:
+def verify_rhp_equivalence(w: WeightGrid, p: float, radius: float | None = None) -> TheoremReport:
     """The RH_p constant and the K-side constant must be comparable within
     the radius."""
     R = default_radius(w.d) if radius is None else radius
-    rh = rh_p_constant(w, p, cubes)
-    ks = kside_rh_constant(w, p, cubes)
+    rh = rh_p_constant(w, p)
+    ks = kside_rh_constant(w, p)
     ratio = rh.value / ks.value
     ok = 1.0 / R <= ratio <= R
     case = {
@@ -349,17 +345,15 @@ def verify_rhp_equivalence(
         "k_side": ks.value,
         "ratio": ratio,
     }
-    return _single_case("rhp-equivalence", w.label, case, {"rh_p": rh.value, "k_side": ks.value, "radius": R})
+    return TheoremReport([case])
 
 
-def verify_llogl_equivalence(
-    w: WeightGrid, cubes: str = "all-dyadic", radius: float | None = None
-) -> TheoremReport:
+def verify_llogl_equivalence(w: WeightGrid, radius: float | None = None) -> TheoremReport:
     """The L log L reverse-Hölder constant and the family sup of the reverse
     Hardy residual must be comparable within the radius."""
     R = default_radius(w.d) if radius is None else radius
-    rh = rh_llogl_constant(w, cubes)
-    hr = hardy_residual_sup(w, cubes)
+    rh = rh_llogl_constant(w)
+    hr = hardy_residual_sup(w)
     ratio = rh.value / hr.value
     ok = 1.0 / R <= ratio <= R
     case = {
@@ -369,14 +363,15 @@ def verify_llogl_equivalence(
         "hardy_sup": hr.value,
         "ratio": ratio,
     }
-    return _single_case("llogl-equivalence", w.label, case, {"rh_llogl": rh.value, "hardy_sup": hr.value, "radius": R})
+    return TheoremReport([case])
 
 
-def verify_acks(w: WeightGrid, C_cap: float = 16.0, margin: float = 0.02) -> TheoremReport:
+def verify_acks(w: WeightGrid, C_cap: float = 16.0) -> TheoremReport:
     """Classification agreement: the rearrangement-product index satisfies
     lambda_hat < 1 - margin exactly when the K-curve family index exceeds
-    the margin.  Cases with either index within 0.05 of its threshold are
-    flagged borderline and excluded from the assertion."""
+    the margin 0.02.  Cases with either index within 0.05 of its threshold
+    are flagged borderline and excluded from the assertion."""
+    margin = 0.02
     fam = family_index(CurveFamily(w), C_cap=C_cap)
     ak = acks_index(w, C_cap=C_cap)
     in_by_family = fam.delta_hat > margin
@@ -395,7 +390,7 @@ def verify_acks(w: WeightGrid, C_cap: float = 16.0, margin: float = 0.02) -> The
         "in_by_acks": bool(in_by_acks),
         "borderline": bool(borderline),
     }
-    return _single_case("acks-equivalence", w.label, case, {"delta_hat": fam.delta_hat, "lambda_hat": ak.lambda_hat})
+    return TheoremReport([case])
 
 
 def verify_stromberg_wheeden(w: WeightGrid, p: float, C_cap: float = 16.0) -> TheoremReport:
@@ -430,18 +425,16 @@ def verify_stromberg_wheeden(w: WeightGrid, p: float, C_cap: float = 16.0) -> Th
         "out_of_domain": out_of_domain,
         "borderline": borderline,
     }
-    return _single_case(
-        "stromberg-wheeden", w.label, case, {"delta_hat": fam.delta_hat, "delta_hat_power": fam_p.delta_hat}
-    )
+    return TheoremReport([case])
 
 
-def verify_fujii(w: WeightGrid, cubes: str = "all-dyadic", c: float = 4.0) -> TheoremReport:
+def verify_fujii(w: WeightGrid) -> TheoremReport:
     """Fujii's condition from the L log L constant: fujii_constant <=
-    c (k^2 + k + 1) with k = rh_llogl_constant; the cellwise iterated-maximal
+    4 (k^2 + k + 1) with k = rh_llogl_constant; the cellwise iterated-maximal
     comparison constant is reported alongside."""
-    fu = fujii_constant(w, cubes)
-    k = rh_llogl_constant(w, cubes).value
-    bound = c * (k * k + k + 1.0)
+    fu = fujii_constant(w)
+    k = rh_llogl_constant(w).value
+    bound = 4.0 * (k * k + k + 1.0)
     ok = fu.value <= bound
     M1 = dyadic_maximal(w, w.base)
     M2 = iterated_maximal(w, w.base)
@@ -454,7 +447,7 @@ def verify_fujii(w: WeightGrid, cubes: str = "all-dyadic", c: float = 4.0) -> Th
         "bound": bound,
         "iterated_over_single": c_iter,
     }
-    return _single_case("fujii", w.label, case, {"fujii": fu.value, "rh_llogl": k, "iterated_over_single": c_iter})
+    return TheoremReport([case])
 
 
 def weak_type_residual(w: WeightGrid, Q: DyadicCube) -> float:
@@ -472,19 +465,19 @@ def weak_type_residual(w: WeightGrid, Q: DyadicCube) -> float:
     return float(np.max(rM.star(t) / double_star(rearrangement(w, Q), t), initial=0.0))
 
 
-def verify_extrapolation_bound(w: WeightGrid, Q: DyadicCube | None = None, c: float = 4.0) -> TheoremReport:
-    """For the dyadic maximal operator on (L1(Q), Linf(Q)):
+def verify_extrapolation_bound(w: WeightGrid) -> TheoremReport:
+    """For the dyadic maximal operator on (L1(Q), Linf(Q)), Q the base cube:
 
-        int_0^{|Q|} K(r, M_d(w chi_Q)) dr / r <= c ||w||_{L1(Q)} (k^2 + k + 1),
+        int_0^{|Q|} K(r, M_d(w chi_Q)) dr / r <= 4 ||w||_{L1(Q)} (k^2 + k + 1),
 
     k the reverse-Hardy residual of K_Q, at relative tolerance 1e-8; the
     weak-type hypothesis residual (at most 1) is checked alongside.
     """
-    Q = w.base if Q is None else Q
+    Q = w.base
     M = dyadic_maximal(w, Q)
     lhs = extrapolation_norm(M, Q)
     k = hardy_residual(k_l1_linf(w, Q))
-    rhs = c * integrate(w, Q) * (k * k + k + 1.0)
+    rhs = 4.0 * integrate(w, Q) * (k * k + k + 1.0)
     wt = weak_type_residual(w, Q)
     ok = lhs <= rhs * (1.0 + 1e-8) and wt <= 1.0 + 1e-9
     case = {
@@ -495,9 +488,7 @@ def verify_extrapolation_bound(w: WeightGrid, Q: DyadicCube | None = None, c: fl
         "hardy_residual": k,
         "weak_type_residual": wt,
     }
-    return _single_case(
-        "extrapolation-bound", w.label, case, {"lhs": lhs, "rhs": rhs, "hardy_residual": k, "weak_type_residual": wt}
-    )
+    return TheoremReport([case])
 
 
 def origin_chain_masses(w: WeightGrid) -> list[float]:
@@ -514,9 +505,7 @@ def origin_chain_masses(w: WeightGrid) -> list[float]:
     return ts
 
 
-def verify_weighted_rh(
-    g: WeightGrid, w: WeightGrid, p: float, cubes: str = "all-dyadic", Pi: PackingFamily | None = None
-) -> TheoremReport:
+def verify_weighted_rh(g: WeightGrid, w: WeightGrid, p: float) -> TheoremReport:
     """g in RH_p(w dx) gives the K-inequality between packing estimates:
 
         estimate_p(t) <= C t^{1/p - 1} estimate_1(t)
@@ -524,9 +513,8 @@ def verify_weighted_rh(
     with C the weighted reverse-Hölder constant and the same packing family
     on both sides (the derivation is definitional, constant 1), checked at
     cube-aligned t values."""
-    C = rh_p_weighted_constant(g, w, p, cubes).value
-    if Pi is None:
-        Pi = packing_family(g, w, p)
+    C = rh_p_weighted_constant(g, w, p).value
+    Pi = packing_family(g, w, p)
     ts = origin_chain_masses(w)
     cases = []
     for t, ep, e1 in zip(ts, k_weighted_curve(g, w, p, ts, Pi), k_weighted_curve(g, w, 1.0, ts, Pi)):
@@ -538,14 +526,7 @@ def verify_weighted_rh(
             "estimate_p": ep.value,
             "bound": bound,
         })
-    passed = all(c["pass"] for c in cases)
-    return TheoremReport(
-        theorem="weighted-rh",
-        corpus=f"g={g.label} w={w.label} p={p:g}",
-        cases=cases,
-        passed=passed,
-        constants={"rh_p_weighted": C},
-    )
+    return TheoremReport(cases)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +560,7 @@ def verify_rearrange_exact(w: WeightGrid) -> TheoremReport:
         "concave": bool(concave),
         "luxemburg_residual": residual,
     }
-    return _single_case("rearrange-exactness", w.label, case, {"luxemburg_residual": residual})
+    return TheoremReport([case])
 
 
 def verify_herz(w: WeightGrid) -> TheoremReport:
@@ -608,7 +589,7 @@ def verify_herz(w: WeightGrid) -> TheoremReport:
         "worst_ratio_1": worst1,
         "worst_ratio_2": worst2,
     }
-    return _single_case("herz-bounds", w.label, case, {"worst_ratio_1": worst1, "worst_ratio_2": worst2})
+    return TheoremReport([case])
 
 
 def origin_sorted(w: WeightGrid) -> WeightGrid:
@@ -623,12 +604,13 @@ def origin_sorted(w: WeightGrid) -> WeightGrid:
     return WeightGrid(w.d, w.L, cells, label=f"sorted({w.label})", base=w.base)
 
 
-def verify_packing(f: WeightGrid, p: float = 2.0) -> TheoremReport:
+def verify_packing(f: WeightGrid) -> TheoremReport:
     """Packing-estimate consistency on an origin-sorted grid:
 
       * with w = 1 the estimate at t = |Q_level| reproduces K(t) to 1e-12;
       * enlarging the packing family never decreases the estimate;
-      * the weighted reverse-Hölder K-inequality holds on a mixed pair.
+      * the weighted reverse-Hölder K-inequality holds on a mixed pair at
+        p = 2.
     """
     fs = origin_sorted(f)
     ones = WeightGrid(f.d, f.L, np.ones(f.ncells), label="const:1", base=f.base)
@@ -646,7 +628,7 @@ def verify_packing(f: WeightGrid, p: float = 2.0) -> TheoremReport:
             repro_ok = False
     sub = PackingFamily(Pi.geometry, Pi.rows[: max(1, len(Pi.rows) // 2)])
     mono_ok = k_weighted(fs, ones, 1.0, t_mid, sub).value <= est_mid.value * (1.0 + 1e-15)
-    wrh = verify_weighted_rh(fs, ones, p)
+    wrh = verify_weighted_rh(fs, ones, 2.0)
     case = {
         "name": f.label,
         "pass": bool(repro_ok and mono_ok and wrh.passed),
@@ -654,7 +636,7 @@ def verify_packing(f: WeightGrid, p: float = 2.0) -> TheoremReport:
         "monotone": bool(mono_ok),
         "weighted_rh_pass": bool(wrh.passed),
     }
-    return _single_case("packing-consistency", f.label, case, {"reproduction_worst_rel": worst})
+    return TheoremReport([case])
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +680,6 @@ def analyze_report(
     C_cap: float = 16.0,
     gamma_grid: tuple[float, ...] = (1.0, 0.5, 0.25, 0.125),
     cube_policy: str = "all-dyadic",
-    theorems: list[TheoremReport] | None = None,
 ) -> dict:
     """The JSON-ready analysis report: constants, indices, classifications.
 
@@ -741,7 +722,5 @@ def analyze_report(
             "gamma": fam.gamma,
         },
         "classifications": classifications,
-        "theorems": [
-            {"id": t.theorem, "pass": t.passed, "details": t.constants} for t in (theorems or [])
-        ],
+        "theorems": [],  # schema 1 keeps the key
     }

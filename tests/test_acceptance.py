@@ -267,11 +267,11 @@ def test_criterion_09_fujii_and_extrapolation():
     for d in (1, 2):
         for w in standard_corpus(d, seed=1):
             n += 1
-            rf = verify_fujii(w, c=4.0)
-            k = rf.constants["rh_llogl"]
-            if not (rf.passed and rf.constants["fujii"] <= 4.0 * (k * k + k + 1.0)):
+            rf = verify_fujii(w)
+            k = rf.cases[0]["rh_llogl"]
+            if not (rf.passed and rf.cases[0]["fujii"] <= 4.0 * (k * k + k + 1.0)):
                 failures.append(f"{w.label} fujii")
-            if not verify_extrapolation_bound(w, c=4.0).passed:
+            if not verify_extrapolation_bound(w).passed:
                 failures.append(f"{w.label} extrapolation")
             if weak_type_residual(w, w.base) > 1.0 + 1e-9:
                 failures.append(f"{w.label} weak-type")

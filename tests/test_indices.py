@@ -84,8 +84,8 @@ def test_family_index_certificate():
 
 def test_family_index_shift_identity():
     w = make_grid(1, 8, "rand:71:lognormal:1")
-    base = family_index(CurveFamily(w), beta=0.0, q=2.0)
-    shifted = family_index(CurveFamily(w), beta=0.25, q=2.0)
+    base = family_index(CurveFamily(w, beta=0.0, q=2.0))
+    shifted = family_index(CurveFamily(w, beta=0.25, q=2.0))
     assert abs(shifted.delta_hat - (base.delta_hat - 0.5)) <= 2e-4
 
 
@@ -115,9 +115,9 @@ def test_family_index_validation():
     with pytest.raises(ValueError):
         family_index(CurveFamily(w), C_cap=0.5)
     with pytest.raises(ValueError):
-        family_index(CurveFamily(w), beta=1.0)
+        family_index(CurveFamily(w, beta=1.0))
     with pytest.raises(ValueError):
-        family_index(CurveFamily(w), q=0.5)
+        family_index(CurveFamily(w, q=0.5))
     with pytest.raises(ValueError):
         family_index(CurveFamily(w), gamma_grid=())
 

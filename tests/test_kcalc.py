@@ -737,9 +737,14 @@ def _row_cubes(w, rows):
     return [_cube_at(w, w.base.level + int(j), int(r - off[j])) for j, r in zip(k, rows)]
 
 
+def _ones(f):
+    """The unit weight on f's grid."""
+    return WeightGrid(f.d, f.L, np.ones(f.ncells), label="const:1", base=f.base)
+
+
 def test_packing_family_structure():
     f = make_grid(1, 4, "rand:19:lognormal:1")
-    Pi = packing_family(f, p=2.0)
+    Pi = packing_family(f, _ones(f), p=2.0)
     assert Pi.geometry == (f.d, f.L, f.base)
     assert len(Pi.rows) >= f.L + 1
     # the first L+1 packings are the single-level tilings
@@ -751,7 +756,7 @@ def test_packing_family_structure():
         for (a0, b0), (a1, b1) in zip(ranges, ranges[1:]):
             assert a1 >= b0
     # deterministic
-    Pi2 = packing_family(f, p=2.0)
+    Pi2 = packing_family(f, _ones(f), p=2.0)
     assert [r.tolist() for r in Pi.rows] == [r.tolist() for r in Pi2.rows]
 
 
@@ -906,7 +911,7 @@ def test_packing_family_rows_match_cubes():
     # every packing's rows are those of a valid disjoint cube list, listed
     # level by level in Morton order
     for f in (make_grid(1, 6, "rand:21:lognormal:1"), _localized(2, 4, DyadicCube(1, (1, 1)), 6)):
-        Pi = packing_family(f, p=2.0)
+        Pi = packing_family(f, _ones(f), p=2.0)
         for rows in Pi.rows:
             assert rows.dtype == np.int64
             pi = _row_cubes(f, rows)
@@ -919,9 +924,7 @@ def test_packing_family_rows_match_cubes():
 # per threshold and level
 
 
-def _frozen_packing_rows(f, w=None, p=1.0):
-    if w is None:
-        w = WeightGrid(f.d, f.L, np.ones(f.ncells), label="const:1", base=f.base)
+def _frozen_packing_rows(f, w, p):
     off = kcalc._level_offsets(f)
     rows = [np.arange(a, b) for a, b in zip(off, off[1:])]
     num, den = kcalc._level_tables(grid_power(f, p), w)
@@ -944,7 +947,7 @@ def _frozen_packing_rows(f, w=None, p=1.0):
     return rows
 
 
-def _assert_packing_rows_frozen(f, w=None, p=1.0):
+def _assert_packing_rows_frozen(f, w, p):
     got, want = packing_family(f, w, p).rows, _frozen_packing_rows(f, w, p)
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -956,7 +959,7 @@ def _assert_packing_rows_frozen(f, w=None, p=1.0):
 @given(random_grids(max_level_1d=10, max_level_2d=5), st.sampled_from([1.0, 2.0]), st.integers(0, 2**31 - 1), st.booleans())
 @settings(max_examples=40)
 def test_packing_family_rows_equal_frozen_loop_random(f, p, seed, unit_w):
-    w = None if unit_w else make_grid(f.d, f.L, f"rand:{seed}:lognormal:0.7")
+    w = _ones(f) if unit_w else make_grid(f.d, f.L, f"rand:{seed}:lognormal:0.7")
     _assert_packing_rows_frozen(f, w, p)
     _assert_packing_rows_frozen(weights.origin_sorted(f), w, p)
 
@@ -968,7 +971,7 @@ def test_packing_family_rows_equal_frozen_loop(p):
     for f in grids:
         # a localized grid is its own weight (make_grid builds unit-cube grids)
         w = make_grid(f.d, f.L, "rand:43:lognormal:1") if f.base.level == 0 else f
-        _assert_packing_rows_frozen(f, None, p)
+        _assert_packing_rows_frozen(f, _ones(f), p)
         _assert_packing_rows_frozen(f, w, p)
 
 
@@ -1021,7 +1024,7 @@ def test_explicit_family_rows_derived_once(monkeypatch):
 def test_family_refuses_a_grid_of_another_geometry():
     f = make_grid(1, 5, "rand:37:lognormal:1")
     local = _localized(1, 5, DyadicCube(1, (1,)), 8)
-    for Pi in (packing_family(f), _mixed_family(f)):
+    for Pi in (packing_family(f, _ones(f)), _mixed_family(f)):
         for g in (make_grid(1, 6, "rand:38:lognormal:1"), local, make_grid(2, 5, "const:1")):
             t = 0.5 * integrate(g, g.base)
             with pytest.raises(ValueError, match="another geometry"):
@@ -1030,7 +1033,7 @@ def test_family_refuses_a_grid_of_another_geometry():
                 k_weighted(g, g, 2.0, t, Pi)
     # a family built on the localized grid refuses the unit-cube grid of the same L
     with pytest.raises(ValueError, match="another geometry"):
-        k_weighted(f, f, 1.0, 0.5, packing_family(local))
+        k_weighted(f, f, 1.0, 0.5, packing_family(local, _ones(local)))
 
 
 def _spy_packing_objects(monkeypatch):

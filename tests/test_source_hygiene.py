@@ -5,9 +5,11 @@ private module-level name (a function, class or assignment whose name
 starts with one underscore) is read somewhere in the package.  A name that
 only a test reads is dead code of the package.  So is a public name (one in
 __all__) that no module reads outside its own definition, apart from the
-listed names still waiting to be deleted or gain a caller.  Every name of
-__all__ is an attribute of the imported package, so `from rhlab import *`
-does not fail.
+listed names still waiting to be deleted or gain a caller.  Every
+defaulted parameter of a public module-level function is passed by some
+call in the package, apart from the listed ones kept on purpose.  Every
+name of __all__ is an attribute of the imported package, so
+`from rhlab import *` does not fail.
 """
 
 import ast
@@ -79,6 +81,41 @@ def reads_outside_definitions(tree) -> set[str]:
     return out
 
 
+def _passes(call, index, name) -> bool:
+    """Whether a call passes a parameter: by position (index None for a
+    keyword-only one), by name, or maybe through a *args or **kwargs."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    return (index is not None and index < len(call.args)) or any(k.arg == name for k in call.keywords)
+
+
+def unpassed_defaults(modules) -> list[str]:
+    """An entry "module:function(name=)" for each defaulted parameter of a
+    public module-level function that no call in the modules passes; a call
+    is matched to a function by its callee's name or attribute."""
+    calls = {}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    out = []
+    for m, tree in modules.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            args = fn.args
+            pos = args.posonlyargs + args.args
+            params = [(i, a.arg) for i, a in enumerate(pos) if i >= len(pos) - len(args.defaults)]
+            params += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            out += [
+                f"{m}:{fn.name}({name}=)"
+                for i, name in params
+                if not any(_passes(c, i, name) for c in calls.get(fn.name, []))
+            ]
+    return out
+
+
 def unused_imports(tree) -> list[str]:
     used = _local_reads(tree)
     out = []
@@ -128,6 +165,26 @@ def test_every_public_name_is_read():
     assert PENDING_PUBLIC <= public and not PENDING_PUBLIC & reads
 
 
+# Defaulted parameters no call in the package passes, kept on purpose:
+# main's argv (the console script passes none, tests pass a list), and the
+# cube policy of the class constants only the verifiers call, so that every
+# class constant takes the cubes= policy string the README documents.
+UNPASSED_KEPT = {
+    "cli.py:main(argv=)",
+    "weights.py:hardy_residual_sup(cubes=)",
+    "weights.py:kside_rh_constant(cubes=)",
+    "weights.py:rh_p_weighted_constant(cubes=)",
+}
+
+
+def test_every_default_is_passed():
+    unpassed = set(unpassed_defaults(MODULES))
+    extra = sorted(unpassed - UNPASSED_KEPT)
+    assert not extra, "never passed: " + ", ".join(extra)
+    # the kept parameters exist and are still unpassed
+    assert UNPASSED_KEPT <= unpassed
+
+
 def test_all_names_resolve():
     assert [n for n in rhlab.__all__ if not hasattr(rhlab, n)] == []
 
@@ -141,3 +198,7 @@ def test_checks_see_dead_code():
     tree = ast.parse("def f(n): return f(n - 1)\nclass C:\n    def g(self) -> 'C': return C\ndef h(): return C\n")
     reads = reads_outside_definitions(tree)
     assert "C" in reads and not reads & {"f", "h"}
+    # a default is passed by position, by name or through *args / **kwargs
+    tree = ast.parse("def f(a, b=1, *, c=2, d=3): pass\ndef _g(e=0): pass\ndef h(x=0, y=1): pass\n"
+                     "f(0, 1, d=4)\nM.h(*[])\n")
+    assert unpassed_defaults({"m.py": tree}) == ["m.py:f(c=)"]
