@@ -282,20 +282,37 @@ def _knee_fails(lnphi, ls, u, kappa, lncap_q, triv_tol) -> np.ndarray:
     return np.flatnonzero(fail)
 
 
-def _scan_prefix(ok_fn, tol: float) -> float:
-    """Largest admissible u in [0, 1] for a criterion whose admissible set
-    is a prefix of [0, 1]: one bisection of [0, 1] to tol.  As tol < 1/64
-    (q >= 1), its first six probes are a binary search over the 1/64 grid,
-    so the result equals that of the full grid scan."""
-    if not ok_fn(0.0):
-        return 0.0
-    if ok_fn(1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if ok_fn(mid) else (lo, mid)
-    return lo
+def _knee_scan(blocks, win, order, k, lncap_q, triv_tol) -> float:
+    """The largest u on the grid 2^-k of [0, 1] at which every row of every
+    block passes the knee rule on the window win, or 0 if there is none, by
+    a running bound G read once per block (see family_index).  A block
+    failing at G moves to the front of the shared order."""
+    G = 1 << k
+    for b in list(order):
+        ncols, kappa = win[b]
+        if not ncols:
+            continue
+        blk, ls = blocks[b], blocks[b].ls[:ncols]
+        fails = lambda lnphi, g: _knee_fails(lnphi, ls, math.ldexp(g, -k), kappa, lncap_q, triv_tol)
+        bad = fails(blk.lnphi[:, :ncols], G)
+        if not bad.size:
+            continue
+        order.insert(0, order.pop(order.index(b)))
+        lnphi = _take_rows(blk.lnphi[:, :ncols], bad)
+        if not blk.monotone and fails(lnphi, 0).size:
+            return 0.0
+        lo, hi = 0, G
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            bad = fails(lnphi, mid)
+            if bad.size:
+                hi, lnphi = mid, _take_rows(lnphi, bad)
+            else:
+                lo = mid
+        G = lo
+        if not G:
+            return 0.0
+    return math.ldexp(G, -k)
 
 
 def _witness(blocks, window, u):
@@ -322,40 +339,16 @@ def _index_estimate(blocks, windows, beta, q, C_cap, resolution, name) -> IndexE
     fraction; the knee rule picks the best gamma, the cap threshold runs on
     the blocks' full width.  name(block, row) labels the witness curve.
     Scans run in the base variable u and report delta = q (u - beta).
+    Each window's knee is a running-bound scan on the grid 2^-k (see
+    family_index); the windows share one block order, deepest level first
+    (blocks come in level order), but each reads its blocks on its own.
     """
     lncap_q = math.log(C_cap) / q
     triv_tol = _TRIVIAL / q
-    utol = 1e-4 / q
-    order = list(range(len(blocks)))  # the knee probes' fail-first block order
+    k = 1 - math.frexp(1e-4 / q)[1]  # the least k with 2^-k <= 1e-4 / q
+    order = list(range(len(blocks)))[::-1]  # blocks come in level order: deepest first
     mono = all(blk.monotone for blk in blocks)  # then every row passes at u = 0
-
-    def knee_scan(win):
-        live = [None] * len(blocks)  # per block, the rows a knee probe reads (None: all)
-
-        def knee_ok(u):
-            if u == 0.0 and mono:
-                return True
-            # later probes lie below a failing one: of each block it read,
-            # only the rows failing there can fail again
-            passed = []
-            for b in order:
-                ncols, kappa = win[b]
-                if not ncols or (live[b] is not None and not live[b].size):
-                    continue
-                lnphi = _take_rows(blocks[b].lnphi[:, :ncols], live[b])
-                fails = _knee_fails(lnphi, blocks[b].ls[:ncols], u, kappa, lncap_q, triv_tol)
-                if fails.size:
-                    for a in passed:
-                        live[a] = fails[:0]
-                    live[b] = fails if live[b] is None else live[b][fails]
-                    order.insert(0, order.pop(order.index(b)))
-                    return False
-                passed.append(b)
-            return True
-
-        return _scan_prefix(knee_ok, utol)
-
-    u_knee = [knee_scan(win) for _, win in windows]
+    u_knee = [_knee_scan(blocks, win, order, k, lncap_q, triv_tol) for _, win in windows]
     best = max(range(len(windows)), key=u_knee.__getitem__)  # the first best gamma
     u_hat, (gamma_star, win_star) = u_knee[best], windows[best]
 
@@ -420,8 +413,9 @@ def family_index(
 
     delta_hat is the largest delta admissible by the knee rule (see the
     module docstring) on the breakpoint set, found per window fraction gamma
-    by one bisection of [0, 1] in the scan variable to 1e-4 / q; the best
-    gamma is reported.  delta_cap is the largest delta with family constant
+    on the grid 2^-k of the scan variable, k the least with 2^-k <= 1e-4 / q
+    (what a bisection of [0, 1] to 1e-4 / q returns); the best gamma is
+    reported.  delta_cap is the largest delta with family constant
     <= C_cap at gamma = 1 on the exact candidate set (breakpoints plus
     interior ratio minima), to float resolution, with its certificate.  Both
     are in the delta units of the (beta, q) transform, where the shift and
@@ -453,16 +447,22 @@ def family_index(
     first: no slope-0 pair (an acks curve's downward jump) then attains C
     at a failing u.  Pruned without changing any result:
 
-      * a knee probe after a failing one lies below it, so it reads, of
-        each block, only the rows that failed the last failing probe
-        reading that block, or none if that block passed there;
-      * a knee probe visits the blocks fail-first, in one order shared by
-        every window, and stops at its first failing block: ok is an AND
-        over blocks, and the blocks it skips keep their rows, a superset of
-        those failing at it;
+      * a knee scan keeps a running bound G on its grid, a point at which
+        every row read so far passes, and reads each block's window rows
+        once, at G: a row passing there passes at every smaller u and is
+        not read again.  The rows failing at G are bisected on the grid
+        points of [0, G), each failing probe keeping only the rows failing
+        there, and G falls to the largest point at which they all pass.
+        So G ends at the largest grid point at which every row passes
+        (0 if there is none; G = 0 ends the scan), whatever order the
+        blocks and rows are read in;
+      * the knee scans visit the blocks in one order shared by every
+        window, deepest level first in the first window and fail-first
+        after that, so a window starts at the block that bound the last;
       * the gamma = 1 blocks serve every window as column prefixes and the
         cap threshold;
-      * no scan probes u = 0 when every block is monotone;
+      * no knee scan probes u = 0 on a monotone block, and no cap
+        evaluation when every block is monotone;
       * a cap evaluation reads the rows above ln C_cap / q less 1e-12 at the
         last failing iterate, which hold the maximiser at every smaller u;
         those kept at u = 1 hold it at u_cap + 1e-3 / q, where C is at least

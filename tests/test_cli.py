@@ -6,6 +6,7 @@ four-way exit-code split, lossless convert round-trips, and that the thread
 count (of the suites and of BLAS) never changes output bytes.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -338,6 +339,37 @@ def test_analyze_deterministic_bytes(capsys):
     b = run_cli(capsys, "analyze", "--weight", "rand:5:lognormal:1", "--level", "5")
     assert a == b
     assert a[0] == 0
+
+
+# sha256 of analyze's stdout on the three analyze-deep benchmark commands and
+# the README example.  A change that moves these bytes on purpose re-bases
+# the digests and names them as a test change.
+_ANALYZE_DIGESTS = {
+    "pow-d1L14": (
+        ("--weight", "pow:-0.5", "--dim", "1", "--level", "14", "--q", "2"),
+        "2d19b6d5f8fd98d0784a7c51778ce706739e11a36631198db81a10317399283a",
+    ),
+    "rand-d1L16": (
+        ("--weight", "rand:1:lognormal:1", "--dim", "1", "--level", "16", "--q", "2"),
+        "62d2cb36742fae186c16d158510d0dc35e2870e9eaa4156fd665b7266a692b7f",
+    ),
+    "rand-d2L8": (
+        ("--weight", "rand:2:lognormal:1", "--dim", "2", "--level", "8", "--q", "2"),
+        "8f024eeee71016f390fc00fabe0049db5533f2dddd9a430ab6abec0140380272",
+    ),
+    "readme": (
+        ("--weight", "pow:-0.5", "--level", "10", "--p", "1.5,2"),
+        "340aa84a61804ebf0e87bad96fe3d45aeda9c030d29d49b020e096881e55ed70",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ANALYZE_DIGESTS))
+def test_analyze_bytes_are_pinned(capsys, case):
+    argv, digest = _ANALYZE_DIGESTS[case]
+    code, out, err = run_cli(capsys, "analyze", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_analyze_bad_descriptor_is_usage_error(capsys):

@@ -11,6 +11,7 @@ shift identity, witness determinism, and scaling invariance.
 import dataclasses
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -493,16 +494,32 @@ def _frozen_scan_prefix(ok_fn, tol):
     return _frozen_bisect(ok_fn, lo, tol)
 
 
+def _scan_k(tol):
+    """The knee scan's grid 2^-k: k the least with 2^-k <= tol."""
+    k = 1 - math.frexp(tol)[1]
+    assert 2.0**-k <= tol < 2.0 ** (1 - k)
+    return k
+
+
 @pytest.mark.parametrize("tol", [1e-4, 1e-4 / 64])
 @pytest.mark.parametrize("c", [-0.5, 0.0, 0.005, 0.25, 0.3, 37 / 64, 0.6, 63 / 64, 0.999, 1.0])
-def test_scan_prefix_probes_equal_the_frozen_grid_search(c, tol):
-    # a knee scan's one bisection of [0, 1] probes the frozen binary search
-    # over the 1/64 grid and then its bisection, in the same order (tol is
-    # below 1/64 for q >= 1)
+def test_scan_prefix_probes_equal_the_frozen_grid_search(monkeypatch, c, tol):
+    # on one row, the knee scan is the frozen binary search over the 1/64
+    # grid and its bisection to tol, on the grid 2^-k, k the least with
+    # 2^-k <= tol: the same probes and result, but u = 1 comes before u = 0
+    # (and a row passing at 1 is not probed at 0)
     new, old = [], []
-    u = indices._scan_prefix(lambda u: new.append(u) or u <= c, tol)
+    # a one-row block whose row passes the knee rule at u exactly when u <= c
+    blk = types.SimpleNamespace(lnphi=np.array([[c]]), ls=np.zeros(1), monotone=False)
+    monkeypatch.setattr(indices, "_knee_fails", lambda lnphi, ls, u, *a: new.append(u) or np.flatnonzero(u > lnphi[:, 0]))
+    u = indices._knee_scan([blk], [(1, 0.0)], [0], _scan_k(tol), 1.0, 0.0)
     assert u == _frozen_scan_prefix(lambda u: old.append(u) or u <= c, tol)
-    assert new == old
+    if c < 0.0:
+        assert (new, old) == ([1.0, 0.0], [0.0])
+    elif c >= 1.0:
+        assert (new, old) == ([1.0], [0.0, 1.0])
+    else:
+        assert old[:2] == [0.0, 1.0] and new == [1.0, 0.0] + old[2:]
 
 
 def _frozen_family_index(F, C_cap=16.0, gamma_grid=(1.0, 0.5, 0.25, 0.125)):
@@ -587,23 +604,49 @@ def _family_blocks(w, kind, gammas):
     return levels, blocks, [(g, win) for g, win in windows if any(n for n, _ in win)]
 
 
-@given(random_grids(), st.sampled_from(["k", "acks"]), st.sampled_from(_SETTINGS))
+@given(random_grids(), st.sampled_from(["k", "acks"]), st.sampled_from(_SETTINGS), st.integers(0, 2**32 - 1))
 @settings(max_examples=30)
-def test_knee_admissibility_is_a_prefix_per_row(w, kind, setting):
+def test_knee_admissibility_is_a_prefix_per_row(w, kind, setting, seed):
     _, q, cap, gammas = setting
     _, blocks, windows = _family_blocks(w, kind, gammas)
+    # the 1/64 grid, and random points of the scan's own grid 2^-k, off it,
+    # where the knee scan reads rows at its running bound
+    k = _scan_k(1e-4 / q)
+    scan_grid = np.random.default_rng(seed).integers(0, (1 << k) + 1, 32)
+    us = sorted(set(np.linspace(0.0, 1.0, 65).tolist()) | {math.ldexp(int(g), -k) for g in scan_grid})
     for _, win in windows:
         for blk, (ncols, kappa) in zip(blocks, win):
             if not ncols:
                 continue
             lnphi, ls = blk.lnphi[:, :ncols], blk.ls[:ncols]
             failed = np.zeros(lnphi.shape[0], dtype=bool)
-            for u in np.linspace(0.0, 1.0, 65).tolist():
+            for u in us:
                 fails = np.zeros_like(failed)
                 fails[indices._knee_fails(lnphi, ls, u, kappa, math.log(cap) / q, 1e-12 / q)] = True
-                # a row failing at one grid point fails at every later one
+                # a row failing at one point fails at every later one
                 assert not np.any(failed & ~fails)
                 failed = fails
+
+
+@given(random_grids(), st.sampled_from(["k", "acks"]), st.sampled_from(_SETTINGS), st.integers(0, 2**32 - 1))
+@settings(max_examples=30)
+def test_knee_scan_does_not_depend_on_the_visit_order(w, kind, setting, seed):
+    # each window's knee estimate is the largest point of the grid 2^-k at
+    # which every row passes: the same in level order, reversed, in a random
+    # block order, and with each block's rows shuffled as well, which is
+    # why the running bound returns what the bisection did
+    beta, q, cap, gammas = setting
+    _, blocks, windows = _family_blocks(w, kind, gammas)
+    k, rng = _scan_k(1e-4 / q), np.random.default_rng(seed)
+    levels = list(range(len(blocks)))
+    shuffled = [blk.rows(rng.permutation(blk.lnphi.shape[0])) for blk in blocks]
+    visits = [(blocks, levels), (blocks, levels[::-1]), (blocks, rng.permutation(levels).tolist()), (shuffled, levels[::-1])]
+    runs = []
+    for blks, order in visits:
+        runs.append([indices._knee_scan(blks, win, order, k, math.log(cap) / q, 1e-12 / q) for _, win in windows])
+    assert runs[1:] == runs[:1] * 3
+    est = family_index(CurveFamily(w, kind=kind, beta=beta, q=q), C_cap=cap, gamma_grid=gammas)
+    assert est.delta_hat == q * (max(runs[0]) - beta)
 
 
 def _unpruned_family_index(F, C_cap, gamma_grid):
@@ -621,7 +664,18 @@ def _unpruned_family_index(F, C_cap, gamma_grid):
                 return False
         return True
 
-    u_knee = [indices._scan_prefix(lambda u: knee_ok(win, u), utol) for _, win in windows]
+    def knee_scan(win):
+        if not knee_ok(win, 0.0):
+            return 0.0
+        if knee_ok(win, 1.0):
+            return 1.0
+        lo, hi = 0.0, 1.0
+        while hi - lo > utol:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if knee_ok(win, mid) else (lo, mid)
+        return lo
+
+    u_knee = [knee_scan(win) for _, win in windows]
     best = int(np.argmax(u_knee))  # the first best gamma
     u_hat, (gamma, win) = u_knee[best], windows[best]
     at = lambda u: indices._blocks_ok(iter(blocks), u, lncap_q)
@@ -662,16 +716,30 @@ def test_family_index_equals_unpruned_bisection(w, kind, setting):
     assert family_index(F, C_cap=cap, gamma_grid=gammas) == _unpruned_family_index(F, cap, gammas)
 
 
+def _ptr(x):
+    return x.__array_interface__["data"][0]
+
+
 def _recorded_scans(monkeypatch):
-    """Record each knee scan's probes, as (u, ok) lists, one list per scan."""
+    """Record each knee scan (one per window) as [u, probes]: its result and,
+    per _knee_fails call, (lnphi address, ls address, u, rows read, rows
+    failing).  A read of a block's window rows has the block's lnphi address;
+    a bisection reads a copy of the failing rows."""
     scans = []
-    real = indices._scan_prefix
+    real_scan, real_fails = indices._knee_scan, indices._knee_fails
 
-    def scan(ok_fn, tol):
-        scans.append([])
-        return real(lambda u: scans[-1].append((u, ok := ok_fn(u))) or ok, tol)
+    def scan(*a):
+        scans.append([None, []])
+        scans[-1][0] = real_scan(*a)
+        return scans[-1][0]
 
-    monkeypatch.setattr(indices, "_scan_prefix", scan)
+    def fails(lnphi, ls, u, *a):
+        out = real_fails(lnphi, ls, u, *a)
+        scans[-1][1].append((_ptr(lnphi), _ptr(ls), u, lnphi.shape[0], out.size))
+        return out
+
+    monkeypatch.setattr(indices, "_knee_scan", scan)
+    monkeypatch.setattr(indices, "_knee_fails", fails)
     return scans
 
 
@@ -694,9 +762,10 @@ def _recorded_cap_evaluations(monkeypatch):
 @pytest.mark.parametrize("n", [1, 3])
 def test_scan_largest_result_does_not_depend_on_the_chunk(monkeypatch, chunk, n):
     # each row's knee verdict is its own: cutting every level block into
-    # blocks of chunk rows changes no probe's verdict, so neither the
-    # probes of the n windows' bisections nor the largest admissible u;
-    # nor does it move any cap evaluation's u, constant or slope
+    # blocks of chunk rows changes the blocks the knee scans visit and the
+    # running bounds they probe, but not the largest admissible u of any of
+    # the n windows; nor does it move any cap evaluation's u, constant or
+    # slope.  Every knee probe lies on the scan's grid 2^-k.
     w = make_grid(1, 10, "rand:1:lognormal:1")
     for kind in ("k", "acks"):
         for beta, q, cap, gammas in _SETTINGS:
@@ -710,6 +779,7 @@ def test_scan_largest_result_does_not_depend_on_the_chunk(monkeypatch, chunk, n)
                     for (_, win), (_, cut_win) in zip(windows, cut_windows):
                         cut_win.append(win[b])
             assert len(cut) > len(blocks)
+            step = 2.0 ** -_scan_k(1e-4 / q)
             runs = []
             for blks, wins, name in (
                 (blocks, windows, lambda b, row: (levels[b], row)),
@@ -718,8 +788,10 @@ def test_scan_largest_result_does_not_depend_on_the_chunk(monkeypatch, chunk, n)
                 scans = _recorded_scans(monkeypatch)
                 evals = _recorded_cap_evaluations(monkeypatch)
                 est = indices._index_estimate(blks, wins, beta, q, cap, w.L, name)
-                runs.append((est, scans, [e[:3] for e in evals]))
+                runs.append((est, [u for u, _ in scans], [e[:3] for e in evals]))
                 monkeypatch.undo()
+                probes = [p[2] for _, ps in scans for p in ps]
+                assert all(ps for _, ps in scans) and all((u / step).is_integer() for u in probes)
             assert runs[1] == runs[0]
             assert len(runs[0][1]) == len(windows) and runs[0][2]  # the knee scans; the cap evaluations
 
@@ -796,46 +868,68 @@ def test_analyze_bytes_do_not_depend_on_the_block_layout(capsys, monkeypatch, d,
     assert built and all(built)
 
 
-# The knee probes visit 226 block-levels at L = 12 and 286 at L = 16 (271
-# and 347 with the u = 0 probes, which monotone blocks skip); in level order,
-# with those probes, they would visit 163 and 192, but read more rows (below).
+def _assert_running_bound(scans, blocks, windows):
+    """The knee scans' probes, one scan per window: each visits the blocks
+    in the shared order (deepest level first in the first window, then each
+    block failing at its read moved to the front) and reads each block's
+    window rows once, at the running bound G, before any bisection of them.
+    The bisection follows at once, below G, on the rows failing at the last
+    failing probe, after a probe at u = 0 for a block that is not monotone;
+    G falls to its largest passing probe, and the scan returns G, or 0 once
+    G or a probe at u = 0 says so, reading nothing more."""
+    block_at = {_ptr(blk.lnphi): b for b, blk in enumerate(blocks)}
+    order = list(range(len(blocks)))[::-1]
+    for (result, probes), (_, win) in zip(scans, windows):
+        visit = iter([b for b in order if win[b][0]])
+        G, i = 1.0, 0
+        while i < len(probes) and G:
+            ptr, _, u, nrows, nfails = probes[i]
+            b = next(visit)
+            assert block_at.get(ptr) == b and u == G and nrows == blocks[b].lnphi.shape[0]
+            i += 1
+            if not nfails:
+                continue
+            order.insert(0, order.pop(order.index(b)))
+            lo, hi, live = 0.0, G, nfails
+            for ptr, ls, u, nrows, nfails in probes[i:]:
+                if ptr in block_at:
+                    break
+                assert ls == _ptr(blocks[b].ls) and nrows == live and lo <= u < hi
+                i += 1
+                if u == 0.0:
+                    assert not blocks[b].monotone
+                    if nfails:
+                        lo = hi = 0.0
+                        break
+                elif nfails:
+                    hi, live = u, nfails
+                else:
+                    lo = u
+            G = lo
+        assert i == len(probes) and result == G
+
+
+# The knee scans of kind k read 101 blocks at L = 12 and 117 at L = 16 (105
+# and 121 with the u = 0 probes, which monotone blocks skip), against 226
+# and 286 reads by the bisection they replaced.
 @pytest.mark.parametrize("L, bound", [(12, 400), (16, 475)])
 def test_knee_passes_visit_the_failing_level_first(monkeypatch, L, bound):
-    visits = []  # per probe, the (block, failed) of each block it reads
-    real = indices._knee_fails
-
-    def fails(lnphi, ls, *a):
-        out = real(lnphi, ls, *a)
-        visits[-1].append((ls.__array_interface__["data"][0], bool(out.size)))
-        return out
-
-    monkeypatch.setattr(indices, "_knee_fails", fails)
-    scans = _recorded_scans(monkeypatch)
-    real_scan = indices._scan_prefix
-    monkeypatch.setattr(indices, "_scan_prefix", lambda ok_fn, tol: real_scan(lambda u: visits.append([]) or ok_fn(u), tol))
-    family_index(CurveFamily(make_grid(1, L, "rand:1:lognormal:1")))
-    assert 0 < sum(map(len, visits)) <= bound
-    # a probe stops at its first failing block, and every later probe that
-    # reads that block reads it first; in the same window, it reads it
-    last, probe = None, 0
-    for scan in scans:
-        for i in range(len(scan)):
-            seen = visits[probe]
-            assert all(not failed for _, failed in seen[:-1])
-            if last in [b for b, _ in seen]:
-                assert seen[0][0] == last
-            if i and visits[probe - 1] and visits[probe - 1][-1][1]:
-                assert seen[0][0] == visits[probe - 1][-1][0]
-            if seen and seen[-1][1]:
-                last = seen[-1][0]
-            probe += 1
-    assert probe == len(visits)
+    w = make_grid(1, L, "rand:1:lognormal:1")
+    for kind in ("k", "acks"):
+        _, blocks, windows = _family_blocks(w, kind, (1.0, 0.5, 0.25, 0.125))
+        scans = _recorded_scans(monkeypatch)
+        est = indices._index_estimate(blocks, windows, 0.0, 1.0, 16.0, w.L, lambda b, row: row)
+        monkeypatch.undo()
+        assert len(scans) == len(windows) and est.delta_hat == max(u for u, _ in scans)
+        assert 0 < sum(len(p) for _, p in scans) <= bound
+        _assert_running_bound(scans, blocks, windows)
 
 
-# The knee probes read 21,673 rows at L = 12 and 345,955 at L = 16 (32,933
-# and 526,175 with the u = 0 probes, which monotone blocks skip).  With
+# The knee probes read 17,548 rows at L = 12 and 281,213 at L = 16 (21,388
+# and 342,653 with the u = 0 probes, which monotone blocks skip).  With
 # those probes, an unpruned bisection per window reads 103,426 and
-# 1,636,579; pruned but in level order, 39,485 and 618,630.
+# 1,636,579; the pruned bisection the running bound replaced, 32,933 and
+# 526,175.
 @pytest.mark.parametrize("L, bound", [(12, 36_000), (16, 560_000)])
 def test_knee_probes_read_only_the_rows_failing_before(monkeypatch, L, bound):
     rows = []
@@ -843,6 +937,23 @@ def test_knee_probes_read_only_the_rows_failing_before(monkeypatch, L, bound):
     monkeypatch.setattr(indices, "_knee_fails", lambda lnphi, *a: rows.append(lnphi.shape[0]) or real(lnphi, *a))
     family_index(CurveFamily(make_grid(1, L, "rand:1:lognormal:1")))
     assert 0 < sum(rows) <= bound
+
+
+# The knee probes read 2,231,971 cells on acks pow:-0.5 d=1 L=14, and
+# 6,637,927 over the six estimates of the analyze-deep grids (kinds k and
+# acks, q = 1); the bisection the running bound replaced read 6,512,632 and
+# 16,713,238, as every passing probe re-read each block it had not pruned.
+def test_knee_probes_read_each_row_once_per_window(monkeypatch):
+    cells = []
+    real = indices._knee_fails
+    monkeypatch.setattr(indices, "_knee_fails", lambda lnphi, *a: cells.append(lnphi.size) or real(lnphi, *a))
+    pow_grid = make_grid(1, 14, "pow:-0.5")
+    acks_index(pow_grid)
+    assert 0 < sum(cells) <= 3_000_000
+    for w in (pow_grid, make_grid(1, 16, "rand:1:lognormal:1"), make_grid(2, 8, "rand:2:lognormal:1")):
+        acks_index(w)  # memoised: the pow grid's is counted once
+        family_index(CurveFamily(w))
+    assert sum(cells) <= 8_000_000
 
 
 def test_cap_probes_read_only_the_rows_failing_before(monkeypatch):
