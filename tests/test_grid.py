@@ -434,3 +434,81 @@ def test_make_grid_file_spec(tmp_path):
     back = make_grid(1, 4, f"file:{path}")
     assert np.array_equal(back.cells, w.cells)
     assert os.path.basename(path) in back.label
+
+
+# ---------------------------------------------------------------------------
+# the rand generator's inverse normal CDF against scipy's, bit for bit
+
+
+def _draws(seed, n):
+    raw = np.random.Philox(key=seed).random_raw(n)
+    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def _assert_bits(got, want):
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 13, 2**31 - 1])
+@pytest.mark.parametrize("d, L", [(1, 20), (2, 10)])
+def test_ndtri_port_is_scipy_on_whole_grids(d, L, seed):
+    special = pytest.importorskip("scipy.special")
+    u = _draws(seed, 1 << (d * L))
+    _assert_bits(grid._ndtri(u), special.ndtri(u))
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+def test_rand_cells_are_scipy_lognormal_cells(sigma):
+    special = pytest.importorskip("scipy.special")
+    w = make_grid(2, 10, f"rand:13:lognormal:{sigma:g}")
+    _assert_bits(w.cells, np.exp(sigma * special.ndtri(_draws(13, 1 << 20))))
+
+
+def _edge_draws():
+    e2 = math.exp(-2.0)
+    u = [0.5 * 2.0**-53, e2, 1.0 - e2, grid._EXPM2, 1.0 - grid._EXPM2, 0.5]
+    u += [np.nextafter(v, 0.0) for v in u] + [np.nextafter(v, 1.0) for v in u]
+    # below e^-32 both tails take the x >= 8 branch (P2/Q2), which Philox
+    # draws reach with probability 2^-45: 1 - 2^-52 is the largest draw below 1
+    u += [1e-15, 1.2e-14, 1e-100, 1e-300, 5e-324, 1.0 - 2.0**-53, 1.0 - 2.0**-52, 1.0 - 1e-14]
+    # the largest raw draw: (2^53 - 1 + 1/2) 2^-53 rounds to 1.0, where ndtri = inf
+    u += [(float(2**53 - 1) + 0.5) * 2.0**-53]
+    return np.array(u)
+
+
+def test_ndtri_port_is_scipy_on_the_edges():
+    special = pytest.importorskip("scipy.special")
+    u = _edge_draws()
+    assert u[-1] == 1.0 and np.any(np.sqrt(-2.0 * np.log(np.minimum(u[:-1], 1.0 - u[:-1]))) >= 8.0)
+    _assert_bits(grid._ndtri(u), special.ndtri(u))
+
+
+def test_rand_draw_of_one_is_a_numerical_error(monkeypatch, capsys):
+    class AllOnes:
+        def __init__(self, key):
+            pass
+
+        def random_raw(self, n):
+            return np.full(n, 2**64 - 1, dtype=np.uint64)
+
+    monkeypatch.setattr(np.random, "Philox", AllOnes)
+    with pytest.raises(OverflowError):
+        make_grid(1, 3, "rand:1:lognormal:1")
+    from rhlab.cli import main
+
+    assert main(["curve", "--kind", "k", "--weight", "rand:1:lognormal:1", "--level", "3"]) == 1
+    assert "OverflowError" in capsys.readouterr().err
+
+
+def test_ndtri_port_without_extended_long_double(monkeypatch):
+    # every tail log then comes from math.log, libm's own
+    special = pytest.importorskip("scipy.special")
+    u = np.concatenate([_draws(7, 1 << 14), _edge_draws()])
+    monkeypatch.setattr(grid, "_X87_LONG_DOUBLE", False)
+    _assert_bits(grid._ndtri(u), special.ndtri(u))
+
+
+@given(st.floats(min_value=5e-324, max_value=1e300))
+def test_libm_log_is_math_log(x):
+    assert grid._libm_log(np.array([x]))[0] == math.log(x)

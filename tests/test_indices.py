@@ -1211,6 +1211,58 @@ def test_hardy_residual_one_hot_interior_max():
     assert math.isclose(hardy_residual_sup(w, "base").value, ref, rel_tol=1e-12)
 
 
+def _omega_bound_ok(c, got):
+    """got within (8 + 2|c|/(1 + omega)) 2^-53 relative of W0(e^c), the
+    conditioning of the rounded ln omega in the residual included."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        ref = mp.lambertw(mp.exp(mp.mpf(c))).real
+        return abs(mp.mpf(got) - ref) <= (8 + 2 * abs(c) / (1 + ref)) * 2 ** mp.mpf(-53) * ref
+
+
+@settings(max_examples=300)
+@given(st.floats(min_value=-708.0, max_value=700.0))
+def test_wright_omega_within_its_bound(c):
+    assert _omega_bound_ok(c, indices._wright_omega(np.array([c]))[0])
+
+
+def test_wright_omega_within_its_bound_on_a_sweep():
+    # the regime seams, and the worst case of the sweeps, -32 < c < -16,
+    # where ln omega is rounded to an ulp of 32
+    seams = [-40.0, -2.0, 0.0, 1.0, 1e20]
+    c = np.concatenate([
+        seams, np.nextafter(seams, -np.inf), np.nextafter(seams, np.inf),
+        np.random.default_rng(5).uniform(-45.0, 5.0, 1500), np.linspace(-708.0, 700.0, 301),
+    ])
+    got = indices._wright_omega(c)
+    assert all(_omega_bound_ok(ci, gi) for ci, gi in zip(c.tolist(), got.tolist()))
+
+
+def test_wright_omega_limits():
+    c = np.array([1e20 * (1 + 2**-52), 1e300, math.inf, -746.0, -1e300, -math.inf, math.nan])
+    got = indices._wright_omega(c)
+    assert np.array_equal(got[:3], c[:3])
+    assert np.array_equal(got[3:6], np.zeros(3))
+    assert math.isnan(got[6])
+
+
+def test_hardy_residual_keeps_scipy_bits(monkeypatch):
+    # t* moves with omega's last ulps, and N / phi at t* only at second order:
+    # every cube's residual stays within 2 ulp of scipy's route (3 of the
+    # 177,299 here differ at all) and every supremum keeps its bits
+    special = pytest.importorskip("scipy.special")
+    grids = standard_corpus(1, seed=1) + standard_corpus(2, seed=1) + [
+        make_grid(1, 14, "pow:-0.5"), make_grid(1, 16, "rand:1:lognormal:1"),
+    ]
+    levels = [_level_pieces(w, lev) for w in grids for lev in range(w.L + 1)]
+    rows = lambda: [indices._hardy_rows(A, vals, s0, s, K) for vals, K, s0, s, A in levels]
+    ours, sups = rows(), [hardy_residual_sup(w).value for w in grids]
+    monkeypatch.setattr(indices, "_wright_omega", special.wrightomega)
+    for a, b in zip(ours, rows()):
+        assert np.all(np.abs(a - b) <= 2 * np.spacing(b))
+    assert [hardy_residual_sup(w).value for w in grids] == sups
+
+
 def _dense_hardy(K, n=64):
     """max of N/K over n points per piece of a concave curve, knots included."""
     A, B, s0, s1 = K.pieces()

@@ -9,11 +9,13 @@ listed names still waiting to be deleted or gain a caller.  Every
 defaulted parameter of a public module-level function is passed by some
 call in the package, apart from the listed ones kept on purpose.  Every
 name of __all__ is an attribute of the imported package, so
-`from rhlab import *` does not fail.
+`from rhlab import *` does not fail.  The only third-party package imported
+is numpy.
 """
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -144,6 +146,23 @@ def private_definitions(tree) -> list[str]:
 @pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_unused_imports(module):
     assert unused_imports(MODULES[module]) == []
+
+
+def imported_packages(tree) -> set[str]:
+    """The top-level packages a module imports, at any depth of its code."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_runtime_needs_numpy_only():
+    # scipy is a test dependency: the package's one third-party import is numpy
+    third_party = set().union(*map(imported_packages, MODULES.values())) - set(sys.stdlib_module_names)
+    assert third_party == {"numpy"}
 
 
 def test_every_private_name_is_read():
