@@ -8,7 +8,8 @@ cube in dimension 1 or 2:
   Lorentz and L log L norms, the extrapolation-space norm, and
   weighted-pair K-functional estimates via packings, each an int64 array
   of level-table rows (`kcalc`),
-* almost-increasing indices of curve families with bracketing certificates
+* almost-increasing indices of the cube-indexed K-curve and
+  rearrangement-product families of a weight, with bracketing certificates
   (`indices`),
 * reverse-Hölder / Muckenhoupt class constants and the verification
   routines for the equivalences between their definitions (`weights`),
@@ -43,11 +44,9 @@ from .rearrange import (
 )
 from .kcalc import (
     ConcaveCurve,
-    CurveFamily,
     HolmstedtCurve,
     PackedFunction,
     PackingFamily,
-    WeightedKEstimate,
     extrapolation_norm,
     grid_power,
     k_l1_linf,
@@ -98,7 +97,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ClassConstant",
     "ConcaveCurve",
-    "CurveFamily",
     "DecreasingStep",
     "DyadicCube",
     "GehringResult",
@@ -110,7 +108,6 @@ __all__ = [
     "WeightFormatError",
     "WeightGrid",
     "WeightSpecError",
-    "WeightedKEstimate",
     "a_p_constant",
     "acks_index",
     "analyze_report",

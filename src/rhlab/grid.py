@@ -195,7 +195,7 @@ class WeightGrid:
         self._zcells: np.ndarray | None = None
         self._float_sums: list[np.ndarray] | None = None
         self._sorted_levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # family_index results keyed by (kind, beta, q, C_cap, gamma_grid)
+        # family_index and acks_index results keyed by (kind, C_cap, gamma_grid)
         self._indices: dict[tuple, object] = {}
 
     # -- geometry ----------------------------------------------------------

@@ -36,11 +36,6 @@ lever arm log(t/s).  Both readings are reported:
     jumps to the full window, so the knee detects the departure point; on
     power-law families it recovers the analytic index to grid accuracy.
 
-The delta axis is scanned in a base variable u in [0, 1] common to all
-(beta, q) transforms of a family, since (s^-beta phi)^q s^-delta equals
-(phi(s) s^-u)^q with u = beta + delta/q: shift and power identities on
-reported indices are then exact by construction.
-
 The reverse-Hardy residual sup_t (integral_0^t phi(s) ds/s) / phi(t) of a
 concave piecewise-linear curve is exact, closed form via Wright omega: on
 each piece the ratio has at most one interior maximum, at
@@ -58,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import WeightGrid, _cube_at
-from .kcalc import ConcaveCurve, CurveFamily, _level_pieces
+from .kcalc import ConcaveCurve, _level_pieces
 
 _TIE = 1e-9
 _TRIVIAL = 1e-12
@@ -246,11 +241,11 @@ def _level_window(w: WeightGrid, level: int, kind: str, gamma: float) -> tuple[i
 # ---------------------------------------------------------------------------
 # the u-scan over a list of blocks
 
-def _blocks_ok(blocks, u, lncap_q):
+def _blocks_ok(blocks, u, lncap):
     """One Newton evaluation at scan point u on the full width and the exact
     candidate set: the blocks' max log-ratio C(u), the slope ln(t/s) of the
-    pair first attaining it exactly, and each block's rows above lncap_q
-    less 1e-12."""
+    pair first attaining it exactly, and each block's rows above lncap less
+    1e-12."""
     cmax, top, keep = 0.0, None, []
     for blk in blocks:
         lg = blk.lg(u)
@@ -259,13 +254,13 @@ def _blocks_ok(blocks, u, lncap_q):
         row = int(np.argmax(rmax))
         if top is None or rmax[row] > cmax:
             cmax, top = float(rmax[row]), (blk, row)
-        keep.append(np.flatnonzero(rmax > lncap_q - 1e-12))
+        keep.append(np.flatnonzero(rmax > lncap - 1e-12))
     lg, s = top[0].rows(np.array([top[1]])).lg(u, with_s=True)
     _, s, t = _sup_ratio(s[0], lg[0], 0.0)
     return cmax, math.log(t / s), keep
 
 
-def _knee_fails(lnphi, ls, u, kappa, lncap_q, triv_tol) -> np.ndarray:
+def _knee_fails(lnphi, ls, u, kappa, lncap) -> np.ndarray:
     """The rows of lnphi (a block's rows on a window's columns, with their
     log-abscissae ls) failing the knee rule at scan point u: a constant
     beyond the cap, or a nontrivial one whose binding pairs all have a lever
@@ -273,8 +268,8 @@ def _knee_fails(lnphi, ls, u, kappa, lncap_q, triv_tol) -> np.ndarray:
     lg = lnphi - u * ls
     r = _runmax(lg) - lg
     rmax = r.max(axis=1)
-    fail = rmax > lncap_q + 1e-15
-    far = (rmax > triv_tol) & ~fail
+    fail = rmax > lncap + 1e-15
+    far = (rmax > _TRIVIAL) & ~fail
     if far.any():
         binding = r >= (rmax[:, None] - _TIE)
         lev_min = np.where(binding, _lever(r, ls), np.inf).min(axis=1)
@@ -282,7 +277,7 @@ def _knee_fails(lnphi, ls, u, kappa, lncap_q, triv_tol) -> np.ndarray:
     return np.flatnonzero(fail)
 
 
-def _knee_scan(blocks, win, order, k, lncap_q, triv_tol) -> float:
+def _knee_scan(blocks, win, order, k, lncap) -> float:
     """The largest u on the grid 2^-k of [0, 1] at which every row of every
     block passes the knee rule on the window win, or 0 if there is none, by
     a running bound G read once per block (see family_index).  A block
@@ -293,7 +288,7 @@ def _knee_scan(blocks, win, order, k, lncap_q, triv_tol) -> float:
         if not ncols:
             continue
         blk, ls = blocks[b], blocks[b].ls[:ncols]
-        fails = lambda lnphi, g: _knee_fails(lnphi, ls, math.ldexp(g, -k), kappa, lncap_q, triv_tol)
+        fails = lambda lnphi, g: _knee_fails(lnphi, ls, math.ldexp(g, -k), kappa, lncap)
         bad = fails(blk.lnphi[:, :ncols], G)
         if not bad.size:
             continue
@@ -332,33 +327,31 @@ def _witness(blocks, window, u):
     return best[1]
 
 
-def _index_estimate(blocks, windows, beta, q, C_cap, resolution, name) -> IndexEstimate:
+def _index_estimate(blocks, windows, C_cap, resolution, name) -> IndexEstimate:
     """The knee, cap, certificate and witness scans over a list of blocks.
 
     windows holds (gamma, [(ncols, kappa) per block]) for each window
     fraction; the knee rule picks the best gamma, the cap threshold runs on
     the blocks' full width.  name(block, row) labels the witness curve.
-    Scans run in the base variable u and report delta = q (u - beta).
     Each window's knee is a running-bound scan on the grid 2^-k (see
     family_index); the windows share one block order, deepest level first
     (blocks come in level order), but each reads its blocks on its own.
     """
-    lncap_q = math.log(C_cap) / q
-    triv_tol = _TRIVIAL / q
-    k = 1 - math.frexp(1e-4 / q)[1]  # the least k with 2^-k <= 1e-4 / q
+    lncap = math.log(C_cap)
+    k = 14  # the least k with 2^-k <= 1e-4
     order = list(range(len(blocks)))[::-1]  # blocks come in level order: deepest first
     mono = all(blk.monotone for blk in blocks)  # then every row passes at u = 0
-    u_knee = [_knee_scan(blocks, win, order, k, lncap_q, triv_tol) for _, win in windows]
+    u_knee = [_knee_scan(blocks, win, order, k, lncap) for _, win in windows]
     best = max(range(len(windows)), key=u_knee.__getitem__)  # the first best gamma
     u_hat, (gamma_star, win_star) = u_knee[best], windows[best]
 
     # the cap threshold: Newton on C(u) from the failing u = 1 (see family_index)
     live = [(blk, None) for blk in blocks]  # each block with the rows an evaluation reads
-    at = lambda u, live: _blocks_ok((blk.rows(i) for blk, i in live), u, lncap_q)
-    within = lambda c: c <= lncap_q and math.exp(q * c) <= C_cap
+    at = lambda u, live: _blocks_ok((blk.rows(i) for blk, i in live), u, lncap)
+    within = lambda c: c <= lncap and math.exp(c) <= C_cap
     prune = lambda live, keep: [(blk, k if i is None else i[k]) for (blk, i), k in zip(live, keep) if k.size]
     c = 0.0 if mono else at(0.0, live)[0]
-    u_cap, beyond = 0.0, live  # beyond: the rows that hold the maximiser at u_cap + 1e-3 / q
+    u_cap, beyond = 0.0, live  # beyond: the rows that hold the maximiser at u_cap + 1e-3
     if within(c):
         u_cap, d, (c, slope, keep) = 1.0, 0.0, at(1.0, live)
         beyond = prune(live, keep)
@@ -366,7 +359,7 @@ def _index_estimate(blocks, windows, beta, q, C_cap, resolution, name) -> IndexE
             if within(c):
                 break
             hi, live = u_cap, prune(live, keep)
-            u = u_cap - ((c - lncap_q) / slope if slope else 0.0)
+            u = u_cap - ((c - lncap) / slope if slope else 0.0)
             ulp = u_cap - math.nextafter(u_cap, 0.0)
             # a Newton step below one float doubles the last such decrement d instead
             d = 0.0 if u < u_cap - ulp else 2.0 * d or ulp
@@ -381,20 +374,20 @@ def _index_estimate(blocks, windows, beta, q, C_cap, resolution, name) -> IndexE
                 u_cap, c = u, cu
             else:
                 hi, live = u, prune(live, keep)
-    u_b = u_cap + 1e-3 / q  # past u = 1 the first piece (through the origin) makes C infinite
+    u_b = u_cap + 1e-3  # past u = 1 the first piece (through the origin) makes C infinite
     c_beyond = at(u_b, beyond)[0] if u_b <= 1.0 else math.inf
 
     def cap_value(c):
         # beyond the float range the constant is reported as inf
         try:
-            return math.exp(q * c)
+            return math.exp(c)
         except OverflowError:
             return math.inf
 
     wit = _witness(blocks, win_star, u_hat)
     return IndexEstimate(
-        delta_hat=q * (u_hat - beta),
-        delta_cap=q * (u_cap - beta),
+        delta_hat=u_hat,
+        delta_cap=u_cap,
         cap=C_cap,
         gamma=gamma_star,
         resolution=resolution,
@@ -405,22 +398,20 @@ def _index_estimate(blocks, windows, beta, q, C_cap, resolution, name) -> IndexE
 
 
 def family_index(
-    F: CurveFamily,
+    w: WeightGrid,
     C_cap: float = 16.0,
     gamma_grid: tuple[float, ...] = (1.0, 0.5, 0.25, 0.125),
 ) -> IndexEstimate:
-    """Index estimate for a cube-indexed curve family.
+    """Index estimate of the K-curve family {K(., w chi_Q; L1, Linf)}_Q.
 
     delta_hat is the largest delta admissible by the knee rule (see the
     module docstring) on the breakpoint set, found per window fraction gamma
-    on the grid 2^-k of the scan variable, k the least with 2^-k <= 1e-4 / q
-    (what a bisection of [0, 1] to 1e-4 / q returns); the best gamma is
-    reported.  delta_cap is the largest delta with family constant
-    <= C_cap at gamma = 1 on the exact candidate set (breakpoints plus
-    interior ratio minima), to float resolution, with its certificate.  Both
-    are in the delta units of the (beta, q) transform, where the shift and
-    power identities are exact by construction: the scan runs in the base
-    variable u = beta + delta/q.
+    on the grid 2^-k of [0, 1], k = 14 the least with 2^-k <= 1e-4 (what a
+    bisection of [0, 1] to 1e-4 returns); the best gamma is reported.
+    delta_cap is the largest delta with family constant <= C_cap at
+    gamma = 1 on the exact candidate set (breakpoints plus interior ratio
+    minima), to float resolution, with its certificate.  The scans below
+    write u for delta.
 
     Both admissible sets are prefixes of [0, 1], row by row:
 
@@ -437,9 +428,9 @@ def family_index(
 
     The cap threshold is Newton's method on the family's C(u) from the
     failing u = 1: ln(t/s) of a pair attaining C(u) is a subgradient, so the
-    step u - (C(u) - ln C_cap / q) / ln(t/s) never passes the largest root,
-    and lands on it where C is linear.  It ends at the first u with
-    C <= ln C_cap / q and exp(q C) <= C_cap as computed (exp(log(10)) > 10).
+    step u - (C(u) - ln C_cap) / ln(t/s) never passes the largest root, and
+    lands on it where C is linear.  It ends at the first u with
+    C <= ln C_cap and exp(C) <= C_cap as computed (exp(log(10)) > 10).
     Where C is flat within rounding a step can be below one float; the
     iterate then moves down by a decrement that doubles per such step, and
     once one passes, bisects back up to the last failing iterate: about
@@ -463,41 +454,15 @@ def family_index(
         cap threshold;
       * no knee scan probes u = 0 on a monotone block, and no cap
         evaluation when every block is monotone;
-      * a cap evaluation reads the rows above ln C_cap / q less 1e-12 at the
+      * a cap evaluation reads the rows above ln C_cap less 1e-12 at the
         last failing iterate, which hold the maximiser at every smaller u;
-        those kept at u = 1 hold it at u_cap + 1e-3 / q, where C is at least
-        C(u_cap), within rounding of ln C_cap / q.
+        those kept at u = 1 hold it at u_cap + 1e-3, where C is at least
+        C(u_cap), within rounding of ln C_cap.
 
-    The result is memoised on the weight grid, keyed by the kind and the
-    parameters; each call returns its own copy.
+    The result is memoised on the weight grid, keyed by the curve kind and
+    the parameters; each call returns its own copy.
     """
-    w, beta, q = F.w, F.beta, F.q
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
-    if not q >= 1.0:
-        raise ValueError("q must be at least 1")
-    if not C_cap > 1.0:
-        raise ValueError("C_cap must exceed 1")
-    if not gamma_grid or any(not 0.0 < g <= 1.0 for g in gamma_grid):
-        raise ValueError("gamma_grid must be a nonempty subset of (0, 1]")
-    if F.kind not in ("k", "acks"):
-        raise ValueError(f"unknown curve kind {F.kind!r}")
-    key = (F.kind, beta, q, C_cap, tuple(gamma_grid))
-    if key not in w._indices:
-        w._indices[key] = _family_estimate(w, F.kind, beta, q, C_cap, tuple(gamma_grid))
-    return dataclasses.replace(w._indices[key])
-
-
-def _family_estimate(w, kind, beta, q, C_cap, gamma_grid) -> IndexEstimate:
-    """family_index on validated parameters, without the memo."""
-    levels = range(w.base.level, w.L)  # a cell's curve has a single knot
-    blocks = [_LevelBlock.of_level(w, lev, kind) for lev in levels]
-    windows = [(g, [_level_window(w, lev, kind, g) for lev in levels]) for g in gamma_grid]
-    windows = [(g, win) for g, win in windows if any(n for n, _ in win)]
-    if not windows:
-        raise ValueError("no gamma in the grid leaves any cube a candidate window")
-    name = lambda b, row: _cube_at(w, levels[b], row).addr()
-    return _index_estimate(blocks, windows, beta, q, C_cap, w.L, name)
+    return _family_estimate(w, "k", C_cap, gamma_grid)
 
 
 def acks_index(
@@ -505,12 +470,33 @@ def acks_index(
     C_cap: float = 16.0,
     gamma_grid: tuple[float, ...] = (1.0, 0.5, 0.25, 0.125),
 ) -> IndexEstimate:
-    """Index of the family {t (w chi_Q)*(t)}_Q, reported as lambda_hat =
-    1 - delta_hat: the exponent in the two-sided plateau-product comparison,
-    with lambda_hat < 1 exactly when the family index is positive."""
-    est = family_index(CurveFamily(w, kind="acks"), C_cap=C_cap, gamma_grid=gamma_grid)
+    """Index of the family {t (w chi_Q)*(t)}_Q, estimated as family_index
+    estimates the K-curves, reported as lambda_hat = 1 - delta_hat: the
+    exponent in the two-sided plateau-product comparison, with lambda_hat < 1
+    exactly when the family index is positive."""
+    est = _family_estimate(w, "acks", C_cap, gamma_grid)
     est.lambda_hat = 1.0 - est.delta_hat
     return est
+
+
+def _family_estimate(w, kind, C_cap, gamma_grid) -> IndexEstimate:
+    """The index estimate of w's curves of kind "k" or "acks", memoised on
+    w keyed (kind, C_cap, gamma_grid); a copy of the memo entry."""
+    if not C_cap > 1.0:
+        raise ValueError("C_cap must exceed 1")
+    if not gamma_grid or any(not 0.0 < g <= 1.0 for g in gamma_grid):
+        raise ValueError("gamma_grid must be a nonempty subset of (0, 1]")
+    key = (kind, C_cap, tuple(gamma_grid))
+    if key not in w._indices:
+        levels = range(w.base.level, w.L)  # a cell's curve has a single knot
+        blocks = [_LevelBlock.of_level(w, lev, kind) for lev in levels]
+        windows = [(g, [_level_window(w, lev, kind, g) for lev in levels]) for g in key[2]]
+        windows = [(g, win) for g, win in windows if any(n for n, _ in win)]
+        if not windows:
+            raise ValueError("no gamma in the grid leaves any cube a candidate window")
+        name = lambda b, row: _cube_at(w, levels[b], row).addr()
+        w._indices[key] = _index_estimate(blocks, windows, C_cap, w.L, name)
+    return dataclasses.replace(w._indices[key])
 
 
 def _wright_omega(c: np.ndarray) -> np.ndarray:

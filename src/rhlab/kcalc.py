@@ -26,7 +26,8 @@ exact representation:
     independent ways (K-side and log-weighted rearrangement side) and
     cross-checked;
   * packing operators S_pi (weighted cube averages over disjoint cube
-    families) and the weighted K-functional estimate they generate.
+    families) and the weighted K-functional estimate they generate, a
+    float per t.
 
 A packing is an int64 array of flat rows into two level tables: the sums
 of f w and of w over every dyadic cube of the grid, level-major from the
@@ -108,21 +109,6 @@ class ConcaveCurve:
         B = self.slopes
         A = self.v[:-1] - B * s0
         return A, B, s0, s1
-
-
-@dataclass
-class CurveFamily:
-    """The cube-indexed curve family of a weight.
-
-    kind "k" maps Q to K(., w chi_Q; L1, Linf); kind "acks" maps Q to
-    t (w chi_Q)*(t).  beta and q record the transform phi -> (s^-beta phi)^q
-    applied by the index machinery.
-    """
-
-    w: WeightGrid
-    kind: str = "k"
-    beta: float = 0.0
-    q: float = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -626,16 +612,6 @@ def _rearranged_w(values: np.ndarray, w_measures: np.ndarray) -> tuple[np.ndarra
     return values[order], np.cumsum(w_measures[order])
 
 
-@dataclass
-class WeightedKEstimate:
-    """A packing estimate at one t; the witness, the first packing reaching the max, by index and rows."""
-
-    value: float
-    packing_index: int
-    packing: np.ndarray
-    raw_sup: float
-
-
 def grid_power(w: WeightGrid, p: float) -> WeightGrid:
     """Cellwise power of a grid (used for |f|^p and w^p objects)."""
     return WeightGrid(w.d, w.L, w.cells ** p, label=f"({w.label})^{p:g}", base=w.base)
@@ -685,14 +661,9 @@ def packing_family(f: WeightGrid, w: WeightGrid, p: float = 1.0) -> PackingFamil
     return PackingFamily((f.d, f.L, f.base), rows)
 
 
-def k_weighted_curve(
-    f: WeightGrid, w: WeightGrid, p: float, ts, Pi: PackingFamily
-) -> list[WeightedKEstimate]:
-    """k_weighted at every t of ts, from one set of level tables.
-
-    Each packing is rearranged once and all ts are looked up in it; per t
-    the first packing reaching the maximum is the witness, as in k_weighted.
-    """
+def k_weighted_curve(f: WeightGrid, w: WeightGrid, p: float, ts, Pi: PackingFamily) -> list[float]:
+    """k_weighted at every t of ts, from one set of level tables: each
+    packing is rearranged once and all ts are looked up in it."""
     if not p >= 1.0:
         raise ValueError("p must be at least 1")
     if not Pi.rows:
@@ -707,32 +678,22 @@ def k_weighted_curve(
         raise ValueError("packing family built on a grid of another geometry")
     tq = np.asarray(ts, dtype=np.float64)
     best = np.full(tq.size, -math.inf)
-    best_i = np.zeros(tq.size, dtype=np.int64)
-    for i, rows in enumerate(Pi.rows):
+    for rows in Pi.rows:
         vals, cum = _rearranged_w(*_packed(tables, w, rows))
         idx = np.searchsorted(cum, tq, side="left")
         val = np.where(idx < vals.size, vals[np.minimum(idx, vals.size - 1)], 0.0)
         better = val > best
         best[better] = val[better]
-        best_i[better] = i
-    return [
-        WeightedKEstimate(
-            value=t ** (1.0 / p) * b ** (1.0 / p),
-            packing_index=i,
-            packing=Pi.rows[i],
-            raw_sup=b,
-        )
-        for t, b, i in zip(ts, best.tolist(), best_i.tolist())
-    ]
+    return [t ** (1.0 / p) * b ** (1.0 / p) for t, b in zip(ts, best.tolist())]
 
 
-def k_weighted(f: WeightGrid, w: WeightGrid, p: float, t: float, Pi: PackingFamily) -> WeightedKEstimate:
+def k_weighted(f: WeightGrid, w: WeightGrid, p: float, t: float, Pi: PackingFamily) -> float:
     """Weighted-pair K-functional estimate via packings:
 
         t^{1/p} * (max over pi of (S_pi(|f|^p))_w^*(t))^{1/p},
 
     with the w-rearrangement evaluated left-continuously at t.  The maximum
     over the finite family is a certified lower bound for the supremum over
-    all packings; the achieving packing is returned as witness.
+    all packings.
     """
     return k_weighted_curve(f, w, p, [t], Pi)[0]

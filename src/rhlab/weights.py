@@ -49,7 +49,6 @@ from .grid import (
     make_grid,
 )
 from .kcalc import (
-    CurveFamily,
     PackingFamily,
     _level_pieces,
     extrapolation_norm,
@@ -260,7 +259,7 @@ def gehring_improve(w: WeightGrid, p: float, C_cap: float = 16.0) -> GehringResu
     criterion ind_hat > 1 - 1/p0."""
     if not p > 1.0:
         raise ValueError("p must exceed 1")
-    est = family_index(CurveFamily(w), C_cap=C_cap)
+    est = family_index(w, C_cap=C_cap)
     ind_hat = est.delta_hat
     if ind_hat <= 1.0 - 1.0 / p:
         raise ValueError("not in RH_p at this resolution/cap")
@@ -372,7 +371,7 @@ def verify_acks(w: WeightGrid, C_cap: float = 16.0) -> TheoremReport:
     the margin 0.02.  Cases with either index within 0.05 of its threshold
     are flagged borderline and excluded from the assertion."""
     margin = 0.02
-    fam = family_index(CurveFamily(w), C_cap=C_cap)
+    fam = family_index(w, C_cap=C_cap)
     ak = acks_index(w, C_cap=C_cap)
     in_by_family = fam.delta_hat > margin
     in_by_acks = ak.lambda_hat < 1.0 - margin
@@ -406,9 +405,9 @@ def verify_stromberg_wheeden(w: WeightGrid, p: float, C_cap: float = 16.0) -> Th
     if not p > 1.0:
         raise ValueError("p must exceed 1")
     thresh = 1.0 - 1.0 / p
-    fam = family_index(CurveFamily(w), C_cap=C_cap)
+    fam = family_index(w, C_cap=C_cap)
     wp = grid_power(w, p)
-    fam_p = family_index(CurveFamily(wp), C_cap=C_cap)
+    fam_p = family_index(wp, C_cap=C_cap)
     in_rhp = fam.delta_hat > thresh
     in_ainf = fam_p.delta_hat > 0.02
     out_of_domain = w.spec[:1] == ("pow",) and w.spec[1] * p <= -1.0
@@ -518,12 +517,12 @@ def verify_weighted_rh(g: WeightGrid, w: WeightGrid, p: float) -> TheoremReport:
     ts = origin_chain_masses(w)
     cases = []
     for t, ep, e1 in zip(ts, k_weighted_curve(g, w, p, ts, Pi), k_weighted_curve(g, w, 1.0, ts, Pi)):
-        bound = C * t ** (1.0 / p - 1.0) * e1.value
-        ok = ep.value <= bound * (1.0 + 1e-12)
+        bound = C * t ** (1.0 / p - 1.0) * e1
+        ok = ep <= bound * (1.0 + 1e-12)
         cases.append({
             "name": f"t={t:g}",
             "pass": bool(ok),
-            "estimate_p": ep.value,
+            "estimate_p": ep,
             "bound": bound,
         })
     return TheoremReport(cases)
@@ -622,12 +621,12 @@ def verify_packing(f: WeightGrid) -> TheoremReport:
     t_mid = 2.0 ** (-f.d)
     *ests, est_mid = k_weighted_curve(fs, ones, 1.0, ts + [t_mid], Pi)
     for t, est in zip(ts, ests):
-        err = abs(est.value - K.value(t)) / K.value(t)
+        err = abs(est - K.value(t)) / K.value(t)
         worst = max(worst, err)
         if err > 1e-12:
             repro_ok = False
     sub = PackingFamily(Pi.geometry, Pi.rows[: max(1, len(Pi.rows) // 2)])
-    mono_ok = k_weighted(fs, ones, 1.0, t_mid, sub).value <= est_mid.value * (1.0 + 1e-15)
+    mono_ok = k_weighted(fs, ones, 1.0, t_mid, sub) <= est_mid * (1.0 + 1e-15)
     wrh = verify_weighted_rh(fs, ones, 2.0)
     case = {
         "name": f.label,
@@ -682,6 +681,7 @@ def analyze_report(
     cube_policy: str = "all-dyadic",
 ) -> dict:
     """The JSON-ready analysis report: constants, indices, classifications.
+    Every p of p_list must exceed 1 (rh_p_constant refuses it otherwise).
 
     Key order is fixed; all values are plain Python scalars so the encoder
     output is stable byte for byte.
@@ -691,22 +691,20 @@ def analyze_report(
         c = rh_p_constant(w, p, cube_policy)
         constants.append({"kind": c.kind, "p": p, "value": c.value, "witness": c.witness})
     for p in p_list:
-        if p > 1.0:
-            c = a_p_constant(w, p, cube_policy)
-            constants.append({"kind": c.kind, "p": p, "value": c.value, "witness": c.witness})
+        c = a_p_constant(w, p, cube_policy)
+        constants.append({"kind": c.kind, "p": p, "value": c.value, "witness": c.witness})
     c = rh_llogl_constant(w, cube_policy)
     constants.append({"kind": c.kind, "value": c.value, "witness": c.witness})
     for q in q_list:
         for p in p_list:
-            if p > 1.0:
-                lc = rh_lorentz_constant(w, p, q, cube_policy)
-                constants.append({"kind": lc.kind, "p": p, "q": q, "value": lc.value, "witness": lc.witness})
+            lc = rh_lorentz_constant(w, p, q, cube_policy)
+            constants.append({"kind": lc.kind, "p": p, "q": q, "value": lc.value, "witness": lc.witness})
     c = fujii_constant(w, cube_policy)
     constants.append({"kind": c.kind, "value": c.value, "witness": c.witness})
-    fam = family_index(CurveFamily(w), C_cap=C_cap, gamma_grid=gamma_grid)
+    fam = family_index(w, C_cap=C_cap, gamma_grid=gamma_grid)
     ak = acks_index(w, C_cap=C_cap, gamma_grid=gamma_grid)
     classifications = {
-        "rh_p": {f"{p:g}": bool(fam.delta_hat > 1.0 - 1.0 / p) for p in p_list if p > 1.0},
+        "rh_p": {f"{p:g}": bool(fam.delta_hat > 1.0 - 1.0 / p) for p in p_list},
         "a_inf": bool(fam.delta_hat > 0.02),
     }
     return {

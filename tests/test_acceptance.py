@@ -23,7 +23,6 @@ import pytest
 from rhlab.cli import lorentz_growth_agreement, main
 from rhlab.grid import make_grid
 from rhlab.indices import acks_index, family_index
-from rhlab.kcalc import CurveFamily
 from rhlab.weights import (
     gehring_improve,
     rh_llogl_constant,
@@ -89,7 +88,7 @@ def test_criterion_03_index_ground_truth():
     ok = True
     for a in (-0.75, -0.5, -0.25):
         w = make_grid(1, 14, f"pow:{a}")
-        dh = family_index(CurveFamily(w)).delta_hat
+        dh = family_index(w).delta_hat
         lam = acks_index(w).lambda_hat
         good = abs(dh - (1.0 + a)) <= 0.05 and abs(lam - (-a)) <= 0.05
         ok = ok and good
@@ -107,7 +106,7 @@ def test_criterion_04_gehring_classification():
     certifies some p0 in (1.6, 1.95); budget 120 s."""
     t0 = time.monotonic()
     w14 = make_grid(1, 14, "pow:-0.5")
-    dh = family_index(CurveFamily(w14)).delta_hat
+    dh = family_index(w14).delta_hat
     checks = []
     for p in (1.5, 1.8):
         checks.append(("index in at p=%g" % p, dh > 1.0 - 1.0 / p))
@@ -194,7 +193,7 @@ def test_criterion_06_limiting_class():
     disagreements = []
     for spec in analytic:
         w = make_grid(1, 8, spec)
-        in_index = family_index(CurveFamily(w)).delta_hat > 0.02
+        in_index = family_index(w).delta_hat > 0.02
         in_llogl = rh_llogl_constant(w).value <= 16.0
         if in_index != in_llogl:
             disagreements.append(spec)

@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rhlab import cli, grid
+from rhlab import cli, grid, indices
 from rhlab import weights as W
 from rhlab.cli import main
 from rhlab.grid import load_weight, make_grid, parse_cube, save_weight
@@ -98,7 +98,7 @@ def _frozen_curve_text(kind, weight, d, L, cube=None):
     else:
         Pi = packing_family(w, w, 1.5)
         ts = sorted(W.origin_chain_masses(w))
-        rows = [(t, est.value) for t, est in zip(ts, k_weighted_curve(w, w, 1.5, ts, Pi))]
+        rows = list(zip(ts, k_weighted_curve(w, w, 1.5, ts, Pi)))
     lines = [f"# curve kind={kind} cube={Q.addr()}"]
     lines += [f"{repr(float(t))},{repr(float(v))}" for t, v in rows]
     return "\n".join(lines) + "\n"
@@ -404,6 +404,17 @@ def test_command_bytes_are_pinned(capsys, case):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_analyze_refuses_p_one_before_the_grid(capsys, monkeypatch):
+    # RH_p and A_p need p > 1: a --p entry of 1 is a usage error before a
+    # grid of any size is built; verify and curve still take p = 1
+    monkeypatch.setattr(cli, "make_grid", lambda *a: pytest.fail("grid built before --p was checked"))
+    code, out, err = run_cli(capsys, "analyze", "--weight", "rand:1:lognormal:1", "--level", "22", "--p", "2,1")
+    assert (code, out, err) == (2, "", "rhlab: error: analyze needs --p entries above 1\n")
+    monkeypatch.undo()
+    assert run_cli(capsys, "curve", "--kind", "weighted-k", "--weight", "rand:1:lognormal:1", "--level", "4", "--p", "1")[0] == 0
+    assert run_cli(capsys, "verify", "--suite", "gehring", "--cases", "1", "--level", "4", "--p", "1")[0] == 0
+
+
 def test_analyze_bad_descriptor_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "analyze", "--weight", "gauss:2")
     assert code == 2
@@ -446,6 +457,22 @@ def test_verify_herz_budget(capsys):
     assert code == 0
     assert time.monotonic() - t0 < 10.0
     assert out.strip().split("\n")[-1].endswith("cases passed")
+
+
+def test_verify_all_builds_the_corpus_once(capsys, monkeypatch):
+    # every suite reads one corpus: its 27 grids are built once, where each
+    # suite building its own made 277; sharing the grids shares their index
+    # memo, so the acks, stromberg and gehring suites make 72 index
+    # estimates, not 107.  The stromberg suite alone builds no random grid.
+    built, estimated = [], []
+    real_grid, real_estimate = W.make_grid, indices._index_estimate
+    monkeypatch.setattr(W, "make_grid", lambda *a: built.append(a[2]) or real_grid(*a))
+    monkeypatch.setattr(indices, "_index_estimate", lambda *a: estimated.append(a) or real_estimate(*a))
+    assert run_cli(capsys, "verify", "--suite", "all", "--seed", "1")[0] == 0
+    assert len(built) == len(set(built)) == 27 and len(estimated) == 72
+    built.clear()
+    assert run_cli(capsys, "verify", "--suite", "stromberg", "--seed", "1")[0] == 0
+    assert len(built) == 7 and not [spec for spec in built if spec.startswith("rand")]
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

@@ -4,8 +4,8 @@ The analytic oracles: the constant-weight K-curve has family index 1 with
 constant 1; the K-curve of step:2,1 has its ratio's supremum at an interior
 minimum in closed form; the cap threshold of pow:a is 1 + a + 4/L; the
 reverse Hardy residual of s^(1/2) is 2. Estimator metadata is pinned down
-too: the bracketing certificate around the cap threshold, the exact beta/q
-shift identity, witness determinism, and scaling invariance.
+too: the bracketing certificate around the cap threshold, witness
+determinism, and scaling invariance.
 """
 
 import dataclasses
@@ -29,7 +29,7 @@ from rhlab.indices import (
     family_index,
     hardy_residual,
 )
-from rhlab.kcalc import ConcaveCurve, CurveFamily, _level_pieces, k_l1_linf
+from rhlab.kcalc import ConcaveCurve, _level_pieces, k_l1_linf
 from rhlab.weights import hardy_residual_sup, standard_corpus
 
 
@@ -53,7 +53,7 @@ def test_ai_sees_interior_minimum():
 
 def test_family_index_const():
     w = make_grid(1, 6, "const:1")
-    est = family_index(CurveFamily(w))
+    est = family_index(w)
     assert abs(est.delta_hat - 1.0) <= 1e-4
     assert est.cap == 16.0
     # the constant family is almost increasing with constant exactly 1
@@ -62,7 +62,7 @@ def test_family_index_const():
 
 def test_family_index_pow_half():
     w = make_grid(1, 10, "pow:-0.5")
-    est = family_index(CurveFamily(w))
+    est = family_index(w)
     assert abs(est.delta_hat - 0.5) <= 0.05
 
 
@@ -73,7 +73,7 @@ def test_family_index_certificate():
         ("step:2,1", "rand:61:lognormal:1", "pow:-0.5", "rand:62:lognormal:0.3", "rand:17:lognormal:0.5"), (16.0, 10.0, 3.0)
     ):
         w = make_grid(1, 7, spec)
-        ests = [family_index(CurveFamily(w), C_cap=cap), acks_index(w, C_cap=cap)]
+        ests = [family_index(w, C_cap=cap), acks_index(w, C_cap=cap)]
         for est in ests:
             # delta_cap = 0 where the constant at u = 0 is beyond the cap
             # already (acks jumps), and then the first bound cannot hold
@@ -83,27 +83,20 @@ def test_family_index_certificate():
         assert ests[0].delta_cap >= ests[0].delta_hat - 1e-12
 
 
-def test_family_index_shift_identity():
-    w = make_grid(1, 8, "rand:71:lognormal:1")
-    base = family_index(CurveFamily(w, beta=0.0, q=2.0))
-    shifted = family_index(CurveFamily(w, beta=0.25, q=2.0))
-    assert abs(shifted.delta_hat - (base.delta_hat - 0.5)) <= 2e-4
-
-
 def test_family_index_scaling_invariance():
     w = make_grid(1, 7, "rand:83:lognormal:1")
-    ref = family_index(CurveFamily(w))
+    ref = family_index(w)
     for c in (1e-3, 7.0, 1e4):
         ws = WeightGrid(w.d, w.L, w.cells * c, label="scaled")
-        est = family_index(CurveFamily(ws))
+        est = family_index(ws)
         assert est.delta_hat == ref.delta_hat
         assert est.witness == ref.witness
 
 
 def test_family_index_witness_deterministic():
     w = make_grid(2, 4, "rand:97:lognormal:1")
-    a = family_index(CurveFamily(w))
-    b = family_index(CurveFamily(w))
+    a = family_index(w)
+    b = family_index(w)
     assert a.witness == b.witness
     assert a.delta_hat == b.delta_hat
     # witness names a cube of the grid
@@ -114,20 +107,16 @@ def test_family_index_witness_deterministic():
 def test_family_index_validation():
     w = make_grid(1, 4, "const:1")
     with pytest.raises(ValueError):
-        family_index(CurveFamily(w), C_cap=0.5)
+        family_index(w, C_cap=0.5)
     with pytest.raises(ValueError):
-        family_index(CurveFamily(w, beta=1.0))
-    with pytest.raises(ValueError):
-        family_index(CurveFamily(w, q=0.5))
-    with pytest.raises(ValueError):
-        family_index(CurveFamily(w), gamma_grid=())
+        family_index(w, gamma_grid=())
 
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=15)
 def test_family_index_in_range(seed):
     w = make_grid(1, 6, f"rand:{seed}:lognormal:1")
-    est = family_index(CurveFamily(w))
+    est = family_index(w)
     assert 0.0 <= est.delta_hat <= 1.0
 
 
@@ -215,67 +204,65 @@ def _ref_witness(w, wins, u):
     return (level_cubes(w, lev)[row].addr(), float(s), float(t))
 
 
-def _ref_family_index(F, C_cap=16.0, gamma_grid=(1.0, 0.5, 0.25, 0.125)):
-    w, beta, q = F.w, F.beta, F.q
-    lncap, triv, tol = math.log(C_cap) / q, 1e-12 / q, 1e-4 / q
+def _ref_family_index(w, kind, C_cap, gamma_grid):
+    lncap, triv, tol = math.log(C_cap), 1e-12, 1e-4
     best = None
     for gamma in gamma_grid:
-        wins = _ref_windows(w, F.kind, gamma)
+        wins = _ref_windows(w, kind, gamma)
         if wins:
             u, mono = _ref_scan(lambda u: _ref_knee_ok(wins, u, lncap, triv), tol)
             if best is None or u > best[0]:
                 best = (u, mono, gamma, wins)
     u_hat, mono, gamma, wins = best
-    blocks = [_FrozenBlock.of_level(w, lev, F.kind) for lev in range(w.base.level, w.L)]
+    blocks = [_FrozenBlock.of_level(w, lev, kind) for lev in range(w.base.level, w.L)]
     cap = lambda u: _frozen_blocks_ok(blocks, u, lncap)
     u_cap, mono_cap = _ref_scan(lambda u: cap(u)[0], tol)
     assert mono and mono_cap  # both admissible sets are prefixes of the grid
-    beyond = u_cap + 1e-3 / q
+    beyond = u_cap + 1e-3
     return IndexEstimate(
-        delta_hat=q * (u_hat - beta),
-        delta_cap=q * (u_cap - beta),
+        delta_hat=u_hat,
+        delta_cap=u_cap,
         cap=C_cap,
         gamma=gamma,
         resolution=w.L,
         witness=_ref_witness(w, wins, u_hat),
-        cap_value_at=math.exp(q * cap(u_cap)[1]),
-        cap_value_beyond=math.exp(q * cap(beyond)[1]) if beyond <= 1.0 else math.inf,
+        cap_value_at=math.exp(cap(u_cap)[1]),
+        cap_value_beyond=math.exp(cap(beyond)[1]) if beyond <= 1.0 else math.inf,
     )
 
 
 # The cap threshold is a Newton root to float resolution, where the frozen
-# and reference scans bisect to 1e-4 / q: every other field of an estimate
+# and reference scans bisect to 1e-4: every other field of an estimate
 # must equal theirs bit for bit, and the cap fields must meet the contract
 # below, with the bisection's u as the reference.
 
 
-def _cap_value(c, q):
+def _cap_value(c):
     try:
-        return math.exp(q * c)
+        return math.exp(c)
     except OverflowError:
         return math.inf
 
 
-def _assert_cap_contract(est, blocks, beta, q, u_ref):
+def _assert_cap_contract(est, blocks, u_ref):
     """est's cap fields, evaluated on every row of blocks through _blocks_ok:
-    C(u) <= ln cap / q < C(u + 1e-9) at the threshold u (C(0) > ln cap / q
-    at u = 0), the certificate values bit-equal to the constant at u and at
-    u + 1e-3 / q, and u within 1e-4 / q of u_ref and not below it when the
+    C(u) <= ln cap < C(u + 1e-9) at the threshold u = delta_cap (C(0) >
+    ln cap at u = 0), the certificate values bit-equal to the constant at u
+    and at u + 1e-3, and u within 1e-4 of u_ref and not below it when the
     constant at u_ref is within the cap as computed (the bisection admitted
     1e-15 beyond it)."""
-    lncap, cap = math.log(est.cap) / q, est.cap
-    u = beta + est.delta_cap / q
-    assert q * (u - beta) == est.delta_cap  # u recovered exactly
+    lncap, cap = math.log(est.cap), est.cap
+    u = est.delta_cap
     C = lambda v: indices._blocks_ok(iter(blocks), v, lncap)[0]
-    within = lambda c: c <= lncap and math.exp(q * c) <= cap
+    within = lambda c: c <= lncap and math.exp(c) <= cap
     c = C(u)
-    assert est.cap_value_at == _cap_value(c, q)
+    assert est.cap_value_at == _cap_value(c)
     assert within(c) or u == 0.0  # u = 0: C(0) may be beyond the cap
     if within(c) and u + 1e-9 <= 1.0:
         assert not within(C(u + 1e-9))
-    want = _cap_value(C(u + 1e-3 / q), q) if u + 1e-3 / q <= 1.0 else math.inf
+    want = _cap_value(C(u + 1e-3)) if u + 1e-3 <= 1.0 else math.inf
     assert est.cap_value_beyond == want
-    assert abs(u - u_ref) <= 1e-4 / q
+    assert abs(u - u_ref) <= 1e-4
     if within(C(u_ref)):
         assert u >= u_ref
 
@@ -284,12 +271,15 @@ def _without_cap(est):
     return dataclasses.replace(est, delta_cap=None, cap_value_at=None, cap_value_beyond=None)
 
 
-def _assert_cap_rebased(new, old, blocks, beta=0.0, q=1.0):
+def _assert_cap_rebased(new, old, blocks):
     """new equals the frozen estimate old in every field but the cap
     fields, which meet the contract with old's bisection u as reference."""
     assert _without_cap(new) == _without_cap(old)
-    _assert_cap_contract(new, blocks, beta, q, beta + old.delta_cap / q)
+    _assert_cap_contract(new, blocks, old.delta_cap)
 
+
+# (C_cap, gamma_grid): the defaults, and a smaller cap on two windows
+_SETTINGS = ((16.0, (1.0, 0.5, 0.25, 0.125)), (4.0, (0.5, 0.125)))
 
 _SCAN_GRIDS = [(1, 12, s) for s in ("const:1", "step:2,1", "pow:-0.5", "pow:-0.95")]
 _SCAN_GRIDS += [(1, 10, f"rand:{i}:lognormal:{sg}") for i, sg in ((1, 1), (2, 0.5), (3, 2))]
@@ -301,9 +291,9 @@ _SCAN_GRIDS += [(2, 5, s) for s in ("const:1", "step:4,1,1,1", "rand:4:lognormal
 def test_family_index_equals_exhaustive_scan(d, L, spec, kind):
     w = make_grid(d, L, spec)
     blocks = _family_blocks(w, kind, ())[1]
-    for beta, q, cap, gammas in ((0.0, 1.0, 16.0, (1.0, 0.5, 0.25, 0.125)), (0.25, 2.0, 4.0, (0.5, 0.125))):
-        F = CurveFamily(w, kind=kind, beta=beta, q=q)
-        _assert_cap_rebased(family_index(F, C_cap=cap, gamma_grid=gammas), _ref_family_index(F, cap, gammas), blocks, beta, q)
+    for cap, gammas in _SETTINGS:
+        new = indices._family_estimate(w, kind, cap, gammas)
+        _assert_cap_rebased(new, _ref_family_index(w, kind, cap, gammas), blocks)
 
 
 def test_cap_scan_is_a_binary_search(monkeypatch):
@@ -312,7 +302,7 @@ def test_cap_scan_is_a_binary_search(monkeypatch):
     calls = []
     real = indices._blocks_ok
     monkeypatch.setattr(indices, "_blocks_ok", lambda *a, **k: calls.append(a[1]) or real(*a, **k))
-    family_index(CurveFamily(make_grid(1, 10, "rand:1:lognormal:1")))
+    family_index(make_grid(1, 10, "rand:1:lognormal:1"))
     assert 0 < len(calls) <= 20
 
 
@@ -320,14 +310,17 @@ def test_family_index_memoised_per_grid(monkeypatch):
     w = make_grid(1, 8, "rand:5:lognormal:1")
     first = acks_index(w)
     calls = []
-    real = indices._family_estimate
-    monkeypatch.setattr(indices, "_family_estimate", lambda *a: calls.append(a) or real(*a))
-    again = family_index(CurveFamily(w, kind="acks"))
+    real = indices._index_estimate
+    monkeypatch.setattr(indices, "_index_estimate", lambda *a: calls.append(a) or real(*a))
+    again = indices._family_estimate(w, "acks", 16.0, (1.0, 0.5, 0.25, 0.125))
     # served from the memo, and acks_index's lambda_hat did not leak into it
     assert calls == []
     assert again == dataclasses.replace(first, lambda_hat=None)
-    family_index(CurveFamily(w, kind="acks"), C_cap=8.0)
-    assert len(calls) == 1
+    assert acks_index(w) == first and calls == []
+    # each kind and parameter set has its own entry
+    family_index(w)
+    acks_index(w, C_cap=8.0)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +391,15 @@ def _frozen_witness(blocks, window, u):
     return best[1]
 
 
-def _frozen_blocks_ok(blocks, u, lncap_q):
+def _frozen_blocks_ok(blocks, u, lncap):
     cmax = 0.0
     for blk in blocks:
         lg = blk.lg(u)
         cmax = max(cmax, float((np.maximum.accumulate(lg, axis=1) - lg).max()))
-    return cmax <= lncap_q + 1e-15, cmax
+    return cmax <= lncap + 1e-15, cmax
 
 
-def _frozen_knee_ok(blocks, u, windows, lncap_q, triv_tol):
+def _frozen_knee_ok(blocks, u, windows, lncap, triv_tol):
     out = [(True, False)] * len(windows)
     pending = list(range(len(windows)))
     for b, blk in enumerate(blocks):
@@ -422,7 +415,7 @@ def _frozen_knee_ok(blocks, u, windows, lncap_q, triv_tol):
             rk = r[:, :ncols]
             rmax = rk.max(axis=1)
             top = rmax.max()
-            if top > lncap_q + 1e-15:
+            if top > lncap + 1e-15:
                 out[k] = (False, True)
                 pending.remove(k)
                 continue
@@ -512,7 +505,7 @@ def test_scan_prefix_probes_equal_the_frozen_grid_search(monkeypatch, c, tol):
     # a one-row block whose row passes the knee rule at u exactly when u <= c
     blk = types.SimpleNamespace(lnphi=np.array([[c]]), ls=np.zeros(1), monotone=False)
     monkeypatch.setattr(indices, "_knee_fails", lambda lnphi, ls, u, *a: new.append(u) or np.flatnonzero(u > lnphi[:, 0]))
-    u = indices._knee_scan([blk], [(1, 0.0)], [0], _scan_k(tol), 1.0, 0.0)
+    u = indices._knee_scan([blk], [(1, 0.0)], [0], _scan_k(tol), 1.0)
     assert u == _frozen_scan_prefix(lambda u: old.append(u) or u <= c, tol)
     if c < 0.0:
         assert (new, old) == ([1.0, 0.0], [0.0])
@@ -522,14 +515,13 @@ def test_scan_prefix_probes_equal_the_frozen_grid_search(monkeypatch, c, tol):
         assert old[:2] == [0.0, 1.0] and new == [1.0, 0.0] + old[2:]
 
 
-def _frozen_family_index(F, C_cap=16.0, gamma_grid=(1.0, 0.5, 0.25, 0.125)):
-    w, beta, q = F.w, F.beta, F.q
+def _frozen_family_index(w, kind, C_cap=16.0, gamma_grid=(1.0, 0.5, 0.25, 0.125)):
     levels = range(w.base.level, w.L)
-    blocks = [_FrozenBlock.of_level(w, lev, F.kind) for lev in levels]
-    windows = [(g, [indices._level_window(w, lev, F.kind, g) for lev in levels]) for g in gamma_grid]
+    blocks = [_FrozenBlock.of_level(w, lev, kind) for lev in levels]
+    windows = [(g, [indices._level_window(w, lev, kind, g) for lev in levels]) for g in gamma_grid]
     windows = [(g, win) for g, win in windows if any(n for n, _ in win)]
-    lncap_q, triv_tol, utol = math.log(C_cap) / q, 1e-12 / q, 1e-4 / q
-    knee = lambda u, ks: _frozen_knee_ok(blocks, u, [windows[k][1] for k in ks], lncap_q, triv_tol)
+    lncap, triv_tol, utol = math.log(C_cap), 1e-12, 1e-4
+    knee = lambda u, ks: _frozen_knee_ok(blocks, u, [windows[k][1] for k in ks], lncap, triv_tol)
     best = None
     for (gamma, win), (u_hat, mono) in zip(windows, _frozen_scan_largest(knee, utol, len(windows))):
         if best is None or u_hat > best[0]:
@@ -539,16 +531,16 @@ def _frozen_family_index(F, C_cap=16.0, gamma_grid=(1.0, 0.5, 0.25, 0.125)):
 
     def cap_value(u):
         try:
-            return math.exp(q * _frozen_blocks_ok(blocks, u, lncap_q)[1])
+            return math.exp(_frozen_blocks_ok(blocks, u, lncap)[1])
         except OverflowError:
             return math.inf
 
-    u_cap = _frozen_scan_prefix(lambda u: _frozen_blocks_ok(blocks, u, lncap_q)[0], utol)
-    c_beyond = cap_value(u_cap + 1e-3 / q) if u_cap + 1e-3 / q <= 1.0 else math.inf
+    u_cap = _frozen_scan_prefix(lambda u: _frozen_blocks_ok(blocks, u, lncap)[0], utol)
+    c_beyond = cap_value(u_cap + 1e-3) if u_cap + 1e-3 <= 1.0 else math.inf
     wit = _frozen_witness(blocks, win_star, u_hat)
     return IndexEstimate(
-        delta_hat=q * (u_hat - beta),
-        delta_cap=q * (u_cap - beta),
+        delta_hat=u_hat,
+        delta_cap=u_cap,
         cap=C_cap,
         gamma=gamma_star,
         resolution=w.L,
@@ -558,20 +550,18 @@ def _frozen_family_index(F, C_cap=16.0, gamma_grid=(1.0, 0.5, 0.25, 0.125)):
     )
 
 
-_SETTINGS = ((0.0, 1.0, 16.0, (1.0, 0.5, 0.25, 0.125)), (0.25, 2.0, 4.0, (0.5, 0.125)))
-
-
 def _assert_equals_frozen_scan(w):
     for kind in ("k", "acks"):
         blocks = _family_blocks(w, kind, ())[1]
-        for beta, q, cap, gammas in _SETTINGS:
-            F = CurveFamily(w, kind=kind, beta=beta, q=q)
-            old = _frozen_family_index(F, cap, gammas)
-            new = family_index(F, C_cap=cap, gamma_grid=gammas)
-            _assert_cap_rebased(new, old, blocks, beta, q)
-            if kind == "acks" and (beta, q) == (0.0, 1.0):
+        for cap, gammas in _SETTINGS:
+            old = _frozen_family_index(w, kind, cap, gammas)
+            new = indices._family_estimate(w, kind, cap, gammas)
+            _assert_cap_rebased(new, old, blocks)
+            if kind == "acks":
                 want = dataclasses.replace(new, lambda_hat=1.0 - old.delta_hat)
                 assert acks_index(w, C_cap=cap, gamma_grid=gammas) == want
+            else:
+                assert family_index(w, C_cap=cap, gamma_grid=gammas) == new
 
 
 @pytest.mark.parametrize("d, L, spec", _SCAN_GRIDS)
@@ -607,11 +597,11 @@ def _family_blocks(w, kind, gammas):
 @given(random_grids(), st.sampled_from(["k", "acks"]), st.sampled_from(_SETTINGS), st.integers(0, 2**32 - 1))
 @settings(max_examples=30)
 def test_knee_admissibility_is_a_prefix_per_row(w, kind, setting, seed):
-    _, q, cap, gammas = setting
+    cap, gammas = setting
     _, blocks, windows = _family_blocks(w, kind, gammas)
     # the 1/64 grid, and random points of the scan's own grid 2^-k, off it,
     # where the knee scan reads rows at its running bound
-    k = _scan_k(1e-4 / q)
+    k = _scan_k(1e-4)
     scan_grid = np.random.default_rng(seed).integers(0, (1 << k) + 1, 32)
     us = sorted(set(np.linspace(0.0, 1.0, 65).tolist()) | {math.ldexp(int(g), -k) for g in scan_grid})
     for _, win in windows:
@@ -622,7 +612,7 @@ def test_knee_admissibility_is_a_prefix_per_row(w, kind, setting, seed):
             failed = np.zeros(lnphi.shape[0], dtype=bool)
             for u in us:
                 fails = np.zeros_like(failed)
-                fails[indices._knee_fails(lnphi, ls, u, kappa, math.log(cap) / q, 1e-12 / q)] = True
+                fails[indices._knee_fails(lnphi, ls, u, kappa, math.log(cap))] = True
                 # a row failing at one point fails at every later one
                 assert not np.any(failed & ~fails)
                 failed = fails
@@ -635,32 +625,30 @@ def test_knee_scan_does_not_depend_on_the_visit_order(w, kind, setting, seed):
     # which every row passes: the same in level order, reversed, in a random
     # block order, and with each block's rows shuffled as well, which is
     # why the running bound returns what the bisection did
-    beta, q, cap, gammas = setting
+    cap, gammas = setting
     _, blocks, windows = _family_blocks(w, kind, gammas)
-    k, rng = _scan_k(1e-4 / q), np.random.default_rng(seed)
+    k, rng = _scan_k(1e-4), np.random.default_rng(seed)
     levels = list(range(len(blocks)))
     shuffled = [blk.rows(rng.permutation(blk.lnphi.shape[0])) for blk in blocks]
     visits = [(blocks, levels), (blocks, levels[::-1]), (blocks, rng.permutation(levels).tolist()), (shuffled, levels[::-1])]
     runs = []
     for blks, order in visits:
-        runs.append([indices._knee_scan(blks, win, order, k, math.log(cap) / q, 1e-12 / q) for _, win in windows])
+        runs.append([indices._knee_scan(blks, win, order, k, math.log(cap)) for _, win in windows])
     assert runs[1:] == runs[:1] * 3
-    est = family_index(CurveFamily(w, kind=kind, beta=beta, q=q), C_cap=cap, gamma_grid=gammas)
-    assert est.delta_hat == q * (max(runs[0]) - beta)
+    assert indices._family_estimate(w, kind, cap, gammas).delta_hat == max(runs[0])
 
 
-def _unpruned_family_index(F, C_cap, gamma_grid):
+def _unpruned_family_index(w, kind, C_cap, gamma_grid):
     """family_index with every probe reading every row of every block, in
     level order: one plain bisection of [0, 1] per window for the knee rule,
     and for the cap threshold Newton's method from u = 1 with its doubling
     steps and bisection, every evaluation on every row."""
-    w, q = F.w, F.q
-    levels, blocks, windows = _family_blocks(w, F.kind, gamma_grid)
-    lncap_q, triv_tol, utol = math.log(C_cap) / q, 1e-12 / q, 1e-4 / q
+    levels, blocks, windows = _family_blocks(w, kind, gamma_grid)
+    lncap, utol = math.log(C_cap), 1e-4
 
     def knee_ok(win, u):
         for blk, (ncols, kappa) in zip(blocks, win):
-            if ncols and indices._knee_fails(blk.lnphi[:, :ncols], blk.ls[:ncols], u, kappa, lncap_q, triv_tol).size:
+            if ncols and indices._knee_fails(blk.lnphi[:, :ncols], blk.ls[:ncols], u, kappa, lncap).size:
                 return False
         return True
 
@@ -678,13 +666,13 @@ def _unpruned_family_index(F, C_cap, gamma_grid):
     u_knee = [knee_scan(win) for _, win in windows]
     best = int(np.argmax(u_knee))  # the first best gamma
     u_hat, (gamma, win) = u_knee[best], windows[best]
-    at = lambda u: indices._blocks_ok(iter(blocks), u, lncap_q)
-    within = lambda c: c <= lncap_q and math.exp(q * c) <= C_cap
+    at = lambda u: indices._blocks_ok(iter(blocks), u, lncap)
+    within = lambda c: c <= lncap and math.exp(c) <= C_cap
     u_cap, c = 0.0, at(0.0)[0]
     if within(c):
         u_cap, d, (c, slope, _) = 1.0, 0.0, at(1.0)
         while not within(c):
-            hi, u = u_cap, u_cap - ((c - lncap_q) / slope if slope else 0.0)
+            hi, u = u_cap, u_cap - ((c - lncap) / slope if slope else 0.0)
             d = 0.0 if u < math.nextafter(u_cap, 0.0) else 2.0 * d or u_cap - math.nextafter(u_cap, 0.0)
             u_cap = max(0.0, u_cap - d if d else u)
             c, slope, _ = at(u_cap)
@@ -694,26 +682,25 @@ def _unpruned_family_index(F, C_cap, gamma_grid):
                 u_cap, c = u, cu
             else:
                 hi = u
-    beyond = u_cap + 1e-3 / q
+    beyond = u_cap + 1e-3
     wit = indices._witness(blocks, win, u_hat)
     return IndexEstimate(
-        delta_hat=q * (u_hat - F.beta),
-        delta_cap=q * (u_cap - F.beta),
+        delta_hat=u_hat,
+        delta_cap=u_cap,
         cap=C_cap,
         gamma=gamma,
         resolution=w.L,
         witness=("", 0.0, 0.0) if wit is None else (_cube_at(w, levels[wit[0]], wit[1]).addr(), wit[2], wit[3]),
-        cap_value_at=_cap_value(c, q),
-        cap_value_beyond=_cap_value(at(beyond)[0], q) if beyond <= 1.0 else math.inf,
+        cap_value_at=_cap_value(c),
+        cap_value_beyond=_cap_value(at(beyond)[0]) if beyond <= 1.0 else math.inf,
     )
 
 
 @given(random_grids(max_level_1d=10, max_level_2d=5), st.sampled_from(["k", "acks"]), st.sampled_from(_SETTINGS))
 @settings(max_examples=30)
 def test_family_index_equals_unpruned_bisection(w, kind, setting):
-    beta, q, cap, gammas = setting
-    F = CurveFamily(w, kind=kind, beta=beta, q=q)
-    assert family_index(F, C_cap=cap, gamma_grid=gammas) == _unpruned_family_index(F, cap, gammas)
+    cap, gammas = setting
+    assert indices._family_estimate(w, kind, cap, gammas) == _unpruned_family_index(w, kind, cap, gammas)
 
 
 def _ptr(x):
@@ -748,9 +735,9 @@ def _recorded_cap_evaluations(monkeypatch):
     evals = []
     real = indices._blocks_ok
 
-    def evaluate(blocks, u, lncap_q):
+    def evaluate(blocks, u, lncap):
         blocks = list(blocks)
-        c, slope, keep = real(iter(blocks), u, lncap_q)
+        c, slope, keep = real(iter(blocks), u, lncap)
         evals.append((u, c, slope, sum(b.lnphi.shape[0] for b in blocks)))
         return c, slope, keep
 
@@ -768,7 +755,7 @@ def test_scan_largest_result_does_not_depend_on_the_chunk(monkeypatch, chunk, n)
     # slope.  Every knee probe lies on the scan's grid 2^-k.
     w = make_grid(1, 10, "rand:1:lognormal:1")
     for kind in ("k", "acks"):
-        for beta, q, cap, gammas in _SETTINGS:
+        for cap, gammas in _SETTINGS:
             levels, blocks, windows = _family_blocks(w, kind, gammas[:n])
             cut, at, cut_windows = [], [], [(g, []) for g, _ in windows]
             for b, blk in enumerate(blocks):
@@ -779,7 +766,7 @@ def test_scan_largest_result_does_not_depend_on_the_chunk(monkeypatch, chunk, n)
                     for (_, win), (_, cut_win) in zip(windows, cut_windows):
                         cut_win.append(win[b])
             assert len(cut) > len(blocks)
-            step = 2.0 ** -_scan_k(1e-4 / q)
+            step = 2.0 ** -_scan_k(1e-4)
             runs = []
             for blks, wins, name in (
                 (blocks, windows, lambda b, row: (levels[b], row)),
@@ -787,7 +774,7 @@ def test_scan_largest_result_does_not_depend_on_the_chunk(monkeypatch, chunk, n)
             ):
                 scans = _recorded_scans(monkeypatch)
                 evals = _recorded_cap_evaluations(monkeypatch)
-                est = indices._index_estimate(blks, wins, beta, q, cap, w.L, name)
+                est = indices._index_estimate(blks, wins, cap, w.L, name)
                 runs.append((est, [u for u, _ in scans], [e[:3] for e in evals]))
                 monkeypatch.undo()
                 probes = [p[2] for _, ps in scans for p in ps]
@@ -918,7 +905,7 @@ def test_knee_passes_visit_the_failing_level_first(monkeypatch, L, bound):
     for kind in ("k", "acks"):
         _, blocks, windows = _family_blocks(w, kind, (1.0, 0.5, 0.25, 0.125))
         scans = _recorded_scans(monkeypatch)
-        est = indices._index_estimate(blocks, windows, 0.0, 1.0, 16.0, w.L, lambda b, row: row)
+        est = indices._index_estimate(blocks, windows, 16.0, w.L, lambda b, row: row)
         monkeypatch.undo()
         assert len(scans) == len(windows) and est.delta_hat == max(u for u, _ in scans)
         assert 0 < sum(len(p) for _, p in scans) <= bound
@@ -935,13 +922,13 @@ def test_knee_probes_read_only_the_rows_failing_before(monkeypatch, L, bound):
     rows = []
     real = indices._knee_fails
     monkeypatch.setattr(indices, "_knee_fails", lambda lnphi, *a: rows.append(lnphi.shape[0]) or real(lnphi, *a))
-    family_index(CurveFamily(make_grid(1, L, "rand:1:lognormal:1")))
+    family_index(make_grid(1, L, "rand:1:lognormal:1"))
     assert 0 < sum(rows) <= bound
 
 
 # The knee probes read 2,231,971 cells on acks pow:-0.5 d=1 L=14, and
 # 6,637,927 over the six estimates of the analyze-deep grids (kinds k and
-# acks, q = 1); the bisection the running bound replaced read 6,512,632 and
+# acks); the bisection the running bound replaced read 6,512,632 and
 # 16,713,238, as every passing probe re-read each block it had not pruned.
 def test_knee_probes_read_each_row_once_per_window(monkeypatch):
     cells = []
@@ -952,14 +939,14 @@ def test_knee_probes_read_each_row_once_per_window(monkeypatch):
     assert 0 < sum(cells) <= 3_000_000
     for w in (pow_grid, make_grid(1, 16, "rand:1:lognormal:1"), make_grid(2, 8, "rand:2:lognormal:1")):
         acks_index(w)  # memoised: the pow grid's is counted once
-        family_index(CurveFamily(w))
+        family_index(w)
     assert sum(cells) <= 8_000_000
 
 
 def test_cap_probes_read_only_the_rows_failing_before(monkeypatch):
     w = make_grid(1, 12, "rand:1:lognormal:1")
     evals = _recorded_cap_evaluations(monkeypatch)
-    family_index(CurveFamily(w))
+    family_index(w)
     full = w.ncells - 1  # the cubes of levels 0 .. L-1
     # the evaluation at u = 1 reads every row (a K-curve family is monotone:
     # no u = 0); the three after it, the last the certificate at u + 1e-3,
@@ -982,7 +969,7 @@ def test_cap_threshold_takes_at_most_six_evaluations(monkeypatch):
         for kind in ("k", "acks"):
             full = sum(b.lnphi.shape[0] for b in _family_blocks(w, kind, ())[1])
             evals.clear()
-            est = family_index(CurveFamily(w, kind=kind))
+            est = indices._family_estimate(w, kind, 16.0, (1.0, 0.5, 0.25, 0.125))
             assert 2 <= len(evals) <= 6
             # a monotone family (kind k) does not evaluate u = 0
             assert (evals[0][0] == 0.0) == (kind == "acks")
@@ -1001,8 +988,7 @@ def test_monotone_blocks_skip_the_u0_probes(monkeypatch):
     real = indices._knee_fails
     monkeypatch.setattr(indices, "_knee_fails", lambda lnphi, ls, u, *a: us.append(u) or real(lnphi, ls, u, *a))
     evals = _recorded_cap_evaluations(monkeypatch)
-    F = CurveFamily(w)
-    skipped = family_index(F)
+    skipped = family_index(w)
     assert us and evals and 0.0 not in us + [e[0] for e in evals]
 
     class Unchecked(_LevelBlock):
@@ -1012,7 +998,7 @@ def test_monotone_blocks_skip_the_u0_probes(monkeypatch):
 
     monkeypatch.setattr(indices, "_LevelBlock", Unchecked)
     w._indices.clear()
-    assert family_index(F) == skipped
+    assert family_index(w) == skipped
     assert 0.0 in us and evals[-1] != evals[0] and any(e[0] == 0.0 for e in evals)
 
 
@@ -1024,7 +1010,7 @@ def test_cap_threshold_of_power_weights_is_the_closed_form(a, L):
     import mpmath
 
     w = make_grid(1, L, f"pow:{a}")
-    est = family_index(CurveFamily(w))
+    est = family_index(w)
     ulp = np.spacing(est.delta_cap)
     # within 4 ulp of the root on the knots as stored (the bisection gave
     # 0.8999633789 for 0.9) ...
@@ -1043,11 +1029,10 @@ def test_cap_threshold_of_power_weights_is_the_closed_form(a, L):
 def test_cap_threshold_contract_random(w, kind, setting):
     # C(u) <= cap < C(u + 1e-9) on every row, the certificate bit-equal to
     # full-row evaluations, and u at least the frozen bisection's u and
-    # within 1e-4 / q of it
-    beta, q, cap, gammas = setting
-    F = CurveFamily(w, kind=kind, beta=beta, q=q)
-    new, old = family_index(F, C_cap=cap, gamma_grid=gammas), _frozen_family_index(F, cap, gammas)
-    _assert_cap_rebased(new, old, _family_blocks(w, kind, ())[1], beta, q)
+    # within 1e-4 of it
+    cap, gammas = setting
+    new, old = indices._family_estimate(w, kind, cap, gammas), _frozen_family_index(w, kind, cap, gammas)
+    _assert_cap_rebased(new, old, _family_blocks(w, kind, ())[1])
     assert new.delta_cap >= old.delta_cap
 
 
@@ -1062,7 +1047,7 @@ def test_cap_value_beyond_reads_the_rows_kept_above_it():
     pa = [0.0, -(L16 - 0.005), -(L16 + 5e-6 - 0.5005), 100.0]
     pb = [0.0, -1.0, -1.0, -(L16 - 5.0094)]
     blk = _LevelBlock(np.exp([0.0, 0.01, 1.0, 10.0]), np.array([pa, pb]), None, None)
-    est = indices._index_estimate([blk], [(1.0, [(4, 5.0)])], 0.0, 1.0, 16.0, 1, lambda b, row: "row")
+    est = indices._index_estimate([blk], [(1.0, [(4, 5.0)])], 16.0, 1, lambda b, row: "row")
     assert abs(est.delta_cap - 0.5) <= 1e-12
     full = indices._blocks_ok([blk], est.delta_cap + 1e-3, L16)[0]
     assert est.cap_value_beyond == math.exp(full) and abs(full - (L16 + 6e-4)) <= 1e-9
@@ -1077,7 +1062,7 @@ def test_cap_threshold_where_c_is_flat_within_rounding_at_cap_10(monkeypatch):
     L10 = math.log(10.0)
     blk = _LevelBlock(np.exp([0.0, 7.0]), np.array([[2.2955850929940462, 0.0]]), None, None)
     evals = _recorded_cap_evaluations(monkeypatch)
-    est = indices._index_estimate([blk], [(1.0, [(2, 3.5)])], 0.0, 1.0, 10.0, 1, lambda b, row: "row")
+    est = indices._index_estimate([blk], [(1.0, [(2, 3.5)])], 10.0, 1, lambda b, row: "row")
     assert 2 < len(evals) <= 30
     monkeypatch.undo()
     C = lambda u: indices._blocks_ok([blk], u, L10)[0]
@@ -1096,13 +1081,12 @@ def test_cap_threshold_on_a_grid_scaled_by_1e200(monkeypatch):
     assert 0 < 2.0**-44 - math.log(cap) % 2.0**-44 <= 2.0**-51
     w0 = make_grid(1, 9, "pow:-0.75")
     w = WeightGrid(1, 9, np.asarray(w0.cells) * 1e200)
-    F = CurveFamily(w, kind="acks")
     evals = _recorded_cap_evaluations(monkeypatch)
-    est = family_index(F, C_cap=cap)
+    est = dataclasses.replace(acks_index(w, C_cap=cap), lambda_hat=None)
     assert len(evals) <= 30
     monkeypatch.undo()
-    _assert_cap_rebased(est, _frozen_family_index(F, cap), _family_blocks(w, "acks", ())[1])
-    assert abs(est.delta_cap - family_index(CurveFamily(w0, kind="acks"), C_cap=cap).delta_cap) <= 1e-15
+    _assert_cap_rebased(est, _frozen_family_index(w, "acks", cap), _family_blocks(w, "acks", ())[1])
+    assert abs(est.delta_cap - acks_index(w0, C_cap=cap).delta_cap) <= 1e-15
 
 
 def test_cap_threshold_past_its_step_count_is_a_numerical_error(monkeypatch, capsys):
@@ -1111,9 +1095,9 @@ def test_cap_threshold_past_its_step_count_is_a_numerical_error(monkeypatch, cap
     # steps with one error line, not a loop
     real = indices._blocks_ok
 
-    def beyond(blocks, u, lncap_q):
+    def beyond(blocks, u, lncap):
         _, slope, keep = real(blocks, u, -math.inf)  # keeping every row
-        return lncap_q + 1.0, slope, keep
+        return lncap + 1.0, slope, keep
 
     monkeypatch.setattr(indices, "_blocks_ok", beyond)
     assert main(["analyze", "--weight", "pow:-0.5", "--level", "10", "--p", "2"]) == 1

@@ -32,7 +32,6 @@ from rhlab.grid import DyadicCube, WeightGrid, _cube_at, integrate, level_cubes,
 from rhlab import cli, kcalc, weights
 from rhlab.kcalc import (
     ConcaveCurve,
-    CurveFamily,
     HolmstedtCurve,
     PackingFamily,
     _level_pieces,
@@ -770,10 +769,10 @@ def test_k_weighted_reproduces_unweighted_k():
     # exact reproduction at the measures of the origin-chain cubes
     for t in (0.125, 0.25, 0.5):
         est = k_weighted(f, ones, 1.0, t, Pi)
-        assert math.isclose(est.value, K.value(t), rel_tol=1e-12)
+        assert math.isclose(est, K.value(t), rel_tol=1e-12)
     # elsewhere the finite family still gives a certified lower bound
     est = k_weighted(f, ones, 1.0, 0.875, Pi)
-    assert est.value <= K.value(0.875) * (1 + 1e-12)
+    assert est <= K.value(0.875) * (1 + 1e-12)
     with pytest.raises(ValueError):
         k_weighted(f, ones, 1.0, 1.0, Pi)  # t must lie inside (0, w(Q))
 
@@ -784,8 +783,8 @@ def test_k_weighted_monotone_in_family():
     Pi = packing_family(f, ones, p=1.0)
     small = PackingFamily(Pi.geometry, Pi.rows[:2])
     for t in (0.25, 0.5):
-        lo = k_weighted(f, ones, 1.0, t, small).value
-        hi = k_weighted(f, ones, 1.0, t, Pi).value
+        lo = k_weighted(f, ones, 1.0, t, small)
+        hi = k_weighted(f, ones, 1.0, t, Pi)
         assert hi >= lo * (1 - 1e-15)
 
 
@@ -808,17 +807,14 @@ def _frozen_packing_average(f, w, pi):
 def _frozen_k_weighted(f, w, p, t, packings):
     fp = grid_power(f, p) if p != 1.0 else f
     best = -math.inf
-    best_i = 0
-    for i, pi in enumerate(packings):
+    for pi in packings:
         values, meas = _frozen_packing_average(fp, w, pi)
         order = np.argsort(-values, kind="stable")
         vals, cum = values[order], np.cumsum(meas[order])
         idx = int(np.searchsorted(cum, t, side="left"))
         val = float(vals[idx]) if idx < vals.size else 0.0
-        if val > best:
-            best = val
-            best_i = i
-    return t ** (1.0 / p) * best ** (1.0 / p), best_i, best
+        best = max(best, val)
+    return t ** (1.0 / p) * best ** (1.0 / p)
 
 
 def _bits(x):
@@ -849,12 +845,9 @@ def _assert_curve_bitwise(f, w, p, Pi):
     ts = _sample_ts(w)
     packings = [_row_cubes(w, rows) for rows in Pi.rows]
     for t, est in zip(ts, k_weighted_curve(f, w, p, ts, Pi), strict=True):
-        value, index, raw = _frozen_k_weighted(f, w, p, t, packings)
-        assert est.packing_index == index
-        assert est.packing is Pi.rows[index]
-        assert _bits(est.value) == _bits(value)
-        assert _bits(est.raw_sup) == _bits(raw)
-        assert _bits(k_weighted(f, w, p, t, Pi).value) == _bits(value)
+        value = _frozen_k_weighted(f, w, p, t, packings)
+        assert _bits(est) == _bits(value)
+        assert _bits(k_weighted(f, w, p, t, Pi)) == _bits(value)
 
 
 def _assert_families_bitwise(f, w, p):
@@ -1092,10 +1085,3 @@ def test_k_weighted_rejects_bad_explicit_packings():
     with pytest.raises(ValueError, match="f and w must share a grid"):
         k_weighted(f, local, 1.0, 0.1, PackingFamily.from_cubes(f, [[f.base]]))
 
-
-def test_curve_family_kinds():
-    w = make_grid(1, 3, "step:2,1")
-    F = CurveFamily(w)
-    assert F.kind == "k"
-    Fa = CurveFamily(w, kind="acks")
-    assert Fa.kind == "acks"

@@ -6,8 +6,9 @@ starts with one underscore) is read somewhere in the package.  A name that
 only a test reads is dead code of the package.  So is a public name (one in
 __all__) that no module reads outside its own definition, apart from the
 listed names still waiting to be deleted or gain a caller.  Every
-defaulted parameter of a public module-level function is passed by some
-call in the package, apart from the listed ones kept on purpose.  Every
+defaulted parameter of a public module-level function, and every defaulted
+field of a public dataclass, is passed by some call in the package (or the
+field assigned), apart from the listed ones kept on purpose.  Every
 name of __all__ is an attribute of the imported package, so
 `from rhlab import *` does not fail.  The only third-party package imported
 is numpy.
@@ -91,29 +92,54 @@ def _passes(call, index, name) -> bool:
     return (index is not None and index < len(call.args)) or any(k.arg == name for k in call.keywords)
 
 
+def _callee(node) -> str | None:
+    """The name or attribute a call or decorator expression names."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _defaulted(node) -> list[tuple[int | None, str]]:
+    """(position, name) of each defaulted parameter of a function, or field
+    of a dataclass (position None for a keyword-only parameter)."""
+    if isinstance(node, ast.FunctionDef):
+        args = node.args
+        pos = args.posonlyargs + args.args
+        params = [(i, a.arg) for i, a in enumerate(pos) if i >= len(pos) - len(args.defaults)]
+        return params + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    if isinstance(node, ast.ClassDef) and any(_callee(d) == "dataclass" for d in node.decorator_list):
+        fields = [f for f in node.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+        return [(i, f.target.id) for i, f in enumerate(fields) if f.value is not None]
+    return []
+
+
 def unpassed_defaults(modules) -> list[str]:
-    """An entry "module:function(name=)" for each defaulted parameter of a
-    public module-level function that no call in the modules passes; a call
-    is matched to a function by its callee's name or attribute."""
-    calls = {}
+    """An entry "module:name(param=)" for each defaulted parameter of a
+    public module-level function, or defaulted field of a public dataclass,
+    that no call in the modules passes; a call is matched by its callee's
+    name or attribute.  A field the modules assign as an attribute counts
+    as passed, unless through self in a method of another class."""
+    calls, stored = {}, set()  # stored: (class for a self.attr store, else None, attr)
+    is_self = lambda n: isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "self"
     for tree in modules.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
-                calls.setdefault(callee, []).append(node)
+                calls.setdefault(_callee(node), []).append(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and not is_self(node):
+                stored.add((None, node.attr))
+            elif isinstance(node, ast.ClassDef):
+                stores = (n for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store))
+                stored.update((node.name, n.attr) for n in stores if is_self(n))
     out = []
     for m, tree in modules.items():
-        for fn in tree.body:
-            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+        for node in tree.body:
+            if getattr(node, "name", "_").startswith("_"):
                 continue
-            args = fn.args
-            pos = args.posonlyargs + args.args
-            params = [(i, a.arg) for i, a in enumerate(pos) if i >= len(pos) - len(args.defaults)]
-            params += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            fields = isinstance(node, ast.ClassDef)
             out += [
-                f"{m}:{fn.name}({name}=)"
-                for i, name in params
-                if not any(_passes(c, i, name) for c in calls.get(fn.name, []))
+                f"{m}:{node.name}({name}=)"
+                for i, name in _defaulted(node)
+                if not (fields and stored & {(None, name), (node.name, name)})
+                and not any(_passes(c, i, name) for c in calls.get(node.name, []))
             ]
     return out
 
@@ -221,3 +247,12 @@ def test_checks_see_dead_code():
     tree = ast.parse("def f(a, b=1, *, c=2, d=3): pass\ndef _g(e=0): pass\ndef h(x=0, y=1): pass\n"
                      "f(0, 1, d=4)\nM.h(*[])\n")
     assert unpassed_defaults({"m.py": tree}) == ["m.py:f(c=)"]
+    # a dataclass field by position, by name or by an attribute assignment,
+    # but not by another class's self.attr; a private dataclass and a plain
+    # class are not checked
+    tree = ast.parse("@dataclass\nclass D:\n    a: int\n    b: int = 0\n    c: int = 1\n    e: int = 2\n    f: int = 3\n"
+                     "@dataclasses.dataclass(frozen=True)\nclass E:\n    g: int = 0\n"
+                     "@dataclass\nclass _P:\n    h: int = 0\n"
+                     "class N:\n    k: int = 0\n    def m(self):\n        self.c = 1\n"
+                     "D(0, 1, f=2)\nx.e = 3\nE()\n")
+    assert unpassed_defaults({"m.py": tree}) == ["m.py:D(c=)", "m.py:E(g=)"]

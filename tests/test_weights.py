@@ -22,7 +22,7 @@ from conftest import flat_grids, frozen_double_star, localized_grids, random_gri
 from rhlab import weights
 from rhlab.grid import DyadicCube, WeightGrid, _cube_at, cube_levels, integrate, level_cubes, make_grid
 from rhlab.indices import family_index
-from rhlab.kcalc import CurveFamily, HolmstedtCurve, _level_pieces, grid_power, k_l1_linf, lorentz_norm, power_piece_integral
+from rhlab.kcalc import HolmstedtCurve, _level_pieces, grid_power, k_l1_linf, lorentz_norm, power_piece_integral
 from rhlab.rearrange import DecreasingStep, _level_maximal, dyadic_maximal, rearrangement
 from rhlab.weights import (
     _kside_level,
@@ -352,8 +352,7 @@ def test_nan_parameters_are_refused():
         lambda: lorentz_norm(w, w.base, nan, 2.0),
         lambda: lorentz_norm(w, w.base, 2.0, nan),
         lambda: kside_rh_constant(w, nan),
-        lambda: family_index(CurveFamily(w, q=nan)),
-        lambda: family_index(CurveFamily(w), C_cap=nan),
+        lambda: family_index(w, C_cap=nan),
     ]
     for case in cases:
         with pytest.raises(ValueError, match="must"):
@@ -677,12 +676,9 @@ def test_analyze_report_schema():
 
 def test_power_weight_index_arithmetic():
     # family index of x^a is 1 + a; squaring the weight maps it to 1 + 2a
-    from rhlab.indices import family_index
-    from rhlab.kcalc import CurveFamily
-
     w = make_grid(1, 14, "pow:-0.25")
     w2 = grid_power(w, 2.0)
-    d1 = family_index(CurveFamily(w)).delta_hat
-    d2 = family_index(CurveFamily(w2)).delta_hat
+    d1 = family_index(w).delta_hat
+    d2 = family_index(w2).delta_hat
     assert abs(d1 - 0.75) <= 0.05
     assert abs(d2 - 0.5) <= 0.05
