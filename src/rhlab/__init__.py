@@ -67,7 +67,6 @@ from .indices import (
 from .weights import (
     ClassConstant,
     GehringResult,
-    TheoremReport,
     a_p_constant,
     analyze_report,
     fujii_constant,
@@ -104,7 +103,6 @@ __all__ = [
     "IndexEstimate",
     "PackedFunction",
     "PackingFamily",
-    "TheoremReport",
     "WeightFormatError",
     "WeightGrid",
     "WeightSpecError",

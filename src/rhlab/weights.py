@@ -5,7 +5,6 @@ when a cube-uniform inequality between averages holds:
 
     RH_p:       (avg_Q w^p)^{1/p} <= C avg_Q w
     A_p:        (avg_Q w)(avg_Q w^{-1/(p-1)})^{p-1} <= C     (p > 1)
-    A_1:        M_d w <= C w  cellwise
     RH_LLogL:   ||w||_{L log L(Q, dx/|Q|)} <= C avg_Q w
     Lorentz:    ||w chi_Q||_{L(p,q)} / |Q|^{1/p} <= C avg_Q w
     Fujii:      int_Q M_d(w chi_Q) <= C int_Q w
@@ -23,8 +22,8 @@ rearrangement-product index, the cellwise-power classification of RH_p
 through A_infinity, Fujii's condition with the bound 4 (k^2 + k + 1), the
 extrapolation bound 4 ||w||_1 (k^2 + k + 1) for the dyadic maximal operator
 on the base cube, and the weighted reverse-Hölder K-inequality on the
-packing family of the pair.  Each returns a TheoremReport of per-case
-dicts, which hold every number the case was decided on.
+packing family of the pair.  Each returns a list of per-case dicts, each
+with a "pass" flag and every number the case was decided on.
 
 Two-sided "comparable" assertions use a comparability radius R (default 8
 in dimension 1, 32 in dimension 2), since the underlying statements carry
@@ -77,18 +76,6 @@ class ClassConstant:
     q: float | None = None
     witness: str = ""
     cube_policy: str = "all-dyadic"
-
-
-@dataclass
-class TheoremReport:
-    """Outcome of one verification routine: per-case records, passed when
-    every case passed."""
-
-    cases: list[dict]
-
-    @property
-    def passed(self) -> bool:
-        return all(c["pass"] for c in self.cases)
 
 
 def default_radius(d: int) -> float:
@@ -158,19 +145,9 @@ def rh_p_constant(w: WeightGrid, p: float, cubes: str = "all-dyadic") -> ClassCo
 
 
 def a_p_constant(w: WeightGrid, p: float, cubes: str = "all-dyadic") -> ClassConstant:
-    """p > 1: max of (avg_Q w)(avg_Q w^{-1/(p-1)})^{p-1}; p = 1: max cell
-    ratio M_F w / w, with M_F w the max of avg_Q w over the family's cubes
-    Q containing the cell (the dyadic maximal function for "all-dyadic")."""
-    if not p >= 1.0:
-        raise ValueError("p must be at least 1")
-    if p == 1.0:
-        M = np.zeros(w.ncells)
-        for lev in cube_levels(cubes, w.base.level, w.L):  # the level sums refuse an overflow first
-            np.maximum(M, np.repeat(_level_means(w, lev), 1 << (w.d * (w.L - lev))), out=M)
-        ratios = M / w.zcells
-        i = int(np.argmax(ratios))
-        witness = _cube_at(w, w.L, i).addr()
-        return ClassConstant("A_1", float(ratios[i]), p=1.0, witness=witness, cube_policy=cubes)
+    """max over the family of (avg_Q w)(avg_Q w^{-1/(p-1)})^{p-1}."""
+    if not p > 1.0:
+        raise ValueError("p must exceed 1")
     z = _cells(w)
     zdual, k = _normal_powers(z, -1.0 / (p - 1.0), z.min())
     ratios = lambda lev: np.ldexp(_level_means(w, lev), k) * _level_row_means(zdual, w, lev) ** (p - 1.0)
@@ -329,7 +306,7 @@ def hardy_residual_sup(w: WeightGrid, cubes: str = "all-dyadic") -> ClassConstan
 # ---------------------------------------------------------------------------
 # verification routines
 
-def verify_rhp_equivalence(w: WeightGrid, p: float, radius: float | None = None) -> TheoremReport:
+def verify_rhp_equivalence(w: WeightGrid, p: float, radius: float | None = None) -> list[dict]:
     """The RH_p constant and the K-side constant must be comparable within
     the radius."""
     R = default_radius(w.d) if radius is None else radius
@@ -344,10 +321,10 @@ def verify_rhp_equivalence(w: WeightGrid, p: float, radius: float | None = None)
         "k_side": ks.value,
         "ratio": ratio,
     }
-    return TheoremReport([case])
+    return [case]
 
 
-def verify_llogl_equivalence(w: WeightGrid, radius: float | None = None) -> TheoremReport:
+def verify_llogl_equivalence(w: WeightGrid, radius: float | None = None) -> list[dict]:
     """The L log L reverse-Hölder constant and the family sup of the reverse
     Hardy residual must be comparable within the radius."""
     R = default_radius(w.d) if radius is None else radius
@@ -362,10 +339,10 @@ def verify_llogl_equivalence(w: WeightGrid, radius: float | None = None) -> Theo
         "hardy_sup": hr.value,
         "ratio": ratio,
     }
-    return TheoremReport([case])
+    return [case]
 
 
-def verify_acks(w: WeightGrid, C_cap: float = 16.0) -> TheoremReport:
+def verify_acks(w: WeightGrid, C_cap: float = 16.0) -> list[dict]:
     """Classification agreement: the rearrangement-product index satisfies
     lambda_hat < 1 - margin exactly when the K-curve family index exceeds
     the margin 0.02.  Cases with either index within 0.05 of its threshold
@@ -389,10 +366,10 @@ def verify_acks(w: WeightGrid, C_cap: float = 16.0) -> TheoremReport:
         "in_by_acks": bool(in_by_acks),
         "borderline": bool(borderline),
     }
-    return TheoremReport([case])
+    return [case]
 
 
-def verify_stromberg_wheeden(w: WeightGrid, p: float, C_cap: float = 16.0) -> TheoremReport:
+def verify_stromberg_wheeden(w: WeightGrid, p: float, C_cap: float = 16.0) -> list[dict]:
     """w in RH_p (family index above 1/p') must agree with w^p in
     A_infinity (family index of the cellwise power positive).
 
@@ -424,10 +401,10 @@ def verify_stromberg_wheeden(w: WeightGrid, p: float, C_cap: float = 16.0) -> Th
         "out_of_domain": out_of_domain,
         "borderline": borderline,
     }
-    return TheoremReport([case])
+    return [case]
 
 
-def verify_fujii(w: WeightGrid) -> TheoremReport:
+def verify_fujii(w: WeightGrid) -> list[dict]:
     """Fujii's condition from the L log L constant: fujii_constant <=
     4 (k^2 + k + 1) with k = rh_llogl_constant; the cellwise iterated-maximal
     comparison constant is reported alongside."""
@@ -446,7 +423,7 @@ def verify_fujii(w: WeightGrid) -> TheoremReport:
         "bound": bound,
         "iterated_over_single": c_iter,
     }
-    return TheoremReport([case])
+    return [case]
 
 
 def weak_type_residual(w: WeightGrid, Q: DyadicCube) -> float:
@@ -464,7 +441,7 @@ def weak_type_residual(w: WeightGrid, Q: DyadicCube) -> float:
     return float(np.max(rM.star(t) / double_star(rearrangement(w, Q), t), initial=0.0))
 
 
-def verify_extrapolation_bound(w: WeightGrid) -> TheoremReport:
+def verify_extrapolation_bound(w: WeightGrid) -> list[dict]:
     """For the dyadic maximal operator on (L1(Q), Linf(Q)), Q the base cube:
 
         int_0^{|Q|} K(r, M_d(w chi_Q)) dr / r <= 4 ||w||_{L1(Q)} (k^2 + k + 1),
@@ -487,7 +464,7 @@ def verify_extrapolation_bound(w: WeightGrid) -> TheoremReport:
         "hardy_residual": k,
         "weak_type_residual": wt,
     }
-    return TheoremReport([case])
+    return [case]
 
 
 def origin_chain_masses(w: WeightGrid) -> list[float]:
@@ -504,7 +481,7 @@ def origin_chain_masses(w: WeightGrid) -> list[float]:
     return ts
 
 
-def verify_weighted_rh(g: WeightGrid, w: WeightGrid, p: float) -> TheoremReport:
+def verify_weighted_rh(g: WeightGrid, w: WeightGrid, p: float) -> list[dict]:
     """g in RH_p(w dx) gives the K-inequality between packing estimates:
 
         estimate_p(t) <= C t^{1/p - 1} estimate_1(t)
@@ -525,13 +502,13 @@ def verify_weighted_rh(g: WeightGrid, w: WeightGrid, p: float) -> TheoremReport:
             "estimate_p": ep,
             "bound": bound,
         })
-    return TheoremReport(cases)
+    return cases
 
 
 # ---------------------------------------------------------------------------
 # exactness, Herz, and packing property checks (shared by CLI suites and tests)
 
-def verify_rearrange_exact(w: WeightGrid) -> TheoremReport:
+def verify_rearrange_exact(w: WeightGrid) -> list[dict]:
     """Exactness bundle for one weight: equimeasurable mass (bitwise: the
     rearrangement's mass equals the exact sum of its plateau form, each
     value repeated over its cells), partition additivity of the integral
@@ -559,10 +536,10 @@ def verify_rearrange_exact(w: WeightGrid) -> TheoremReport:
         "concave": bool(concave),
         "luxemburg_residual": residual,
     }
-    return TheoremReport([case])
+    return [case]
 
 
-def verify_herz(w: WeightGrid) -> TheoremReport:
+def verify_herz(w: WeightGrid) -> list[dict]:
     """Dyadic Herz bounds at plateau points:
 
         (M_d(w chi_Q))*(t) <= w**(t)  and
@@ -588,7 +565,7 @@ def verify_herz(w: WeightGrid) -> TheoremReport:
         "worst_ratio_1": worst1,
         "worst_ratio_2": worst2,
     }
-    return TheoremReport([case])
+    return [case]
 
 
 def origin_sorted(w: WeightGrid) -> WeightGrid:
@@ -603,7 +580,7 @@ def origin_sorted(w: WeightGrid) -> WeightGrid:
     return WeightGrid(w.d, w.L, cells, label=f"sorted({w.label})", base=w.base)
 
 
-def verify_packing(f: WeightGrid) -> TheoremReport:
+def verify_packing(f: WeightGrid) -> list[dict]:
     """Packing-estimate consistency on an origin-sorted grid:
 
       * with w = 1 the estimate at t = |Q_level| reproduces K(t) to 1e-12;
@@ -627,15 +604,15 @@ def verify_packing(f: WeightGrid) -> TheoremReport:
             repro_ok = False
     sub = PackingFamily(Pi.geometry, Pi.rows[: max(1, len(Pi.rows) // 2)])
     mono_ok = k_weighted(fs, ones, 1.0, t_mid, sub) <= est_mid * (1.0 + 1e-15)
-    wrh = verify_weighted_rh(fs, ones, 2.0)
+    wrh_ok = all(c["pass"] for c in verify_weighted_rh(fs, ones, 2.0))
     case = {
         "name": f.label,
-        "pass": bool(repro_ok and mono_ok and wrh.passed),
+        "pass": bool(repro_ok and mono_ok and wrh_ok),
         "reproduction_worst_rel": worst,
         "monotone": bool(mono_ok),
-        "weighted_rh_pass": bool(wrh.passed),
+        "weighted_rh_pass": bool(wrh_ok),
     }
-    return TheoremReport([case])
+    return [case]
 
 
 # ---------------------------------------------------------------------------

@@ -54,11 +54,11 @@ def test_criterion_01_exactness_suite():
     failures = []
     for i in range(100):
         w = make_grid(1, 4 + i % 7, f"rand:{1000 + i}:lognormal:1")
-        if not verify_rearrange_exact(w).passed:
+        if not verify_rearrange_exact(w)[0]["pass"]:
             failures.append(w.label)
     for i in range(100):
         w = make_grid(2, 2 + i % 5, f"rand:{2000 + i}:lognormal:1")
-        if not verify_rearrange_exact(w).passed:
+        if not verify_rearrange_exact(w)[0]["pass"]:
             failures.append(w.label)
     dt = time.monotonic() - t0
     ok = not failures and dt < 30.0
@@ -73,7 +73,7 @@ def test_criterion_02_herz_bounds():
     for i in range(50):
         for d, L in ((1, 4 + i % 6), (2, 2 + i % 4)):
             w = make_grid(d, L, f"rand:{3000 + i}:lognormal:0.7")
-            if not verify_herz(w).passed:
+            if not verify_herz(w)[0]["pass"]:
                 failures.append(w.label)
     dt = time.monotonic() - t0
     ok = not failures and dt < 10.0
@@ -166,10 +166,10 @@ def test_criterion_05_constant_comparability():
     worst = 1.0
     for w in standard_corpus(1, seed=1):
         for p in (1.5, 2.0, 3.0):
-            rep = verify_rhp_equivalence(w, p, radius=8.0)
-            r = rep.cases[0]["ratio"]
+            [case] = verify_rhp_equivalence(w, p, radius=8.0)
+            r = case["ratio"]
             worst = max(worst, r, 1.0 / r)
-            if not rep.passed:
+            if not case["pass"]:
                 failures.append(f"{w.label} p={p}")
     dt = time.monotonic() - t0
     ok = not failures and dt < 120.0
@@ -186,7 +186,7 @@ def test_criterion_06_limiting_class():
     failures = []
     for d in (1, 2):
         for w in standard_corpus(d, seed=1):
-            if not verify_llogl_equivalence(w, radius=8.0).passed:
+            if not verify_llogl_equivalence(w, radius=8.0)[0]["pass"]:
                 failures.append(w.label)
     analytic = ["const:1", "const:3.7", "step:2,1", "step:4,1,1,1",
                 "pow:-0.25", "pow:-0.5", "pow:-0.75"]
@@ -215,21 +215,21 @@ def test_criterion_07_acks_and_stromberg_wheeden():
     n_sw = 0
     for spec in specs:
         w = make_grid(1, 12, spec)
-        ra = verify_acks(w)
-        if not (ra.passed and not ra.cases[0]["borderline"]):
+        [ra] = verify_acks(w)
+        if not (ra["pass"] and not ra["borderline"]):
             failures.append(f"{spec} acks")
         for p in (1.5, 2.0):
-            rs = verify_stromberg_wheeden(w, p)
+            [rs] = verify_stromberg_wheeden(w, p)
             n_sw += 1
-            if not rs.passed:
+            if not rs["pass"]:
                 failures.append(f"{spec} p={p}")
     # the borderline weight is reported with its exclusion flags set
     w95 = make_grid(1, 12, "pow:-0.95")
-    ra = verify_acks(w95)
-    excluded_ok = ra.passed and ra.cases[0]["borderline"]
+    [ra] = verify_acks(w95)
+    excluded_ok = ra["pass"] and ra["borderline"]
     for p in (1.5, 2.0):
-        rs = verify_stromberg_wheeden(w95, p)
-        excluded_ok = excluded_ok and rs.passed and rs.cases[0]["out_of_domain"]
+        [rs] = verify_stromberg_wheeden(w95, p)
+        excluded_ok = excluded_ok and rs["pass"] and rs["out_of_domain"]
     dt = time.monotonic() - t0
     ok = not failures and excluded_ok and dt < 60.0
     report(7, ok, f"{len(specs)} acks + {n_sw} transfer cases, "
@@ -245,13 +245,12 @@ def test_criterion_08_lorentz_collapse():
     failures = []
     cases = 0
     for label in ("const:2", "pow:-0.25", "pow:-0.5", "pow:-0.75"):
-        for p, q in ((2.0, 2.0), (2.0, 3.0), (1.5, 2.0)):
-            res = lorentz_growth_agreement(label, 1, p, q)
+        for res in lorentz_growth_agreement(label, 1):  # (2,2), (2,3), (1.5,2)
             cases += 1
             if not res["pass"]:
                 failures.append(res["name"])
     dt = time.monotonic() - t0
-    ok = not failures and dt < 60.0
+    ok = not failures and cases == 12 and dt < 60.0
     report(8, ok, f"{cases} growth cases, {len(failures)} failures, "
                   f"{dt:.1f} s (budget 60 s)")
 
@@ -266,11 +265,11 @@ def test_criterion_09_fujii_and_extrapolation():
     for d in (1, 2):
         for w in standard_corpus(d, seed=1):
             n += 1
-            rf = verify_fujii(w)
-            k = rf.cases[0]["rh_llogl"]
-            if not (rf.passed and rf.cases[0]["fujii"] <= 4.0 * (k * k + k + 1.0)):
+            [rf] = verify_fujii(w)
+            k = rf["rh_llogl"]
+            if not (rf["pass"] and rf["fujii"] <= 4.0 * (k * k + k + 1.0)):
                 failures.append(f"{w.label} fujii")
-            if not verify_extrapolation_bound(w).passed:
+            if not verify_extrapolation_bound(w)[0]["pass"]:
                 failures.append(f"{w.label} extrapolation")
             if weak_type_residual(w, w.base) > 1.0 + 1e-9:
                 failures.append(f"{w.label} weak-type")
@@ -290,11 +289,11 @@ def test_criterion_10_packing_consistency():
     for d, L in ((1, 6), (2, 3)):
         for seed in (1, 2, 3):
             f = make_grid(d, L, f"rand:{seed}:lognormal:1")
-            if not verify_packing(f).passed:
+            if not verify_packing(f)[0]["pass"]:
                 failures.append(f"{f.label} d={d}")
     g = make_grid(1, 4, "step:2,1")
     wmix = make_grid(1, 4, "step:1,2")
-    if not verify_weighted_rh(g, wmix, 2.0).passed:
+    if not all(c["pass"] for c in verify_weighted_rh(g, wmix, 2.0)):
         failures.append("mixed-step weighted bound")
     dt = time.monotonic() - t0
     ok = not failures and dt < 30.0

@@ -459,17 +459,48 @@ def test_verify_herz_budget(capsys):
     assert out.strip().split("\n")[-1].endswith("cases passed")
 
 
+def _spy_growth_grids(monkeypatch) -> tuple[list, list]:
+    """Lists that fill with the grids cli.make_grid builds (the lorentz
+    suite's growth grids and the boundary grid) and with the grids of those
+    that rh_p_constant runs on."""
+    grids, rh_grids = [], []
+    real_grid, real_rh = cli.make_grid, W.rh_p_constant
+
+    def rh_p(w, *a):
+        if any(w is g for g in grids):
+            rh_grids.append(w)
+        return real_rh(w, *a)
+
+    monkeypatch.setattr(cli, "make_grid", lambda *a: grids.append(real_grid(*a)) or grids[-1])
+    monkeypatch.setattr(W, "rh_p_constant", rh_p)
+    return grids, rh_grids
+
+
+def test_verify_lorentz_builds_each_growth_grid_once(capsys, monkeypatch):
+    # three power weights at three growth levels: 9 grids, each built once,
+    # with RH_p once per distinct p of the pairs (2 and 1.5) on each, where
+    # rebuilding them for every (p, q) pair made 27 grids and 27 RH_p
+    grids, rh_grids = _spy_growth_grids(monkeypatch)
+    assert run_cli(capsys, "verify", "--suite", "lorentz", "--seed", "1")[0] == 0
+    assert len(grids) == len({(g.label, g.L) for g in grids}) == 9
+    assert len(rh_grids) == 18
+
+
 def test_verify_all_builds_the_corpus_once(capsys, monkeypatch):
     # every suite reads one corpus: its 27 grids are built once, where each
     # suite building its own made 277; sharing the grids shares their index
     # memo, so the acks, stromberg and gehring suites make 72 index
-    # estimates, not 107.  The stromberg suite alone builds no random grid.
+    # estimates, not 107.  Beyond the corpus, the boundary grid and the 9
+    # growth grids are built once each, with 18 RH_p on the growth grids.
+    # The stromberg suite alone builds no random grid.
     built, estimated = [], []
     real_grid, real_estimate = W.make_grid, indices._index_estimate
     monkeypatch.setattr(W, "make_grid", lambda *a: built.append(a[2]) or real_grid(*a))
     monkeypatch.setattr(indices, "_index_estimate", lambda *a: estimated.append(a) or real_estimate(*a))
+    grids, rh_grids = _spy_growth_grids(monkeypatch)
     assert run_cli(capsys, "verify", "--suite", "all", "--seed", "1")[0] == 0
     assert len(built) == len(set(built)) == 27 and len(estimated) == 72
+    assert len(grids) == len({(g.label, g.L) for g in grids}) == 10 and len(rh_grids) == 18
     built.clear()
     assert run_cli(capsys, "verify", "--suite", "stromberg", "--seed", "1")[0] == 0
     assert len(built) == 7 and not [spec for spec in built if spec.startswith("rand")]
@@ -512,8 +543,7 @@ def _frozen_lorentz_lines(w):
     lines = [f"{'ok  ' if ok else 'FAIL'} lorentz {w.label} p=2.0 q=2.0 constant={f(full)} "
              f"base_vectorized={f(vec_base)} base_scalar={f(scalar)}"]
     if w.d == 1 and w.spec[:1] == ("pow",):
-        for p, q in cli._LORENTZ_PAIRS:
-            case = cli.lorentz_growth_agreement(w.label, w.d, p, q)
+        for case in cli.lorentz_growth_agreement(w.label, w.d):
             kv = " ".join(f"{k}={f(v)}" for k, v in case.items() if k not in ("name", "pass"))
             lines.append(f"{'ok  ' if case['pass'] else 'FAIL'} lorentz {case['name']} {kv}")
     return lines
@@ -523,12 +553,13 @@ def test_suite_lines_match_hand_built_format(monkeypatch):
     # gehring and lorentz lines come from the shared case formatter, in the
     # bytes they had when each suite built its own
     growth = {"name": "n", "pass": False, "growth_lorentz": 2.5, "growing_rh": True, "borderline": False}
-    monkeypatch.setattr(cli, "lorentz_growth_agreement", lambda label, d, p, q: dict(growth, name=f"{label} p={p:g}"))
+    cases = lambda label, d: [dict(growth, name=f"{label} p={p:g}") for p, _ in cli._LORENTZ_PAIRS]
+    monkeypatch.setattr(cli, "lorentz_growth_agreement", cases)
     cfg = cli.RunConfig(command="verify")
     for spec in ("pow:-0.5", "const:1", "rand:3:lognormal:1", "rand:4:lognormal:1.5"):
         w = make_grid(1, 5, spec)
-        assert cli._gehring_case(w, cfg)[0] == _frozen_gehring_lines(w, cfg)
-        assert cli._lorentz_case(w, cfg)[0] == _frozen_lorentz_lines(w)
+        for suite, frozen in (("gehring", _frozen_gehring_lines(w, cfg)), ("lorentz", _frozen_lorentz_lines(w))):
+            assert cli._case_lines(suite, cli.SUITE_NAMES[suite](w, cfg))[0] == frozen
 
 
 def test_verify_threads_do_not_change_bytes(capsys, monkeypatch):
@@ -703,6 +734,22 @@ def test_unknown_flag_is_usage_error(capsys):
     # argparse raises SystemExit internally; main maps it to the usage code
     code = main(["analyze", "--weight", "const:1", "--frobnicate"])
     assert code == 2
+
+
+_UNREAD_FLAGS = [
+    ("verify", "--suite", "herz", "--cases", "1", "--gamma", "0.5"),
+    ("verify", "--suite", "herz", "--cases", "1", "--q", "2"),
+    ("curve", "--kind", "k", "--weight", "const:1", "--level", "2", "--cap", "4"),
+    ("curve", "--kind", "k", "--weight", "const:1", "--level", "2", "--q", "2"),
+    ("curve", "--kind", "k", "--weight", "const:1", "--level", "2", "--gamma", "0.5"),
+]
+
+
+@pytest.mark.parametrize("argv", _UNREAD_FLAGS, ids=[f"{a[0]} {a[-2]}" for a in _UNREAD_FLAGS])
+def test_subcommands_refuse_flags_they_do_not_read(capsys, argv):
+    # --q and --gamma belong to analyze, --cap to analyze and verify
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and "unrecognized arguments" in err
 
 
 def test_level_bounds_enforced(capsys):

@@ -1057,7 +1057,7 @@ def test_packing_paths_build_no_cube_objects(monkeypatch, capsys):
     seen = _spy_packing_objects(monkeypatch)
     Pi = packing_family(f, w, 2.0)
     k_weighted_curve(f, w, 2.0, _sample_ts(w), Pi)
-    assert weights.verify_packing(make_grid(1, 6, "rand:41:lognormal:1")).passed
+    assert weights.verify_packing(make_grid(1, 6, "rand:41:lognormal:1"))[0]["pass"]
     assert cli.main(["curve", "--weight", "rand:42:lognormal:1", "--level", "8", "--kind", "weighted-k"]) == 0
     assert capsys.readouterr().out.count("\n") == 9  # header and 8 origin-chain rows
     assert seen == []

@@ -2,7 +2,7 @@
 
 Frozen oracles, all hand-derived from two-cell computations: the reverse
 Hölder constant of step 2,1 at p=2 is sqrt(2.5)/1.5, its A_2 constant 9/8,
-its A_1 constant 3/2, its Fujii constant 7/6; the weighted mixed-step
+its Fujii constant 7/6; the weighted mixed-step
 constant is 3 sqrt(2)/4; the Luxemburg root of the constant-1 weight is the
 scalar solving u log(e+u) = 1. The checkers themselves are exercised on the
 deterministic corpus in both dimensions, including the flag logic that
@@ -75,7 +75,13 @@ def test_a_p_step_frozen():
     w = make_grid(1, 3, "step:2,1")
     # avg(w) * avg(w^-1) = 1.5 * 0.75 at the base cube
     assert math.isclose(a_p_constant(w, 2.0).value, 9.0 / 8.0, rel_tol=1e-14)
-    assert math.isclose(a_p_constant(w, 1.0).value, 1.5, rel_tol=1e-14)
+
+
+def test_a_p_refuses_p_one():
+    # like RH_p and the Lorentz and K-side constants, A_p needs p > 1
+    w = make_grid(1, 3, "step:2,1")
+    with pytest.raises(ValueError, match="^p must exceed 1$"):
+        a_p_constant(w, 1.0)
 
 
 def test_rh_llogl_const_frozen():
@@ -255,31 +261,9 @@ def test_policy_constant_is_max_over_its_cubes(w):
         rh_p_constant(w, 2.0, f"level:{lo - 1}")
 
 
-@pytest.mark.parametrize(
-    "w",
-    [make_grid(1, 6, "rand:3:lognormal:1"), make_grid(2, 3, "rand:5:lognormal:1"), *localized_grids()],
-    ids=lambda w: f"d{w.d}L{w.L}base{w.base.level}",
-)
-def test_a_1_maximal_function_runs_over_the_policy_cubes(w):
-    # M_F w on a cell is the max of avg_Q w over the policy's cubes Q that
-    # hold the cell; A_1 is the max cell ratio M_F w / w
-    lo = w.base.level
-    for policy in ("all-dyadic", "base", f"level:{lo + 1}", f"level:{w.L}"):
-        M = np.zeros(w.ncells)
-        for Q in (Q for lev in cube_levels(policy, lo, w.L) for Q in level_cubes(w, lev)):
-            a, b = w.zrange(Q)
-            M[a:b] = np.maximum(M[a:b], np.mean(w.cube_cells(Q)))
-        ratios = M / w.zcells
-        c = a_p_constant(w, 1.0, policy)
-        assert math.isclose(c.value, ratios.max(), rel_tol=1e-12)
-        assert c.witness == _cube_at(w, w.L, int(np.argmax(ratios))).addr()
-        assert c.cube_policy == policy
-
-
 _CONSTANTS = {
     "rh_p": lambda w, cubes: rh_p_constant(w, 2.0, cubes),
     "a_p": lambda w, cubes: a_p_constant(w, 2.0, cubes),
-    "a_1": lambda w, cubes: a_p_constant(w, 1.0, cubes),
     "llogl": rh_llogl_constant,
     "lorentz": lambda w, cubes: rh_lorentz_constant(w, 2.0, 2.0, cubes),
     "fujii": fujii_constant,
@@ -423,43 +407,40 @@ def test_gehring_rejects_weight_outside_class():
 
 def test_verify_rhp_step():
     w = make_grid(1, 8, "step:2,1")
-    rep = verify_rhp_equivalence(w, 2.0)
-    assert rep.passed
-    case = rep.cases[0]
+    [case] = verify_rhp_equivalence(w, 2.0)
+    assert case["pass"]
     assert 1.0 / 8.0 <= case["ratio"] <= 8.0
 
 
 def test_verify_llogl_step():
     w = make_grid(1, 8, "step:2,1")
-    rep = verify_llogl_equivalence(w)
-    assert rep.passed
-    assert rep.cases[0]["rh_llogl"] >= 1.0
-    assert rep.cases[0]["hardy_sup"] >= 1.0
+    [case] = verify_llogl_equivalence(w)
+    assert case["pass"]
+    assert case["rh_llogl"] >= 1.0
+    assert case["hardy_sup"] >= 1.0
 
 
 def test_verify_acks_analytic():
     for spec in ("const:1", "step:2,1", "pow:-0.5"):
         w = make_grid(1, 10, spec)
-        rep = verify_acks(w)
-        assert rep.passed, spec
-        case = rep.cases[0]
+        [case] = verify_acks(w)
+        assert case["pass"], spec
         assert case["in_by_family"] and case["in_by_acks"]
 
 
 def test_verify_acks_borderline_flagged():
     w = make_grid(1, 12, "pow:-0.95")
-    rep = verify_acks(w)
-    assert rep.passed  # borderline cases are excluded from the assertion
-    assert rep.cases[0]["borderline"]
+    [case] = verify_acks(w)
+    assert case["pass"]  # borderline cases are excluded from the assertion
+    assert case["borderline"]
 
 
 def test_verify_stromberg_wheeden_power_transfer():
     # for x^a the index of w^p is 1 + a p, within the estimator tolerance
     for a, p in [(-0.25, 1.5), (-0.25, 2.0), (-0.5, 1.5)]:
         w = make_grid(1, 14, f"pow:{a}")
-        rep = verify_stromberg_wheeden(w, p)
-        case = rep.cases[0]
-        assert rep.passed
+        [case] = verify_stromberg_wheeden(w, p)
+        assert case["pass"]
         assert not case["out_of_domain"]
         assert abs(case["delta_hat_power"] - (1.0 + a * p)) <= 0.05
 
@@ -467,17 +448,17 @@ def test_verify_stromberg_wheeden_power_transfer():
 def test_verify_stromberg_wheeden_out_of_domain():
     # (x^-0.6)^2 = x^-1.2 is not locally integrable in the continuum
     w = make_grid(1, 12, "pow:-0.6")
-    rep = verify_stromberg_wheeden(w, 2.0)
-    assert rep.passed
-    assert rep.cases[0]["out_of_domain"]
+    [case] = verify_stromberg_wheeden(w, 2.0)
+    assert case["pass"]
+    assert case["out_of_domain"]
 
 
 @pytest.mark.parametrize("spec", ["pow:-0.75", "pow:-.75", "pow:-7.5e-1"])
 def test_verify_stromberg_wheeden_ignores_descriptor_spelling(spec):
     # one weight spelled three ways; (x^-0.75)^1.5 is not locally integrable
-    rep = verify_stromberg_wheeden(make_grid(1, 10, spec), 1.5)
-    assert rep.passed
-    assert rep.cases[0]["out_of_domain"]
+    [case] = verify_stromberg_wheeden(make_grid(1, 10, spec), 1.5)
+    assert case["pass"]
+    assert case["out_of_domain"]
 
 
 def test_verify_stromberg_wheeden_rejects_p_one():
@@ -487,11 +468,11 @@ def test_verify_stromberg_wheeden_rejects_p_one():
 
 def test_verify_fujii_step():
     w = make_grid(1, 6, "step:2,1")
-    rep = verify_fujii(w)
-    assert rep.passed
-    k = rep.cases[0]["rh_llogl"]
-    assert rep.cases[0]["fujii"] <= 4.0 * (k * k + k + 1.0)
-    assert rep.cases[0]["iterated_over_single"] >= 1.0
+    [case] = verify_fujii(w)
+    assert case["pass"]
+    k = case["rh_llogl"]
+    assert case["fujii"] <= 4.0 * (k * k + k + 1.0)
+    assert case["iterated_over_single"] >= 1.0
 
 
 def test_weak_type_residual_exact_one():
@@ -553,7 +534,7 @@ def _bits(x):
 
 
 def _assert_maximal_checks_frozen(w):
-    case = verify_herz(w).cases[0]
+    [case] = verify_herz(w)
     ok1, ok2, worst1, worst2 = _frozen_herz(w)
     assert (case["maximal_below_doublestar"], case["doublestar_below_scaled_maximal"]) == (ok1, ok2)
     assert _bits(case["worst_ratio_1"]) == _bits(worst1)
@@ -585,23 +566,22 @@ def test_maximal_checks_match_frozen_flat_and_localized(w):
 
 def test_verify_extrapolation_const():
     w = make_grid(1, 6, "const:3")
-    rep = verify_extrapolation_bound(w)
-    assert rep.passed
-    assert math.isclose(rep.cases[0]["lhs"], 3.0, rel_tol=1e-10)
+    [case] = verify_extrapolation_bound(w)
+    assert case["pass"]
+    assert math.isclose(case["lhs"], 3.0, rel_tol=1e-10)
 
 
 def test_verify_weighted_rh_mixed_step():
     g = make_grid(1, 4, "step:2,1")
     w = make_grid(1, 4, "step:1,2")
-    rep = verify_weighted_rh(g, w, 2.0)
-    assert rep.passed
+    assert all(case["pass"] for case in verify_weighted_rh(g, w, 2.0))
 
 
 def test_verify_rearrange_and_herz_both_dims():
     for d, L in ((1, 6), (2, 3)):
         w = make_grid(d, L, f"rand:{d}:lognormal:1")
-        assert verify_rearrange_exact(w).passed
-        assert verify_herz(w).passed
+        assert verify_rearrange_exact(w)[0]["pass"]
+        assert verify_herz(w)[0]["pass"]
 
 
 def test_verify_rearrange_mass_exact_catches_wrong_plateau_count(monkeypatch):
@@ -614,17 +594,17 @@ def test_verify_rearrange_mass_exact_catches_wrong_plateau_count(monkeypatch):
         measures[0] += w.cell_measure
         return DecreasingStep(r.values, measures, r.total_measure, r.mass)
 
-    assert verify_rearrange_exact(w).cases[0]["mass_exact"]
+    assert verify_rearrange_exact(w)[0]["mass_exact"]
     monkeypatch.setattr(weights, "rearrangement", miscounted)
-    case = verify_rearrange_exact(w).cases[0]
+    [case] = verify_rearrange_exact(w)
     assert not case["mass_exact"] and not case["pass"]
 
 
 def test_verify_packing_random():
     for d, L in ((1, 5), (2, 3)):
         f = make_grid(d, L, f"rand:{40 + d}:lognormal:1")
-        rep = verify_packing(f)
-        assert rep.passed, (d, L)
+        [case] = verify_packing(f)
+        assert case["pass"], (d, L)
 
 
 # ---------------------------------------------------------------------------
