@@ -75,6 +75,7 @@ from .weights import (
     kside_rh_constant,
     rh_llogl_constant,
     rh_lorentz_constant,
+    rh_lorentz_constants,
     rh_p_constant,
     rh_p_weighted_constant,
     standard_corpus,
@@ -137,6 +138,7 @@ __all__ = [
     "rearrangement",
     "rh_llogl_constant",
     "rh_lorentz_constant",
+    "rh_lorentz_constants",
     "rh_p_constant",
     "rh_p_weighted_constant",
     "save_weight",

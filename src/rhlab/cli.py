@@ -170,27 +170,36 @@ def _gehring_cases(w: WeightGrid, cfg: RunConfig) -> list[dict]:
     }]
 
 
-_GROWTH_LEVELS = (10, 12, 14)
+_GROWTH_LEVELS = (10, 14)
 _LORENTZ_PAIRS = ((2.0, 2.0), (2.0, 3.0), (1.5, 2.0))
 
 
 def lorentz_growth_agreement(label: str, d: int) -> list[dict]:
     """Growth-rate classification of the Lorentz constant against the plain
-    reverse-Hölder constant across the resolutions _GROWTH_LEVELS, one case
-    per (p, q) of _LORENTZ_PAIRS, in that order.
+    reverse-Hölder constant from the lower to the higher resolution of
+    _GROWTH_LEVELS, one case per (p, q) of _LORENTZ_PAIRS, in that order.
 
     Each constant is classified growing when it at least doubles from the
     lowest to the highest level; the classifications must agree, except when
     the two measured growth rates are within 25 percent of each other and
     merely straddle the doubling threshold (borderline, reported but not
-    asserted).  Each level's grid is built once, and RH_p is computed once
-    per distinct p on it.
+    asserted).  Each level's grid is built once, RH_p is computed once per
+    distinct p on it, and the Lorentz constants once per distinct q, every
+    p of that q from one build of each level (rh_lorentz_constants).
     """
+    by_q = {}  # q -> the p of its pairs, in pair order
+    for p, q in _LORENTZ_PAIRS:
+        by_q.setdefault(q, []).append(p)
     growth = []  # per level: the (Lorentz, RH_p) constants of each pair
     for L in _GROWTH_LEVELS:
         wl = make_grid(d, L, label)
         rh = {p: W.rh_p_constant(wl, p).value for p in {p for p, _ in _LORENTZ_PAIRS}}
-        growth.append([(W.rh_lorentz_constant(wl, p, q).value, rh[p]) for p, q in _LORENTZ_PAIRS])
+        lor = {
+            (p, q): c.value
+            for q, ps in by_q.items()
+            for p, c in zip(ps, W.rh_lorentz_constants(wl, ps, q))
+        }
+        growth.append([(lor[p, q], rh[p]) for p, q in _LORENTZ_PAIRS])
     cases = []
     for (p, q), (lor0, rh0), (lor1, rh1) in zip(_LORENTZ_PAIRS, growth[0], growth[-1]):
         g_lor = lor1 / lor0

@@ -351,14 +351,14 @@ def _index_estimate(blocks, windows, C_cap, resolution, name) -> IndexEstimate:
     within = lambda c: c <= lncap and math.exp(c) <= C_cap
     prune = lambda live, keep: [(blk, k if i is None else i[k]) for (blk, i), k in zip(live, keep) if k.size]
     c = 0.0 if mono else at(0.0, live)[0]
-    u_cap, beyond = 0.0, live  # beyond: the rows that hold the maximiser at u_cap + 1e-3
+    u_cap, failed = 0.0, []  # (u, the rows kept there) of each failing evaluation, u decreasing
     if within(c):
         u_cap, d, (c, slope, keep) = 1.0, 0.0, at(1.0, live)
-        beyond = prune(live, keep)
         for _ in range(128):
             if within(c):
                 break
             hi, live = u_cap, prune(live, keep)
+            failed.append((hi, live))
             u = u_cap - ((c - lncap) / slope if slope else 0.0)
             ulp = u_cap - math.nextafter(u_cap, 0.0)
             # a Newton step below one float doubles the last such decrement d instead
@@ -374,7 +374,10 @@ def _index_estimate(blocks, windows, C_cap, resolution, name) -> IndexEstimate:
                 u_cap, c = u, cu
             else:
                 hi, live = u, prune(live, keep)
+                failed.append((hi, live))
     u_b = u_cap + 1e-3  # past u = 1 the first piece (through the origin) makes C infinite
+    # the rows kept at the smallest failing u >= u_b hold the maximiser at u_b (see family_index)
+    beyond = next((rows for u, rows in reversed(failed) if u >= u_b), [(blk, None) for blk in blocks])
     c_beyond = at(u_b, beyond)[0] if u_b <= 1.0 else math.inf
 
     def cap_value(c):
@@ -456,8 +459,11 @@ def family_index(
         evaluation when every block is monotone;
       * a cap evaluation reads the rows above ln C_cap less 1e-12 at the
         last failing iterate, which hold the maximiser at every smaller u;
-        those kept at u = 1 hold it at u_cap + 1e-3, where C is at least
-        C(u_cap), within rounding of ln C_cap.
+      * the value at u_cap + 1e-3 reads the rows kept at the smallest
+        failing evaluation at or above it (u = 1, a Newton iterate or a
+        bisection's failing end), which hold the maximiser there, as C is
+        at least C(u_cap), within rounding of ln C_cap; when C(0) is
+        already beyond the cap there is none, and it reads every row.
 
     The result is memoised on the weight grid, keyed by the curve kind and
     the parameters; each call returns its own copy.

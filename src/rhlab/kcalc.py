@@ -228,47 +228,57 @@ def _gl_sums(A, B, lo, hi, q: float, E: float, buf: np.ndarray, out: np.ndarray)
 _BINOMIAL_Q = 16
 
 
-def _binomial_pieces(A, B, s0, s1, q: int, E: float) -> np.ndarray:
+def _binomial_pieces(A, B, s0, s1, q: int, Es):
     """(A + B s)^q s^E integrated over an (n, m) piece matrix for integer
-    q >= 1: s1^{E+1} sum_j C(q, j) g_j A^{q-j} U^j with U = B s1 and column
-    factors g_j = integral_{s0/s1}^1 x^{E+j} dx, summed in homogeneous Horner
-    form t = t U + c_j A^{q-j}, elementwise with three (n, m) scratch arrays.
-    With r = E + j + 1 and l = log(s1/s0), g_j is l at r = 0, 1/r at s0 = 0
-    (where the kernel's checks leave A = 0 if r <= 0), -expm1(-r l)/r while
-    |r| l <= 1, and (1 - (s0/s1)^r)/r beyond, where l's rounding would grow.
-    A factor is built in place in one array: on level 0 of a d=1 grid the
-    factors are as long as the (1, m) piece matrix."""
+    q >= 1, for each exponent E of Es in turn: s1^{E+1} sum_j C(q, j) g_j
+    A^{q-j} U^j with U = B s1 and column factors g_j = integral_{s0/s1}^1
+    x^{E+j} dx, summed in homogeneous Horner form t = t U + c_j A^{q-j},
+    elementwise with two (n, m) scratch arrays.  With r = E + j + 1 and
+    l = log(s1/s0), g_j is l at r = 0, 1/r at s0 = 0 (where the kernel's
+    checks leave A = 0 if r <= 0), -expm1(-r l)/r while |r| l <= 1, and
+    (1 - (s0/s1)^r)/r beyond, where l's rounding would grow.  A factor is
+    built in place in one array: on level 0 of a d=1 grid the factors are
+    as long as the (1, m) piece matrix.
+
+    Only the factors and the Horner sum depend on E: l, U and the powers of
+    A (q arrays of the matrix's size, each the last times A) are built once
+    for every E.  Yields each E's matrix in one buffer, which the next E
+    overwrites."""
     inner = s0 > 0.0
     lo = np.where(inner, s0, 0.5 * s1)  # a stand-in at s0 = 0, where g_j = 1/r
     ell = np.log1p((s1 - lo) / lo)
-    scale = s1 ** (E + 1.0)
-
-    def column(j):
-        r = E + j + 1.0
-        if r == 0.0:
-            g = ell.copy()
-        else:
-            g = np.multiply(ell, abs(r))
-            far = g > 1.0
-            np.expm1(np.multiply(ell, -r, out=g), out=g)
-            np.negative(g, out=g)
-            g[far] = 1.0 - (lo[far] / s1[far]) ** r
-            g /= r
-        g[~inner] = 1.0 / r if r > 0.0 else 0.0
-        g *= math.comb(q, j)
-        g *= scale
-        return g
-
     U = B * s1
-    t = column(q) * U
-    apow = A.copy()
-    tmp = np.empty_like(t)
-    for j in range(q - 1, -1, -1):
-        t += np.multiply(apow, column(j), out=tmp)
-        if j:
-            t *= U
-            apow *= A
-    return t
+    pows = [A]  # A^(k+1) at k, built as the first E needs them
+    t = tmp = None
+    for E in Es:
+        scale = s1 ** (E + 1.0)
+
+        def column(j):
+            r = E + j + 1.0
+            if r == 0.0:
+                g = ell.copy()
+            else:
+                g = np.multiply(ell, abs(r))
+                far = g > 1.0
+                np.expm1(np.multiply(ell, -r, out=g), out=g)
+                np.negative(g, out=g)
+                g[far] = 1.0 - (lo[far] / s1[far]) ** r
+                g /= r
+            g[~inner] = 1.0 / r if r > 0.0 else 0.0
+            g *= math.comb(q, j)
+            g *= scale
+            return g
+
+        t = np.multiply(column(q), U, out=t)
+        if tmp is None:
+            tmp = np.empty_like(t)
+        for j in range(q - 1, -1, -1):
+            if len(pows) < q - j:
+                pows.append(pows[-1] * A)
+            t += np.multiply(pows[q - 1 - j], column(j), out=tmp)
+            if j:
+                t *= U
+        yield t
 
 
 def level_piece_integrals(A, B, s0, s1, q: float, E: float) -> np.ndarray:
@@ -300,17 +310,24 @@ def level_piece_integrals(A, B, s0, s1, q: float, E: float) -> np.ndarray:
     builds).  Panel 0 of every column runs on the column slices of the
     piece matrix; the later panels of the wide columns are added in order.
     """
+    return next(_piece_matrices(A, B, s0, s1, q, (E,)))
+
+
+def _piece_matrices(A, B, s0, s1, q: float, Es):
+    """An iterator over the piece matrices level_piece_integrals gives for
+    each exponent E of Es in turn, bit for bit, its checks made for every E
+    before the first; at integer q the E-free work is shared, and each
+    matrix is overwritten by the next (_binomial_pieces)."""
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     s0 = np.asarray(s0, dtype=np.float64)
     s1 = np.asarray(s1, dtype=np.float64)
-    n, m = A.shape
     at0 = A[:, s0 == 0.0]
-    # near 0 a piece with A != 0 behaves like |A|^q s^E
-    if E <= -1.0 and np.any(at0 != 0.0) or q + E <= -1.0 and np.any(at0 == 0.0):
-        raise ValueError("divergent integral at the origin")
+    for E in Es:  # near 0 a piece with A != 0 behaves like |A|^q s^E
+        if E <= -1.0 and np.any(at0 != 0.0) or q + E <= -1.0 and np.any(at0 == 0.0):
+            raise ValueError("divergent integral at the origin")
     if 1.0 <= q <= _BINOMIAL_Q and float(q).is_integer():
-        return _binomial_pieces(A, B, s0, s1, int(q), E)
+        return _binomial_pieces(A, B, s0, s1, int(q), Es)
     if np.any(at0 != 0.0):
         raise ValueError("a piece at s0 = 0 needs A = 0")
     if not q > 0.0:
@@ -319,6 +336,13 @@ def level_piece_integrals(A, B, s0, s1, q: float, E: float) -> np.ndarray:
         raise ValueError("piece slopes B must be nonnegative")
     if not np.all(A >= -_A_SLACK * B * s0):
         raise ValueError("piece intercepts A must be at least -2^-20 B s0")
+    return (_gl_pieces(A, B, s0, s1, q, E) for E in Es)
+
+
+def _gl_pieces(A, B, s0, s1, q: float, E: float) -> np.ndarray:
+    """The piece matrix of level_piece_integrals at a q off the closed form,
+    its checks passed: pure powers where A = 0, else the panel sums."""
+    n, m = A.shape
     Af, Bf = A.ravel(), B.ravel()
     out = np.zeros(n * m)
     origin = np.flatnonzero(Af == 0.0)
@@ -451,14 +475,16 @@ def lorentz_norm(w: WeightGrid, Q: DyadicCube, p: float, q: float) -> float:
 # ---------------------------------------------------------------------------
 # L log L
 
-def _llogl_g(cells: np.ndarray, r: np.ndarray, newton: bool = False) -> np.ndarray:
-    """Defining integral G(r) = (1/|Q|) int_Q (|f|/r) log(e + |f|/r), rowwise
-    (cells (n, m), r (n,)); with newton, the Newton step toward G = 1 in
-    log r instead: G log G / (G + S), S = mean(u^2 / (e + u)), u = |f|/r."""
+def _llogl_g(cells: np.ndarray, r: np.ndarray):
+    """The Newton step toward G = 1 in log r, G log G / (G + S), with G and
+    S, rowwise (cells (n, m), r (n,)): G(r) = (1/|Q|) int_Q u log(e + u) is
+    the defining integral and S = mean(u^2 / (e + u)), u = |f|/r, so that
+    r G'(r) = -(G + S)."""
     u = cells / r[:, None]
     e = np.e + u
     g = np.mean(u * np.log(e), axis=1)
-    return g * np.log(g) / (g + np.mean(u * u / e, axis=1)) if newton else g
+    s = np.mean(u * u / e, axis=1)
+    return g * np.log(g) / (g + s), g, s
 
 
 def llogl_norm_rows(cells: np.ndarray) -> np.ndarray:
@@ -466,32 +492,71 @@ def llogl_norm_rows(cells: np.ndarray) -> np.ndarray:
 
     Newton's iteration on G(r) = 1 in log r from the row mean (_llogl_g),
     each row on its own data, so no row depends on the others in the call.
-    On a row of cells >= 0 with a finite positive mean G is strictly
-    decreasing and the float G is G (1 + d) with |d| <= gam (a few roundings
-    per term, as log(e + u) >= 1, and the pairwise sum), so a float G above
-    1 + 3 gam at x (1 - 4 gam) and below 1 - 3 gam at x (1 + 4 gam) certifies
-    the returned Newton root x within 4 gam of the norm.  Raises ValueError
-    on a row with a negative or non-finite cell or a mean that is not
-    positive and finite, and FloatingPointError on a row whose certificate
-    fails.
+    Each row's last Newton evaluation certifies its root within 4 gam of
+    the norm, with no further pass over the cells (_llogl_newton).  Raises
+    ValueError on a row with a negative or non-finite cell or a mean that
+    is not positive and finite, and FloatingPointError on a row whose
+    certificate fails.
     """
     cells = np.atleast_2d(cells)
     x = cells.mean(axis=1)
     if not (np.all((x > 0.0) & (x < math.inf)) and np.all(cells >= 0.0)):
         raise ValueError("L log L norm needs cells >= 0 and finite with a positive finite mean per row")
-    gam = (64 + cells.shape[1].bit_length() + cells.shape[1] // 4096) * 2.0**-53
-    act = np.arange(x.size)
-    for _ in range(8):
-        step = _llogl_g(cells[act], x[act], newton=True)
-        x[act] *= np.exp(step)
-        act = act[np.abs(step) > 1e-9]  # then the next step is below 1e-16
-        if act.size == 0:
-            break
-    g_lo, g_hi = _llogl_g(cells, x * (1.0 - 4.0 * gam)), _llogl_g(cells, x * (1.0 + 4.0 * gam))
-    ok = (g_lo > 1.0 + 3.0 * gam) & (g_hi < 1.0 - 3.0 * gam)
+    ok = _llogl_newton(cells, x)
     if not np.all(ok):
         raise FloatingPointError(f"L log L norm not certified on {np.count_nonzero(~ok)} of {x.size} rows")
     return x
+
+
+def _llogl_newton(cells: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Newton's iteration of llogl_norm_rows on the rows of cells from x
+    (their means, updated in place to the roots), and each row's
+    certificate: that the norm lies within 4 gam of the root x, from the
+    row's last evaluation, at a with float values G and S.
+
+    On a row of cells >= 0 with a finite positive mean G is convex and
+    strictly decreasing in r (Phi(u) = u log(e + u) is convex and
+    increasing, and u = |f|/r convex in r), and the float G and S are
+    G (1 + d) and S (1 + d') with |d|, |d'| <= gam (a few roundings per
+    term, as log(e + u) >= 1, and the pairwise sum).  So, with r G' =
+    -(G + S):
+
+      * below: G(r) >= G(a) + G'(a) (r - a) for every r (the tangent), so
+        with c = 1 - x (1 - 4 gam) / a,
+        G(x (1 - 4 gam)) >= (1 + c) G(a) + c S(a);
+      * above: Phi'' <= 2/(e + u) gives r^2 G'' <= 2 G + 4 S, and G and S
+        decrease in r and grow at most by a factor l^2 from a down to
+        a / l (l >= 1, as Phi(l u) <= l (1 + ln l) Phi(u) and
+        e + l u >= e + u); so with h = x (1 + 4 gam) / a - 1 and
+        |h| <= 1/8 (l <= 8/7, l^4 < 2), Taylor's remainder gives
+        G(x (1 + 4 gam)) <= (1 - h + 2 h^2) G(a) + (4 h^2 - h) S(a).
+
+    Where |h| <= 1/8 the two bounds as computed are within 1.4 gam (G + S)
+    of their values at the exact G, S, c and h (gam >= 64 units covers the
+    roundings of c, h and the bounds), so the lower one above
+    1 + 2 gam (G + S) and the upper one below 1 - 2 gam (G + S) bracket
+    the norm.  A row that took its last step, below 1e-9, sits about
+    4 gam (G + S) from both, less (|step| + 4 gam)^2 (G + 2 S).
+    """
+    gam = (64 + cells.shape[1].bit_length() + cells.shape[1] // 4096) * 2.0**-53
+    a, g, s = np.empty_like(x), np.empty_like(x), np.empty_like(x)  # each row's last evaluation
+    act = slice(None)  # the rows still stepping: all (views, no gathers), then their indices
+    for _ in range(8):
+        step, g[act], s[act] = _llogl_g(cells[act], x[act])
+        a[act] = x[act]
+        x[act] *= np.exp(step)
+        more = np.abs(step) > 1e-9  # else the next step is below 1e-16
+        if not more.all():
+            act = np.arange(x.size)[act][more]
+            if act.size == 0:
+                break
+    rho = x / a
+    c = 1.0 - rho * (1.0 - 4.0 * gam)
+    h = rho * (1.0 + 4.0 * gam) - 1.0
+    slack = 2.0 * gam * (g + s)
+    lower = (1.0 + c) * g + c * s
+    upper = (1.0 - h + 2.0 * h * h) * g + (4.0 * h * h - h) * s
+    return (np.abs(h) <= 0.125) & (lower > 1.0 + slack) & (upper < 1.0 - slack)
 
 
 def llogl_norm(w: WeightGrid, Q: DyadicCube) -> float:

@@ -12,12 +12,13 @@ when a cube-uniform inequality between averages holds:
 
 Each constant here is the max of its ratio over the cube family named by a
 policy string (cubes="all-dyadic", "base" or "level:k"), with the attaining
-cube as witness, swept level by level (_family_constant).
-The reverse-Hardy residual sup is exact, closed form via Wright omega
-(indices._hardy_rows on each level's K-curve pieces).  The verification
-routines then test, over all dyadic cubes, the equivalences between these
-classes and the index machinery: the K-side characterization of RH_p, the
-limiting L log L class against the reverse Hardy residual, the
+cube as witness, swept level by level (_family_constant); the Lorentz
+constants of several p at one q share each level's build
+(rh_lorentz_constants).  The reverse-Hardy residual sup is exact, closed
+form via Wright omega (indices._hardy_rows on each level's K-curve pieces).
+The verification routines then test, over all dyadic cubes, the equivalences
+between these classes and the index machinery: the K-side characterization
+of RH_p, the limiting L log L class against the reverse Hardy residual, the
 rearrangement-product index, the cellwise-power classification of RH_p
 through A_infinity, Fujii's condition with the bound 4 (k^2 + k + 1), the
 extrapolation bound 4 ||w||_1 (k^2 + k + 1) for the dyadic maximal operator
@@ -50,6 +51,7 @@ from .grid import (
 from .kcalc import (
     PackingFamily,
     _level_pieces,
+    _piece_matrices,
     extrapolation_norm,
     grid_power,
     k_l1_linf,
@@ -103,21 +105,24 @@ def _level_row_means(cells: np.ndarray, w: WeightGrid, level: int) -> np.ndarray
     return cells.reshape(-1, width).mean(axis=1)
 
 
-def _family_constant(w: WeightGrid, cubes: str, kind: str, level_values, p=None, q=None) -> ClassConstant:
+def _family_constant(w: WeightGrid, cubes: str, kind: str, level_values, ps=(None,), q=None) -> list[ClassConstant]:
     """The max of a per-cube ratio over the cube family of a policy string
     (grid.cube_levels: "all-dyadic", "base" or "level:k"), with the
-    attaining cube: level_values(level) gives the ratios of every cube of a
-    level, in Morton order; ties go to the first level and first Morton row."""
-    best = -math.inf
-    where = None
+    attaining cube, one constant per p of ps: level_values(level) gives the
+    ratios of every cube of a level in Morton order, one row per p (a
+    vector for one); ties go to the first level and first Morton row."""
+    best = [-math.inf] * len(ps)
+    where = [None] * len(ps)
     for level in cube_levels(cubes, w.base.level, w.L):
-        ratios = level_values(level)
-        i = int(np.argmax(ratios))
-        if float(ratios[i]) > best:
-            best = float(ratios[i])
-            where = (level, i)
-    level, i = where
-    return ClassConstant(kind, best, p=p, q=q, witness=_cube_at(w, level, i).addr(), cube_policy=cubes)
+        rows = np.atleast_2d(level_values(level))
+        for k, i in enumerate(np.argmax(rows, axis=1)):
+            if float(rows[k, i]) > best[k]:
+                best[k] = float(rows[k, i])
+                where[k] = (level, int(i))
+    return [
+        ClassConstant(kind, v, p=p, q=q, witness=_cube_at(w, *at).addr(), cube_policy=cubes)
+        for v, p, at in zip(best, ps, where)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +146,7 @@ def rh_p_constant(w: WeightGrid, p: float, cubes: str = "all-dyadic") -> ClassCo
     z = _cells(w)
     zp, k = _normal_powers(z, p, z.max())
     ratios = lambda lev: _level_row_means(zp, w, lev) ** (1.0 / p) / np.ldexp(_level_means(w, lev), k)
-    return _family_constant(w, cubes, "RH_p", ratios, p=p)
+    return _family_constant(w, cubes, "RH_p", ratios, (p,))[0]
 
 
 def a_p_constant(w: WeightGrid, p: float, cubes: str = "all-dyadic") -> ClassConstant:
@@ -151,7 +156,7 @@ def a_p_constant(w: WeightGrid, p: float, cubes: str = "all-dyadic") -> ClassCon
     z = _cells(w)
     zdual, k = _normal_powers(z, -1.0 / (p - 1.0), z.min())
     ratios = lambda lev: np.ldexp(_level_means(w, lev), k) * _level_row_means(zdual, w, lev) ** (p - 1.0)
-    return _family_constant(w, cubes, "A_p", ratios, p=p)
+    return _family_constant(w, cubes, "A_p", ratios, (p,))[0]
 
 
 def rh_llogl_constant(w: WeightGrid, cubes: str = "all-dyadic") -> ClassConstant:
@@ -161,31 +166,55 @@ def rh_llogl_constant(w: WeightGrid, cubes: str = "all-dyadic") -> ClassConstant
         rows = _cells(w).reshape(-1, 1 << (w.d * (w.L - lev)))
         return llogl_norm_rows(rows) / rows.mean(axis=1)
 
-    return _family_constant(w, cubes, "RH_LLogL", ratios)
+    return _family_constant(w, cubes, "RH_LLogL", ratios)[0]
 
 
-def _lorentz_level(w: WeightGrid, level: int, p: float, q: float) -> np.ndarray:
-    """Lorentz L(p,q) norms of w restricted to each cube of a level."""
+def _lorentz_level(w: WeightGrid, level: int, ps, q: float) -> np.ndarray:
+    """Lorentz L(p,q) norms of w restricted to each cube of a level, one
+    row per p of ps, from one build of the level's pieces: the head
+    integrals of every p come from one _piece_matrices call, which at
+    integer q shares the p-free work of the closed form, and each p's
+    piece matrix is summed before the next is built."""
     vals, K, s0, s, A = _level_pieces(w, level)
-    head = level_piece_integrals(A, vals, s0, s, q, q / p - q - 1.0).sum(axis=1)
+    pieces = _piece_matrices(A, vals, s0, s, q, [q / p - q - 1.0 for p in ps])
+    heads = [next(pieces).sum(axis=1) for _ in ps]
+    del pieces  # frees the kernel's scratch before the tails
     T = s.size * w.cell_measure
-    pprime = p / (p - 1.0)
-    tail = K[:, -1] ** q * T ** (q / p - q) * pprime / q
-    return (head + tail) ** (1.0 / q)
+    mass_q = K[:, -1] ** q
+    norms = np.empty((len(ps), vals.shape[0]))
+    for row, head, p in zip(norms, heads, ps):
+        pprime = p / (p - 1.0)
+        tail = mass_q * T ** (q / p - q) * pprime / q
+        row[:] = (head + tail) ** (1.0 / q)
+    return norms
 
 
-def rh_lorentz_constant(w: WeightGrid, p: float, q: float, cubes: str = "all-dyadic") -> ClassConstant:
-    """max over the family of ||w chi_Q||_{L(p,q)} / (|Q|^{1/p} avg_Q w)."""
-    if not p > 1.0:
+def rh_lorentz_constants(w: WeightGrid, ps, q: float, cubes: str = "all-dyadic") -> list[ClassConstant]:
+    """For each p of ps, the max over the family of
+    ||w chi_Q||_{L(p,q)} / (|Q|^{1/p} avg_Q w): every p of a level from one
+    build (_lorentz_level), each constant equal bit for bit to its one-p
+    call."""
+    ps = tuple(ps)
+    if not all(p > 1.0 for p in ps):
         raise ValueError("p must exceed 1")
     if not q >= 1.0:
         raise ValueError("q must be at least 1")
 
     def ratios(lev):
         T = 2.0 ** (-w.d * lev)
-        return _lorentz_level(w, lev, p, q) / (T ** (1.0 / p) * _level_means(w, lev))
+        means = _level_means(w, lev)
+        norms = _lorentz_level(w, lev, ps, q)
+        for row, p in zip(norms, ps):
+            row /= T ** (1.0 / p) * means
+        return norms
 
-    return _family_constant(w, cubes, "RH_Lorentz", ratios, p=p, q=q)
+    return _family_constant(w, cubes, "RH_Lorentz", ratios, ps, q)
+
+
+def rh_lorentz_constant(w: WeightGrid, p: float, q: float, cubes: str = "all-dyadic") -> ClassConstant:
+    """max over the family of ||w chi_Q||_{L(p,q)} / (|Q|^{1/p} avg_Q w):
+    the one-p call of rh_lorentz_constants."""
+    return rh_lorentz_constants(w, (p,), q, cubes)[0]
 
 
 def fujii_constant(w: WeightGrid, cubes: str = "all-dyadic") -> ClassConstant:
@@ -196,7 +225,7 @@ def fujii_constant(w: WeightGrid, cubes: str = "all-dyadic") -> ClassConstant:
     (rearrange._level_maximal), so a level costs one pass.
     """
     ratios = lambda lev: _level_maximal(w, lev).sum(axis=1) / w.float_level_sums(lev)
-    return _family_constant(w, cubes, "Fujii", ratios)
+    return _family_constant(w, cubes, "Fujii", ratios)[0]
 
 
 def rh_p_weighted_constant(g: WeightGrid, w: WeightGrid, p: float, cubes: str = "all-dyadic") -> ClassConstant:
@@ -213,7 +242,7 @@ def rh_p_weighted_constant(g: WeightGrid, w: WeightGrid, p: float, cubes: str = 
         wsum = w.float_level_sums(lev)
         return (gp_w.reshape(-1, width).sum(axis=1) / wsum) ** (1.0 / p) / (g_w.reshape(-1, width).sum(axis=1) / wsum)
 
-    return _family_constant(g, cubes, "RH_p_weighted", ratios, p=p)
+    return _family_constant(g, cubes, "RH_p_weighted", ratios, (p,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +314,7 @@ def kside_rh_constant(w: WeightGrid, p: float, cubes: str = "all-dyadic") -> Cla
     """sup over the family of the K-side reverse-Hölder functional."""
     if not p > 1.0:
         raise ValueError("p must exceed 1")
-    return _family_constant(w, cubes, "RH_p_kside", lambda lev: _kside_level(w, lev, p), p=p)
+    return _family_constant(w, cubes, "RH_p_kside", lambda lev: _kside_level(w, lev, p), (p,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +329,7 @@ def hardy_residual_sup(w: WeightGrid, cubes: str = "all-dyadic") -> ClassConstan
         vals, K, s0, s, A = _level_pieces(w, lev)
         return _hardy_rows(A, vals, s0, s, K)
 
-    return _family_constant(w, cubes, "HardyResidual", ratios)
+    return _family_constant(w, cubes, "HardyResidual", ratios)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +702,7 @@ def analyze_report(
     c = rh_llogl_constant(w, cube_policy)
     constants.append({"kind": c.kind, "value": c.value, "witness": c.witness})
     for q in q_list:
-        for p in p_list:
-            lc = rh_lorentz_constant(w, p, q, cube_policy)
+        for p, lc in zip(p_list, rh_lorentz_constants(w, p_list, q, cube_policy)):
             constants.append({"kind": lc.kind, "p": p, "q": q, "value": lc.value, "witness": lc.witness})
     c = fujii_constant(w, cube_policy)
     constants.append({"kind": c.kind, "value": c.value, "witness": c.witness})

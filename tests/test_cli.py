@@ -477,21 +477,22 @@ def _spy_growth_grids(monkeypatch) -> tuple[list, list]:
 
 
 def test_verify_lorentz_builds_each_growth_grid_once(capsys, monkeypatch):
-    # three power weights at three growth levels: 9 grids, each built once,
+    # three power weights at two growth levels: 6 grids, each built once,
     # with RH_p once per distinct p of the pairs (2 and 1.5) on each, where
-    # rebuilding them for every (p, q) pair made 27 grids and 27 RH_p
+    # rebuilding them for every (p, q) pair made 18 grids and 18 RH_p (and
+    # a third, unread level made 9 grids and 18 RH_p)
     grids, rh_grids = _spy_growth_grids(monkeypatch)
     assert run_cli(capsys, "verify", "--suite", "lorentz", "--seed", "1")[0] == 0
-    assert len(grids) == len({(g.label, g.L) for g in grids}) == 9
-    assert len(rh_grids) == 18
+    assert len(grids) == len({(g.label, g.L) for g in grids}) == 6
+    assert len(rh_grids) == 12
 
 
 def test_verify_all_builds_the_corpus_once(capsys, monkeypatch):
     # every suite reads one corpus: its 27 grids are built once, where each
     # suite building its own made 277; sharing the grids shares their index
     # memo, so the acks, stromberg and gehring suites make 72 index
-    # estimates, not 107.  Beyond the corpus, the boundary grid and the 9
-    # growth grids are built once each, with 18 RH_p on the growth grids.
+    # estimates, not 107.  Beyond the corpus, the boundary grid and the 6
+    # growth grids are built once each, with 12 RH_p on the growth grids.
     # The stromberg suite alone builds no random grid.
     built, estimated = [], []
     real_grid, real_estimate = W.make_grid, indices._index_estimate
@@ -500,7 +501,7 @@ def test_verify_all_builds_the_corpus_once(capsys, monkeypatch):
     grids, rh_grids = _spy_growth_grids(monkeypatch)
     assert run_cli(capsys, "verify", "--suite", "all", "--seed", "1")[0] == 0
     assert len(built) == len(set(built)) == 27 and len(estimated) == 72
-    assert len(grids) == len({(g.label, g.L) for g in grids}) == 10 and len(rh_grids) == 18
+    assert len(grids) == len({(g.label, g.L) for g in grids}) == 7 and len(rh_grids) == 12
     built.clear()
     assert run_cli(capsys, "verify", "--suite", "stromberg", "--seed", "1")[0] == 0
     assert len(built) == 7 and not [spec for spec in built if spec.startswith("rand")]

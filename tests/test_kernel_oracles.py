@@ -14,9 +14,11 @@ llogl_norm_rows returns each row's certified Newton root instead of the
 1e-13 bisection it replaced: it stays within that bisection's bracket of a
 frozen copy of it, within 8 units of 2^-53 of 40-digit mpmath, equal bit for
 bit to its one-row call on every cube, and it raises when its domain or its
-certificate fails.  The work saved is pinned on the benchmark's analyze
-grids, and the quadrature error bound is checked against high-precision
-quadrature.
+certificate fails.  That certificate, read off each row's last Newton
+evaluation, decides row by row as the two extra passes it replaced do
+(kept here as an oracle).  The work saved is pinned on the benchmark's
+analyze grids, and the quadrature error bound is checked against
+high-precision quadrature.
 """
 
 import functools
@@ -206,11 +208,30 @@ def frozen_llogl_norm_rows(cells):
     return 0.5 * (lo + hi)
 
 
+def _two_pass_certified(cells, x):
+    # the certificate llogl_norm_rows took before: the float G at
+    # x (1 -+ 4 gam), two more passes over the cells, beyond 1 +- 3 gam
+    gam = (64 + cells.shape[1].bit_length() + cells.shape[1] // 4096) * 2.0**-53
+    g_lo, g_hi = _frozen_llogl_g(cells, x * (1.0 - 4.0 * gam)), _frozen_llogl_g(cells, x * (1.0 + 4.0 * gam))
+    return (g_lo > 1.0 + 3.0 * gam) & (g_hi < 1.0 - 3.0 * gam)
+
+
+def _assert_certificates_agree(cells):
+    # row by row, the certificate of the last Newton evaluation decides as
+    # the two passes at the returned roots do
+    x = cells.mean(axis=1)
+    ok = kcalc._llogl_newton(cells, x)
+    np.testing.assert_array_equal(ok, _two_pass_certified(cells, x))
+    return ok, x
+
+
 def _assert_llogl_frozen(cells):
     # the Newton root lies within the frozen bisection's own 1e-13 bracket
     got = llogl_norm_rows(cells)
     ref = frozen_llogl_norm_rows(cells)
     assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+    ok, x = _assert_certificates_agree(cells)
+    assert ok.all() and np.array_equal(x, got)
 
 
 @given(random_grids())
@@ -232,6 +253,48 @@ def test_llogl_norm_rows_matches_frozen_one_hot(m):
 @pytest.mark.parametrize("shape", [(64, 1024), (4096, 16), (8, 8192), (20000, 1), (10000, 2)])
 def test_llogl_norm_rows_matches_frozen_lognormal_sigma_4(shape):
     _assert_llogl_frozen(np.random.default_rng(shape[1]).lognormal(0.0, 4.0, shape))
+
+
+# row lengths at the steps of gam = (64 + bit_length(m) + m // 4096) units
+_GAM_EDGES = [1, 2, 3, 4, 7, 8, 4095, 4096, 4097, 8191, 8192]
+
+
+@st.composite
+def llogl_rows(draw):
+    """A few rows of lognormal cells of one length, some with zero cells or
+    one huge cell (no row all zero)."""
+    m = draw(st.sampled_from(_GAM_EDGES))
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.lognormal(0.0, draw(st.sampled_from([0.0, 0.5, 2.0, 6.0])), (n, m))
+    zeros = rng.random((n, m)) < draw(st.sampled_from([0.0, 0.5, 0.99, 1.0]))
+    zeros[:, 0] = False
+    cells[zeros] = 0.0
+    if draw(st.booleans()):
+        cells[np.arange(n), rng.integers(0, m, n)] = draw(st.sampled_from([1e10, 1e100, 1e300]))
+    return cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(llogl_rows())
+def test_llogl_certificate_agrees_with_two_passes(cells):
+    ok, x = _assert_certificates_agree(cells)
+    assert ok.all()
+
+
+def test_llogl_certificates_reject_a_short_newton_alike(monkeypatch):
+    # half steps leave each root about 2^-8 of its first error off after
+    # the eight steps: both certificates reject every row
+    real = kcalc._llogl_g
+
+    def half(cells, r):
+        step, g, s = real(cells, r)
+        return 0.5 * step, g, s
+
+    monkeypatch.setattr(kcalc, "_llogl_g", half)
+    cells = np.random.default_rng(3).lognormal(0.0, 1.0, (40, 64))
+    ok, _ = _assert_certificates_agree(cells)
+    assert not ok.any()
 
 
 def test_llogl_norm_rows_rejects_rows_outside_the_domain():
@@ -299,7 +362,7 @@ def test_llogl_norm_rows_are_independent_of_their_batch():
 def test_llogl_failed_certificate_is_a_numerical_error(monkeypatch, capsys):
     # no Newton step leaves every root at its row mean, where G > 1
     real = kcalc._llogl_g
-    stuck = lambda cells, r, newton=False: np.zeros(r.shape) if newton else real(cells, r)
+    stuck = lambda cells, r: (np.zeros(r.shape), *real(cells, r)[1:])
     monkeypatch.setattr(kcalc, "_llogl_g", stuck)
     with pytest.raises(FloatingPointError, match="not certified"):
         llogl_norm_rows(make_grid(1, 4, "rand:1:lognormal:1").zcells.reshape(4, 4))
@@ -318,12 +381,45 @@ def test_llogl_passes_per_level_bounded(monkeypatch):
     w = make_grid(1, 16, "rand:1:lognormal:1")
     seen = []
     real = kcalc._llogl_g
-    monkeypatch.setattr(kcalc, "_llogl_g", lambda cells, r, newton=False: seen.append(cells.size) or real(cells, r, newton))
+    monkeypatch.setattr(kcalc, "_llogl_g", lambda cells, r: seen.append(cells.size) or real(cells, r))
     for lev in range(w.L + 1):
         seen.clear()
         llogl_norm_rows(w.zcells.reshape(-1, 1 << (w.L - lev)))
         # Newton steps and certificates included; 45 full passes before
         assert sum(seen) <= 15 * w.zcells.size, lev
+
+
+def test_analyze_reads_each_level_once_for_lorentz_and_llogl(monkeypatch, capsys):
+    # analyze --q 2 at d=1 L=10: the Lorentz constants of the three p build
+    # each level's pieces once (three times before), and every evaluation
+    # of the L log L integrals is a Newton step: each reads the rows the
+    # last left active (two full certificate passes per level followed
+    # them before)
+    built, passes = [], []
+    real_pieces, real_g, real_rows = weights._level_pieces, kcalc._llogl_g, weights.llogl_norm_rows
+
+    def g(cells, r):
+        out = real_g(cells, r)
+        passes[-1].append((r.size, out[0]))
+        return out
+
+    def rows(cells):
+        passes.append([(cells.shape[0], None)])
+        return real_rows(cells)
+
+    monkeypatch.setattr(weights, "_level_pieces", lambda w, lev: built.append(lev) or real_pieces(w, lev))
+    monkeypatch.setattr(kcalc, "_llogl_g", g)
+    monkeypatch.setattr(weights, "llogl_norm_rows", rows)
+    assert cli.main(["analyze", "--weight", "rand:1:lognormal:1", "--level", "10", "--q", "2"]) == 0
+    capsys.readouterr()
+    assert sorted(built) == list(range(11))
+    assert len(passes) == 11
+    for level in passes:
+        (active, _), *calls = level
+        for size, step in calls:
+            assert size == active
+            active = np.count_nonzero(np.abs(step) > 1e-9)
+        assert active == 0
 
 
 @pytest.mark.parametrize("d, L, spec", [(1, 14, "pow:-0.5"), (1, 16, "rand:1:lognormal:1"), (2, 8, "rand:2:lognormal:1")])
@@ -332,7 +428,7 @@ def test_lorentz_pieces_skip_the_20_node_sums(monkeypatch, d, L, spec):
     # takes the closed form, which has no node sums): every level piece is
     # one 40-node panel, so the kernel sums at most its own piece count
     counts = {"pieces": 0, "summed": 0}
-    kernel, node_sums = kcalc.level_piece_integrals, kcalc._node_sums
+    kernel, node_sums = kcalc._gl_pieces, kcalc._node_sums
 
     def count_pieces(A, B, s0, s1, q, E):
         counts["pieces"] += A.size
@@ -343,7 +439,7 @@ def test_lorentz_pieces_skip_the_20_node_sums(monkeypatch, d, L, spec):
         counts["summed"] += a.size
         return node_sums(a, b, s, ws, q, buf)
 
-    monkeypatch.setattr(weights, "level_piece_integrals", count_pieces)
+    monkeypatch.setattr(kcalc, "_gl_pieces", count_pieces)
     monkeypatch.setattr(kcalc, "_node_sums", count_sums)
     w = make_grid(d, L, spec)
     for p in (1.5, 2.0, 3.0):

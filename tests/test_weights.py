@@ -35,6 +35,7 @@ from rhlab.weights import (
     kside_rh_constant,
     rh_llogl_constant,
     rh_lorentz_constant,
+    rh_lorentz_constants,
     rh_p_constant,
     rh_p_weighted_constant,
     standard_corpus,
@@ -219,10 +220,42 @@ def _frozen_kside_level(w, level, p):
 @given(st.one_of(random_grids(), st.sampled_from(flat_grids())), st.sampled_from([1.5, 2.0, 3.0]), st.sampled_from([1.5, 2.0, 3.0]))
 def test_level_constants_bitwise_equal_per_piece_route(w, p, q):
     for lev in range(w.base.level, w.L + 1):
-        got, ref = _lorentz_level(w, lev, p, q), _frozen_lorentz_level(w, lev, p, q)
+        got, ref = _lorentz_level(w, lev, (p,), q)[0], _frozen_lorentz_level(w, lev, p, q)
         np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
         got, ref = _kside_level(w, lev, p), _frozen_kside_level(w, lev, p)
         np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+_LORENTZ_GRIDS = [make_grid(1, 6, "rand:11:lognormal:1"), make_grid(2, 3, "rand:12:lognormal:1")]
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 2.5, 3.0, 16.0, 17.0])
+@pytest.mark.parametrize("w", _LORENTZ_GRIDS, ids=["d1", "d2"])
+def test_lorentz_constants_of_several_p_equal_their_one_p_calls(w, q):
+    # every p of a level from one build: each constant's value and witness
+    # bit for bit those of its one-p call, and each level row those of the
+    # per-piece route
+    ps = (1.5, 2.0, 3.0, 4.0)
+    for cubes in ("all-dyadic", "base", "level:2"):
+        for p, c in zip(ps, rh_lorentz_constants(w, ps, q, cubes), strict=True):
+            one = rh_lorentz_constant(w, p, q, cubes)
+            assert c.value.hex() == one.value.hex()
+            assert (c.kind, c.p, c.q, c.witness, c.cube_policy) == (one.kind, p, q, one.witness, cubes)
+    for lev in range(w.L + 1):
+        for row, p in zip(_lorentz_level(w, lev, ps, q), ps, strict=True):
+            ref = _frozen_lorentz_level(w, lev, p, q)
+            np.testing.assert_array_equal(row.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "p, q, match",
+    [(1.0, 2.0, "p must"), (0.5, 2.0, "p must"), (math.nan, 2.0, "p must"), (2.0, 0.5, "q must"), (2.0, math.nan, "q must"), (1.0, 0.5, "p must")],
+)
+def test_lorentz_constants_refuse_as_the_one_p_call(p, q, match):
+    w = _LORENTZ_GRIDS[0]
+    for call in (lambda: rh_lorentz_constant(w, p, q), lambda: rh_lorentz_constants(w, (2.0, p), q), lambda: rh_lorentz_constants(w, (p, 3.0), q)):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 def test_constants_respect_cube_families():
