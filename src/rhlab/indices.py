@@ -117,11 +117,9 @@ def _lever(r: np.ndarray, ls: np.ndarray) -> np.ndarray:
     return ls - _runmax(np.where(r <= _TIE, ls, -np.inf))
 
 
-def _take_rows(x: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
-    """The rows idx of x (all for None) in x's layout: a column-major x
-    gathers the columns of its row-major transpose."""
-    if idx is None:
-        return x
+def _take_rows(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The rows idx of x in x's layout: a column-major x gathers the
+    columns of its row-major transpose."""
     return x.T.take(idx, axis=1).T if x.flags.f_contiguous else x.take(idx, axis=0)
 
 
@@ -136,12 +134,15 @@ class _LevelBlock:
     With piece data A, B the curves are linear between consecutive columns,
     phi = A + B s, and lg adds the per-piece interior ratio minima, whose
     abscissae s* = u a / (b (1 - u)) depend on the scan variable; lnA/lnB
-    hold the piece data to rebuild them (None without piece data), lnA =
-    -inf where A <= 0: such a piece has no interior minimum, and its ln s*
-    is -inf or NaN, which no bracket test in lg passes.
+    hold the piece data to rebuild them, lnA = -inf where A <= 0: such a
+    piece has no interior minimum, and its ln s* is -inf or NaN, which no
+    bracket test in lg passes.  A level block holds lnphi only, and source,
+    the (w, level) of its piece data, from which rows builds the piece logs
+    of the rows it takes (lg inside (0, 1), every row's for that call); a
+    row block gathers its own.  Without piece data all three are None.
 
-    A level block's row arrays, and those that rows and lg return, keep
-    its long axis contiguous: column-major (Fortran order) with at least as
+    A level block's lnphi, and the arrays that rows and lg return, keep its
+    long axis contiguous: column-major (Fortran order) with at least as
     many rows as columns, else row-major, built in place (ufunc out=).
     numpy pays per row for a reduction or broadcast along short row-major
     rows, and per column across few column-major rows; a window's column
@@ -158,42 +159,46 @@ class _LevelBlock:
     maximum of r never falls on it.
     """
 
-    def __init__(self, s: np.ndarray, lnphi: np.ndarray, A: np.ndarray | None, B: np.ndarray | None):
+    def __init__(self, s: np.ndarray, lnphi: np.ndarray, source: tuple[WeightGrid, int] | None = None):
         self.svals = s
         self.ls = np.log(s)
         self.lnphi = lnphi
         self.monotone = bool((lnphi[:, 1:] >= lnphi[:, :-1]).all())  # checked: np.log need not be
+        self.source = source
         self.lnA = self.lnB = None
-        if A is not None:  # in lnphi's layout
-            self.lnA = np.full_like(lnphi, -np.inf, shape=A.shape)
-            np.log(A, out=self.lnA, where=A > 0.0)
-            with np.errstate(divide="ignore"):
-                self.lnB = np.log(B, out=np.empty_like(lnphi, shape=B.shape))
 
     @classmethod
     def of_level(cls, w: WeightGrid, level: int, kind: str) -> "_LevelBlock":
         """The block of the curves of kind "k" or "acks" of every cube of a
         level below the cells, on the full window."""
-        vals = w.sorted_level(level)[0]
+        vals, K = w.sorted_level(level)
         n, m = vals.shape
         order = "F" if n >= m else "C"
-        if kind == "k":
-            # pieces 2..m: phi = a + b s on [s_{k-1}, s_k]
-            _, K, _, s, A = _level_pieces(w, level)
-            return cls(s, np.log(K, out=np.empty((n, m), order=order)), A[:, 1:], vals[:, 1:])
         s = np.arange(1, m + 1) * w.cell_measure
+        if kind == "k":
+            return cls(s, np.log(K, out=np.empty((n, m), order=order)), (w, level))
         lnphi = np.empty((n, 2 * m - 1), order=order)
         for cols, sk, v in ((lnphi[:, 0::2], s, vals), (lnphi[:, 1::2], s[:-1], vals[:, 1:])):
             np.log(np.multiply(sk, v, out=cols), out=cols)
-        return cls(np.repeat(s, 2)[:-1], lnphi, None, None)
+        return cls(np.repeat(s, 2)[:-1], lnphi)
 
-    def rows(self, idx: np.ndarray | None) -> "_LevelBlock":
-        """The rows idx of the block (all for None), sharing the abscissae."""
-        if idx is None:
-            return self
+    def rows(self, idx: np.ndarray) -> "_LevelBlock":
+        """The block of the rows idx, sharing the abscissae, with their piece
+        logs (built on a level block, gathered on a row block)."""
         out = copy.copy(self)
         out.lnphi = _take_rows(self.lnphi, idx)
-        if self.lnA is not None:
+        if self.source:  # pieces 2..m: phi = a + b s on [s_{k-1}, s_k], in lnphi's layout
+            # numpy's log picks a loop, which rounds its own way, by shape: a
+            # lone row of a level of several is built twice, as two rows
+            k, n = len(idx), len(self.lnphi)
+            vals, _, _, _, A = _level_pieces(*self.source, rows=idx if k > 1 or n == 1 else np.repeat(idx, 2))
+            A, out.source = A[:k, 1:], None
+            out.lnA = np.full_like(out.lnphi, -np.inf, shape=A.shape)
+            np.log(A, out=out.lnA, where=A > 0.0)
+            out.lnB = np.empty_like(out.lnphi, shape=A.shape)
+            with np.errstate(divide="ignore"):
+                out.lnB[...] = np.log(vals[:, 1:])[:k]
+        elif self.lnA is not None:
             out.lnA, out.lnB = _take_rows(self.lnA, idx), _take_rows(self.lnB, idx)
         return out
 
@@ -206,6 +211,8 @@ class _LevelBlock:
         interleaved between knots; a piece without one repeats its right
         knot, which changes no running maximum.
         """
+        if self.source and 0.0 < u < 1.0:  # a level block: every row's piece logs, for this call
+            return self.rows(np.arange(len(self.lnphi))).lg(u, with_s)
         lg_k = self.lnphi - u * self.ls[None, :]
         if self.lnA is None or not 0.0 < u < 1.0:
             return (lg_k, np.broadcast_to(self.svals, lg_k.shape)) if with_s else lg_k
@@ -346,10 +353,9 @@ def _index_estimate(blocks, windows, C_cap, resolution, name) -> IndexEstimate:
     u_hat, (gamma_star, win_star) = u_knee[best], windows[best]
 
     # the cap threshold: Newton on C(u) from the failing u = 1 (see family_index)
-    live = [(blk, None) for blk in blocks]  # each block with the rows an evaluation reads
-    at = lambda u, live: _blocks_ok((blk.rows(i) for blk, i in live), u, lncap)
+    live, at = blocks, lambda u, live: _blocks_ok(live, u, lncap)  # live: the blocks an evaluation reads
     within = lambda c: c <= lncap and math.exp(c) <= C_cap
-    prune = lambda live, keep: [(blk, k if i is None else i[k]) for (blk, i), k in zip(live, keep) if k.size]
+    prune = lambda live, keep: [blk.rows(k) for blk, k in zip(live, keep) if k.size]
     c = 0.0 if mono else at(0.0, live)[0]
     u_cap, failed = 0.0, []  # (u, the rows kept there) of each failing evaluation, u decreasing
     if within(c):
@@ -377,7 +383,7 @@ def _index_estimate(blocks, windows, C_cap, resolution, name) -> IndexEstimate:
                 failed.append((hi, live))
     u_b = u_cap + 1e-3  # past u = 1 the first piece (through the origin) makes C infinite
     # the rows kept at the smallest failing u >= u_b hold the maximiser at u_b (see family_index)
-    beyond = next((rows for u, rows in reversed(failed) if u >= u_b), [(blk, None) for blk in blocks])
+    beyond = next((rows for u, rows in reversed(failed) if u >= u_b), blocks)
     c_beyond = at(u_b, beyond)[0] if u_b <= 1.0 else math.inf
 
     def cap_value(c):
@@ -454,11 +460,12 @@ def family_index(
         window, deepest level first in the first window and fail-first
         after that, so a window starts at the block that bound the last;
       * the gamma = 1 blocks serve every window as column prefixes and the
-        cap threshold;
+        cap threshold, and hold log-values only;
       * no knee scan probes u = 0 on a monotone block, and no cap
         evaluation when every block is monotone;
       * a cap evaluation reads the rows above ln C_cap less 1e-12 at the
-        last failing iterate, which hold the maximiser at every smaller u;
+        last failing iterate, which hold the maximiser at every smaller u,
+        as blocks of their own, built once per failing evaluation;
       * the value at u_cap + 1e-3 reads the rows kept at the smallest
         failing evaluation at or above it (u = 1, a Newton iterate or a
         bisection's failing end), which hold the maximiser there, as C is

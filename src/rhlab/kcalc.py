@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import DyadicCube, WeightGrid, integrate, morton_index
-from .rearrange import rearrangement
+from .rearrange import DecreasingStep, rearrangement
 
 _GL40 = np.polynomial.legendre.leggauss(40)
 
@@ -380,12 +380,16 @@ def _gl_pieces(A, B, s0, s1, q: float, E: float) -> np.ndarray:
     return out.reshape(n, m)
 
 
-def _level_pieces(w: WeightGrid, level: int):
+def _level_pieces(w: WeightGrid, level: int, rows: np.ndarray | None = None):
     """The K-curve pieces of every cube of a level, on one column grid:
     (vals, K, s0, s, A), where the curve of the i-th cube equals
     A[i, k] + vals[i, k] t on [s0[k], s[k]], s[k] = (k + 1) h for the cell
-    measure h, and K[i, k] is its value at s[k]."""
+    measure h, and K[i, k] is its value at s[k].  With rows, of those cubes
+    only, vals still a reversed view: numpy's log then takes the loop of
+    the whole level's, and rounds alike."""
     vals, K = w.sorted_level(level)
+    if rows is not None:
+        vals, K = vals[:, ::-1][rows][:, ::-1], K[rows]
     s = np.arange(1, vals.shape[1] + 1) * w.cell_measure
     s0 = np.concatenate(([0.0], s[:-1]))
     K0 = np.concatenate((np.zeros((K.shape[0], 1)), K[:, :-1]), axis=1)
@@ -397,7 +401,11 @@ def _level_pieces(w: WeightGrid, level: int):
 
 def k_l1_linf(w: WeightGrid, Q: DyadicCube) -> ConcaveCurve:
     """K(t, w chi_Q; L1(Q), Linf(Q)) = integral_0^t (w chi_Q)*."""
-    r = rearrangement(w, Q)
+    return _k_curve(rearrangement(w, Q))
+
+
+def _k_curve(r: DecreasingStep) -> ConcaveCurve:
+    """The K-curve integral_0^t r of a rearrangement r, knotted at its breaks."""
     return ConcaveCurve(np.append(0.0, r.breaks), np.append(0.0, r.cum_mass), slopes=r.values)
 
 
@@ -585,8 +593,7 @@ def extrapolation_norm(w: WeightGrid, Q: DyadicCube) -> float:
 
     rep_log = float(np.sum(r.values * (G(r.breaks) - G(lo))))
 
-    K = ConcaveCurve(np.append(0.0, r.breaks), np.append(0.0, r.cum_mass), slopes=r.values)
-    A, B, s0, s1 = K.pieces()
+    A, B, s0, s1 = _k_curve(r).pieces()
     terms = B * (s1 - s0)
     with np.errstate(divide="ignore", invalid="ignore"):
         logpart = np.where(s0 > 0, A * np.log(np.where(s0 > 0, s1 / np.where(s0 > 0, s0, 1.0), 1.0)), 0.0)

@@ -50,6 +50,7 @@ from .grid import (
 )
 from .kcalc import (
     PackingFamily,
+    _k_curve,
     _level_pieces,
     _piece_matrices,
     extrapolation_norm,
@@ -552,7 +553,7 @@ def verify_rearrange_exact(w: WeightGrid) -> list[dict]:
     total = integrate(w, Q0)
     parts = sum(integrate(w, Q0.child(k)) for k in range(1 << w.d))
     additive = math.isclose(total, parts, rel_tol=1e-13)
-    K = k_l1_linf(w, Q0)
+    K = _k_curve(r)
     concave = bool(np.all(np.diff(K.slopes) < 0)) and math.isclose(K.mass, r.mass, rel_tol=1e-12)
     u = w.cube_cells(Q0) / llogl_norm(w, Q0)
     residual = abs(float(np.mean(u * np.log(np.e + u))) - 1.0)

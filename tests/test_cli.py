@@ -342,8 +342,9 @@ def test_analyze_deterministic_bytes(capsys):
 
 
 # sha256 of analyze's stdout on the three analyze-deep benchmark commands and
-# the README example.  A change that moves these bytes on purpose re-bases
-# the digests and names them as a test change.
+# the README example, and two runs of many cap evaluations.  A change that
+# moves these bytes on purpose re-bases the digests and names them as a test
+# change.
 _ANALYZE_DIGESTS = {
     "pow-d1L14": (
         ("--weight", "pow:-0.5", "--dim", "1", "--level", "14", "--q", "2"),
@@ -360,6 +361,15 @@ _ANALYZE_DIGESTS = {
     "readme": (
         ("--weight", "pow:-0.5", "--level", "10", "--p", "1.5,2"),
         "340aa84a61804ebf0e87bad96fe3d45aeda9c030d29d49b020e096881e55ed70",
+    ),
+    # many cap evaluations inside (0, 1), on row blocks of few rows
+    "rand-d1L12-cap4": (
+        ("--weight", "rand:4:lognormal:2", "--level", "12", "--cap", "4", "--gamma", "0.5,0.125"),
+        "3059c0747cd5db0232e751141b9b1064f91b0cd62ad2e7efe767bea89b4089f6",
+    ),
+    "step-d2L6-cap2": (
+        ("--weight", "step:4,1,1,1", "--dim", "2", "--level", "6", "--cap", "2"),
+        "b09ee7d71e98f2303401de60a928547bcf6b0243547d8b11d1115647319b8a4d",
     ),
 }
 
