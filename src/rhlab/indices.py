@@ -117,6 +117,15 @@ def _lever(r: np.ndarray, ls: np.ndarray) -> np.ndarray:
     return ls - _runmax(np.where(r <= _TIE, ls, -np.inf))
 
 
+def _block_log(x: np.ndarray, order: str) -> np.ndarray:
+    """np.log(x), -inf where x <= 0, in the layout order, taken in one loop
+    over a contiguous copy: numpy picks its log loop by shape and strides,
+    and the loops round apart, so each log depends on its value alone."""
+    c = np.maximum(x, 0.0, order=order)
+    with np.errstate(divide="ignore"):
+        return np.log(c, out=c)
+
+
 def _take_rows(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """The rows idx of x in x's layout: a column-major x gathers the
     columns of its row-major transpose."""
@@ -143,12 +152,12 @@ class _LevelBlock:
 
     A level block's lnphi, and the arrays that rows and lg return, keep its
     long axis contiguous: column-major (Fortran order) with at least as
-    many rows as columns, else row-major, built in place (ufunc out=).
-    numpy pays per row for a reduction or broadcast along short row-major
-    rows, and per column across few column-major rows; a window's column
-    prefix of a column-major block is one contiguous slab.  Only order-free
-    operations (elementwise arithmetic, max, min) may read the blocks, so
-    the layout moves no bit; a row sum or mean would round differently.
+    many rows as columns, else row-major.  numpy pays per row for a
+    reduction or broadcast along short row-major rows, and per column
+    across few column-major rows; a window's column prefix of a
+    column-major block is one contiguous slab.  lnphi, lnA and lnB come
+    from _block_log and only order-free operations (elementwise arithmetic,
+    max, min) read the blocks, so the layout moves no bit; a row sum would.
 
     of_level builds the block of all cubes of one level on the full window.
     For kind "acks" the level columns alternate the left and right values of
@@ -176,11 +185,10 @@ class _LevelBlock:
         order = "F" if n >= m else "C"
         s = np.arange(1, m + 1) * w.cell_measure
         if kind == "k":
-            return cls(s, np.log(K, out=np.empty((n, m), order=order)), (w, level))
-        lnphi = np.empty((n, 2 * m - 1), order=order)
-        for cols, sk, v in ((lnphi[:, 0::2], s, vals), (lnphi[:, 1::2], s[:-1], vals[:, 1:])):
-            np.log(np.multiply(sk, v, out=cols), out=cols)
-        return cls(np.repeat(s, 2)[:-1], lnphi)
+            return cls(s, _block_log(K, order), (w, level))
+        phi = np.empty((n, 2 * m - 1))
+        phi[:, 0::2], phi[:, 1::2] = s * vals, s[:-1] * vals[:, 1:]
+        return cls(np.repeat(s, 2)[:-1], _block_log(phi, order))
 
     def rows(self, idx: np.ndarray) -> "_LevelBlock":
         """The block of the rows idx, sharing the abscissae, with their piece
@@ -188,16 +196,10 @@ class _LevelBlock:
         out = copy.copy(self)
         out.lnphi = _take_rows(self.lnphi, idx)
         if self.source:  # pieces 2..m: phi = a + b s on [s_{k-1}, s_k], in lnphi's layout
-            # numpy's log picks a loop, which rounds its own way, by shape: a
-            # lone row of a level of several is built twice, as two rows
-            k, n = len(idx), len(self.lnphi)
-            vals, _, _, _, A = _level_pieces(*self.source, rows=idx if k > 1 or n == 1 else np.repeat(idx, 2))
-            A, out.source = A[:k, 1:], None
-            out.lnA = np.full_like(out.lnphi, -np.inf, shape=A.shape)
-            np.log(A, out=out.lnA, where=A > 0.0)
-            out.lnB = np.empty_like(out.lnphi, shape=A.shape)
-            with np.errstate(divide="ignore"):
-                out.lnB[...] = np.log(vals[:, 1:])[:k]
+            vals, _, _, _, A = _level_pieces(*self.source, rows=idx)
+            order = "F" if out.lnphi.flags.f_contiguous else "C"
+            out.lnA = _block_log(A[:, 1:], order)  # -inf where A <= 0
+            out.lnB, out.source = _block_log(vals[:, 1:], order), None
         elif self.lnA is not None:
             out.lnA, out.lnB = _take_rows(self.lnA, idx), _take_rows(self.lnB, idx)
         return out

@@ -381,15 +381,13 @@ def _gl_pieces(A, B, s0, s1, q: float, E: float) -> np.ndarray:
 
 
 def _level_pieces(w: WeightGrid, level: int, rows: np.ndarray | None = None):
-    """The K-curve pieces of every cube of a level, on one column grid:
-    (vals, K, s0, s, A), where the curve of the i-th cube equals
-    A[i, k] + vals[i, k] t on [s0[k], s[k]], s[k] = (k + 1) h for the cell
-    measure h, and K[i, k] is its value at s[k].  With rows, of those cubes
-    only, vals still a reversed view: numpy's log then takes the loop of
-    the whole level's, and rounds alike."""
+    """The K-curve pieces of every cube of a level, or of the cubes rows, on
+    one column grid: (vals, K, s0, s, A), where the curve of the i-th cube
+    equals A[i, k] + vals[i, k] t on [s0[k], s[k]], s[k] = (k + 1) h for
+    the cell measure h, and K[i, k] is its value at s[k]."""
     vals, K = w.sorted_level(level)
     if rows is not None:
-        vals, K = vals[:, ::-1][rows][:, ::-1], K[rows]
+        vals, K = vals[rows], K[rows]
     s = np.arange(1, vals.shape[1] + 1) * w.cell_measure
     s0 = np.concatenate(([0.0], s[:-1]))
     K0 = np.concatenate((np.zeros((K.shape[0], 1)), K[:, :-1]), axis=1)

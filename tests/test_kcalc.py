@@ -170,6 +170,23 @@ def test_level_piece_integrals_bitwise(w, qE, data):
     _assert_kernel_bitwise(A, B, s0, s1, *qE)
 
 
+@given(st.one_of(random_grids(max_level_1d=10, max_level_2d=5), st.sampled_from(_FLAT_GRIDS)), st.data(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40)
+def test_level_pieces_of_rows_gather_the_whole_level(w, data, seed):
+    # the pieces of any row subset, in any order, a lone row included,
+    # equal bit for bit the whole level's gathered at those rows
+    lev = data.draw(st.integers(w.base.level, w.L), label="level")
+    vals, K, s0, s, A = _level_pieces(w, lev)
+    rng = np.random.default_rng(seed)
+    n = vals.shape[0]
+    subsets = (np.flatnonzero(rng.random(n) < 0.5), rng.permutation(n), rng.permutation(n)[: max(1, n // 3)], rng.integers(0, n, 1))
+    for idx in subsets:
+        got = _level_pieces(w, lev, rows=idx)
+        for x, want in zip(got, (vals[idx], K[idx], s0, s, A[idx])):
+            assert x.shape == want.shape
+            np.testing.assert_array_equal(x.view(np.uint64), want.view(np.uint64))
+
+
 def test_level_piece_integrals_flat_grids_have_origin_pieces():
     A = _level_pieces(make_grid(1, 5, "step:2,1"), 0)[4]
     assert np.count_nonzero(A[:, 1:] == 0.0) > 0  # interior closed-form pieces
