@@ -146,6 +146,32 @@ def _rowmajor_of_morton(d: int, L: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Row reductions of level matrices (one row per cube)
+
+def row_sums(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=1) of a 2-D float64 array, bit for bit.
+
+    numpy adds a row of fewer than 8 values one at a time from +0.0, and
+    pays a per-row cost that dominates on such short rows; they are added
+    here column by column in that same order.  From 8 values on numpy
+    regroups the row (pairwise), so wider rows keep numpy's call.
+    """
+    n, m = x.shape
+    if m >= 8:
+        return x.sum(axis=1)
+    out = np.zeros(n)
+    for j in range(m):
+        out += x[:, j]
+    return out
+
+
+def row_means(x: np.ndarray) -> np.ndarray:
+    """x.mean(axis=1) of a 2-D float64 array, bit for bit: numpy's mean
+    divides the row sums by the row length."""
+    return row_sums(x) / x.shape[1]
+
+
+# ---------------------------------------------------------------------------
 
 class WeightGrid:
     """A strictly positive piecewise-constant weight on a dyadic grid.
@@ -262,7 +288,7 @@ class WeightGrid:
             fan = 1 << self.d
             with np.errstate(over="ignore"):
                 while sums[-1].size > 1:
-                    sums.append(sums[-1].reshape(-1, fan).sum(axis=1))
+                    sums.append(row_sums(sums[-1].reshape(-1, fan)))
             if not math.isfinite(sums[-1][0]):  # the cells are positive: the top sum is the largest
                 raise OverflowError("cube mass exceeds the float range")
             sums.reverse()

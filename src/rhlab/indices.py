@@ -158,6 +158,8 @@ class _LevelBlock:
     column-major block is one contiguous slab.  lnphi, lnA and lnB come
     from _block_log and only order-free operations (elementwise arithmetic,
     max, min) read the blocks, so the layout moves no bit; a row sum would.
+    log_constants(0), which the cap scan, its certificate and a witness at
+    u = 0 all read, is computed once per block.
 
     of_level builds the block of all cubes of one level on the full window.
     For kind "acks" the level columns alternate the left and right values of
@@ -175,6 +177,7 @@ class _LevelBlock:
         self.monotone = bool((lnphi[:, 1:] >= lnphi[:, :-1]).all())  # checked: np.log need not be
         self.source = source
         self.lnA = self.lnB = None
+        self._c0 = None  # log_constants(0), once computed
 
     @classmethod
     def of_level(cls, w: WeightGrid, level: int, kind: str) -> "_LevelBlock":
@@ -194,7 +197,7 @@ class _LevelBlock:
         """The block of the rows idx, sharing the abscissae, with their piece
         logs (built on a level block, gathered on a row block)."""
         out = copy.copy(self)
-        out.lnphi = _take_rows(self.lnphi, idx)
+        out.lnphi, out._c0 = _take_rows(self.lnphi, idx), None
         if self.source:  # pieces 2..m: phi = a + b s on [s_{k-1}, s_k], in lnphi's layout
             vals, _, _, _, A = _level_pieces(*self.source, rows=idx)
             order = "F" if out.lnphi.flags.f_contiguous else "C"
@@ -234,6 +237,17 @@ class _LevelBlock:
             s[:, 1::2] = np.where(valid, np.exp(lnt), self.svals[None, 1:])
         return lg, s
 
+    def log_constants(self, u: float) -> np.ndarray:
+        """Each row's log-constant C(u) on the full width and the exact
+        candidate set: the max of the running max of lg(u) less lg(u)."""
+        if u == 0.0 and self._c0 is not None:
+            return self._c0
+        lg = self.lg(u)
+        c = (_runmax(lg) - lg).max(axis=1)
+        if u == 0.0:
+            self._c0 = c
+        return c
+
 
 def _level_window(w: WeightGrid, level: int, kind: str, gamma: float) -> tuple[int, float]:
     """(ncols, kappa) of the window (0, gamma |Q|] on the block of a level:
@@ -257,9 +271,7 @@ def _blocks_ok(blocks, u, lncap):
     1e-12."""
     cmax, top, keep = 0.0, None, []
     for blk in blocks:
-        lg = blk.lg(u)
-        rmax = (_runmax(lg) - lg).max(axis=1)
-        del lg  # before the next block's temporaries
+        rmax = blk.log_constants(u)
         row = int(np.argmax(rmax))
         if top is None or rmax[row] > cmax:
             cmax, top = float(rmax[row]), (blk, row)
@@ -322,16 +334,22 @@ def _knee_scan(blocks, win, order, k, lncap) -> float:
 def _witness(blocks, window, u):
     """(block, row, s, t) of the lexicographically first pair achieving the
     blocks' constant at scan point u on the window's breakpoint candidate
-    set, or None when the window holds no candidate."""
+    set, or None when the window holds no candidate.  At u = 0 a window of
+    a block's full width reads its rows' constants from log_constants(0)
+    (the breakpoints are its candidate set there)."""
     best = (-1.0, None)
     for b, (blk, (ncols, _)) in enumerate(zip(blocks, window)):
         if not ncols:
             continue
-        lg = blk.lnphi[:, :ncols] - u * blk.ls[None, :ncols]
-        rmax = (_runmax(lg) - lg).max(axis=1)
+        ls = blk.ls[:ncols]
+        if u == 0.0 and ncols == blk.lnphi.shape[1]:
+            rmax = blk.log_constants(0.0)
+        else:
+            lg = blk.lnphi[:, :ncols] - u * ls
+            rmax = (_runmax(lg) - lg).max(axis=1)
         row = int(np.argmax(rmax))
         if float(rmax[row]) > best[0] + _TIE:
-            _, s, t = _sup_ratio(blk.svals[:ncols], lg[row])
+            _, s, t = _sup_ratio(blk.svals[:ncols], blk.lnphi[row, :ncols] - u * ls)
             best = (float(rmax[row]), (b, row, s, t))
     return best[1]
 
@@ -385,7 +403,11 @@ def _index_estimate(blocks, windows, C_cap, resolution, name) -> IndexEstimate:
                 failed.append((hi, live))
     u_b = u_cap + 1e-3  # past u = 1 the first piece (through the origin) makes C infinite
     # the rows kept at the smallest failing u >= u_b hold the maximiser at u_b (see family_index)
-    beyond = next((rows for u, rows in reversed(failed) if u >= u_b), blocks)
+    beyond = next((rows for u, rows in reversed(failed) if u >= u_b), None)
+    if beyond is None and u_b <= 1.0:  # C(0) = c is beyond the cap: the rows it does not rule out
+        # (a NaN row is kept, as a whole-block read would meet it)
+        near = [~(blk.log_constants(0.0) + u_b * (blk.ls[-1] - blk.ls[0]) < c - 1e-9) for blk in blocks]
+        beyond = [blk.rows(np.flatnonzero(k)) for blk, k in zip(blocks, near) if k.any()]
     c_beyond = at(u_b, beyond)[0] if u_b <= 1.0 else math.inf
 
     def cap_value(c):
@@ -472,7 +494,14 @@ def family_index(
         failing evaluation at or above it (u = 1, a Newton iterate or a
         bisection's failing end), which hold the maximiser there, as C is
         at least C(u_cap), within rounding of ln C_cap; when C(0) is
-        already beyond the cap there is none, and it reads every row.
+        already beyond the cap there is none, and it reads the rows whose
+        C(0) plus 1e-3 times their block's log-window ls[-1] - ls[0]
+        reaches the family's C(0) less 1e-9: a row's C rises no faster
+        than that (every lever ln(t/s) lies in the window), and the
+        family's C(1e-3) is at least its C(0);
+      * a witness at delta_hat = 0 on a block's full width takes the row
+        constants of the cap evaluation at u = 0 (log_constants), which
+        is read once per block.
 
     The result is memoised on the weight grid, keyed by the curve kind and
     the parameters; each call returns its own copy.

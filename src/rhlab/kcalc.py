@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DyadicCube, WeightGrid, integrate, morton_index
+from .grid import DyadicCube, WeightGrid, integrate, morton_index, row_means, row_sums
 from .rearrange import DecreasingStep, rearrangement
 
 _GL40 = np.polynomial.legendre.leggauss(40)
@@ -488,8 +488,8 @@ def _llogl_g(cells: np.ndarray, r: np.ndarray):
     r G'(r) = -(G + S)."""
     u = cells / r[:, None]
     e = np.e + u
-    g = np.mean(u * np.log(e), axis=1)
-    s = np.mean(u * u / e, axis=1)
+    g = row_means(u * np.log(e))
+    s = row_means(u * u / e)
     return g * np.log(g) / (g + s), g, s
 
 
@@ -505,7 +505,7 @@ def llogl_norm_rows(cells: np.ndarray) -> np.ndarray:
     certificate fails.
     """
     cells = np.atleast_2d(cells)
-    x = cells.mean(axis=1)
+    x = row_means(cells)
     if not (np.all((x > 0.0) & (x < math.inf)) and np.all(cells >= 0.0)):
         raise ValueError("L log L norm needs cells >= 0 and finite with a positive finite mean per row")
     ok = _llogl_newton(cells, x)
@@ -623,8 +623,8 @@ def _level_tables(f: WeightGrid, w: WeightGrid) -> tuple[np.ndarray, np.ndarray]
         raise ValueError("f and w must share a grid")
     fw = f.zcells * w.zcells
     widths = [1 << (w.d * (w.L - lev)) for lev in range(w.base.level, w.L + 1)]
-    num = np.concatenate([fw.reshape(-1, k).sum(axis=1) for k in widths])
-    den = np.concatenate([w.zcells.reshape(-1, k).sum(axis=1) for k in widths])
+    num = np.concatenate([row_sums(fw.reshape(-1, k)) for k in widths])
+    den = np.concatenate([row_sums(w.zcells.reshape(-1, k)) for k in widths])
     return num, den
 
 

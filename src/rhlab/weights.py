@@ -47,6 +47,8 @@ from .grid import (
     cube_levels,
     integrate,
     make_grid,
+    row_means,
+    row_sums,
 )
 from .kcalc import (
     PackingFamily,
@@ -103,7 +105,7 @@ def _cells(w: WeightGrid) -> np.ndarray:
 def _level_row_means(cells: np.ndarray, w: WeightGrid, level: int) -> np.ndarray:
     """Per-cube means of an arbitrary cell array given in Morton order."""
     width = 1 << (w.d * (w.L - level))
-    return cells.reshape(-1, width).mean(axis=1)
+    return row_means(cells.reshape(-1, width))
 
 
 def _family_constant(w: WeightGrid, cubes: str, kind: str, level_values, ps=(None,), q=None) -> list[ClassConstant]:
@@ -165,7 +167,7 @@ def rh_llogl_constant(w: WeightGrid, cubes: str = "all-dyadic") -> ClassConstant
 
     def ratios(lev):
         rows = _cells(w).reshape(-1, 1 << (w.d * (w.L - lev)))
-        return llogl_norm_rows(rows) / rows.mean(axis=1)
+        return llogl_norm_rows(rows) / row_means(rows)
 
     return _family_constant(w, cubes, "RH_LLogL", ratios)[0]
 
@@ -178,7 +180,7 @@ def _lorentz_level(w: WeightGrid, level: int, ps, q: float) -> np.ndarray:
     piece matrix is summed before the next is built."""
     vals, K, s0, s, A = _level_pieces(w, level)
     pieces = _piece_matrices(A, vals, s0, s, q, [q / p - q - 1.0 for p in ps])
-    heads = [next(pieces).sum(axis=1) for _ in ps]
+    heads = [row_sums(next(pieces)) for _ in ps]
     del pieces  # frees the kernel's scratch before the tails
     T = s.size * w.cell_measure
     mass_q = K[:, -1] ** q
@@ -225,7 +227,7 @@ def fujii_constant(w: WeightGrid, cubes: str = "all-dyadic") -> ClassConstant:
     one running max over the level sums from that level down
     (rearrange._level_maximal), so a level costs one pass.
     """
-    ratios = lambda lev: _level_maximal(w, lev).sum(axis=1) / w.float_level_sums(lev)
+    ratios = lambda lev: row_sums(_level_maximal(w, lev)) / w.float_level_sums(lev)
     return _family_constant(w, cubes, "Fujii", ratios)[0]
 
 
@@ -241,7 +243,7 @@ def rh_p_weighted_constant(g: WeightGrid, w: WeightGrid, p: float, cubes: str = 
     def ratios(lev):
         width = 1 << (w.d * (w.L - lev))
         wsum = w.float_level_sums(lev)
-        return (gp_w.reshape(-1, width).sum(axis=1) / wsum) ** (1.0 / p) / (g_w.reshape(-1, width).sum(axis=1) / wsum)
+        return (row_sums(gp_w.reshape(-1, width)) / wsum) ** (1.0 / p) / (row_sums(g_w.reshape(-1, width)) / wsum)
 
     return _family_constant(g, cubes, "RH_p_weighted", ratios, (p,))[0]
 

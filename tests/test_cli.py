@@ -358,6 +358,16 @@ _ANALYZE_DIGESTS = {
         ("--weight", "rand:2:lognormal:1", "--dim", "2", "--level", "8", "--q", "2"),
         "8f024eeee71016f390fc00fabe0049db5533f2dddd9a430ab6abec0140380272",
     ),
+    # the benchmark's rand grids at seed 13; d=2 has acks delta_hat > 0 at
+    # gamma 0.125 with C(0) beyond the cap
+    "rand-d1L16-seed13": (
+        ("--weight", "rand:13:lognormal:1", "--dim", "1", "--level", "16", "--q", "2"),
+        "3474a9eb4e28c2043de1b74ca5ae92fecc5f7c09dc586f2bdca0553d58c4f7e6",
+    ),
+    "rand-d2L8-seed13": (
+        ("--weight", "rand:14:lognormal:1", "--dim", "2", "--level", "8", "--q", "2"),
+        "e6975c006ea441b9636fef212683953780db0e6aa43682b26315897ea1c91dbe",
+    ),
     "readme": (
         ("--weight", "pow:-0.5", "--level", "10", "--p", "1.5,2"),
         "340aa84a61804ebf0e87bad96fe3d45aeda9c030d29d49b020e096881e55ed70",

@@ -5,7 +5,8 @@ computed from exact antiderivatives; the Morton reordering puts every dyadic
 cube's cells into one contiguous slice; integrate() agrees bit for bit with
 a correctly rounded sum (one math.fsum per cube, so each mass rounds once)
 and with the integer summation tree it replaced; and the CSV/JSON writers
-round-trip bit-exactly.
+round-trip bit-exactly.  The level matrices' row sums and means equal
+numpy's bit for bit, whichever way they are computed.
 """
 
 import io
@@ -15,7 +16,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dyadic_grids, random_grids
@@ -33,6 +34,8 @@ from rhlab.grid import (
     make_grid,
     morton_index,
     parse_cube,
+    row_means,
+    row_sums,
     save_weight,
 )
 
@@ -292,6 +295,76 @@ def test_float_level_sums_match_cube_sums():
         rows = w.float_level_sums(lev)
         direct = np.array([w.cube_cells(Q).sum() for Q in level_cubes(w, lev)])
         np.testing.assert_allclose(rows, direct, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# row sums and means
+
+
+def _short_row_matrix(rng, n, m, scale):
+    """An (n, m) matrix whose row sums depend on the order of the adds:
+    signed values over 120 binades ("mixed", with -0.0 rows and scattered
+    +-0.0 and subnormals), subnormals and the least normals ("subnormal"),
+    or values near the float max, one sign per row, whose sums overflow
+    ("overflow")."""
+    sign = rng.choice([-1.0, 1.0], (n, m))
+    if scale == "overflow":
+        return sign[:, :1] * rng.uniform(0.25, 1.0, (n, m)) * np.finfo(np.float64).max
+    if scale == "subnormal":
+        return sign * np.ldexp(rng.uniform(0.5, 1.0, (n, m)), rng.integers(-1074, -1020, (n, m)))
+    x = sign * np.ldexp(rng.uniform(0.5, 1.0, (n, m)), rng.integers(-60, 60, (n, m)))
+    spot = rng.random((n, m))
+    x[spot < 0.1] = sign[spot < 0.1] * 0.0
+    x[spot > 0.95] = sign[spot > 0.95] * 5e-324 * rng.integers(1, 1 << 20)
+    x[rng.random(n) < 0.1] = -0.0
+    return x
+
+
+def _layout(x, layout):
+    """x as a C-ordered, Fortran-ordered, strided or reversed (negative
+    strides) array with the same values."""
+    if layout == "C":
+        return np.ascontiguousarray(x)
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "strided":
+        base = np.full((2 * x.shape[0], 3 * x.shape[1]), np.nan)
+        base[::2, 1::3] = x
+        return base[::2, 1::3]
+    return np.ascontiguousarray(x[::-1, ::-1])[::-1, ::-1]
+
+
+@given(
+    st.integers(1, 16),
+    st.sampled_from([1, 2, 7, 255, 256, 293]),
+    st.sampled_from(["C", "F", "strided", "reversed"]),
+    st.sampled_from(["mixed", "subnormal", "overflow"]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300)
+def test_row_sums_and_means_are_numpys_bit_for_bit(m, n, layout, scale, seed):
+    # rows of fewer than 8 values are added column by column, wider rows by
+    # numpy: on every width, row count, layout and range the bits are
+    # numpy's, so a numpy that stops adding short rows one value at a time
+    # from +0.0 fails here
+    x = _layout(_short_row_matrix(np.random.default_rng(seed), n, m, scale), layout)
+    with np.errstate(over="ignore"):
+        pairs = [(row_sums(x), x.sum(axis=1)), (row_means(x), x.mean(axis=1))]
+    for got, want in pairs:
+        assert got.shape == want.shape == (n,)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_numpy_adds_short_rows_one_column_at_a_time():
+    # 1 + 1e16 rounds to 1e16, so the row 1, 1e16, -1e16 sums to 0 in
+    # column order and to 1 when its last two values are paired first; a row
+    # of -0.0 sums to +0.0 from the start +0.0
+    for n in (1, 300):
+        x = np.tile([1.0, 1e16, -1e16], (n, 1))
+        assert x.sum(axis=1).tolist() == row_sums(x).tolist() == [0.0] * n
+        z = np.full((n, 2), -0.0)
+        assert np.array_equal(row_sums(z).view(np.int64), np.zeros(n, dtype=np.int64))
+        assert np.array_equal(z.sum(axis=1).view(np.int64), np.zeros(n, dtype=np.int64))
 
 
 def test_sorted_level_rows():

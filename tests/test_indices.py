@@ -17,7 +17,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_grids
@@ -1078,7 +1078,8 @@ def test_cap_probes_read_only_the_rows_failing_before(monkeypatch):
 # the bisection took 18 (u = 0 and 1, 14 midpoints, two certificates), and
 # after the evaluations on every row (u = 1, and u = 0 for a family that is
 # not monotone) reads 17, 379 and 223 rows in all at most; the certificate
-# at u + 1e-3 reads the rows kept at u = 1 (173 of them on rand L=16).
+# at u + 1e-3 reads the rows kept at u = 1 (173 of them on rand L=16), or,
+# when C(0) is beyond the cap, the rows whose C(0) is within reach of it.
 def test_cap_threshold_takes_at_most_six_evaluations(monkeypatch):
     evals = _recorded_cap_evaluations(monkeypatch)
     for d, L, spec in ((1, 14, "pow:-0.5"), (1, 16, "rand:1:lognormal:1"), (2, 8, "rand:2:lognormal:1")):
@@ -1090,8 +1091,9 @@ def test_cap_threshold_takes_at_most_six_evaluations(monkeypatch):
             assert 2 <= len(evals) <= 6
             # a monotone family (kind k) does not evaluate u = 0
             assert (evals[0][0] == 0.0) == (kind == "acks")
-            if est.delta_cap == 0.0:  # C(0) beyond the cap: the certificate reads every row
-                assert [(u, n) for u, _, _, n in evals] == [(0.0, full), (1e-3, full)]
+            if est.delta_cap == 0.0:  # C(0) beyond the cap: the certificate reads fewer rows
+                assert [u for u, _, _, _ in evals] == [0.0, 1e-3]
+                assert evals[0][3] == full and evals[1][3] < full
                 continue
             assert [n for u, _, _, n in evals if n == full] == [full] * (1 + (kind == "acks"))
             assert sum(n for _, _, _, n in evals if n < full) <= 400
@@ -1168,6 +1170,71 @@ def test_cap_value_beyond_reads_the_rows_kept_above_it():
     assert abs(est.delta_cap - 0.5) <= 1e-12
     full = indices._blocks_ok([blk], est.delta_cap + 1e-3, L16)[0]
     assert est.cap_value_beyond == math.exp(full) and abs(full - (L16 + 6e-4)) <= 1e-9
+
+
+@given(
+    random_grids(max_level_1d=10, max_level_2d=5, min_level=2),
+    st.sampled_from([1.5, 4.0, 16.0]),
+    st.sampled_from([gammas for _, gammas in _SETTINGS]),
+)
+@example(make_grid(1, 10, "rand:1:lognormal:1"), 4.0, _SETTINGS[0][1])  # the witness at u = 0, gamma = 1
+@example(make_grid(2, 5, "rand:4:lognormal:2"), 16.0, _SETTINGS[0][1])
+@example(make_grid(1, 8, "rand:4:lognormal:1"), 4.0, _SETTINGS[0][1])  # delta_hat > 0
+@settings(max_examples=40)
+def test_acks_cap_fields_and_witness_beyond_the_cap_at_u0_equal_full_reads(w, cap, gammas):
+    # C(0) beyond the cap: the certificate at u = 1e-3 reads only the rows
+    # whose C(0) is within reach of the family's, and a witness at u = 0 on
+    # full-width windows takes the row constants of the u = 0 evaluation;
+    # both equal frozen reads of every row of the level blocks
+    lncap = math.log(cap)
+    levels, blocks, windows = _family_blocks(w, "acks", gammas)
+    c0 = _frozen_blocks_ok(blocks, 0.0, lncap)[1]
+    assume(not (c0 <= lncap and math.exp(c0) <= cap))
+    est = indices._family_estimate(w, "acks", cap, gammas)
+    assert est.delta_cap == 0.0 and est.cap_value_at == _cap_value(c0)
+    assert est.cap_value_beyond == _cap_value(_frozen_blocks_ok(blocks, 1e-3, lncap)[1])
+    b, row, s, t = _frozen_witness(blocks, dict(windows)[est.gamma], est.delta_hat)
+    assert est.witness == (_cube_at(w, levels[b], row).addr(), s, t)
+
+
+def test_acks_u0_evaluation_serves_the_certificate_and_the_witness(monkeypatch):
+    # C(0) beyond the cap and delta_hat = 0 at gamma = 1: past the knee
+    # scans the level blocks are read once, at u = 0, and the certificate
+    # reads the one row C(0) leaves it (each read every row before)
+    w = make_grid(1, 10, "rand:1:lognormal:1")
+    rows, in_knee = [], [False]
+    real_scan, real_runmax = indices._knee_scan, indices._runmax
+
+    def scan(*a):
+        in_knee[0] = True
+        try:
+            return real_scan(*a)
+        finally:
+            in_knee[0] = False
+
+    def runmax(x):
+        if not in_knee[0]:
+            rows.append(x.shape[0])
+        return real_runmax(x)
+
+    monkeypatch.setattr(indices, "_knee_scan", scan)
+    monkeypatch.setattr(indices, "_runmax", runmax)
+    est = acks_index(w, C_cap=4.0)
+    assert (est.delta_cap, est.delta_hat, est.gamma) == (0.0, 0.0, 1.0)
+    assert rows == [1 << lev for lev in range(w.L)] + [1]
+
+
+def test_cap_value_beyond_reads_the_rows_within_reach_of_c0():
+    # two rows on log-abscissae 0, 0, 10 with C(0) beyond the cap: row A
+    # drops by c at no lever, C_A(u) = c, and row B by c - 5e-4 over the
+    # lever 10, C_B(u) = c - 5e-4 + 10 u.  At u = 1e-3 row B binds, and
+    # its C(0) is within 1e-3 times its block's log-window of c
+    c = math.log(16.0) + 1.0
+    blk = _LevelBlock(np.exp([0.0, 0.0, 10.0]), np.array([[c, 0.0, 100.0], [0.0, 0.0, 5e-4 - c]]))
+    est = indices._index_estimate([blk], [(1.0, [(3, 5.0)])], 16.0, 1, lambda b, row: "row")
+    assert est.delta_cap == 0.0 and est.cap_value_at == math.exp(c)
+    full = _frozen_blocks_ok([blk], 1e-3, math.log(16.0))[1]
+    assert est.cap_value_beyond == math.exp(full) and abs(full - (c + 9.5e-3)) <= 1e-12
 
 
 def test_cap_threshold_where_c_is_flat_within_rounding_at_cap_10(monkeypatch):
