@@ -3,9 +3,15 @@ curves, and convert weight files.
 
 Output contract
 ---------------
-Reports go to stdout (or the ``--out`` file); logs go to stderr.  Floats are
-printed with shortest round-trip decimals, so identical configurations give
-byte-identical reports.  The environment variable ``RHLAB_THREADS`` bounds
+Reports go to stdout (or the ``--out`` file); logs go to stderr.  Every
+printed float is its repr, byte for byte: the shortest decimal that reads
+back as the same float, so identical configurations give byte-identical
+reports.  Curve dumps and weight files take that text from one vectorised
+kernel (``grid._text_blocks``), which falls back to repr itself for the
+rows it leaves undecided and for every row on platforms whose long double
+is not x87 extended precision; the few floats of the other reports take
+repr (or json, which prints floats by repr) directly.  The environment
+variable ``RHLAB_THREADS`` bounds
 the per-case thread pool used by ``verify``; results are joined in case
 order, so the thread count never changes the output bytes.
 

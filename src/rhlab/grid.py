@@ -16,6 +16,7 @@ is kept.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -306,7 +307,14 @@ class WeightGrid:
         rel = level - self.base.level
         if rel not in self._sorted_levels:
             width = 1 << (self.d * (self.L - level))
-            vals = np.sort(self.zcells.reshape(-1, width), axis=1)[:, ::-1]
+            rows = self.zcells.reshape(-1, width)
+            if width == 2:  # np.sort pays a per-row cost that dominates on pairs
+                asc = np.empty_like(rows)
+                np.minimum(rows[:, 0], rows[:, 1], out=asc[:, 0])
+                np.maximum(rows[:, 0], rows[:, 1], out=asc[:, 1])
+            else:
+                asc = np.sort(rows, axis=1)
+            vals = asc[:, ::-1]  # the same reversed view on every width, so no loop downstream changes
             with np.errstate(over="ignore"):  # refused just below
                 cum = np.cumsum(vals, axis=1) * self.cell_measure
             if not np.all(np.isfinite(cum[:, -1])):
@@ -552,40 +560,256 @@ def level_cubes(w: WeightGrid, level: int) -> list[DyadicCube]:
 
 _CSV_HEADER = re.compile(r"# rhlab d=(\d+) L=(\d+)\s*")
 _ROWS_PER_BLOCK = 1 << 14
+# the float kernel's rows per pass: measured, 8,192 rows render a block of
+# two columns in 8.1 ms against 12.1 ms in one pass, whose byte-index
+# temporaries add 2.7 MB to the peak of a d=2 L=9 curve dump
+_KERNEL_ROWS = 1 << 13
+
+# Shortest round-trip decimals.  10^0..10^27 are exact in a 64-bit
+# significand (5^27 < 2^64); 10^0..10^17 fit uint64.
+_POW10_LD = np.cumprod(np.array([1] + [10] * 27, dtype=np.longdouble))
+_POW10_U64 = np.cumprod(np.array([1] + [10] * 17, dtype=np.uint64))
+# A rendered value is gathered from a 40-byte row: its 17 digits, zero-padded
+# to 20 (digit i at byte 3 + i), then this alphabet; NUL pads each text.
+_ALPHABET = "0123456789.e+-,\n \0\0\0"
+_ALPHABET32 = np.frombuffer(_ALPHABET.encode(), dtype=np.uint32)
+_TEXT_WIDTH = 26  # the longest repr, "-2.2250738585072014e-308", and a two-byte separator
+_DECPT_MIN, _DECPT_MAX = -10, 45  # decpt = 17 - k (+1) for |k| <= 27
 
 
-def _text_blocks(*cols: np.ndarray):
+def _scaled(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """a * 10^k in x87 long double with one rounding, |k| <= 27 (clipped)."""
+    k = np.clip(k, -27, 27)
+    y = a.astype(np.longdouble) * _POW10_LD[np.maximum(k, 0)]
+    big = np.flatnonzero(k < 0)
+    y[big] /= _POW10_LD[-k[big]]
+    return y
+
+
+def _shortest_digits(x: np.ndarray):
+    """repr's shortest round-trip decimal of each float64 of x, where it can
+    be proven from one x87 long double product: (digits, nd, decpt, ok).
+
+    digits is a uint64 in [10^16, 10^17) whose first nd decimal digits, read
+    as 0.d1d2..., times 10^decpt are |x|; the others are 0.  ok marks the
+    rows decided; on the rest (|x| outside [1e-11, 1e40), so 0, subnormals,
+    inf and nan; rows too near a decision's edge; every row when long
+    double is not x87) the three values mean nothing, and they are for
+    repr.
+
+    What repr prints.  Python's repr is David Gay's dtoa in mode 0.  Write
+    |x| = m 2^E (2^52 <= m < 2^53) and Y = |x| 10^k in [10^16, 10^17).  The
+    numbers that read back as x fill the interval (Y - Hlo, Y + Hhi), with
+    Hhi = H = 2^(E-1) 10^k = Y / (2m), and Hlo = H/2 when m = 2^52, else H.
+    dtoa's digits are c 10^-k for c the multiple of P = 10^j inside that
+    interval with the largest j, j*; when two are inside, the one nearer to
+    Y, and on a tie the one whose last digit c/P is even.  (A c on the
+    interval's edge reads back as x or not by the parity of m: such rows go
+    to repr.)  At step j the candidates are D = N - r and U = D + P, with
+    N = floor(y) and r = N mod P.  A multiple of 10^(j+1) is one of 10^j,
+    so the steps with a candidate inside are j = 0..j*.  Step 0 always has
+    one, as Hlo + Hhi > Y 2^-53 > 1; steps 1 and 2 are tested.  From
+    P = 100 on, P > Hlo + Hhi (< 23), so the one candidate inside at step 2
+    is the only multiple of P inside at each later step, and j* - 2 is its
+    count of trailing zeros.  Two candidates can be inside only for P <= 10.
+
+    Error bound.  k is fixed so that y = fl(Y) lies in [10^16, 10^17),
+    rounded once: 10^|k| is exact for |k| <= 27, so y = |x| * 10^k or
+    |x| / 10^-k.  With Y in [2^e, 2^(e+1)), |y - Y| <= 2^(e-64) <= H 2^-10,
+    since H = Y / (2m) > 2^(e-54).  N and f = y - N are exact, and f
+    rounds to float64 within 2^-54.  The distances dlo = r + f and
+    dhi = (P - r) - f take P - r exactly in uint64 (not P - (r + f) in
+    float64, which is off by units past 2^53); below 16, the only range
+    where they can be near H < 12, each float64 operation rounds within
+    2^-50.  H is y / (2m) in float64, within H 2^-51.  So each of
+    dlo - Hlo and dhi - Hhi is within H 2^-10 + 2^-47 < mu = H 2^-9 of its
+    exact value, and dlo - dhi within 2 mu.  A row is decided when the
+    tests it relies on clear these margins: at steps 1 and 2, a candidate
+    inside or both outside; at step min(j*, 2), the candidate chosen
+    inside, and the other outside or farther by more than 2 mu.  (Past
+    step 2 the only test is the exact count of zeros.)  If Y falls outside
+    [D, U], it lies within H 2^-10 of D or U, which is then inside and the
+    nearer: the outcome is the one the exact distances give.  An inexact
+    row needs 10^16 < y < 10^17, which puts Y in the same range.
+
+    Exact ties.  Write |x| = M 2^E' with M odd.  For k >= 0,
+    Y = M 5^k 2^(E'+k) is an integer when E' + k >= 0 and a half-integer
+    when E' + k = -1.  Then 2Y < 2^58 fits the significand, y = Y, f is 0
+    or 1/2 and the distances are exact, so the nearer candidate is decided
+    exactly, a tie half-to-even as repr does: the 17-digit tie (f = 1/2)
+    and the tie at P = 10 (r = 5, f = 0).  For k < 0 there are none: a tie
+    makes Y or 2Y an odd integer w, and |x| = w 5^-k 2^(...) would have
+    the odd factor w 5^-k > 2^53.
+    """
+    n = x.size
+    a = np.abs(x)
+    ok = (a >= 1e-11) & (a < 1e40)  # false on nan
+    if not _X87_LONG_DOUBLE:
+        return np.zeros(n, dtype=np.uint64), np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
+    a[~ok] = 1.0
+    bits = a.view(np.uint64)
+    be = (bits >> np.uint64(52)).astype(np.int64)
+    frac = bits & np.uint64((1 << 52) - 1)
+    m = frac | np.uint64(1 << 52)
+    k = 16 - np.floor(np.log10(a)).astype(np.int64)
+    y = _scaled(a, k)
+    N = y.astype(np.uint64)
+    step = (N < _POW10_U64[16]).astype(np.int64) - (N >= _POW10_U64[17])  # log10 rounded across a power of ten
+    fix = np.flatnonzero(step)
+    if fix.size:
+        k[fix] += step[fix]
+        y[fix] = _scaled(a[fix], k[fix])
+        N[fix] = y[fix].astype(np.uint64)
+    f = (y - N.astype(np.longdouble)).astype(np.float64)
+    # 2Y is an integer when the low 1074 - be - k bits of m are zero
+    low = np.clip(1074 - be - k, 0, 53).astype(np.uint64)
+    exact = (k >= 0) & ((m & ((np.uint64(1) << low) - np.uint64(1))) == 0)
+    ok &= (np.abs(k) <= 27) & (N >= _POW10_U64[16]) & (N < _POW10_U64[17]) & (exact | (N > _POW10_U64[16]) | (f > 0.0))
+    H = y.astype(np.float64) / (2.0 * m.astype(np.float64))
+    mu = H * 2.0 ** -9
+    Hlo = H * (0.5 + 0.5 * (frac != 0))  # halved below a power of two
+    lo_in, lo_out, hi_in, hi_out = Hlo - mu, Hlo + mu, H - mu, H + mu
+
+    # j* = the last step with a candidate inside; step 0 always has one by
+    # more than mu, as Hlo + Hhi - 2 mu > 1
+    jstar = ok - 1
+    go, lost = ok, ~ok
+    for P in _POW10_U64[1:3]:
+        q = N // P
+        r = N - q * P
+        dlo = r.astype(np.float64) + f
+        dhi = (P - r).astype(np.float64) - f
+        was, go = go, go & ((dlo < lo_in) | (dhi < hi_in))
+        lost |= was & ~go & ((dlo <= lo_out) | (dhi <= hi_out))
+        jstar += go
+    # from P = 100 on, P > Hlo + Hhi: the one candidate inside at j = 2 is
+    # the only multiple of P inside at every later step, so j* counts its zeros
+    rows = np.flatnonzero(go)
+    c = q[rows] + (dlo[rows] >= lo_in[rows])
+    for e in (8, 4, 2, 1):
+        div = c % _POW10_U64[e] == 0
+        c[div] //= _POW10_U64[e]
+        jstar[rows] += e * div
+    # at step min(j*, 2), of the candidates not surely outside the nearer, a
+    # tie to the even digit
+    P = _POW10_U64[np.clip(jstar, 0, 2)]
+    q = N // P
+    r = N - q * P
+    dlo = r.astype(np.float64) + f
+    dhi = (P - r).astype(np.float64) - f
+    in_lo, out_lo, in_hi, out_hi = dlo < lo_in, dlo > lo_out, dhi < hi_in, dhi > hi_out
+    diff = dlo - dhi
+    both = ~out_lo & ~out_hi
+    up = (both & ((diff > 0.0) | ((diff == 0.0) & (q % np.uint64(2) == 1)))) | (~both & out_lo)
+    unsure = both & ((~exact & (np.abs(diff) <= 2.0 * mu)) | (up & ~in_hi) | (~up & ~in_lo))
+    digits = (q + up) * P
+    ok &= ~(lost | unsure)
+    top = digits == _POW10_U64[17]  # rounded up to a power of ten
+    digits[top] = _POW10_U64[16]
+    return digits, np.where(top, 1, 17 - jstar), 17 - k + top, ok
+
+
+@functools.cache
+def _digits4() -> np.ndarray:
+    """The four ASCII digits of 0..9999, one uint32 each (memory order is
+    text order); built on first use, so processes that print no curve or
+    weight file do not hold it."""
+    return (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+
+
+@functools.cache
+def _layout_table(sep: str) -> np.ndarray:
+    """For each (sign, nd, decpt) class, the source byte of each byte of
+    repr's text followed by sep, in a value's 40-byte row (see _ALPHABET);
+    NUL fills the rest of _TEXT_WIDTH.  repr writes -4 < decpt <= 16 in
+    fixed notation, with ".0" on integers, and otherwise in exponent form
+    with a sign and at least two exponent digits."""
+    letters = "ABCDEFGHIJKLMNOPQ"  # digit i of the 17 stands as letters[i]
+    texts = []
+    for sign in ("", "-"):
+        for nd in range(1, 18):
+            d = letters[:nd]
+            for decpt in range(_DECPT_MIN, _DECPT_MAX + 1):
+                if not -4 < decpt <= 16:
+                    text = d[0] + ("." + d[1:] if nd > 1 else "") + f"e{decpt - 1:+03d}"
+                elif decpt <= 0:
+                    text = "0." + "0" * -decpt + d
+                elif decpt < nd:
+                    text = d[:decpt] + "." + d[decpt:]
+                else:
+                    text = d + "0" * (decpt - nd) + ".0"
+                texts.append((sign + text + sep).ljust(_TEXT_WIDTH, "\0"))
+    source = np.zeros(256, dtype=np.uint8)
+    source[np.frombuffer(_ALPHABET.encode(), dtype=np.uint8)] = np.arange(20, 40)
+    source[np.frombuffer(letters.encode(), dtype=np.uint8)] = np.arange(3, 20)
+    return source[np.frombuffer("".join(texts).encode(), dtype=np.uint8).reshape(len(texts), _TEXT_WIDTH)]
+
+
+def _render(x: np.ndarray, sep: str, out: np.ndarray) -> None:
+    """Write repr(v) + sep for each float64 v of x, NUL-padded, into the
+    rows of the uint8 matrix out.  _shortest_digits decides the digits and
+    _layout_table places them; the rows it leaves undecided take repr."""
+    digits, nd, decpt, ok = _shortest_digits(x)
+    # the 17 digits as a 1-digit and four 4-digit chunks; scalar divisors
+    # keep numpy's fast integer division (a divisor array is 4x slower)
+    hi = digits // np.uint64(10**8)
+    lo = digits - hi * np.uint64(10**8)
+    c0 = hi // np.uint64(10**8)
+    hi -= c0 * np.uint64(10**8)
+    c1, c3 = hi // np.uint64(10**4), lo // np.uint64(10**4)
+    src = np.empty((x.size, 10), dtype=np.uint32)  # per value: 20 digit bytes, the alphabet
+    src[:, :5] = _digits4()[np.stack([c0, c1, hi - c1 * np.uint64(10**4), c3, lo - c3 * np.uint64(10**4)], axis=1)]
+    src[:, 5:] = _ALPHABET32
+    cls = ((np.signbit(x) * 17 + nd - 1) * (_DECPT_MAX - _DECPT_MIN + 1) + decpt - _DECPT_MIN) * ok
+    # every index is in range; mode "clip" spares take a buffered copy
+    idx = np.take(_layout_table(sep), cls, axis=0, mode="clip") + np.arange(0, 40 * x.size, 40).reshape(-1, 1)
+    np.take(src.view(np.uint8).ravel(), idx, out=out, mode="clip")
+    rows = np.flatnonzero(~ok)
+    if rows.size:
+        text = [(repr(v) + sep).encode() for v in x[rows].tolist()]
+        out[rows] = np.array(text, dtype=f"S{_TEXT_WIDTH}").view(np.uint8).reshape(-1, _TEXT_WIDTH)
+
+
+def _text_blocks(*cols: np.ndarray, end: str = "\n"):
     """The rows of one or two float64 columns as text blocks of at most
-    _ROWS_PER_BLOCK lines: the repr of each float, comma-separated, every
-    line ending in a newline.  Only one block's Python floats and strings
-    are alive at a time."""
+    _ROWS_PER_BLOCK rows: every float printed as repr prints it, byte for
+    byte, the values of a row comma-separated, each row followed by end.
+
+    One kernel renders every float rhlab writes: _shortest_digits decides
+    the digits of _KERNEL_ROWS values at once and _render lays them out in
+    a byte matrix; the rows it leaves undecided, and every row where long
+    double is not x87, take repr.  Only one block's text is alive at a
+    time."""
+    seps = [","] * (len(cols) - 1) + [end]
     for lo in range(0, cols[0].size, _ROWS_PER_BLOCK):
-        block = [c[lo:lo + _ROWS_PER_BLOCK].tolist() for c in cols]
-        if len(block) == 1:
-            yield "\n".join(map(repr, block[0])) + "\n"
-        else:
-            yield "".join([f"{a!r},{b!r}\n" for a, b in zip(*block)])
+        block = [c[lo:lo + _ROWS_PER_BLOCK] for c in cols]
+        out = np.empty((block[0].size, len(cols), _TEXT_WIDTH), dtype=np.uint8)
+        for a in range(0, block[0].size, _KERNEL_ROWS):
+            for i, sep in enumerate(seps):
+                _render(block[i][a:a + _KERNEL_ROWS], sep, out[a:a + _KERNEL_ROWS, i])
+        yield out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def save_weight(w: WeightGrid, path: str) -> None:
     """Write a grid to JSON when the path ends in .json, else to CSV.
 
-    Decimal strings are produced with repr, so loading reads back bit-equal
-    values.  CSV is written in blocks of rows (_text_blocks), JSON by the
-    one-shot C encoder, so no per-cell string list is built.  Only grids on
-    the unit base cube are serializable.
+    Every cell is printed as repr prints it, so loading reads back
+    bit-equal values: both formats are written in blocks of rows by
+    _text_blocks, whose one kernel takes repr for the rows it leaves
+    undecided.  The JSON bytes are json.dumps of {"d", "L", "cells",
+    "label"} and a newline.  Only grids on the unit base cube are
+    serializable.
     """
     if w.base.level != 0:
         raise ValueError("only grids on the unit base cube can be saved")
-    if not path.endswith(".json"):
-        with open(path, "w") as fh:
+    with open(path, "w") as fh:
+        if not path.endswith(".json"):
             fh.write(f"# rhlab d={w.d} L={w.L}\n")
             fh.writelines(_text_blocks(w.cells))
-    else:
-        obj = {"d": w.d, "L": w.L, "cells": w.cells.tolist(), "label": w.label}
-        with open(path, "w") as fh:
-            fh.write(json.dumps(obj))
-            fh.write("\n")
+        else:
+            fh.write(f'{{"d": {w.d}, "L": {w.L}, "cells": [')
+            fh.write(", ".join(block[:-2] for block in _text_blocks(w.cells, end=", ")))
+            fh.write(f'], "label": {json.dumps(w.label)}}}\n')
 
 
 def _file_grid(d: int, L: int, cells: list, label: str) -> WeightGrid:

@@ -376,6 +376,21 @@ def test_sorted_level_rows():
     np.testing.assert_allclose(cum, np.cumsum(vals, axis=1) * w.cell_measure, rtol=0)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sorted_level_pairs_are_np_sort_bit_for_bit(seed):
+    # rows of two cells are ordered by their min and max, not by np.sort:
+    # the same bits, equal pairs included, and the same reversed view
+    rng = np.random.default_rng(seed)
+    cells = rng.choice([0.5, 1.0, 3.0, 1e-300, 1e300, np.nextafter(1.0, 2.0)], size=1 << 9)
+    cells[rng.random(cells.size) < 0.3] = np.exp(rng.normal(size=1) * 5)
+    w = WeightGrid(1, 9, cells)
+    vals, cum = w.sorted_level(8)
+    want = np.sort(w.zcells.reshape(-1, 2), axis=1)[:, ::-1]
+    assert np.array_equal(vals.view(np.int64), want.view(np.int64))
+    assert vals.strides == want.strides
+    assert np.array_equal(cum.view(np.int64), (np.cumsum(want, axis=1) * w.cell_measure).view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # cube policies
 
@@ -446,19 +461,109 @@ _SAVED_GRIDS = [
     make_grid(1, 10, "pow:-0.9"),
     make_grid(1, 3, "const:1e-5"),
     make_grid(1, 0, "const:2"),
+    # labels json.dumps escapes: quotes, backslashes, control and non-ASCII characters
+    WeightGrid(1, 4, make_grid(1, 4, "rand:6:lognormal:8").cells, label='say "hi" \\ C:\\w\n'),
+    WeightGrid(2, 2, make_grid(2, 2, "rand:7:lognormal:1").cells, label="naïve π ✓ 𝄞"),
 ]
 
 
 @pytest.mark.parametrize("w", _SAVED_GRIDS, ids=[w.label for w in _SAVED_GRIDS])
 def test_saved_bytes_equal_the_frozen_writers(tmp_path, monkeypatch, w):
     csv_path, json_path = tmp_path / "w.csv", tmp_path / "w.json"
-    save_weight(w, str(json_path))
-    assert json_path.read_text() == _frozen_json_text(w)
     n = w.ncells
     for size in sorted({1, 3, max(n - 1, 1), n, n + 1, grid._ROWS_PER_BLOCK}):
         monkeypatch.setattr(grid, "_ROWS_PER_BLOCK", size)
+        save_weight(w, str(json_path))
+        assert json_path.read_text() == _frozen_json_text(w)
+        assert json_path.read_bytes() == (json.dumps({"d": w.d, "L": w.L, "cells": w.cells.tolist(), "label": w.label}) + "\n").encode()
         save_weight(w, str(csv_path))
         assert csv_path.read_text() == _frozen_csv_text(w)
+
+
+# ---------------------------------------------------------------------------
+# shortest decimals: every float written is repr's text
+
+
+def _repr_rows(*cols) -> list[str]:
+    return [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in cols))]
+
+
+def _kernel_rows(*cols) -> list[str]:
+    """The kernel's lines; a list, so a failing comparison names the first
+    differing line instead of diffing megabytes of text."""
+    text = "".join(grid._text_blocks(*cols))
+    assert text.endswith("\n")
+    return text[:-1].split("\n")
+
+
+_X87_PATHS = [
+    pytest.param(True, id="x87", marks=pytest.mark.skipif(not grid._X87_LONG_DOUBLE, reason="long double is not x87")),
+    pytest.param(False, id="repr-only"),
+]
+
+
+@pytest.mark.parametrize("e", [18, 20])
+def test_kernel_decides_exact_ties_half_to_even_as_repr(e):
+    # the t column of a K-curve: i / 2^18 holds 19,661 17-digit ties and
+    # 37,683 at the 16-digit step, i / 2^20 26,756 and 38,524; every one is
+    # decided exactly, half-to-even, and every line is repr's
+    x = np.arange(1 << e) / 2.0**e
+    assert _kernel_rows(x) == _repr_rows(x)
+    if grid._X87_LONG_DOUBLE:
+        assert grid._shortest_digits(x)[3][1:].all()  # all but 0.0
+    # 0.100002288818359375 and 0.100009918212890625 tie at 17 digits,
+    # 0.062511444091796875 and 0.062503814697265625 at 16: the odd last
+    # digit rounds up, the even one stays
+    ties = np.array([26215, 26217, 16387, 16385]) / 2.0**18
+    assert _kernel_rows(ties) == ["0.10000228881835938", "0.10000991821289062", "0.06251144409179688", "0.06250381469726562"]
+
+
+def _neighbours(centres: np.ndarray) -> np.ndarray:
+    """The floats up to 3 ulps either side of each centre, of either sign."""
+    bits = centres.view(np.int64)[:, None] + np.arange(-3, 4)
+    x = bits.ravel().view(np.float64)
+    return np.concatenate([x, -x])
+
+
+@pytest.mark.parametrize("x87", _X87_PATHS)
+def test_kernel_prints_repr_next_to_powers_of_ten_and_two(monkeypatch, x87):
+    monkeypatch.setattr(grid, "_X87_LONG_DOUBLE", x87)
+    tens = _neighbours(np.array([float(f"1e{k}") for k in range(-30, 31)]))
+    twos = _neighbours(np.ldexp(1.0, np.arange(-1074, 1024)))
+    for x in (tens, twos, np.array([0.0, -0.0, 5e-324, 2.0**-1022, np.inf, -np.inf, np.nan, 1e40, 1e-11])):
+        assert _kernel_rows(x) == _repr_rows(x)
+        assert _kernel_rows(x, x[::-1]) == _repr_rows(x, x[::-1])
+
+
+@pytest.mark.parametrize("x87", _X87_PATHS)
+@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(-40, 136)), min_size=1, max_size=64), st.integers(1, 2))
+@settings(max_examples=300)
+def test_kernel_prints_repr_on_any_bit_pattern(x87, draws, ncols):
+    # raw bit patterns cover every binade, subnormals, +-0.0, inf and nan; the
+    # same mantissas moved to 2^-40..2^136 cover the range the kernel decides.
+    # The patch is undone by hand: hypothesis reruns the body within one fixture
+    bits, exps = zip(*draws)
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    moved = np.ldexp(np.frexp(x)[0], np.array(exps))
+    saved = grid._X87_LONG_DOUBLE
+    grid._X87_LONG_DOUBLE = x87
+    try:
+        for y in (x, moved):
+            cols = [y, y[::-1]][:ncols]
+            assert _kernel_rows(*cols) == _repr_rows(*cols)
+    finally:
+        grid._X87_LONG_DOUBLE = saved
+
+
+@pytest.mark.skipif(not grid._X87_LONG_DOUBLE, reason="long double is not x87")
+def test_kernel_decides_nearly_every_value_of_a_k_curve():
+    # the curve-k-rand-d2L9 dump: the kernel leaves 1 of its 262,145 t
+    # values (t = 0) and 1,139 K values to repr; below 99 % the speed is lost
+    from rhlab.kcalc import k_l1_linf
+
+    K = k_l1_linf(make_grid(2, 9, "rand:1:lognormal:1"), base_cube(2))
+    for col in (K.t, K.v):
+        assert grid._shortest_digits(col)[3].mean() >= 0.99
 
 
 def test_load_rejects_corrupt_files(tmp_path):
