@@ -17,8 +17,11 @@ is kept.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
+import mmap
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -172,6 +175,21 @@ def row_means(x: np.ndarray) -> np.ndarray:
     return row_sums(x) / x.shape[1]
 
 
+def _sorted_short_rows(rows: np.ndarray) -> np.ndarray:
+    """np.sort(rows, axis=1) of finite float64 rows of 2 or 4 values, bit
+    for bit: np.sort pays a per-row cost that dominates on such rows, so
+    they go through a min/max network by columns.  It returns the same
+    values in the same order, and equal values have the same bits unless
+    they are zeros of both signs, which no cell is."""
+    cols = [rows[:, j] for j in range(rows.shape[1])]
+    lo, hi = np.minimum(cols[0], cols[1]), np.maximum(cols[0], cols[1])
+    if len(cols) == 2:
+        return np.stack([lo, hi], axis=1)
+    lo2, hi2 = np.minimum(cols[2], cols[3]), np.maximum(cols[2], cols[3])
+    mid, mid2 = np.maximum(lo, lo2), np.minimum(hi, hi2)
+    return np.stack([np.minimum(lo, lo2), np.minimum(mid, mid2), np.maximum(mid, mid2), np.maximum(hi, hi2)], axis=1)
+
+
 # ---------------------------------------------------------------------------
 
 class WeightGrid:
@@ -308,15 +326,19 @@ class WeightGrid:
         if rel not in self._sorted_levels:
             width = 1 << (self.d * (self.L - level))
             rows = self.zcells.reshape(-1, width)
-            if width == 2:  # np.sort pays a per-row cost that dominates on pairs
-                asc = np.empty_like(rows)
-                np.minimum(rows[:, 0], rows[:, 1], out=asc[:, 0])
-                np.maximum(rows[:, 0], rows[:, 1], out=asc[:, 1])
-            else:
-                asc = np.sort(rows, axis=1)
+            asc = _sorted_short_rows(rows) if width in (2, 4) else np.sort(rows, axis=1)
             vals = asc[:, ::-1]  # the same reversed view on every width, so no loop downstream changes
             with np.errstate(over="ignore"):  # refused just below
-                cum = np.cumsum(vals, axis=1) * self.cell_measure
+                if width < 8:
+                    # np.cumsum adds in sequence but pays a per-row cost that
+                    # dominates on short rows: the same sums, a column at a time
+                    cum = np.empty_like(vals, order="C")
+                    cum[:, 0] = vals[:, 0]
+                    for j in range(1, width):
+                        np.add(cum[:, j - 1], vals[:, j], out=cum[:, j])
+                else:
+                    cum = np.cumsum(vals, axis=1)
+                cum *= self.cell_measure
             if not np.all(np.isfinite(cum[:, -1])):
                 raise OverflowError("cube mass exceeds the float range")
             vals.setflags(write=False)
@@ -559,6 +581,9 @@ def level_cubes(w: WeightGrid, level: int) -> list[DyadicCube]:
 # File formats
 
 _CSV_HEADER = re.compile(r"# rhlab d=(\d+) L=(\d+)\s*")
+_JSON_HEAD = re.compile(rb'\{"d": -?[0-9]+, "L": -?[0-9]+, "cells": \[')
+_JSON_NUMBER = re.compile(rb"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+_PAD = 24  # zero bytes before a file in its read buffer: every token's 24-byte window fits
 _ROWS_PER_BLOCK = 1 << 14
 # the float kernel's rows per pass: measured, 8,192 rows render a block of
 # two columns in 8.1 ms against 12.1 ms in one pass, whose byte-index
@@ -710,6 +735,78 @@ def _shortest_digits(x: np.ndarray):
 
 
 @functools.cache
+def _tail_masks() -> np.ndarray:
+    """Row n (0 <= n <= 24) keeps the last n bytes of a 24-byte window, as
+    its three little-endian uint64 words; built on first use, as _digits4."""
+    keep = np.arange(24) >= 24 - np.arange(25)[:, None]
+    return np.where(keep, 0xFF, 0).astype(np.uint8).view(np.uint64)
+
+
+_WORD_SCALES = 2.0 ** np.array([0, 64, 128])
+
+
+def _bytes8(b: int) -> np.uint64:
+    return np.uint64(b * 0x0101010101010101)
+
+
+def _decimal_values(buf: np.ndarray, bounds: np.ndarray, sep: int):
+    """float(t) for each token t = buf[b + sep:c] of the uint8 buffer buf,
+    b and c consecutive bounds (c >= 24), where it can be proven: (x, ok).
+
+    ok marks the tokens decided: 1 to 23 bytes of ASCII digits with at most
+    one point and at least one digit, whose digits read as an integer N
+    below 1844 * 10^16 (so below 2^64), and whose quotient N / 10^f is not
+    near a rounding midpoint (see load_weight); x is float(t) there.  Every
+    other token (a sign, an exponent, whitespace, a longer token; every
+    token when long double is not x87) is for float(), and its x means
+    nothing.  The tokens go _KERNEL_ROWS at a time, so the temporaries stay
+    in cache.
+    """
+    n = bounds.size - 1
+    x, ok = np.zeros(n), np.zeros(n, dtype=bool)
+    if not _X87_LONG_DOUBLE:
+        return x, ok
+    windows = np.ndarray((buf.size - 23,), dtype="V24", buffer=buf, strides=(1,))  # 24 bytes from each byte
+    tails = _tail_masks()
+    highs = _bytes8(0x80)
+    for lo in range(0, n, _KERNEL_ROWS):
+        b = bounds[lo:lo + 1 + _KERNEL_ROWS]
+        e = b[1:]
+        m = e - b[:-1] - sep
+        # each token right-aligned in three little-endian words, its bytes
+        # xor '0' (a digit is its value), 0 in the bytes before it
+        a = windows[e - 24].view(np.uint64).reshape(-1, 3) ^ _bytes8(0x30)
+        a &= np.take(tails, np.minimum(m, 24), axis=0)
+        # a point (xor '0': 0x1E) is a zero byte of a ^ 0x1E, flagged in the
+        # high bit of z.  The flags of all three words, scaled to their place,
+        # sum to a float whose exponent gives p, 1 + the byte of the last
+        # flag, 0 without one; a token with one point has no other flag, and
+        # with two it keeps one, which the digit test below refuses
+        t = a ^ _bytes8(0x1E)
+        z = ((t - _bytes8(1)) & ~t & highs).astype(np.float64) * _WORD_SCALES
+        p = np.frexp(z[:, 0] + z[:, 1] + z[:, 2])[1] >> 3
+        # squeeze the point out: the bytes up to it move one byte up (toward
+        # the token's end), which puts the 0 that leads the window first
+        up = a << np.uint64(8)
+        up.ravel()[1:] |= a.ravel()[:-1] >> np.uint64(56)
+        up[:, 0] &= ~np.uint64(0xFF)
+        keep = np.take(tails, 24 - p, axis=0)
+        v = a & keep | up & ~keep
+        bad = ((v + _bytes8(0x76)) | v) & highs  # a high bit in each byte above 9
+        # eight digits per word (Lemire): pairs, then fours, then the word
+        v = v * np.uint64(10) + (v >> np.uint64(8))
+        pick = np.uint64(0x000000FF000000FF)
+        v = ((v & pick) * np.uint64(100 + (10**6 << 32)) + ((v >> np.uint64(16)) & pick) * np.uint64(1 + (10**4 << 32))) >> np.uint64(32)
+        N = v[:, 0] * _POW10_U64[16] + v[:, 1] * _POW10_U64[8] + v[:, 2]
+        q = N.astype(np.longdouble) / _POW10_LD[np.where(p > 0, 24 - p, 0)]
+        dropped = (q.view(np.uint64)[::2] & np.uint64(0x7FF)).astype(np.int64)  # a midpoint is 0x400
+        x[lo:lo + _KERNEL_ROWS] = q
+        ok[lo:lo + _KERNEL_ROWS] = (((bad[:, 0] | bad[:, 1] | bad[:, 2]) == 0) & (m <= 23) & (m > (p > 0))
+                                    & (v[:, 0] < 1844) & (np.abs(dropped - 0x400) > 1))
+    return x, ok
+
+
+@functools.cache
 def _digits4() -> np.ndarray:
     """The four ASCII digits of 0..9999, one uint32 each (memory order is
     text order); built on first use, so processes that print no curve or
@@ -812,7 +909,7 @@ def save_weight(w: WeightGrid, path: str) -> None:
             fh.write(f'], "label": {json.dumps(w.label)}}}\n')
 
 
-def _file_grid(d: int, L: int, cells: list, label: str) -> WeightGrid:
+def _file_grid(d: int, L: int, cells, label: str) -> WeightGrid:
     """The grid a file's header and cell list describe; every defect of the
     file raises WeightFormatError."""
     if d not in (1, 2) or not 0 <= d * L <= 62:
@@ -828,39 +925,198 @@ def _file_grid(d: int, L: int, cells: list, label: str) -> WeightGrid:
     return WeightGrid(d, L, cells, label=label)
 
 
-def load_weight(path: str) -> WeightGrid:
-    """Read a grid from JSON when the path ends in .json, else from CSV;
-    inverse of save_weight."""
-    if not path.endswith(".json"):
-        with open(path) as fh:
-            first = fh.readline()
-            m = _CSV_HEADER.fullmatch(first)
-            if not m:
-                raise WeightFormatError("header", f"bad header line {first!r}")
-            d, L = int(m.group(1)), int(m.group(2))
-            cells = []
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    cells.append(float(line))
-                except ValueError as exc:
-                    raise WeightFormatError("parse", f"line {lineno}: not a number: {line!r}") from exc
-        return _file_grid(d, L, cells, f"file:{path}")
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise WeightFormatError("parse", f"invalid JSON: {exc}") from exc
+def _read_padded(path: str) -> mmap.mmap:
+    """A file's bytes, read once into one buffer: _PAD zero bytes, the file,
+    and an added newline, so that every line ends with one.  The buffer is
+    an anonymous mapping, so its pages go back to the system when it is
+    freed instead of staying in the heap."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        buf = mmap.mmap(-1, _PAD + size + 1)
+        n = fh.readinto(memoryview(buf)[_PAD:])
+        if n != size:  # a size not known in advance (a pipe), or a file that changed
+            data = buf[_PAD:_PAD + n] + fh.read()
+            buf = mmap.mmap(-1, _PAD + len(data) + 1)
+            buf[_PAD:-1] = data
+    buf[-1] = 10
+    return buf
+
+
+def _text(buf: mmap.mmap) -> io.TextIOWrapper:
+    """The file in buf as open(path) reads it in text mode."""
+    return io.TextIOWrapper(io.BytesIO(buf[_PAD:-1]))
+
+
+def _kernel_text(buf: mmap.mmap) -> bool:
+    """Whether reading buf as text decodes and translates nothing: ASCII
+    bytes, which the locale encodings open() takes decode to themselves,
+    and no carriage return."""
+    return np.frombuffer(buf, dtype=np.uint8).max() < 0x80 and buf.find(b"\r") < 0
+
+
+def _token_bounds(arr: np.ndarray, sep: int, first: int, last: int) -> np.ndarray:
+    """first, the position of every byte sep in arr[first + 1:last], and
+    last: the bounds of the tokens that sep separates.  The positions are
+    found a megabyte at a time, so no bool array as long as the file is made."""
+    found = [np.flatnonzero(arr[lo:min(lo + (1 << 20), last)] == sep) + lo for lo in range(first + 1, last, 1 << 20)]
+    return np.concatenate([[first], *found, [last]])
+
+
+def _csv_header(first: str) -> tuple[int, int]:
+    m = _CSV_HEADER.fullmatch(first)
+    if not m:
+        raise WeightFormatError("header", f"bad header line {first!r}")
+    return int(m.group(1)), int(m.group(2))
+
+
+def _csv_cell(line: str, lineno: int) -> float | None:
+    """The cell of a CSV line, None when it is blank: the line stripped,
+    then float(); a line float() refuses is a parse error naming it."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        return float(line)
+    except ValueError as exc:
+        raise WeightFormatError("parse", f"line {lineno}: not a number: {line!r}") from exc
+
+
+def _load_csv(buf: mmap.mmap, path: str) -> WeightGrid:
+    label = f"file:{path}"
+    if not _kernel_text(buf):
+        with _text(buf) as fh:
+            d, L = _csv_header(fh.readline())
+            cells = [v for lineno, line in enumerate(fh, start=2) if (v := _csv_cell(line, lineno)) is not None]
+        return _file_grid(d, L, cells, label)
+    end = len(buf) - 1  # the added newline
+    head = buf.find(b"\n", _PAD)
+    d, L = _csv_header(buf[_PAD:min(head + 1, end)].decode("ascii"))
+    if head < end - 1 and buf[end - 1] == 10:
+        end -= 1  # the file's own last newline ends its last line
+    arr = np.frombuffer(buf, dtype=np.uint8)
+    bounds = _token_bounds(arr, ord("\n"), head, end)
+    cells, ok = _decimal_values(arr, bounds, 1)
+    # the lines left undecided take the str rule, in order: the first bad
+    # line is the one named
+    blank = []
+    for i in np.flatnonzero(~ok).tolist():
+        v = _csv_cell(buf[bounds[i] + 1:bounds[i + 1]].decode("ascii"), i + 2)
+        if v is None:
+            blank.append(i)
+        else:
+            cells[i] = v
+    return _file_grid(d, L, np.delete(cells, blank) if blank else cells, label)
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):  # json.load keeps the last; the kernel read the first cells
+        raise ValueError("duplicate key")
+    return obj
+
+
+def _json_cells(buf: mmap.mmap):
+    """(the file's object with its cell list emptied, the cell values) of a
+    JSON file laid out as save_weight writes it, its cells read by
+    _decimal_values and float(); None for json.load's route."""
+    head = _JSON_HEAD.match(buf, _PAD)
+    close = buf.find(b"]", head.end()) if head else -1
+    if close < 0 or not _kernel_text(buf):
+        return None
+    arr = np.frombuffer(buf, dtype=np.uint8)
+    bounds = _token_bounds(arr, ord(","), head.end() - 2, close)
+    if not np.all(arr[1:][bounds[1:-1]] == ord(" ")):
+        return None
+    cells, ok = _decimal_values(arr, bounds, 2)
+    # a token decided is a JSON number unless it begins or ends with its
+    # point or has a leading zero (not .5, 5. or 01.5)
+    first, second, last = arr[2:][bounds[:-1]], arr[3:][bounds[:-1]], arr[bounds[1:] - 1]
+    if np.any(ok & ((first == ord(".")) | (last == ord(".")) | (first == ord("0")) & (second - ord("0") < 10))):
+        return None
+    for i in np.flatnonzero(~ok).tolist():
+        token = bytes(buf[bounds[i] + 2:bounds[i + 1]])
+        number = _JSON_NUMBER.fullmatch(token)
+        if not (number and (number[1] or number[2])):  # json reads an integer as an int
+            return None
+        cells[i] = float(token)  # what json calls on a fraction or an exponent
+    try:
+        obj = json.loads((buf[_PAD:head.end()] + buf[close:-1]).decode("ascii"), object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError):
+        return None
+    return obj, cells
+
+
+def _json_weight(obj, path: str, cells=None) -> WeightGrid:
+    """The grid of a parsed JSON weight file; cells, when given, are the
+    values of its cell list, read already."""
     if not isinstance(obj, dict) or not {"d", "L", "cells"} <= set(obj):
         raise WeightFormatError("header", "JSON object must have keys d, L, cells")
     d, L = obj["d"], obj["L"]
     if not (type(d) is int and type(L) is int):  # bool is an int subclass
         raise WeightFormatError("header", "d and L must be integers")
-    cells = obj["cells"]
-    if not isinstance(cells, list):
-        raise WeightFormatError("parse", "cells must be a list")
-    if not set(map(type, cells)) <= {int, float}:
-        raise WeightFormatError("parse", "cells must be JSON numbers")
+    if cells is None:
+        cells = obj["cells"]
+        if not isinstance(cells, list):
+            raise WeightFormatError("parse", "cells must be a list")
+        if not set(map(type, cells)) <= {int, float}:
+            raise WeightFormatError("parse", "cells must be JSON numbers")
     return _file_grid(d, L, cells, str(obj.get("label", f"file:{path}")))
+
+
+def _load_json(buf: mmap.mmap, path: str) -> WeightGrid:
+    read = _json_cells(buf)
+    if read is not None:
+        obj, cells = read
+        return _json_weight(obj, path, cells)
+    try:
+        with _text(buf) as fh:
+            obj = json.load(fh)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise WeightFormatError("parse", f"invalid JSON: {exc}") from exc
+    return _json_weight(obj, path)
+
+
+def load_weight(path: str) -> WeightGrid:
+    """Read a grid from JSON when the path ends in .json, else from CSV;
+    inverse of save_weight.
+
+    Every cell is float() of its text, bit for bit, and a file gives the
+    grid or the error that reading it in text mode gives: CSV line by line
+    (each line stripped, blank lines skipped, the first line float()
+    refuses a "parse" error naming it), JSON by json.load.  The file is
+    read once, into one buffer.  A file that is not valid text, and JSON
+    nested past the recursion limit, are "parse" errors too.
+
+    One kernel, _decimal_values, reads the cells of a file that is ASCII
+    and holds no carriage return, so that reading it as text decodes and
+    translates nothing.  CSV: its tokens are the lines, and the lines it
+    leaves undecided take the rule above, in order, so the first bad line
+    is the one named.  JSON, when the file begins as save_weight writes it,
+    {"d": <int>, "L": <int>, "cells": [, and its cells up to the first "]"
+    are separated by ", ": a token it decides must also be a JSON number
+    (not 5., .5 or 01.5); an undecided token with a fraction or an exponent
+    takes float(), as json does.  Any other token (an integer the kernel
+    does not decide, which json reads as an int; NaN; a string; a list), a
+    duplicate key, or a file that json.loads refuses once its cell list is
+    emptied goes to json.load.  d, L and the label come from that emptied
+    file.  Where long double is not x87, float() reads every cell.
+
+    Why a decided cell is float()'s.  A token of at most 23 bytes has
+    f <= 22 digits after its point and is N / 10^f, N < 2^64 its digits
+    read as an integer; float() rounds that value to the nearest double,
+    ties to even.  N and 10^f (5^22 < 2^64) are exact in the 64-bit
+    significand of x87 long double, so their quotient q is the value
+    rounded once, to 64 bits.  Each midpoint between adjacent doubles has
+    54 significant bits, so it is a long double, and rounding is monotone:
+    q lies on the same side of every midpoint as N / 10^f, or on one.  The
+    double nearest q is therefore float()'s unless q is a midpoint, that
+    is, unless the 11 bits that rounding q to double drops are 0x400; the
+    kernel sends q within 1 of that to float().  The values are 0 or in
+    [10^-22, 2^64), far from the subnormals and from overflow, where the
+    argument would fail.
+    """
+    buf = _read_padded(path)
+    try:
+        return _load_json(buf, path) if path.endswith(".json") else _load_csv(buf, path)
+    except UnicodeDecodeError as exc:
+        raise WeightFormatError("parse", f"not valid text: {exc}") from exc

@@ -702,13 +702,18 @@ _MALFORMED_FILES = [
     ("count.json", '{"d": 1, "L": 1, "cells": [1]}'),
     ("word.json", '{"d": 1, "L": 1, "cells": [1, "a"]}'),
     ("nested.json", '{"d": 1, "L": 1, "cells": [1, [2]]}'),
+    # bytes that are not UTF-8, and nesting past the recursion limit, used to
+    # exit 2 (UnicodeDecodeError is a ValueError) and 1 (RecursionError)
+    pytest.param("not-utf8.csv", b"# rhlab d=1 L=1\n1.0\n\xff\xfe\n", id="not-utf8.csv"),
+    pytest.param("not-utf8.json", b'{"d": 1, "L": 1, "cells": [1.0, 2.0], "label": "\xff"}', id="not-utf8.json"),
+    pytest.param("deep.json", '{"d": 1, "L": 1, "cells": ' + "[" * 100_000 + "]" * 100_000 + "}", id="deep.json"),
 ]
 
 
 @pytest.mark.parametrize("name, text", _MALFORMED_FILES)
 def test_convert_malformed_file_is_io_error(tmp_path, capsys, name, text):
     bad = tmp_path / name
-    bad.write_text(text)
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
     code, out, err = run_cli(capsys, "convert", str(bad), "--out", str(tmp_path / "out.json"))
     assert code == 3
     assert out == "" and err.startswith("rhlab: error:")
