@@ -212,6 +212,12 @@ class WeightGrid:
     """
 
     def __init__(self, d: int, L: int, cells, label: str = "", base: DyadicCube | None = None):
+        self._keep(d, L, cells, label, base, copy=True)
+
+    def _keep(self, d: int, L: int, cells, label: str, base: DyadicCube | None, copy: bool) -> "WeightGrid":
+        """Set the grid up (the checks of __init__) and return it; without
+        copy it keeps cells when they are a float64 array already: a file
+        reader's array, which no one else holds (_file_grid)."""
         if d not in (1, 2):
             raise WeightSpecError(f"dimension must be 1 or 2, got {d}")
         if L < 0:
@@ -223,7 +229,7 @@ class WeightGrid:
         self.d = int(d)
         self.L = int(L)
         self.base = base
-        cells = np.asarray(cells, dtype=np.float64)
+        cells = np.array(cells, dtype=np.float64, copy=copy or None)
         expected = 1 << (d * (L - base.level))
         if cells.ndim != 1 or cells.size != expected:
             raise WeightFormatError(
@@ -233,7 +239,7 @@ class WeightGrid:
             raise WeightFormatError("parse", "cells must be finite numbers")
         if np.any(cells <= 0.0):
             raise WeightFormatError("nonpositive", "all cell values must be strictly positive")
-        self.cells = cells.copy()
+        self.cells = cells
         self.cells.setflags(write=False)
         self.label = label
         self.spec: tuple = ()
@@ -242,6 +248,7 @@ class WeightGrid:
         self._sorted_levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # family_index and acks_index results keyed by (kind, C_cap, gamma_grid)
         self._indices: dict[tuple, object] = {}
+        return self
 
     # -- geometry ----------------------------------------------------------
 
@@ -534,10 +541,16 @@ def integrate(w: WeightGrid, Q: DyadicCube) -> float:
     exact scaling by 2^(-dL): the result is the correctly rounded value of
     the exact rational mass (unless it falls below 2^-1022, where the
     scaling rounds once more), so a parent's mass and each child's mass
-    each round exactly once.
+    each round exactly once.  A cell sum beyond the float range (fsum's
+    OverflowError) is summed again with the cells scaled by 2^(-dL) first,
+    which is exact unless a scaled cell falls below 2^-1022: the mass, at
+    most the largest cell, is always a float.
     """
     a, b = w.zrange(Q)
-    return math.ldexp(w._exact_tree(a, b), -w.d * w.L)
+    try:
+        return math.ldexp(w._exact_tree(a, b), -w.d * w.L)
+    except OverflowError:
+        return math.fsum(memoryview(np.ldexp(w.zcells[a:b], -w.d * w.L)))
 
 
 def cube_levels(policy: str, lo: int, L: int) -> range:
@@ -922,7 +935,7 @@ def _file_grid(d: int, L: int, cells, label: str) -> WeightGrid:
         cells = np.asarray(cells, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise WeightFormatError("parse", f"cells must be numbers: {exc}") from exc
-    return WeightGrid(d, L, cells, label=label)
+    return WeightGrid.__new__(WeightGrid)._keep(d, L, cells, label, None, copy=False)
 
 
 def _read_padded(path: str) -> mmap.mmap:

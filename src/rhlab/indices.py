@@ -40,7 +40,8 @@ The reverse-Hardy residual sup_t (integral_0^t phi(s) ds/s) / phi(t) of a
 concave piecewise-linear curve is exact, closed form via Wright omega: on
 each piece the ratio has at most one interior maximum, at
 t* = a / (b omega(c)) (see _hardy_rows).  One kernel serves a single curve
-(hardy_residual) and all cubes of a level (weights.hardy_residual_sup).
+(hardy_residual) and all cubes of a run of levels, with one Wright omega
+call (weights.hardy_residual_sup).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import WeightGrid, _cube_at
-from .kcalc import ConcaveCurve, _level_pieces
+from .kcalc import ConcaveCurve, _level_pieces, _row_cumsum, _row_starts
 
 _TIE = 1e-9
 _TRIVIAL = 1e-12
@@ -576,15 +577,17 @@ def _wright_omega(c: np.ndarray) -> np.ndarray:
     return w
 
 
-def _hardy_rows(A, B, s0, s1, K) -> np.ndarray:
-    """Per row, the reverse-Hardy residual
+def _hardy_rows(A, B, s0, s1, K, shapes) -> np.ndarray:
+    """Per curve, the reverse-Hardy residual
 
         sup over t in (0, s1[-1]] of (integral_0^t phi(s) ds/s) / phi(t),
 
-    at least 1, of curves given as rows of pieces phi = A + B s on
-    [s0, s1], with phi(s1) = K; A, B and K are (n, m), s0 and s1 broadcast
-    to them, and the first piece runs from the origin with A = 0.  Exact, closed form
-    via the Wright omega function (_wright_omega, within
+    at least 1, of curves given as pieces phi = A + B s on [s0, s1] with
+    phi(s1) = K, laid out as kcalc._level_piece_batch lays out a level's or
+    a run of levels' pieces: A, B and K (r, c) matrices over (c,) columns
+    s0 and s1, holding blocks of n curves of m pieces each for the (n, m)
+    of shapes, each curve's first piece from the origin with A = 0.  Exact,
+    closed form via the Wright omega function (_wright_omega, within
     (8 + 2|c|/(1 + omega)) 2^-53 relative): the integral N has exact piece
     antiderivatives (A log + B s), and on a piece g = phi^2/t - B N has
     g' = -A phi / t^2 <= 0, so N / phi has at most one interior maximum,
@@ -595,21 +598,23 @@ def _hardy_rows(A, B, s0, s1, K) -> np.ndarray:
     omega the solution of omega + ln omega = c.  The supremum is the max of N / phi
     over the knots and every t* inside its piece, evaluated there directly
     rather than as 1 + omega(c), so an error in t* enters at second order.
+    Past the running sums N, per block, every step is elementwise over all
+    the pieces, so one _wright_omega call serves every curve and a curve's
+    residual does not depend on what shares the call.
     """
     with np.errstate(divide="ignore"):
         lograt = np.where(s0 > 0, np.log(s1 / np.where(s0 > 0, s0, 1.0)), 0.0)
-    N = np.cumsum(A * lograt + B * (s1 - s0), axis=1)
-    best = np.maximum((N / K).max(axis=1), 1.0)
-    lo, hi = np.broadcast_to(s0, A.shape), np.broadcast_to(s1, A.shape)
-    rows, cols = np.nonzero((A > 0) & (B > 0) & (lo > 0))
-    if rows.size:
-        a, b, lo, hi = A[rows, cols], B[rows, cols], lo[rows, cols], hi[rows, cols]
-        n0 = N[rows, cols - 1]
-        with np.errstate(divide="ignore", over="ignore"):
-            t = a / (b * _wright_omega(np.log(a / (b * lo)) - 2.0 + (n0 - b * lo) / a))
-        inside = (t > lo) & (t < hi)
-        a, b, lo, t, n0 = a[inside], b[inside], lo[inside], t[inside], n0[inside]
-        np.maximum.at(best, rows[inside], (n0 + a * np.log(t / lo) + b * (t - lo)) / (a + b * t))
+    N = _row_cumsum((A * lograt + B * (s1 - s0)).ravel(), shapes).reshape(A.shape)
+    starts = _row_starts(shapes)
+    best = np.maximum(np.maximum.reduceat((N / K).ravel(), starts), 1.0)
+    rows, cols = np.nonzero((A > 0) & (B > 0) & (s0 > 0))  # never a curve's first piece
+    a, b, lo, hi, n0 = A[rows, cols], B[rows, cols], s0[cols], s1[cols], N[rows, cols - 1]
+    with np.errstate(divide="ignore", over="ignore"):
+        t = a / (b * _wright_omega(np.log(a / (b * lo)) - 2.0 + (n0 - b * lo) / a))
+    inside = (t > lo) & (t < hi)
+    a, b, lo, t, n0 = a[inside], b[inside], lo[inside], t[inside], n0[inside]
+    curves = np.searchsorted(starts, (rows * A.shape[1] + cols)[inside], side="right") - 1
+    np.maximum.at(best, curves, (n0 + a * np.log(t / lo) + b * (t - lo)) / (a + b * t))
     return best
 
 
@@ -623,4 +628,4 @@ def hardy_residual(phi: ConcaveCurve) -> float:
     A, B, s0, s1 = phi.pieces()
     if A[0] != 0.0:
         raise ValueError("head integral diverges: first piece not through the origin")
-    return float(_hardy_rows(A[None, :], B[None, :], s0, s1, phi.v[None, 1:])[0])
+    return float(_hardy_rows(A[None, :], B[None, :], s0, s1, phi.v[None, 1:], [(1, A.size)])[0])

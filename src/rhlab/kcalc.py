@@ -17,7 +17,10 @@ exact representation:
     bound (relative truncation error below 2^-60 on every panel); the
     K-curve pieces of all cubes of a level (_level_pieces) share one column
     grid, so column factors and nodes are built once per column;
-    power_piece_integral is its one-row call on arbitrary pieces;
+    power_piece_integral is its one-row call on arbitrary pieces, and a run
+    of small levels is one row too (_level_piece_batch): every level's
+    pieces flattened cube by cube, with per-piece columns, so that one call
+    serves them all at the cost of per-piece column work;
   * Lorentz norms over (0, infinity) using the exact 1/t tail of the averaged
     rearrangement;
   * the Luxemburg norm of L log L by a certified Newton solve of its
@@ -392,6 +395,54 @@ def _level_pieces(w: WeightGrid, level: int, rows: np.ndarray | None = None):
     s0 = np.concatenate(([0.0], s[:-1]))
     K0 = np.concatenate((np.zeros((K.shape[0], 1)), K[:, :-1]), axis=1)
     return vals, K, s0, s, K0 - vals * s0[None, :]
+
+
+def _level_piece_batch(w: WeightGrid, levels):
+    """The K-curve pieces of every cube of the levels (_level_pieces) laid
+    out for one piece-kernel call: (A, B, s0, s1, K, shapes), the curve of
+    a cube equal to A + B t on [s0, s1] with K its value at s1, and the
+    levels' (n, m) in shapes.  A lone level keeps its (n, m) matrices over
+    (m,) columns.  Several levels are one (1, P) row over (P,) columns,
+    level after level and each level cube by cube, every array C-contiguous
+    (numpy picks its log, expm1 and pow loops by strides)."""
+    if len(levels) == 1:
+        vals, K, s0, s, A = _level_pieces(w, levels[0])
+        return A, vals, s0, s, K, [vals.shape]
+    pieces = [_level_pieces(w, lev) for lev in levels]
+    shapes = [vals.shape for vals, *_ in pieces]
+    row = np.empty((5, sum(n * m for n, m in shapes)))
+    for block, (vals, K, s0, s, A) in zip(_row_blocks(row, shapes), pieces):
+        for x, y in zip(block, (A, vals, s0, s, K)):
+            x[...] = y
+    A, B, s0, s1, K = row
+    return A[None], B[None], s0, s1, K[None], shapes
+
+
+def _row_blocks(x: np.ndarray, shapes) -> list[np.ndarray]:
+    """The (..., n, m) blocks of the last axis of x for the (n, m) of
+    shapes in turn (_level_piece_batch's levels): views."""
+    out, at = [], 0
+    for n, m in shapes:
+        out.append(x[..., at : at + n * m].reshape(*x.shape[:-1], n, m))
+        at += n * m
+    return out
+
+
+def _row_starts(shapes) -> np.ndarray:
+    """Where each cube's pieces start in the flattened pieces of
+    _level_piece_batch's levels."""
+    n, m = np.array(shapes, dtype=np.int64).reshape(-1, 2).T
+    return np.concatenate(([0], np.cumsum(np.repeat(m, n))[:-1]))
+
+
+def _row_cumsum(x: np.ndarray, shapes) -> np.ndarray:
+    """np.cumsum along each cube's pieces of the flattened pieces of
+    _level_piece_batch's levels, level by level, so each sum is that of
+    its level's (n, m) matrix."""
+    out = np.empty_like(x)
+    for a, b in zip(_row_blocks(x, shapes), _row_blocks(out, shapes)):
+        np.cumsum(a, axis=1, out=b)
+    return out
 
 
 # ---------------------------------------------------------------------------

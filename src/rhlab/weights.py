@@ -12,10 +12,16 @@ when a cube-uniform inequality between averages holds:
 
 Each constant here is the max of its ratio over the cube family named by a
 policy string (cubes="all-dyadic", "base" or "level:k"), with the attaining
-cube as witness, swept level by level (_family_constant); the Lorentz
-constants of several p at one q share each level's build
+cube as witness, swept level by level (_family_constant).  The kinds built
+on K-curve pieces (the K-side RH_p, Lorentz and Hardy constants) sweep runs
+of consecutive levels whose pieces total at most _PIECE_BATCH (2^14, one
+piece per cell on every level) in one kernel call each, one row of pieces
+(kcalc._level_piece_batch); a grid of 2^14 cells or more keeps one call
+per level.  A piece's bits do not depend on what shares its call, so the
+constants are those of the level-by-level sweep, bit for bit.  The Lorentz
+constants of several p at one q share each run's build
 (rh_lorentz_constants).  The reverse-Hardy residual sup is exact, closed
-form via Wright omega (indices._hardy_rows on each level's K-curve pieces).
+form via Wright omega (indices._hardy_rows on each run's K-curve pieces).
 The verification routines then test, over all dyadic cubes, the equivalences
 between these classes and the index machinery: the K-side characterization
 of RH_p, the limiting L log L class against the reverse Hardy residual, the
@@ -53,8 +59,11 @@ from .grid import (
 from .kcalc import (
     PackingFamily,
     _k_curve,
-    _level_pieces,
+    _level_piece_batch,
     _piece_matrices,
+    _row_blocks,
+    _row_cumsum,
+    _row_starts,
     extrapolation_norm,
     grid_power,
     k_l1_linf,
@@ -64,7 +73,6 @@ from .kcalc import (
     llogl_norm,
     llogl_norm_rows,
     packing_family,
-    power_piece_integral,
 )
 from .indices import IndexEstimate, _hardy_rows, acks_index, family_index, hardy_residual
 from .rearrange import _level_maximal, double_star, dyadic_maximal, iterated_maximal, rearrangement
@@ -108,16 +116,49 @@ def _level_row_means(cells: np.ndarray, w: WeightGrid, level: int) -> np.ndarray
     return row_means(cells.reshape(-1, width))
 
 
-def _family_constant(w: WeightGrid, cubes: str, kind: str, level_values, ps=(None,), q=None) -> list[ClassConstant]:
+# Main pieces per kernel call of the piece kinds of _family_constant (the
+# K-side, Lorentz and Hardy constants).  A level has one piece per cell, so
+# a grid of c cells sweeps max(1, 2^14 // c) consecutive levels per call:
+# all 9 levels of a d=1 L=8 verify grid, all 11 of an L=10 Lorentz-growth
+# grid, and one level at a time from 16,384 cells on, the analyze-deep
+# grids.  Measured in-process on a 2-vCPU x86-64 VM (best of 7, seed 1):
+# verify --suite rhp took 189 ms at one level per call, 105-107 ms at 2^13
+# and 2^14, 124 ms at 2^16; --suite lorentz 108-110 ms from 2^12 to 2^14
+# and 174 ms at 2^15, where the L=14 growth grids' levels pair up and the
+# kernel's column work goes per piece (traced peak 6.5 -> 9.3 MB).
+_PIECE_BATCH = 2**14
+
+
+def _level_batches(w: WeightGrid, levels: range) -> list[range]:
+    """levels cut into runs of consecutive levels whose pieces total at
+    most _PIECE_BATCH, one level a run at least."""
+    k = max(1, _PIECE_BATCH // w.ncells)
+    return [levels[i : i + k] for i in range(0, len(levels), k)]
+
+
+def _family_constant(w: WeightGrid, cubes: str, kind: str, level_values, ps=(None,), q=None, batched: bool = False) -> list[ClassConstant]:
     """The max of a per-cube ratio over the cube family of a policy string
     (grid.cube_levels: "all-dyadic", "base" or "level:k"), with the
     attaining cube, one constant per p of ps: level_values(level) gives the
     ratios of every cube of a level in Morton order, one row per p (a
-    vector for one); ties go to the first level and first Morton row."""
+    vector for one); ties go to the first level and first Morton row.
+
+    With batched (the piece kinds), level_values takes a run of consecutive
+    levels whose pieces total at most _PIECE_BATCH (_level_batches, a lone
+    level at least) and gives a list of their ratios, level by level, from
+    one kernel call: the run's pieces are one row of the piece kernel
+    (kcalc._level_piece_batch), and a piece's bits do not depend on what
+    shares its call, so neither does a level's.  A lone level keeps the
+    (n, m) piece matrix of its own call."""
+    levels = cube_levels(cubes, w.base.level, w.L)
+    if batched:
+        per_level = (v for run in _level_batches(w, levels) for v in level_values(run))
+    else:
+        per_level = map(level_values, levels)
     best = [-math.inf] * len(ps)
     where = [None] * len(ps)
-    for level in cube_levels(cubes, w.base.level, w.L):
-        rows = np.atleast_2d(level_values(level))
+    for level, values in zip(levels, per_level):
+        rows = np.atleast_2d(values)
         for k, i in enumerate(np.argmax(rows, axis=1)):
             if float(rows[k, i]) > best[k]:
                 best[k] = float(rows[k, i])
@@ -126,6 +167,12 @@ def _family_constant(w: WeightGrid, cubes: str, kind: str, level_values, ps=(Non
         ClassConstant(kind, v, p=p, q=q, witness=_cube_at(w, *at).addr(), cube_policy=cubes)
         for v, p, at in zip(best, ps, where)
     ]
+
+
+def _split_levels(x: np.ndarray, shapes) -> list[np.ndarray]:
+    """x, one entry per cube of the levels of shapes (kcalc._level_piece_batch),
+    split level by level."""
+    return np.split(x, np.cumsum([n for n, _ in shapes])[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -172,46 +219,51 @@ def rh_llogl_constant(w: WeightGrid, cubes: str = "all-dyadic") -> ClassConstant
     return _family_constant(w, cubes, "RH_LLogL", ratios)[0]
 
 
-def _lorentz_level(w: WeightGrid, level: int, ps, q: float) -> np.ndarray:
-    """Lorentz L(p,q) norms of w restricted to each cube of a level, one
-    row per p of ps, from one build of the level's pieces: the head
-    integrals of every p come from one _piece_matrices call, which at
-    integer q shares the p-free work of the closed form, and each p's
-    piece matrix is summed before the next is built."""
-    vals, K, s0, s, A = _level_pieces(w, level)
-    pieces = _piece_matrices(A, vals, s0, s, q, [q / p - q - 1.0 for p in ps])
-    heads = [row_sums(next(pieces)) for _ in ps]
+def _lorentz_levels(w: WeightGrid, levels, ps, q: float) -> list[np.ndarray]:
+    """Lorentz L(p,q) norms of w restricted to each cube of the levels, one
+    (len(ps), n) array a level, from one build of their pieces: the head
+    integrals of every p come from one _piece_matrices call over the
+    levels' pieces (kcalc._level_piece_batch), which at integer q shares
+    the p-free work of the closed form, and each p's pieces are summed per
+    level before the next p's are built."""
+    A, B, s0, s1, K, shapes = _level_piece_batch(w, levels)
+    pieces = _piece_matrices(A, B, s0, s1, q, [q / p - q - 1.0 for p in ps])
+    heads = [[row_sums(x) for x in _row_blocks(next(pieces).ravel(), shapes)] for _ in ps]
     del pieces  # frees the kernel's scratch before the tails
-    T = s.size * w.cell_measure
-    mass_q = K[:, -1] ** q
-    norms = np.empty((len(ps), vals.shape[0]))
-    for row, head, p in zip(norms, heads, ps):
-        pprime = p / (p - 1.0)
-        tail = mass_q * T ** (q / p - q) * pprime / q
-        row[:] = (head + tail) ** (1.0 / q)
-    return norms
+    out = []
+    for i, (knots, (n, m)) in enumerate(zip(_row_blocks(K.ravel(), shapes), shapes)):
+        T = m * w.cell_measure
+        mass_q = knots[:, -1] ** q
+        norms = np.empty((len(ps), n))
+        for row, head, p in zip(norms, heads, ps):
+            pprime = p / (p - 1.0)
+            tail = mass_q * T ** (q / p - q) * pprime / q
+            row[:] = (head[i] + tail) ** (1.0 / q)
+        out.append(norms)
+    return out
 
 
 def rh_lorentz_constants(w: WeightGrid, ps, q: float, cubes: str = "all-dyadic") -> list[ClassConstant]:
     """For each p of ps, the max over the family of
-    ||w chi_Q||_{L(p,q)} / (|Q|^{1/p} avg_Q w): every p of a level from one
-    build (_lorentz_level), each constant equal bit for bit to its one-p
-    call."""
+    ||w chi_Q||_{L(p,q)} / (|Q|^{1/p} avg_Q w): every p of a run of levels
+    from one build (_lorentz_levels), each constant equal bit for bit to
+    its one-p call."""
     ps = tuple(ps)
     if not all(p > 1.0 for p in ps):
         raise ValueError("p must exceed 1")
     if not q >= 1.0:
         raise ValueError("q must be at least 1")
 
-    def ratios(lev):
-        T = 2.0 ** (-w.d * lev)
-        means = _level_means(w, lev)
-        norms = _lorentz_level(w, lev, ps, q)
-        for row, p in zip(norms, ps):
-            row /= T ** (1.0 / p) * means
-        return norms
+    def ratios(levels):
+        out = _lorentz_levels(w, levels, ps, q)
+        for lev, norms in zip(levels, out):
+            T = 2.0 ** (-w.d * lev)
+            means = _level_means(w, lev)
+            for row, p in zip(norms, ps):
+                row /= T ** (1.0 / p) * means
+        return out
 
-    return _family_constant(w, cubes, "RH_Lorentz", ratios, ps, q)
+    return _family_constant(w, cubes, "RH_Lorentz", ratios, ps, q, batched=True)
 
 
 def rh_lorentz_constant(w: WeightGrid, p: float, q: float, cubes: str = "all-dyadic") -> ClassConstant:
@@ -280,44 +332,53 @@ def gehring_improve(w: WeightGrid, p: float, C_cap: float = 16.0) -> GehringResu
 # ---------------------------------------------------------------------------
 # K-side RH_p constant (the interpolation-side characterization)
 
-def _kside_level(w: WeightGrid, level: int, p: float) -> np.ndarray:
-    """Per-cube sup over t in (0, |Q|] of
+def _kside_levels(w: WeightGrid, levels, p: float) -> list[np.ndarray]:
+    """Per cube of each level of levels, the sup over t in (0, |Q|] of
     {int_0^t [s^{-1/p'} K_Q(s)]^p ds/s}^{1/p} / (t^{-1/p'} K_Q(t)),
     taken over the knots plus the denominator's interior minima.  That is a
     lower bound, not the exact sup: the numerator still grows at a minimum
     of the denominator, so the sup can sit between these candidates (on a
     one-hot d=1 L=8 grid the result is up to 5.1e-4 relative low at p=1.5).
+
+    The pieces of a run of levels are one row (kcalc._level_piece_batch),
+    and the partial pieces [s0, t*] up to the minima join it in one kernel
+    call; a lone level keeps its (n, m) call, and its partial pieces take a
+    one-row call of their own.  Past the per-level running sums every step
+    runs on all the levels at once.
     """
     theta = 1.0 - 1.0 / p
-    vals, K, s0, s, A = _level_pieces(w, level)
-    n = vals.shape[0]
     E = -theta * p - 1.0
-    piece = level_piece_integrals(A, vals, s0, s, p, E)
-    prefix = np.cumsum(piece, axis=1)
-    ratios = prefix ** (1.0 / p) / (s[None, :] ** -theta * K)
-    best = ratios.max(axis=1)
-    # denominator minima: t* = theta a / (b (1 - theta)) inside a piece
+    A, B, s0, s1, K, shapes = _level_piece_batch(w, levels)
+    # denominator minima: t* = theta a / (b (1 - theta)) inside a piece;
+    # none on a cube's first piece, whose A is 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        tstar = theta * A / (vals * (1.0 - theta))
-    valid = (A > 0) & (tstar > s0[None, :]) & (tstar < s[None, :])
-    if np.any(valid):
-        rows, cols = np.nonzero(valid)
-        part = power_piece_integral(
-            A[rows, cols], vals[rows, cols], s0[cols], tstar[rows, cols], p, E
-        )
-        base = np.concatenate((np.zeros((n, 1)), prefix[:, :-1]), axis=1)
-        num = (base[rows, cols] + part) ** (1.0 / p)
-        den = (A[rows, cols] / (1.0 - theta)) * tstar[rows, cols] ** -theta
-        extra = num / den
-        np.maximum.at(best, rows, extra)
-    return best
+        tstar = theta * A / (B * (1.0 - theta))
+    rows, cols = np.nonzero((A > 0) & (tstar > s0) & (tstar < s1))
+    a, b, lo, t = A[rows, cols], B[rows, cols], s0[cols], tstar[rows, cols]
+    del tstar
+    if len(shapes) > 1:
+        glued = (np.concatenate(x, axis=-1) for x in ((A, a[None]), (B, b[None]), (s0, lo), (s1, t)))
+        piece = level_piece_integrals(*glued, p, E)
+        main, part = piece[:, : A.shape[1]], piece[0, A.shape[1] :]
+    else:
+        main = level_piece_integrals(A, B, s0, s1, p, E)
+        part = level_piece_integrals(a[None], b[None], lo, t, p, E)[0] if a.size else a
+    prefix = _row_cumsum(main.ravel(), shapes).reshape(A.shape)
+    starts = _row_starts(shapes)
+    best = np.maximum.reduceat((prefix ** (1.0 / p) / (s1 ** -theta * K)).ravel(), starts)
+    num = (prefix[rows, cols - 1] + part) ** (1.0 / p)
+    den = (a / (1.0 - theta)) * t ** -theta
+    cubes = np.searchsorted(starts, rows * A.shape[1] + cols, side="right") - 1
+    np.maximum.at(best, cubes, num / den)
+    return _split_levels(best, shapes)
 
 
 def kside_rh_constant(w: WeightGrid, p: float, cubes: str = "all-dyadic") -> ClassConstant:
     """sup over the family of the K-side reverse-Hölder functional."""
     if not p > 1.0:
         raise ValueError("p must exceed 1")
-    return _family_constant(w, cubes, "RH_p_kside", lambda lev: _kside_level(w, lev, p), (p,))[0]
+    ratios = lambda levels: _kside_levels(w, levels, p)
+    return _family_constant(w, cubes, "RH_p_kside", ratios, (p,), batched=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +386,14 @@ def kside_rh_constant(w: WeightGrid, p: float, cubes: str = "all-dyadic") -> Cla
 
 def hardy_residual_sup(w: WeightGrid, cubes: str = "all-dyadic") -> ClassConstant:
     """sup over the family of the reverse-Hardy residual of K_Q: exact,
-    closed form via Wright omega, each level's pieces through
-    indices._hardy_rows."""
+    closed form via Wright omega, each run of levels' pieces through one
+    indices._hardy_rows call."""
 
-    def ratios(lev):
-        vals, K, s0, s, A = _level_pieces(w, lev)
-        return _hardy_rows(A, vals, s0, s, K)
+    def ratios(levels):
+        *pieces, shapes = _level_piece_batch(w, levels)
+        return _split_levels(_hardy_rows(*pieces, shapes), shapes)
 
-    return _family_constant(w, cubes, "HardyResidual", ratios)[0]
+    return _family_constant(w, cubes, "HardyResidual", ratios, batched=True)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ import io
 import json
 import math
 import os
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -273,6 +275,19 @@ def test_integrate_wide_range():
     assert integrate(w, DyadicCube(1, (1,))) == 5e199
 
 
+def test_integrate_cell_sum_beyond_float_range():
+    # the cells sum past the float range, their masses do not: summed again
+    # with the cells scaled first, each mass is still the correctly rounded
+    # exact one
+    for cells in ([1e308, 1e308], [1.7e308, 1.6e308, 3.0, 1e-300]):
+        L = len(cells).bit_length() - 1
+        w = WeightGrid(1, L, cells)
+        exact = sum(map(Fraction, cells)) / 2**L
+        assert integrate(w, w.base) == float(exact)
+        for Q in level_cubes(w, 1):
+            assert integrate(w, Q) == float(sum(map(Fraction, w.cube_cells(Q).tolist())) / 2**L)
+
+
 @given(random_grids(max_level_1d=6, max_level_2d=3))
 def test_integrate_additive_over_children(w):
     for Q in level_cubes(w, w.base.level):
@@ -444,6 +459,49 @@ def test_json_roundtrip_bit_exact(tmp_path):
     back = load_weight(path)
     assert np.array_equal(back.cells, w.cells)
     assert back.label == w.label
+
+
+@pytest.mark.parametrize("ext", ["csv", "json"])
+def test_load_weight_keeps_the_parsed_cells(tmp_path, monkeypatch, ext):
+    # the grid keeps the reader's cell array: building it allocates at least
+    # one cell array less than the public constructor, which copies
+    w = make_grid(1, 16, "rand:5:lognormal:1")
+    path = str(tmp_path / f"w.{ext}")
+    save_weight(w, path)
+    parsed, built = [], []
+    real_values, real_file_grid = grid._decimal_values, grid._file_grid
+
+    def values(*a):
+        x, ok = real_values(*a)
+        parsed.append(x)
+        return x, ok
+
+    def file_grid(*a):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = real_file_grid(*a)
+        built.append(tracemalloc.get_traced_memory()[1] - start)
+        return out
+
+    monkeypatch.setattr(grid, "_decimal_values", values)
+    monkeypatch.setattr(grid, "_file_grid", file_grid)
+    tracemalloc.start()
+    try:
+        back = load_weight(path)
+        cells = back.cells.copy()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        WeightGrid(1, 16, cells)
+        copied = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(back.cells, parsed[-1])
+    assert copied - built[-1] >= w.cells.nbytes
+    np.testing.assert_array_equal(back.cells.view(np.uint64), w.cells.view(np.uint64))
+    assert not back.cells.flags.writeable
+    # the public constructor still copies what a caller passes
+    mine = np.ones(4)
+    assert not np.shares_memory(WeightGrid(1, 2, mine).cells, mine) and mine.flags.writeable
 
 
 def _frozen_csv_text(w) -> str:

@@ -31,7 +31,7 @@ from rhlab.indices import (
     family_index,
     hardy_residual,
 )
-from rhlab.kcalc import ConcaveCurve, _level_pieces, k_l1_linf
+from rhlab.kcalc import ConcaveCurve, _level_piece_batch, _level_pieces, k_l1_linf
 from rhlab.weights import hardy_residual_sup, standard_corpus
 
 
@@ -1422,8 +1422,8 @@ def test_hardy_residual_keeps_scipy_bits(monkeypatch):
     grids = standard_corpus(1, seed=1) + standard_corpus(2, seed=1) + [
         make_grid(1, 14, "pow:-0.5"), make_grid(1, 16, "rand:1:lognormal:1"),
     ]
-    levels = [_level_pieces(w, lev) for w in grids for lev in range(w.L + 1)]
-    rows = lambda: [indices._hardy_rows(A, vals, s0, s, K) for vals, K, s0, s, A in levels]
+    levels = [_level_piece_batch(w, [lev]) for w in grids for lev in range(w.L + 1)]
+    rows = lambda: [indices._hardy_rows(*pieces) for pieces in levels]
     ours, sups = rows(), [hardy_residual_sup(w).value for w in grids]
     monkeypatch.setattr(indices, "_wright_omega", special.wrightomega)
     for a, b in zip(ours, rows()):

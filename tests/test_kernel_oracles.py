@@ -396,7 +396,7 @@ def test_analyze_reads_each_level_once_for_lorentz_and_llogl(monkeypatch, capsys
     # last left active (two full certificate passes per level followed
     # them before)
     built, passes = [], []
-    real_pieces, real_g, real_rows = weights._level_pieces, kcalc._llogl_g, weights.llogl_norm_rows
+    real_pieces, real_g, real_rows = kcalc._level_pieces, kcalc._llogl_g, weights.llogl_norm_rows
 
     def g(cells, r):
         out = real_g(cells, r)
@@ -407,7 +407,7 @@ def test_analyze_reads_each_level_once_for_lorentz_and_llogl(monkeypatch, capsys
         passes.append([(cells.shape[0], None)])
         return real_rows(cells)
 
-    monkeypatch.setattr(weights, "_level_pieces", lambda w, lev: built.append(lev) or real_pieces(w, lev))
+    monkeypatch.setattr(kcalc, "_level_pieces", lambda w, lev: built.append(lev) or real_pieces(w, lev))
     monkeypatch.setattr(kcalc, "_llogl_g", g)
     monkeypatch.setattr(weights, "llogl_norm_rows", rows)
     assert cli.main(["analyze", "--weight", "rand:1:lognormal:1", "--level", "10", "--q", "2"]) == 0

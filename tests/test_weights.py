@@ -19,14 +19,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import flat_grids, frozen_double_star, localized_grids, random_grids
-from rhlab import weights
+from rhlab import indices, kcalc, weights
 from rhlab.grid import DyadicCube, WeightGrid, _cube_at, cube_levels, integrate, level_cubes, make_grid
 from rhlab.indices import family_index
-from rhlab.kcalc import HolmstedtCurve, _level_pieces, grid_power, k_l1_linf, lorentz_norm, power_piece_integral
+from rhlab.grid import row_sums
+from rhlab.kcalc import (
+    HolmstedtCurve,
+    _level_piece_batch,
+    _level_pieces,
+    _piece_matrices,
+    grid_power,
+    k_l1_linf,
+    level_piece_integrals,
+    lorentz_norm,
+    power_piece_integral,
+)
 from rhlab.rearrange import DecreasingStep, _level_maximal, dyadic_maximal, rearrangement
 from rhlab.weights import (
-    _kside_level,
-    _lorentz_level,
+    _kside_levels,
+    _lorentz_levels,
     a_p_constant,
     analyze_report,
     fujii_constant,
@@ -219,11 +230,16 @@ def _frozen_kside_level(w, level, p):
 @settings(max_examples=30)
 @given(st.one_of(random_grids(), st.sampled_from(flat_grids())), st.sampled_from([1.5, 2.0, 3.0]), st.sampled_from([1.5, 2.0, 3.0]))
 def test_level_constants_bitwise_equal_per_piece_route(w, p, q):
-    for lev in range(w.base.level, w.L + 1):
-        got, ref = _lorentz_level(w, lev, (p,), q)[0], _frozen_lorentz_level(w, lev, p, q)
-        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
-        got, ref = _kside_level(w, lev, p), _frozen_kside_level(w, lev, p)
-        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+    # each level on its own and all levels in one call
+    levels = range(w.base.level, w.L + 1)
+    runs = zip(_lorentz_levels(w, levels, (p,), q), _kside_levels(w, levels, p))
+    for lev, (lorentz, kside) in zip(levels, runs, strict=True):
+        ref = _frozen_lorentz_level(w, lev, p, q)
+        for got in (_lorentz_levels(w, [lev], (p,), q)[0][0], lorentz[0]):
+            np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+        ref = _frozen_kside_level(w, lev, p)
+        for got in (_kside_levels(w, [lev], p)[0], kside):
+            np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 _LORENTZ_GRIDS = [make_grid(1, 6, "rand:11:lognormal:1"), make_grid(2, 3, "rand:12:lognormal:1")]
@@ -242,7 +258,7 @@ def test_lorentz_constants_of_several_p_equal_their_one_p_calls(w, q):
             assert c.value.hex() == one.value.hex()
             assert (c.kind, c.p, c.q, c.witness, c.cube_policy) == (one.kind, p, q, one.witness, cubes)
     for lev in range(w.L + 1):
-        for row, p in zip(_lorentz_level(w, lev, ps, q), ps, strict=True):
+        for row, p in zip(_lorentz_levels(w, [lev], ps, q)[0], ps, strict=True):
             ref = _frozen_lorentz_level(w, lev, p, q)
             np.testing.assert_array_equal(row.view(np.uint64), ref.view(np.uint64))
 
@@ -256,6 +272,184 @@ def test_lorentz_constants_refuse_as_the_one_p_call(p, q, match):
     for call in (lambda: rh_lorentz_constant(w, p, q), lambda: rh_lorentz_constants(w, (2.0, p), q), lambda: rh_lorentz_constants(w, (p, 3.0), q)):
         with pytest.raises(ValueError, match=match):
             call()
+
+
+# ---------------------------------------------------------------------------
+# runs of levels in one kernel call against the level-by-level sweeps
+
+
+def _frozen_sweep(w, cubes, level_values, nps=1):
+    # _family_constant as it was: one level at a time, ties to the first
+    # level and first Morton row; (value, witness) per row of level_values
+    best, where = [-math.inf] * nps, [None] * nps
+    for level in cube_levels(cubes, w.base.level, w.L):
+        rows = np.atleast_2d(level_values(level))
+        for k, i in enumerate(np.argmax(rows, axis=1)):
+            if float(rows[k, i]) > best[k]:
+                best[k], where[k] = float(rows[k, i]), (level, int(i))
+    return [(v.hex(), _cube_at(w, *at).addr()) for v, at in zip(best, where)]
+
+
+def _frozen_kside_one_level(w, level, p):
+    # _kside_level as it was: the level's (n, m) call, then its minima
+    theta = 1.0 - 1.0 / p
+    vals, K, s0, s, A = _level_pieces(w, level)
+    n = vals.shape[0]
+    E = -theta * p - 1.0
+    prefix = np.cumsum(level_piece_integrals(A, vals, s0, s, p, E), axis=1)
+    best = (prefix ** (1.0 / p) / (s[None, :] ** -theta * K)).max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tstar = theta * A / (vals * (1.0 - theta))
+    valid = (A > 0) & (tstar > s0[None, :]) & (tstar < s[None, :])
+    if np.any(valid):
+        rows, cols = np.nonzero(valid)
+        part = power_piece_integral(A[rows, cols], vals[rows, cols], s0[cols], tstar[rows, cols], p, E)
+        base = np.concatenate((np.zeros((n, 1)), prefix[:, :-1]), axis=1)
+        num = (base[rows, cols] + part) ** (1.0 / p)
+        den = (A[rows, cols] / (1.0 - theta)) * tstar[rows, cols] ** -theta
+        np.maximum.at(best, rows, num / den)
+    return best
+
+
+def _frozen_lorentz_one_level(w, level, ps, q):
+    # _lorentz_level as it was
+    vals, K, s0, s, A = _level_pieces(w, level)
+    pieces = _piece_matrices(A, vals, s0, s, q, [q / p - q - 1.0 for p in ps])
+    heads = [row_sums(next(pieces)) for _ in ps]
+    T = s.size * w.cell_measure
+    mass_q = K[:, -1] ** q
+    norms = np.empty((len(ps), vals.shape[0]))
+    for row, head, p in zip(norms, heads, ps):
+        row[:] = (head + mass_q * T ** (q / p - q) * (p / (p - 1.0)) / q) ** (1.0 / q)
+    return norms
+
+
+def _frozen_lorentz_ratios(w, level, ps, q):
+    # the ratios of rh_lorentz_constants on _frozen_lorentz_one_level
+    norms = _frozen_lorentz_one_level(w, level, ps, q)
+    means = w.float_level_sums(level) / (1 << (w.d * (w.L - level)))
+    for row, p in zip(norms, ps):
+        row /= (2.0 ** (-w.d * level)) ** (1.0 / p) * means
+    return norms
+
+
+def _frozen_hardy_one_level(w, level):
+    # indices._hardy_rows as it was, on one level's (n, m) pieces
+    B, K, s0, s1, A = _level_pieces(w, level)
+    with np.errstate(divide="ignore"):
+        lograt = np.where(s0 > 0, np.log(s1 / np.where(s0 > 0, s0, 1.0)), 0.0)
+    N = np.cumsum(A * lograt + B * (s1 - s0), axis=1)
+    best = np.maximum((N / K).max(axis=1), 1.0)
+    lo, hi = np.broadcast_to(s0, A.shape), np.broadcast_to(s1, A.shape)
+    rows, cols = np.nonzero((A > 0) & (B > 0) & (lo > 0))
+    if rows.size:
+        a, b, lo, hi = A[rows, cols], B[rows, cols], lo[rows, cols], hi[rows, cols]
+        n0 = N[rows, cols - 1]
+        with np.errstate(divide="ignore", over="ignore"):
+            t = a / (b * indices._wright_omega(np.log(a / (b * lo)) - 2.0 + (n0 - b * lo) / a))
+        inside = (t > lo) & (t < hi)
+        a, b, lo, t, n0 = a[inside], b[inside], lo[inside], t[inside], n0[inside]
+        np.maximum.at(best, rows[inside], (n0 + a * np.log(t / lo) + b * (t - lo)) / (a + b * t))
+    return best
+
+
+# const:3.7 has intercepts just below 0 by rounding; on the sigma 0.3 grids
+# a few cubes' Hardy residuals sit at an interior maximum, not at a knot
+_SWEEP_GRIDS = flat_grids() + localized_grids() + [
+    make_grid(1, 8, "const:3.7"), make_grid(2, 4, "const:3.7"), make_grid(1, 10, "step:4,1,1,1"),
+    make_grid(1, 10, "rand:1:lognormal:0.3"), make_grid(2, 5, "rand:1:lognormal:0.3"),
+]
+
+
+@settings(max_examples=80)
+@given(
+    st.one_of(random_grids(max_level_1d=10, max_level_2d=5), st.sampled_from(_SWEEP_GRIDS)),
+    st.sampled_from([1.5, 2.0, 3.0]),
+    st.sampled_from([1.0, 2.0, 2.5, 3.0]),
+    st.data(),
+)
+def test_level_runs_equal_the_level_by_level_sweeps(w, p, q, data):
+    # every cube's value, and each constant's value and witness, bit for bit,
+    # with budgets that cut the levels into runs of several levels, into
+    # lone levels, and the default
+    lo = w.base.level
+    k = data.draw(st.integers(lo, w.L), label="k")
+    budget = data.draw(st.sampled_from([1, 2 * w.ncells, 3 * w.ncells, weights._PIECE_BATCH]), label="budget")
+    ps = (1.5, 2.0, 3.0)
+    bits = lambda x: x.view(np.uint64).tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights, "_PIECE_BATCH", budget)
+        for run in weights._level_batches(w, range(lo, w.L + 1)):
+            *pieces, shapes = _level_piece_batch(w, run)
+            hardy = np.split(indices._hardy_rows(*pieces, shapes), np.cumsum([n for n, _ in shapes])[:-1])
+            for lev, lorentz, kside, h in zip(run, _lorentz_levels(w, run, ps, q), _kside_levels(w, run, p), hardy, strict=True):
+                assert bits(lorentz) == bits(_frozen_lorentz_one_level(w, lev, ps, q))
+                assert bits(kside) == bits(_frozen_kside_one_level(w, lev, p))
+                assert bits(h) == bits(_frozen_hardy_one_level(w, lev))
+        for cubes in ("all-dyadic", "base", f"level:{k}"):
+            got = [(c.value.hex(), c.witness) for c in rh_lorentz_constants(w, ps, q, cubes)]
+            assert got == _frozen_sweep(w, cubes, lambda lev: _frozen_lorentz_ratios(w, lev, ps, q), len(ps))
+            c = kside_rh_constant(w, p, cubes)
+            assert [(c.value.hex(), c.witness)] == _frozen_sweep(w, cubes, lambda lev: _frozen_kside_one_level(w, lev, p))
+            c = hardy_residual_sup(w, cubes)
+            assert [(c.value.hex(), c.witness)] == _frozen_sweep(w, cubes, lambda lev: _frozen_hardy_one_level(w, lev))
+
+
+def _count_kernel_calls(monkeypatch):
+    # every piece-kernel call, through level_piece_integrals or directly,
+    # by the shape of its A; power_piece_integral and Wright omega calls
+    calls = {"pieces": [], "power_piece_integral": 0, "omega": 0}
+    real_pieces, real_power, real_omega = kcalc._piece_matrices, kcalc.power_piece_integral, indices._wright_omega
+
+    def pieces(A, *a):
+        calls["pieces"].append(np.shape(A))
+        return real_pieces(A, *a)
+
+    def power(*a):
+        calls["power_piece_integral"] += 1
+        return real_power(*a)
+
+    def omega(c):
+        calls["omega"] += 1
+        return real_omega(c)
+
+    for module in (kcalc, weights):
+        monkeypatch.setattr(module, "_piece_matrices", pieces)
+    monkeypatch.setattr(kcalc, "power_piece_integral", power)
+    monkeypatch.setattr(indices, "_wright_omega", omega)
+    return calls
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_small_grid_sweeps_its_levels_in_one_call(monkeypatch, p):
+    # all 9 levels of a d=1 L=8 grid (256 cells each) in one kernel call;
+    # one _piece_matrices call per q, and one Wright omega call
+    w = make_grid(1, 8, "rand:3:lognormal:1")
+    calls = _count_kernel_calls(monkeypatch)
+    kside_rh_constant(w, p)
+    assert len(calls["pieces"]) == 1 and calls["power_piece_integral"] == 0
+    for q in (2.0, 2.5):
+        rh_lorentz_constants(w, (1.5, 2.0, 3.0), q)
+    assert len(calls["pieces"]) == 3
+    hardy_residual_sup(w)
+    assert calls["omega"] == 1
+
+
+def test_deep_grid_keeps_one_call_per_level(monkeypatch):
+    # from 2^14 cells on each level is a run of its own and keeps its
+    # (n, m) call; the K-side minima of a level take a one-row call
+    w = make_grid(1, 14, "rand:3:lognormal:1")
+    shapes = [(1 << k, 1 << (14 - k)) for k in range(15)]
+    calls = _count_kernel_calls(monkeypatch)
+    rh_lorentz_constants(w, (1.5, 2.0, 3.0), 2.0)
+    assert calls["pieces"] == shapes
+    calls["pieces"].clear()
+    kside_rh_constant(w, 2.0)
+    assert [s for s in calls["pieces"] if s in shapes] == shapes
+    assert all(s[0] == 1 for s in calls["pieces"] if s not in shapes)
+    assert calls["power_piece_integral"] == 0
+    hardy_residual_sup(w)
+    assert calls["omega"] == len(shapes)
 
 
 def test_constants_respect_cube_families():
