@@ -597,10 +597,10 @@ _CSV_HEADER = re.compile(r"# rhlab d=(\d+) L=(\d+)\s*")
 _JSON_HEAD = re.compile(rb'\{"d": -?[0-9]+, "L": -?[0-9]+, "cells": \[')
 _JSON_NUMBER = re.compile(rb"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?")
 _PAD = 24  # zero bytes before a file in its read buffer: every token's 24-byte window fits
-_ROWS_PER_BLOCK = 1 << 14
-# the float kernel's rows per pass: measured, 8,192 rows render a block of
-# two columns in 8.1 ms against 12.1 ms in one pass, whose byte-index
-# temporaries add 2.7 MB to the peak of a d=2 L=9 curve dump
+# the float kernel's rows per pass, and the float writer's rows per text
+# block: measured, 16,384 rows of two columns render in 8.1 ms in passes of
+# 8,192 against 12.1 ms in one pass, whose byte-index temporaries add
+# 2.7 MB to the peak of a d=2 L=9 curve dump
 _KERNEL_ROWS = 1 << 13
 
 # Shortest round-trip decimals.  10^0..10^27 are exact in a 64-bit
@@ -882,21 +882,20 @@ def _render(x: np.ndarray, sep: str, out: np.ndarray) -> None:
 
 def _text_blocks(*cols: np.ndarray, end: str = "\n"):
     """The rows of one or two float64 columns as text blocks of at most
-    _ROWS_PER_BLOCK rows: every float printed as repr prints it, byte for
+    _KERNEL_ROWS rows: every float printed as repr prints it, byte for
     byte, the values of a row comma-separated, each row followed by end.
 
     One kernel renders every float rhlab writes: _shortest_digits decides
-    the digits of _KERNEL_ROWS values at once and _render lays them out in
-    a byte matrix; the rows it leaves undecided, and every row where long
+    the digits of a block's values at once and _render lays them out in a
+    byte matrix; the rows it leaves undecided, and every row where long
     double is not x87, take repr.  Only one block's text is alive at a
     time."""
     seps = [","] * (len(cols) - 1) + [end]
-    for lo in range(0, cols[0].size, _ROWS_PER_BLOCK):
-        block = [c[lo:lo + _ROWS_PER_BLOCK] for c in cols]
+    for lo in range(0, cols[0].size, _KERNEL_ROWS):
+        block = [c[lo:lo + _KERNEL_ROWS] for c in cols]
         out = np.empty((block[0].size, len(cols), _TEXT_WIDTH), dtype=np.uint8)
-        for a in range(0, block[0].size, _KERNEL_ROWS):
-            for i, sep in enumerate(seps):
-                _render(block[i][a:a + _KERNEL_ROWS], sep, out[a:a + _KERNEL_ROWS, i])
+        for i, sep in enumerate(seps):
+            _render(block[i], sep, out[:, i])
         yield out.tobytes().translate(None, b"\0").decode("ascii")
 
 

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import WeightGrid, _cube_at
-from .kcalc import ConcaveCurve, _level_pieces, _row_cumsum, _row_starts
+from .kcalc import ConcaveCurve, _level_pieces, _PieceRun
 
 _TIE = 1e-9
 _TRIVIAL = 1e-12
@@ -577,17 +577,15 @@ def _wright_omega(c: np.ndarray) -> np.ndarray:
     return w
 
 
-def _hardy_rows(A, B, s0, s1, K, shapes) -> np.ndarray:
-    """Per curve, the reverse-Hardy residual
+def _hardy_rows(run: _PieceRun) -> list[np.ndarray]:
+    """Per level of a run of curves (kcalc._PieceRun), each curve's
+    reverse-Hardy residual
 
         sup over t in (0, s1[-1]] of (integral_0^t phi(s) ds/s) / phi(t),
 
     at least 1, of curves given as pieces phi = A + B s on [s0, s1] with
-    phi(s1) = K, laid out as kcalc._level_piece_batch lays out a level's or
-    a run of levels' pieces: A, B and K (r, c) matrices over (c,) columns
-    s0 and s1, holding blocks of n curves of m pieces each for the (n, m)
-    of shapes, each curve's first piece from the origin with A = 0.  Exact,
-    closed form via the Wright omega function (_wright_omega, within
+    phi(s1) = K, each curve's first piece from the origin with A = 0.
+    Exact, closed form via the Wright omega function (_wright_omega, within
     (8 + 2|c|/(1 + omega)) 2^-53 relative): the integral N has exact piece
     antiderivatives (A log + B s), and on a piece g = phi^2/t - B N has
     g' = -A phi / t^2 <= 0, so N / phi has at most one interior maximum,
@@ -598,34 +596,32 @@ def _hardy_rows(A, B, s0, s1, K, shapes) -> np.ndarray:
     omega the solution of omega + ln omega = c.  The supremum is the max of N / phi
     over the knots and every t* inside its piece, evaluated there directly
     rather than as 1 + omega(c), so an error in t* enters at second order.
-    Past the running sums N, per block, every step is elementwise over all
-    the pieces, so one _wright_omega call serves every curve and a curve's
-    residual does not depend on what shares the call.
+    Past the running sums N every step is elementwise over all the pieces,
+    so one _wright_omega call serves every curve and a curve's residual
+    does not depend on what shares the call.
     """
+    A, B, s0, s1, K = run.A, run.B, run.s0, run.s1, run.K
     with np.errstate(divide="ignore"):
         lograt = np.where(s0 > 0, np.log(s1 / np.where(s0 > 0, s0, 1.0)), 0.0)
-    N = _row_cumsum((A * lograt + B * (s1 - s0)).ravel(), shapes).reshape(A.shape)
-    starts = _row_starts(shapes)
-    best = np.maximum(np.maximum.reduceat((N / K).ravel(), starts), 1.0)
+    N = run.cumsum(A * lograt + B * (s1 - s0))
     rows, cols = np.nonzero((A > 0) & (B > 0) & (s0 > 0))  # never a curve's first piece
     a, b, lo, hi, n0 = A[rows, cols], B[rows, cols], s0[cols], s1[cols], N[rows, cols - 1]
     with np.errstate(divide="ignore", over="ignore"):
         t = a / (b * _wright_omega(np.log(a / (b * lo)) - 2.0 + (n0 - b * lo) / a))
     inside = (t > lo) & (t < hi)
     a, b, lo, t, n0 = a[inside], b[inside], lo[inside], t[inside], n0[inside]
-    curves = np.searchsorted(starts, (rows * A.shape[1] + cols)[inside], side="right") - 1
-    np.maximum.at(best, curves, (n0 + a * np.log(t / lo) + b * (t - lo)) / (a + b * t))
-    return best
+    at = (n0 + a * np.log(t / lo) + b * (t - lo)) / (a + b * t)
+    return run.split(np.maximum(run.cube_max(N / K, rows[inside], cols[inside], at), 1.0))
 
 
 def hardy_residual(phi: ConcaveCurve) -> float:
     """sup over t in (0, domain_end] of (integral_0^t phi(s) ds/s) / phi(t).
 
-    Exact, closed form via Wright omega: a one-row call into _hardy_rows.
+    Exact, closed form via Wright omega: a one-curve run of _hardy_rows.
     The first piece must pass through the origin, so the head integral
     converges.
     """
     A, B, s0, s1 = phi.pieces()
     if A[0] != 0.0:
         raise ValueError("head integral diverges: first piece not through the origin")
-    return float(_hardy_rows(A[None, :], B[None, :], s0, s1, phi.v[None, 1:], [(1, A.size)])[0])
+    return float(_hardy_rows(_PieceRun.of_curve(A, B, s0, s1, phi.v[1:]))[0][0])

@@ -17,10 +17,10 @@ exact representation:
     bound (relative truncation error below 2^-60 on every panel); the
     K-curve pieces of all cubes of a level (_level_pieces) share one column
     grid, so column factors and nodes are built once per column;
-    power_piece_integral is its one-row call on arbitrary pieces, and a run
-    of small levels is one row too (_level_piece_batch): every level's
-    pieces flattened cube by cube, with per-piece columns, so that one call
-    serves them all at the cost of per-piece column work;
+    power_piece_integral is its one-row call on arbitrary pieces;
+  * one layout of a grid's level pieces for the sweeps over its cubes
+    (_PieceRun, its only reader): a run of small levels is one row of
+    pieces, so that one kernel call serves them all;
   * Lorentz norms over (0, infinity) using the exact 1/t tail of the averaged
     rearrangement;
   * the Luxemburg norm of L log L by a certified Newton solve of its
@@ -397,52 +397,116 @@ def _level_pieces(w: WeightGrid, level: int, rows: np.ndarray | None = None):
     return vals, K, s0, s, K0 - vals * s0[None, :]
 
 
-def _level_piece_batch(w: WeightGrid, levels):
-    """The K-curve pieces of every cube of the levels (_level_pieces) laid
-    out for one piece-kernel call: (A, B, s0, s1, K, shapes), the curve of
-    a cube equal to A + B t on [s0, s1] with K its value at s1, and the
-    levels' (n, m) in shapes.  A lone level keeps its (n, m) matrices over
-    (m,) columns.  Several levels are one (1, P) row over (P,) columns,
-    level after level and each level cube by cube, every array C-contiguous
-    (numpy picks its log, expm1 and pow loops by strides)."""
-    if len(levels) == 1:
-        vals, K, s0, s, A = _level_pieces(w, levels[0])
-        return A, vals, s0, s, K, [vals.shape]
-    pieces = [_level_pieces(w, lev) for lev in levels]
-    shapes = [vals.shape for vals, *_ in pieces]
-    row = np.empty((5, sum(n * m for n, m in shapes)))
-    for block, (vals, K, s0, s, A) in zip(_row_blocks(row, shapes), pieces):
-        for x, y in zip(block, (A, vals, s0, s, K)):
-            x[...] = y
-    A, B, s0, s1, K = row
-    return A[None], B[None], s0, s1, K[None], shapes
+# Main pieces per run of levels (_PieceRun.sweep).  A level has one piece
+# per cell, so a grid of c cells sweeps max(1, 2^14 // c) consecutive
+# levels per kernel call: all 9 levels of a d=1 L=8 verify grid, all 11 of
+# an L=10 Lorentz-growth grid, and one level at a time from 16,384 cells
+# on, the analyze-deep grids.  Measured in-process on a 2-vCPU x86-64 VM
+# (best of 7, seed 1): verify --suite rhp took 189 ms at one level per
+# call, 105-107 ms at 2^13 and 2^14, 124 ms at 2^16; --suite lorentz
+# 108-110 ms from 2^12 to 2^14 and 174 ms at 2^15, where the L=14 growth
+# grids' levels pair up and the kernel's column work goes per piece (traced
+# peak 6.5 -> 9.3 MB).
+_PIECE_BATCH = 2**14
 
 
-def _row_blocks(x: np.ndarray, shapes) -> list[np.ndarray]:
-    """The (..., n, m) blocks of the last axis of x for the (n, m) of
-    shapes in turn (_level_piece_batch's levels): views."""
-    out, at = [], 0
-    for n, m in shapes:
-        out.append(x[..., at : at + n * m].reshape(*x.shape[:-1], n, m))
-        at += n * m
-    return out
+class _PieceRun:
+    """The K-curve pieces of a run of curves laid out for one call of the
+    piece kernel: a cube's curve is A + B t on [s0, s1], with value K at s1.
 
+    A lone level keeps its (n, m) matrices A, B and K over (m,) columns s0
+    and s1 (_level_pieces).  A run of several levels (sweep), or one curve,
+    is one (1, P) row over (P,) columns, level after level and cube by
+    cube, every array C-contiguous (numpy picks its log, expm1 and pow loops
+    by strides), trading the column grid for per-piece column work.  A
+    piece's integral does not depend on what shares its call, so a run's
+    values are its levels' own, bit for bit.  Only the methods read the
+    layout.
+    """
 
-def _row_starts(shapes) -> np.ndarray:
-    """Where each cube's pieces start in the flattened pieces of
-    _level_piece_batch's levels."""
-    n, m = np.array(shapes, dtype=np.int64).reshape(-1, 2).T
-    return np.concatenate(([0], np.cumsum(np.repeat(m, n))[:-1]))
+    def __init__(self, A, B, s0, s1, K, shapes):
+        self.A, self.B, self.s0, self.s1, self.K = A, B, s0, s1, K
+        self._shapes = shapes  # per level (n, m): n cubes of m pieces
 
+    @classmethod
+    def sweep(cls, w: WeightGrid, levels, run_values, *args):
+        """The values of each level of levels, in order: levels cut into
+        runs of consecutive levels whose pieces total at most _PIECE_BATCH,
+        one level a run at least, and run_values(run, *args) giving a list
+        of its levels' values.  One run's pieces are alive at a time."""
+        k = max(1, _PIECE_BATCH // w.ncells)
+        for i in range(0, len(levels), k):
+            yield from run_values(cls._of_levels(w, levels[i : i + k]), *args)
 
-def _row_cumsum(x: np.ndarray, shapes) -> np.ndarray:
-    """np.cumsum along each cube's pieces of the flattened pieces of
-    _level_piece_batch's levels, level by level, so each sum is that of
-    its level's (n, m) matrix."""
-    out = np.empty_like(x)
-    for a, b in zip(_row_blocks(x, shapes), _row_blocks(out, shapes)):
-        np.cumsum(a, axis=1, out=b)
-    return out
+    @classmethod
+    def _of_levels(cls, w: WeightGrid, levels) -> "_PieceRun":
+        pieces = [_level_pieces(w, lev) for lev in levels]
+        shapes = [vals.shape for vals, *_ in pieces]
+        if len(pieces) == 1:
+            vals, K, s0, s, A = pieces[0]
+            return cls(A, vals, s0, s, K, shapes)
+        row, at = np.empty((5, sum(n * m for n, m in shapes))), 0
+        for (vals, K, s0, s, A), (n, m) in zip(pieces, shapes):
+            for x, y in zip(row[:, at : at + n * m], (A, vals, s0, s, K)):
+                x.reshape(n, m)[...] = y
+            at += n * m
+        A, B, s0, s1, K = row
+        return cls(A[None], B[None], s0, s1, K[None], shapes)
+
+    @classmethod
+    def of_curve(cls, A, B, s0, s1, K) -> "_PieceRun":
+        """One curve's m pieces, as vectors, as a run of one (1, m) level."""
+        return cls(A[None], B[None], s0, s1, K[None], [(1, A.size)])
+
+    def blocks(self, x: np.ndarray) -> list[np.ndarray]:
+        """Per level, the (n, m) view of x, laid out as A."""
+        flat, out, at = x.ravel(), [], 0
+        for n, m in self._shapes:
+            out.append(flat[at : at + n * m].reshape(n, m))
+            at += n * m
+        return out
+
+    def split(self, x: np.ndarray) -> list[np.ndarray]:
+        """x, one entry per cube of the run, split level by level."""
+        return np.split(x, np.cumsum([n for n, _ in self._shapes])[:-1])
+
+    def cumsum(self, x: np.ndarray) -> np.ndarray:
+        """The running sums of x, laid out as A, along each cube's pieces,
+        level by level, so each sum is that of its level's (n, m) matrix."""
+        out = np.empty(x.shape)
+        for a, b in zip(self.blocks(x), self.blocks(out)):
+            np.cumsum(a, axis=1, out=b)
+        return out
+
+    def cube_max(self, x: np.ndarray, rows, cols, values) -> np.ndarray:
+        """Per cube, the max of x, laid out as A, over the cube's pieces,
+        and of the candidates values at the pieces (rows, cols) of A."""
+        n, m = np.array(self._shapes, dtype=np.int64).reshape(-1, 2).T
+        starts = np.concatenate(([0], np.cumsum(np.repeat(m, n))[:-1]))
+        best = np.maximum.reduceat(x.ravel(), starts)
+        np.maximum.at(best, np.searchsorted(starts, rows * x.shape[1] + cols, side="right") - 1, values)
+        return best
+
+    def piece_sums(self, q: float, Es) -> list[list[np.ndarray]]:
+        """For each exponent E of Es, per level, the per-cube row_sums of
+        the integrals of (A + B s)^q s^E over the pieces, from one
+        _piece_matrices call: at integer q the E-free work is shared, and
+        each E's pieces are summed before the next E's are built."""
+        pieces = _piece_matrices(self.A, self.B, self.s0, self.s1, q, Es)
+        return [[row_sums(x) for x in self.blocks(next(pieces))] for _ in Es]
+
+    def integrals(self, q: float, E: float, a, b, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """The integrals of (A + B s)^q s^E over the pieces, laid out as A,
+        and over the extra pieces a + b s on [lo, hi], vectors.  A run of
+        several levels takes one kernel call, the extra pieces glued to its
+        row; a lone level keeps its (n, m) call, and its extra pieces, if
+        any, take a one-row call."""
+        if len(self._shapes) > 1:
+            glued = (np.concatenate(x, axis=-1) for x in ((self.A, a[None]), (self.B, b[None]), (self.s0, lo), (self.s1, hi)))
+            piece = level_piece_integrals(*glued, q, E)
+            return piece[:, : self.A.shape[1]], piece[0, self.A.shape[1] :]
+        main = level_piece_integrals(self.A, self.B, self.s0, self.s1, q, E)
+        return main, level_piece_integrals(a[None], b[None], lo, hi, q, E)[0] if a.size else a
 
 
 # ---------------------------------------------------------------------------
@@ -704,15 +768,10 @@ def _packing_rows(w: WeightGrid, pi: list[DyadicCube]) -> np.ndarray:
 class PackingFamily:
     """Packings (disjoint dyadic cube families) as int64 level-table rows of
     one grid geometry (d, L, base); evaluating them on a grid of another
-    geometry raises ValueError.  Explicit cube lists enter by from_cubes."""
+    geometry raises ValueError."""
 
     geometry: tuple
     rows: list[np.ndarray]
-
-    @classmethod
-    def from_cubes(cls, w: WeightGrid, packings: list[list[DyadicCube]]) -> "PackingFamily":
-        """Explicit cube packings on w's geometry (ValueError as _packing_rows)."""
-        return cls((w.d, w.L, w.base), [_packing_rows(w, pi) for pi in packings])
 
 
 @dataclass

@@ -13,15 +13,11 @@ when a cube-uniform inequality between averages holds:
 Each constant here is the max of its ratio over the cube family named by a
 policy string (cubes="all-dyadic", "base" or "level:k"), with the attaining
 cube as witness, swept level by level (_family_constant).  The kinds built
-on K-curve pieces (the K-side RH_p, Lorentz and Hardy constants) sweep runs
-of consecutive levels whose pieces total at most _PIECE_BATCH (2^14, one
-piece per cell on every level) in one kernel call each, one row of pieces
-(kcalc._level_piece_batch); a grid of 2^14 cells or more keeps one call
-per level.  A piece's bits do not depend on what shares its call, so the
-constants are those of the level-by-level sweep, bit for bit.  The Lorentz
-constants of several p at one q share each run's build
-(rh_lorentz_constants).  The reverse-Hardy residual sup is exact, closed
-form via Wright omega (indices._hardy_rows on each run's K-curve pieces).
+on K-curve pieces (the K-side RH_p, Lorentz and Hardy constants) sweep
+runs of small levels in one kernel call each (kcalc._PieceRun), with the
+bits of the level-by-level sweep.  The Lorentz constants of several p at
+one q share each run's build (rh_lorentz_constants).  The reverse-Hardy
+residual sup is exact, closed form via Wright omega (indices._hardy_rows).
 The verification routines then test, over all dyadic cubes, the equivalences
 between these classes and the index machinery: the K-side characterization
 of RH_p, the limiting L log L class against the reverse Hardy residual, the
@@ -42,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -59,17 +56,12 @@ from .grid import (
 from .kcalc import (
     PackingFamily,
     _k_curve,
-    _level_piece_batch,
-    _piece_matrices,
-    _row_blocks,
-    _row_cumsum,
-    _row_starts,
+    _PieceRun,
     extrapolation_norm,
     grid_power,
     k_l1_linf,
     k_weighted,
     k_weighted_curve,
-    level_piece_integrals,
     llogl_norm,
     llogl_norm_rows,
     packing_family,
@@ -116,48 +108,18 @@ def _level_row_means(cells: np.ndarray, w: WeightGrid, level: int) -> np.ndarray
     return row_means(cells.reshape(-1, width))
 
 
-# Main pieces per kernel call of the piece kinds of _family_constant (the
-# K-side, Lorentz and Hardy constants).  A level has one piece per cell, so
-# a grid of c cells sweeps max(1, 2^14 // c) consecutive levels per call:
-# all 9 levels of a d=1 L=8 verify grid, all 11 of an L=10 Lorentz-growth
-# grid, and one level at a time from 16,384 cells on, the analyze-deep
-# grids.  Measured in-process on a 2-vCPU x86-64 VM (best of 7, seed 1):
-# verify --suite rhp took 189 ms at one level per call, 105-107 ms at 2^13
-# and 2^14, 124 ms at 2^16; --suite lorentz 108-110 ms from 2^12 to 2^14
-# and 174 ms at 2^15, where the L=14 growth grids' levels pair up and the
-# kernel's column work goes per piece (traced peak 6.5 -> 9.3 MB).
-_PIECE_BATCH = 2**14
-
-
-def _level_batches(w: WeightGrid, levels: range) -> list[range]:
-    """levels cut into runs of consecutive levels whose pieces total at
-    most _PIECE_BATCH, one level a run at least."""
-    k = max(1, _PIECE_BATCH // w.ncells)
-    return [levels[i : i + k] for i in range(0, len(levels), k)]
-
-
-def _family_constant(w: WeightGrid, cubes: str, kind: str, level_values, ps=(None,), q=None, batched: bool = False) -> list[ClassConstant]:
+def _family_constant(w: WeightGrid, cubes: str, kind: str, family_values, ps=(None,), q=None) -> list[ClassConstant]:
     """The max of a per-cube ratio over the cube family of a policy string
     (grid.cube_levels: "all-dyadic", "base" or "level:k"), with the
-    attaining cube, one constant per p of ps: level_values(level) gives the
-    ratios of every cube of a level in Morton order, one row per p (a
-    vector for one); ties go to the first level and first Morton row.
-
-    With batched (the piece kinds), level_values takes a run of consecutive
-    levels whose pieces total at most _PIECE_BATCH (_level_batches, a lone
-    level at least) and gives a list of their ratios, level by level, from
-    one kernel call: the run's pieces are one row of the piece kernel
-    (kcalc._level_piece_batch), and a piece's bits do not depend on what
-    shares its call, so neither does a level's.  A lone level keeps the
-    (n, m) piece matrix of its own call."""
+    attaining cube, one constant per p of ps: family_values(levels) gives,
+    level by level, the ratios of every cube of each level of levels in
+    Morton order, one row per p (a vector for one); ties go to the first
+    level and first Morton row.  The piece kinds give them run by run
+    (kcalc._PieceRun.sweep), the others level by level."""
     levels = cube_levels(cubes, w.base.level, w.L)
-    if batched:
-        per_level = (v for run in _level_batches(w, levels) for v in level_values(run))
-    else:
-        per_level = map(level_values, levels)
     best = [-math.inf] * len(ps)
     where = [None] * len(ps)
-    for level, values in zip(levels, per_level):
+    for level, values in zip(levels, family_values(levels)):
         rows = np.atleast_2d(values)
         for k, i in enumerate(np.argmax(rows, axis=1)):
             if float(rows[k, i]) > best[k]:
@@ -167,12 +129,6 @@ def _family_constant(w: WeightGrid, cubes: str, kind: str, level_values, ps=(Non
         ClassConstant(kind, v, p=p, q=q, witness=_cube_at(w, *at).addr(), cube_policy=cubes)
         for v, p, at in zip(best, ps, where)
     ]
-
-
-def _split_levels(x: np.ndarray, shapes) -> list[np.ndarray]:
-    """x, one entry per cube of the levels of shapes (kcalc._level_piece_batch),
-    split level by level."""
-    return np.split(x, np.cumsum([n for n, _ in shapes])[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +152,7 @@ def rh_p_constant(w: WeightGrid, p: float, cubes: str = "all-dyadic") -> ClassCo
     z = _cells(w)
     zp, k = _normal_powers(z, p, z.max())
     ratios = lambda lev: _level_row_means(zp, w, lev) ** (1.0 / p) / np.ldexp(_level_means(w, lev), k)
-    return _family_constant(w, cubes, "RH_p", ratios, (p,))[0]
+    return _family_constant(w, cubes, "RH_p", partial(map, ratios), (p,))[0]
 
 
 def a_p_constant(w: WeightGrid, p: float, cubes: str = "all-dyadic") -> ClassConstant:
@@ -206,7 +162,7 @@ def a_p_constant(w: WeightGrid, p: float, cubes: str = "all-dyadic") -> ClassCon
     z = _cells(w)
     zdual, k = _normal_powers(z, -1.0 / (p - 1.0), z.min())
     ratios = lambda lev: np.ldexp(_level_means(w, lev), k) * _level_row_means(zdual, w, lev) ** (p - 1.0)
-    return _family_constant(w, cubes, "A_p", ratios, (p,))[0]
+    return _family_constant(w, cubes, "A_p", partial(map, ratios), (p,))[0]
 
 
 def rh_llogl_constant(w: WeightGrid, cubes: str = "all-dyadic") -> ClassConstant:
@@ -216,29 +172,25 @@ def rh_llogl_constant(w: WeightGrid, cubes: str = "all-dyadic") -> ClassConstant
         rows = _cells(w).reshape(-1, 1 << (w.d * (w.L - lev)))
         return llogl_norm_rows(rows) / row_means(rows)
 
-    return _family_constant(w, cubes, "RH_LLogL", ratios)[0]
+    return _family_constant(w, cubes, "RH_LLogL", partial(map, ratios))[0]
 
 
-def _lorentz_levels(w: WeightGrid, levels, ps, q: float) -> list[np.ndarray]:
-    """Lorentz L(p,q) norms of w restricted to each cube of the levels, one
-    (len(ps), n) array a level, from one build of their pieces: the head
-    integrals of every p come from one _piece_matrices call over the
-    levels' pieces (kcalc._level_piece_batch), which at integer q shares
-    the p-free work of the closed form, and each p's pieces are summed per
-    level before the next p's are built."""
-    A, B, s0, s1, K, shapes = _level_piece_batch(w, levels)
-    pieces = _piece_matrices(A, B, s0, s1, q, [q / p - q - 1.0 for p in ps])
-    heads = [[row_sums(x) for x in _row_blocks(next(pieces).ravel(), shapes)] for _ in ps]
-    del pieces  # frees the kernel's scratch before the tails
+def _lorentz_levels(run: _PieceRun, ps, q: float, h: float) -> list[np.ndarray]:
+    """Lorentz L(p,q) norms of a weight of cell measure h restricted to
+    each cube of a run of its levels, one (len(ps), n) array a level: the
+    head integrals of every p from one build of the run's pieces
+    (_PieceRun.piece_sums), then the exact 1/t tails."""
+    heads = run.piece_sums(q, [q / p - q - 1.0 for p in ps])
     out = []
-    for i, (knots, (n, m)) in enumerate(zip(_row_blocks(K.ravel(), shapes), shapes)):
-        T = m * w.cell_measure
+    for head, knots in zip(zip(*heads), run.blocks(run.K)):
+        n, m = knots.shape
+        T = m * h
         mass_q = knots[:, -1] ** q
         norms = np.empty((len(ps), n))
-        for row, head, p in zip(norms, heads, ps):
+        for row, part, p in zip(norms, head, ps):
             pprime = p / (p - 1.0)
             tail = mass_q * T ** (q / p - q) * pprime / q
-            row[:] = (head[i] + tail) ** (1.0 / q)
+            row[:] = (part + tail) ** (1.0 / q)
         out.append(norms)
     return out
 
@@ -254,16 +206,15 @@ def rh_lorentz_constants(w: WeightGrid, ps, q: float, cubes: str = "all-dyadic")
     if not q >= 1.0:
         raise ValueError("q must be at least 1")
 
-    def ratios(levels):
-        out = _lorentz_levels(w, levels, ps, q)
-        for lev, norms in zip(levels, out):
-            T = 2.0 ** (-w.d * lev)
-            means = _level_means(w, lev)
-            for row, p in zip(norms, ps):
-                row /= T ** (1.0 / p) * means
-        return out
+    def ratios(lev, norms):
+        T = 2.0 ** (-w.d * lev)
+        means = _level_means(w, lev)
+        for row, p in zip(norms, ps):
+            row /= T ** (1.0 / p) * means
+        return norms
 
-    return _family_constant(w, cubes, "RH_Lorentz", ratios, ps, q, batched=True)
+    values = lambda levels: map(ratios, levels, _PieceRun.sweep(w, levels, _lorentz_levels, ps, q, w.cell_measure))
+    return _family_constant(w, cubes, "RH_Lorentz", values, ps, q)
 
 
 def rh_lorentz_constant(w: WeightGrid, p: float, q: float, cubes: str = "all-dyadic") -> ClassConstant:
@@ -280,7 +231,7 @@ def fujii_constant(w: WeightGrid, cubes: str = "all-dyadic") -> ClassConstant:
     (rearrange._level_maximal), so a level costs one pass.
     """
     ratios = lambda lev: row_sums(_level_maximal(w, lev)) / w.float_level_sums(lev)
-    return _family_constant(w, cubes, "Fujii", ratios)[0]
+    return _family_constant(w, cubes, "Fujii", partial(map, ratios))[0]
 
 
 def rh_p_weighted_constant(g: WeightGrid, w: WeightGrid, p: float, cubes: str = "all-dyadic") -> ClassConstant:
@@ -297,7 +248,7 @@ def rh_p_weighted_constant(g: WeightGrid, w: WeightGrid, p: float, cubes: str = 
         wsum = w.float_level_sums(lev)
         return (row_sums(gp_w.reshape(-1, width)) / wsum) ** (1.0 / p) / (row_sums(g_w.reshape(-1, width)) / wsum)
 
-    return _family_constant(g, cubes, "RH_p_weighted", ratios, (p,))[0]
+    return _family_constant(g, cubes, "RH_p_weighted", partial(map, ratios), (p,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -332,23 +283,24 @@ def gehring_improve(w: WeightGrid, p: float, C_cap: float = 16.0) -> GehringResu
 # ---------------------------------------------------------------------------
 # K-side RH_p constant (the interpolation-side characterization)
 
-def _kside_levels(w: WeightGrid, levels, p: float) -> list[np.ndarray]:
-    """Per cube of each level of levels, the sup over t in (0, |Q|] of
-    {int_0^t [s^{-1/p'} K_Q(s)]^p ds/s}^{1/p} / (t^{-1/p'} K_Q(t)),
-    taken over the knots plus the denominator's interior minima.  That is a
-    lower bound, not the exact sup: the numerator still grows at a minimum
-    of the denominator, so the sup can sit between these candidates (on a
-    one-hot d=1 L=8 grid the result is up to 5.1e-4 relative low at p=1.5).
+def _kside_levels(run: _PieceRun, p: float) -> list[np.ndarray]:
+    """Per cube of each level of a run, the sup over t in (0, |Q|] of
+    R(t) = {int_0^t [s^{-1/p'} K_Q(s)]^p ds/s}^{1/p} / (t^{-1/p'} K_Q(t)),
+    taken over the knots plus the denominator's interior minima t*.  That
+    is a lower bound, not the exact sup: the numerator still grows at t*,
+    so the sup can sit between these candidates (on a one-hot d=1 L=8 grid
+    the result is up to 5.1e-4 relative low at p=1.5).  The t* candidates
+    do decide values: R rises through t*, but it can peak past t* and fall
+    by the piece's right knot, so R(t*) can beat every knot (a d=1 L=6 grid
+    of ones with one cell 1.657959, at p = 12, is 8.1e-5 relative above its
+    knots there).
 
-    The pieces of a run of levels are one row (kcalc._level_piece_batch),
-    and the partial pieces [s0, t*] up to the minima join it in one kernel
-    call; a lone level keeps its (n, m) call, and its partial pieces take a
-    one-row call of their own.  Past the per-level running sums every step
-    runs on all the levels at once.
+    The partial pieces [s0, t*] up to the minima take the run's kernel call
+    (_PieceRun.integrals); every other step runs on all its levels at once.
     """
     theta = 1.0 - 1.0 / p
     E = -theta * p - 1.0
-    A, B, s0, s1, K, shapes = _level_piece_batch(w, levels)
+    A, B, s0, s1, K = run.A, run.B, run.s0, run.s1, run.K
     # denominator minima: t* = theta a / (b (1 - theta)) inside a piece;
     # none on a cube's first piece, whose A is 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -356,29 +308,19 @@ def _kside_levels(w: WeightGrid, levels, p: float) -> list[np.ndarray]:
     rows, cols = np.nonzero((A > 0) & (tstar > s0) & (tstar < s1))
     a, b, lo, t = A[rows, cols], B[rows, cols], s0[cols], tstar[rows, cols]
     del tstar
-    if len(shapes) > 1:
-        glued = (np.concatenate(x, axis=-1) for x in ((A, a[None]), (B, b[None]), (s0, lo), (s1, t)))
-        piece = level_piece_integrals(*glued, p, E)
-        main, part = piece[:, : A.shape[1]], piece[0, A.shape[1] :]
-    else:
-        main = level_piece_integrals(A, B, s0, s1, p, E)
-        part = level_piece_integrals(a[None], b[None], lo, t, p, E)[0] if a.size else a
-    prefix = _row_cumsum(main.ravel(), shapes).reshape(A.shape)
-    starts = _row_starts(shapes)
-    best = np.maximum.reduceat((prefix ** (1.0 / p) / (s1 ** -theta * K)).ravel(), starts)
+    main, part = run.integrals(p, E, a, b, lo, t)
+    prefix = run.cumsum(main)
     num = (prefix[rows, cols - 1] + part) ** (1.0 / p)
     den = (a / (1.0 - theta)) * t ** -theta
-    cubes = np.searchsorted(starts, rows * A.shape[1] + cols, side="right") - 1
-    np.maximum.at(best, cubes, num / den)
-    return _split_levels(best, shapes)
+    return run.split(run.cube_max(prefix ** (1.0 / p) / (s1 ** -theta * K), rows, cols, num / den))
 
 
 def kside_rh_constant(w: WeightGrid, p: float, cubes: str = "all-dyadic") -> ClassConstant:
     """sup over the family of the K-side reverse-Hölder functional."""
     if not p > 1.0:
         raise ValueError("p must exceed 1")
-    ratios = lambda levels: _kside_levels(w, levels, p)
-    return _family_constant(w, cubes, "RH_p_kside", ratios, (p,), batched=True)[0]
+    values = lambda levels: _PieceRun.sweep(w, levels, _kside_levels, p)
+    return _family_constant(w, cubes, "RH_p_kside", values, (p,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +330,8 @@ def hardy_residual_sup(w: WeightGrid, cubes: str = "all-dyadic") -> ClassConstan
     """sup over the family of the reverse-Hardy residual of K_Q: exact,
     closed form via Wright omega, each run of levels' pieces through one
     indices._hardy_rows call."""
-
-    def ratios(levels):
-        *pieces, shapes = _level_piece_batch(w, levels)
-        return _split_levels(_hardy_rows(*pieces, shapes), shapes)
-
-    return _family_constant(w, cubes, "HardyResidual", ratios, batched=True)[0]
+    values = lambda levels: _PieceRun.sweep(w, levels, _hardy_rows)
+    return _family_constant(w, cubes, "HardyResidual", values)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def test_curve_bytes_do_not_depend_on_the_block_size(capsys, monkeypatch, case):
     expected = _frozen_curve_text(*case)
     rows = expected.count("\n") - 1
     for size in (1, 3, rows - 1, rows, rows + 1):
-        monkeypatch.setattr(grid, "_ROWS_PER_BLOCK", size)
+        monkeypatch.setattr(grid, "_KERNEL_ROWS", size)
         assert run_cli(capsys, *_curve_argv(*case)) == (0, expected, "")
 
 

@@ -532,8 +532,8 @@ _SAVED_GRIDS = [
 def test_saved_bytes_equal_the_frozen_writers(tmp_path, monkeypatch, w):
     csv_path, json_path = tmp_path / "w.csv", tmp_path / "w.json"
     n = w.ncells
-    for size in sorted({1, 3, max(n - 1, 1), n, n + 1, grid._ROWS_PER_BLOCK}):
-        monkeypatch.setattr(grid, "_ROWS_PER_BLOCK", size)
+    for size in sorted({1, 3, max(n - 1, 1), n, n + 1, grid._KERNEL_ROWS}):
+        monkeypatch.setattr(grid, "_KERNEL_ROWS", size)
         save_weight(w, str(json_path))
         assert json_path.read_text() == _frozen_json_text(w)
         assert json_path.read_bytes() == (json.dumps({"d": w.d, "L": w.L, "cells": w.cells.tolist(), "label": w.label}) + "\n").encode()

@@ -848,6 +848,11 @@ def _sample_ts(w):
     return [t for t in ts if 0.0 < t < total] + [total * r for r in (0.013, 0.3, 0.5, 0.77, 0.999)]
 
 
+def _cube_family(w, packings):
+    """Explicit cube packings as a PackingFamily on w's geometry."""
+    return PackingFamily((w.d, w.L, w.base), [kcalc._packing_rows(w, pi) for pi in packings])
+
+
 def _mixed_family(w):
     """Explicit packings mixing levels, listed out of Morton order."""
     kids = [w.base.child(k) for k in range(1 << w.d)]
@@ -855,7 +860,7 @@ def _mixed_family(w):
     if w.L - w.base.level >= 2:
         grand = [kids[0].child(k) for k in range(1 << w.d)]
         fams += [kids[:0:-1] + grand, [grand[-1], kids[-1], grand[0]]]
-    return PackingFamily.from_cubes(w, fams)
+    return _cube_family(w, fams)
 
 
 def _assert_curve_bitwise(f, w, p, Pi):
@@ -1094,11 +1099,11 @@ def test_k_weighted_rejects_bad_explicit_packings():
     for msg, pi in bad.items():
         g = local if msg == "outside the grid's base cube" else f
         with pytest.raises(ValueError, match=msg):
-            PackingFamily.from_cubes(g, [level_cubes(g, 2), pi])
+            _cube_family(g, [level_cubes(g, 2), pi])
         with pytest.raises(ValueError, match=msg):
             packing_average(g, g, pi)
     with pytest.raises(ValueError, match="f and w must share a grid"):
         packing_average(f, make_grid(1, 4, "const:1"), [f.base])
     with pytest.raises(ValueError, match="f and w must share a grid"):
-        k_weighted(f, local, 1.0, 0.1, PackingFamily.from_cubes(f, [[f.base]]))
+        k_weighted(f, local, 1.0, 0.1, _cube_family(f, [[f.base]]))
 

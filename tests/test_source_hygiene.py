@@ -11,7 +11,8 @@ field of a public dataclass, is passed by some call in the package (or the
 field assigned), apart from the listed ones kept on purpose.  Every
 name of __all__ is an attribute of the imported package, so
 `from rhlab import *` does not fail.  The only third-party package imported
-is numpy.
+is numpy.  The private names of kcalc that other modules import are listed,
+and the list may only shrink.
 """
 
 import ast
@@ -191,6 +192,32 @@ def test_runtime_needs_numpy_only():
     assert third_party == {"numpy"}
 
 
+# The private names of kcalc another module imports: the layout of the
+# level pieces (_PieceRun), the pieces of the index blocks and the K-curve
+# of a rearrangement.  A name leaves this list when its import goes; none
+# joins it.
+KCALC_PRIVATE_IMPORTS = {
+    "indices.py": {"_PieceRun", "_level_pieces"},
+    "weights.py": {"_PieceRun", "_k_curve"},
+}
+
+
+def kcalc_private_imports(tree) -> set[str]:
+    """The private names a module imports from kcalc, at any depth of its code."""
+    return {
+        a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module, node.level) in {("kcalc", 1), ("rhlab.kcalc", 0)}
+        for a in node.names
+        if a.name.startswith("_")
+    }
+
+
+def test_kcalc_private_imports_are_listed():
+    got = {m: names for m, tree in MODULES.items() if (names := kcalc_private_imports(tree))}
+    assert got == KCALC_PRIVATE_IMPORTS
+
+
 def test_every_private_name_is_read():
     reads = set().union(*map(_reads, MODULES.values()))
     dead = [f"{m}:{n}" for m, tree in MODULES.items() for n in private_definitions(tree) if n not in reads]
@@ -237,6 +264,8 @@ def test_all_names_resolve():
 def test_checks_see_dead_code():
     tree = ast.parse("import os\nfrom . import grid as G\nfrom .grid import a, b\n_x = 1\n_y = 2\ndef _f(): return b + _y\n")
     assert unused_imports(tree) == ["os", "G", "a"]
+    imports = ast.parse("from .kcalc import _a, b\nfrom .grid import _c\ndef f():\n    from rhlab.kcalc import _d\n")
+    assert kcalc_private_imports(imports) == {"_a", "_d"}
     reads = _reads(tree)
     assert [n for n in private_definitions(tree) if n not in reads] == ["_x", "_f"]
     # a definition reading itself (recursion, a quoted annotation) is no reader

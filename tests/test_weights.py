@@ -25,8 +25,8 @@ from rhlab.indices import family_index
 from rhlab.grid import row_sums
 from rhlab.kcalc import (
     HolmstedtCurve,
-    _level_piece_batch,
     _level_pieces,
+    _PieceRun,
     _piece_matrices,
     grid_power,
     k_l1_linf,
@@ -170,6 +170,31 @@ def test_kside_negative_intercepts_keep_their_bits(spec, d, L, bits, slack):
     assert kside_rh_constant(w, 1.5).value.hex() == bits
 
 
+def _one_spike(L):
+    # ones, but cell 20 is 1.657959: on every cube holding it the K-side
+    # ratio R rises through the denominator's interior minimum t* in the
+    # cube's 8th piece, peaks past t* and falls by the piece's right knot
+    cells = np.ones(1 << L)
+    cells[20] = 1.657959
+    return WeightGrid(1, L, cells)
+
+
+@pytest.mark.parametrize("L", [6, 14])
+def test_kside_interior_minimum_beats_every_knot(L):
+    # R(t*) decides the value, 8.1e-5 relative above the max over the
+    # knots; every cube holding the spike shares its first 8 pieces, so
+    # the family's max ties on each level and goes to level 0.  At L = 6
+    # all levels are one run, at L = 14 each level is a lone level.
+    w, p, level = _one_spike(L), 12.0, L - 3
+    got = [(c.value.hex(), c.witness) for c in (kside_rh_constant(w, p, f"level:{level}"), kside_rh_constant(w, p))]
+    assert got == [("0x1.52968094236eep+0", f"{level}:2"), ("0x1.52968094236eep+0", "0:0")]
+    theta = 1.0 - 1.0 / p
+    vals, K, s0, s, A = _level_pieces(w, level)
+    prefix = np.cumsum(level_piece_integrals(A, vals, s0, s, p, -theta * p - 1.0), axis=1)
+    knots = (prefix ** (1.0 / p) / (s ** -theta * K)).max()
+    assert 8e-5 < float.fromhex(got[0][0]) / knots - 1.0 < 8.2e-5
+
+
 def test_hardy_sup_step_frozen():
     w = make_grid(1, 3, "step:2,1")
     c = hardy_residual_sup(w, "base")
@@ -227,18 +252,24 @@ def _frozen_kside_level(w, level, p):
     return best
 
 
+def _swept(w, levels, run_values, *args):
+    # the per-level values of levels, run by run, as the class constants sweep them
+    return list(_PieceRun.sweep(w, levels, run_values, *args))
+
+
 @settings(max_examples=30)
 @given(st.one_of(random_grids(), st.sampled_from(flat_grids())), st.sampled_from([1.5, 2.0, 3.0]), st.sampled_from([1.5, 2.0, 3.0]))
 def test_level_constants_bitwise_equal_per_piece_route(w, p, q):
-    # each level on its own and all levels in one call
+    # each level on its own and all levels in one call (these grids have
+    # at most 256 cells, so all their levels are one run)
     levels = range(w.base.level, w.L + 1)
-    runs = zip(_lorentz_levels(w, levels, (p,), q), _kside_levels(w, levels, p))
+    runs = zip(_swept(w, levels, _lorentz_levels, (p,), q, w.cell_measure), _swept(w, levels, _kside_levels, p))
     for lev, (lorentz, kside) in zip(levels, runs, strict=True):
         ref = _frozen_lorentz_level(w, lev, p, q)
-        for got in (_lorentz_levels(w, [lev], (p,), q)[0][0], lorentz[0]):
+        for got in (_swept(w, [lev], _lorentz_levels, (p,), q, w.cell_measure)[0][0], lorentz[0]):
             np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
         ref = _frozen_kside_level(w, lev, p)
-        for got in (_kside_levels(w, [lev], p)[0], kside):
+        for got in (_swept(w, [lev], _kside_levels, p)[0], kside):
             np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
@@ -258,7 +289,7 @@ def test_lorentz_constants_of_several_p_equal_their_one_p_calls(w, q):
             assert c.value.hex() == one.value.hex()
             assert (c.kind, c.p, c.q, c.witness, c.cube_policy) == (one.kind, p, q, one.witness, cubes)
     for lev in range(w.L + 1):
-        for row, p in zip(_lorentz_levels(w, [lev], ps, q)[0], ps, strict=True):
+        for row, p in zip(_swept(w, [lev], _lorentz_levels, ps, q, w.cell_measure)[0], ps, strict=True):
             ref = _frozen_lorentz_level(w, lev, p, q)
             np.testing.assert_array_equal(row.view(np.uint64), ref.view(np.uint64))
 
@@ -359,11 +390,13 @@ _SWEEP_GRIDS = flat_grids() + localized_grids() + [
     make_grid(1, 8, "const:3.7"), make_grid(2, 4, "const:3.7"), make_grid(1, 10, "step:4,1,1,1"),
     make_grid(1, 10, "rand:1:lognormal:0.3"), make_grid(2, 5, "rand:1:lognormal:0.3"),
 ]
+# swept at p = 12 only, where its K-side values sit at the t* candidates
+_SPIKE = _one_spike(6)
 
 
 @settings(max_examples=80)
 @given(
-    st.one_of(random_grids(max_level_1d=10, max_level_2d=5), st.sampled_from(_SWEEP_GRIDS)),
+    st.one_of(random_grids(max_level_1d=10, max_level_2d=5), st.sampled_from(_SWEEP_GRIDS), st.just(_SPIKE)),
     st.sampled_from([1.5, 2.0, 3.0]),
     st.sampled_from([1.0, 2.0, 2.5, 3.0]),
     st.data(),
@@ -372,20 +405,21 @@ def test_level_runs_equal_the_level_by_level_sweeps(w, p, q, data):
     # every cube's value, and each constant's value and witness, bit for bit,
     # with budgets that cut the levels into runs of several levels, into
     # lone levels, and the default
+    if w is _SPIKE:
+        p = 12.0
     lo = w.base.level
     k = data.draw(st.integers(lo, w.L), label="k")
-    budget = data.draw(st.sampled_from([1, 2 * w.ncells, 3 * w.ncells, weights._PIECE_BATCH]), label="budget")
+    budget = data.draw(st.sampled_from([1, 2 * w.ncells, 3 * w.ncells, kcalc._PIECE_BATCH]), label="budget")
     ps = (1.5, 2.0, 3.0)
     bits = lambda x: x.view(np.uint64).tolist()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weights, "_PIECE_BATCH", budget)
-        for run in weights._level_batches(w, range(lo, w.L + 1)):
-            *pieces, shapes = _level_piece_batch(w, run)
-            hardy = np.split(indices._hardy_rows(*pieces, shapes), np.cumsum([n for n, _ in shapes])[:-1])
-            for lev, lorentz, kside, h in zip(run, _lorentz_levels(w, run, ps, q), _kside_levels(w, run, p), hardy, strict=True):
-                assert bits(lorentz) == bits(_frozen_lorentz_one_level(w, lev, ps, q))
-                assert bits(kside) == bits(_frozen_kside_one_level(w, lev, p))
-                assert bits(h) == bits(_frozen_hardy_one_level(w, lev))
+        mp.setattr(kcalc, "_PIECE_BATCH", budget)
+        levels = range(lo, w.L + 1)
+        lorentz, kside = _swept(w, levels, _lorentz_levels, ps, q, w.cell_measure), _swept(w, levels, _kside_levels, p)
+        for lev, norms, ks, h in zip(levels, lorentz, kside, _swept(w, levels, indices._hardy_rows), strict=True):
+            assert bits(norms) == bits(_frozen_lorentz_one_level(w, lev, ps, q))
+            assert bits(ks) == bits(_frozen_kside_one_level(w, lev, p))
+            assert bits(h) == bits(_frozen_hardy_one_level(w, lev))
         for cubes in ("all-dyadic", "base", f"level:{k}"):
             got = [(c.value.hex(), c.witness) for c in rh_lorentz_constants(w, ps, q, cubes)]
             assert got == _frozen_sweep(w, cubes, lambda lev: _frozen_lorentz_ratios(w, lev, ps, q), len(ps))
@@ -413,8 +447,7 @@ def _count_kernel_calls(monkeypatch):
         calls["omega"] += 1
         return real_omega(c)
 
-    for module in (kcalc, weights):
-        monkeypatch.setattr(module, "_piece_matrices", pieces)
+    monkeypatch.setattr(kcalc, "_piece_matrices", pieces)
     monkeypatch.setattr(kcalc, "power_piece_integral", power)
     monkeypatch.setattr(indices, "_wright_omega", omega)
     return calls
