@@ -299,12 +299,17 @@ def _knee_fails(lnphi, ls, u, kappa, lncap) -> np.ndarray:
     return np.flatnonzero(fail)
 
 
-def _knee_scan(blocks, win, order, k, lncap) -> float:
-    """The largest u on the grid 2^-k of [0, 1] at which every row of every
-    block passes the knee rule on the window win, or 0 if there is none, by
-    a running bound G read once per block (see family_index).  A block
-    failing at G moves to the front of the shared order."""
-    G = 1 << k
+def _knee_scan(blocks, win, order, k, lncap, floor=0.0) -> float:
+    """The largest u at or above floor on the grid 2^-k of [0, 1] at which
+    every row of every block passes the knee rule on the window win, or
+    -1.0 when some row fails at a floor above 0; at floor 0, the largest
+    such u, or 0 if there is none.  A running bound G is read once per
+    block (see family_index).  A block failing at G moves to the front of
+    the shared order, and its failing rows are probed at the floor (not at
+    0 on a monotone block, where every row passes); if they all pass
+    there, they are bisected on the grid points of [floor, G).  At floor 0
+    these are the probes of a scan without a floor."""
+    G, F = 1 << k, int(math.ldexp(floor, k))
     for b in list(order):
         ncols, kappa = win[b]
         if not ncols:
@@ -316,9 +321,9 @@ def _knee_scan(blocks, win, order, k, lncap) -> float:
             continue
         order.insert(0, order.pop(order.index(b)))
         lnphi = _take_rows(blk.lnphi[:, :ncols], bad)
-        if not blk.monotone and fails(lnphi, 0).size:
-            return 0.0
-        lo, hi = 0, G
+        if (F or not blk.monotone) and fails(lnphi, F).size:
+            return -1.0 if F else 0.0
+        lo, hi = F, G
         while hi - lo > 1:
             mid = (lo + hi) // 2
             bad = fails(lnphi, mid)
@@ -359,19 +364,25 @@ def _index_estimate(blocks, windows, C_cap, resolution, name) -> IndexEstimate:
     """The knee, cap, certificate and witness scans over a list of blocks.
 
     windows holds (gamma, [(ncols, kappa) per block]) for each window
-    fraction; the knee rule picks the best gamma, the cap threshold runs on
-    the blocks' full width.  name(block, row) labels the witness curve.
-    Each window's knee is a running-bound scan on the grid 2^-k (see
-    family_index); the windows share one block order, deepest level first
-    (blocks come in level order), but each reads its blocks on its own.
+    fraction; the knee rule picks the best gamma, the first in the menu at
+    the largest knee point, and the cap threshold runs on the blocks' full
+    width.  name(block, row) labels the witness curve.  The windows are
+    scanned last first, each by a running-bound scan on the grid 2^-k (see
+    family_index) whose floor is the best knee point so far: an earlier
+    window counts only if it reaches that point, and then wins the tie.
+    The scans share one block order, deepest level first (blocks come in
+    level order), but each reads its blocks on its own.
     """
     lncap = math.log(C_cap)
     k = 14  # the least k with 2^-k <= 1e-4
     order = list(range(len(blocks)))[::-1]  # blocks come in level order: deepest first
     mono = all(blk.monotone for blk in blocks)  # then every row passes at u = 0
-    u_knee = [_knee_scan(blocks, win, order, k, lncap) for _, win in windows]
-    best = max(range(len(windows)), key=u_knee.__getitem__)  # the first best gamma
-    u_hat, (gamma_star, win_star) = u_knee[best], windows[best]
+    u_hat, best = 0.0, None
+    for i in reversed(range(len(windows))):
+        u = _knee_scan(blocks, windows[i][1], order, k, lncap, u_hat)
+        if u >= u_hat:  # the first best gamma: an earlier window wins a tie
+            u_hat, best = u, i
+    gamma_star, win_star = windows[best]
 
     # the cap threshold: Newton on C(u) from the failing u = 1 (see family_index)
     live, at = blocks, lambda u, live: _blocks_ok(live, u, lncap)  # live: the blocks an evaluation reads
@@ -441,7 +452,8 @@ def family_index(
     delta_hat is the largest delta admissible by the knee rule (see the
     module docstring) on the breakpoint set, found per window fraction gamma
     on the grid 2^-k of [0, 1], k = 14 the least with 2^-k <= 1e-4 (what a
-    bisection of [0, 1] to 1e-4 returns); the best gamma is reported.
+    bisection of [0, 1] to 1e-4 returns); the best gamma is reported, the
+    first in gamma_grid on a tie.
     delta_cap is the largest delta with family constant <= C_cap at
     gamma = 1 on the exact candidate set (breakpoints plus interior ratio
     minima), to float resolution, with its certificate.  The scans below
@@ -481,9 +493,19 @@ def family_index(
         So G ends at the largest grid point at which every row passes
         (0 if there is none; G = 0 ends the scan), whatever order the
         blocks and rows are read in;
+      * the knee scans read the windows last first, each above a floor,
+        the best knee point of the windows after it (0 for the last): the
+        rows of a block failing at G are probed at the floor, a failure
+        there ends the scan (the window falls short of a later one and is
+        not reported), and otherwise they are bisected on [floor, G) only.
+        A window reaching the floor is taken, so the first best gamma in
+        the menu is reported, as a full scan of every window would report
+        it: the estimate does not depend on the order in which the windows
+        are scanned;
       * the knee scans visit the blocks in one order shared by every
-        window, deepest level first in the first window and fail-first
-        after that, so a window starts at the block that bound the last;
+        window, deepest level first in the first window scanned and
+        fail-first after that, so a window starts at the block that bound
+        the last;
       * the gamma = 1 blocks serve every window as column prefixes and the
         cap threshold, and hold log-values only;
       * no knee scan probes u = 0 on a monotone block, and no cap

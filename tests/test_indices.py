@@ -640,6 +640,125 @@ def test_knee_scan_does_not_depend_on_the_visit_order(w, kind, setting, seed):
     assert indices._family_estimate(w, kind, cap, gammas).delta_hat == max(runs[0])
 
 
+# ---------------------------------------------------------------------------
+# the knee scans' floor: windows last first, each above the best so far
+
+
+def _frozen_knee_scan(blocks, win, order, k, lncap):
+    """The knee scan before its floor, frozen: every window scanned down to
+    its own knee point."""
+    G = 1 << k
+    for b in list(order):
+        ncols, kappa = win[b]
+        if not ncols:
+            continue
+        blk, ls = blocks[b], blocks[b].ls[:ncols]
+        fails = lambda lnphi, g: indices._knee_fails(lnphi, ls, math.ldexp(g, -k), kappa, lncap)
+        bad = fails(blk.lnphi[:, :ncols], G)
+        if not bad.size:
+            continue
+        order.insert(0, order.pop(order.index(b)))
+        lnphi = indices._take_rows(blk.lnphi[:, :ncols], bad)
+        if not blk.monotone and fails(lnphi, 0).size:
+            return 0.0
+        lo, hi = 0, G
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            bad = fails(lnphi, mid)
+            if bad.size:
+                hi, lnphi = mid, indices._take_rows(lnphi, bad)
+            else:
+                lo = mid
+        G = lo
+        if not G:
+            return 0.0
+    return math.ldexp(G, -k)
+
+
+def _frozen_window_loop(w, kind, cap, gammas):
+    """The estimate with the window loop before the floor, frozen: every
+    window scanned in full, in menu order, sharing one block order, and the
+    first best gamma taken, with its witness; and the knee point of each
+    window.  The cap fields come from an estimate on the first window
+    alone: the cap threshold and its certificate read no window."""
+    levels, blocks, windows = _family_blocks(w, kind, gammas)
+    k, lncap, order = _scan_k(1e-4), math.log(cap), list(range(len(blocks)))[::-1]
+    u_knee = [_frozen_knee_scan(blocks, win, order, k, lncap) for _, win in windows]
+    best = max(range(len(windows)), key=u_knee.__getitem__)
+    (gamma, win), u_hat = windows[best], u_knee[best]
+    name = lambda b, row: _cube_at(w, levels[b], row).addr()
+    wit = indices._witness(blocks, win, u_hat)
+    est = indices._index_estimate(blocks, windows[:1], cap, w.L, name)
+    est = dataclasses.replace(
+        est,
+        delta_hat=u_hat,
+        gamma=gamma,
+        witness=("", 0.0, 0.0) if wit is None else (name(wit[0], wit[1]), wit[2], wit[3]),
+    )
+    return est, u_knee
+
+
+# the gamma menus of _SETTINGS, a menu with a duplicate and an unsorted one
+_MENUS = [gammas for _, gammas in _SETTINGS] + [(0.5, 0.5), (0.125, 1.0, 0.25)]
+
+
+@given(
+    random_grids(max_level_1d=10, max_level_2d=5),
+    st.sampled_from(["k", "acks"]),
+    st.sampled_from([(cap, gammas) for cap, _ in _SETTINGS for gammas in _MENUS]),
+)
+@settings(max_examples=60)
+def test_window_loop_equals_the_frozen_full_scans(w, kind, setting):
+    # delta_hat, gamma, the witness and both cap values of the scans above
+    # a floor equal those of a full scan of every window
+    cap, gammas = setting
+    assert indices._family_estimate(w, kind, cap, gammas) == _frozen_window_loop(w, kind, cap, gammas)[0]
+
+
+@pytest.mark.parametrize("d, L, spec", [(1, 10, "rand:1:lognormal:1"), (2, 5, "rand:4:lognormal:1")])
+@pytest.mark.parametrize("gammas", _MENUS)
+@pytest.mark.parametrize("kind", ["k", "acks"])
+def test_window_loop_equals_the_frozen_full_scans_on_every_menu(d, L, spec, gammas, kind):
+    w = make_grid(d, L, spec)
+    for cap, _ in _SETTINGS:
+        assert indices._family_estimate(w, kind, cap, gammas) == _frozen_window_loop(w, kind, cap, gammas)[0]
+
+
+@pytest.mark.parametrize("d, L, spec", [(1, 12, "const:1"), (1, 12, "step:2,1"), (2, 5, "const:3.7"), (2, 5, "step:4,1,1,1")])
+@pytest.mark.parametrize("kind", ["k", "acks"])
+def test_window_loop_equals_the_frozen_full_scans_where_every_window_ties(d, L, spec, kind):
+    # on flat and step grids every window reaches the same knee point, so
+    # each earlier window wins its tie and the first gamma is reported
+    w = make_grid(d, L, spec)
+    for cap, _ in _SETTINGS:
+        for gammas in _MENUS:
+            est = indices._family_estimate(w, kind, cap, gammas)
+            old, u_knee = _frozen_window_loop(w, kind, cap, gammas)
+            assert est == old and len(set(u_knee)) == 1 and est.gamma == gammas[0]
+
+
+@given(random_grids(), st.sampled_from(["k", "acks"]), st.sampled_from(_SETTINGS), st.integers(0, 2**32 - 1))
+@settings(max_examples=40)
+def test_knee_scan_above_a_floor(w, kind, setting, seed):
+    # at or above its floor a scan returns the full scan's knee point, and
+    # below it -1.0; no probe lies below the floor
+    cap, gammas = setting
+    _, blocks, windows = _family_blocks(w, kind, gammas)
+    k, lncap, rng = _scan_k(1e-4), math.log(cap), np.random.default_rng(seed)
+    deepest_first = list(range(len(blocks)))[::-1]
+    real = indices._knee_fails
+    for _, win in windows:
+        full = indices._knee_scan(blocks, win, deepest_first.copy(), k, lncap)
+        g = int(math.ldexp(full, k))
+        for f in sorted({0, max(g - 1, 0), g, min(g + 1, 1 << k), 1 << k, int(rng.integers(0, (1 << k) + 1))}):
+            floor, probes = math.ldexp(f, -k), []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(indices, "_knee_fails", lambda lnphi, ls, u, *a: probes.append(u) or real(lnphi, ls, u, *a))
+                u = indices._knee_scan(blocks, win, deepest_first.copy(), k, lncap, floor)
+            assert u == (full if full >= floor else -1.0)
+            assert probes and min(probes) >= floor
+
+
 def _unpruned_family_index(w, kind, C_cap, gamma_grid):
     """family_index with every probe reading every row of every block, in
     level order: one plain bisection of [0, 1] per window for the knee rule,
@@ -973,20 +1092,24 @@ def test_index_estimates_are_pinned():
 
 
 def _assert_running_bound(scans, blocks, windows):
-    """The knee scans' probes, one scan per window: each visits the blocks
-    in the shared order (deepest level first in the first window, then each
-    block failing at its read moved to the front) and reads each block's
-    window rows once, at the running bound G, before any bisection of them.
-    The bisection follows at once, below G, on the rows failing at the last
-    failing probe, after a probe at u = 0 for a block that is not monotone;
-    G falls to its largest passing probe, and the scan returns G, or 0 once
-    G or a probe at u = 0 says so, reading nothing more."""
+    """The knee scans' probes, one scan per window, last window first: each
+    visits the blocks in the shared order (deepest level first in the first
+    scan, then each block failing at its read moved to the front) and reads
+    each block's window rows once, at the running bound G, before any
+    bisection of them.  A scan's floor is the best result of the scans
+    before it (0 for the first).  The rows failing at G are probed at once
+    at the floor (at u = 0 only for a block that is not monotone), then
+    bisected strictly between the floor and G on the rows failing at the
+    last failing probe; G falls to its largest passing probe.  The scan
+    returns G, or 0 once G or a probe at u = 0 says so, or -1 once a
+    probe at a positive floor fails, reading nothing more."""
     block_at = {_ptr(blk.lnphi): b for b, blk in enumerate(blocks)}
     order = list(range(len(blocks)))[::-1]
-    for (result, probes), (_, win) in zip(scans, windows):
+    floor = 0.0
+    for (result, probes), (_, win) in zip(scans, windows[::-1]):
         visit = iter([b for b in order if win[b][0]])
-        G, i = 1.0, 0
-        while i < len(probes) and G:
+        G, i, below = 1.0, 0, False
+        while i < len(probes) and G and not below:
             ptr, _, u, nrows, nfails = probes[i]
             b = next(visit)
             assert block_at.get(ptr) == b and u == G and nrows == blocks[b].lnphi.shape[0]
@@ -994,29 +1117,32 @@ def _assert_running_bound(scans, blocks, windows):
             if not nfails:
                 continue
             order.insert(0, order.pop(order.index(b)))
-            lo, hi, live = 0.0, G, nfails
+            lo, hi, live = floor, G, nfails
+            if floor or not blocks[b].monotone:
+                ptr, ls, u, nrows, nfails = probes[i]
+                assert ptr not in block_at and ls == _ptr(blocks[b].ls) and (u, nrows) == (floor, live)
+                i += 1
+                if below := nfails > 0:
+                    break
             for ptr, ls, u, nrows, nfails in probes[i:]:
                 if ptr in block_at:
                     break
-                assert ls == _ptr(blocks[b].ls) and nrows == live and lo <= u < hi
+                assert ls == _ptr(blocks[b].ls) and nrows == live and lo < u < hi
                 i += 1
-                if u == 0.0:
-                    assert not blocks[b].monotone
-                    if nfails:
-                        lo = hi = 0.0
-                        break
-                elif nfails:
+                if nfails:
                     hi, live = u, nfails
                 else:
                     lo = u
             G = lo
-        assert i == len(probes) and result == G
+        assert i == len(probes) and result == ((-1.0 if floor else 0.0) if below else G)
+        floor = max(floor, result)
 
 
-# The knee scans of kind k read 101 blocks at L = 12 and 117 at L = 16 (105
-# and 121 with the u = 0 probes, which monotone blocks skip), against 226
-# and 286 reads by the bisection they replaced.
-@pytest.mark.parametrize("L, bound", [(12, 400), (16, 475)])
+# The knee scans of kind k probe 62 times at L = 12 and 50 at L = 16 (23
+# and 19 block reads), kind acks 31 and 9; scanning every window down to
+# its own knee point they probed 101 and 117, and 34 and 11.  The bounds
+# leave about 30 % above the larger count.
+@pytest.mark.parametrize("L, bound", [(12, 80), (16, 64)])
 def test_knee_passes_visit_the_failing_level_first(monkeypatch, L, bound):
     w = make_grid(1, L, "rand:1:lognormal:1")
     for kind in ("k", "acks"):
@@ -1029,12 +1155,13 @@ def test_knee_passes_visit_the_failing_level_first(monkeypatch, L, bound):
         _assert_running_bound(scans, blocks, windows)
 
 
-# The knee probes read 17,548 rows at L = 12 and 281,213 at L = 16 (21,388
-# and 342,653 with the u = 0 probes, which monotone blocks skip).  With
-# those probes, an unpruned bisection per window reads 103,426 and
-# 1,636,579; the pruned bisection the running bound replaced, 32,933 and
-# 526,175.
-@pytest.mark.parametrize("L, bound", [(12, 36_000), (16, 560_000)])
+# The knee probes read 6,090 rows at L = 12 and 92,487 at L = 16; scanning
+# every window down to its own knee point they read 17,548 and 281,213.
+# With the u = 0 probes, which monotone blocks skip, an unpruned bisection
+# per window reads 103,426 and 1,636,579; the pruned bisection the running
+# bound replaced, 32,933 and 526,175.  The bounds leave 25 % above the
+# counts.
+@pytest.mark.parametrize("L, bound", [(12, 7_600), (16, 116_000)])
 def test_knee_probes_read_only_the_rows_failing_before(monkeypatch, L, bound):
     rows = []
     real = indices._knee_fails
@@ -1043,21 +1170,24 @@ def test_knee_probes_read_only_the_rows_failing_before(monkeypatch, L, bound):
     assert 0 < sum(rows) <= bound
 
 
-# The knee probes read 2,231,971 cells on acks pow:-0.5 d=1 L=14, and
-# 6,637,927 over the six estimates of the analyze-deep grids (kinds k and
-# acks); the bisection the running bound replaced read 6,512,632 and
-# 16,713,238, as every passing probe re-read each block it had not pruned.
+# The knee probes read 284,913 cells on acks pow:-0.5 d=1 L=14, and
+# 2,587,062 cells in 398 _knee_fails calls over the six estimates of the
+# analyze-deep grids (kinds k and acks).  Scanning every window down to its
+# own knee point they read 2,231,971 and 6,637,927 cells (614 calls); the
+# bisection the running bound replaced read 6,512,632 and 16,713,238, as
+# every passing probe re-read each block it had not pruned.  The bounds
+# leave 26 % above the pow count and 16 % and 13 % above the totals.
 def test_knee_probes_read_each_row_once_per_window(monkeypatch):
     cells = []
     real = indices._knee_fails
     monkeypatch.setattr(indices, "_knee_fails", lambda lnphi, *a: cells.append(lnphi.size) or real(lnphi, *a))
     pow_grid = make_grid(1, 14, "pow:-0.5")
     acks_index(pow_grid)
-    assert 0 < sum(cells) <= 3_000_000
+    assert 0 < sum(cells) <= 360_000
     for w in (pow_grid, make_grid(1, 16, "rand:1:lognormal:1"), make_grid(2, 8, "rand:2:lognormal:1")):
         acks_index(w)  # memoised: the pow grid's is counted once
         family_index(w)
-    assert sum(cells) <= 8_000_000
+    assert sum(cells) <= 3_000_000 and len(cells) <= 450
 
 
 def test_cap_probes_read_only_the_rows_failing_before(monkeypatch):
